@@ -26,15 +26,17 @@
 #                   determinism and figure-level equivalence at 2–4
 #                   shards, end-to-end through experiments
 #   make bench-guard  compare the two newest checked-in BENCH_*.json and
-#                   fail on >20% ns/op regression in SaturatedSteadyState
-#                   or IncrementalUpdate (BENCHDIFF_SKIP=1 accepts a
-#                   deliberate one)
+#                   fail on >20% ns/op regression in SaturatedSteadyState,
+#                   IncrementalUpdate or EpochUpdate (BENCHDIFF_SKIP=1
+#                   accepts a deliberate one)
 #   make mobility-conformance  the mobility tier: mobility unit tests,
 #                   every arm's mobile determinism/worker-equivalence/
 #                   conservation contracts, the incremental-vs-rebuild
-#                   medium equivalence, the mobile golden traces, the
-#                   staleness-sweep properties and the mobile
-#                   checkpoint/resume bit-identity cases
+#                   medium equivalence (whole epochs and partial
+#                   batches) with the reciprocity and audibility-
+#                   predicate properties it leans on, the mobile
+#                   golden traces, the staleness-sweep properties and
+#                   the mobile checkpoint/resume bit-identity cases
 #   make checkpoint-conformance  the checkpoint/resume bit-identity
 #                   matrix (every golden scenario × every registered MAC
 #                   arm × shards 1/2/4: resume-at-midpoint must equal an
@@ -147,23 +149,30 @@ shard-conformance:
 	$(GO) test -timeout $(TEST_TIMEOUT) -race -count=1 -run 'TestSharded' ./internal/experiments
 
 # Bench regression guard: the two most recently committed BENCH_*.json
-# are diffed; >20% ns/op growth in SaturatedSteadyState or
-# IncrementalUpdate fails the gate. BENCHDIFF_SKIP=1 accepts a
-# deliberate regression (say why in the PR).
+# are diffed; >20% ns/op growth in SaturatedSteadyState,
+# IncrementalUpdate or EpochUpdate fails the gate — unless the two files
+# were recorded on hosts with different num_cpu, which is reported but
+# cannot fail. BENCHDIFF_SKIP=1 accepts a deliberate regression (say
+# why in the PR).
 bench-guard:
 	$(GO) run ./cmd/benchdiff -auto
 
 # The mobility tier: the mobility package's own unit tests (models,
 # channel, checkpoint codec), every registered arm's mobile
 # determinism / worker-equivalence / conservation contracts under the
-# race detector, the incremental-vs-rebuild delivery-list equivalence,
-# the mobile golden traces, the staleness-sweep figure properties, the
+# race detector, the incremental-vs-rebuild delivery-list equivalence
+# (every node per epoch, and partial batches against both oracles and
+# the one-move-at-a-time path) together with the two invariants the
+# batch patch leans on — bitwise Loss reciprocity of every range-bounded
+# model and the guard-banded audibility predicate against its literal
+# form — the mobile golden traces, the staleness-sweep figure properties, the
 # churn × mobility interplay, and the mobile checkpoint/resume
 # bit-identity cases.
 mobility-conformance:
 	$(GO) test -timeout $(TEST_TIMEOUT) -count=1 ./internal/mobility
 	$(GO) test -timeout $(TEST_TIMEOUT) -race -count=1 -run 'TestConformance/.*/Mobile' ./internal/mac/conformance
-	$(GO) test -timeout $(TEST_TIMEOUT) -count=1 -run 'TestIncrementalMatchesRebuild' ./internal/medium
+	$(GO) test -timeout $(TEST_TIMEOUT) -count=1 -run 'TestLossReciprocityBits|TestStepBatchesWhenOffered' ./internal/mobility
+	$(GO) test -timeout $(TEST_TIMEOUT) -count=1 -run 'TestIncrementalMatchesRebuild|TestPartialBatchMatchesRebuild|TestFloorMatchesLiteral' ./internal/medium
 	$(GO) test -timeout $(TEST_TIMEOUT) -count=1 -run 'TestGoldenMobileTraces|TestStalenessSweep|TestMobilityChurnInterplay|TestCheckpointResumeBitIdentical/.*mobile' ./internal/experiments
 
 # Checkpoint/resume bit-identity: FlowSim must reproduce the batch

@@ -50,9 +50,11 @@ func TestGuardedByPrefixList(t *testing.T) {
 		name, guard string
 		want        bool
 	}{
-		{"SaturatedSteadyState/n=200", "SaturatedSteadyState,IncrementalUpdate", true},
-		{"IncrementalUpdate/n=1000", "SaturatedSteadyState,IncrementalUpdate", true},
-		{"DeliveryRebuild/n=1000", "SaturatedSteadyState,IncrementalUpdate", false},
+		{"SaturatedSteadyState/n=200", defaultGuard, true},
+		{"IncrementalUpdate/n=1000", defaultGuard, true},
+		{"EpochUpdate/n=1000", defaultGuard, true},
+		{"DeliveryRebuild/n=1000", defaultGuard, false},
+		{"EpochUpdate/n=50", "SaturatedSteadyState,IncrementalUpdate", false},
 		{"MediumConstruct/n=50", "SaturatedSteadyState", false},
 		{"IncrementalUpdate/n=50", " SaturatedSteadyState , IncrementalUpdate ", true},
 		{"anything", ",,", false},

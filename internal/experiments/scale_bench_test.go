@@ -122,11 +122,19 @@ func BenchmarkSaturatedSteadyState(b *testing.B) {
 }
 
 // BenchmarkIncrementalUpdate measures one MoveNode through the
-// incremental patch path at each scale size — O(k) per move, so ns/op
-// should stay roughly flat as n grows.
+// incremental patch path at each scale size: one model evaluation per
+// grid candidate, so ns/op tracks the candidate set, not n.
 func BenchmarkIncrementalUpdate(b *testing.B) {
 	for _, n := range ScaleSizes {
 		b.Run(fmt.Sprintf("n=%d", n), BenchIncrementalUpdate(n))
+	}
+}
+
+// BenchmarkEpochUpdate measures one whole movement epoch — every node
+// moved in one MoveNodes batch — at each scale size.
+func BenchmarkEpochUpdate(b *testing.B) {
+	for _, n := range ScaleSizes {
+		b.Run(fmt.Sprintf("n=%d", n), BenchEpochUpdate(n))
 	}
 }
 

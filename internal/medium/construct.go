@@ -20,6 +20,44 @@ import (
 // Transmission can snapshot its list without an import cycle.
 type Delivery = phy.Delivery
 
+// floorGuardDB is the guard band around the delivery floor inside which
+// floor.gain defers to the exact mW comparison. It is ~10⁹ ulps of the
+// dBm values involved and ~10⁹ times math.Pow's relative error, so a
+// received power more than this far below the floor can never convert
+// to a gain at or above floorMW.
+const floorGuardDB = 1e-6
+
+// floor is the audibility predicate every delivery list is built with,
+// at construction and on the incremental patch path alike. A link is
+// audible exactly when DBmToMW(TxPowerDBm − loss) >= floorMW — the
+// literal test denseDeliveries spells out — but most grid candidates
+// sit decibels below the floor, so the dBm comparison rejects them
+// before paying for the Pow. Kept sets and stored gains are
+// bit-identical to the literal form (TestFloorMatchesLiteral).
+type floor struct {
+	txDBm, cutDBm, floorMW float64
+}
+
+func newFloor(params phy.Params) floor {
+	return floor{
+		txDBm:   params.TxPowerDBm,
+		cutDBm:  params.DeliveryFloorDBm - floorGuardDB,
+		floorMW: radio.DBmToMW(params.DeliveryFloorDBm),
+	}
+}
+
+// gain returns the received power in mW over a link of the given loss
+// and whether it clears the delivery floor. The gain is meaningful only
+// when the link is audible.
+func (f floor) gain(lossDB float64) (float64, bool) {
+	rx := f.txDBm - lossDB
+	if rx < f.cutDBm {
+		return 0, false
+	}
+	g := radio.DBmToMW(rx)
+	return g, g >= f.floorMW
+}
+
 // BuildDeliveries computes, for every node, the receivers that hear it
 // above the delivery floor, in ascending receiver order, with the power
 // each receives. When the model bounds its range the candidate set is
@@ -43,7 +81,7 @@ func BuildDeliveries(params phy.Params, model radio.Model, positions []geo.Point
 
 	n := len(positions)
 	lists := make([][]Delivery, n)
-	floorMW := radio.DBmToMW(params.DeliveryFloorDBm)
+	fl := newFloor(params)
 	grid := geo.NewGrid(positions, maxRange)
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -67,8 +105,7 @@ func BuildDeliveries(params phy.Params, model radio.Model, positions []geo.Point
 			// subset of the candidates, so one allocation always suffices.
 			list := make([]Delivery, 0, len(buf))
 			for _, b := range buf {
-				loss := model.Loss(a, positions[a], b, positions[b])
-				if g := radio.DBmToMW(params.TxPowerDBm - loss); g >= floorMW {
+				if g, ok := fl.gain(model.Loss(a, positions[a], b, positions[b])); ok {
 					list = append(list, Delivery{Dst: b, GainMW: g})
 				}
 			}

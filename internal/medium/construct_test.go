@@ -2,6 +2,7 @@ package medium
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/geo"
@@ -76,6 +77,60 @@ func TestBuildDeliveriesMatchesDense(t *testing.T) {
 			if sparse[a][k] != dense[a][k] {
 				t.Fatalf("node %d delivery %d: sparse %+v, dense %+v", a, k, sparse[a][k], dense[a][k])
 			}
+		}
+	}
+}
+
+// TestFloorMatchesLiteral pins the guard band under the shared
+// audibility predicate: floor.gain must agree with the literal
+// DBmToMW(TxPowerDBm − loss) >= floorMW that denseDeliveries spells out
+// — same verdict, same gain bits when audible — at every float
+// neighbour of the delivery floor and of the guard-band edge, at
+// random losses, and at the non-finite ones.
+func TestFloorMatchesLiteral(t *testing.T) {
+	check := func(params phy.Params, loss float64) {
+		t.Helper()
+		wantG := radio.DBmToMW(params.TxPowerDBm - loss)
+		want := wantG >= radio.DBmToMW(params.DeliveryFloorDBm)
+		g, got := newFloor(params).gain(loss)
+		if got != want {
+			t.Fatalf("tx %v floor %v loss %v (%x): predicate says %v, literal %v",
+				params.TxPowerDBm, params.DeliveryFloorDBm, loss, math.Float64bits(loss), got, want)
+		}
+		if want && math.Float64bits(g) != math.Float64bits(wantG) {
+			t.Fatalf("tx %v floor %v loss %v: gain %x, literal %x",
+				params.TxPowerDBm, params.DeliveryFloorDBm, loss, math.Float64bits(g), math.Float64bits(wantG))
+		}
+	}
+	rng := sim.NewRNG(0xf100)
+	budgets := []phy.Params{phy.DefaultParams()}
+	for i := 0; i < 20; i++ {
+		p := phy.DefaultParams()
+		p.TxPowerDBm = 30 * rng.Float64()
+		p.DeliveryFloorDBm = -60 - 60*rng.Float64()
+		budgets = append(budgets, p)
+	}
+	for _, params := range budgets {
+		atFloor := params.TxPowerDBm - params.DeliveryFloorDBm
+		for _, centre := range []float64{atFloor, atFloor + floorGuardDB, atFloor - floorGuardDB} {
+			up, down := centre, centre
+			for k := 0; k < 4000; k++ {
+				check(params, up)
+				check(params, down)
+				up = math.Nextafter(up, math.Inf(1))
+				down = math.Nextafter(down, math.Inf(-1))
+			}
+		}
+		// Across the guard band in even steps, where the exact comparison
+		// decides, and well outside it on both sides.
+		for k := -3000; k <= 3000; k++ {
+			check(params, atFloor+float64(k)*floorGuardDB/1000)
+		}
+		for k := 0; k < 20000; k++ {
+			check(params, 250*rng.Float64()-20)
+		}
+		for _, loss := range []float64{0, math.Inf(1), math.Inf(-1), math.NaN(), math.MaxFloat64, -math.MaxFloat64} {
+			check(params, loss)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package medium
 
 import (
 	"cmp"
+	"fmt"
 	"math"
 	"slices"
 
@@ -9,21 +10,38 @@ import (
 	"repro/internal/radio"
 )
 
-// Incremental delivery-list maintenance for mobile nodes. MoveNode
-// relocates one node and patches only the lists the move can change —
-// O(k) per move through the spatial grid instead of the O(n·k) full
-// rebuild — while staying bit-identical to BuildDeliveries over the
-// final positions: every kept entry is the same pure float computation
-// (DBmToMW(TxPowerDBm − model.Loss(...)) ≥ floor), membership uses the
-// same predicate, and lists stay in ascending receiver order with the
-// same nil-when-empty convention. TestIncrementalMatchesRebuild and
-// FuzzDeliveryPatch pin that equivalence against both the sparse and
-// the dense oracle.
+// Incremental delivery-list maintenance for mobile nodes. MoveNodes
+// relocates a set of nodes — one movement epoch's worth — and patches
+// only the lists the moves can change, evaluating the model once per
+// affected unordered pair, while staying bit-identical to
+// BuildDeliveries over the final positions: every kept entry is the
+// same pure float computation (floor.gain of model.Loss), membership
+// uses the same predicate, and lists stay in ascending receiver order
+// with the same nil-when-empty convention.
+//
+// Two invariants carry the grid path. Reciprocity: a range-bounded
+// model's Loss(a,pa,b,pb) and Loss(b,pb,a,pa) have equal bits
+// (geo.Point.Dist squares the coordinate differences, the shadowing
+// hash is keyed on (lo,hi), mobility.Channel mixes epochs in id order;
+// pinned by TestLossReciprocityBits in internal/mobility), so one
+// evaluation serves both endpoints' lists. The guard band: floor.gain
+// skips the Pow only where the literal comparison could not have kept
+// the link (TestFloorMatchesLiteral). TestIncrementalMatchesRebuild,
+// TestPartialBatchMatchesRebuild and FuzzDeliveryPatch pin the
+// equivalence against both the sparse and the dense oracle.
 //
 // Patches are copy-on-write: a patched list is a fresh slice, never a
 // mutation of the old backing array, because in-flight transmissions
 // hold transmit-time snapshots of the lists they fanned out over (see
 // Transmit / finishTransmission).
+
+// Per-node progress of the batch in flight; every entry is unmoved
+// between MoveNodes calls.
+const (
+	unmoved  uint8 = iota
+	pending        // in the batch, row not rebuilt yet
+	rowFinal       // in the batch, row rebuilt over the final positions
+)
 
 // mover is the lazily-built incremental-update state.
 type mover struct {
@@ -31,14 +49,15 @@ type mover struct {
 	// nil means the model is unbounded and patches scan all nodes.
 	grid     *geo.Grid
 	maxRange float64
-	cand     []int // scratch candidate buffer, reused across moves
+	state    []uint8    // batch progress per node
+	row      []Delivery // scratch kept row, reused across moves
 }
 
 func (m *Medium) ensureMover() *mover {
 	if m.mv != nil {
 		return m.mv
 	}
-	mv := &mover{maxRange: math.Inf(1)}
+	mv := &mover{maxRange: math.Inf(1), state: make([]uint8, len(m.positions))}
 	if rb, ok := m.model.(radio.RangeBounder); ok {
 		mv.maxRange = rb.MaxRange(m.params.TxPowerDBm - m.params.DeliveryFloorDBm)
 	}
@@ -56,80 +75,112 @@ func (m *Medium) ensureMover() *mover {
 	return mv
 }
 
-// MoveNode relocates node i to p and patches the delivery lists so they
-// equal what a from-scratch build over the updated positions would
-// produce. Zero-length moves are valid (the recompute is idempotent).
-// Models whose Loss depends on per-node state that changed without a
-// position change (the mobility channel's shadowing epochs) are
-// refreshed by the same call: every list entry involving i is
-// recomputed from the live model.
+// MoveNode relocates one node: the one-element case of MoveNodes.
 func (m *Medium) MoveNode(i int, p geo.Point) {
+	m.MoveNodes([]int{i}, []geo.Point{p})
+}
+
+// MoveNodes relocates node ids[k] to pts[k] for every k and patches the
+// delivery lists so they equal what a from-scratch build over the
+// updated positions would produce. Zero-length moves are valid (the
+// recompute is idempotent), and an id listed twice ends at its last
+// point. Models whose Loss depends on per-node state that changed
+// without a position change (the mobility channel's shadowing epochs)
+// are refreshed by the same call: every list entry involving a listed
+// node is recomputed from the live model, so such state must be final
+// for the whole batch before the call.
+//
+// All positions and grid buckets are updated first, so every gain is
+// computed over final geometry; then each listed node's row is rebuilt
+// and its unmoved neighbours are patched from it.
+func (m *Medium) MoveNodes(ids []int, pts []geo.Point) {
+	if len(ids) != len(pts) {
+		panic(fmt.Sprintf("medium: MoveNodes got %d ids and %d points", len(ids), len(pts)))
+	}
 	mv := m.ensureMover()
-	old := m.deliveries[i]
-	m.positions[i] = p
-	if mv.grid != nil {
-		mv.grid.Move(i, p)
-		m.moveGridPatch(mv, i, old)
-	} else {
-		m.moveDensePatch(i)
+	for k, i := range ids {
+		m.positions[i] = pts[k]
+		if mv.grid != nil {
+			mv.grid.Move(i, pts[k])
+		}
+		mv.state[i] = pending
+	}
+	for _, i := range ids {
+		if mv.state[i] == rowFinal {
+			continue // listed twice
+		}
+		if mv.grid != nil {
+			m.moveGridPatch(mv, i)
+		} else {
+			m.moveDensePatch(i)
+		}
+		mv.state[i] = rowFinal
+	}
+	for _, i := range ids {
+		mv.state[i] = unmoved
 	}
 }
 
-// moveGridPatch rebuilds node i's own list from the grid and re-patches
-// every list whose entry for i could have changed. Loss models behind a
-// range bound are reciprocal, so "j heard i before the move" is exactly
-// the destination set of i's old list; "j may hear i after" is the grid
-// candidate set. The union covers every affected list.
-func (m *Medium) moveGridPatch(mv *mover, i int, old []Delivery) {
-	buf := mv.cand[:0]
-	mv.grid.Within(i, mv.maxRange, func(b int) { buf = append(buf, b) })
-	slices.Sort(buf)
+// audible evaluates the model from a to b at their current positions:
+// the received power in mW and whether it clears the delivery floor.
+func (m *Medium) audible(a, b int) (float64, bool) {
+	return m.floor.gain(m.model.Loss(a, m.positions[a], b, m.positions[b]))
+}
+
+// moveGridPatch rebuilds node i's row from its grid candidates and
+// patches the unmoved nodes whose entry for i could have changed: the
+// receivers of i's old row (reciprocity: exactly the nodes that heard
+// i before) and of its new one. Other nodes of the batch are skipped —
+// their rows are rebuilt whole — and a candidate whose row is already
+// final is read back from that row instead of evaluated again, so each
+// moved pair costs one model evaluation per batch.
+func (m *Medium) moveGridPatch(mv *mover, i int) {
+	old := m.deliveries[i]
+	row := mv.row[:0]
+	mv.grid.Within(i, mv.maxRange, func(b int) {
+		var g float64
+		var ok bool
+		if mv.state[b] == rowFinal {
+			g, ok = m.lookupGain(b, i)
+		} else {
+			g, ok = m.audible(i, b)
+		}
+		if ok {
+			row = append(row, Delivery{Dst: b, GainMW: g})
+		}
+	})
+	mv.row = row
+	// Within visits cell-major; sort the few kept entries rather than
+	// the whole candidate set.
+	slices.SortFunc(row, func(x, y Delivery) int { return cmp.Compare(x.Dst, y.Dst) })
+	// A fresh slice at the exact length: the scratch row is reused, and
+	// snapshots of the old list must stay valid.
 	var list []Delivery
-	if len(buf) > 0 {
-		// Pre-size from the candidate count, exactly like the
-		// BuildDeliveries fill loop.
-		list = make([]Delivery, 0, len(buf))
-		for _, b := range buf {
-			if g := m.gain(i, b); g >= m.floorMW {
-				list = append(list, Delivery{Dst: b, GainMW: g})
-			}
-		}
-		if len(list) == 0 {
-			list = nil
-		}
+	if len(row) > 0 {
+		list = make([]Delivery, len(row))
+		copy(list, row)
 	}
 	m.deliveries[i] = list
-	// Merge-walk the two ascending destination streams so each affected
-	// list is patched exactly once.
-	oi, bi := 0, 0
-	for oi < len(old) || bi < len(buf) {
-		var j int
-		switch {
-		case oi >= len(old):
-			j = buf[bi]
-			bi++
-		case bi >= len(buf):
-			j = old[oi].Dst
-			oi++
-		case old[oi].Dst < buf[bi]:
-			j = old[oi].Dst
-			oi++
-		case old[oi].Dst > buf[bi]:
-			j = buf[bi]
-			bi++
-		default:
-			j = buf[bi]
-			oi++
-			bi++
+	for _, d := range list {
+		if mv.state[d.Dst] == unmoved {
+			m.patchEntry(d.Dst, i, d.GainMW, true)
 		}
-		m.patchEntry(j, i)
 	}
-	mv.cand = buf
+	for _, d := range old {
+		if mv.state[d.Dst] != unmoved {
+			continue
+		}
+		if _, still := slices.BinarySearchFunc(list, d.Dst, byDst); !still {
+			m.patchEntry(d.Dst, i, 0, false)
+		}
+	}
 }
 
 // moveDensePatch is the unbounded-model fallback: recompute row i (who
-// hears i) from scratch and re-evaluate entry i in every other list —
-// O(n) per move, mirroring denseDeliveries' per-pair computation.
+// hears i) from scratch and re-evaluate entry i in every other list, in
+// that list's own direction — nothing vouches for an unbounded model's
+// reciprocity (a Matrix is whatever the caller filled in). O(n) per
+// moved node, mirroring denseDeliveries' per-pair computation.
 func (m *Medium) moveDensePatch(i int) {
 	n := len(m.positions)
 	var list []Delivery
@@ -137,30 +188,27 @@ func (m *Medium) moveDensePatch(i int) {
 		if b == i {
 			continue
 		}
-		if g := m.gain(i, b); g >= m.floorMW {
+		if g, ok := m.audible(i, b); ok {
 			list = append(list, Delivery{Dst: b, GainMW: g})
 		}
 	}
 	m.deliveries[i] = list
 	for j := 0; j < n; j++ {
-		m.patchEntry(j, i)
+		if j == i {
+			continue
+		}
+		g, ok := m.audible(j, i)
+		m.patchEntry(j, i, g, ok)
 	}
 }
 
-// patchEntry recomputes list j's entry for destination i — insert,
-// update, or remove, copy-on-write, preserving ascending order and the
-// nil-when-empty convention. The gain is computed in the j→i direction,
-// the same direction a full rebuild uses for list j.
-func (m *Medium) patchEntry(j, i int) {
-	if j == i {
-		return
-	}
+// patchEntry makes list j's entry for destination i carry gain g when
+// audible, or disappear when not — insert, update, or remove,
+// copy-on-write, preserving ascending order and the nil-when-empty
+// convention.
+func (m *Medium) patchEntry(j, i int, g float64, audible bool) {
 	list := m.deliveries[j]
-	k, ok := slices.BinarySearchFunc(list, i, func(d Delivery, dst int) int {
-		return cmp.Compare(d.Dst, dst)
-	})
-	g := m.gain(j, i)
-	audible := g >= m.floorMW
+	k, ok := slices.BinarySearchFunc(list, i, byDst)
 	switch {
 	case ok && audible:
 		if math.Float64bits(list[k].GainMW) == math.Float64bits(g) {

@@ -2,6 +2,7 @@ package medium
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/geo"
@@ -87,6 +88,145 @@ func TestIncrementalMatchesRebuild(t *testing.T) {
 				t.Fatalf("manager applied %d epochs, want 30", mg.Epochs)
 			}
 		})
+	}
+}
+
+// unbounded hides a model's range bound, which sends the medium down
+// the dense construction and patch paths.
+type unbounded struct{ radio.Model }
+
+// TestPartialBatchMatchesRebuild moves subsets of the nodes in one
+// MoveNodes call — TestIncrementalMatchesRebuild only ever moves all of
+// them — and proves after every batch that the lists equal the sparse
+// and dense oracles over the final positions and shadow epochs, and
+// equal a twin medium that took the same moves one MoveNode at a time.
+// Every case runs on the grid path and on the dense fallback.
+func TestPartialBatchMatchesRebuild(t *testing.T) {
+	arena := geo.Rect{MinX: 0, MinY: 0, MaxX: 120, MaxY: 80}
+	const n = 60
+	// A batch is built against the current positions; bump lists nodes
+	// whose shadow epoch advances before the batch is applied.
+	type batch struct {
+		ids  []int
+		pts  []geo.Point
+		bump []int
+	}
+	jitter := func(p geo.Point, rng *sim.RNG) geo.Point {
+		return geo.Point{X: p.X + 20*(rng.Float64()-0.5), Y: p.Y + 20*(rng.Float64()-0.5)}
+	}
+	cases := []struct {
+		name   string
+		rounds int
+		next   func(pos []geo.Point, rng *sim.RNG) batch
+	}{
+		{"empty batch", 1, func([]geo.Point, *sim.RNG) batch { return batch{} }},
+		{"one node", 5, func(pos []geo.Point, rng *sim.RNG) batch {
+			i := rng.Intn(n)
+			return batch{ids: []int{i}, pts: []geo.Point{jitter(pos[i], rng)}}
+		}},
+		{"moved pair swaps places", 5, func(pos []geo.Point, rng *sim.RNG) batch {
+			a := rng.Intn(n)
+			b := (a + 1 + rng.Intn(n-1)) % n
+			return batch{ids: []int{a, b}, pts: []geo.Point{pos[b], pos[a]}}
+		}},
+		{"every third node, descending ids", 5, func(pos []geo.Point, rng *sim.RNG) batch {
+			var bt batch
+			for i := n - 1; i >= 0; i -= 3 {
+				bt.ids = append(bt.ids, i)
+				bt.pts = append(bt.pts, jitter(pos[i], rng))
+			}
+			return bt
+		}},
+		{"zero-length moves under bumped shadowing", 5, func(pos []geo.Point, rng *sim.RNG) batch {
+			var bt batch
+			for i := rng.Intn(4); i < n; i += 4 {
+				bt.ids = append(bt.ids, i)
+				bt.pts = append(bt.pts, pos[i])
+				bt.bump = append(bt.bump, i)
+			}
+			return bt
+		}},
+		{"out of the arena", 4, func(pos []geo.Point, rng *sim.RNG) batch {
+			a, b := rng.Intn(n), rng.Intn(n)
+			return batch{
+				ids: []int{a, b, (a + 7) % n},
+				pts: []geo.Point{{X: -3000, Y: 5000}, {X: 1e5 * rng.Float64(), Y: -40}, jitter(pos[(a+7)%n], rng)},
+			}
+		}},
+		{"node listed twice ends at its last point", 4, func(pos []geo.Point, rng *sim.RNG) batch {
+			a := rng.Intn(n)
+			b := (a + 1) % n
+			return batch{
+				ids: []int{a, b, a},
+				pts: []geo.Point{{X: -3000, Y: -3000}, jitter(pos[b], rng), jitter(pos[a], rng)},
+			}
+		}},
+		{"random half with random bumps", 20, func(pos []geo.Point, rng *sim.RNG) batch {
+			var bt batch
+			for i := 0; i < n; i++ {
+				if rng.Float64() < 0.5 {
+					continue
+				}
+				p := jitter(pos[i], rng)
+				switch rng.Intn(8) {
+				case 0:
+					p = pos[i]
+				case 1:
+					p = geo.Point{X: p.X - 3000, Y: p.Y + 3000}
+				}
+				bt.ids = append(bt.ids, i)
+				bt.pts = append(bt.pts, p)
+				if rng.Float64() < 0.3 {
+					bt.bump = append(bt.bump, i)
+				}
+			}
+			return bt
+		}},
+	}
+	for _, dense := range []bool{false, true} {
+		for _, tc := range cases {
+			name := tc.name
+			if dense {
+				name += "/dense path"
+			}
+			t.Run(name, func(t *testing.T) {
+				params := phy.DefaultParams()
+				inner := &radio.LogDistance{RefLossDB: 50, Exponent: 3.0, ShadowSigmaDB: 4, Seed: 0xba7c4}
+				rng := sim.NewRNG(77)
+				pts := scatter(n, arena, rng.Stream(7))
+				ch := mobility.NewChannel(inner, n)
+				var model radio.Model = ch
+				if dense {
+					model = unbounded{ch}
+				}
+				m := NewWithWorkers(sim.NewScheduler(), params, model, pts, rng.Stream(1), 1)
+				twin := NewWithWorkers(sim.NewScheduler(), params, model, pts, rng.Stream(1), 1)
+				if m.GridBacked() == dense {
+					t.Fatalf("grid-backed = %v on the %s", m.GridBacked(), name)
+				}
+				draw := rng.Stream(9)
+				for round := 0; round < tc.rounds; round++ {
+					bt := tc.next(m.positions, draw)
+					for _, i := range bt.bump {
+						ch.Bump(i)
+					}
+					m.MoveNodes(bt.ids, bt.pts)
+					for k, i := range bt.ids {
+						twin.MoveNode(i, bt.pts[k])
+					}
+					for k := len(bt.ids) - 1; k >= 0; k-- {
+						// The last listing of an id is where it must be.
+						if i := bt.ids[k]; !slices.Contains(bt.ids[k+1:], i) && m.positions[i] != bt.pts[k] {
+							t.Fatalf("round %d: node %d at %v, want %v", round, i, m.positions[i], bt.pts[k])
+						}
+					}
+					sparse, _ := BuildDeliveries(params, ch, m.positions, 1)
+					requireListsEqual(t, "sparse oracle", m.deliveries, sparse)
+					requireListsEqual(t, "dense oracle", m.deliveries, denseDeliveries(params, ch, m.positions))
+					requireListsEqual(t, "one MoveNode at a time", m.deliveries, twin.deliveries)
+				}
+			})
+		}
 	}
 }
 

@@ -28,7 +28,7 @@ type Medium struct {
 	// list order, so list order is part of the deterministic event
 	// sequence that golden traces pin down.
 	deliveries [][]Delivery
-	floorMW    float64
+	floor      floor
 	gridBacked bool
 
 	// txFree recycles Transmission objects: a transmission returns to
@@ -41,7 +41,7 @@ type Medium struct {
 	Transmissions uint64
 
 	// mv holds the incremental-update machinery (spatial grid, scratch
-	// buffers); built lazily on the first MoveNode so static runs pay
+	// buffers); built lazily on the first MoveNodes so static runs pay
 	// nothing for it.
 	mv *mover
 }
@@ -80,7 +80,7 @@ func newMedium(sched *sim.Scheduler, params phy.Params, model radio.Model, posit
 		params:    params,
 		model:     model,
 		positions: append([]geo.Point(nil), positions...),
-		floorMW:   radio.DBmToMW(params.DeliveryFloorDBm),
+		floor:     newFloor(params),
 	}
 	n := len(positions)
 	m.radios = make([]*phy.Radio, n)
@@ -128,12 +128,14 @@ func (m *Medium) ForEachNeighbor(i int, fn func(dst int, gainMW float64)) {
 	}
 }
 
+// byDst orders a delivery against a receiver index, for binary searches
+// over the ascending lists.
+func byDst(d Delivery, dst int) int { return cmp.Compare(d.Dst, dst) }
+
 // lookupGain finds the stored delivery gain from→to, if to is audible.
 func (m *Medium) lookupGain(from, to int) (float64, bool) {
 	list := m.deliveries[from]
-	k, ok := slices.BinarySearchFunc(list, to, func(d Delivery, dst int) int {
-		return cmp.Compare(d.Dst, dst)
-	})
+	k, ok := slices.BinarySearchFunc(list, to, byDst)
 	if ok {
 		return list[k].GainMW, true
 	}
@@ -207,7 +209,7 @@ func (m *Medium) HandleEvent(arg any) {
 
 // finishTransmission delivers SignalEnd to every receiver of tx in the
 // same ascending order SignalStart used, then recycles tx. The walk is
-// over the transmit-time snapshot, not the live list: MoveNode patches
+// over the transmit-time snapshot, not the live list: MoveNodes patches
 // lists copy-on-write, so the snapshot keeps SignalStart and SignalEnd
 // pinned to one receiver set even while nodes move mid-frame.
 func (m *Medium) finishTransmission(tx *phy.Transmission) {

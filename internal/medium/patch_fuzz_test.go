@@ -1,24 +1,39 @@
 package medium
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/geo"
+	"repro/internal/mobility"
 	"repro/internal/phy"
 	"repro/internal/radio"
 	"repro/internal/sim"
 )
 
 // FuzzDeliveryPatch drives random move sequences — zero-length moves,
-// cell-boundary crossings, and far out-of-arena jumps — through
-// MoveNode and checks after every move that the patched delivery lists
-// are bit-identical to both the sparse grid build and the dense O(n²)
-// reference over the current positions.
+// cell-boundary crossings, far out-of-arena jumps and shadow-epoch
+// bumps, singly and in partial batches — through MoveNodes and checks
+// after every batch that the patched delivery lists are bit-identical
+// to the sparse grid build and the dense O(n²) reference over the
+// current positions, and to a twin medium that took the same moves one
+// MoveNode at a time.
+//
+// Each step is a node byte, an op byte and up to two coordinate bytes.
+// Op bits 0–1 pick the move kind; bit 6 bumps the node's shadow epoch
+// first; bit 7 holds the move back, so it lands in one MoveNodes call
+// together with every held move before it and the next unheld one —
+// moved↔moved and moved↔unmoved pairs in the same batch, the same node
+// possibly listed twice.
 func FuzzDeliveryPatch(f *testing.F) {
 	f.Add([]byte{6, 10, 20, 60, 90, 120, 5, 40, 80, 15, 33, 77, 0, 1, 0, 0, 1, 0, 120, 120, 2, 1, 9})
 	f.Add([]byte("delivery-patch-seed: shuffle everyone around"))
 	f.Add([]byte{4, 0, 0, 50, 0, 0, 50, 50, 50, 0, 0, 0, 0, 1, 1, 255, 255, 2, 0, 128, 3, 64, 64})
+	// Held moves: a three-node batch with a zero-length move and an
+	// out-of-arena jump, then a bumped pair, then a node listed twice.
+	f.Add([]byte{5, 10, 10, 30, 10, 50, 10, 30, 40, 90, 90, 60, 60, 10, 70,
+		0, 0x82, 8, 8, 1, 0x80, 2, 0x01, 200, 3,
+		3, 0xc2, 250, 4, 4, 0x42, 6, 250,
+		5, 0x83, 20, 20, 5, 0x02, 40, 40})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 4 {
 			return
@@ -34,42 +49,36 @@ func FuzzDeliveryPatch(f *testing.F) {
 			return b
 		}
 		params := phy.DefaultParams()
-		model := &radio.LogDistance{RefLossDB: 50, Exponent: 3.2, ShadowSigmaDB: 3, Seed: 0xf022}
+		inner := &radio.LogDistance{RefLossDB: 50, Exponent: 3.2, ShadowSigmaDB: 3, Seed: 0xf022}
+		model := mobility.NewChannel(inner, n)
 		pts := make([]geo.Point, n)
 		for i := range pts {
 			pts[i] = geo.Point{X: float64(next()), Y: float64(next())}
 		}
 		m := NewWithWorkers(sim.NewScheduler(), params, model, pts, sim.NewRNG(1), 1)
+		twin := NewWithWorkers(sim.NewScheduler(), params, model, pts, sim.NewRNG(1), 1)
 		verify := func() {
 			sparse, _ := BuildDeliveries(params, model, m.positions, 1)
-			dense := denseDeliveries(params, model, m.positions)
-			for _, oracle := range []struct {
-				name  string
-				lists [][]Delivery
-			}{{"sparse", sparse}, {"dense", dense}} {
-				for i := range oracle.lists {
-					got, want := m.deliveries[i], oracle.lists[i]
-					if (got == nil) != (want == nil) || len(got) != len(want) {
-						t.Fatalf("%s oracle: node %d list len %d (nil=%v), want %d (nil=%v)",
-							oracle.name, i, len(got), got == nil, len(want), want == nil)
-					}
-					for k := range want {
-						if got[k].Dst != want[k].Dst ||
-							math.Float64bits(got[k].GainMW) != math.Float64bits(want[k].GainMW) {
-							t.Fatalf("%s oracle: node %d entry %d = {%d,%x}, want {%d,%x}",
-								oracle.name, i, k,
-								got[k].Dst, math.Float64bits(got[k].GainMW),
-								want[k].Dst, math.Float64bits(want[k].GainMW))
-						}
-					}
-				}
-			}
+			requireListsEqual(t, "sparse oracle", m.deliveries, sparse)
+			requireListsEqual(t, "dense oracle", m.deliveries, denseDeliveries(params, model, m.positions))
+			requireListsEqual(t, "one MoveNode at a time", m.deliveries, twin.deliveries)
 		}
 		verify()
+		var ids []int
+		var to []geo.Point
+		flush := func() {
+			m.MoveNodes(ids, to)
+			for k, i := range ids {
+				twin.MoveNode(i, to[k])
+			}
+			ids, to = ids[:0], to[:0]
+			verify()
+		}
 		for len(data) >= 3 {
 			i := int(next()) % n
+			op := next()
 			var p geo.Point
-			switch next() % 4 {
+			switch op % 4 {
 			case 0: // zero-length move
 				p = m.positions[i]
 			case 1: // far out of the construction bounds (edge-cell clamp)
@@ -80,8 +89,14 @@ func FuzzDeliveryPatch(f *testing.F) {
 					Y: m.positions[i].Y + float64(int8(next()))/2,
 				}
 			}
-			m.MoveNode(i, p)
-			verify()
+			if op&0x40 != 0 {
+				model.Bump(i)
+			}
+			ids, to = append(ids, i), append(to, p)
+			if op&0x80 == 0 {
+				flush()
+			}
 		}
+		flush() // whatever is still held, possibly nothing
 	})
 }

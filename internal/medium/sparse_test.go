@@ -130,7 +130,7 @@ func TestForEachNeighborAscending(t *testing.T) {
 			if dst <= prev {
 				t.Fatalf("node %d neighbours out of order: %d after %d", i, dst, prev)
 			}
-			if gainMW < m.floorMW {
+			if gainMW < m.floor.floorMW {
 				t.Fatalf("node %d neighbour %d below delivery floor", i, dst)
 			}
 			prev = dst

@@ -19,9 +19,10 @@ import (
 // wrapped static run is bit-identical to an unwrapped one. Inner models
 // without shadowing (FreeSpace, Matrix) pass through unchanged.
 //
-// A Channel belongs to one run: the Manager bumps epochs only
-// immediately before repatching the moved node's delivery lists, which
-// keeps the lists and the model consistent at every event.
+// A Channel belongs to one run: the Manager bumps epochs only inside an
+// epoch step, before repatching the moved nodes' delivery lists in the
+// same step, which keeps the lists and the model consistent at every
+// event.
 type Channel struct {
 	inner  radio.Model
 	epochs []uint32

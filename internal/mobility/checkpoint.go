@@ -62,8 +62,8 @@ func (mg *Manager) ExportState() State {
 // RestoreState overwrites the manager's mutable state from a checkpoint
 // and repositions every node through the medium so the delivery lists
 // match the checkpointed positions exactly. Shadowing epochs are
-// restored first — MoveNode recomputes gains from the live model, so
-// the model must be in its checkpointed state before the first patch.
+// restored first — the patch recomputes gains from the live model, so
+// the model must be in its checkpointed state before it runs.
 func (mg *Manager) RestoreState(st State) error {
 	if len(st.Nodes) != len(mg.nodes) {
 		return fmt.Errorf("mobility: checkpoint has %d nodes, manager has %d", len(st.Nodes), len(mg.nodes))
@@ -85,8 +85,10 @@ func (mg *Manager) RestoreState(st State) error {
 		n.trav = s.Trav
 		// Unconditional: a node can be back at its starting point with
 		// a non-zero shadow epoch, and its links still need refreshing.
-		mg.med.MoveNode(i, s.Pos)
+		mg.ids = append(mg.ids, i)
+		mg.pts = append(mg.pts, s.Pos)
 	}
+	mg.apply()
 	return nil
 }
 

@@ -24,6 +24,13 @@ type Mover interface {
 	Scheduler() *sim.Scheduler
 }
 
+// batchMover is the epoch-at-once surface a Mover may also offer (the
+// real medium does): one call per epoch lets it evaluate each moved
+// pair once instead of once per endpoint per direction.
+type batchMover interface {
+	MoveNodes(ids []int, pts []geo.Point)
+}
+
 // nodeState is one node's movement state. Every field is exported into
 // the checkpoint envelope — trajectories must continue bit-exactly
 // across a resume.
@@ -37,7 +44,7 @@ type nodeState struct {
 }
 
 // Manager owns the movement state of every node and applies one
-// position epoch per Spec.Epoch through the medium's MoveNode. It is a
+// position epoch per Spec.Epoch through the medium's patch path. It is a
 // sim.EventHandler; Start posts the first epoch and each epoch re-posts
 // the next.
 type Manager struct {
@@ -47,6 +54,9 @@ type Manager struct {
 	ch    *Channel // optional shadowing channel; nil disables re-draws
 	nodes []nodeState
 	epoch sim.Time
+	// ids and pts collect one epoch's moves; empty between epochs.
+	ids []int
+	pts []geo.Point
 	// Epochs counts applied position epochs, for diagnostics.
 	Epochs uint64
 }
@@ -103,8 +113,12 @@ func (mg *Manager) HandleEvent(arg any) {
 }
 
 // step advances every node by one epoch, in node order, bumping shadow
-// epochs as travel odometers cross the decorrelation distance and
-// pushing each changed position through the medium's incremental patch.
+// epochs as travel odometers cross the decorrelation distance, then
+// pushes the changed positions through the medium's incremental patch
+// as one batch. No event fires inside step, so applying every bump
+// before the first patch leaves the lists where patching node by node
+// would: equal to a full build over the epoch's final positions and
+// shadow epochs.
 func (mg *Manager) step() {
 	mg.Epochs++
 	now := mg.med.Scheduler().Now()
@@ -123,8 +137,23 @@ func (mg *Manager) step() {
 				mg.ch.Bump(i)
 			}
 		}
-		mg.med.MoveNode(i, p)
+		mg.ids = append(mg.ids, i)
+		mg.pts = append(mg.pts, p)
 	}
+	mg.apply()
+}
+
+// apply hands the collected moves to the medium — as one batch when it
+// takes one, else node by node — and empties the collection.
+func (mg *Manager) apply() {
+	if bm, ok := mg.med.(batchMover); ok {
+		bm.MoveNodes(mg.ids, mg.pts)
+	} else {
+		for k, i := range mg.ids {
+			mg.med.MoveNode(i, mg.pts[k])
+		}
+	}
+	mg.ids, mg.pts = mg.ids[:0], mg.pts[:0]
 }
 
 // advance computes one node's next position without applying it.

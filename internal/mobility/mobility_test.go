@@ -179,6 +179,57 @@ func TestTrajectoriesDeterministic(t *testing.T) {
 	}
 }
 
+// batchFake is a fakeMover that also offers the epoch-at-once surface.
+type batchFake struct {
+	*fakeMover
+	batches int
+}
+
+func (f *batchFake) MoveNodes(ids []int, pts []geo.Point) {
+	f.batches++
+	for k, i := range ids {
+		f.MoveNode(i, pts[k])
+	}
+}
+
+// TestStepBatchesWhenOffered pins the manager's hand-off: a mover with
+// MoveNodes gets exactly one call per epoch, carrying the same moves in
+// the same node order the per-node loop would have made; the shadow
+// bumps of the whole epoch are applied before it; and a checkpoint
+// restore goes through the same batch.
+func TestStepBatchesWhenOffered(t *testing.T) {
+	arena := geo.Rect{MinX: 0, MinY: 0, MaxX: 100, MaxY: 60}
+	spec := Spec{Kind: Waypoint, SpeedMps: 20, DecorrM: 1}
+	pts := scatterPts(12, 100, 60, 7)
+	loop := newFakeMover(pts)
+	batch := &batchFake{fakeMover: newFakeMover(pts)}
+	chLoop, chBatch := NewChannel(radio.DefaultIndoor5GHz(1), len(pts)), NewChannel(radio.DefaultIndoor5GHz(1), len(pts))
+	mgLoop := New(spec, arena, loop, sim.NewRNG(9).Stream(StreamLabel), chLoop)
+	mgBatch := New(spec, arena, batch, sim.NewRNG(9).Stream(StreamLabel), chBatch)
+	mgLoop.Start()
+	mgBatch.Start()
+	run(mgLoop, loop, 10)
+	run(mgBatch, batch.fakeMover, 10)
+	if batch.batches != 10 {
+		t.Fatalf("%d MoveNodes calls over 10 epochs, want 10", batch.batches)
+	}
+	if batch.moves != loop.moves || loop.moves == 0 {
+		t.Fatalf("batched run made %d moves, per-node run %d", batch.moves, loop.moves)
+	}
+	for i := range pts {
+		if batch.pos[i] != loop.pos[i] || chBatch.Epoch(i) != chLoop.Epoch(i) {
+			t.Fatalf("node %d: batched %v epoch %d, per-node %v epoch %d",
+				i, batch.pos[i], chBatch.Epoch(i), loop.pos[i], chLoop.Epoch(i))
+		}
+	}
+	if err := mgBatch.RestoreState(mgLoop.ExportState()); err != nil {
+		t.Fatal(err)
+	}
+	if batch.batches != 11 {
+		t.Fatalf("restore made %d MoveNodes calls, want one", batch.batches-10)
+	}
+}
+
 func TestInactiveSpecNeverMoves(t *testing.T) {
 	f := newFakeMover(scatterPts(5, 50, 50, 11))
 	mg := New(Spec{}, geo.Rect{MaxX: 50, MaxY: 50}, f, sim.NewRNG(1).Stream(StreamLabel), nil)
@@ -325,5 +376,46 @@ func TestEventArgCodec(t *testing.T) {
 	}
 	if _, err := mg.DecodeEventArg([]byte(`{"x":1}`)); err == nil {
 		t.Fatal("decode of a non-null payload succeeded")
+	}
+}
+
+// TestLossReciprocityBits pins what the medium's batch patch leans on:
+// every range-bounded model returns the same IEEE-754 bits in both
+// directions of a pair, so one evaluation can fill both endpoints'
+// delivery lists. Covered: LogDistance (shadowed and not), FreeSpace,
+// and a Channel over each at random shadow-epoch pairs.
+func TestLossReciprocityBits(t *testing.T) {
+	const n = 40
+	models := map[string]radio.Model{
+		"LogDistance":          radio.DefaultIndoor5GHz(11),
+		"LogDistance/noshadow": &radio.LogDistance{RefLossDB: 47, Exponent: 2.7},
+		"FreeSpace":            &radio.FreeSpace{RefLossDB: 46.8, Exponent: 2},
+	}
+	for _, name := range []string{"LogDistance", "LogDistance/noshadow", "FreeSpace"} {
+		models["Channel/"+name] = NewChannel(models[name], n)
+	}
+	for name, model := range models {
+		t.Run(name, func(t *testing.T) {
+			if _, ok := model.(radio.RangeBounder); !ok {
+				t.Fatal("model is not a RangeBounder: the grid path would not use it")
+			}
+			rng := sim.NewRNG(0x5ec1)
+			for trial := 0; trial < 20000; trial++ {
+				if ch, ok := model.(*Channel); ok && trial%50 == 0 {
+					ch.Bump(rng.Intn(n)) // epochs drift apart as the trials go
+				}
+				a, b := rng.Intn(n), rng.Intn(n)
+				// Mixed scales: sub-metre (inside the MinDistance clamp)
+				// to kilometres, so rounding in Dist differs per pair.
+				scale := math.Pow(10, 4*rng.Float64()-1)
+				pa := geo.Point{X: scale * (rng.Float64() - 0.5), Y: scale * (rng.Float64() - 0.5)}
+				pb := geo.Point{X: scale * (rng.Float64() - 0.5), Y: scale * (rng.Float64() - 0.5)}
+				ab, ba := model.Loss(a, pa, b, pb), model.Loss(b, pb, a, pa)
+				if math.Float64bits(ab) != math.Float64bits(ba) {
+					t.Fatalf("Loss(%d,%v,%d,%v) = %x but reversed = %x", a, pa, b, pb,
+						math.Float64bits(ab), math.Float64bits(ba))
+				}
+			}
+		})
 	}
 }

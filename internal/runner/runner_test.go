@@ -1,7 +1,6 @@
 package runner
 
 import (
-	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -70,26 +69,20 @@ func TestProgressReporting(t *testing.T) {
 	}
 }
 
+// TestMapUsesMultipleGoroutines is a rendezvous: each of two trials
+// announces itself, then waits for the other, so Map can return only if
+// both were in flight at once. A pool that ran them one after the other
+// would block forever and fail on the test timeout; neither the wall
+// clock nor the CPU count comes into it.
 func TestMapUsesMultipleGoroutines(t *testing.T) {
-	if runtime.GOMAXPROCS(0) < 2 {
-		t.Skip("single-CPU environment")
-	}
-	var peak atomic.Int64
-	var cur atomic.Int64
-	Map(Config{Workers: 4}, 64, func(i int) int {
-		c := cur.Add(1)
-		for {
-			p := peak.Load()
-			if c <= p || peak.CompareAndSwap(p, c) {
-				break
-			}
-		}
-		trial(i)
-		cur.Add(-1)
-		return 0
+	started := [2]chan struct{}{make(chan struct{}), make(chan struct{})}
+	got := Map(Config{Workers: 2}, 2, func(i int) int {
+		close(started[i])
+		<-started[1-i]
+		return i
 	})
-	if peak.Load() < 2 {
-		t.Errorf("peak concurrency %d, want ≥2", peak.Load())
+	if len(got) != 2 || got[0] != 0 || got[1] != 1 {
+		t.Errorf("results %v, want [0 1]", got)
 	}
 }
 
