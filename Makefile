@@ -22,9 +22,10 @@
 #                   arm: allocation, determinism, worker-equivalence and
 #                   conservation contracts) under the race detector
 #   make shard-conformance  the sharded-engine matrix under the race
-#                   detector: shards=1 bit-identity vs serial,
-#                   determinism and figure-level equivalence at 2–4
-#                   shards, end-to-end through experiments
+#                   detector: one-shard engine bit-identity vs serial
+#                   (internal/shard), determinism and figure-level
+#                   equivalence at 2–4 shards, the latter also
+#                   end-to-end through experiments
 #   make bench-guard  compare the two newest checked-in BENCH_*.json and
 #                   fail on >20% ns/op regression in SaturatedSteadyState,
 #                   IncrementalUpdate or EpochUpdate (BENCHDIFF_SKIP=1
@@ -141,9 +142,10 @@ conformance:
 	$(GO) test -timeout $(TEST_TIMEOUT) -race -count=1 ./internal/mac/conformance
 
 # The sharded engine's conformance matrix under the race detector:
-# shards=1 bit-identical to the serial engine (the golden guarantee),
-# determinism at fixed shard counts, figure-level equivalence at 2 and
-# 4 shards, plus the same contracts through experiments.Options.Shards.
+# the one-shard engine bit-identical to the serial engine (saturated
+# and Poisson sources), determinism at fixed shard counts, figure-level
+# equivalence at 2 and 4 shards, plus the multi-shard contracts through
+# experiments.Options.Shards (where 0 and 1 are the serial engine).
 shard-conformance:
 	$(GO) test -timeout $(TEST_TIMEOUT) -race -count=1 -run 'TestShard|TestPartition|TestEngine' ./internal/shard ./internal/geo
 	$(GO) test -timeout $(TEST_TIMEOUT) -race -count=1 -run 'TestSharded' ./internal/experiments
@@ -175,15 +177,16 @@ mobility-conformance:
 	$(GO) test -timeout $(TEST_TIMEOUT) -count=1 -run 'TestIncrementalMatchesRebuild|TestPartialBatchMatchesRebuild|TestFloorMatchesLiteral' ./internal/medium
 	$(GO) test -timeout $(TEST_TIMEOUT) -count=1 -run 'TestGoldenMobileTraces|TestStalenessSweep|TestMobilityChurnInterplay|TestCheckpointResumeBitIdentical/.*mobile' ./internal/experiments
 
-# Checkpoint/resume bit-identity: FlowSim must reproduce the batch
-# runners exactly, and checkpoint-at-midpoint-then-resume must match an
-# uninterrupted run in both FlowResults (IEEE-754 bit patterns) and
-# end-of-run checkpoint bytes, across every golden scenario × every
-# registered MAC arm × shards 1/2/4. The second line is the envelope
+# Checkpoint/resume bit-identity: checkpoint-at-midpoint-then-resume
+# must match an uninterrupted run in both FlowResults (IEEE-754 bit
+# patterns) and end-of-run checkpoint bytes, across every golden
+# scenario × every registered MAC arm × shards 1/2/4, and the lazily
+# derived config hash / owner index must not depend on when they are
+# first read. The second line is the envelope
 # damage table (truncation/corruption/version/config typed errors) and
 # the scheduler/RNG round-trip unit tier.
 checkpoint-conformance:
-	$(GO) test -timeout $(TEST_TIMEOUT) -count=1 -run 'TestFlowSimMatchesRunFlows|TestCheckpointResumeBitIdentical|TestCheckpointConfigHashGuard' ./internal/experiments
+	$(GO) test -timeout $(TEST_TIMEOUT) -count=1 -run 'TestCheckpointResumeBitIdentical|TestCheckpointConfigHashGuard' ./internal/experiments
 	$(GO) test -timeout $(TEST_TIMEOUT) -count=1 ./internal/checkpoint
 	$(GO) test -timeout $(TEST_TIMEOUT) -count=1 -run 'TestScheduler|TestRNGState' ./internal/sim
 

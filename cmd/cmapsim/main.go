@@ -73,7 +73,6 @@ import (
 	"repro/internal/csma"
 	"repro/internal/experiments"
 	"repro/internal/mac"
-	"repro/internal/medium"
 	"repro/internal/mobility"
 	"repro/internal/phy"
 	"repro/internal/runner"
@@ -83,26 +82,6 @@ import (
 	"repro/internal/trace"
 	"repro/internal/traffic"
 )
-
-// simNet is the engine surface runTrialArm needs: a per-node network
-// attachment point, a per-node scheduler, and a clock to drive. The
-// serial medium and the sharded engine both provide it, so -shards is a
-// wiring choice rather than a separate code path.
-type simNet interface {
-	Network(id int) mac.Network
-	SchedulerOf(id int) *sim.Scheduler
-	Run(until sim.Time)
-}
-
-// serialNet adapts the serial medium + scheduler pair to simNet.
-type serialNet struct {
-	m     *medium.Medium
-	sched *sim.Scheduler
-}
-
-func (s serialNet) Network(int) mac.Network        { return s.m }
-func (s serialNet) SchedulerOf(int) *sim.Scheduler { return s.sched }
-func (s serialNet) Run(until sim.Time)             { s.sched.Run(until) }
 
 // predictPair runs the analytic oracle over the selected pair and prints
 // its per-flow saturated prediction, or explains why the protocol has no
@@ -282,10 +261,8 @@ func resolveArm(name string) (mac.Arm, error) {
 }
 
 // trialFlowSim builds the registry-arm microscope as a held-open
-// experiments.FlowSim: the Trial wiring reproduces the historical
-// per-flow RNG stream labels (100+i / 200+i stations, 300+i sources),
-// so the numbers match the pre-FlowSim microscope bit-exactly — and
-// the simulation can be checkpointed and resumed mid-run.
+// experiments.FlowSim — the wiring and RNG stream labels every figure
+// uses — so the simulation can be checkpointed and resumed mid-run.
 func trialFlowSim(tb *topo.Testbed, pair topo.LinkPair, armName string, spec traffic.Spec, mob mobility.Spec, d sim.Time, seed uint64, shards int) (*experiments.FlowSim, error) {
 	return experiments.NewFlowSim(tb, experiments.FlowSimConfig{
 		Arm:      experiments.Protocol(armName),
@@ -296,7 +273,6 @@ func trialFlowSim(tb *topo.Testbed, pair topo.LinkPair, armName string, spec tra
 		Traffic:  spec,
 		Mobility: mob,
 		Shards:   shards,
-		Trial:    true,
 		Seed:     seed,
 	})
 }
@@ -459,7 +435,7 @@ func main() {
 	traceN := flag.Int("trace", 0, "print the last N link-layer events of the first flow's endpoints (single trial only)")
 	trials := flag.Int("trials", 1, "independent replications of the scenario")
 	parallel := flag.Int("parallel", 0, "worker goroutines for -trials (0 = all CPUs, 1 = serial)")
-	scenario := flag.String("scenario", "testbed", "testbed | gridcity | clusters | disk")
+	scenario := flag.String("scenario", "testbed", "testbed | gridcity | clusters | disk | highway")
 	nodes := flag.Int("nodes", 0, "scenario size (0 = scenario default; testbed default 50)")
 	trafficKind := flag.String("traffic", "", "arrival model: saturated | cbr | poisson | onoff (empty = scenario default)")
 	load := flag.Float64("load", 2.0, "per-flow offered load in Mb/s of payload (non-saturated -traffic only)")

@@ -13,7 +13,7 @@ import (
 
 const offAir = 300.0
 
-func buildMedium(lossDB [][]float64, seed uint64) (*medium.Medium, *sim.Scheduler, *sim.RNG) {
+func matrixMedium(lossDB [][]float64, seed uint64) (*medium.Medium, *sim.Scheduler, *sim.RNG) {
 	sched := sim.NewScheduler()
 	rng := sim.NewRNG(seed)
 	m := medium.New(sched, phy.DefaultParams(), &radio.Matrix{LossDB: lossDB},
@@ -34,7 +34,7 @@ func fastConfig() Config {
 func TestSingleLinkCalibration(t *testing.T) {
 	// §4.2: CMAP's single-link goodput at 6 Mb/s (5.04 Mb/s on the
 	// testbed) is comparable to 802.11's (5.07 Mb/s).
-	m, sched, rng := buildMedium([][]float64{
+	m, sched, rng := matrixMedium([][]float64{
 		{0, 70},
 		{70, 0},
 	}, 3)
@@ -60,7 +60,7 @@ func TestSingleLinkCalibration(t *testing.T) {
 func TestExposedTerminalsConcurrent(t *testing.T) {
 	// Two exposed flows: senders hear each other, receivers are clean.
 	// CMAP must keep both flows running concurrently at ≈2× a single link.
-	m, sched, rng := buildMedium([][]float64{
+	m, sched, rng := matrixMedium([][]float64{
 		// S1(0) R1(1) S2(2) R2(3)
 		{0, 68, 75, 108},
 		{68, 0, 108, offAir},
@@ -94,7 +94,7 @@ func TestConflictingFlowsLearnToDefer(t *testing.T) {
 	// Two flows whose cross links are strong: concurrent transmissions
 	// destroy each other at the receivers. CMAP must learn the conflict,
 	// defer, and settle near single-link aggregate with both flows alive.
-	m, sched, rng := buildMedium([][]float64{
+	m, sched, rng := matrixMedium([][]float64{
 		// S1(0) R1(1) S2(2) R2(3)
 		{0, 68, 72, 71},
 		{68, 0, 70, offAir},
@@ -138,7 +138,7 @@ func TestHiddenTerminalsBackoffPreventsCollapse(t *testing.T) {
 	// Senders out of range of each other, both destroying each other's
 	// packets at both receivers. The defer mechanism cannot engage; the
 	// loss-driven backoff must keep aggregate near the interleaved rate.
-	m, sched, rng := buildMedium([][]float64{
+	m, sched, rng := matrixMedium([][]float64{
 		// S1(0) R1(1) S2(2) R2(3)
 		{0, 68, offAir, 71},
 		{68, 0, 71, offAir},
@@ -180,7 +180,7 @@ func TestWindowedAckSurvivesAckLoss(t *testing.T) {
 		{offAir, offAir, 68, 0},
 	}
 	run := func(nwindow int, seed uint64) float64 {
-		m, sched, rng := buildMedium(lossMatrix, seed)
+		m, sched, rng := matrixMedium(lossMatrix, seed)
 		cfg := fastConfig()
 		cfg.Nwindow = nwindow
 		s := New(0, cfg, m, rng.Stream(10))
@@ -220,7 +220,7 @@ func TestRetransmissionDeliversEverything(t *testing.T) {
 		}
 	}
 	lossDB := p.TxPowerDBm - (lo+hi)/2
-	m, sched, rng := buildMedium([][]float64{
+	m, sched, rng := matrixMedium([][]float64{
 		{0, lossDB},
 		{lossDB, 0},
 	}, 37)
@@ -243,7 +243,7 @@ func TestRetransmissionDeliversEverything(t *testing.T) {
 
 func TestBroadcastMode(t *testing.T) {
 	// One source broadcasting to two targets: both receive; no ACKs flow.
-	m, sched, rng := buildMedium([][]float64{
+	m, sched, rng := matrixMedium([][]float64{
 		{0, 68, 70},
 		{68, 0, 80},
 		{70, 80, 0},
@@ -269,7 +269,7 @@ func TestBroadcastMode(t *testing.T) {
 }
 
 func TestHeaderTrailerCountersOnCleanLink(t *testing.T) {
-	m, sched, rng := buildMedium([][]float64{
+	m, sched, rng := matrixMedium([][]float64{
 		{0, 70},
 		{70, 0},
 	}, 43)
@@ -292,7 +292,7 @@ func TestHeaderTrailerCountersOnCleanLink(t *testing.T) {
 }
 
 func TestFlowPanicsOnSecondDestination(t *testing.T) {
-	m, _, rng := buildMedium([][]float64{
+	m, _, rng := matrixMedium([][]float64{
 		{0, 70, 80},
 		{70, 0, 80},
 		{80, 80, 0},
@@ -310,7 +310,7 @@ func TestFlowPanicsOnSecondDestination(t *testing.T) {
 func TestDeferToOngoingTowardOwnReceiver(t *testing.T) {
 	// While S2 transmits to R, S1 (whose destination is also R) must
 	// defer: "u checks that v is neither sending nor receiving" (§3.2).
-	m, sched, rng := buildMedium([][]float64{
+	m, sched, rng := matrixMedium([][]float64{
 		// S1(0) R(1) S2(2)
 		{0, 68, 70},
 		{68, 0, 68},
@@ -346,7 +346,7 @@ func TestDeferToOngoingTowardOwnReceiver(t *testing.T) {
 func TestAblationDisableTrailers(t *testing.T) {
 	// Without trailers, receivers ACK on the estimated virtual-packet end;
 	// a clean link must still sustain full goodput.
-	m, sched, rng := buildMedium([][]float64{
+	m, sched, rng := matrixMedium([][]float64{
 		{0, 70},
 		{70, 0},
 	}, 61)
@@ -382,7 +382,7 @@ func TestAblationBackoffOnMissingAck(t *testing.T) {
 		{offAir, offAir, 68, 0},
 	}
 	run := func(ackBackoff bool) (float64, uint64) {
-		m, sched, rng := buildMedium(lossMatrix, 63)
+		m, sched, rng := matrixMedium(lossMatrix, 63)
 		cfg := DefaultConfig()
 		cfg.BackoffOnMissingAck = ackBackoff
 		s := New(0, cfg, m, rng.Stream(10))
@@ -414,7 +414,7 @@ func TestTwoHopListPropagation(t *testing.T) {
 	//
 	// Topology: S(0)→R(1); X(2) interferes at R but cannot hear R;
 	// M(3) hears everyone.
-	m, sched, rng := buildMedium([][]float64{
+	m, sched, rng := matrixMedium([][]float64{
 		// S     R     X     M
 		{0, 68, 75, 70},
 		{68, 0, offAir, 70}, // R cannot reach X directly
@@ -442,7 +442,7 @@ func TestTwoHopListPropagation(t *testing.T) {
 		t.Error("X did not learn (∗ : S→R) via the two-hop relay")
 	}
 	// And without the flag, X must NOT learn it.
-	m2, sched2, rng2 := buildMedium([][]float64{
+	m2, sched2, rng2 := matrixMedium([][]float64{
 		{0, 68, 75, 70},
 		{68, 0, offAir, 70},
 		{75, offAir, 0, 70},
@@ -461,7 +461,7 @@ func TestTwoHopListPropagation(t *testing.T) {
 }
 
 func TestPerDestQueuesRequireFlag(t *testing.T) {
-	m, _, rng := buildMedium([][]float64{
+	m, _, rng := matrixMedium([][]float64{
 		{0, 70, 72},
 		{70, 0, 75},
 		{72, 75, 0},
@@ -479,7 +479,7 @@ func TestPerDestQueuesRequireFlag(t *testing.T) {
 func TestPerDestQueuesDeliverBothFlows(t *testing.T) {
 	// Multi-flow correctness: independent sequence spaces, windows and
 	// ACK bookkeeping per destination.
-	m, sched, rng := buildMedium([][]float64{
+	m, sched, rng := matrixMedium([][]float64{
 		{0, 70, 72},
 		{70, 0, 75},
 		{72, 75, 0},
@@ -505,7 +505,7 @@ func TestPerDestQueuesDeliverBothFlows(t *testing.T) {
 
 func TestPerDestQueuesRoundRobinFairness(t *testing.T) {
 	// Two saturated queues with no conflicts share the sender evenly.
-	m, sched, rng := buildMedium([][]float64{
+	m, sched, rng := matrixMedium([][]float64{
 		{0, 70, 72},
 		{70, 0, 75},
 		{72, 75, 0},
@@ -534,7 +534,7 @@ func TestPerDestQueuesRoundRobinFairness(t *testing.T) {
 func TestPerDestQueuesSkipConflictedDestination(t *testing.T) {
 	// The §3.2 optimisation itself: while x→y conflicts with S→A, the
 	// sender keeps serving B instead of head-of-line blocking.
-	m, sched, rng := buildMedium([][]float64{
+	m, sched, rng := matrixMedium([][]float64{
 		// S(0) A(1) B(2) x(3) y(4)
 		{0, 70, 72, 70, offAir},
 		{70, 0, 80, 72, offAir},

@@ -2,11 +2,13 @@ package experiments
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/checkpoint"
 	"repro/internal/mac"
 	"repro/internal/mobility"
 	"repro/internal/phy"
@@ -95,42 +97,6 @@ func requireSameResults(t *testing.T, label string, a, b []FlowResult) {
 		case x.Lat != nil:
 			if !reflect.DeepEqual(x.Lat.State(), y.Lat.State()) {
 				t.Errorf("%s flow %d: latency recorders diverge", label, i)
-			}
-		}
-	}
-}
-
-// TestFlowSimMatchesRunFlows proves the held-open harness reproduces
-// the batch runners bit-exactly — the property that lets the golden
-// tier keep pinning runFlows while checkpointing runs through FlowSim.
-func TestFlowSimMatchesRunFlows(t *testing.T) {
-	const seed = 1
-	opt := conformanceOptions(seed)
-	tb := topo.NewTestbed(opt.Nodes, seed)
-	specs := []struct {
-		name string
-		spec traffic.Spec
-	}{
-		{"saturated", traffic.Saturate()},
-		{"poisson", traffic.PoissonAt(300)},
-	}
-	for _, tp := range goldenTopologies(tb, seed) {
-		for _, arm := range []Protocol{CSMAOn, CMAP, RTSCTS} {
-			for _, shards := range []int{1, 4} {
-				for _, sp := range specs {
-					o := opt
-					o.Shards = shards
-					o.Traffic = sp.spec
-					runSeed := seed + arm.seedSalt()*104729
-					want := runFlows(tb, tp.flows, arm, o, runSeed)
-					fs, err := NewFlowSim(tb, flowSimConfig(string(arm), tp.flows, opt, shards, sp.spec, runSeed))
-					if err != nil {
-						t.Fatal(err)
-					}
-					fs.Run(opt.Duration)
-					label := tp.name + "/" + string(arm) + "/" + sp.name
-					requireSameResults(t, label, want, fs.Results())
-				}
 			}
 		}
 	}
@@ -226,6 +192,10 @@ func checkpointResumeCase(t *testing.T, tb *topo.Testbed, cfg FlowSimConfig, d s
 		}
 		return fs
 	}
+	// A never touches its checkpoint bookkeeping until the final Save
+	// derives hash and owner index from a simulation that has already
+	// run; B forces both at construction. The byte comparison below
+	// therefore also proves the lazy derivation is run-independent.
 	a := mk()
 	t1 := a.AlignCheckpoint(d / 2)
 	t2 := a.AlignCheckpoint(d)
@@ -238,6 +208,11 @@ func checkpointResumeCase(t *testing.T, tb *topo.Testbed, cfg FlowSimConfig, d s
 	}
 
 	b1 := mk()
+	hashB := b1.ConfigHash()
+	b1.index()
+	if got := a.ConfigHash(); got != hashB {
+		t.Fatalf("config hash first read after Run+Save %s, first read at construction %s", got, hashB)
+	}
 	b1.Run(t1)
 	var cut bytes.Buffer
 	if err := b1.Save(&cut); err != nil {
@@ -266,7 +241,8 @@ func checkpointResumeCase(t *testing.T, tb *topo.Testbed, cfg FlowSimConfig, d s
 
 // TestCheckpointConfigHashGuard: resuming under a different
 // configuration must fail with the typed error, before any state is
-// touched.
+// touched — and the hash that guards it is the same whether first read
+// before Run, after Run, or only implicitly by Save.
 func TestCheckpointConfigHashGuard(t *testing.T) {
 	const seed = 1
 	opt := conformanceOptions(seed)
@@ -277,10 +253,22 @@ func TestCheckpointConfigHashGuard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	twin, err := NewFlowSim(tb, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := twin.ConfigHash()
+	twin.Run(opt.Duration / 4)
+	if after := twin.ConfigHash(); after != before {
+		t.Fatalf("config hash changed across Run: %s → %s", before, after)
+	}
 	fs.Run(opt.Duration / 4)
 	var buf bytes.Buffer
 	if err := fs.Save(&buf); err != nil {
 		t.Fatal(err)
+	}
+	if got := fs.ConfigHash(); got != before {
+		t.Fatalf("config hash derived by Save after Run %s, read before Run %s", got, before)
 	}
 	other := cfg
 	other.Seed = 43
@@ -288,7 +276,10 @@ func TestCheckpointConfigHashGuard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fs2.Resume(bytes.NewReader(buf.Bytes())); err == nil {
-		t.Fatal("resume under a different config succeeded; want ErrConfigMismatch")
+	if fs2.ConfigHash() == before {
+		t.Fatal("a different seed hashed to the same configuration")
+	}
+	if err := fs2.Resume(bytes.NewReader(buf.Bytes())); !errors.Is(err, checkpoint.ErrConfigMismatch) {
+		t.Fatalf("resume under a different config: got %v, want ErrConfigMismatch", err)
 	}
 }

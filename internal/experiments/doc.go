@@ -30,4 +30,13 @@
 // trials across internal/runner with seeds fixed before dispatch, so
 // results are bit-identical at every worker count; the golden-trace
 // tier pins the whole stack's behaviour at the bit level.
+//
+// # One construction path
+//
+// Every flow run — each figure and sweep trial, the golden traces, the
+// scale fixtures and cmapsim's registry-arm microscope — is wired by
+// NewFlowSim and nowhere else, so arms, engines (Options.Shards) and
+// motion (Options.Mobility) compare over identical wiring. The two-hop
+// mesh runners of §5.7 are the one other place this package attaches
+// stations to a medium.
 package experiments

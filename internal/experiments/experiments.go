@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"repro/internal/mac"
-	"repro/internal/medium"
 	"repro/internal/mobility"
 	"repro/internal/phy"
 	"repro/internal/runner"
@@ -224,81 +223,28 @@ func (r FlowResult) HdrOrTrailFrac() float64 {
 
 // runFlows runs the given unicast flows over a fresh build of the
 // testbed under one protocol arm and returns per-flow goodput (and
-// CMAP visibility counters). The saturated default drives every sender
-// fully backlogged, exactly as before the traffic subsystem existed;
-// any other Options.Traffic kind dispatches to the arrival-process
-// path, which additionally measures drops and per-packet latency.
+// CMAP visibility counters). Options.Traffic, Options.Shards and
+// Options.Mobility pick the workload, engine and motion; the wiring is
+// NewFlowSim's either way.
 func runFlows(tb *topo.Testbed, flows []topo.Link, p Protocol, opt Options, runSeed uint64) []FlowResult {
-	if opt.Shards > 1 {
-		if opt.Mobility.Active() {
-			panic("experiments: mobility requires the serial engine (set Shards <= 1)")
-		}
-		return runShardedFlows(tb, flows, p, opt, runSeed)
+	fs, err := NewFlowSim(tb, FlowSimConfig{
+		Arm:      p,
+		Flows:    flows,
+		Duration: opt.Duration,
+		Warmup:   opt.Warmup,
+		Rate:     opt.Rate,
+		Traffic:  opt.Traffic,
+		Shards:   opt.Shards,
+		Mobility: opt.Mobility,
+		Seed:     runSeed,
+	})
+	if err != nil {
+		// Arm names and the mobility×shards exclusion are validated where
+		// Options are assembled (ParseArms, the CLIs' flag checks).
+		panic(err)
 	}
-	if opt.Traffic.Kind != traffic.Saturated {
-		return runTrafficFlows(tb, flows, p, opt, runSeed)
-	}
-	sched := sim.NewScheduler()
-	rng := sim.NewRNG(runSeed)
-	m, _ := buildMedium(tb, opt, sched, rng)
-	meters := make([]*stats.Meter, len(flows))
-	results := make([]FlowResult, len(flows))
-
-	arm := mac.MustLookup(string(p))
-	senders := make([]mac.Node, len(flows))
-	receivers := make([]mac.Node, len(flows))
-	nodes := map[int]mac.Node{}
-	mk := func(id int) mac.Node {
-		if n, ok := nodes[id]; ok {
-			return n
-		}
-		n := arm.New(id, m, rng.Stream(uint64(1000+id)), mac.Options{Rate: opt.Rate})
-		nodes[id] = n
-		return n
-	}
-	for i, f := range flows {
-		senders[i] = mk(f.Src)
-		receivers[i] = mk(f.Dst)
-		meters[i] = &stats.Meter{Start: opt.Warmup, End: opt.Duration}
-		receivers[i].SetMeter(meters[i])
-		senders[i].SetSaturated(f.Dst)
-	}
-	sched.Run(opt.Duration)
-	for i, f := range flows {
-		results[i] = FlowResult{Link: f, Mbps: meters[i].Mbps()}
-		if sv, ok := senders[i].(mac.Visibility); ok {
-			_, hdr, hot := receivers[i].(mac.Visibility).FlowCounters(f.Src)
-			results[i].VpktsSent = sv.VpktsSent()
-			results[i].VpktsHeader = hdr
-			results[i].VpktsHdrOrTrail = hot
-		}
-	}
-	return results
-}
-
-// buildMedium builds one run's medium and, when opt.Mobility is
-// active, the started mobility manager driving it. The construction
-// order preserves the static seed discipline exactly — the medium
-// always consumes rng.Stream(1), the manager its own StreamLabel
-// stream, and stream derivation never disturbs the parent — so a
-// static spec reproduces pre-mobility runs bit-identically. With a
-// shadowing decorrelation distance set, the testbed's model is wrapped
-// in a per-run mobility.Channel (identical to the bare model until the
-// first epoch bump).
-func buildMedium(tb *topo.Testbed, opt Options, sched *sim.Scheduler, rng *sim.RNG) (*medium.Medium, *mobility.Manager) {
-	if !opt.Mobility.Active() {
-		return tb.Build(sched, rng.Stream(1)), nil
-	}
-	model := tb.Model
-	var ch *mobility.Channel
-	if opt.Mobility.DecorrM > 0 {
-		ch = mobility.NewChannel(tb.Model, tb.N)
-		model = ch
-	}
-	m := tb.BuildWith(sched, rng.Stream(1), model)
-	mg := mobility.New(opt.Mobility, tb.Bounds, m, rng.Stream(mobility.StreamLabel), ch)
-	mg.Start()
-	return m, mg
+	fs.Run(opt.Duration)
+	return fs.Results()
 }
 
 // aggregate sums the goodput of all flows in a run.

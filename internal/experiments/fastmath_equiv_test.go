@@ -13,8 +13,7 @@ import (
 func runDiskTraffic(n int, seed uint64, d sim.Time, exact bool) float64 {
 	s := topo.UniformDisk(n, ScaleDensity, seed)
 	s.Params.ExactReceptionMath = exact
-	m := s.Build(sim.NewScheduler(), sim.NewRNG(seed))
-	flows := ScaleFlows(s, m, n/10+2)
+	flows := ScaleFlows(s, n/10+2)
 	return RunScaleTraffic(s, flows, d, seed+100)
 }
 

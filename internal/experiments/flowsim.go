@@ -19,15 +19,14 @@ import (
 	"repro/internal/traffic"
 )
 
-// FlowSim is one flow experiment held open: the same construction as
-// runFlows / runTrafficFlows / runShardedFlows (identical RNG streams,
-// identical event posting order, so an uninterrupted FlowSim reproduces
-// those functions bit-exactly), but with every component reference
-// retained so the simulation can be stopped at any virtual time, its
-// complete state captured through Save, and a fresh process's skeleton
-// overwritten back to that exact state through Resume. The batch runner
-// functions stay untouched — they are the golden-trace path — and the
-// conformance tests prove FlowSim tracks them.
+// FlowSim is one flow experiment held open, and the only place a flow
+// simulation is wired: scheduler or sharded engine, medium, mobility
+// manager, MAC stations, meters and traffic sources. Every figure,
+// sweep, golden trace and CLI run goes through NewFlowSim, so arms
+// compare over identical wiring. Every component reference is retained,
+// so the simulation can be stopped at any virtual time, its complete
+// state captured through Save, and a fresh process's skeleton
+// overwritten back to that exact state through Resume.
 //
 // Checkpointing works by "rebuild skeleton, restore mutable state": the
 // resuming process constructs a FlowSim from the same configuration
@@ -38,7 +37,7 @@ import (
 // that differs.
 type FlowSim struct {
 	cfg       FlowSimConfig
-	hash      string
+	tb        *topo.Testbed
 	saturated bool
 
 	// Exactly one engine is set: the serial scheduler+medium pair, or
@@ -57,6 +56,9 @@ type FlowSim struct {
 	lats      []*stats.Latency
 	sources   []*traffic.Source
 
+	// Checkpoint bookkeeping, derived on first use (ConfigHash, index):
+	// a batch trial that never checkpoints pays nothing for it.
+	hash   string
 	owners map[sim.EventHandler]ownerRef
 	byKey  map[string]ownerRef
 }
@@ -85,15 +87,9 @@ type FlowSimConfig struct {
 	Traffic traffic.Spec
 	// Shards > 1 runs the spatially sharded engine.
 	Shards int
-	// Trial selects the cmapsim microscope's RNG stream labels (per-flow
-	// 100+i / 200+i for the stations, 300+i for the sources) instead of
-	// the experiment harness's per-node 1000+id and per-flow 5000+i. The
-	// two wirings are behaviourally identical; the labels differ for
-	// historical reasons and both are pinned by golden output.
-	Trial bool
 	// Mobility moves nodes during the run; requires the serial engine.
 	Mobility mobility.Spec
-	// Seed is the run seed (runFlows' runSeed).
+	// Seed is the run seed every RNG stream derives from.
 	Seed uint64
 }
 
@@ -122,29 +118,35 @@ type flowSimState struct {
 	Mobility *mobility.State            `json:"mobility,omitempty"`
 }
 
-// NewFlowSim builds the simulation. The construction sequence — stream
-// derivations, node creation order, event posts — replicates the batch
-// runners exactly, which is what makes both the fresh run and the
-// resume skeleton bit-faithful.
+// NewFlowSim builds the simulation. The construction sequence is the
+// determinism contract the golden traces pin: the medium (or engine)
+// draws rng.Stream(1), the mobility manager its own StreamLabel stream
+// and starts before any MAC exists, each distinct node gets one station
+// on rng.Stream(1000+id) in flow order, and flow i's traffic source
+// draws rng.Stream(5000+i). It reads only N, Pos, Bounds, Params, Model
+// and DenseMedium from the testbed, never the link measurements.
 func NewFlowSim(tb *topo.Testbed, cfg FlowSimConfig) (*FlowSim, error) {
 	arm, err := mac.Lookup(string(cfg.Arm))
 	if err != nil {
 		return nil, err
 	}
+	n := len(cfg.Flows)
 	fs := &FlowSim{
 		cfg:       cfg,
-		hash:      checkpoint.ConfigHash(flowSimHash{Cfg: cfg, Nodes: tb.N, Pos: tb.Pos, Params: tb.Params}),
+		tb:        tb,
 		saturated: cfg.Traffic.Kind == traffic.Saturated,
+		senders:   make([]mac.Node, n),
+		receivers: make([]mac.Node, n),
+		order:     make([]int, 0, 2*n),
 		nodes:     map[int]mac.Node{},
-		owners:    map[sim.EventHandler]ownerRef{},
-		byKey:     map[string]ownerRef{},
+		meters:    make([]*stats.Meter, n),
 	}
 	rng := sim.NewRNG(cfg.Seed)
 	if cfg.Shards > 1 {
 		if cfg.Mobility.Active() {
 			return nil, fmt.Errorf("experiments: mobility requires the serial engine (set Shards <= 1)")
 		}
-		pairs := make([][2]int, len(cfg.Flows))
+		pairs := make([][2]int, n)
 		for i, f := range cfg.Flows {
 			pairs[i] = [2]int{f.Src, f.Dst}
 		}
@@ -153,9 +155,9 @@ func NewFlowSim(tb *topo.Testbed, cfg FlowSimConfig) (*FlowSim, error) {
 			Flows:  pairs,
 		})
 	} else {
-		// Mirror buildMedium exactly — same model wrapping, same stream
-		// labels, same Start point before any MAC exists — so a FlowSim
-		// stays bit-faithful to the batch runners under mobility too.
+		// With a shadowing decorrelation distance set, the testbed's model
+		// is wrapped in a per-run mobility.Channel (identical to the bare
+		// model until the first epoch bump).
 		model := tb.Model
 		var ch *mobility.Channel
 		if cfg.Mobility.Active() && cfg.Mobility.DecorrM > 0 {
@@ -164,91 +166,56 @@ func NewFlowSim(tb *topo.Testbed, cfg FlowSimConfig) (*FlowSim, error) {
 		}
 		fs.sched = sim.NewScheduler()
 		fs.m = tb.BuildWith(fs.sched, rng.Stream(1), model)
-		fs.addOwner(ownerRef{key: "medium", handler: fs.m})
 		if cfg.Mobility.Active() {
 			fs.mg = mobility.New(cfg.Mobility, tb.Bounds, fs.m, rng.Stream(mobility.StreamLabel), ch)
-			fs.addOwner(ownerRef{key: "mobility", handler: fs.mg, mob: fs.mg})
 			fs.mg.Start()
 		}
 	}
-	network := func(id int) mac.Network {
-		if fs.eng != nil {
-			return fs.eng.Network(id)
-		}
-		return fs.m
-	}
-	schedOf := func(id int) *sim.Scheduler {
-		if fs.eng != nil {
-			return fs.eng.SchedulerOf(id)
-		}
-		return fs.sched
-	}
-
-	n := len(cfg.Flows)
-	fs.senders = make([]mac.Node, n)
-	fs.receivers = make([]mac.Node, n)
-	fs.meters = make([]*stats.Meter, n)
 	if !fs.saturated {
 		fs.lats = make([]*stats.Latency, n)
 		fs.sources = make([]*traffic.Source, n)
 	}
-	window := stats.Window{Start: cfg.Warmup, End: cfg.Duration}
-
-	mkShared := func(id int) mac.Node {
+	mk := func(id int) mac.Node {
 		if nd, ok := fs.nodes[id]; ok {
 			return nd
 		}
-		nd := arm.New(id, network(id), rng.Stream(uint64(1000+id)), mac.Options{Rate: cfg.Rate})
-		fs.registerNode(id, nd)
+		var network mac.Network = fs.m
+		if fs.eng != nil {
+			network = fs.eng.Network(id)
+		}
+		nd := arm.New(id, network, rng.Stream(uint64(1000+id)), mac.Options{Rate: cfg.Rate})
+		fs.nodes[id] = nd
+		fs.order = append(fs.order, id)
 		return nd
 	}
-	mkTrial := func(id int, stream uint64) (mac.Node, error) {
-		if _, ok := fs.nodes[id]; ok {
-			return nil, fmt.Errorf("experiments: node %d appears in two flows; the trial wiring builds one station per endpoint", id)
-		}
-		nd := arm.New(id, network(id), rng.Stream(stream), mac.Options{Rate: cfg.Rate})
-		fs.registerNode(id, nd)
-		return nd, nil
-	}
-
 	for i, f := range cfg.Flows {
-		if cfg.Trial {
-			tx, err := mkTrial(f.Src, uint64(100+i))
-			if err != nil {
-				return nil, err
-			}
-			rx, err := mkTrial(f.Dst, uint64(200+i))
-			if err != nil {
-				return nil, err
-			}
-			fs.senders[i], fs.receivers[i] = tx, rx
-		} else {
-			fs.senders[i] = mkShared(f.Src)
-			fs.receivers[i] = mkShared(f.Dst)
-		}
+		fs.senders[i] = mk(f.Src)
+		fs.receivers[i] = mk(f.Dst)
 		fs.meters[i] = &stats.Meter{Start: cfg.Warmup, End: cfg.Duration}
 		fs.receivers[i].SetMeter(fs.meters[i])
 		if fs.saturated {
 			fs.senders[i].SetSaturated(f.Dst)
 			continue
 		}
-		fs.lats[i] = &stats.Latency{W: window}
+		fs.lats[i] = &stats.Latency{W: stats.Window{Start: cfg.Warmup, End: cfg.Duration}}
 		fs.receivers[i].SetOnDeliver(fs.deliver(i, f.Src))
-		srcStream := uint64(5000 + i)
-		if cfg.Trial {
-			srcStream = uint64(300 + i)
+		// The source lives on the sender's scheduler (its shard's, on the
+		// sharded engine): arrivals and the MAC they feed share one
+		// single-threaded agenda.
+		sched := fs.sched
+		if fs.eng != nil {
+			sched = fs.eng.SchedulerOf(f.Src)
 		}
-		src := traffic.NewSource(schedOf(f.Src), rng.Stream(srcStream), cfg.Traffic, fs.senders[i], f.Dst)
+		src := traffic.NewSource(sched, rng.Stream(uint64(5000+i)), cfg.Traffic, fs.senders[i], f.Dst)
 		src.EnableLatency(fs.senders[i].LatencyWindow())
 		fs.sources[i] = src
-		fs.addOwner(ownerRef{key: "src:" + strconv.Itoa(i), handler: src, src: src})
 		src.Start()
 	}
 	return fs, nil
 }
 
 // deliver wires flow i's non-duplicate deliveries back to arrival times
-// — the same closure every batch runner builds.
+// through the source's arrival-time ring.
 func (fs *FlowSim) deliver(i, wantSrc int) mac.DeliverFunc {
 	return func(src int, seq uint32, now sim.Time) {
 		if src != wantSrc {
@@ -260,17 +227,32 @@ func (fs *FlowSim) deliver(i, wantSrc int) mac.DeliverFunc {
 	}
 }
 
-func (fs *FlowSim) registerNode(id int, nd mac.Node) {
-	fs.nodes[id] = nd
-	fs.order = append(fs.order, id)
-	if h, ok := nd.(sim.EventHandler); ok {
-		fs.addOwner(ownerRef{key: "mac:" + strconv.Itoa(id), handler: h, node: nd})
+// index builds the agenda owner tables the checkpoint codec resolves
+// events through, on first use.
+func (fs *FlowSim) index() {
+	if fs.owners != nil {
+		return
 	}
-}
-
-func (fs *FlowSim) addOwner(ref ownerRef) {
-	fs.owners[ref.handler] = ref
-	fs.byKey[ref.key] = ref
+	fs.owners = map[sim.EventHandler]ownerRef{}
+	fs.byKey = map[string]ownerRef{}
+	add := func(ref ownerRef) {
+		fs.owners[ref.handler] = ref
+		fs.byKey[ref.key] = ref
+	}
+	if fs.m != nil {
+		add(ownerRef{key: "medium", handler: fs.m})
+	}
+	if fs.mg != nil {
+		add(ownerRef{key: "mobility", handler: fs.mg, mob: fs.mg})
+	}
+	for _, id := range fs.order {
+		if h, ok := fs.nodes[id].(sim.EventHandler); ok {
+			add(ownerRef{key: "mac:" + strconv.Itoa(id), handler: h, node: fs.nodes[id]})
+		}
+	}
+	for i, src := range fs.sources {
+		add(ownerRef{key: "src:" + strconv.Itoa(i), handler: src, src: src})
+	}
 }
 
 // Run advances the simulation to the given virtual time. Repeated calls
@@ -313,8 +295,23 @@ func (fs *FlowSim) AlignCheckpoint(t sim.Time) sim.Time {
 }
 
 // ConfigHash returns the configuration fingerprint stamped into every
-// checkpoint this simulation saves.
-func (fs *FlowSim) ConfigHash() string { return fs.hash }
+// checkpoint this simulation saves: the config plus the testbed identity
+// (size, positions, channel parameters), none of which a run mutates.
+func (fs *FlowSim) ConfigHash() string {
+	if fs.hash == "" {
+		fs.hash = checkpoint.ConfigHash(flowSimHash{Cfg: fs.cfg, Nodes: fs.tb.N, Pos: fs.tb.Pos, Params: fs.tb.Params})
+	}
+	return fs.hash
+}
+
+// Transmissions counts the frames put on the air so far, on either
+// engine.
+func (fs *FlowSim) Transmissions() uint64 {
+	if fs.eng != nil {
+		return fs.eng.Transmissions()
+	}
+	return fs.m.Transmissions
+}
 
 // Sender returns flow i's sending station; Meter, Source and Lat return
 // the flow's recorders (Source and Lat are nil under saturated load).
@@ -335,7 +332,9 @@ func (fs *FlowSim) Lat(i int) *stats.Latency {
 	return fs.lats[i]
 }
 
-// Results extracts per-flow outcomes exactly as the batch runners do.
+// Results extracts the per-flow outcomes: goodput, CMAP visibility
+// counters, and under an arrival process the drop counters and the
+// latency recorder.
 func (fs *FlowSim) Results() []FlowResult {
 	results := make([]FlowResult, len(fs.cfg.Flows))
 	for i, f := range fs.cfg.Flows {
@@ -428,6 +427,7 @@ func (fs *FlowSim) decode(txs map[uint64]*phy.Transmission) sim.DecodeFunc {
 
 // exportState captures the complete simulation.
 func (fs *FlowSim) exportState() (*flowSimState, error) {
+	fs.index()
 	st := &flowSimState{
 		Macs:   map[string]json.RawMessage{},
 		Meters: make([]stats.MeterState, len(fs.meters)),
@@ -493,6 +493,7 @@ func (fs *FlowSim) exportState() (*flowSimState, error) {
 // mutable state (MAC restores re-point their timers against the
 // restored slot generations).
 func (fs *FlowSim) restoreState(st *flowSimState) error {
+	fs.index()
 	if fs.eng != nil {
 		if st.Engine == nil {
 			return fmt.Errorf("experiments: checkpoint holds a serial simulation, this skeleton is sharded")
@@ -579,7 +580,7 @@ func (fs *FlowSim) Save(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	return checkpoint.Save(w, fs.hash, st)
+	return checkpoint.Save(w, fs.ConfigHash(), st)
 }
 
 // SaveFile writes a checkpoint atomically to path.
@@ -588,7 +589,7 @@ func (fs *FlowSim) SaveFile(path string) error {
 	if err != nil {
 		return err
 	}
-	return checkpoint.SaveFile(path, fs.hash, st)
+	return checkpoint.SaveFile(path, fs.ConfigHash(), st)
 }
 
 // Resume overwrites this freshly constructed skeleton with the state in
@@ -596,7 +597,7 @@ func (fs *FlowSim) SaveFile(path string) error {
 // see internal/checkpoint for the typed error contract. On any error
 // the simulation must be discarded — a partial restore is not a state.
 func (fs *FlowSim) Resume(r io.Reader) error {
-	payload, err := checkpoint.Load(r, fs.hash)
+	payload, err := checkpoint.Load(r, fs.ConfigHash())
 	if err != nil {
 		return err
 	}
@@ -609,7 +610,7 @@ func (fs *FlowSim) Resume(r io.Reader) error {
 
 // ResumeFile reads a checkpoint from path into this skeleton.
 func (fs *FlowSim) ResumeFile(path string) error {
-	payload, err := checkpoint.LoadFile(path, fs.hash)
+	payload, err := checkpoint.LoadFile(path, fs.ConfigHash())
 	if err != nil {
 		return err
 	}

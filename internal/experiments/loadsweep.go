@@ -5,89 +5,11 @@ import (
 	"strings"
 
 	"repro/internal/checkpoint"
-	"repro/internal/mac"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/topo"
 	"repro/internal/traffic"
 )
-
-// runTrafficFlows is the arrival-process counterpart of runFlows: each
-// flow is driven by a traffic.Source (CBR, Poisson or bursty ON/OFF per
-// Options.Traffic, optionally churning) into the sender's finite
-// backlog, and each receiver's deliveries are matched back to arrival
-// times for per-packet latency. The saturated path is deliberately left
-// untouched in runFlows — its event sequence is pinned bit-exactly by
-// the golden traces — so this function only ever runs for workloads
-// that did not exist before the traffic subsystem.
-func runTrafficFlows(tb *topo.Testbed, flows []topo.Link, p Protocol, opt Options, runSeed uint64) []FlowResult {
-	sched := sim.NewScheduler()
-	rng := sim.NewRNG(runSeed)
-	m, _ := buildMedium(tb, opt, sched, rng)
-	meters := make([]*stats.Meter, len(flows))
-	lats := make([]*stats.Latency, len(flows))
-	sources := make([]*traffic.Source, len(flows))
-	results := make([]FlowResult, len(flows))
-	window := stats.Window{Start: opt.Warmup, End: opt.Duration}
-
-	// deliver wires one receiver's non-duplicate deliveries to the flow's
-	// latency recorder through the source's arrival-time ring.
-	deliver := func(i, wantSrc int) func(src int, seq uint32, now sim.Time) {
-		return func(src int, seq uint32, now sim.Time) {
-			if src != wantSrc {
-				return
-			}
-			if at, ok := sources[i].ArrivalTime(seq); ok {
-				lats[i].Record(now, now-at)
-			}
-		}
-	}
-
-	arm := mac.MustLookup(string(p))
-	senders := make([]mac.Node, len(flows))
-	receivers := make([]mac.Node, len(flows))
-	nodes := map[int]mac.Node{}
-	mk := func(id int) mac.Node {
-		if n, ok := nodes[id]; ok {
-			return n
-		}
-		n := arm.New(id, m, rng.Stream(uint64(1000+id)), mac.Options{Rate: opt.Rate})
-		nodes[id] = n
-		return n
-	}
-	for i, f := range flows {
-		senders[i] = mk(f.Src)
-		receivers[i] = mk(f.Dst)
-		meters[i] = &stats.Meter{Start: opt.Warmup, End: opt.Duration}
-		receivers[i].SetMeter(meters[i])
-		lats[i] = &stats.Latency{W: window}
-		receivers[i].SetOnDeliver(deliver(i, f.Src))
-		src := traffic.NewSource(sched, rng.Stream(uint64(5000+i)), opt.Traffic, senders[i], f.Dst)
-		src.EnableLatency(senders[i].LatencyWindow())
-		sources[i] = src
-		src.Start()
-	}
-	sched.Run(opt.Duration)
-	for i, f := range flows {
-		st := sources[i].Stats()
-		results[i] = FlowResult{
-			Link:          f,
-			Mbps:          meters[i].Mbps(),
-			OfferedPkts:   st.Offered,
-			AcceptedPkts:  st.Accepted,
-			DroppedPkts:   st.Dropped,
-			DeliveredPkts: meters[i].Packets(),
-			Lat:           lats[i],
-		}
-		if sv, ok := senders[i].(mac.Visibility); ok {
-			_, hdr, hot := receivers[i].(mac.Visibility).FlowCounters(f.Src)
-			results[i].VpktsSent = sv.VpktsSent()
-			results[i].VpktsHeader = hdr
-			results[i].VpktsHdrOrTrail = hot
-		}
-	}
-	return results
-}
 
 // sweepPayloadBytes is the application payload both MAC defaults use;
 // the sweep's Mb/s axis converts through it.

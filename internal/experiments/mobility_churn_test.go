@@ -10,8 +10,8 @@ import (
 	"repro/internal/traffic"
 )
 
-// TestMobilityChurnInterplay drives the arrival-process runner with
-// churning Poisson flows while every node moves: the two subsystems
+// TestMobilityChurnInterplay drives runFlows with churning Poisson
+// flows while every node moves: the two subsystems
 // share the scheduler, so this pins their interleaving — same seed
 // twice must be bit-identical, packet accounting must stay exact, and
 // the motion must demonstrably have happened (the run differs from its
@@ -33,7 +33,7 @@ func TestMobilityChurnInterplay(t *testing.T) {
 	flows := []topo.Link{pair.A, pair.B}
 
 	run := func(o Options) []FlowResult {
-		return runTrafficFlows(tb, flows, CMAP, o, 99)
+		return runFlows(tb, flows, CMAP, o, 99)
 	}
 	a, b := run(opt), run(opt)
 	if len(a) != 2 || len(b) != 2 {

@@ -32,7 +32,7 @@ func TestThousandNodeScenarioIsSparse(t *testing.T) {
 	if max == 0 || total == 0 {
 		t.Fatal("no audible links at 1000 nodes")
 	}
-	flows := ScaleFlows(s, m, 20)
+	flows := ScaleFlows(s, 20)
 	if len(flows) < 10 {
 		t.Fatalf("only %d flows found at 1000 nodes", len(flows))
 	}
@@ -45,32 +45,31 @@ func TestThousandNodeScenarioIsSparse(t *testing.T) {
 // benchmark fixture: warmed-up saturated flows must keep transmitting
 // as the window advances.
 func TestSaturatedNetworkCarriesTraffic(t *testing.T) {
-	net := NewSaturatedNetwork(50, 1)
-	before := net.Medium.Transmissions
+	net := NewSaturatedNetwork(50, 0, 1)
+	before := net.Sim.Transmissions()
 	net.Advance(20 * sim.Millisecond)
-	if net.Medium.Transmissions <= before {
-		t.Fatalf("no transmissions in a saturated steady-state window (%d → %d)",
-			before, net.Medium.Transmissions)
+	if after := net.Sim.Transmissions(); after <= before {
+		t.Fatalf("no transmissions in a saturated steady-state window (%d → %d)", before, after)
 	}
 }
 
-// TestShardedSaturatedNetworkCarriesTraffic sanity-checks the sharded
-// steady-state fixture at several shard counts: warmed-up saturated
-// flows must keep transmitting as the window advances, and the fixture
-// must be deterministic (the benchmark rows are comparable run to run).
+// TestShardedSaturatedNetworkCarriesTraffic sanity-checks the same
+// fixture at several shard counts: warmed-up saturated flows must keep
+// transmitting as the window advances, and the fixture must be
+// deterministic (the benchmark rows are comparable run to run).
 func TestShardedSaturatedNetworkCarriesTraffic(t *testing.T) {
 	for _, shards := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			net := NewShardedSaturatedNetwork(100, shards, 1)
-			before := net.Engine.Transmissions()
+			net := NewSaturatedNetwork(100, shards, 1)
+			before := net.Sim.Transmissions()
 			net.Advance(20 * sim.Millisecond)
-			after := net.Engine.Transmissions()
+			after := net.Sim.Transmissions()
 			if after <= before {
 				t.Fatalf("no transmissions in a sharded steady-state window (%d → %d)", before, after)
 			}
-			twin := NewShardedSaturatedNetwork(100, shards, 1)
+			twin := NewSaturatedNetwork(100, shards, 1)
 			twin.Advance(20 * sim.Millisecond)
-			if got := twin.Engine.Transmissions(); got != after {
+			if got := twin.Sim.Transmissions(); got != after {
 				t.Fatalf("fixture not deterministic: %d vs %d transmissions", got, after)
 			}
 		})
@@ -117,7 +116,7 @@ func BenchmarkScaleTraffic(b *testing.B) {
 // the zero-allocation transmit path targets.
 func BenchmarkSaturatedSteadyState(b *testing.B) {
 	for _, n := range ScaleSizes {
-		b.Run(fmt.Sprintf("n=%d", n), BenchSaturatedSteadyState(n))
+		b.Run(fmt.Sprintf("n=%d", n), BenchSaturatedSteadyState(n, 0))
 	}
 }
 
@@ -152,6 +151,6 @@ func BenchmarkDeliveryRebuild(b *testing.B) {
 // cmapbench -benchjson, which records it in the BENCH trajectory.
 func BenchmarkShardedSteadyState(b *testing.B) {
 	for _, k := range ShardCounts {
-		b.Run(fmt.Sprintf("n=1000/shards=%d", k), BenchShardedSteadyState(1000, k))
+		b.Run(fmt.Sprintf("n=1000/shards=%d", k), BenchSaturatedSteadyState(1000, k))
 	}
 }

@@ -9,13 +9,11 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/csma"
 	"repro/internal/geo"
 	"repro/internal/medium"
 	"repro/internal/mobility"
-	"repro/internal/shard"
+	"repro/internal/phy"
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/topo"
 )
 
@@ -41,27 +39,11 @@ var (
 	ShardCounts     = []int{1, 2, 4, 8}
 )
 
-// NeighborLister is the audibility surface the flow picker needs: who
-// hears node i, and how loudly. *medium.Medium and *shard.Engine both
-// satisfy it over the same delivery lists.
-type NeighborLister interface {
-	ForEachNeighbor(i int, fn func(dst int, gainMW float64))
-}
-
-// deliveryLists adapts raw delivery lists to NeighborLister, so flows
-// can be picked before the engine that will use the lists exists.
-type deliveryLists [][]medium.Delivery
-
-func (d deliveryLists) ForEachNeighbor(i int, fn func(dst int, gainMW float64)) {
-	for _, e := range d[i] {
-		fn(e.Dst, e.GainMW)
-	}
-}
-
 // ScaleFlows picks one saturated flow per stride nodes: each source
 // sends to the receiver that hears it loudest. No O(n²) measurement
 // pass is involved — the delivery lists already know the answer.
-func ScaleFlows(s *topo.Scenario, m NeighborLister, count int) []topo.Link {
+func ScaleFlows(s *topo.Scenario, count int) []topo.Link {
+	lists, _ := medium.BuildDeliveries(s.Params, s.Model, s.Pos, 0)
 	flows := make([]topo.Link, 0, count)
 	used := map[int]bool{}
 	stride := s.N() / count
@@ -70,11 +52,11 @@ func ScaleFlows(s *topo.Scenario, m NeighborLister, count int) []topo.Link {
 	}
 	for src := 0; src < s.N() && len(flows) < count; src += stride {
 		best, bestG := -1, 0.0
-		m.ForEachNeighbor(src, func(dst int, gainMW float64) {
-			if !used[dst] && gainMW > bestG {
-				best, bestG = dst, gainMW
+		for _, d := range lists[src] {
+			if !used[d.Dst] && d.GainMW > bestG {
+				best, bestG = d.Dst, d.GainMW
 			}
-		})
+		}
 		if best == -1 || used[src] {
 			continue
 		}
@@ -84,36 +66,34 @@ func ScaleFlows(s *topo.Scenario, m NeighborLister, count int) []topo.Link {
 	return flows
 }
 
-// buildScaleRun constructs the scheduler, medium, and saturated csma
-// wiring of one scale-traffic run, stopping just short of running it —
-// the split exists so benchmarks can keep construction off the timer.
-func buildScaleRun(s *topo.Scenario, flows []topo.Link, d sim.Time, seed uint64) (*sim.Scheduler, []*stats.Meter) {
-	sched := sim.NewScheduler()
-	rng := sim.NewRNG(seed)
-	m := s.Build(sched, rng.Stream(1))
-	cfg := csma.DefaultConfig()
-	meters := make([]*stats.Meter, len(flows))
-	for i, f := range flows {
-		tx := csma.New(f.Src, cfg, m, rng.Stream(uint64(1000+f.Src)))
-		rx := csma.New(f.Dst, cfg, m, rng.Stream(uint64(1000+f.Dst)))
-		meters[i] = &stats.Meter{Start: 0, End: d}
-		rx.Meter = meters[i]
-		tx.SetSaturated(f.Dst)
+// newScaleSim wires saturated 802.11 flows over the scenario through
+// NewFlowSim, stopping just short of running them — so benchmarks can
+// keep construction off the timer. The testbed is the scenario's bare
+// layout: FlowSim never reads the link measurements, so the O(n²) pass
+// of Scenario.Testbed is skipped. d bounds the goodput meters.
+func newScaleSim(s *topo.Scenario, flows []topo.Link, shards int, d sim.Time, seed uint64) *FlowSim {
+	tb := &topo.Testbed{N: s.N(), Bounds: s.Bounds, Pos: s.Pos, Params: s.Params, Model: s.Model}
+	fs, err := NewFlowSim(tb, FlowSimConfig{
+		Arm:      CSMAOn,
+		Flows:    flows,
+		Duration: d,
+		Rate:     phy.Rate6Mbps,
+		Shards:   shards,
+		Seed:     seed,
+	})
+	if err != nil {
+		panic(err) // csma is always registered; static layouts shard freely
 	}
-	return sched, meters
+	return fs
 }
 
 // RunScaleTraffic drives saturated 802.11 flows over a fresh build of
 // the scenario for a short virtual window and returns the aggregate
 // goodput, exercising the sparse Transmit fan-out end to end.
 func RunScaleTraffic(s *topo.Scenario, flows []topo.Link, d sim.Time, seed uint64) float64 {
-	sched, meters := buildScaleRun(s, flows, d, seed)
-	sched.Run(d)
-	var agg float64
-	for _, mt := range meters {
-		agg += mt.Mbps()
-	}
-	return agg
+	fs := newScaleSim(s, flows, 0, d, seed)
+	fs.Run(d)
+	return aggregate(fs.Results())
 }
 
 // SaturatedNetwork is a built scenario carrying saturated 802.11 flows,
@@ -121,78 +101,26 @@ func RunScaleTraffic(s *topo.Scenario, flows []topo.Link, d sim.Time, seed uint6
 // excluded — the regime where per-frame allocation behaviour, not
 // medium construction, dominates.
 type SaturatedNetwork struct {
-	Sched  *sim.Scheduler
-	Medium *medium.Medium
-	Flows  []topo.Link
+	Sim   *FlowSim
+	Flows []topo.Link
 }
 
 // NewSaturatedNetwork builds an n-node uniform disk at ScaleDensity,
-// starts one saturated flow per ten nodes, and advances past the
-// initial contention transient.
-func NewSaturatedNetwork(n int, seed uint64) *SaturatedNetwork {
+// starts one saturated flow per ten nodes on the serial engine
+// (shards <= 1) or a shards-way sharded one, and advances past the
+// initial contention transient. The fixture has no measurement window
+// (its meters record nothing); read Sim.Transmissions instead.
+func NewSaturatedNetwork(n, shards int, seed uint64) *SaturatedNetwork {
 	s := topo.UniformDisk(n, ScaleDensity, seed)
-	sched := sim.NewScheduler()
-	rng := sim.NewRNG(seed)
-	m := s.Build(sched, rng.Stream(1))
-	flows := ScaleFlows(s, m, n/10+2)
-	cfg := csma.DefaultConfig()
-	for _, f := range flows {
-		tx := csma.New(f.Src, cfg, m, rng.Stream(uint64(1000+f.Src)))
-		csma.New(f.Dst, cfg, m, rng.Stream(uint64(1000+f.Dst)))
-		tx.SetSaturated(f.Dst)
-	}
-	net := &SaturatedNetwork{Sched: sched, Medium: m, Flows: flows}
+	flows := ScaleFlows(s, n/10+2)
+	net := &SaturatedNetwork{Sim: newScaleSim(s, flows, shards, 0, seed), Flows: flows}
 	net.Advance(20 * sim.Millisecond) // warm past the cold-start transient
 	return net
 }
 
 // Advance runs the network d further through virtual time.
 func (sn *SaturatedNetwork) Advance(d sim.Time) {
-	sn.Sched.Run(sn.Sched.Now() + d)
-}
-
-// ShardedSaturatedNetwork is the sharded analogue of SaturatedNetwork:
-// the same disk, the same flow-picking rule, the same saturated csma
-// wiring — but the event loop partitioned across shards. The delivery
-// lists are built once and shared between the flow picker and the
-// engine.
-type ShardedSaturatedNetwork struct {
-	Engine *shard.Engine
-	Flows  []topo.Link
-}
-
-// NewShardedSaturatedNetwork builds an n-node uniform disk at
-// ScaleDensity carrying one saturated flow per ten nodes on a
-// shards-way engine, warmed past the cold-start transient.
-func NewShardedSaturatedNetwork(n, shards int, seed uint64) *ShardedSaturatedNetwork {
-	s := topo.UniformDisk(n, ScaleDensity, seed)
-	rng := sim.NewRNG(seed)
-	engStream := rng.Stream(1) // the stream s.Build would hand the medium
-	lists, _ := medium.BuildDeliveries(s.Params, s.Model, s.Pos, 0)
-	flows := ScaleFlows(s, deliveryLists(lists), n/10+2)
-	pairs := make([][2]int, len(flows))
-	for i, f := range flows {
-		pairs[i] = [2]int{f.Src, f.Dst}
-	}
-	eng := shard.NewEngine(s.Params, s.Model, s.Pos, engStream, shard.Config{
-		Shards:     shards,
-		Flows:      pairs,
-		Deliveries: lists,
-	})
-	cfg := csma.DefaultConfig()
-	for _, f := range flows {
-		tx := csma.New(f.Src, cfg, eng.Network(f.Src), rng.Stream(uint64(1000+f.Src)))
-		csma.New(f.Dst, cfg, eng.Network(f.Dst), rng.Stream(uint64(1000+f.Dst)))
-		tx.SetSaturated(f.Dst)
-	}
-	net := &ShardedSaturatedNetwork{Engine: eng, Flows: flows}
-	net.Advance(20 * sim.Millisecond) // warm past the cold-start transient
-	return net
-}
-
-// Advance runs the sharded network d further through virtual time.
-func (sn *ShardedSaturatedNetwork) Advance(d sim.Time) {
-	sn.Engine.Run(sn.Engine.Now() + d)
+	sn.Sim.Run(sn.Sim.Now() + d)
 }
 
 // ScaleBenchmark is one scaling benchmark runnable outside `go test`.
@@ -222,8 +150,7 @@ func BenchMediumConstruct(n int) func(b *testing.B) {
 // recorded the construction-inclusive shape under the same name.
 func BenchScaleTraffic(n int) func(b *testing.B) {
 	s := topo.UniformDisk(n, ScaleDensity, 1)
-	m := s.Build(sim.NewScheduler(), sim.NewRNG(1))
-	flows := ScaleFlows(s, m, n/10+2)
+	flows := ScaleFlows(s, n/10+2)
 	return func(b *testing.B) {
 		if len(flows) == 0 {
 			b.Fatalf("no flows at n=%d", n)
@@ -232,9 +159,9 @@ func BenchScaleTraffic(n int) func(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			sched, _ := buildScaleRun(s, flows, 20*sim.Millisecond, uint64(i)+1)
+			fs := newScaleSim(s, flows, 0, 20*sim.Millisecond, uint64(i)+1)
 			b.StartTimer()
-			sched.Run(20 * sim.Millisecond)
+			fs.Run(20 * sim.Millisecond)
 		}
 	}
 }
@@ -242,27 +169,12 @@ func BenchScaleTraffic(n int) func(b *testing.B) {
 // BenchSaturatedSteadyState measures 20 ms virtual-time windows of
 // saturated traffic on a persistent n-node network — construction
 // excluded, the steady state the zero-allocation transmit path targets.
-func BenchSaturatedSteadyState(n int) func(b *testing.B) {
+// shards <= 1 is the serial engine, so the shards > 1 rows of the
+// ShardedSteadyState matrix read directly against its shards=1 row as
+// parallel speedup (or, on one core, barrier overhead).
+func BenchSaturatedSteadyState(n, shards int) func(b *testing.B) {
 	return func(b *testing.B) {
-		net := NewSaturatedNetwork(n, 1)
-		if len(net.Flows) == 0 {
-			b.Fatalf("no flows at n=%d", n)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			net.Advance(20 * sim.Millisecond)
-		}
-	}
-}
-
-// BenchShardedSteadyState measures 20 ms virtual-time windows of
-// saturated traffic on a persistent n-node sharded engine. shards=1 is
-// the serial engine through the same fixture, so the shards>1 rows read
-// directly as parallel speedup (or, on one core, barrier overhead).
-func BenchShardedSteadyState(n, shards int) func(b *testing.B) {
-	return func(b *testing.B) {
-		net := NewShardedSaturatedNetwork(n, shards, 1)
+		net := NewSaturatedNetwork(n, shards, 1)
 		if len(net.Flows) == 0 {
 			b.Fatalf("no flows at n=%d", n)
 		}
@@ -366,7 +278,7 @@ func ScaleBenchmarks() []ScaleBenchmark {
 	for _, n := range ScaleSizes {
 		out = append(out, ScaleBenchmark{
 			Name: fmt.Sprintf("SaturatedSteadyState/n=%d", n),
-			Run:  BenchSaturatedSteadyState(n),
+			Run:  BenchSaturatedSteadyState(n, 0),
 		})
 	}
 	for _, n := range ScaleSizes {
@@ -391,7 +303,7 @@ func ScaleBenchmarks() []ScaleBenchmark {
 		for _, k := range ShardCounts {
 			out = append(out, ScaleBenchmark{
 				Name: fmt.Sprintf("ShardedSteadyState/n=%d/shards=%d", n, k),
-				Run:  BenchShardedSteadyState(n, k),
+				Run:  BenchSaturatedSteadyState(n, k),
 			})
 		}
 	}

@@ -31,12 +31,6 @@ type Config struct {
 	// ConstructionWorkers fans the delivery-list build across goroutines
 	// (0 means GOMAXPROCS); output is bit-identical at any count.
 	ConstructionWorkers int
-	// Deliveries optionally supplies precomputed delivery lists — they
-	// must come from medium.BuildDeliveries over the same params, model,
-	// and positions. A caller that already built the lists (say, to pick
-	// flows before the engine exists) then skips paying construction
-	// twice. Nil means build internally.
-	Deliveries [][]medium.Delivery
 }
 
 // Engine is one simulation partitioned across shards. Construct with
@@ -49,9 +43,6 @@ type Engine struct {
 	shards []*Shard
 	assign []int
 	radios []*phy.Radio
-	// deliveries is the unsplit global delivery-list view, retained so
-	// flow pickers can ask who hears whom without rebuilding it.
-	deliveries [][]medium.Delivery
 
 	seg   int64    // absolute index of the window Run resumes in
 	clock sim.Time // high-water mark of Run
@@ -77,17 +68,13 @@ func NewEngine(params phy.Params, model radio.Model, positions []geo.Point, rng 
 	}
 	n := len(positions)
 	assign := Partition(positions, cfg.Flows, k)
-	deliveries := cfg.Deliveries
-	if deliveries == nil {
-		deliveries, _ = medium.BuildDeliveries(params, model, positions, cfg.ConstructionWorkers)
-	}
+	deliveries, _ := medium.BuildDeliveries(params, model, positions, cfg.ConstructionWorkers)
 
 	e := &Engine{
-		params:     params,
-		window:     w,
-		assign:     assign,
-		radios:     make([]*phy.Radio, n),
-		deliveries: deliveries,
+		params: params,
+		window: w,
+		assign: assign,
+		radios: make([]*phy.Radio, n),
 	}
 	e.bar.n = int32(k)
 	e.shards = make([]*Shard, k)
@@ -202,15 +189,6 @@ func (e *Engine) SchedulerOf(id int) *sim.Scheduler { return e.shards[e.assign[i
 // Now returns the engine's clock high-water mark: every shard has run
 // to at least this virtual time.
 func (e *Engine) Now() sim.Time { return e.clock }
-
-// ForEachNeighbor calls fn for every receiver that hears node i above
-// the delivery floor, in ascending receiver order — the same contract
-// as medium.ForEachNeighbor, over the same lists.
-func (e *Engine) ForEachNeighbor(i int, fn func(dst int, gainMW float64)) {
-	for _, d := range e.deliveries[i] {
-		fn(d.Dst, d.GainMW)
-	}
-}
 
 // Transmissions sums frames put on the air across all shards.
 func (e *Engine) Transmissions() uint64 {

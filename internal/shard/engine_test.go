@@ -10,6 +10,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/topo"
+	"repro/internal/traffic"
 
 	_ "repro/internal/core"
 	_ "repro/internal/csma"
@@ -23,6 +24,8 @@ type runOutcome struct {
 	txs     uint64
 	decoded []uint64
 	missed  []uint64
+	// arrivals holds each source's counters under an arrival process.
+	arrivals []traffic.Stats
 }
 
 const (
@@ -30,20 +33,21 @@ const (
 	testWarmup   = 50 * sim.Millisecond
 )
 
-// runSerial is the reference: the serial medium engine, wired exactly
-// as experiments.runFlows wires it.
-func runSerial(tb *topo.Testbed, flows []topo.Link, armName string, seed uint64) runOutcome {
-	sched := sim.NewScheduler()
-	rng := sim.NewRNG(seed)
-	m := tb.Build(sched, rng.Stream(1))
+// wireFlows attaches one station per distinct endpoint and drives each
+// flow as experiments.NewFlowSim does: saturated, or — when spec is an
+// arrival process — through a traffic.Source on the sender's scheduler
+// drawing rng.Stream(5000+i).
+func wireFlows(flows []topo.Link, armName string, rng *sim.RNG, spec traffic.Spec,
+	network func(id int) mac.Network, schedOf func(id int) *sim.Scheduler) ([]*stats.Meter, []*traffic.Source) {
 	arm := mac.MustLookup(armName)
 	meters := make([]*stats.Meter, len(flows))
+	var sources []*traffic.Source
 	nodes := map[int]mac.Node{}
 	mk := func(id int) mac.Node {
 		if n, ok := nodes[id]; ok {
 			return n
 		}
-		n := arm.New(id, m, rng.Stream(uint64(1000+id)), mac.Options{Rate: phy.Rate6Mbps})
+		n := arm.New(id, network(id), rng.Stream(uint64(1000+id)), mac.Options{Rate: phy.Rate6Mbps})
 		nodes[id] = n
 		return n
 	}
@@ -51,59 +55,57 @@ func runSerial(tb *topo.Testbed, flows []topo.Link, armName string, seed uint64)
 		tx, rx := mk(f.Src), mk(f.Dst)
 		meters[i] = &stats.Meter{Start: testWarmup, End: testDuration}
 		rx.SetMeter(meters[i])
-		tx.SetSaturated(f.Dst)
+		if spec.Kind == traffic.Saturated {
+			tx.SetSaturated(f.Dst)
+			continue
+		}
+		src := traffic.NewSource(schedOf(f.Src), rng.Stream(uint64(5000+i)), spec, tx, f.Dst)
+		sources = append(sources, src)
+		src.Start()
 	}
-	sched.Run(testDuration)
-	out := runOutcome{txs: m.Transmissions}
-	for i := range flows {
-		out.mbps = append(out.mbps, meters[i].Mbps())
-		out.packets = append(out.packets, meters[i].Packets())
+	return meters, sources
+}
+
+// outcome gathers what a finished run pins down.
+func outcome(txs uint64, meters []*stats.Meter, sources []*traffic.Source, radios int, radio func(i int) *phy.Radio) runOutcome {
+	out := runOutcome{txs: txs}
+	for _, mt := range meters {
+		out.mbps = append(out.mbps, mt.Mbps())
+		out.packets = append(out.packets, mt.Packets())
 	}
-	for i := 0; i < m.NodeCount(); i++ {
-		st := m.Radio(i).Stats()
+	for _, src := range sources {
+		out.arrivals = append(out.arrivals, src.Stats())
+	}
+	for i := 0; i < radios; i++ {
+		st := radio(i).Stats()
 		out.decoded = append(out.decoded, st.Decoded)
 		out.missed = append(out.missed, st.Missed)
 	}
 	return out
 }
 
+// runSerial is the reference: the serial medium engine.
+func runSerial(tb *topo.Testbed, flows []topo.Link, armName string, spec traffic.Spec, seed uint64) runOutcome {
+	sched := sim.NewScheduler()
+	rng := sim.NewRNG(seed)
+	m := tb.Build(sched, rng.Stream(1))
+	meters, sources := wireFlows(flows, armName, rng, spec,
+		func(int) mac.Network { return m }, func(int) *sim.Scheduler { return sched })
+	sched.Run(testDuration)
+	return outcome(m.Transmissions, meters, sources, m.NodeCount(), m.Radio)
+}
+
 // runSharded is the same experiment through the sharded engine.
-func runSharded(tb *topo.Testbed, flows []topo.Link, armName string, seed uint64, shards int) runOutcome {
+func runSharded(tb *topo.Testbed, flows []topo.Link, armName string, spec traffic.Spec, seed uint64, shards int) runOutcome {
 	rng := sim.NewRNG(seed)
 	pairs := make([][2]int, len(flows))
 	for i, f := range flows {
 		pairs[i] = [2]int{f.Src, f.Dst}
 	}
 	eng := NewEngine(tb.Params, tb.Model, tb.Pos, rng.Stream(1), Config{Shards: shards, Flows: pairs})
-	arm := mac.MustLookup(armName)
-	meters := make([]*stats.Meter, len(flows))
-	nodes := map[int]mac.Node{}
-	mk := func(id int) mac.Node {
-		if n, ok := nodes[id]; ok {
-			return n
-		}
-		n := arm.New(id, eng.Network(id), rng.Stream(uint64(1000+id)), mac.Options{Rate: phy.Rate6Mbps})
-		nodes[id] = n
-		return n
-	}
-	for i, f := range flows {
-		tx, rx := mk(f.Src), mk(f.Dst)
-		meters[i] = &stats.Meter{Start: testWarmup, End: testDuration}
-		rx.SetMeter(meters[i])
-		tx.SetSaturated(f.Dst)
-	}
+	meters, sources := wireFlows(flows, armName, rng, spec, eng.Network, eng.SchedulerOf)
 	eng.Run(testDuration)
-	out := runOutcome{txs: eng.Transmissions()}
-	for i := range flows {
-		out.mbps = append(out.mbps, meters[i].Mbps())
-		out.packets = append(out.packets, meters[i].Packets())
-	}
-	for i := 0; i < eng.NodeCount(); i++ {
-		st := eng.radios[i].Stats()
-		out.decoded = append(out.decoded, st.Decoded)
-		out.missed = append(out.missed, st.Missed)
-	}
-	return out
+	return outcome(eng.Transmissions(), meters, sources, eng.NodeCount(), func(i int) *phy.Radio { return eng.radios[i] })
 }
 
 // testFlows samples a few potential-link flows spread across the
@@ -129,17 +131,36 @@ func testFlows(tb *topo.Testbed, seed uint64, count int) []topo.Link {
 // TestShardOneBitIdenticalToSerial is the acceptance-criterion pin:
 // with one shard the engine IS the serial engine — identical per-flow
 // goodput, identical transmission count, identical per-radio decode and
-// miss counters, for every registered arm family we ship.
+// miss counters, for every registered arm family we ship, and identical
+// arrival counters when Poisson traffic.Sources ride SchedulerOf(src)
+// instead of saturated senders.
 func TestShardOneBitIdenticalToSerial(t *testing.T) {
 	tb := topo.NewTestbed(50, 11)
 	flows := testFlows(tb, 23, 4)
 	if len(flows) < 2 {
 		t.Fatalf("only %d flows sampled", len(flows))
 	}
-	for _, armName := range []string{"csma", "cmap", "rtscts"} {
-		t.Run(armName, func(t *testing.T) {
-			ref := runSerial(tb, flows, armName, 0xfeed)
-			got := runSharded(tb, flows, armName, 0xfeed, 1)
+	poisson := traffic.Spec{Kind: traffic.Poisson}.WithOfferedMbps(2.0, 1400)
+	for _, in := range []struct {
+		name, arm string
+		spec      traffic.Spec
+	}{
+		{"csma", "csma", traffic.Saturate()},
+		{"cmap", "cmap", traffic.Saturate()},
+		{"rtscts", "rtscts", traffic.Saturate()},
+		{"csma-poisson", "csma", poisson},
+	} {
+		t.Run(in.name, func(t *testing.T) {
+			ref := runSerial(tb, flows, in.arm, in.spec, 0xfeed)
+			got := runSharded(tb, flows, in.arm, in.spec, 0xfeed, 1)
+			for i := range ref.arrivals {
+				if got.arrivals[i] != ref.arrivals[i] {
+					t.Fatalf("flow %d arrivals: sharded %+v, serial %+v", i, got.arrivals[i], ref.arrivals[i])
+				}
+				if ref.arrivals[i].Accepted == 0 {
+					t.Fatalf("flow %d: the arrival process offered nothing — vacuous comparison", i)
+				}
+			}
 			if got.txs != ref.txs {
 				t.Fatalf("transmissions: sharded %d, serial %d", got.txs, ref.txs)
 			}
@@ -167,8 +188,8 @@ func TestShardDeterminism(t *testing.T) {
 	flows := testFlows(tb, 31, 4)
 	for _, shards := range []int{2, 3, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			a := runSharded(tb, flows, "csma", 0xd5, shards)
-			b := runSharded(tb, flows, "csma", 0xd5, shards)
+			a := runSharded(tb, flows, "csma", traffic.Saturate(), 0xd5, shards)
+			b := runSharded(tb, flows, "csma", traffic.Saturate(), 0xd5, shards)
 			if a.txs != b.txs {
 				t.Fatalf("transmissions differ across runs: %d vs %d", a.txs, b.txs)
 			}
@@ -196,14 +217,14 @@ func TestShardFigureLevelEquivalence(t *testing.T) {
 	tb := topo.NewTestbed(50, 11)
 	flows := testFlows(tb, 23, 4)
 	for _, armName := range []string{"csma", "cmap"} {
-		ref := runSerial(tb, flows, armName, 0xfeed)
+		ref := runSerial(tb, flows, armName, traffic.Saturate(), 0xfeed)
 		var refAgg float64
 		for _, v := range ref.mbps {
 			refAgg += v
 		}
 		for _, shards := range []int{2, 4} {
 			t.Run(fmt.Sprintf("%s/shards=%d", armName, shards), func(t *testing.T) {
-				got := runSharded(tb, flows, armName, 0xfeed, shards)
+				got := runSharded(tb, flows, armName, traffic.Saturate(), 0xfeed, shards)
 				var agg float64
 				for i, v := range got.mbps {
 					agg += v
@@ -285,7 +306,7 @@ func TestEngineResumeMidWindow(t *testing.T) {
 	tb := topo.NewTestbed(50, 5)
 	flows := testFlows(tb, 31, 3)
 
-	oneShot := runSharded(tb, flows, "csma", 0x9, 3)
+	oneShot := runSharded(tb, flows, "csma", traffic.Saturate(), 0x9, 3)
 
 	rng := sim.NewRNG(0x9)
 	pairs := make([][2]int, len(flows))
