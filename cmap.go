@@ -36,6 +36,7 @@ import (
 	"repro/internal/csma"
 	"repro/internal/frame"
 	"repro/internal/geo"
+	"repro/internal/mac"
 	"repro/internal/medium"
 	"repro/internal/phy"
 	"repro/internal/radio"
@@ -186,33 +187,37 @@ func WithPerDestQueues() Option {
 	return func(c *stationConfig) { c.perDest = true }
 }
 
-// Station is one attached node speaking either CMAP or 802.11 DCF.
+// Station is one attached node speaking either CMAP or 802.11 DCF,
+// driven through the arm-independent mac.Node surface. cm is the same
+// station as a CMAP node when it is one — needed only for the §3.6
+// targeted broadcast, which has no DCF counterpart.
 type Station struct {
 	nw    *Network
 	id    int
+	node  mac.Node
 	cm    *core.Node
-	dcf   *csma.Node
 	meter *stats.Meter
 }
 
-func (nw *Network) newConfig() stationConfig {
-	return stationConfig{
-		rate:         phy.Rate6Mbps,
-		payload:      1400,
-		carrierSense: true,
-		linkACKs:     true,
-		nvpkt:        0,
-		nwindow:      0,
+// configure checks that id is a free node of the network and applies
+// opts over the evaluation defaults.
+func (nw *Network) configure(id int, opts []Option) stationConfig {
+	if id < 0 || id >= nw.med.NodeCount() {
+		panic(fmt.Sprintf("cmap: node %d outside network of %d nodes", id, nw.med.NodeCount()))
 	}
+	if _, dup := nw.stations[id]; dup {
+		panic(fmt.Sprintf("cmap: node %d already has a station", id))
+	}
+	c := stationConfig{rate: phy.Rate6Mbps, payload: 1400, carrierSense: true, linkACKs: true}
+	for _, o := range opts {
+		o(&c)
+	}
+	return c
 }
 
 // AddCMAP attaches a CMAP station to node id.
 func (nw *Network) AddCMAP(id int, opts ...Option) *Station {
-	nw.checkID(id)
-	c := nw.newConfig()
-	for _, o := range opts {
-		o(&c)
-	}
+	c := nw.configure(id, opts)
 	cfg := core.DefaultConfig()
 	cfg.Rate = c.rate
 	cfg.PayloadBytes = c.payload
@@ -223,35 +228,23 @@ func (nw *Network) AddCMAP(id int, opts ...Option) *Station {
 		cfg.Nwindow = c.nwindow
 	}
 	cfg.PerDestQueues = c.perDest
-	st := &Station{nw: nw, id: id, cm: core.New(id, cfg, nw.med, nw.rng.Stream(uint64(0xA000+id)))}
+	cm := core.New(id, cfg, nw.med, nw.rng.Stream(uint64(0xA000+id)))
+	st := &Station{nw: nw, id: id, node: cm, cm: cm}
 	nw.stations[id] = st
 	return st
 }
 
 // AddDCF attaches an 802.11 DCF baseline station to node id.
 func (nw *Network) AddDCF(id int, opts ...Option) *Station {
-	nw.checkID(id)
-	c := nw.newConfig()
-	for _, o := range opts {
-		o(&c)
-	}
+	c := nw.configure(id, opts)
 	cfg := csma.DefaultConfig()
 	cfg.Rate = c.rate
 	cfg.PayloadBytes = c.payload
 	cfg.CarrierSense = c.carrierSense
 	cfg.LinkACKs = c.linkACKs
-	st := &Station{nw: nw, id: id, dcf: csma.New(id, cfg, nw.med, nw.rng.Stream(uint64(0xA000+id)))}
+	st := &Station{nw: nw, id: id, node: csma.New(id, cfg, nw.med, nw.rng.Stream(uint64(0xA000+id)))}
 	nw.stations[id] = st
 	return st
-}
-
-func (nw *Network) checkID(id int) {
-	if id < 0 || id >= nw.med.NodeCount() {
-		panic(fmt.Sprintf("cmap: node %d outside network of %d nodes", id, nw.med.NodeCount()))
-	}
-	if _, dup := nw.stations[id]; dup {
-		panic(fmt.Sprintf("cmap: node %d already has a station", id))
-	}
 }
 
 // Station returns the station attached to id, or nil.
@@ -263,28 +256,22 @@ func (s *Station) ID() int { return s.id }
 // Saturate makes the station a backlogged source towards dst (or
 // Broadcast for a CMAP/DCF broadcast flow to everyone in range).
 func (s *Station) Saturate(dst int) {
-	switch {
-	case s.cm != nil && dst == Broadcast:
+	if s.cm != nil && dst == Broadcast {
 		s.cm.SetBroadcast(s.broadcastTargets(), true, 0)
-	case s.cm != nil:
-		s.cm.SetSaturated(dst)
-	default:
-		s.dcf.SetSaturated(dst)
+		return
 	}
+	s.node.SetSaturated(dst)
 }
 
 // Send queues count packets towards dst. For a CMAP station already in
 // broadcast mode (after BroadcastTo), Send(Broadcast, n) queues the next
 // dissemination batch.
 func (s *Station) Send(dst int, count int) {
-	switch {
-	case s.cm != nil && dst == Broadcast:
+	if s.cm != nil && dst == Broadcast {
 		s.cm.EnqueueBroadcast(count)
-	case s.cm != nil:
-		s.cm.Enqueue(dst, count)
-	default:
-		s.dcf.Enqueue(dst, count)
+		return
 	}
+	s.node.Enqueue(dst, count)
 }
 
 // BroadcastTo starts a CMAP broadcast flow towards the given targets
@@ -312,11 +299,7 @@ func (s *Station) broadcastTargets() []int {
 // [start, end] — the paper measures [40 s, 100 s] of 100-second runs.
 func (s *Station) Measure(start, end time.Duration) {
 	s.meter = &stats.Meter{Start: sim.Duration(start), End: sim.Duration(end)}
-	if s.cm != nil {
-		s.cm.Meter = s.meter
-	} else {
-		s.dcf.Meter = s.meter
-	}
+	s.node.SetMeter(s.meter)
 }
 
 // GoodputMbps returns the measured goodput; zero before Measure.
@@ -330,22 +313,12 @@ func (s *Station) GoodputMbps() float64 {
 // OnDeliver registers a callback for every non-duplicate packet this
 // station receives (used to chain forwarding, as in the §5.7 mesh).
 func (s *Station) OnDeliver(fn func(src int, seq uint32, at time.Duration)) {
-	wrap := func(src int, seq uint32, now sim.Time) { fn(src, seq, time.Duration(now)) }
-	if s.cm != nil {
-		s.cm.OnDeliver = core.DeliverFunc(wrap)
-	} else {
-		s.dcf.OnDeliver = csma.DeliverFunc(wrap)
-	}
+	s.node.SetOnDeliver(func(src int, seq uint32, now sim.Time) { fn(src, seq, time.Duration(now)) })
 }
 
 // Idle reports whether the station's sender has drained all queued and
 // unacknowledged traffic (always false for saturated senders).
-func (s *Station) Idle() bool {
-	if s.cm != nil {
-		return s.cm.Idle()
-	}
-	return s.dcf.Idle()
-}
+func (s *Station) Idle() bool { return s.node.Idle() }
 
 // Stats is the protocol-agnostic subset of station counters.
 type Stats struct {
@@ -360,19 +333,15 @@ type Stats struct {
 
 // Stats snapshots the station's counters.
 func (s *Station) Stats() Stats {
-	if s.cm != nil {
-		st := s.cm.Stats()
-		return Stats{
-			Delivered:          st.Delivered,
-			Duplicates:         st.Duplicates,
-			VirtualPacketsSent: st.VpktsSent,
-			Defers:             st.Defers,
-			DeferTableEntries:  s.cm.DeferTableSize(),
-			InterfererEntries:  s.cm.InterfererListLen(),
-		}
+	c := s.node.Counters()
+	return Stats{
+		Delivered:          c.Delivered,
+		Duplicates:         c.Duplicates,
+		VirtualPacketsSent: c.VpktsSent,
+		Defers:             c.Defers,
+		DeferTableEntries:  int(c.DeferEntries),
+		InterfererEntries:  int(c.InterfererEntries),
 	}
-	st := s.dcf.Stats()
-	return Stats{Delivered: st.Delivered, Duplicates: st.Duplicates}
 }
 
 // Addr returns the station's link-layer address.

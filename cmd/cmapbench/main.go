@@ -90,13 +90,6 @@ import (
 	"repro/internal/traffic"
 )
 
-// resolveArms validates the -arms flag against the MAC registry, so a
-// typo is a CLI error listing every registered name rather than a panic
-// mid-figure.
-func resolveArms(s string) ([]experiments.Protocol, error) {
-	return experiments.ParseArms(s)
-}
-
 // parseLoads parses the comma-separated -load list of Mb/s values.
 func parseLoads(s string) ([]float64, error) {
 	var out []float64
@@ -224,7 +217,9 @@ func main() {
 	}
 
 	if *armList != "" {
-		arms, err := resolveArms(*armList)
+		// Validated here so a typo is a CLI error listing every registered
+		// name rather than a panic mid-figure.
+		arms, err := experiments.ParseArms(*armList)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)

@@ -11,9 +11,9 @@ import (
 // surface as a CLI error that lists the registered names, never as a
 // panic inside a half-finished figure.
 func TestResolveArmsUnknown(t *testing.T) {
-	_, err := resolveArms("csma,bogus")
+	_, err := experiments.ParseArms("csma,bogus")
 	if err == nil {
-		t.Fatal("resolveArms accepted an unregistered arm")
+		t.Fatal("ParseArms accepted an unregistered arm")
 	}
 	if !strings.Contains(err.Error(), "bogus") {
 		t.Errorf("error %q does not name the bad arm", err)
@@ -24,19 +24,19 @@ func TestResolveArmsUnknown(t *testing.T) {
 }
 
 func TestResolveArmsEmpty(t *testing.T) {
-	if _, err := resolveArms(" , "); err == nil {
-		t.Fatal("resolveArms accepted a list with no arms")
+	if _, err := experiments.ParseArms(" , "); err == nil {
+		t.Fatal("ParseArms accepted a list with no arms")
 	}
 }
 
 func TestResolveArmsKeepsOrder(t *testing.T) {
-	arms, err := resolveArms("rtscts, csma ,cs@-82")
+	arms, err := experiments.ParseArms("rtscts, csma ,cs@-82")
 	if err != nil {
-		t.Fatalf("resolveArms: %v", err)
+		t.Fatalf("ParseArms: %v", err)
 	}
 	want := []experiments.Protocol{"rtscts", "csma", "cs@-82"}
 	if len(arms) != len(want) {
-		t.Fatalf("resolveArms returned %v, want %v", arms, want)
+		t.Fatalf("ParseArms returned %v, want %v", arms, want)
 	}
 	for i := range want {
 		if arms[i] != want[i] {

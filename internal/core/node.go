@@ -10,9 +10,6 @@ import (
 	"repro/internal/stats"
 )
 
-// DeliverFunc observes each non-duplicate payload delivery at a receiver.
-type DeliverFunc func(src int, pktSeq uint32, now sim.Time)
-
 // Stats counts protocol events at one CMAP node.
 type Stats struct {
 	VpktsSent      uint64 // virtual packets transmitted (incl. retx rounds)
@@ -120,7 +117,7 @@ type Node struct {
 	// Meter, when set, records non-duplicate deliveries at this node.
 	Meter *stats.Meter
 	// OnDeliver, when set, observes non-duplicate deliveries.
-	OnDeliver DeliverFunc
+	OnDeliver mac.DeliverFunc
 
 	obs         *observations
 	deferTab    *deferTable

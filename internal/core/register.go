@@ -16,18 +16,28 @@ import (
 func (n *Node) SetMeter(m *stats.Meter) { n.Meter = m }
 
 // SetOnDeliver implements mac.Node.
-func (n *Node) SetOnDeliver(fn mac.DeliverFunc) { n.OnDeliver = DeliverFunc(fn) }
+func (n *Node) SetOnDeliver(fn mac.DeliverFunc) { n.OnDeliver = fn }
 
 // LatencyWindow implements mac.Node: up to Nwindow virtual packets of
 // Nvpkt data packets each can be in flight at once.
 func (n *Node) LatencyWindow() int { return n.cfg.Nwindow * n.cfg.Nvpkt }
 
-// MacDropped implements mac.Node. CMAP has no MAC-level retry limit —
-// packets persist until acknowledged — so nothing is ever dropped here.
-func (n *Node) MacDropped() uint64 { return 0 }
-
-// VpktsSent implements mac.Visibility.
-func (n *Node) VpktsSent() uint64 { return n.stat.VpktsSent }
+// Counters implements mac.Node. CMAP has no MAC-level retry limit —
+// packets persist until acknowledged — so Dropped stays zero.
+func (n *Node) Counters() mac.Counters {
+	return mac.Counters{
+		Sent:              n.stat.DataSent,
+		Delivered:         n.stat.Delivered,
+		Duplicates:        n.stat.Duplicates,
+		AckTimeouts:       n.stat.AckWaitExpired,
+		VpktsSent:         n.stat.VpktsSent,
+		Defers:            n.stat.Defers,
+		Backoffs:          n.stat.Backoffs,
+		RetxTimeouts:      n.stat.RetxTimeouts,
+		DeferEntries:      uint64(n.DeferTableSize()),
+		InterfererEntries: uint64(n.InterfererListLen()),
+	}
+}
 
 // arm adapts a Config recipe to the mac.Arm interface.
 type arm struct {

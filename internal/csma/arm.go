@@ -21,14 +21,22 @@ import (
 func (n *Node) SetMeter(m *stats.Meter) { n.Meter = m }
 
 // SetOnDeliver implements mac.Node.
-func (n *Node) SetOnDeliver(fn mac.DeliverFunc) { n.OnDeliver = DeliverFunc(fn) }
+func (n *Node) SetOnDeliver(fn mac.DeliverFunc) { n.OnDeliver = fn }
 
 // LatencyWindow implements mac.Node: stop-and-wait keeps one packet in
 // flight, so a small arrival-time ring suffices.
 func (n *Node) LatencyWindow() int { return 16 }
 
-// MacDropped implements mac.Node.
-func (n *Node) MacDropped() uint64 { return n.stat.Dropped }
+// Counters implements mac.Node.
+func (n *Node) Counters() mac.Counters {
+	return mac.Counters{
+		Sent:        n.stat.Sent,
+		Delivered:   n.stat.Delivered,
+		Duplicates:  n.stat.Duplicates,
+		Dropped:     n.stat.Dropped,
+		AckTimeouts: n.stat.AckTimeout,
+	}
+}
 
 // arm adapts a Config recipe to the mac.Arm interface.
 type arm struct {

@@ -59,9 +59,6 @@ func DefaultConfig() Config {
 	}
 }
 
-// DeliverFunc observes each non-duplicate payload delivery at a receiver.
-type DeliverFunc func(src int, seq uint32, now sim.Time)
-
 // Node is one 802.11 DCF station. Create it with New, point traffic at it
 // with SetSaturated or Enqueue, then run the scheduler.
 type Node struct {
@@ -76,7 +73,7 @@ type Node struct {
 	Meter *stats.Meter
 	// OnDeliver, when set, observes non-duplicate deliveries (used to
 	// chain mesh forwarding).
-	OnDeliver DeliverFunc
+	OnDeliver mac.DeliverFunc
 
 	// Sender state.
 	saturated bool

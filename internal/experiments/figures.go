@@ -5,8 +5,8 @@ import (
 	"math"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/csma"
+	"repro/internal/mac"
 	"repro/internal/phy"
 	"repro/internal/runner"
 	"repro/internal/sim"
@@ -444,14 +444,15 @@ func Mesh(tb *topo.Testbed, opt Options) *MeshResult {
 	rng := sim.NewRNG(opt.Seed ^ 0xf57)
 	meshes := tb.MeshTopologies(rng, opt.Meshes, 3)
 	res := &MeshResult{CMAP: &stats.Dist{}, CSMA: &stats.Dist{}}
+	cmapArm, csmaArm := mac.MustLookup(string(CMAP)), mac.MustLookup(string(CSMAOn))
 	// Trials interleave (mesh, protocol): even indices CMAP, odd CSMA.
 	scores := runner.Map(opt.pool(), 2*len(meshes), func(t int) float64 {
 		msh := meshes[t/2]
 		seed := opt.Seed + uint64(t/2)*2221
 		if t%2 == 0 {
-			return runMeshCMAP(tb, msh, opt, seed)
+			return runMesh(cmapArm, tb, msh, opt, seed)
 		}
-		return runMeshCSMA(tb, msh, opt, seed+1)
+		return runMesh(csmaArm, tb, msh, opt, seed+1)
 	})
 	for i := range meshes {
 		res.CMAP.Add(scores[2*i])
@@ -460,63 +461,59 @@ func Mesh(tb *topo.Testbed, opt Options) *MeshResult {
 	return res
 }
 
-// hopMeter counts per-hop deliveries inside the measurement window.
-type hopMeter struct {
-	start, end sim.Time
-	count      uint64
-}
-
-func (h *hopMeter) record(now sim.Time) {
-	if now >= h.start && now <= h.end {
-		h.count++
-	}
-}
-
-func (h *hopMeter) mbps(payload int) float64 {
-	w := (h.end - h.start).Seconds()
-	if w <= 0 {
-		return 0
-	}
-	return float64(h.count) * float64(payload) * 8 / w / 1e6
-}
-
 // meshBatch is the dissemination batch size in data packets.
 const meshBatch = 320
 
-func runMeshCMAP(tb *topo.Testbed, msh topo.Mesh, opt Options, seed uint64) float64 {
+// broadcaster is the §3.6 dissemination surface of CMAP-family stations:
+// broadcast virtual packets addressed to an explicit target set.
+type broadcaster interface {
+	SetBroadcast(targets []int, saturated bool, count int)
+	EnqueueBroadcast(count int)
+}
+
+// runMesh runs one mesh topology under arm and returns the summed leaf
+// throughput. Stations are built through the registry on stream labels
+// 100 (source), 200+i (relays) and 300+i (leaves); the arms differ only
+// in how the source issues a batch — CMAP-family stations broadcast to
+// the relays as §3.6 targets, everything else to the 802.11 broadcast
+// address.
+func runMesh(arm mac.Arm, tb *topo.Testbed, msh topo.Mesh, opt Options, seed uint64) float64 {
 	sched := sim.NewScheduler()
 	rng := sim.NewRNG(seed)
 	m := tb.Build(sched, rng.Stream(1))
-	cfg := core.DefaultConfig()
-	cfg.Rate = opt.Rate
+	mopt := mac.Options{Rate: opt.Rate}
 
-	src := core.New(msh.Source, cfg, m, rng.Stream(100))
+	src := arm.New(msh.Source, m, rng.Stream(100), mopt)
 	k := len(msh.Relays)
-	relays := make([]*core.Node, k)
-	hop1 := make([]*hopMeter, k)
-	hop2 := make([]*hopMeter, k)
+	relays := make([]mac.Node, k)
+	// Per-hop goodput, counted by delivery source inside the window.
+	hop1 := make([]stats.Meter, k)
+	hop2 := make([]stats.Meter, k)
 	pending := make([]int, k)
 	for i, relay := range msh.Relays {
-		i := i
-		leaf := msh.Leaves[i]
-		relays[i] = core.New(relay, cfg, m, rng.Stream(uint64(200+i)))
-		ln := core.New(leaf, cfg, m, rng.Stream(uint64(300+i)))
-		hop1[i] = &hopMeter{start: opt.Warmup, end: opt.Duration}
-		hop2[i] = &hopMeter{start: opt.Warmup, end: opt.Duration}
-		relays[i].OnDeliver = func(from int, _ uint32, now sim.Time) {
+		relays[i] = arm.New(relay, m, rng.Stream(uint64(200+i)), mopt)
+		leaf := arm.New(msh.Leaves[i], m, rng.Stream(uint64(300+i)), mopt)
+		hop1[i] = stats.Meter{Start: opt.Warmup, End: opt.Duration}
+		hop2[i] = stats.Meter{Start: opt.Warmup, End: opt.Duration}
+		relays[i].SetOnDeliver(func(from int, _ uint32, now sim.Time) {
 			if from != msh.Source {
 				return
 			}
-			hop1[i].record(now)
+			hop1[i].Record(now, sweepPayloadBytes)
 			pending[i]++
-		}
-		ln.OnDeliver = func(from int, _ uint32, now sim.Time) {
+		})
+		leaf.SetOnDeliver(func(from int, _ uint32, now sim.Time) {
 			if from == relay {
-				hop2[i].record(now)
+				hop2[i].Record(now, sweepPayloadBytes)
 			}
-		}
+		})
 	}
-	src.SetBroadcast(msh.Relays, false, meshBatch)
+	batch := func() { src.Enqueue(csma.BroadcastDst, meshBatch) }
+	if b, ok := src.(broadcaster); ok {
+		b.SetBroadcast(msh.Relays, false, 0)
+		batch = func() { b.EnqueueBroadcast(meshBatch) }
+	}
+	batch()
 	// Phase controller: source batch → relay forwarding → next batch.
 	srcPhase := true
 	var tick func()
@@ -539,7 +536,7 @@ func runMeshCMAP(tb *topo.Testbed, msh topo.Mesh, opt Options, seed uint64) floa
 			}
 			if done {
 				srcPhase = true
-				src.EnqueueBroadcast(meshBatch)
+				batch()
 			}
 		}
 		sched.After(20*sim.Millisecond, tick)
@@ -548,76 +545,7 @@ func runMeshCMAP(tb *topo.Testbed, msh topo.Mesh, opt Options, seed uint64) floa
 	sched.Run(opt.Duration)
 	var agg float64
 	for i := range msh.Relays {
-		agg += math.Min(hop1[i].mbps(cfg.PayloadBytes), hop2[i].mbps(cfg.PayloadBytes))
-	}
-	return agg
-}
-
-func runMeshCSMA(tb *topo.Testbed, msh topo.Mesh, opt Options, seed uint64) float64 {
-	sched := sim.NewScheduler()
-	rng := sim.NewRNG(seed)
-	m := tb.Build(sched, rng.Stream(1))
-	cfg := csma.DefaultConfig()
-	cfg.Rate = opt.Rate
-
-	src := csma.New(msh.Source, cfg, m, rng.Stream(100))
-	k := len(msh.Relays)
-	relays := make([]*csma.Node, k)
-	hop1 := make([]*hopMeter, k)
-	hop2 := make([]*hopMeter, k)
-	pending := make([]int, k)
-	for i, relay := range msh.Relays {
-		i := i
-		leaf := msh.Leaves[i]
-		relays[i] = csma.New(relay, cfg, m, rng.Stream(uint64(200+i)))
-		ln := csma.New(leaf, cfg, m, rng.Stream(uint64(300+i)))
-		hop1[i] = &hopMeter{start: opt.Warmup, end: opt.Duration}
-		hop2[i] = &hopMeter{start: opt.Warmup, end: opt.Duration}
-		relays[i].OnDeliver = func(from int, _ uint32, now sim.Time) {
-			if from != msh.Source {
-				return
-			}
-			hop1[i].record(now)
-			pending[i]++
-		}
-		ln.OnDeliver = func(from int, _ uint32, now sim.Time) {
-			if from == relay {
-				hop2[i].record(now)
-			}
-		}
-	}
-	src.Enqueue(csma.BroadcastDst, meshBatch)
-	srcPhase := true
-	var tick func()
-	tick = func() {
-		if srcPhase && src.Idle() {
-			srcPhase = false
-			for i := range relays {
-				if pending[i] > 0 {
-					relays[i].Enqueue(msh.Leaves[i], pending[i])
-					pending[i] = 0
-				}
-			}
-		} else if !srcPhase {
-			done := true
-			for _, r := range relays {
-				if !r.Idle() {
-					done = false
-					break
-				}
-			}
-			if done {
-				srcPhase = true
-				src.Enqueue(csma.BroadcastDst, meshBatch)
-			}
-		}
-		sched.After(20*sim.Millisecond, tick)
-	}
-	sched.After(20*sim.Millisecond, tick)
-	sched.Run(opt.Duration)
-	var agg float64
-	for i := range msh.Relays {
-		agg += math.Min(hop1[i].mbps(cfg.PayloadBytes), hop2[i].mbps(cfg.PayloadBytes))
+		agg += math.Min(hop1[i].Mbps(), hop2[i].Mbps())
 	}
 	return agg
 }

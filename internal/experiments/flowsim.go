@@ -16,6 +16,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/topo"
+	"repro/internal/trace"
 	"repro/internal/traffic"
 )
 
@@ -313,24 +314,28 @@ func (fs *FlowSim) Transmissions() uint64 {
 	return fs.m.Transmissions
 }
 
-// Sender returns flow i's sending station; Meter, Source and Lat return
-// the flow's recorders (Source and Lat are nil under saturated load).
-func (fs *FlowSim) Sender(i int) mac.Node    { return fs.senders[i] }
-func (fs *FlowSim) Meter(i int) *stats.Meter { return fs.meters[i] }
-
-func (fs *FlowSim) Source(i int) *traffic.Source {
-	if fs.sources == nil {
-		return nil
+// Trace records every link-layer upcall at flow 0's two endpoints into
+// t by decorating their radio handlers, whatever arm the stations run.
+// Recording draws no randomness and schedules nothing, so a traced run
+// produces the numbers of an untraced one. The tracer is unsynchronised,
+// hence serial engine only.
+func (fs *FlowSim) Trace(t *trace.Tracer) error {
+	if fs.eng != nil {
+		return fmt.Errorf("experiments: tracing requires the serial engine (set Shards <= 1)")
 	}
-	return fs.sources[i]
+	f := fs.cfg.Flows[0]
+	for _, id := range []int{f.Src, f.Dst} {
+		h, ok := fs.nodes[id].(phy.Handler)
+		if !ok {
+			return fmt.Errorf("experiments: arm node %d (%T) is not its radio's phy.Handler; cannot trace it", id, fs.nodes[id])
+		}
+		fs.m.Radio(id).SetHandler(t.Wrap(id, h, fs.sched))
+	}
+	return nil
 }
 
-func (fs *FlowSim) Lat(i int) *stats.Latency {
-	if fs.lats == nil {
-		return nil
-	}
-	return fs.lats[i]
-}
+// Sender returns flow i's sending station.
+func (fs *FlowSim) Sender(i int) mac.Node { return fs.senders[i] }
 
 // Results extracts the per-flow outcomes: goodput, CMAP visibility
 // counters, and under an arrival process the drop counters and the
@@ -347,11 +352,9 @@ func (fs *FlowSim) Results() []FlowResult {
 			results[i].DeliveredPkts = fs.meters[i].Packets()
 			results[i].Lat = fs.lats[i]
 		}
-		if sv, ok := fs.senders[i].(mac.Visibility); ok {
-			_, hdr, hot := fs.receivers[i].(mac.Visibility).FlowCounters(f.Src)
-			results[i].VpktsSent = sv.VpktsSent()
-			results[i].VpktsHeader = hdr
-			results[i].VpktsHdrOrTrail = hot
+		results[i].VpktsSent = fs.senders[i].Counters().VpktsSent
+		if rv, ok := fs.receivers[i].(mac.Visibility); ok {
+			_, results[i].VpktsHeader, results[i].VpktsHdrOrTrail = rv.FlowCounters(f.Src)
 		}
 	}
 	return results

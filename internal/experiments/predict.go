@@ -55,7 +55,7 @@ func analyticArm(p Protocol) (analytic.Arm, bool) {
 func PredictFlows(tb *topo.Testbed, flows []topo.Link, p Protocol, opt Options) (*analytic.Result, error) {
 	arm, ok := analyticArm(p)
 	if !ok {
-		return nil, fmt.Errorf("experiments: no analytic model for arm %q", p)
+		return nil, fmt.Errorf("experiments: no analytic model for arm %q", string(p))
 	}
 	m := tb.Build(sim.NewScheduler(), sim.NewRNG(opt.Seed).Stream(1))
 	ec := analytic.ExtractConfig{Rate: opt.Rate}

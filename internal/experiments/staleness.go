@@ -62,7 +62,7 @@ type StalenessResult struct {
 // StalenessSweep measures every (pair, speed, arm) trial independently
 // across the worker pool: goodput versus node speed under random
 // waypoint mobility for the given arms (default CMAP vs csma vs
-// rtscts) over the Figure-12 exposed-pair sample. Results are
+// rtscts) over its own draw of exposed pairs. Results are
 // bit-identical at any worker count — each trial's randomness, its
 // trajectories included, derives from a seed fixed before dispatch.
 func StalenessSweep(tb *topo.Testbed, opt Options, speeds []float64) *StalenessResult {
@@ -70,8 +70,9 @@ func StalenessSweep(tb *topo.Testbed, opt Options, speeds []float64) *StalenessR
 		speeds = DefaultStalenessSpeeds
 	}
 	arms := opt.armsOr([]Protocol{CMAP, CSMAOn, RTSCTS})
-	// The same exposed sample Figure 12 uses, so the zero-speed column
-	// reproduces the static exposed-terminal figure exactly.
+	// Exposed pairs by Figure 12's selection rule but from this figure's
+	// own stream (Figure 12 draws from opt.Seed^0xf16), so the zero-speed
+	// column is a static exposed-terminal run, not Figure 12's numbers.
 	pairs := tb.ExposedPairs(sim.NewRNG(opt.Seed^0x57a1e), opt.Pairs)
 
 	res := &StalenessResult{Arms: arms}

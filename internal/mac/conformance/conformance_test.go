@@ -74,7 +74,7 @@ func testZeroAllocs(t *testing.T, armName string) {
 // topologies and requires bit-identical goodput — the golden-trace
 // property every experiment's reproducibility rests on.
 func testDeterminism(t *testing.T, armName string) {
-	for _, p := range []Pair{ExposedPair(), HiddenPair()} {
+	for _, p := range []Topology{ExposedPair(), HiddenPair()} {
 		a := RunSaturated(armName, p, 7, 500*sim.Millisecond, 1500*sim.Millisecond)
 		b := RunSaturated(armName, p, 7, 500*sim.Millisecond, 1500*sim.Millisecond)
 		for i := range a {
@@ -135,9 +135,16 @@ func testWorkerEquivalence(t *testing.T, armName string) {
 // every accepted packet is delivered, abandoned by the MAC, or still
 // queued.
 func testConservation(t *testing.T, armName string) {
+	conservation(t, armName, CleanLink())
+}
+
+// conservation is the body shared by the static and mobile conservation
+// contracts. It also pins the Counters view against what the delivery
+// observer saw, and returns the fixture for topology-specific checks.
+func conservation(t *testing.T, armName string, tp Topology) *Fixture {
 	const horizon = 2 * sim.Second
-	f := NewFixture(armName, CleanLink(), 3, 0, 1<<62)
-	src, dst := f.Pair.Flows[0][0], f.Pair.Flows[0][1]
+	f := NewFixture(armName, tp, 3, 0, 1<<62)
+	src, dst := f.Topo.Flows[0][0], f.Topo.Flows[0][1]
 	sender, receiver := f.Nodes[src], f.Nodes[dst]
 
 	var delivered uint64
@@ -164,14 +171,22 @@ func testConservation(t *testing.T, armName string) {
 	if !sender.Idle() {
 		t.Fatalf("sender failed to drain %d arrivals within %v", enqueued, deadline)
 	}
-	got := delivered + sender.MacDropped() + uint64(sender.Backlog(dst))
+	dropped := sender.Counters().Dropped
+	got := delivered + dropped + uint64(sender.Backlog(dst))
 	if got != enqueued {
 		t.Fatalf("conservation violated: enqueued %d != delivered %d + dropped %d + queued %d",
-			enqueued, delivered, sender.MacDropped(), sender.Backlog(dst))
+			enqueued, delivered, dropped, sender.Backlog(dst))
 	}
 	if delivered == 0 {
 		t.Fatal("nothing delivered — conservation held vacuously")
 	}
+	if c := receiver.Counters(); c.Delivered != delivered {
+		t.Fatalf("receiver Counters().Delivered = %d, delivery observer saw %d", c.Delivered, delivered)
+	}
+	if c := sender.Counters(); c.Sent < delivered {
+		t.Fatalf("sender Counters().Sent = %d < %d delivered", c.Sent, delivered)
+	}
+	return f
 }
 
 // TestRegistryRoundTrip certifies the registry seam end to end: every

@@ -27,14 +27,14 @@ var mobileSpecs = []mobility.Spec{
 func testMobileDeterminism(t *testing.T, armName string) {
 	for _, spec := range mobileSpecs {
 		a := MobileExposedPair(spec)
-		fa := NewMobileFixture(armName, a, 7, 500*sim.Millisecond, 1500*sim.Millisecond)
+		fa := NewFixture(armName, a, 7, 500*sim.Millisecond, 1500*sim.Millisecond)
 		fa.Saturate()
 		fa.Run(1500 * sim.Millisecond)
 		ga := fa.Goodputs()
 		if fa.Manager.Epochs == 0 {
 			t.Fatalf("%s/%s: manager applied no position epochs — the fixture tested a static run", a.Name, spec)
 		}
-		gb := RunMobileSaturated(armName, a, 7, 500*sim.Millisecond, 1500*sim.Millisecond)
+		gb := RunSaturated(armName, a, 7, 500*sim.Millisecond, 1500*sim.Millisecond)
 		for i := range ga {
 			if math.Float64bits(ga[i]) != math.Float64bits(gb[i]) {
 				t.Fatalf("%s/%s flow %d: same seed diverged: %.4f vs %.4f", a.Name, spec, i, ga[i], gb[i])
@@ -82,48 +82,12 @@ func testMobileWorkerEquivalence(t *testing.T, armName string) {
 	}
 }
 
-// testMobileConservation enqueues a pre-drawn Poisson arrival pattern on
-// the mobile clean link and requires exact backlog accounting while the
-// endpoints wander: every accepted packet is delivered, abandoned, or
-// still queued — motion may cost retries but never packets.
+// testMobileConservation runs the conservation contract on the mobile
+// clean link while the endpoints wander: every accepted packet is
+// delivered, abandoned, or still queued — motion may cost retries but
+// never packets.
 func testMobileConservation(t *testing.T, armName string) {
-	const horizon = 2 * sim.Second
-	f := NewMobileFixture(armName, MobileCleanLink(mobileSpecs[0]), 3, 0, 1<<62)
-	src, dst := f.Arena.Flows[0][0], f.Arena.Flows[0][1]
-	sender, receiver := f.Nodes[src], f.Nodes[dst]
-
-	var delivered uint64
-	receiver.SetOnDeliver(func(from int, seq uint32, now sim.Time) {
-		if from == src {
-			delivered++
-		}
-	})
-	arrivals := PoissonArrivals(3, 150, horizon)
-	if len(arrivals) < 100 {
-		t.Fatalf("only %d Poisson arrivals drawn — fixture too sparse to mean anything", len(arrivals))
-	}
-	for _, at := range arrivals {
-		f.Sched.At(at, func() { sender.Enqueue(dst, 1) })
-	}
-	enqueued := uint64(len(arrivals))
-
-	f.Run(horizon)
-	deadline := horizon
-	for i := 0; i < 400 && !sender.Idle(); i++ {
-		deadline += 50 * sim.Millisecond
-		f.Run(deadline)
-	}
-	if !sender.Idle() {
-		t.Fatalf("sender failed to drain %d arrivals within %v", enqueued, deadline)
-	}
-	got := delivered + sender.MacDropped() + uint64(sender.Backlog(dst))
-	if got != enqueued {
-		t.Fatalf("conservation violated: enqueued %d != delivered %d + dropped %d + queued %d",
-			enqueued, delivered, sender.MacDropped(), sender.Backlog(dst))
-	}
-	if delivered == 0 {
-		t.Fatal("nothing delivered — conservation held vacuously")
-	}
+	f := conservation(t, armName, MobileCleanLink(mobileSpecs[0]))
 	if f.Manager.Epochs == 0 {
 		t.Fatal("manager applied no position epochs — conservation ran statically")
 	}

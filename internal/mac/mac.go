@@ -68,10 +68,32 @@ type Node interface {
 	// must remember to map deliveries back to arrival times (the arm's
 	// maximum send window in packets).
 	LatencyWindow() int
-	// MacDropped counts packets the MAC abandoned (e.g. after a retry
-	// limit); the backlog-conservation invariant is
-	// accepted = delivered + MacDropped + Backlog once the node drains.
-	MacDropped() uint64
+	// Counters snapshots the station's protocol counters.
+	Counters() Counters
+}
+
+// Counters is the one per-station counter view every arm exposes: plain
+// event counts since construction, zero where an arm has no such
+// concept (a DCF station sends no virtual packets, CMAP has no retry
+// limit to drop at). Sender-side and receiver-side counts share the
+// struct because every station is both.
+type Counters struct {
+	Sent       uint64 // data packets put on the air, retries included
+	Delivered  uint64 // non-duplicate data packets received for this station
+	Duplicates uint64
+	// Dropped counts packets the MAC abandoned (e.g. at a retry limit);
+	// the backlog-conservation invariant is
+	// accepted = delivered + Dropped + Backlog once the sender drains.
+	Dropped      uint64
+	AckTimeouts  uint64 // ACK waits that expired
+	VpktsSent    uint64 // virtual packets put on the air, retransmission rounds included
+	Defers       uint64 // virtual packets deferred by the conflict map
+	Backoffs     uint64 // nonzero loss-driven backoff waits taken
+	RetxTimeouts uint64 // window-full retransmission timeouts (§3.3)
+	// DeferEntries and InterfererEntries are the live sizes of the
+	// conflict map's two tables at the time of the call.
+	DeferEntries      uint64
+	InterfererEntries uint64
 }
 
 // Checkpointer is the checkpoint surface of a MAC station. Every arm
@@ -95,12 +117,11 @@ type Checkpointer interface {
 	DecodeEventArg(enc json.RawMessage) (any, error)
 }
 
-// Visibility is the optional per-flow visibility-counter surface that
-// CMAP-family receivers expose (Figures 16 and 19). Arms without
-// virtual-packet structure simply do not implement it.
+// Visibility is the optional receiver-side per-flow visibility surface
+// of CMAP-family stations (Figures 16 and 19); the matching sender-side
+// count is Counters.VpktsSent. Arms without virtual-packet structure
+// simply do not implement it.
 type Visibility interface {
-	// VpktsSent is the sender-side count of virtual packets put on air.
-	VpktsSent() uint64
 	// FlowCounters reports, for the flow from src, how many virtual
 	// packets the receiver saw at all, saw a header for, and saw a
 	// header or trailer for.

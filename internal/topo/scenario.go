@@ -40,7 +40,7 @@ type Scenario struct {
 	// Arms is the scenario's suggested MAC arm set: internal/mac registry
 	// names a driver should default to when the user picks none. Empty
 	// keeps the driver's own default. cmd/cmapsim runs the first entry
-	// when its -arm and -protocol flags are left untouched.
+	// when its -arm flag is left untouched.
 	Arms []string
 
 	// Mobility is the scenario's suggested node-motion model, consulted

@@ -14,7 +14,8 @@
 //	node := core.New(3, cfg, m, rng)
 //	m.Radio(3).SetHandler(tracer.Wrap(3, node, m.Scheduler()))
 //
-// cmd/cmapsim's -trace flag wires this up for one flow's endpoints. The
-// tracer is simulation-grade (no locking): the kernel is single
-// threaded by design.
+// experiments.FlowSim.Trace does this for flow 0's endpoints under any
+// registered arm, and cmd/cmapsim's -trace flag is its CLI. The tracer
+// is simulation-grade (no locking): the kernel is single threaded by
+// design, which is why tracing is refused on the sharded engine.
 package trace
