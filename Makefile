@@ -44,14 +44,16 @@
 #                   uninterrupted run in results and checkpoint bytes)
 #                   plus the envelope damage table and the scheduler
 #                   round-trip unit tier
-#   make cover      coverage profile over every package (coverage.out)
-#                   with hard floors on internal/analytic, internal/mac
-#                   and internal/mobility, read from that one run
-#   make ci         the full gate: vet + race short tier + alloc gate + golden tier
+#   make cover      standalone coverage profile over every package
+#                   (coverage.out) with hard floors on internal/analytic,
+#                   internal/mac and internal/mobility, read from that one run
+#   make ci         the full gate: vet + one race short pass over the module
+#                   that also writes coverage.out and feeds the coverage
+#                   floors + alloc gate + golden tier
 #                   + conformance + shard conformance + checkpoint conformance
 #                   + mobility conformance + bench guard + bench smoke
-#                   + docs check + fuzz smoke + coverage floor; no
-#                   command in it runs twice for the same purpose
+#                   + docs check + fuzz smoke; the module is tested once,
+#                   and no command in it runs twice for the same purpose
 
 GO ?= go
 
@@ -146,7 +148,7 @@ conformance:
 # the one-shard engine bit-identical to the serial engine (saturated
 # and Poisson sources), determinism at fixed shard counts, figure-level
 # equivalence at 2 and 4 shards, plus the multi-shard contracts through
-# experiments.Options.Shards (where 0 and 1 are the serial engine).
+# experiments.FlowSimConfig.Shards (where 0 and 1 are the serial engine).
 shard-conformance:
 	$(GO) test -timeout $(TEST_TIMEOUT) -race -count=1 -run 'TestShard|TestPartition|TestEngine' ./internal/shard ./internal/geo
 	$(GO) test -timeout $(TEST_TIMEOUT) -race -count=1 -run 'TestSharded' ./internal/experiments
@@ -191,24 +193,33 @@ checkpoint-conformance:
 	$(GO) test -timeout $(TEST_TIMEOUT) -count=1 ./internal/checkpoint
 	$(GO) test -timeout $(TEST_TIMEOUT) -count=1 -run 'TestScheduler|TestRNGState' ./internal/sim
 
-# Coverage profile over the whole module plus hard floors on the
-# analytic oracle (its numbers gate the cross-validation tier), the MAC
-# arm registry (every experiment resolves protocols through it) and the
-# mobility subsystem. The floors read the per-package percentages that
-# one whole-module run prints; a package missing from it fails closed.
-cover:
-	@out=$$($(GO) test -timeout $(TEST_TIMEOUT) -short -coverprofile=coverage.out ./...) || { echo "$$out"; exit 1; }; \
-	echo "$$out"; \
-	$(GO) tool cover -func=coverage.out | tail -1; \
-	for spec in internal/analytic:$(ANALYTIC_COVER_FLOOR) internal/mac:$(MAC_COVER_FLOOR) internal/mobility:$(MOBILITY_COVER_FLOOR); do \
-		pkg=$${spec%%:*}; floor=$${spec##*:}; \
-		pct=$$(echo "$$out" | awk -v p="repro/$$pkg" '$$2 == p { sub("%", "", $$5); print $$5 }'); \
-		echo "$$pkg coverage: $$pct% (floor $$floor%)"; \
-		awk "BEGIN{exit !($$pct >= $$floor)}" || { echo "$$pkg coverage $$pct% below floor $$floor%"; exit 1; }; \
-	done
+# One whole-module test pass ($(1) = extra go test flags) that writes
+# coverage.out and enforces hard floors on the analytic oracle (its
+# numbers gate the cross-validation tier), the MAC arm registry (every
+# experiment resolves protocols through it) and the mobility subsystem.
+# The floors read the per-package percentages that pass prints; a
+# package missing from it fails closed.
+define test-with-cover-floors
+@out=$$($(GO) test -timeout $(TEST_TIMEOUT) $(1) -short -coverprofile=coverage.out ./...) || { echo "$$out"; exit 1; }; \
+echo "$$out"; \
+$(GO) tool cover -func=coverage.out | tail -1; \
+for spec in internal/analytic:$(ANALYTIC_COVER_FLOOR) internal/mac:$(MAC_COVER_FLOOR) internal/mobility:$(MOBILITY_COVER_FLOOR); do \
+	pkg=$${spec%%:*}; floor=$${spec##*:}; \
+	pct=$$(echo "$$out" | awk -v p="repro/$$pkg" '$$2 == p { sub("%", "", $$5); print $$5 }'); \
+	echo "$$pkg coverage: $$pct% (floor $$floor%)"; \
+	awk "BEGIN{exit !($$pct >= $$floor)}" || { echo "$$pkg coverage $$pct% below floor $$floor%"; exit 1; }; \
+done
+endef
 
+# Standalone coverage profile and floors, without the race detector.
+cover:
+	$(call test-with-cover-floors,)
+
+# The module is tested once here: the race short pass is also the
+# coverage run the floors read. (The ZeroAllocs tests skip under -race;
+# alloc-check runs them.)
 ci: build vet
-	$(GO) test -timeout $(TEST_TIMEOUT) -race -short ./...
+	$(call test-with-cover-floors,-race)
 	$(MAKE) alloc-check
 	$(MAKE) golden
 	$(MAKE) conformance
@@ -219,4 +230,3 @@ ci: build vet
 	$(MAKE) bench-smoke
 	$(MAKE) docs-check
 	$(MAKE) fuzz-smoke
-	$(MAKE) cover

@@ -5,13 +5,13 @@
 // Usage:
 //
 //	cmapbench [-seed N] [-scale quick|mid|paper] [-only fig12,mesh,loadsweep,cssweep,staleness,...] [-parallel W] [-trials N] [-progress]
-//	          [-arms csma,cmap,rtscts,cs@-82,...] [-traffic cbr|poisson|onoff] [-load 0.5,1,2,4,8] [-shards N]
-//	          [-mobility waypoint@3|walk@1.5|vehicular@20]
+//	          [-arms csma,cmap,rtscts,cs@-82,...] [-traffic cbr|poisson|onoff] [-load 0.5,1,2,4,8]
+//	          [-mobility waypoint@3|walk@1.5|vehicular@20] [-resume DIR]
+//	          [-analytic [-analytic-verify]] [-benchjson] [-cpuprofile FILE] [-memprofile FILE]
 //
-// -shards runs every figure's flow simulations on the sharded engine
-// (internal/shard) with N shards per run — deterministic, figure-level
-// equivalent to serial, and a whole-simulation parallelism axis that
-// composes with the -parallel trial fan-out.
+// The suite is the sections table below; -only picks its rows by key.
+// Every figure runs on the serial engine (the sharded one pays only on
+// networks a hundred times larger; cmapsim -shards is the way in).
 //
 // "paper" runs the full 100-second, 50-topology methodology (slow);
 // "mid" is the EXPERIMENTS.md scale (30 s runs); "quick" is CI-sized.
@@ -26,12 +26,11 @@
 //
 // -mobility moves every flow figure's nodes with the given motion
 // model ("<model>@<speed m/s>[@roamM]", models waypoint | walk |
-// vehicular) on the serial engine (incompatible with -shards); the
-// medium patches per-node delivery lists incrementally as nodes move.
-// The staleness section (-only staleness, its own figure beyond the
-// paper) ignores the flag and sweeps waypoint speed itself: goodput
-// versus node speed for CMAP against csma and rtscts on the exposed
-// pairs, showing conflict-map staleness erode CMAP's advantage.
+// vehicular); the medium patches per-node delivery lists incrementally
+// as nodes move. The staleness section (-only staleness, its own figure
+// beyond the paper) ignores the flag and sweeps waypoint speed itself:
+// goodput versus node speed for CMAP against csma and rtscts on the
+// exposed pairs, showing conflict-map staleness erode CMAP's advantage.
 //
 // -traffic replaces the saturated senders of every flow-based figure
 // (calibration, the pair figures, interferers, APs, sender sweep,
@@ -46,6 +45,11 @@
 // changes wall-clock time. -trials overrides every per-experiment
 // topology/run count (Pairs, Triples, APRuns, Meshes) for custom sweeps.
 //
+// -resume DIR records each finished section (and each load-sweep trial)
+// in a campaign directory; a killed run restarted with the same flags
+// replays what is recorded, marked [cached], and simulates only the
+// rest. A directory recorded under other result-changing flags is refused.
+//
 // -analytic skips the figure suite and screens the standard
 // (scenario × load) grid through the analytic conflict-graph oracle
 // (internal/analytic) in milliseconds, tagging the points that merit
@@ -59,12 +63,14 @@
 //
 // -cpuprofile/-memprofile write pprof profiles covering whatever the
 // invocation runs (the figure suite or, with -benchjson, the scaling
-// benchmarks), so a perf investigation starts from `go tool pprof`
-// instead of guesswork; `make profile` is the canonical invocation.
+// benchmarks), on every exit path once the flags have parsed; `make
+// profile` is the canonical invocation.
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -74,6 +80,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -104,69 +111,296 @@ func parseLoads(s string) ([]float64, error) {
 	return out, nil
 }
 
-func main() {
-	seed := flag.Uint64("seed", 1, "master seed (same seed → identical numbers)")
-	scale := flag.String("scale", "mid", "quick | mid | paper")
-	only := flag.String("only", "", "comma-separated subset: census,calibration,fig12,fig13,fig14,fig15,fig16,fig17,fig19,fig20,mesh,loadsweep,cssweep,staleness")
-	armList := flag.String("arms", "", "override figure arm sets with registry names (e.g. csma,cmap,rtscts,cs@-82); \"list\" prints all arms")
-	trafficKind := flag.String("traffic", "", "arrival model for every figure: saturated | cbr | poisson | onoff (default saturated)")
-	loadList := flag.String("load", "0.5,1,2,4,8", "per-flow offered loads in Mb/s: the sweep uses the list, other figures the first value")
-	parallel := flag.Int("parallel", 0, "worker goroutines per experiment (0 = all CPUs, 1 = serial)")
-	trials := flag.Int("trials", 0, "override per-experiment trial counts (Pairs/Triples/APRuns/Meshes); 0 keeps the scale's defaults")
-	progress := flag.Bool("progress", false, "report per-experiment trial progress on stderr")
-	analyticScreen := flag.Bool("analytic", false, "screen the standard (scenario × load) grid through the analytic oracle and exit")
-	analyticVerify := flag.Bool("analytic-verify", false, "with -analytic: also simulate the full grid and report agreement and speedup")
-	benchJSON := flag.Bool("benchjson", false, "run the scaling benchmarks, write BENCH_<git-short-sha>.json, and exit")
-	shards := flag.Int("shards", 0, "run every figure's simulations on the sharded engine with N shards (<=1 = serial)")
-	mobilityFlag := flag.String("mobility", "", "move every figure's nodes: <model>@<speed m/s>[@roamM] with model waypoint|walk|vehicular (serial engine only)")
-	resumeDir := flag.String("resume", "", "campaign directory: record section and load-sweep-point completion there and resume a killed run")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-	memProfile := flag.String("memprofile", "", "write an end-of-run heap profile to this file")
-	flag.Parse()
+// suite is what every section runs against.
+type suite struct {
+	tb    *topo.Testbed
+	opt   experiments.Options
+	loads []float64
+	camp  *checkpoint.Campaign // the -resume campaign, nil without one
+	// fig13 and fig15 are run by whichever section reads them first:
+	// Figures 13 and 15 print them, Figure 16 is computed from both.
+	fig13, fig15 *experiments.PairExperiment
+	err          error // set by a section that could not finish; the run stops there
+}
+
+func (s *suite) inRange() *experiments.PairExperiment {
+	if s.fig13 == nil {
+		s.fig13 = experiments.InRangeSenders(s.tb, s.opt)
+	}
+	return s.fig13
+}
+
+func (s *suite) hidden() *experiments.PairExperiment {
+	if s.fig15 == nil {
+		s.fig15 = experiments.HiddenTerminals(s.tb, s.opt)
+	}
+	return s.fig15
+}
+
+// section is one row of the figure suite: -only selects it by key, and
+// run prints its body to w.
+type section struct {
+	key, title string
+	// shows names sections printed whenever this one is selected:
+	// Figure 16 is read against the two figures it is derived from.
+	shows []string
+	run   func(w io.Writer, s *suite)
+}
+
+// sections is the whole suite, in print order.
+var sections = []section{
+	{key: "census", title: "§5.1 testbed census", run: func(w io.Writer, s *suite) {
+		c := s.tb.Census()
+		fmt.Fprintf(w, "connected ordered pairs: %d (paper: 2162)\n", c.ConnectedPairs)
+		fmt.Fprintf(w, "PRR<0.1: %.0f%% (paper 68%%)   0.1≤PRR<1: %.0f%% (paper 12%%)   PRR=1: %.0f%% (paper 20%%)\n",
+			100*c.FracLow, 100*c.FracMid, 100*c.FracFull)
+		fmt.Fprintf(w, "degree over usable links: mean %.1f median %.1f (paper 15.2 / 17)\n", c.MeanDegree, c.MedianDegree)
+	}},
+	{key: "calibration", title: "§4.2 single-link calibration", run: func(w io.Writer, s *suite) {
+		cal := experiments.RunCalibration(s.tb, s.opt)
+		fmt.Fprintf(w, "CMAP %.2f Mb/s vs 802.11 %.2f Mb/s (paper: 5.04 vs 5.07)\n",
+			cal.CMAPMbps, cal.Dot11Mbps)
+	}},
+	{key: "fig12", title: "Figure 12 — exposed terminals", run: func(w io.Writer, s *suite) {
+		ex := experiments.ExposedTerminals(s.tb, s.opt)
+		fmt.Fprint(w, ex.Format())
+		if ex.Ran(experiments.CMAP, experiments.CMAPWin1, experiments.CSMAOn) {
+			fmt.Fprintf(w, "median gain CMAP/CS = %.2fx (paper ≈2x); CMAP win=1 / CS = %.2fx (paper ≈1.5x)\n",
+				ex.Gain(experiments.CMAP, experiments.CSMAOn),
+				ex.Gain(experiments.CMAPWin1, experiments.CSMAOn))
+		}
+	}},
+	{key: "fig13", title: "Figure 13 — senders in range", run: func(w io.Writer, s *suite) {
+		fmt.Fprint(w, s.inRange().Format())
+	}},
+	{key: "fig14", title: "Figure 14 / §5.4 — hidden interferers", run: func(w io.Writer, s *suite) {
+		res := experiments.HiddenInterferers(s.tb, s.opt)
+		fmt.Fprintf(w, "%d (S,R,I) triples; bottom-left-quadrant fraction = %.3f (paper 0.08)\n",
+			len(res.Points), res.HiddenFrac)
+		fmt.Fprintf(w, "expected CMAP normalised throughput = %.3f (paper 0.896)\n", res.ExpectedCMAP)
+	}},
+	{key: "fig15", title: "Figure 15 — hidden terminals", run: func(w io.Writer, s *suite) {
+		fmt.Fprint(w, s.hidden().Format())
+	}},
+	{key: "fig16", title: "Figure 16 — header/trailer salvage", shows: []string{"fig13", "fig15"}, run: func(w io.Writer, s *suite) {
+		fig13, fig15 := s.inRange(), s.hidden()
+		if !fig13.Ran(experiments.CMAP) || !fig15.Ran(experiments.CMAP) {
+			fmt.Fprintln(w, "(fig16 skipped: needs the cmap arm in figures 13 and 15; add cmap to -arms)")
+			return
+		}
+		fmt.Fprint(w, experiments.HeaderTrailer(fig13, fig15).Format())
+	}},
+	{key: "fig17", title: "Figures 17+18 — access-point topology", run: func(w io.Writer, s *suite) {
+		res := experiments.AccessPoint(s.tb, s.opt)
+		fmt.Fprint(w, res.Format())
+		for _, n := range res.Ns {
+			cs, cm := res.Mean[experiments.CSMAOn][n], res.Mean[experiments.CMAP][n]
+			if cs > 0 && cm > 0 {
+				fmt.Fprintf(w, "N=%d aggregate gain CMAP/CS = %.2fx (paper 1.21–1.47x)\n", n, cm/cs)
+			}
+		}
+		if csd, cmd := res.PerSender[experiments.CSMAOn], res.PerSender[experiments.CMAP]; csd != nil && cmd != nil && csd.Median() > 0 {
+			fmt.Fprintf(w, "per-sender median gain = %.2fx (paper 1.8x)\n", cmd.Median()/csd.Median())
+		}
+	}},
+	{key: "fig19", title: "Figure 19 — header/trailer vs concurrent senders", run: func(w io.Writer, s *suite) {
+		fmt.Fprintf(w, "%3s %8s %8s %8s %8s %8s %8s\n", "k", "mean", "p10", "p25", "median", "p75", "p90")
+		for _, p := range experiments.HeaderTrailerVsSenders(s.tb, s.opt) {
+			fmt.Fprintf(w, "%3d %8.2f %8.2f %8.2f %8.2f %8.2f %8.2f\n",
+				p.Senders, p.Mean, p.P10, p.P25, p.Median, p.P75, p.P90)
+		}
+		fmt.Fprintln(w, "(paper: median ≈flat, 10th percentile drops sharply)")
+	}},
+	{key: "fig20", title: "Figure 20 — variable bit-rates", run: func(w io.Writer, s *suite) {
+		for _, rs := range experiments.VariableBitRates(s.tb, s.opt) {
+			if !rs.Ex.Ran(experiments.CSMAOn, experiments.CMAP) {
+				fmt.Fprint(w, rs.Ex.Format())
+				continue
+			}
+			fmt.Fprintf(w, "@%g Mb/s: CS median %.2f, CMAP median %.2f → %.2fx\n",
+				phy.RateByID(rs.Rate).Mbps,
+				rs.Ex.Median(experiments.CSMAOn), rs.Ex.Median(experiments.CMAP),
+				rs.Ex.Gain(experiments.CMAP, experiments.CSMAOn))
+		}
+		fmt.Fprintln(w, "(paper: CMAP keeps winning at 12 and 18 Mb/s)")
+	}},
+	{key: "mesh", title: "§5.7 — content-dissemination mesh", run: func(w io.Writer, s *suite) {
+		if s.opt.Traffic.Kind != traffic.Saturated {
+			// The mesh runs the paper's phase-controlled batch
+			// dissemination, not per-flow arrival processes; say so
+			// rather than mislabel saturated numbers as unsaturated.
+			fmt.Fprintln(w, "(note: -traffic does not apply to the §5.7 batch workload; mesh runs saturated batches)")
+		}
+		meshOpt := s.opt
+		meshOpt.Traffic = traffic.Saturate()
+		res := experiments.Mesh(s.tb, meshOpt)
+		fmt.Fprintf(w, "CMAP %.2f Mb/s vs CSMA %.2f Mb/s → gain %.2fx (paper 1.52x)\n",
+			res.CMAP.Mean(), res.CSMA.Mean(), res.Gain())
+	}},
+	{key: "cssweep", title: "CS-threshold sweep — goodput vs carrier-sense threshold (beyond the paper)", run: func(w io.Writer, s *suite) {
+		fmt.Fprint(w, experiments.CSThresholdSweep(s.tb, s.opt, nil).Format())
+	}},
+	{key: "staleness", title: "Staleness sweep — goodput vs node speed (beyond the paper)", run: func(w io.Writer, s *suite) {
+		fmt.Fprint(w, experiments.StalenessSweep(s.tb, s.opt, nil).Format())
+	}},
+	{key: "loadsweep", title: "Load sweep — goodput/latency vs offered load (beyond the paper)", run: func(w io.Writer, s *suite) {
+		// Under -resume the sweep additionally records every
+		// (topology × arm × load × pair) trial in the campaign
+		// manifest as it completes, so a kill mid-sweep loses at most
+		// one trial rather than the whole figure.
+		for _, class := range []string{"exposed", "hidden"} {
+			sweep, err := experiments.OfferedLoadCampaign(s.tb, class, s.loads, s.opt, s.camp)
+			if err != nil {
+				s.err = err
+				return
+			}
+			fmt.Fprint(w, sweep.Format())
+		}
+		fmt.Fprintln(w, "(expected: goodput tracks load below saturation; past the knee CMAP"+
+			" out-delivers carrier sense on exposed pairs and matches it on hidden ones)")
+	}},
+}
+
+// step prints one section. Under -resume, a section that already
+// finished in a prior run replays its recorded text from the campaign
+// manifest instead of re-simulating, and a section that completes now
+// is recorded (under "section/<title>") for the next restart. The
+// loadsweep section is additionally resumable at trial granularity
+// inside the section.
+func (s *suite) step(w io.Writer, sec section) error {
+	fmt.Fprintf(w, "== %s ==\n", sec.title)
+	t0 := time.Now()
+	key := "section/" + sec.title
+	if s.camp != nil {
+		if raw, ok := s.camp.Done(key); ok {
+			var text string
+			if err := json.Unmarshal(raw, &text); err == nil {
+				fmt.Fprintf(w, "%s[cached]\n\n", text)
+				return nil
+			}
+		}
+	}
+	var text bytes.Buffer
+	sec.run(io.MultiWriter(w, &text), s)
+	if s.err != nil {
+		return s.err
+	}
+	if s.camp != nil {
+		if err := s.camp.Complete(key, text.String()); err != nil {
+			return err
+		}
+	}
+	fmt.Fprintf(w, "[%.1fs]\n\n", time.Since(t0).Seconds())
+	return nil
+}
+
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command: 0 on success, 1 when a file or campaign
+// operation fails, 2 on a usage error. It returns rather than exits so
+// the profile defers flush on every path.
+func run(args []string, stdout, stderr io.Writer) int {
+	keys := make([]string, len(sections))
+	for i, sec := range sections {
+		keys[i] = sec.key
+	}
+	fl := flag.NewFlagSet("cmapbench", flag.ContinueOnError)
+	fl.SetOutput(stderr)
+	seed := fl.Uint64("seed", 1, "master seed (same seed → identical numbers)")
+	scale := fl.String("scale", "mid", "quick | mid | paper")
+	only := fl.String("only", "", "comma-separated subset: "+strings.Join(keys, ","))
+	armList := fl.String("arms", "", "override figure arm sets with registry names (e.g. csma,cmap,rtscts,cs@-82); \"list\" prints all arms")
+	trafficKind := fl.String("traffic", "", "arrival model for every figure: saturated | cbr | poisson | onoff (default saturated)")
+	loadList := fl.String("load", "0.5,1,2,4,8", "per-flow offered loads in Mb/s: the sweep uses the list, other figures the first value")
+	parallel := fl.Int("parallel", 0, "worker goroutines per experiment (0 = all CPUs, 1 = serial)")
+	trials := fl.Int("trials", 0, "override per-experiment trial counts (Pairs/Triples/APRuns/Meshes); 0 keeps the scale's defaults")
+	progress := fl.Bool("progress", false, "report per-experiment trial progress on stderr")
+	analyticScreen := fl.Bool("analytic", false, "screen the standard (scenario × load) grid through the analytic oracle and exit")
+	analyticVerify := fl.Bool("analytic-verify", false, "with -analytic: also simulate the full grid and report agreement and speedup")
+	benchJSON := fl.Bool("benchjson", false, "run the scaling benchmarks, write BENCH_<git-short-sha>.json, and exit")
+	mobilityFlag := fl.String("mobility", "", "move every figure's nodes: <model>@<speed m/s>[@roamM] with model waypoint|walk|vehicular")
+	resumeDir := fl.String("resume", "", "campaign directory: record section and load-sweep-point completion there and resume a killed run")
+	cpuProfile := fl.String("cpuprofile", "", "write a CPU profile of the run to this file")
+	memProfile := fl.String("memprofile", "", "write an end-of-run heap profile to this file")
+	if err := fl.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	usage := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, format+"\n", a...)
+		return 2
+	}
+	fail := func(what string, err error) int {
+		fmt.Fprintf(stderr, "%s: %v\n", what, err)
+		return 1
+	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "cpuprofile: %v\n", err)
-			os.Exit(1)
+			return fail("cpuprofile", err)
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "cpuprofile: %v\n", err)
-			os.Exit(1)
+			return fail("cpuprofile", err)
 		}
 		defer pprof.StopCPUProfile()
 	}
 	if *memProfile != "" {
-		// Report-and-continue on failure: os.Exit here would skip the
-		// CPU-profile defers and truncate cpu.pprof too.
 		defer func() {
 			f, err := os.Create(*memProfile)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "memprofile: %v\n", err)
+				fmt.Fprintf(stderr, "memprofile: %v\n", err)
 				return
 			}
 			defer f.Close()
 			runtime.GC() // materialise the steady-state live set
 			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "memprofile: %v\n", err)
+				fmt.Fprintf(stderr, "memprofile: %v\n", err)
 			}
 		}()
 	}
 
-	if *benchJSON {
-		if err := writeBenchJSON(); err != nil {
-			fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
-			os.Exit(1)
+	switch {
+	case *trials < 0:
+		return usage("-trials %d: want a non-negative count (0 keeps the scale's defaults)", *trials)
+	case *parallel < 0:
+		return usage("-parallel %d: want a non-negative worker count (0 = all CPUs)", *parallel)
+	case *analyticVerify && !*analyticScreen:
+		return usage("-analytic-verify extends -analytic; it does nothing without it")
+	case *resumeDir != "" && (*analyticScreen || *benchJSON):
+		return usage("-resume records the figure suite; it cannot be combined with -analytic or -benchjson")
+	}
+	// -only picks rows of the table by key (unset picks all of them), and
+	// a row brings the rows it shows along.
+	want := map[string]bool{}
+	if *only != "" {
+		for _, k := range strings.Split(*only, ",") {
+			i := slices.Index(keys, strings.TrimSpace(k))
+			if i < 0 {
+				return usage("-only %q: no such section (valid: %s)", k, strings.Join(keys, ","))
+			}
+			want[keys[i]] = true
+			for _, shown := range sections[i].shows {
+				want[shown] = true
+			}
 		}
-		return
+	}
+
+	if *benchJSON {
+		if err := writeBenchJSON(stdout, stderr); err != nil {
+			return fail("benchjson", err)
+		}
+		return 0
 	}
 
 	if *armList == "list" {
 		for _, name := range mac.Names() {
-			fmt.Println(name)
+			fmt.Fprintln(stdout, name)
 		}
-		return
+		return 0
 	}
 
 	var opt experiments.Options
@@ -184,20 +418,13 @@ func main() {
 	case "paper":
 		opt = experiments.Defaults(*seed)
 	default:
-		fmt.Fprintf(os.Stderr, "unknown scale %q\n", *scale)
-		os.Exit(2)
+		return usage("unknown scale %q", *scale)
 	}
 	opt.Workers = *parallel
-	opt.Shards = *shards
 	if *mobilityFlag != "" {
 		mob, err := mobility.ParseSpec(*mobilityFlag)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		if mob.Active() && *shards > 1 {
-			fmt.Fprintln(os.Stderr, "-mobility needs the serial engine; drop -shards")
-			os.Exit(2)
+			return usage("%v", err)
 		}
 		opt.Mobility = mob
 	}
@@ -209,9 +436,9 @@ func main() {
 	}
 	if *progress {
 		opt.Progress = func(done, total int) {
-			fmt.Fprintf(os.Stderr, "\r%d/%d trials", done, total)
+			fmt.Fprintf(stderr, "\r%d/%d trials", done, total)
 			if done == total {
-				fmt.Fprintln(os.Stderr)
+				fmt.Fprintln(stderr)
 			}
 		}
 	}
@@ -221,28 +448,25 @@ func main() {
 		// name rather than a panic mid-figure.
 		arms, err := experiments.ParseArms(*armList)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			return usage("%v", err)
 		}
 		opt.Arms = arms
 	}
 
 	loads, err := parseLoads(*loadList)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return usage("%v", err)
 	}
 	if *trafficKind != "" {
 		kind, err := traffic.ParseKind(*trafficKind)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			return usage("%v", err)
 		}
 		if kind != traffic.Saturated {
 			// 1400-byte payloads: both MAC defaults. WithOfferedMbps makes
 			// -load mean long-run offered load for duty-cycled kinds too.
 			opt.Traffic = traffic.Spec{Kind: kind}.WithOfferedMbps(loads[0], 1400)
-			fmt.Printf("traffic: %v arrivals at %.2f Mb/s offered per flow\n",
+			fmt.Fprintf(stdout, "traffic: %v arrivals at %.2f Mb/s offered per flow\n",
 				kind, opt.Traffic.OfferedMbps(1400))
 		}
 	}
@@ -250,297 +474,74 @@ func main() {
 	if *analyticScreen {
 		screenLoads := loads
 		loadSet := false
-		flag.Visit(func(f *flag.Flag) { loadSet = loadSet || f.Name == "load" })
+		fl.Visit(func(f *flag.Flag) { loadSet = loadSet || f.Name == "load" })
 		if !loadSet {
 			// The screen is near-free, so default to a denser sweep than
 			// the simulated figures use: 16 loads × the 7 standard
 			// scenarios ≈ a 112-point grid.
 			screenLoads = []float64{0.25, 0.5, 0.75, 1, 1.5, 2, 2.5, 3, 4, 5, 6, 7, 8, 10, 12, 16}
 		}
-		if err := runAnalyticScreen(opt, screenLoads, *analyticVerify); err != nil {
-			fmt.Fprintf(os.Stderr, "analytic: %v\n", err)
-			os.Exit(1)
+		if err := runAnalyticScreen(stdout, opt, screenLoads, *analyticVerify); err != nil {
+			return fail("analytic", err)
 		}
-		return
+		return 0
 	}
 
+	s := &suite{opt: opt, loads: loads}
 	if *resumeDir != "" {
-		c, err := checkpoint.OpenCampaign(*resumeDir, checkpoint.ConfigHash(campaignCfg(opt, loads)))
+		// The hash covers everything that determines results: Options
+		// (its Workers and Progress fields are tagged out of the JSON —
+		// results are bit-identical at every worker count) and the load
+		// list. The -only selection is deliberately absent: completion is
+		// recorded per section, so a resumed run may narrow or widen it.
+		s.camp, err = checkpoint.OpenCampaign(*resumeDir, checkpoint.ConfigHash(struct {
+			Options experiments.Options
+			Loads   []float64
+		}{opt, loads}))
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "campaign: %v\n", err)
-			os.Exit(1)
-		}
-		camp = c
-	}
-
-	want := map[string]bool{}
-	if *only != "" {
-		for _, k := range strings.Split(*only, ",") {
-			want[strings.TrimSpace(k)] = true
+			return fail("campaign", err)
 		}
 	}
-	sel := func(k string) bool { return len(want) == 0 || want[k] }
 
-	fmt.Printf("cmapbench — CMAP (NSDI 2008) evaluation reproduction\n")
-	fmt.Printf("seed=%d scale=%s duration=%v pairs=%d workers=%d\n\n",
+	fmt.Fprintf(stdout, "cmapbench — CMAP (NSDI 2008) evaluation reproduction\n")
+	fmt.Fprintf(stdout, "seed=%d scale=%s duration=%v pairs=%d workers=%d\n\n",
 		*seed, *scale, time.Duration(opt.Duration), opt.Pairs,
 		runner.Config{Workers: opt.Workers}.EffectiveWorkers())
-	if camp != nil {
-		if n := len(camp.Keys()); n > 0 {
-			fmt.Fprintf(os.Stderr, "campaign %s: %d recorded points, finished work replays from the manifest\n", camp.Dir(), n)
+	if s.camp != nil {
+		if n := len(s.camp.Keys()); n > 0 {
+			fmt.Fprintf(stderr, "campaign %s: %d recorded points, finished work replays from the manifest\n", s.camp.Dir(), n)
 		}
 	}
 
-	tb := topo.NewTestbed(opt.Nodes, opt.Seed)
-
-	if sel("census") {
-		c := tb.Census()
-		fmt.Printf("== §5.1 testbed census ==\n")
-		fmt.Printf("connected ordered pairs: %d (paper: 2162)\n", c.ConnectedPairs)
-		fmt.Printf("PRR<0.1: %.0f%% (paper 68%%)   0.1≤PRR<1: %.0f%% (paper 12%%)   PRR=1: %.0f%% (paper 20%%)\n",
-			100*c.FracLow, 100*c.FracMid, 100*c.FracFull)
-		fmt.Printf("degree over usable links: mean %.1f median %.1f (paper 15.2 / 17)\n\n", c.MeanDegree, c.MedianDegree)
-	}
-
-	if sel("calibration") {
-		step("§4.2 single-link calibration", func() {
-			cal := experiments.RunCalibration(tb, opt)
-			fmt.Printf("CMAP %.2f Mb/s vs 802.11 %.2f Mb/s (paper: 5.04 vs 5.07)\n",
-				cal.CMAPMbps, cal.Dot11Mbps)
-		})
-	}
-
-	var fig13, fig15 *experiments.PairExperiment
-
-	if sel("fig12") {
-		step("Figure 12 — exposed terminals", func() {
-			ex := experiments.ExposedTerminals(tb, opt)
-			fmt.Print(ex.Format())
-			if ex.Ran(experiments.CMAP, experiments.CMAPWin1, experiments.CSMAOn) {
-				fmt.Printf("median gain CMAP/CS = %.2fx (paper ≈2x); CMAP win=1 / CS = %.2fx (paper ≈1.5x)\n",
-					ex.Gain(experiments.CMAP, experiments.CSMAOn),
-					ex.Gain(experiments.CMAPWin1, experiments.CSMAOn))
-			}
-		})
-	}
-
-	if sel("fig13") || sel("fig16") {
-		step("Figure 13 — senders in range", func() {
-			fig13 = experiments.InRangeSenders(tb, opt)
-			fmt.Print(fig13.Format())
-		})
-	}
-
-	if sel("fig14") {
-		step("Figure 14 / §5.4 — hidden interferers", func() {
-			res := experiments.HiddenInterferers(tb, opt)
-			fmt.Printf("%d (S,R,I) triples; bottom-left-quadrant fraction = %.3f (paper 0.08)\n",
-				len(res.Points), res.HiddenFrac)
-			fmt.Printf("expected CMAP normalised throughput = %.3f (paper 0.896)\n", res.ExpectedCMAP)
-		})
-	}
-
-	if sel("fig15") || sel("fig16") {
-		step("Figure 15 — hidden terminals", func() {
-			fig15 = experiments.HiddenTerminals(tb, opt)
-			fmt.Print(fig15.Format())
-		})
-	}
-
-	if sel("fig16") && fig13 != nil && fig15 != nil {
-		if fig13.Ran(experiments.CMAP) && fig15.Ran(experiments.CMAP) {
-			step("Figure 16 — header/trailer salvage", func() {
-				fmt.Print(experiments.HeaderTrailer(fig13, fig15).Format())
-			})
-		} else {
-			fmt.Println("(fig16 skipped: needs the cmap arm in figures 13 and 15; add cmap to -arms)")
+	s.tb = topo.NewTestbed(opt.Nodes, opt.Seed)
+	for _, sec := range sections {
+		if len(want) > 0 && !want[sec.key] {
+			continue
+		}
+		if err := s.step(stdout, sec); err != nil {
+			return fail(sec.key, err)
 		}
 	}
-
-	if sel("fig17") {
-		step("Figures 17+18 — access-point topology", func() {
-			res := experiments.AccessPoint(tb, opt)
-			fmt.Print(res.Format())
-			for _, n := range res.Ns {
-				cs, cm := res.Mean[experiments.CSMAOn][n], res.Mean[experiments.CMAP][n]
-				if cs > 0 && cm > 0 {
-					fmt.Printf("N=%d aggregate gain CMAP/CS = %.2fx (paper 1.21–1.47x)\n", n, cm/cs)
-				}
-			}
-			if csd, cmd := res.PerSender[experiments.CSMAOn], res.PerSender[experiments.CMAP]; csd != nil && cmd != nil && csd.Median() > 0 {
-				fmt.Printf("per-sender median gain = %.2fx (paper 1.8x)\n", cmd.Median()/csd.Median())
-			}
-		})
-	}
-
-	if sel("fig19") {
-		step("Figure 19 — header/trailer vs concurrent senders", func() {
-			fmt.Printf("%3s %8s %8s %8s %8s %8s %8s\n", "k", "mean", "p10", "p25", "median", "p75", "p90")
-			for _, p := range experiments.HeaderTrailerVsSenders(tb, opt) {
-				fmt.Printf("%3d %8.2f %8.2f %8.2f %8.2f %8.2f %8.2f\n",
-					p.Senders, p.Mean, p.P10, p.P25, p.Median, p.P75, p.P90)
-			}
-			fmt.Println("(paper: median ≈flat, 10th percentile drops sharply)")
-		})
-	}
-
-	if sel("fig20") {
-		step("Figure 20 — variable bit-rates", func() {
-			for _, rs := range experiments.VariableBitRates(tb, opt) {
-				if !rs.Ex.Ran(experiments.CSMAOn, experiments.CMAP) {
-					fmt.Print(rs.Ex.Format())
-					continue
-				}
-				fmt.Printf("@%g Mb/s: CS median %.2f, CMAP median %.2f → %.2fx\n",
-					phy.RateByID(rs.Rate).Mbps,
-					rs.Ex.Median(experiments.CSMAOn), rs.Ex.Median(experiments.CMAP),
-					rs.Ex.Gain(experiments.CMAP, experiments.CSMAOn))
-			}
-			fmt.Println("(paper: CMAP keeps winning at 12 and 18 Mb/s)")
-		})
-	}
-
-	if sel("mesh") {
-		step("§5.7 — content-dissemination mesh", func() {
-			if opt.Traffic.Kind != traffic.Saturated {
-				// The mesh runs the paper's phase-controlled batch
-				// dissemination, not per-flow arrival processes; say so
-				// rather than mislabel saturated numbers as unsaturated.
-				fmt.Println("(note: -traffic does not apply to the §5.7 batch workload; mesh runs saturated batches)")
-			}
-			meshOpt := opt
-			meshOpt.Traffic = traffic.Saturate()
-			res := experiments.Mesh(tb, meshOpt)
-			fmt.Printf("CMAP %.2f Mb/s vs CSMA %.2f Mb/s → gain %.2fx (paper 1.52x)\n",
-				res.CMAP.Mean(), res.CSMA.Mean(), res.Gain())
-		})
-	}
-
-	if sel("cssweep") {
-		step("CS-threshold sweep — goodput vs carrier-sense threshold (beyond the paper)", func() {
-			res := experiments.CSThresholdSweep(tb, opt, nil)
-			fmt.Print(res.Format())
-		})
-	}
-
-	if sel("staleness") {
-		step("Staleness sweep — goodput vs node speed (beyond the paper)", func() {
-			res := experiments.StalenessSweep(tb, opt, nil)
-			fmt.Print(res.Format())
-		})
-	}
-
-	if sel("loadsweep") {
-		step("Load sweep — goodput/latency vs offered load (beyond the paper)", func() {
-			// Under -resume the sweep additionally records every
-			// (topology × arm × load × pair) trial in the campaign
-			// manifest as it completes, so a kill mid-sweep loses at most
-			// one trial rather than the whole figure.
-			for _, class := range []string{"exposed", "hidden"} {
-				sweep, err := experiments.OfferedLoadCampaign(tb, class, loads, opt, camp)
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "loadsweep: %v\n", err)
-					os.Exit(1)
-				}
-				fmt.Print(sweep.Format())
-			}
-			fmt.Println("(expected: goodput tracks load below saturation; past the knee CMAP" +
-				" out-delivers carrier sense on exposed pairs and matches it on hidden ones)")
-		})
-	}
-}
-
-// camp is the open campaign of a -resume run (nil otherwise). Sections
-// record their rendered output under "section/<title>" when they
-// finish; a resumed run replays recorded sections from the manifest and
-// re-runs only the rest.
-var camp *checkpoint.Campaign
-
-// campaignConfig is the subset of the configuration that determines
-// results — what the campaign's config hash covers. Workers and
-// Progress are deliberately absent (results are bit-identical at every
-// worker count), and the -only selection is absent too: completion is
-// recorded per section, so a resumed run may narrow or widen the
-// selection.
-type campaignConfig struct {
-	Seed                           uint64
-	Nodes                          int
-	Duration, Warmup               sim.Time
-	Pairs, Triples, APRuns, Meshes int
-	Rate                           phy.RateID
-	Traffic                        traffic.Spec
-	Arms                           []experiments.Protocol
-	Shards                         int
-	Mobility                       mobility.Spec
-	Loads                          []float64
-}
-
-func campaignCfg(opt experiments.Options, loads []float64) campaignConfig {
-	return campaignConfig{
-		Seed:     opt.Seed,
-		Nodes:    opt.Nodes,
-		Duration: opt.Duration,
-		Warmup:   opt.Warmup,
-		Pairs:    opt.Pairs,
-		Triples:  opt.Triples,
-		APRuns:   opt.APRuns,
-		Meshes:   opt.Meshes,
-		Rate:     opt.Rate,
-		Traffic:  opt.Traffic,
-		Arms:     opt.Arms,
-		Shards:   opt.Shards,
-		Mobility: opt.Mobility,
-		Loads:    loads,
-	}
-}
-
-// captureStdout runs fn with os.Stdout teed into a buffer and returns
-// what it printed (also forwarding it to the real stdout), so a
-// finished section's rendering can be recorded verbatim in the
-// campaign manifest.
-func captureStdout(fn func()) string {
-	old := os.Stdout
-	r, w, err := os.Pipe()
-	if err != nil {
-		fn() // uncachable, but the run itself must not die for it
-		return ""
-	}
-	os.Stdout = w
-	done := make(chan string, 1)
-	go func() {
-		b, _ := io.ReadAll(r)
-		done <- string(b)
-	}()
-	func() {
-		defer func() {
-			os.Stdout = old
-			w.Close()
-		}()
-		fn()
-	}()
-	out := <-done
-	r.Close()
-	fmt.Print(out)
-	return out
+	return 0
 }
 
 // runAnalyticScreen is the -analytic mode: evaluate the standard
 // (scenario × load) grid through the conflict-graph oracle, print the
 // screen, and — with -analytic-verify — simulate the identical grid to
 // measure the oracle's agreement and wall-clock advantage.
-func runAnalyticScreen(opt experiments.Options, loads []float64, verify bool) error {
+func runAnalyticScreen(w io.Writer, opt experiments.Options, loads []float64, verify bool) error {
 	scens := experiments.StandardScreenScenarios(opt.Seed)
-	fmt.Printf("== analytic screen — %d scenarios × %d loads ==\n", len(scens), len(loads))
+	fmt.Fprintf(w, "== analytic screen — %d scenarios × %d loads ==\n", len(scens), len(loads))
 	screen, err := experiments.AnalyticScreen(scens, loads, opt)
 	if err != nil {
 		return err
 	}
-	fmt.Print(screen.Format())
+	fmt.Fprint(w, screen.Format())
 	if !verify {
 		return nil
 	}
 
-	fmt.Printf("\nsimulating the same %d-point grid (duration %v per point per arm)...\n",
+	fmt.Fprintf(w, "\nsimulating the same %d-point grid (duration %v per point per arm)...\n",
 		len(screen.Points), time.Duration(opt.Duration))
 	simulated, simElapsed, err := experiments.SimulateScreenGrid(scens, loads, opt)
 	if err != nil {
@@ -578,48 +579,18 @@ func runAnalyticScreen(opt experiments.Options, loads []float64, verify bool) er
 		}
 	}
 	if clearN > 0 {
-		fmt.Printf("screen-decided points: mean |rel err| = %.1f%% over %d arm-points\n",
+		fmt.Fprintf(w, "screen-decided points: mean |rel err| = %.1f%% over %d arm-points\n",
 			100*clearErr/float64(clearN), clearN)
 	}
 	if flaggedN > 0 {
-		fmt.Printf("flagged points:        mean |rel err| = %.1f%% over %d arm-points (that is why they are flagged)\n",
+		fmt.Fprintf(w, "flagged points:        mean |rel err| = %.1f%% over %d arm-points (that is why they are flagged)\n",
 			100*flaggedErr/float64(flaggedN), flaggedN)
 	}
-	fmt.Printf("worst point: %s (%.1f%%)\n", worstAt, 100*worst)
+	fmt.Fprintf(w, "worst point: %s (%.1f%%)\n", worstAt, 100*worst)
 	speedup := float64(simElapsed) / float64(screen.Elapsed)
-	fmt.Printf("wall clock: screen %v vs simulation %v → %.0f× faster\n",
+	fmt.Fprintf(w, "wall clock: screen %v vs simulation %v → %.0f× faster\n",
 		screen.Elapsed.Round(time.Millisecond), simElapsed.Round(time.Millisecond), speedup)
 	return nil
-}
-
-// step runs one benchmark section. Under -resume, a section that
-// already finished in a prior run replays its recorded text from the
-// campaign manifest instead of re-simulating, and a section that
-// completes now is recorded for the next restart. The loadsweep section
-// is additionally resumable at trial granularity inside the section.
-func step(title string, fn func()) {
-	fmt.Printf("== %s ==\n", title)
-	t0 := time.Now()
-	if camp != nil {
-		key := "section/" + title
-		if raw, ok := camp.Done(key); ok {
-			var text string
-			if err := json.Unmarshal(raw, &text); err == nil {
-				fmt.Print(text)
-				fmt.Printf("[cached]\n\n")
-				return
-			}
-		}
-		text := captureStdout(fn)
-		if err := camp.Complete(key, text); err != nil {
-			fmt.Fprintf(os.Stderr, "campaign: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("[%.1fs]\n\n", time.Since(t0).Seconds())
-		return
-	}
-	fn()
-	fmt.Printf("[%.1fs]\n\n", time.Since(t0).Seconds())
 }
 
 // benchRecord is one benchmark's result in the JSON trajectory file.
@@ -659,14 +630,14 @@ func gitShortSHA() string {
 
 // writeBenchJSON runs the scaling suite through testing.Benchmark and
 // writes the machine-readable trajectory file.
-func writeBenchJSON() error {
+func writeBenchJSON(stdout, stderr io.Writer) error {
 	out := benchFile{
 		Commit:    gitShortSHA(),
 		GoVersion: runtime.Version(),
 		NumCPU:    runtime.NumCPU(),
 	}
 	for _, sb := range experiments.ScaleBenchmarks() {
-		fmt.Fprintf(os.Stderr, "bench %s...\n", sb.Name)
+		fmt.Fprintf(stderr, "bench %s...\n", sb.Name)
 		r := testing.Benchmark(sb.Run)
 		out.Benchmarks = append(out.Benchmarks, benchRecord{
 			Name:        sb.Name,
@@ -684,6 +655,6 @@ func writeBenchJSON() error {
 	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %s (%d benchmarks)\n", path, len(out.Benchmarks))
+	fmt.Fprintf(stdout, "wrote %s (%d benchmarks)\n", path, len(out.Benchmarks))
 	return nil
 }

@@ -1,9 +1,14 @@
 package main
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
+	"repro/internal/checkpoint"
 	"repro/internal/experiments"
 )
 
@@ -42,5 +47,150 @@ func TestResolveArmsKeepsOrder(t *testing.T) {
 		if arms[i] != want[i] {
 			t.Errorf("arm %d = %q, want %q", i, arms[i], want[i])
 		}
+	}
+}
+
+// cmapbench runs the command in-process and returns exit code, stdout
+// and stderr. A panic fails the calling test by itself.
+func cmapbench(args ...string) (int, string, string) {
+	var stdout, stderr bytes.Buffer
+	code := run(args, &stdout, &stderr)
+	return code, stdout.String(), stderr.String()
+}
+
+// timing matches the wall-clock line that closes a simulated section —
+// the only non-deterministic bytes the suite prints.
+var timing = regexp.MustCompile(`(?m)^\[\d+\.\ds\]\n`)
+
+// TestRunReports drives the one CLI path: -only picks rows of the
+// section table, and Figure 16 brings the two figures it is derived
+// from along.
+func TestRunReports(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		args []string
+		want []string // substrings of stdout
+	}{
+		{"arms list", []string{"-arms", "list"}, []string{"cmap\n", "rtscts\n", "cs@<dBm>\n"}},
+		{"census and calibration", []string{"-scale", "quick", "-only", "census,calibration"},
+			[]string{"seed=1 scale=quick", "== §5.1 testbed census ==\nconnected ordered pairs: ", "== §4.2 single-link calibration ==\nCMAP "}},
+		{"fig16 alone", []string{"-scale", "quick", "-trials", "1", "-arms", "cmap", "-only", "fig16"},
+			[]string{"== Figure 13 — senders in range ==", "== Figure 15 — hidden terminals ==", "== Figure 16 — header/trailer salvage ==\nFigure 16: "}},
+		{"fig16 without cmap", []string{"-scale", "quick", "-trials", "1", "-arms", "csma", "-only", "fig16"},
+			[]string{"(fig16 skipped: needs the cmap arm"}},
+		{"unsaturated", []string{"-scale", "quick", "-trials", "1", "-arms", "cmap", "-traffic", "poisson", "-load", "2", "-only", "fig12"},
+			[]string{"traffic: poisson arrivals at 2.00 Mb/s offered per flow\ncmapbench — ", "== Figure 12 — exposed terminals =="}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			code, stdout, stderr := cmapbench(tc.args...)
+			if code != 0 {
+				t.Fatalf("exit %d, stderr:\n%s", code, stderr)
+			}
+			for _, w := range tc.want {
+				if !strings.Contains(stdout, w) {
+					t.Errorf("stdout lacks %q:\n%s", w, stdout)
+				}
+			}
+		})
+	}
+}
+
+// TestRunUsageErrors: bad user input is an exit-2 message on stderr
+// before anything runs — never a panic, a banner over an empty run, or
+// a silently dropped flag.
+func TestRunUsageErrors(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		args []string
+		want string // substring of stderr
+	}{
+		{"unknown section", []string{"-only", "fig12,fig99"}, `-only "fig99": no such section (valid: census,calibration,fig12,`},
+		{"verify without analytic", []string{"-analytic-verify"}, "-analytic-verify extends -analytic"},
+		{"resume with analytic", []string{"-resume", "x", "-analytic"}, "-resume records the figure suite"},
+		{"resume with benchjson", []string{"-resume", "x", "-benchjson"}, "-resume records the figure suite"},
+		{"negative trials", []string{"-trials", "-3"}, "-trials -3"},
+		{"negative parallel", []string{"-parallel", "-2"}, "-parallel -2"},
+		{"retired flag", []string{"-shards", "2"}, "not defined: -shards"},
+		{"unknown scale", []string{"-scale", "bogus"}, `unknown scale "bogus"`},
+		{"bad load", []string{"-load", "1,-2"}, `bad -load entry "-2"`},
+		{"bad mobility", []string{"-mobility", "teleport@3"}, "teleport"},
+		{"bad traffic", []string{"-traffic", "pigeon"}, "pigeon"},
+		{"unknown arm", []string{"-arms", "csma,bogus"}, "bogus"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			code, stdout, stderr := cmapbench(tc.args...)
+			if code != 2 {
+				t.Fatalf("exit %d, want 2 (stdout %q, stderr %q)", code, stdout, stderr)
+			}
+			if stdout != "" {
+				t.Errorf("usage error still printed to stdout: %q", stdout)
+			}
+			if !strings.Contains(stderr, tc.want) {
+				t.Errorf("stderr %q does not mention %q", stderr, tc.want)
+			}
+		})
+	}
+}
+
+// TestRunFlushesProfileOnUsageError: every exit is a return, so the
+// profile defers run and the file is a complete (gzip-framed) profile
+// even when the run dies on its flags.
+func TestRunFlushesProfileOnUsageError(t *testing.T) {
+	prof := filepath.Join(t.TempDir(), "cpu.pprof")
+	if code, _, _ := cmapbench("-cpuprofile", prof, "-scale", "bogus"); code != 2 {
+		t.Fatalf("exit %d, want 2", code)
+	}
+	data, err := os.ReadFile(prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(data) < 2 || data[0] != 0x1f || data[1] != 0x8b {
+		t.Fatalf("profile is %d bytes and not gzip-framed", len(data))
+	}
+}
+
+// TestRunDeterministic: the same seed prints the same bytes once the
+// wall-clock lines are stripped, at any worker count.
+func TestRunDeterministic(t *testing.T) {
+	args := []string{"-scale", "quick", "-seed", "3", "-trials", "2", "-arms", "csma,cmap", "-only", "fig12,fig14"}
+	_, first, _ := cmapbench(append(args, "-parallel", "1")...)
+	code, again, stderr := cmapbench(append(args, "-parallel", "2")...)
+	if code != 0 {
+		t.Fatalf("exit %d, stderr:\n%s", code, stderr)
+	}
+	first = strings.Replace(first, "workers=1", "workers=2", 1)
+	if timing.ReplaceAllString(first, "") != timing.ReplaceAllString(again, "") {
+		t.Fatalf("same seed printed different output:\n%s\nvs\n%s", first, again)
+	}
+}
+
+// TestRunResume is the CLI-level campaign contract: a finished campaign
+// replays every section from its directory with byte-identical tables,
+// and a directory recorded under other result-changing flags is
+// refused rather than mixed into.
+func TestRunResume(t *testing.T) {
+	dir := t.TempDir()
+	args := []string{"-scale", "quick", "-trials", "1", "-load", "1,6", "-arms", "csma,cmap", "-only", "fig12,loadsweep", "-resume", dir}
+	code, first, stderr := cmapbench(args...)
+	if code != 0 {
+		t.Fatalf("exit %d, stderr:\n%s", code, stderr)
+	}
+	code, second, stderr := cmapbench(args...)
+	if code != 0 {
+		t.Fatalf("resumed run: exit %d, stderr:\n%s", code, stderr)
+	}
+	if got, want := strings.Count(second, "[cached]\n"), strings.Count(first, "\n== "); got != want || want != 2 {
+		t.Errorf("resumed run replayed %d of %d sections:\n%s", got, want, second)
+	}
+	if a, b := timing.ReplaceAllString(first, ""), strings.ReplaceAll(second, "[cached]\n", ""); a != b {
+		t.Errorf("replayed tables differ:\n%s\nvs\n%s", a, b)
+	}
+
+	code, stdout, stderr := cmapbench(append(args, "-seed", "2")...)
+	if code != 1 || !strings.Contains(stderr, checkpoint.ErrConfigMismatch.Error()) {
+		t.Fatalf("other seed over the same campaign: exit %d, stderr %q; want 1 and %q", code, stderr, checkpoint.ErrConfigMismatch)
+	}
+	if stdout != "" {
+		t.Errorf("refused campaign still printed: %q", stdout)
 	}
 }

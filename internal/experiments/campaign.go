@@ -2,104 +2,28 @@ package experiments
 
 import (
 	"encoding/json"
-	"fmt"
 
 	"repro/internal/checkpoint"
 	"repro/internal/runner"
-	"repro/internal/stats"
-	"repro/internal/topo"
 )
-
-// Campaign resume for the sweep experiments: each (load × pair × arm)
-// trial is an independent simulation whose seed is a pure function of
-// its key, so a killed sweep restarted over the same campaign directory
-// re-runs only the missing trials and folds the recorded results back
-// in — the final figure is bit-identical to an uninterrupted run.
-
-// flowResultState is FlowResult in manifest form. Mbps round-trips
-// exactly through JSON (shortest-representation float encoding); the
-// latency recorder goes through its explicit checkpoint state because
-// its samples are unexported.
-type flowResultState struct {
-	Link            topo.Link           `json:"link"`
-	Mbps            float64             `json:"mbps"`
-	VpktsSent       uint64              `json:"vpkts_sent,omitempty"`
-	VpktsHeader     uint64              `json:"vpkts_header,omitempty"`
-	VpktsHdrOrTrail uint64              `json:"vpkts_hdr_or_trail,omitempty"`
-	OfferedPkts     uint64              `json:"offered,omitempty"`
-	AcceptedPkts    uint64              `json:"accepted,omitempty"`
-	DroppedPkts     uint64              `json:"dropped,omitempty"`
-	DeliveredPkts   uint64              `json:"delivered,omitempty"`
-	Lat             *stats.LatencyState `json:"lat,omitempty"`
-}
-
-// encodeFlowResults converts one trial's results to manifest form.
-func encodeFlowResults(rs []FlowResult) []flowResultState {
-	out := make([]flowResultState, len(rs))
-	for i, r := range rs {
-		out[i] = flowResultState{
-			Link:            r.Link,
-			Mbps:            r.Mbps,
-			VpktsSent:       r.VpktsSent,
-			VpktsHeader:     r.VpktsHeader,
-			VpktsHdrOrTrail: r.VpktsHdrOrTrail,
-			OfferedPkts:     r.OfferedPkts,
-			AcceptedPkts:    r.AcceptedPkts,
-			DroppedPkts:     r.DroppedPkts,
-			DeliveredPkts:   r.DeliveredPkts,
-		}
-		if r.Lat != nil {
-			st := r.Lat.State()
-			out[i].Lat = &st
-		}
-	}
-	return out
-}
-
-// decodeFlowResults inverts encodeFlowResults.
-func decodeFlowResults(raw json.RawMessage) ([]FlowResult, error) {
-	var sts []flowResultState
-	if err := json.Unmarshal(raw, &sts); err != nil {
-		return nil, fmt.Errorf("experiments: recorded trial result: %w", err)
-	}
-	out := make([]FlowResult, len(sts))
-	for i, st := range sts {
-		out[i] = FlowResult{
-			Link:            st.Link,
-			Mbps:            st.Mbps,
-			VpktsSent:       st.VpktsSent,
-			VpktsHeader:     st.VpktsHeader,
-			VpktsHdrOrTrail: st.VpktsHdrOrTrail,
-			OfferedPkts:     st.OfferedPkts,
-			AcceptedPkts:    st.AcceptedPkts,
-			DroppedPkts:     st.DroppedPkts,
-			DeliveredPkts:   st.DeliveredPkts,
-		}
-		if st.Lat != nil {
-			l := &stats.Latency{}
-			l.Restore(*st.Lat)
-			out[i].Lat = l
-		}
-	}
-	return out, nil
-}
 
 // resumableMap runs the trial function for every key not yet recorded
 // in the campaign, returning the full result slice in key order. Trials
-// whose seeds are pure functions of their index make this safe: the
-// missing subset runs with exactly the randomness it would have had in
-// a full run. A nil campaign degrades to a plain runner.Map. Recorded
-// results that fail to decode are re-run rather than trusted.
+// whose seeds are pure functions of their key make this safe: the
+// missing subset of a killed sweep runs with exactly the randomness it
+// would have had in a full run, so the resumed figure is bit-identical.
+// The manifest stores each trial's []FlowResult as encoding/json writes
+// it: Mbps round-trips exactly (shortest-representation floats) and the
+// latency recorder marshals its full checkpoint state. A nil campaign
+// degrades to a plain runner.Map. Recorded results that fail to decode
+// are re-run rather than trusted.
 func resumableMap(camp *checkpoint.Campaign, pool runner.Config, keys []string, run func(t int) []FlowResult) ([][]FlowResult, error) {
 	trials := make([][]FlowResult, len(keys))
 	var missing []int
 	for t, key := range keys {
 		if camp != nil {
-			if raw, ok := camp.Done(key); ok {
-				if rs, err := decodeFlowResults(raw); err == nil {
-					trials[t] = rs
-					continue
-				}
+			if raw, ok := camp.Done(key); ok && json.Unmarshal(raw, &trials[t]) == nil {
+				continue
 			}
 		}
 		missing = append(missing, t)
@@ -111,7 +35,7 @@ func resumableMap(camp *checkpoint.Campaign, pool runner.Config, keys []string, 
 	ran := runner.Map(pool, len(missing), func(j int) []FlowResult {
 		rs := run(missing[j])
 		if camp != nil {
-			errs[j] = camp.Complete(keys[missing[j]], encodeFlowResults(rs))
+			errs[j] = camp.Complete(keys[missing[j]], rs)
 		}
 		return rs
 	})
@@ -122,13 +46,4 @@ func resumableMap(camp *checkpoint.Campaign, pool runner.Config, keys []string, 
 		trials[t] = ran[j]
 	}
 	return trials, nil
-}
-
-// OfferedLoadCampaign is OfferedLoad with per-(load × pair × arm) crash
-// recovery: completed trials are recorded in the campaign manifest as
-// they finish, and a restarted sweep replays them from the manifest
-// instead of the simulator. camp may be nil (no recording). The figure
-// is bit-identical to OfferedLoad in every case.
-func OfferedLoadCampaign(tb *topo.Testbed, topology string, loads []float64, opt Options, camp *checkpoint.Campaign) (*LoadSweep, error) {
-	return offeredLoad(tb, topology, loads, opt, camp)
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -190,5 +191,38 @@ func TestCampaignReplaysRecordedResults(t *testing.T) {
 	for i := range want {
 		requireSameResults(t, keys[i]+" first", want[i], first[i])
 		requireSameResults(t, keys[i]+" replayed", want[i], replayed[i])
+	}
+}
+
+// TestCampaignHashCoversOptions guards the campaign config hash, which
+// is the JSON of Options: a field added to Options must either appear
+// in that JSON (so changing it refuses a stale campaign) or be listed
+// here as unable to change a number.
+func TestCampaignHashCoversOptions(t *testing.T) {
+	unhashed := map[string]bool{"Workers": true, "Progress": true}
+	opt := Quick(1)
+	opt.Progress = func(done, total int) {}
+	data, err := json.Marshal(opt)
+	if err != nil {
+		t.Fatalf("Options does not marshal, so it cannot be hashed: %v", err)
+	}
+	var hashed map[string]json.RawMessage
+	if err := json.Unmarshal(data, &hashed); err != nil {
+		t.Fatal(err)
+	}
+	typ := reflect.TypeOf(opt)
+	for i := 0; i < typ.NumField(); i++ {
+		name := typ.Field(i).Name
+		_, in := hashed[name]
+		switch {
+		case in && unhashed[name]:
+			t.Errorf("Options.%s is listed as unhashed but is in the hashed JSON", name)
+		case !in && !unhashed[name]:
+			t.Errorf("Options.%s is missing from the hashed JSON: a resumed campaign would not notice it changing", name)
+		}
+		delete(unhashed, name)
+	}
+	for name := range unhashed {
+		t.Errorf("exclusion list names Options.%s, which does not exist", name)
 	}
 }

@@ -35,8 +35,8 @@
 //
 // Every flow run — each figure and sweep trial, the golden traces, the
 // scale fixtures and cmapsim's registry-arm microscope — is wired by
-// NewFlowSim and nowhere else, so arms, engines (Options.Shards) and
-// motion (Options.Mobility) compare over identical wiring. The two-hop
-// mesh runners of §5.7 are the one other place this package attaches
-// stations to a medium.
+// NewFlowSim and nowhere else, so arms, motion (Options.Mobility) and
+// engines (FlowSimConfig.Shards; the figures always run serial) compare
+// over identical wiring. The two-hop mesh runners of §5.7 are the one
+// other place this package attaches stations to a medium.
 package experiments

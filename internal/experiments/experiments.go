@@ -106,11 +106,12 @@ type Options struct {
 	// Workers is the number of goroutines trials fan out across. Zero
 	// selects GOMAXPROCS; one forces fully serial execution. Results are
 	// bit-identical at every worker count: all randomness is derived
-	// from per-trial seeds fixed before dispatch.
-	Workers int
+	// from per-trial seeds fixed before dispatch — which is why a
+	// campaign's config hash (the JSON of these Options) leaves it out.
+	Workers int `json:"-"`
 	// Progress, when non-nil, is called after each completed trial of
-	// an experiment with (done, total) counts.
-	Progress func(done, total int)
+	// an experiment with (done, total) counts; unhashed like Workers.
+	Progress func(done, total int) `json:"-"`
 	// Traffic selects the arrival model experiment flows are driven by.
 	// The zero value is the saturated (always-backlogged) workload of
 	// the paper's methodology; any other kind routes runs through
@@ -121,20 +122,10 @@ type Options struct {
 	// that compares protocols (pair figures, the offered-load sweep, the
 	// analytic screen). Empty keeps each figure's paper-default arms.
 	Arms []Protocol
-	// Shards partitions each single simulation spatially across that
-	// many event-loop goroutines (internal/shard). 0 and 1 keep the
-	// serial reference engine — the golden-trace path. Counts above 1
-	// are deterministic for a fixed count but figure-level rather than
-	// bit-level equivalent to serial: cross-shard signals arrive one
-	// lookahead window late. Orthogonal to Workers, which parallelizes
-	// across independent trials.
-	Shards int
 	// Mobility moves nodes during each run (internal/mobility),
 	// patching the medium's delivery lists incrementally per position
 	// epoch. The zero value keeps every scenario static — the
-	// golden-trace path. Mobility requires the serial engine: the
-	// spatial shard partition is computed from initial positions, so
-	// combining it with Shards > 1 panics.
+	// golden-trace path.
 	Mobility mobility.Spec
 }
 
@@ -223,9 +214,9 @@ func (r FlowResult) HdrOrTrailFrac() float64 {
 
 // runFlows runs the given unicast flows over a fresh build of the
 // testbed under one protocol arm and returns per-flow goodput (and
-// CMAP visibility counters). Options.Traffic, Options.Shards and
-// Options.Mobility pick the workload, engine and motion; the wiring is
-// NewFlowSim's either way.
+// CMAP visibility counters). Options.Traffic and Options.Mobility pick
+// the workload and motion; the engine is the serial one and the wiring
+// is NewFlowSim's.
 func runFlows(tb *topo.Testbed, flows []topo.Link, p Protocol, opt Options, runSeed uint64) []FlowResult {
 	fs, err := NewFlowSim(tb, FlowSimConfig{
 		Arm:      p,
@@ -234,13 +225,11 @@ func runFlows(tb *topo.Testbed, flows []topo.Link, p Protocol, opt Options, runS
 		Warmup:   opt.Warmup,
 		Rate:     opt.Rate,
 		Traffic:  opt.Traffic,
-		Shards:   opt.Shards,
 		Mobility: opt.Mobility,
 		Seed:     runSeed,
 	})
 	if err != nil {
-		// Arm names and the mobility×shards exclusion are validated where
-		// Options are assembled (ParseArms, the CLIs' flag checks).
+		// Arm names are validated where Options are assembled (ParseArms).
 		panic(err)
 	}
 	fs.Run(opt.Duration)

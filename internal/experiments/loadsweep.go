@@ -62,16 +62,18 @@ type LoadSweep struct {
 // Trials fan out across the worker pool like every other experiment,
 // bit-identical at any worker count.
 func OfferedLoad(tb *topo.Testbed, topology string, loads []float64, opt Options) *LoadSweep {
-	// A nil campaign cannot fail: every error path in offeredLoad is
-	// manifest I/O.
-	sweep, _ := offeredLoad(tb, topology, loads, opt, nil)
+	// A nil campaign cannot fail: every error path in
+	// OfferedLoadCampaign is manifest I/O.
+	sweep, _ := OfferedLoadCampaign(tb, topology, loads, opt, nil)
 	return sweep
 }
 
-// offeredLoad is the sweep body, optionally recording (and replaying)
-// per-trial results through a campaign manifest — see
-// OfferedLoadCampaign.
-func offeredLoad(tb *topo.Testbed, topology string, loads []float64, opt Options, camp *checkpoint.Campaign) (*LoadSweep, error) {
+// OfferedLoadCampaign is OfferedLoad with per-(load × pair × arm) crash
+// recovery: completed trials are recorded in the campaign manifest as
+// they finish, and a restarted sweep replays them from the manifest
+// instead of the simulator. camp may be nil (no recording). The figure
+// is bit-identical to OfferedLoad in every case.
+func OfferedLoadCampaign(tb *topo.Testbed, topology string, loads []float64, opt Options, camp *checkpoint.Campaign) (*LoadSweep, error) {
 	kind := opt.Traffic.Kind
 	if kind == traffic.Saturated {
 		kind = traffic.Poisson

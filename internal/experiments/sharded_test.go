@@ -12,12 +12,25 @@ import (
 // shardedTestOptions is a short-run configuration sized so the full
 // serial-vs-sharded comparison matrix stays in test time, with enough
 // post-warmup window that goodput is not quantization noise.
-func shardedTestOptions(shards int) Options {
+func shardedTestOptions() Options {
 	opt := Quick(1)
 	opt.Duration = 300 * sim.Millisecond
 	opt.Warmup = 50 * sim.Millisecond
-	opt.Shards = shards
 	return opt
+}
+
+// runShardedFlows is runFlows with the engine chosen: the figure suite
+// always runs serial, so the sharded path is reached the way its real
+// callers (cmapsim, the scale fixtures) reach it, through
+// FlowSimConfig.Shards. 0 and 1 are the serial engine.
+func runShardedFlows(t *testing.T, tb *topo.Testbed, flows []topo.Link, arm Protocol, opt Options, shards int, seed uint64) []FlowResult {
+	t.Helper()
+	fs, err := NewFlowSim(tb, flowSimConfig(string(arm), flows, opt, shards, opt.Traffic, seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs.Run(opt.Duration)
+	return fs.Results()
 }
 
 // shardedTestFlows samples non-overlapping potential-link flows spread
@@ -39,12 +52,12 @@ func shardedTestFlows(tb *topo.Testbed, seed uint64, count int) []topo.Link {
 	return flows
 }
 
-// TestShardedRunFlowsEquivalence pins the Options.Shards plumbing end to
-// end through runFlows: shards>1 must stay at figure-level equivalence
-// with the serial engine — per-flow within 30% or 0.25 Mb/s, aggregate
-// within 15% — exactly the bound the shard package proves for its own
-// harness. (Shards 0 and 1 both select the serial engine; the one-shard
-// engine's bit-identity is internal/shard's
+// TestShardedRunFlowsEquivalence pins the FlowSimConfig.Shards plumbing
+// end to end through NewFlowSim: shards>1 must stay at figure-level
+// equivalence with the serial engine — per-flow within 30% or
+// 0.25 Mb/s, aggregate within 15% — exactly the bound the shard package
+// proves for its own harness. (Shards 0 and 1 both select the serial
+// engine; the one-shard engine's bit-identity is internal/shard's
 // TestShardOneBitIdenticalToSerial.)
 func TestShardedRunFlowsEquivalence(t *testing.T) {
 	tb := topo.NewTestbed(50, 11)
@@ -53,7 +66,8 @@ func TestShardedRunFlowsEquivalence(t *testing.T) {
 		t.Fatalf("only %d flows sampled", len(flows))
 	}
 	const seed = 0xfeed
-	ref := runFlows(tb, flows, CSMAOn, shardedTestOptions(0), seed)
+	opt := shardedTestOptions()
+	ref := runShardedFlows(t, tb, flows, CSMAOn, opt, 0, seed)
 	var refAgg float64
 	for _, r := range ref {
 		refAgg += r.Mbps
@@ -61,7 +75,7 @@ func TestShardedRunFlowsEquivalence(t *testing.T) {
 
 	for _, shards := range []int{2, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			got := runFlows(tb, flows, CSMAOn, shardedTestOptions(shards), seed)
+			got := runShardedFlows(t, tb, flows, CSMAOn, opt, shards, seed)
 			var agg float64
 			for i := range ref {
 				agg += got[i].Mbps
@@ -85,9 +99,9 @@ func TestShardedRunFlowsEquivalence(t *testing.T) {
 func TestShardedRunFlowsDeterminism(t *testing.T) {
 	tb := topo.NewTestbed(50, 5)
 	flows := shardedTestFlows(tb, 31, 4)
-	opt := shardedTestOptions(3)
-	a := runFlows(tb, flows, CMAP, opt, 0xd5)
-	b := runFlows(tb, flows, CMAP, opt, 0xd5)
+	opt := shardedTestOptions()
+	a := runShardedFlows(t, tb, flows, CMAP, opt, 3, 0xd5)
+	b := runShardedFlows(t, tb, flows, CMAP, opt, 3, 0xd5)
 	for i := range a {
 		if a[i].Mbps != b[i].Mbps || a[i].VpktsSent != b[i].VpktsSent {
 			t.Fatalf("flow %d differs across identical runs: %.9f/%d vs %.9f/%d",
@@ -102,16 +116,13 @@ func TestShardedRunFlowsDeterminism(t *testing.T) {
 func TestShardedTrafficFlows(t *testing.T) {
 	tb := topo.NewTestbed(50, 11)
 	flows := shardedTestFlows(tb, 23, 4)
-	mkOpt := func(shards int) Options {
-		opt := shardedTestOptions(shards)
-		opt.Traffic = traffic.Spec{Kind: traffic.Poisson}.WithOfferedMbps(2.0, 1400)
-		return opt
-	}
+	opt := shardedTestOptions()
+	opt.Traffic = traffic.Spec{Kind: traffic.Poisson}.WithOfferedMbps(2.0, 1400)
 	const seed = 0xace
 
 	t.Run("shards=2", func(t *testing.T) {
-		a := runFlows(tb, flows, CSMAOn, mkOpt(2), seed)
-		b := runFlows(tb, flows, CSMAOn, mkOpt(2), seed)
+		a := runShardedFlows(t, tb, flows, CSMAOn, opt, 2, seed)
+		b := runShardedFlows(t, tb, flows, CSMAOn, opt, 2, seed)
 		var delivered uint64
 		for i := range a {
 			delivered += a[i].DeliveredPkts

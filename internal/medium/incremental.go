@@ -241,8 +241,3 @@ func (m *Medium) patchEntry(j, i int, g float64, audible bool) {
 func (m *Medium) RebuildDeliveries() {
 	m.deliveries, m.gridBacked = BuildDeliveries(m.params, m.model, m.positions, 1)
 }
-
-// DeliveryList returns node i's live delivery list. The slice is shared
-// with the medium — callers must not mutate it. Equivalence tests use
-// it to compare incremental patches against oracle rebuilds.
-func (m *Medium) DeliveryList(i int) []Delivery { return m.deliveries[i] }

@@ -131,13 +131,13 @@ func (s *Shard) decodeShardArg(enc json.RawMessage, txs map[uint64]*phy.Transmis
 // point where the outboxes are provably drained. Any other clock is a
 // caller bug and errors out.
 func (e *Engine) ExportState(encode sim.EncodeFunc) (EngineState, error) {
-	if len(e.shards) > 1 && e.clock%e.window != 0 {
-		return EngineState{}, fmt.Errorf("shard: checkpoint at t=%v is not on a window edge (W=%v); advance Run to a multiple of the window first", e.clock, e.window)
+	if len(e.shards) > 1 && e.clock%window != 0 {
+		return EngineState{}, fmt.Errorf("shard: checkpoint at t=%v is not on a window edge (W=%v); advance Run to a multiple of the window first", e.clock, window)
 	}
 	st := EngineState{
 		Seg:    e.seg,
 		Clock:  e.clock,
-		Window: e.window,
+		Window: window,
 		Assign: append([]int(nil), e.assign...),
 		Shards: make([]ShardState, len(e.shards)),
 		Radios: make([]phy.RadioState, len(e.radios)),
@@ -179,8 +179,8 @@ func (e *Engine) ExportState(encode sim.EncodeFunc) (EngineState, error) {
 // owning shard's freshly materialised registry. Component timers (MACs,
 // sources) must be re-pointed by their owners afterwards, per shard.
 func (e *Engine) RestoreState(st EngineState, decode sim.DecodeFunc) error {
-	if st.Window != e.window {
-		return fmt.Errorf("shard: checkpoint window %v does not match engine window %v", st.Window, e.window)
+	if st.Window != window {
+		return fmt.Errorf("shard: checkpoint window %v does not match engine window %v", st.Window, window)
 	}
 	if len(st.Shards) != len(e.shards) {
 		return fmt.Errorf("shard: checkpoint has %d shards, engine has %d", len(st.Shards), len(e.shards))

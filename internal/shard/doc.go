@@ -19,7 +19,7 @@
 // has zero propagation delay — a transmission is audible everywhere on
 // its delivery list in the same instant — so the natural lookahead is
 // zero and a pure conservative engine deadlocks. The engine therefore
-// introduces a cross-shard latency W (Config.Lookahead, default DIFS):
+// introduces a cross-shard latency W (the constant window = phy.DIFS):
 // a transmission starting at t reaches remote shards at t+W and ends at
 // end+W. Signal duration — and with it airtime, the SINR integration
 // and the decode probability of every frame — is preserved exactly;

@@ -19,19 +19,17 @@ type Config struct {
 	// event loop on its own goroutine. 0 and 1 both mean one shard,
 	// which short-circuits to a plain serial run.
 	Shards int
-	// Lookahead is the synthetic cross-shard signal latency W, which is
-	// also the synchronization window width. 0 selects phy.DIFS. See the
-	// package comment for why it must exist and what it perturbs.
-	Lookahead sim.Time
 	// Flows lists (src, dst) endpoint pairs that must land in the same
 	// shard: stop-and-wait MAC exchanges cannot afford 2W of added
 	// round-trip. Endpoint groups connected through shared nodes merge
 	// transitively and take the shard of their lowest-numbered member.
 	Flows [][2]int
-	// ConstructionWorkers fans the delivery-list build across goroutines
-	// (0 means GOMAXPROCS); output is bit-identical at any count.
-	ConstructionWorkers int
 }
+
+// window is the synthetic cross-shard signal latency W, which is also
+// the synchronization window width. See the package comment for why it
+// must exist and what it perturbs.
+const window = phy.DIFS
 
 // Engine is one simulation partitioned across shards. Construct with
 // NewEngine, wire MACs through Network, then drive virtual time with
@@ -39,7 +37,6 @@ type Config struct {
 // shard goroutines it spawns.
 type Engine struct {
 	params phy.Params
-	window sim.Time
 	shards []*Shard
 	assign []int
 	radios []*phy.Radio
@@ -62,17 +59,14 @@ func NewEngine(params phy.Params, model radio.Model, positions []geo.Point, rng 
 	if k < 1 {
 		k = 1
 	}
-	w := cfg.Lookahead
-	if w <= 0 {
-		w = phy.DIFS
-	}
 	n := len(positions)
 	assign := Partition(positions, cfg.Flows, k)
-	deliveries, _ := medium.BuildDeliveries(params, model, positions, cfg.ConstructionWorkers)
+	// The build fans out across GOMAXPROCS goroutines; its output is
+	// bit-identical at any count.
+	deliveries, _ := medium.BuildDeliveries(params, model, positions, 0)
 
 	e := &Engine{
 		params: params,
-		window: w,
 		assign: assign,
 		radios: make([]*phy.Radio, n),
 	}
@@ -173,10 +167,7 @@ func (e *Engine) NodeCount() int { return len(e.radios) }
 func (e *Engine) Shards() int { return len(e.shards) }
 
 // Window returns the lookahead/synchronization window W.
-func (e *Engine) Window() sim.Time { return e.window }
-
-// ShardOf returns the shard index hosting node id.
-func (e *Engine) ShardOf(id int) int { return e.assign[id] }
+func (e *Engine) Window() sim.Time { return window }
 
 // Network returns the mac.Network surface for node id — the shard that
 // hosts it. Every MAC must be constructed against its own node's shard.
@@ -245,7 +236,7 @@ func (e *Engine) Run(until sim.Time) {
 	if e.failErr != nil {
 		panic(e.failErr)
 	}
-	e.seg = int64(until / e.window)
+	e.seg = int64(until / window)
 	e.clock = until
 }
 
@@ -256,7 +247,7 @@ func (e *Engine) Run(until sim.Time) {
 func (e *Engine) runShard(sh *Shard, until sim.Time) {
 	for k := e.seg; ; k++ {
 		sh.curWin = k
-		edge := sim.Time(k+1) * e.window
+		edge := sim.Time(k+1) * window
 		stop := edge
 		if until < stop {
 			stop = until

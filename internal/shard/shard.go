@@ -199,7 +199,6 @@ func (s *Shard) handleRemote(rt *remoteTx) {
 // the clock stands after running to the window edge.
 func (s *Shard) drain(k int64) {
 	p := k & 1
-	w := s.eng.window
 	for _, src := range s.eng.shards {
 		if src == s {
 			continue
@@ -216,7 +215,7 @@ func (s *Shard) drain(k int64) {
 			// same duration, so airtime and SINR integration are exact.
 			rt.tx = phy.Transmission{
 				TxID: h.txID, From: h.from, Frame: f, Rate: h.rate,
-				Start: h.start + w, End: h.end + w,
+				Start: h.start + window, End: h.end + window,
 			}
 			rt.list = s.inFrom[h.from]
 			rt.started = false

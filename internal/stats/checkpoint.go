@@ -1,6 +1,10 @@
 package stats
 
-import "repro/internal/sim"
+import (
+	"encoding/json"
+
+	"repro/internal/sim"
+)
 
 // Checkpoint surfaces: the recorders keep their samples unexported (the
 // Percentile cache invariant lives behind Add), so checkpointing gets
@@ -41,6 +45,21 @@ func (l *Latency) State() LatencyState {
 func (l *Latency) Restore(st LatencyState) {
 	l.W = st.W
 	l.d.Restore(st.D)
+}
+
+// MarshalJSON writes the recorder's checkpoint state, so a result
+// struct that holds a Latency (experiments.FlowResult in a campaign
+// manifest) round-trips through encoding/json samples and all.
+func (l Latency) MarshalJSON() ([]byte, error) { return json.Marshal(l.State()) }
+
+// UnmarshalJSON restores what MarshalJSON wrote.
+func (l *Latency) UnmarshalJSON(b []byte) error {
+	var st LatencyState
+	if err := json.Unmarshal(b, &st); err != nil {
+		return err
+	}
+	l.Restore(st)
+	return nil
 }
 
 // MeterState is a goodput Meter in checkpoint form.

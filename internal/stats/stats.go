@@ -135,12 +135,6 @@ func (d *Dist) Values() []float64 {
 	return append([]float64(nil), d.xs...)
 }
 
-// Summary formats n/mean/median/p25/p75 on one line.
-func (d *Dist) Summary() string {
-	return fmt.Sprintf("n=%d mean=%.3f median=%.3f p25=%.3f p75=%.3f",
-		d.N(), d.Mean(), d.Median(), d.Percentile(25), d.Percentile(75))
-}
-
 // Window is a measurement interval in virtual time: samples outside
 // [Start, End] are excluded. Setting Start past a run's transient is
 // the warm-up truncation the paper's methodology uses (§5.1 measures
