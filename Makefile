@@ -9,15 +9,17 @@
 #   make vet        static analysis
 #   make golden     golden-trace regression tier (bit-exact behaviour pin)
 #   make alloc-check  allocation-regression gate (0 allocs/frame in steady state)
-#   make bench-json machine-readable scaling benchmarks → BENCH_<sha>.json
+#   make bench-json machine-readable scaling benchmarks, five runs each
+#                   (median ns/op + quartiles) → BENCH_<sha>.json
 #   make profile    CPU+heap pprof of the scaling benchmarks → cpu.pprof/mem.pprof
 #   make bench-smoke  one-iteration steady-state benchmark (compile-level perf canary)
 #   make docs-check documentation gate: gofmt diff, package-comment
 #                   guard over internal/, markdown link check
 #   make fuzz-smoke short randomized pass of the checked-in fuzzers
 #                   (scheduler agenda, CMAP defer table, grid
-#                   re-bucketing, delivery-list patching) beyond their
-#                   seed corpora
+#                   re-bucketing, delivery-list patching, the radio's
+#                   interference path against its one-tier reference)
+#                   beyond their seed corpora
 #   make conformance  the shared MAC conformance suite (every registered
 #                   arm: allocation, determinism, worker-equivalence and
 #                   conservation contracts) under the race detector
@@ -28,7 +30,8 @@
 #                   end-to-end through experiments
 #   make bench-guard  compare the two newest checked-in BENCH_*.json and
 #                   fail on >20% ns/op regression in SaturatedSteadyState,
-#                   IncrementalUpdate or EpochUpdate (BENCHDIFF_SKIP=1
+#                   IncrementalUpdate or EpochUpdate whose quartiles
+#                   also clear the older file's (BENCHDIFF_SKIP=1
 #                   accepts a deliberate one)
 #   make mobility-conformance  the mobility tier: mobility unit tests,
 #                   every arm's mobile determinism/worker-equivalence/
@@ -136,6 +139,7 @@ fuzz-smoke:
 	$(GO) test -timeout $(TEST_TIMEOUT) -run='^$$' -fuzz=FuzzDeferTable -fuzztime=5s ./internal/core
 	$(GO) test -timeout $(TEST_TIMEOUT) -run='^$$' -fuzz=FuzzGridRebucket -fuzztime=5s ./internal/geo
 	$(GO) test -timeout $(TEST_TIMEOUT) -run='^$$' -fuzz=FuzzDeliveryPatch -fuzztime=5s ./internal/medium
+	$(GO) test -timeout $(TEST_TIMEOUT) -run='^$$' -fuzz=FuzzInterferencePath -fuzztime=5s ./internal/phy
 
 # The shared MAC conformance suite under the race detector: every
 # registered arm's allocation (skipped under race), determinism,
@@ -154,10 +158,11 @@ shard-conformance:
 	$(GO) test -timeout $(TEST_TIMEOUT) -race -count=1 -run 'TestSharded' ./internal/experiments
 
 # Bench regression guard: the two most recently committed BENCH_*.json
-# are diffed; >20% ns/op growth in SaturatedSteadyState,
-# IncrementalUpdate or EpochUpdate fails the gate — unless the two files
-# were recorded on hosts with different num_cpu, which is reported but
-# cannot fail. BENCHDIFF_SKIP=1 accepts a deliberate regression (say
+# are diffed; >20% median ns/op growth in SaturatedSteadyState,
+# IncrementalUpdate or EpochUpdate fails the gate when the new lower
+# quartile is also above the old upper one (files from before the
+# quartiles: the 20% alone) — unless the two files were recorded on
+# hosts with different num_cpu, which is reported but cannot fail. BENCHDIFF_SKIP=1 accepts a deliberate regression (say
 # why in the PR).
 bench-guard:
 	$(GO) run ./cmd/benchdiff -auto

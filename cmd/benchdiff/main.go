@@ -17,10 +17,15 @@
 // Every benchmark present in both files is reported with its ns/op
 // delta. Only benchmarks whose name starts with one of the
 // comma-separated -guard prefixes can fail the run, and only when
-// ns/op grew by more than -threshold (default 20%). Two files recorded
-// on hosts with different num_cpu are reported the same way but never
-// fail: a ns/op delta across machines measures the machines, and the
-// gate re-arms with the next file from the same host. Setting
+// ns/op grew by more than -threshold (default 20%) and, where both rows
+// carry quartiles over repeated runs (ns_op_q1/ns_op_q3), the new lower
+// quartile also sits above the old upper one — a host that drifted
+// between two recordings moves the medians, not the whole spread past
+// the other's. Rows from files older than the quartiles are judged on
+// the threshold alone. Two files recorded on hosts with different
+// num_cpu are reported the same way but never fail: a ns/op delta
+// across machines measures the machines, and the gate re-arms with the
+// next file from the same host. Setting
 // BENCHDIFF_SKIP=1 reports the same table but always exits 0 — the
 // escape hatch for a deliberate, explained regression; the variable
 // name shows up in CI logs, which is the point.
@@ -42,6 +47,10 @@ import (
 type benchRecord struct {
 	Name    string  `json:"name"`
 	NsPerOp float64 `json:"ns_op"`
+	// Quartiles of ns/op over repeated runs; zero in files written
+	// before cmapbench recorded them.
+	NsPerOpQ1 float64 `json:"ns_op_q1"`
+	NsPerOpQ3 float64 `json:"ns_op_q3"`
 }
 
 // benchFile mirrors the parts of the BENCH_<sha>.json schema the diff
@@ -125,6 +134,19 @@ func guardedBy(name, guard string) bool {
 	return false
 }
 
+// regressed is the failure rule for one guarded benchmark: the median
+// grew by more than threshold and, when both rows carry quartiles, the
+// spreads do not overlap either (new q1 above old q3).
+func regressed(was, now benchRecord, threshold float64) bool {
+	if (now.NsPerOp-was.NsPerOp)/was.NsPerOp <= threshold {
+		return false
+	}
+	if was.NsPerOpQ3 > 0 && now.NsPerOpQ1 > 0 {
+		return now.NsPerOpQ1 > was.NsPerOpQ3
+	}
+	return true
+}
+
 // defaultGuard lists the benchmark families whose regressions fail the
 // gate: the saturated transmit path and the two mobility patch costs
 // (one move, one whole epoch).
@@ -170,9 +192,9 @@ func main() {
 			oldF.NumCPU, newF.NumCPU)
 	}
 
-	oldBy := map[string]float64{}
+	oldBy := map[string]benchRecord{}
 	for _, b := range oldF.Benchmarks {
-		oldBy[b.Name] = b.NsPerOp
+		oldBy[b.Name] = b
 	}
 	var regressions []string
 	for _, b := range newF.Benchmarks {
@@ -182,12 +204,12 @@ func main() {
 			continue
 		}
 		delete(oldBy, b.Name)
-		delta := (b.NsPerOp - was) / was
+		delta := (b.NsPerOp - was.NsPerOp) / was.NsPerOp
 		marker := ""
-		if guardedBy(b.Name, *guard) && delta > *threshold {
+		if guardedBy(b.Name, *guard) && regressed(was, b, *threshold) {
 			marker = "  ← REGRESSION"
 			regressions = append(regressions,
-				fmt.Sprintf("%s: %.0f → %.0f ns/op (%+.1f%%)", b.Name, was, b.NsPerOp, 100*delta))
+				fmt.Sprintf("%s: %.0f → %.0f ns/op (%+.1f%%)", b.Name, was.NsPerOp, b.NsPerOp, 100*delta))
 		}
 		fmt.Printf("  %-44s %12.0f ns/op   %+7.1f%%%s\n", b.Name, b.NsPerOp, 100*delta, marker)
 	}

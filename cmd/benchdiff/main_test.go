@@ -79,3 +79,31 @@ func TestLoadRejectsBadJSON(t *testing.T) {
 		t.Fatal("load of missing file succeeded")
 	}
 }
+
+// TestRegressedNeedsSeparatedQuartiles: a guarded row fails on the
+// threshold alone only while a file without quartiles is involved;
+// once both carry them, the spreads must not overlap either.
+func TestRegressedNeedsSeparatedQuartiles(t *testing.T) {
+	row := func(median, q1, q3 float64) benchRecord {
+		return benchRecord{Name: "SaturatedSteadyState/n=1000", NsPerOp: median, NsPerOpQ1: q1, NsPerOpQ3: q3}
+	}
+	cases := []struct {
+		name     string
+		was, now benchRecord
+		want     bool
+	}{
+		{"inside the threshold", row(100, 95, 105), row(119, 117, 121), false},
+		{"slower and spreads apart", row(100, 95, 105), row(130, 125, 140), true},
+		{"slower but spreads overlap", row(100, 90, 128), row(130, 120, 150), false},
+		{"new q1 exactly on old q3", row(100, 95, 110), row(130, 110, 140), false},
+		{"faster", row(100, 95, 105), row(60, 55, 65), false},
+		{"old file has no quartiles: threshold alone", row(100, 0, 0), row(130, 90, 150), true},
+		{"neither file has quartiles", row(100, 0, 0), row(121, 0, 0), true},
+		{"no quartiles, inside the threshold", row(100, 0, 0), row(120, 0, 0), false},
+	}
+	for _, c := range cases {
+		if got := regressed(c.was, c.now, 0.20); got != c.want {
+			t.Errorf("%s: regressed = %v, want %v", c.name, got, c.want)
+		}
+	}
+}

@@ -57,8 +57,9 @@
 // grid to report the oracle's agreement and wall-clock advantage.
 //
 // -benchjson skips the figure suite, runs the node-count scaling
-// benchmarks instead, and writes BENCH_<git-short-sha>.json (ns/op,
-// B/op, allocs/op per benchmark) so the perf trajectory stays
+// benchmarks instead, five times each, and writes
+// BENCH_<git-short-sha>.json (median ns/op with its quartiles, B/op,
+// allocs/op per benchmark) so the perf trajectory stays
 // machine-readable across PRs.
 //
 // -cpuprofile/-memprofile write pprof profiles covering whatever the
@@ -69,6 +70,7 @@ package main
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -93,6 +95,7 @@ import (
 	"repro/internal/phy"
 	"repro/internal/runner"
 	"repro/internal/sim"
+	"repro/internal/stats"
 	"repro/internal/topo"
 	"repro/internal/traffic"
 )
@@ -593,13 +596,46 @@ func runAnalyticScreen(w io.Writer, opt experiments.Options, loads []float64, ve
 	return nil
 }
 
-// benchRecord is one benchmark's result in the JSON trajectory file.
+// benchRecord is one benchmark's result in the JSON trajectory file:
+// the median of benchRuns runs by ns/op (its iteration count and
+// allocation figures are that run's) and the quartiles of ns/op across
+// the runs, which is what lets benchdiff tell a regression from a host
+// that drifted between two single shots.
 type benchRecord struct {
 	Name        string  `json:"name"`
 	Iterations  int     `json:"iterations"`
 	NsPerOp     float64 `json:"ns_op"`
+	NsPerOpQ1   float64 `json:"ns_op_q1"`
+	NsPerOpQ3   float64 `json:"ns_op_q3"`
 	BytesPerOp  int64   `json:"b_op"`
 	AllocsPerOp int64   `json:"allocs_op"`
+}
+
+// benchRuns is how many passes -benchjson makes over the suite.
+const benchRuns = 5
+
+func nsPerOp(r testing.BenchmarkResult) float64 {
+	return float64(r.T.Nanoseconds()) / float64(r.N)
+}
+
+// summarize folds the runs of one benchmark into its record. runs is
+// sorted in place.
+func summarize(name string, runs []testing.BenchmarkResult) benchRecord {
+	slices.SortFunc(runs, func(a, b testing.BenchmarkResult) int { return cmp.Compare(nsPerOp(a), nsPerOp(b)) })
+	var d stats.Dist
+	for _, r := range runs {
+		d.Add(nsPerOp(r))
+	}
+	mid := runs[len(runs)/2]
+	return benchRecord{
+		Name:        name,
+		Iterations:  mid.N,
+		NsPerOp:     d.Median(),
+		NsPerOpQ1:   d.Percentile(25),
+		NsPerOpQ3:   d.Percentile(75),
+		BytesPerOp:  mid.AllocedBytesPerOp(),
+		AllocsPerOp: mid.AllocsPerOp(),
+	}
 }
 
 // benchFile is the BENCH_<sha>.json schema.
@@ -628,24 +664,28 @@ func gitShortSHA() string {
 	return "dev"
 }
 
-// writeBenchJSON runs the scaling suite through testing.Benchmark and
-// writes the machine-readable trajectory file.
+// writeBenchJSON runs the scaling suite through testing.Benchmark,
+// benchRuns passes over it, and writes the machine-readable trajectory
+// file.
 func writeBenchJSON(stdout, stderr io.Writer) error {
 	out := benchFile{
 		Commit:    gitShortSHA(),
 		GoVersion: runtime.Version(),
 		NumCPU:    runtime.NumCPU(),
 	}
-	for _, sb := range experiments.ScaleBenchmarks() {
-		fmt.Fprintf(stderr, "bench %s...\n", sb.Name)
-		r := testing.Benchmark(sb.Run)
-		out.Benchmarks = append(out.Benchmarks, benchRecord{
-			Name:        sb.Name,
-			Iterations:  r.N,
-			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-			BytesPerOp:  r.AllocedBytesPerOp(),
-			AllocsPerOp: r.AllocsPerOp(),
-		})
+	// Round-robin, not five in a row: a row's runs are then spread over
+	// the whole session, so its quartiles take in the minutes-scale drift
+	// of a shared host and not only back-to-back jitter.
+	suite := experiments.ScaleBenchmarks()
+	runs := make([][]testing.BenchmarkResult, len(suite))
+	for pass := 1; pass <= benchRuns; pass++ {
+		for i, sb := range suite {
+			fmt.Fprintf(stderr, "bench %d/%d %s...\n", pass, benchRuns, sb.Name)
+			runs[i] = append(runs[i], testing.Benchmark(sb.Run))
+		}
+	}
+	for i, sb := range suite {
+		out.Benchmarks = append(out.Benchmarks, summarize(sb.Name, runs[i]))
 	}
 	data, err := json.MarshalIndent(out, "", "  ")
 	if err != nil {

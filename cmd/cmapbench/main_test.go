@@ -7,6 +7,7 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/checkpoint"
 	"repro/internal/experiments"
@@ -192,5 +193,38 @@ func TestRunResume(t *testing.T) {
 	}
 	if stdout != "" {
 		t.Errorf("refused campaign still printed: %q", stdout)
+	}
+}
+
+// TestSummarizeBenchRuns: a -benchjson row is the median run by ns/op
+// with the quartiles of ns/op across the runs, whatever order the runs
+// came in.
+func TestSummarizeBenchRuns(t *testing.T) {
+	run := func(n int, nsOp int64, allocs uint64) testing.BenchmarkResult {
+		return testing.BenchmarkResult{N: n, T: time.Duration(int64(n) * nsOp), MemAllocs: allocs * uint64(n), MemBytes: 8 * allocs * uint64(n)}
+	}
+	cases := []struct {
+		name              string
+		runs              []testing.BenchmarkResult
+		median, q1, q3    float64
+		iterations        int
+		allocsOp, bytesOp int64
+	}{
+		{"five runs out of order", []testing.BenchmarkResult{
+			run(10, 500, 5), run(30, 100, 1), run(20, 300, 3), run(40, 200, 2), run(50, 400, 4),
+		}, 300, 200, 400, 20, 3, 24},
+		{"an outlier moves neither the median nor the quartiles", []testing.BenchmarkResult{
+			run(1, 100, 0), run(2, 101, 0), run(3, 102, 0), run(4, 103, 0), run(5, 9000, 0),
+		}, 102, 101, 103, 3, 0, 0},
+		{"one run is its own quartiles", []testing.BenchmarkResult{run(7, 250, 2)}, 250, 250, 250, 7, 2, 16},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			got := summarize("B/n=1", tc.runs)
+			want := benchRecord{Name: "B/n=1", Iterations: tc.iterations, NsPerOp: tc.median, NsPerOpQ1: tc.q1, NsPerOpQ3: tc.q3, BytesPerOp: tc.bytesOp, AllocsPerOp: tc.allocsOp}
+			if got != want {
+				t.Errorf("summarize = %+v, want %+v", got, want)
+			}
+		})
 	}
 }

@@ -12,10 +12,13 @@ import (
 
 // Magic identifies a checkpoint file; Version is the envelope format
 // revision. Bump Version on any incompatible payload change — a resumed
-// binary must never misinterpret an old layout silently.
+// binary must never misinterpret an old layout silently. Version 2:
+// radios stopped listing sub-sensitivity signals in their active sets
+// (phy.RadioState.WeakN counts them); a version-1 list restored here
+// would depart those signals through the wrong path.
 const (
 	Magic   = "cmapckpt"
-	Version = 1
+	Version = 2
 )
 
 // The typed failure modes of Load. Callers branch with errors.Is; every

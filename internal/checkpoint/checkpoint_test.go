@@ -52,6 +52,20 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 func TestLoadFailureModes(t *testing.T) {
 	hash := ConfigHash("config-A")
 	good := savedBytes(t, hash, testPayload{Clock: 42, Items: []int{1, 2}})
+	// reversion re-stamps the envelope; the payload and its digest stay
+	// valid, so the version check alone must refuse it.
+	reversion := func(v string) []byte {
+		var env map[string]json.RawMessage
+		if err := json.Unmarshal(good, &env); err != nil {
+			t.Fatal(err)
+		}
+		env["version"] = json.RawMessage(v)
+		d, err := json.Marshal(env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
 	cases := []struct {
 		name    string
 		data    func() []byte
@@ -76,18 +90,10 @@ func TestLoadFailureModes(t *testing.T) {
 			return bytes.Replace(good, []byte(Magic), []byte("notackpt"), 1)
 		}, hash, ErrCorrupt},
 		{"garbage", func() []byte { return []byte("this is not json{") }, hash, ErrCorrupt},
-		{"version bump", func() []byte {
-			var env map[string]json.RawMessage
-			if err := json.Unmarshal(good, &env); err != nil {
-				t.Fatal(err)
-			}
-			env["version"] = json.RawMessage("99")
-			d, err := json.Marshal(env)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return d
-		}, hash, ErrVersionMismatch},
+		{"version bump", func() []byte { return reversion("99") }, hash, ErrVersionMismatch},
+		// Version 1 listed sub-sensitivity signals in the radios' active
+		// sets; this binary would depart them through the wrong path.
+		{"version 1 envelope", func() []byte { return reversion("1") }, hash, ErrVersionMismatch},
 		{"config mismatch", func() []byte { return good }, ConfigHash("config-B"), ErrConfigMismatch},
 	}
 	for _, tc := range cases {

@@ -125,7 +125,7 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 					t.Parallel()
 					runSeed := seed + arm.seedSalt()*104729
 					cfg := flowSimConfig(string(arm), tp.flows, opt, shards, traffic.Saturate(), runSeed)
-					checkpointResumeCase(t, tb, cfg, opt.Duration)
+					checkpointResumeCase(t, tb, cfg, opt.Duration/2, opt.Duration)
 				})
 			}
 		}
@@ -151,7 +151,7 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 				tp := goldenTopologies(tb, seed)[0]
 				cfg := flowSimConfig(string(arm), tp.flows, opt, 1, traffic.Saturate(), seed+arm.seedSalt()*104729)
 				cfg.Mobility = spec
-				checkpointResumeCase(t, tb, cfg, opt.Duration)
+				checkpointResumeCase(t, tb, cfg, opt.Duration/2, opt.Duration)
 			})
 		}
 	}
@@ -166,9 +166,33 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 			t.Parallel()
 			tp := goldenTopologies(tb, seed)[0]
 			cfg := flowSimConfig(string(CMAP), tp.flows, opt, shards, spec, seed+12345)
-			checkpointResumeCase(t, tb, cfg, opt.Duration)
+			checkpointResumeCase(t, tb, cfg, opt.Duration/2, opt.Duration)
 		})
 	}
+	// A cut with a sub-sensitivity signal on the air at a locked
+	// receiver: that signal is in no active set, only in the radio's weak
+	// count and in its transmission's stored delivery snapshot, and the
+	// resumed run has to depart it from there mid-reception.
+	t.Run("exposed/cmap/weak-on-air", func(t *testing.T) {
+		t.Parallel()
+		tp := goldenTopologies(tb, seed)[0]
+		cfg := flowSimConfig(string(CMAP), tp.flows, opt, 1, traffic.Saturate(), seed+CMAP.seedSalt()*104729)
+		mk := func() *FlowSim {
+			fs, err := NewFlowSim(tb, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return fs
+		}
+		probe, skeleton := mk(), mk()
+		cut := opt.Duration / 2
+		for probe.Run(cut); !weakAtLockedReceiver(t, probe, skeleton); probe.Run(cut) {
+			if cut += 10 * sim.Microsecond; cut >= opt.Duration {
+				t.Fatal("no instant with a weak signal on the air at a locked receiver")
+			}
+		}
+		checkpointResumeCase(t, tb, cfg, cut, opt.Duration)
+	})
 	// Churn × mobility interplay: session timers and movement epochs
 	// interleave on the same scheduler, and both owners' state must
 	// survive the cut together.
@@ -177,11 +201,36 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 		tp := goldenTopologies(tb, seed)[0]
 		cfg := flowSimConfig(string(CMAP), tp.flows, opt, 1, spec, seed+54321)
 		cfg.Mobility = mobility.Spec{Kind: mobility.Waypoint, SpeedMps: 5, RangeM: 12, DecorrM: 10}
-		checkpointResumeCase(t, tb, cfg, opt.Duration)
+		checkpointResumeCase(t, tb, cfg, opt.Duration/2, opt.Duration)
 	})
 }
 
-func checkpointResumeCase(t *testing.T, tb *topo.Testbed, cfg FlowSimConfig, d sim.Time) {
+// weakAtLockedReceiver reports whether some radio of fs is, right now,
+// locked onto a frame while sub-sensitivity signals are on the air at
+// it — and not the same number of them as at that radio in skeleton,
+// an unrun simulation of the same configuration (saturated senders put
+// their first frames on the air at construction), so a restore that
+// dropped the count could not pass by coincidence.
+func weakAtLockedReceiver(t *testing.T, fs, skeleton *FlowSim) bool {
+	t.Helper()
+	export := func(fs *FlowSim, i int) phy.RadioState {
+		rs, err := fs.m.Radio(i).ExportState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rs
+	}
+	for i := 0; i < fs.m.NodeCount(); i++ {
+		if rs := export(fs, i); rs.LockedTxID != 0 && rs.WeakN > 0 && rs.WeakN != export(skeleton, i).WeakN {
+			return true
+		}
+	}
+	return false
+}
+
+// checkpointResumeCase cuts at (the legal instant at or after) mid and
+// compares at d.
+func checkpointResumeCase(t *testing.T, tb *topo.Testbed, cfg FlowSimConfig, mid, d sim.Time) {
 	t.Helper()
 	// A multi-shard engine cuts only at window edges; align both the
 	// midpoint and the endpoint so A and B run to identical clocks.
@@ -197,7 +246,7 @@ func checkpointResumeCase(t *testing.T, tb *topo.Testbed, cfg FlowSimConfig, d s
 	// run; B forces both at construction. The byte comparison below
 	// therefore also proves the lazy derivation is run-independent.
 	a := mk()
-	t1 := a.AlignCheckpoint(d / 2)
+	t1 := a.AlignCheckpoint(mid)
 	t2 := a.AlignCheckpoint(d)
 
 	a.Run(t2)

@@ -45,7 +45,7 @@ func TestThousandNodeScenarioIsSparse(t *testing.T) {
 // benchmark fixture: warmed-up saturated flows must keep transmitting
 // as the window advances.
 func TestSaturatedNetworkCarriesTraffic(t *testing.T) {
-	net := NewSaturatedNetwork(50, 0, 1)
+	net := NewSaturatedNetwork(50, ScaleDensity, 0, 1)
 	before := net.Sim.Transmissions()
 	net.Advance(20 * sim.Millisecond)
 	if after := net.Sim.Transmissions(); after <= before {
@@ -60,14 +60,14 @@ func TestSaturatedNetworkCarriesTraffic(t *testing.T) {
 func TestShardedSaturatedNetworkCarriesTraffic(t *testing.T) {
 	for _, shards := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			net := NewSaturatedNetwork(100, shards, 1)
+			net := NewSaturatedNetwork(100, ScaleDensity, shards, 1)
 			before := net.Sim.Transmissions()
 			net.Advance(20 * sim.Millisecond)
 			after := net.Sim.Transmissions()
 			if after <= before {
 				t.Fatalf("no transmissions in a sharded steady-state window (%d → %d)", before, after)
 			}
-			twin := NewSaturatedNetwork(100, shards, 1)
+			twin := NewSaturatedNetwork(100, ScaleDensity, shards, 1)
 			twin.Advance(20 * sim.Millisecond)
 			if got := twin.Sim.Transmissions(); got != after {
 				t.Fatalf("fixture not deterministic: %d vs %d transmissions", got, after)
@@ -116,8 +116,9 @@ func BenchmarkScaleTraffic(b *testing.B) {
 // the zero-allocation transmit path targets.
 func BenchmarkSaturatedSteadyState(b *testing.B) {
 	for _, n := range ScaleSizes {
-		b.Run(fmt.Sprintf("n=%d", n), BenchSaturatedSteadyState(n, 0))
+		b.Run(fmt.Sprintf("n=%d", n), BenchSaturatedSteadyState(n, ScaleDensity, 0))
 	}
+	b.Run("n=1000/dense", BenchSaturatedSteadyState(1000, DenseDensity, 0))
 }
 
 // BenchmarkIncrementalUpdate measures one MoveNode through the
@@ -151,6 +152,6 @@ func BenchmarkDeliveryRebuild(b *testing.B) {
 // cmapbench -benchjson, which records it in the BENCH trajectory.
 func BenchmarkShardedSteadyState(b *testing.B) {
 	for _, k := range ShardCounts {
-		b.Run(fmt.Sprintf("n=1000/shards=%d", k), BenchSaturatedSteadyState(1000, k))
+		b.Run(fmt.Sprintf("n=1000/shards=%d", k), BenchSaturatedSteadyState(1000, ScaleDensity, k))
 	}
 }

@@ -23,6 +23,13 @@ import (
 // across, so the grid genuinely prunes.
 const ScaleDensity = 50 // nodes per km²
 
+// DenseDensity is the other regime: 1000 nodes/km² puts ~160 receivers
+// on every delivery row, nine in ten of them below sensitivity, so
+// medium fan-out and PHY signal bookkeeping dominate and the agenda is
+// nearly idle. A fan-out or PHY change shows here and not at
+// ScaleDensity.
+const DenseDensity = 1000 // nodes per km²
+
 // ScaleSizes is the node-count sweep shared by every scaling benchmark.
 var ScaleSizes = []int{50, 200, 1000}
 
@@ -105,13 +112,13 @@ type SaturatedNetwork struct {
 	Flows []topo.Link
 }
 
-// NewSaturatedNetwork builds an n-node uniform disk at ScaleDensity,
-// starts one saturated flow per ten nodes on the serial engine
+// NewSaturatedNetwork builds an n-node uniform disk at density nodes
+// per km², starts one saturated flow per ten nodes on the serial engine
 // (shards <= 1) or a shards-way sharded one, and advances past the
 // initial contention transient. The fixture has no measurement window
 // (its meters record nothing); read Sim.Transmissions instead.
-func NewSaturatedNetwork(n, shards int, seed uint64) *SaturatedNetwork {
-	s := topo.UniformDisk(n, ScaleDensity, seed)
+func NewSaturatedNetwork(n int, density float64, shards int, seed uint64) *SaturatedNetwork {
+	s := topo.UniformDisk(n, density, seed)
 	flows := ScaleFlows(s, n/10+2)
 	net := &SaturatedNetwork{Sim: newScaleSim(s, flows, shards, 0, seed), Flows: flows}
 	net.Advance(20 * sim.Millisecond) // warm past the cold-start transient
@@ -167,14 +174,15 @@ func BenchScaleTraffic(n int) func(b *testing.B) {
 }
 
 // BenchSaturatedSteadyState measures 20 ms virtual-time windows of
-// saturated traffic on a persistent n-node network — construction
-// excluded, the steady state the zero-allocation transmit path targets.
-// shards <= 1 is the serial engine, so the shards > 1 rows of the
-// ShardedSteadyState matrix read directly against its shards=1 row as
-// parallel speedup (or, on one core, barrier overhead).
-func BenchSaturatedSteadyState(n, shards int) func(b *testing.B) {
+// saturated traffic on a persistent n-node network at the given density
+// — construction excluded, the steady state the zero-allocation
+// transmit path targets. shards <= 1 is the serial engine, so the
+// shards > 1 rows of the ShardedSteadyState matrix read directly
+// against its shards=1 row as parallel speedup (or, on one core,
+// barrier overhead).
+func BenchSaturatedSteadyState(n int, density float64, shards int) func(b *testing.B) {
 	return func(b *testing.B) {
-		net := NewSaturatedNetwork(n, shards, 1)
+		net := NewSaturatedNetwork(n, density, shards, 1)
 		if len(net.Flows) == 0 {
 			b.Fatalf("no flows at n=%d", n)
 		}
@@ -278,9 +286,13 @@ func ScaleBenchmarks() []ScaleBenchmark {
 	for _, n := range ScaleSizes {
 		out = append(out, ScaleBenchmark{
 			Name: fmt.Sprintf("SaturatedSteadyState/n=%d", n),
-			Run:  BenchSaturatedSteadyState(n, 0),
+			Run:  BenchSaturatedSteadyState(n, ScaleDensity, 0),
 		})
 	}
+	out = append(out, ScaleBenchmark{
+		Name: "SaturatedSteadyState/n=1000/dense",
+		Run:  BenchSaturatedSteadyState(1000, DenseDensity, 0),
+	})
 	for _, n := range ScaleSizes {
 		out = append(out, ScaleBenchmark{
 			Name: fmt.Sprintf("IncrementalUpdate/n=%d", n),
@@ -303,7 +315,7 @@ func ScaleBenchmarks() []ScaleBenchmark {
 		for _, k := range ShardCounts {
 			out = append(out, ScaleBenchmark{
 				Name: fmt.Sprintf("ShardedSteadyState/n=%d/shards=%d", n, k),
-				Run:  BenchSaturatedSteadyState(n, k),
+				Run:  BenchSaturatedSteadyState(n, ScaleDensity, k),
 			})
 		}
 	}

@@ -62,7 +62,7 @@ func (m *Medium) EncodeEventArg(arg any) (json.RawMessage, error) {
 
 // DecodeEventArg inverts EncodeEventArg. Decoded transmissions are
 // registered in txs by TxID so radios can resolve their active/locked
-// pointers against the same objects the agenda will deliver SignalEnd
+// pointers against the same objects the agenda will deliver Depart
 // with.
 func (m *Medium) DecodeEventArg(enc json.RawMessage, txs map[uint64]*phy.Transmission) (any, error) {
 	var a mediumArg

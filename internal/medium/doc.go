@@ -30,7 +30,7 @@
 // and is torn down by a single scheduler event that walks the delivery
 // list again — no per-receiver closures, no per-receiver signal
 // objects. Delivery gains are stored in linear mW, which is also the
-// domain the radios' segment fan-out (SignalStart/SignalEnd) computes
+// domain the radios' segment fan-out (Arrive/Depart) computes
 // in: the reception math never round-trips through dB per segment.
 // TestTransmitSteadyStateZeroAllocs gates this at 0 allocs/frame.
 package medium

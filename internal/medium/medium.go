@@ -207,14 +207,16 @@ func (m *Medium) HandleEvent(arg any) {
 	}
 }
 
-// finishTransmission delivers SignalEnd to every receiver of tx in the
-// same ascending order SignalStart used, then recycles tx. The walk is
-// over the transmit-time snapshot, not the live list: MoveNodes patches
-// lists copy-on-write, so the snapshot keeps SignalStart and SignalEnd
-// pinned to one receiver set even while nodes move mid-frame.
+// finishTransmission delivers Depart to every receiver of tx in the
+// same ascending order Arrive used, with the same power, then recycles
+// tx. The walk is over the transmit-time snapshot, not the live list:
+// MoveNodes patches lists copy-on-write, so the snapshot keeps Arrive
+// and Depart pinned to one receiver set — and one power per receiver,
+// which is what keeps a signal on the same side of the radio's
+// sensitivity test both times — even while nodes move mid-frame.
 func (m *Medium) finishTransmission(tx *phy.Transmission) {
 	for _, d := range tx.Deliveries {
-		m.radios[d.Dst].SignalEnd(tx)
+		m.radios[d.Dst].Depart(tx, d.GainMW)
 	}
 	tx.Frame = nil      // do not retain the MAC's frame past the air interval
 	tx.Deliveries = nil // nor the delivery snapshot
@@ -249,7 +251,7 @@ func (m *Medium) Transmit(from *phy.Radio, f frame.Frame, r phy.Rate) sim.Time {
 		Deliveries: m.deliveries[src],
 	}
 	for _, d := range tx.Deliveries {
-		m.radios[d.Dst].SignalStart(tx, d.GainMW)
+		m.radios[d.Dst].Arrive(tx, d.GainMW)
 	}
 	// Signal-end fan-out first, then the sender's tx-done: at equal
 	// deadlines, receivers resolve their decodes before the sender's

@@ -137,3 +137,55 @@ func TestForEachNeighborAscending(t *testing.T) {
 		})
 	}
 }
+
+// TestWeakCountsInterferenceEdgeTraffic pins what RadioStats.Weak
+// means: on a static topology, the arrivals the radios' interference
+// path took, summed over the network, are exactly the frames each node
+// sent times the sub-sensitivity entries of its delivery row — the
+// interference-graph edge traffic and nothing else.
+func TestWeakCountsInterferenceEdgeTraffic(t *testing.T) {
+	pts := sparseLayouts()["wide"]
+	params := phy.DefaultParams()
+	sched := sim.NewScheduler()
+	m := New(sched, params, radio.DefaultIndoor5GHz(7), pts, sim.NewRNG(1))
+	rate := phy.RateByID(phy.Rate6Mbps)
+	// Every node sends a different number of frames back to back, so
+	// transmissions from different nodes overlap freely.
+	var send func(src, left int)
+	send = func(src, left int) {
+		if left == 0 {
+			return
+		}
+		end := m.Radio(src).Transmit(dataFrame(src, src), rate)
+		sched.At(end+sim.Microsecond, func() { send(src, left-1) })
+	}
+	rng := sim.NewRNG(2)
+	for i := range pts {
+		src, frames := i, 1+i%4
+		sched.At(rng.DurationIn(0, 5*sim.Millisecond), func() { send(src, frames) })
+	}
+	sched.RunAll()
+
+	sensitivityMW := radio.DBmToMW(params.SensitivityDBm)
+	var weak, want, strongEdges uint64
+	for i := range pts {
+		st := m.Radio(i).Stats()
+		weak += st.Weak
+		m.ForEachNeighbor(i, func(_ int, gainMW float64) {
+			if gainMW < sensitivityMW {
+				want += st.Transmitted
+			} else {
+				strongEdges++
+			}
+		})
+		if m.Radio(i).ActiveSignals() != 0 {
+			t.Errorf("node %d still hears %d signals after the last frame", i, m.Radio(i).ActiveSignals())
+		}
+	}
+	if want == 0 || strongEdges == 0 {
+		t.Fatalf("layout has %d weak-edge arrivals and %d decodable edges; the test needs both", want, strongEdges)
+	}
+	if weak != want {
+		t.Errorf("Σ Weak = %d, want Σ Transmitted × sub-sensitivity row entries = %d", weak, want)
+	}
+}

@@ -15,7 +15,9 @@ import (
 // stream — is captured here. Active transmissions are referenced by
 // TxID and resolved against the medium's reconstructed transmission
 // set, so the pointer identities the reception path compares (locked ==
-// tx in SignalEnd) hold again after a resume.
+// tx in SignalEnd) hold again after a resume. Sub-sensitivity signals
+// on the air are only a count (see Radio.Arrive): their departures are
+// driven by the delivery snapshot stored with the in-flight TxState.
 
 // TxState is one in-flight Transmission in checkpoint form. The medium
 // and the shard engine both materialise their active transmissions from
@@ -29,8 +31,8 @@ type TxState struct {
 	Start sim.Time        `json:"start"`
 	End   sim.Time        `json:"end"`
 	// Deliveries is the transmit-time delivery snapshot. It travels in
-	// the checkpoint so a resume under mobility fans SignalEnd out to
-	// the same receiver set the interrupted run's SignalStart reached,
+	// the checkpoint so a resume under mobility fans Depart out to
+	// the same receiver set the interrupted run's Arrive reached,
 	// even if delivery lists were patched after the frame went on air.
 	Deliveries []Delivery `json:"deliveries,omitempty"`
 }
@@ -68,6 +70,7 @@ type RadioState struct {
 	Transmitting bool            `json:"transmitting,omitempty"`
 	TxFrame      json.RawMessage `json:"tx_frame,omitempty"`
 	Active       []SignalState   `json:"active,omitempty"`
+	WeakN        int             `json:"weak_n,omitempty"`
 	TotalMW      float64         `json:"total_mw"`
 	LockedTxID   uint64          `json:"locked_tx_id,omitempty"`
 	LockedMW     float64         `json:"locked_mw,omitempty"`
@@ -85,6 +88,7 @@ type RadioState struct {
 func (r *Radio) ExportState() (RadioState, error) {
 	st := RadioState{
 		Transmitting: r.transmitting,
+		WeakN:        r.weakN,
 		TotalMW:      r.totalMW,
 		LockedMW:     r.lockedMW,
 		LockLogSucc:  r.lockLogSucc,
@@ -113,8 +117,23 @@ func (r *Radio) ExportState() (RadioState, error) {
 // RestoreState overwrites the radio's mutable state from a checkpoint.
 // resolve maps a TxID back to the live *Transmission reconstructed by
 // the medium (or shard) restore pass; it must return the same pointer
-// for the same ID so in-set identity comparisons keep working.
+// for the same ID so in-set identity comparisons keep working. A state
+// no run could have exported (a negative weak count, a total power that
+// is not a non-negative number, an active list out of TxID order — which
+// findActive's binary search would silently miss on) is refused
+// before anything is written.
 func (r *Radio) RestoreState(st RadioState, resolve func(txID uint64) (*Transmission, error)) error {
+	if st.WeakN < 0 {
+		return fmt.Errorf("phy: radio %d weak signal count %d is negative", r.id, st.WeakN)
+	}
+	if !(st.TotalMW >= 0) {
+		return fmt.Errorf("phy: radio %d total power %v mW is not a non-negative number", r.id, st.TotalMW)
+	}
+	for i := 1; i < len(st.Active); i++ {
+		if st.Active[i-1].TxID >= st.Active[i].TxID {
+			return fmt.Errorf("phy: radio %d active signals not in ascending TxID order (%d before %d)", r.id, st.Active[i-1].TxID, st.Active[i].TxID)
+		}
+	}
 	r.transmitting = st.Transmitting
 	r.txFrame = nil
 	if st.TxFrame != nil {
@@ -132,6 +151,7 @@ func (r *Radio) RestoreState(st RadioState, resolve func(txID uint64) (*Transmis
 		}
 		r.active = append(r.active, activeSignal{tx: tx, powerMW: s.PowerMW})
 	}
+	r.weakN = st.WeakN
 	r.totalMW = st.TotalMW
 	r.locked = nil
 	if st.LockedTxID != 0 {

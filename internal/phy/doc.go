@@ -28,4 +28,17 @@
 // exported as the reference; Params.ExactReceptionMath routes radios
 // through them for A/B validation, and property tests bound the table
 // error. See ARCHITECTURE.md, "The reception compute path".
+//
+// # The interference path
+//
+// Most of what a radio hears is below its sensitivity: it can neither
+// lock onto it nor be captured by it, and it matters only as power in
+// the SINR denominator and the carrier-sense sum. The medium's fan-out
+// enters through Arrive/Depart, which send such arrivals down a path
+// that moves totalMW, closes a locked reception's running segment and
+// updates carrier sense, and keeps only a count of them — no active-set
+// entry, no lookup on the way out. SignalStart/SignalEnd are the full
+// path and, called directly, the one-tier reference
+// FuzzInterferencePath holds the pair to, bit for bit. See
+// ARCHITECTURE.md, "The transmit hot path".
 package phy

@@ -29,7 +29,7 @@ type Transmission struct {
 	Start, End sim.Time
 	// Deliveries is the sender's delivery list captured at transmit
 	// time. The end-of-signal fan-out walks this snapshot rather than
-	// the medium's live list, so SignalStart and SignalEnd reach exactly
+	// the medium's live list, so Arrive and Depart reach exactly
 	// the same receiver set even if node movement patches the live lists
 	// while the frame is on the air. Under static scenarios it aliases
 	// the live list and behaviour is unchanged.
@@ -123,7 +123,12 @@ type Radio struct {
 	// binary-search — and any iteration is deterministic by
 	// construction, unlike the map this slice replaced.
 	active []activeSignal
-	// totalMW is the sum of active signal powers (incrementally maintained).
+	// weakN counts the audible transmissions that arrived below
+	// sensitivity through Arrive: they add to totalMW and nothing else, so
+	// they hold no active entry (see Arrive).
+	weakN int
+	// totalMW is the sum of all audible signal powers, active and weak
+	// (incrementally maintained).
 	totalMW float64
 
 	locked      *Transmission
@@ -145,6 +150,7 @@ type RadioStats struct {
 	AbortedRx   uint64 // receptions abandoned because the MAC transmitted
 	Captures    uint64 // locks stolen by a much stronger arrival
 	Transmitted uint64
+	Weak        uint64 // arrivals below sensitivity taken by the interference path
 }
 
 // NewRadio creates a radio for node id. handler must be set with
@@ -209,7 +215,7 @@ func (r *Radio) Transmitting() bool { return r.transmitting }
 
 // ActiveSignals returns the number of transmissions currently audible
 // at this radio's antenna.
-func (r *Radio) ActiveSignals() int { return len(r.active) }
+func (r *Radio) ActiveSignals() int { return len(r.active) + r.weakN }
 
 // CarrierBusy reports the carrier-sense state: busy while transmitting,
 // while locked onto an incoming frame, or while total in-air power at the
@@ -269,8 +275,65 @@ func (r *Radio) findActive(txID uint64) (int, bool) {
 	return lo, false
 }
 
-// SignalStart is called by the medium when a transmission begins to be
-// heard at this radio, with the power it arrives with here.
+// Arrive is the fan-out entry point: a transmission begins to be heard
+// at this radio with power powerMW. An arrival below sensitivity can
+// neither lock nor capture — tryLock and tryCapture refuse it on this
+// same comparison — so it is interference only and takes the short
+// path: everything SignalStart would do for it, minus the active-set
+// entry nothing would ever read. Depart must be handed the same power,
+// which is what classifies the signal the same way on the way out.
+func (r *Radio) Arrive(tx *Transmission, powerMW float64) {
+	if powerMW < r.sensitivityMW {
+		if r.locked != nil {
+			r.closeSegment(r.sched.Now())
+		}
+		if r.transmitting || r.locked == nil {
+			// SignalStart counts these missed; an arrival while locked
+			// is a refused capture, which counts nothing.
+			r.stats.Missed++
+		}
+		r.stats.Weak++
+		r.weakN++
+		r.totalMW += powerMW
+		r.updateCarrier()
+		return
+	}
+	r.SignalStart(tx, powerMW)
+}
+
+// Depart is the fan-out exit point matching Arrive. The caller hands
+// back the power it delivered (the medium is walking the transmit-time
+// delivery snapshot anyway), so a weak departure needs no lookup.
+func (r *Radio) Depart(tx *Transmission, powerMW float64) {
+	if powerMW < r.sensitivityMW {
+		if r.locked != nil {
+			r.closeSegment(r.sched.Now())
+		}
+		r.weakN--
+		r.totalMW -= powerMW
+		r.settleTotal()
+		r.updateCarrier()
+		return
+	}
+	r.SignalEnd(tx)
+}
+
+// settleTotal runs after every subtraction from totalMW. Nothing
+// audible means exactly zero in-air power: reset the incremental
+// accumulator so add/subtract float drift cannot survive a quiet period
+// and grow without bound. Weak signals are on the air too, so the reset
+// waits for them — at exactly the instants it would if they sat in the
+// active set.
+func (r *Radio) settleTotal() {
+	if (len(r.active) == 0 && r.weakN == 0) || r.totalMW < 0 {
+		r.totalMW = 0
+	}
+}
+
+// SignalStart is the full arrival path: the transmission joins the
+// active set and may lock or capture. Arrive routes every arrival at or
+// above sensitivity here; called directly with any power it is the
+// one-tier reference the interference path is tested against.
 func (r *Radio) SignalStart(tx *Transmission, powerMW float64) {
 	now := r.sched.Now()
 	// Close the running interference segment of a locked reception before
@@ -342,8 +405,7 @@ func (r *Radio) tryCapture(tx *Transmission, powerMW float64, now sim.Time) {
 	}
 }
 
-// SignalEnd is called by the medium when a transmission stops being heard
-// at this radio.
+// SignalEnd is the full departure path, matching SignalStart.
 func (r *Radio) SignalEnd(tx *Transmission) {
 	now := r.sched.Now()
 	if r.locked != nil {
@@ -356,14 +418,7 @@ func (r *Radio) SignalEnd(tx *Transmission) {
 		r.active = r.active[:len(r.active)-1]
 		r.totalMW -= powerMW
 	}
-	if len(r.active) == 0 {
-		// An empty active set means exactly zero in-air power: reset the
-		// incremental accumulator so add/subtract float drift cannot
-		// survive a quiet period and grow without bound.
-		r.totalMW = 0
-	} else if r.totalMW < 0 {
-		r.totalMW = 0
-	}
+	r.settleTotal()
 	if r.locked == tx {
 		r.finishReception(tx, now)
 	}

@@ -129,7 +129,7 @@ func (s *Shard) Transmit(from *phy.Radio, f frame.Frame, r phy.Rate) sim.Time {
 		End:   end,
 	}
 	for _, d := range s.local[src] {
-		s.eng.radios[d.Dst].SignalStart(tx, d.GainMW)
+		s.eng.radios[d.Dst].Arrive(tx, d.GainMW)
 	}
 	if out := s.outTo[src]; len(out) > 0 {
 		payload := frame.Marshal(f)
@@ -155,7 +155,7 @@ func (s *Shard) HandleEvent(arg any) {
 	switch v := arg.(type) {
 	case *phy.Transmission:
 		for _, d := range s.local[v.From] {
-			s.eng.radios[d.Dst].SignalEnd(v)
+			s.eng.radios[d.Dst].Depart(v, d.GainMW)
 		}
 		v.Frame = nil // do not retain the MAC's frame past the air interval
 		s.txFree = append(s.txFree, v)
@@ -169,21 +169,21 @@ func (s *Shard) HandleEvent(arg any) {
 }
 
 // handleRemote drives a cross-shard signal through its two edges. The
-// first firing (at the shifted start) walks SignalStart over the
+// first firing (at the shifted start) walks Arrive over the
 // receivers here and schedules the second (at the shifted end), which
-// walks SignalEnd and recycles. Walk order is ascending receiver order,
+// walks Depart and recycles. Walk order is ascending receiver order,
 // matching the local fan-out discipline.
 func (s *Shard) handleRemote(rt *remoteTx) {
 	if !rt.started {
 		rt.started = true
 		for _, d := range rt.list {
-			s.eng.radios[d.Dst].SignalStart(&rt.tx, d.GainMW)
+			s.eng.radios[d.Dst].Arrive(&rt.tx, d.GainMW)
 		}
 		s.sched.Post(rt.tx.End, s, rt)
 		return
 	}
 	for _, d := range rt.list {
-		s.eng.radios[d.Dst].SignalEnd(&rt.tx)
+		s.eng.radios[d.Dst].Depart(&rt.tx, d.GainMW)
 	}
 	rt.tx.Frame = nil
 	rt.list = nil
