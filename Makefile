@@ -161,9 +161,11 @@ shard-conformance:
 # are diffed; >20% median ns/op growth in SaturatedSteadyState,
 # IncrementalUpdate or EpochUpdate fails the gate when the new lower
 # quartile is also above the old upper one (files from before the
-# quartiles: the 20% alone) — unless the two files were recorded on
-# hosts with different num_cpu, which is reported but cannot fail. BENCHDIFF_SKIP=1 accepts a deliberate regression (say
-# why in the PR).
+# quartiles: the 20% alone) — unless the two files' host stamps differ
+# (CPU model, num_cpu, GOMAXPROCS), which is reported but cannot fail.
+# A guarded family present in the older file and missing from the newer
+# fails on any host. BENCHDIFF_SKIP=1 accepts a deliberate regression
+# (say why in the PR).
 bench-guard:
 	$(GO) run ./cmd/benchdiff -auto
 

@@ -22,11 +22,14 @@
 // quartile also sits above the old upper one — a host that drifted
 // between two recordings moves the medians, not the whole spread past
 // the other's. Rows from files older than the quartiles are judged on
-// the threshold alone. Two files recorded on hosts with different
-// num_cpu are reported the same way but never fail: a ns/op delta
-// across machines measures the machines, and the gate re-arms with the
-// next file from the same host. Setting
-// BENCHDIFF_SKIP=1 reports the same table but always exits 0 — the
+// the threshold alone. Two files whose host stamps differ (CPU model,
+// num_cpu or GOMAXPROCS; a file from before the full stamp matches
+// only another such file) are reported the same way but their ns/op
+// deltas never fail: a delta across machines measures the machines, and
+// the gate re-arms with the next file from the same host. A guarded
+// family that has rows in the older file and none in the newer fails on
+// any host — a gate cannot be passed by dropping what it measures.
+// Setting BENCHDIFF_SKIP=1 reports the same table but always exits 0 — the
 // escape hatch for a deliberate, explained regression; the variable
 // name shows up in CI logs, which is the point.
 package main
@@ -35,6 +38,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -56,9 +60,23 @@ type benchRecord struct {
 // benchFile mirrors the parts of the BENCH_<sha>.json schema the diff
 // needs; unknown fields pass through unharmed.
 type benchFile struct {
-	Commit     string        `json:"commit"`
-	NumCPU     int           `json:"num_cpu"`
+	Commit string `json:"commit"`
+	hostStamp
 	Benchmarks []benchRecord `json:"benchmarks"`
+}
+
+// hostStamp says where a file was recorded. ns/op deltas gate only
+// between equal stamps. Files written before cmapbench recorded the CPU
+// model and GOMAXPROCS leave them zero, so such a file equals only
+// another one like it.
+type hostStamp struct {
+	CPU        string `json:"cpu"`
+	NumCPU     int    `json:"num_cpu"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+}
+
+func (h hostStamp) String() string {
+	return fmt.Sprintf("cpu=%q num_cpu=%d gomaxprocs=%d", h.CPU, h.NumCPU, h.GOMAXPROCS)
 }
 
 func load(path string) (benchFile, error) {
@@ -126,8 +144,8 @@ func autoPair() (string, string, bool) {
 // guardedBy reports whether name starts with any of the comma-separated
 // prefixes in guard (empty prefixes are ignored).
 func guardedBy(name, guard string) bool {
-	for _, g := range strings.Split(guard, ",") {
-		if g = strings.TrimSpace(g); g != "" && strings.HasPrefix(name, g) {
+	for _, g := range guardPrefixes(guard) {
+		if strings.HasPrefix(name, g) {
 			return true
 		}
 	}
@@ -145,6 +163,82 @@ func regressed(was, now benchRecord, threshold float64) bool {
 		return now.NsPerOpQ1 > was.NsPerOpQ3
 	}
 	return true
+}
+
+// guardPrefixes splits the -guard list, dropping empty entries.
+func guardPrefixes(guard string) []string {
+	var out []string
+	for _, g := range strings.Split(guard, ",") {
+		if g = strings.TrimSpace(g); g != "" {
+			out = append(out, g)
+		}
+	}
+	return out
+}
+
+// verdict is what one comparison found for the gate to act on.
+type verdict struct {
+	sameHost    bool
+	regressions []string // guarded rows past the failure rule
+	missing     []string // guarded families the newer file dropped
+}
+
+// fails reports whether the gate should reject: regressions count only
+// between files from one host, a dropped family counts anywhere.
+func (v verdict) fails() bool {
+	return len(v.missing) > 0 || (v.sameHost && len(v.regressions) > 0)
+}
+
+// diff writes the row-by-row table of newF against oldF to w and
+// returns what the gate should act on.
+func diff(w io.Writer, oldF, newF benchFile, guard string, threshold float64) verdict {
+	v := verdict{sameHost: oldF.hostStamp == newF.hostStamp}
+	if !v.sameHost {
+		fmt.Fprintf(w, "note: host differs (%v → %v); wall-clock deltas are not apples to apples and do not gate\n",
+			oldF.hostStamp, newF.hostStamp)
+	}
+	oldBy := map[string]benchRecord{}
+	for _, b := range oldF.Benchmarks {
+		oldBy[b.Name] = b
+	}
+	for _, b := range newF.Benchmarks {
+		was, ok := oldBy[b.Name]
+		if !ok {
+			fmt.Fprintf(w, "  %-44s %12.0f ns/op   (new)\n", b.Name, b.NsPerOp)
+			continue
+		}
+		delete(oldBy, b.Name)
+		delta := (b.NsPerOp - was.NsPerOp) / was.NsPerOp
+		marker := ""
+		if guardedBy(b.Name, guard) && regressed(was, b, threshold) {
+			marker = "  ← REGRESSION"
+			v.regressions = append(v.regressions,
+				fmt.Sprintf("%s: %.0f → %.0f ns/op (%+.1f%%)", b.Name, was.NsPerOp, b.NsPerOp, 100*delta))
+		}
+		fmt.Fprintf(w, "  %-44s %12.0f ns/op   %+7.1f%%%s\n", b.Name, b.NsPerOp, 100*delta, marker)
+	}
+	dropped := make([]string, 0, len(oldBy))
+	for name := range oldBy {
+		dropped = append(dropped, name)
+	}
+	sort.Strings(dropped)
+	for _, name := range dropped {
+		fmt.Fprintf(w, "  %-44s %12s            (dropped)\n", name, "—")
+	}
+	has := func(f benchFile, prefix string) bool {
+		for _, b := range f.Benchmarks {
+			if strings.HasPrefix(b.Name, prefix) {
+				return true
+			}
+		}
+		return false
+	}
+	for _, g := range guardPrefixes(guard) {
+		if has(oldF, g) && !has(newF, g) {
+			v.missing = append(v.missing, g)
+		}
+	}
+	return v
 }
 
 // defaultGuard lists the benchmark families whose regressions fail the
@@ -186,47 +280,23 @@ func main() {
 		os.Exit(2)
 	}
 	fmt.Printf("benchdiff: %s (%s) → %s (%s)\n", oldPath, oldF.Commit, newPath, newF.Commit)
-	sameHost := oldF.NumCPU == newF.NumCPU
-	if !sameHost {
-		fmt.Printf("note: num_cpu differs (%d → %d); wall-clock deltas are not apples to apples and do not gate\n",
-			oldF.NumCPU, newF.NumCPU)
-	}
+	v := diff(os.Stdout, oldF, newF, *guard, *threshold)
 
-	oldBy := map[string]benchRecord{}
-	for _, b := range oldF.Benchmarks {
-		oldBy[b.Name] = b
-	}
-	var regressions []string
-	for _, b := range newF.Benchmarks {
-		was, ok := oldBy[b.Name]
-		if !ok {
-			fmt.Printf("  %-44s %12.0f ns/op   (new)\n", b.Name, b.NsPerOp)
-			continue
-		}
-		delete(oldBy, b.Name)
-		delta := (b.NsPerOp - was.NsPerOp) / was.NsPerOp
-		marker := ""
-		if guardedBy(b.Name, *guard) && regressed(was, b, *threshold) {
-			marker = "  ← REGRESSION"
-			regressions = append(regressions,
-				fmt.Sprintf("%s: %.0f → %.0f ns/op (%+.1f%%)", b.Name, was.NsPerOp, b.NsPerOp, 100*delta))
-		}
-		fmt.Printf("  %-44s %12.0f ns/op   %+7.1f%%%s\n", b.Name, b.NsPerOp, 100*delta, marker)
-	}
-	for name := range oldBy {
-		fmt.Printf("  %-44s %12s            (dropped)\n", name, "—")
-	}
-
-	if len(regressions) == 0 {
+	if len(v.regressions) == 0 {
 		fmt.Printf("guard %q: no regression above %.0f%%\n", *guard, 100**threshold)
-		return
+	} else {
+		fmt.Printf("\n%d guarded benchmark(s) regressed more than %.0f%% ns/op:\n", len(v.regressions), 100**threshold)
+		for _, r := range v.regressions {
+			fmt.Println("  " + r)
+		}
+		if !v.sameHost {
+			fmt.Println("different hosts — reported, not gated")
+		}
 	}
-	fmt.Printf("\n%d guarded benchmark(s) regressed more than %.0f%% ns/op:\n", len(regressions), 100**threshold)
-	for _, r := range regressions {
-		fmt.Println("  " + r)
+	for _, g := range v.missing {
+		fmt.Printf("guarded family %q has rows in %s and none in %s\n", g, oldPath, newPath)
 	}
-	if !sameHost {
-		fmt.Println("different hosts — reported, not gated")
+	if !v.fails() {
 		return
 	}
 	if os.Getenv("BENCHDIFF_SKIP") != "" {

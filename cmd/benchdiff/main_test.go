@@ -1,7 +1,9 @@
 package main
 
 import (
+	"io"
 	"os"
+	"slices"
 	"testing"
 )
 
@@ -104,6 +106,88 @@ func TestRegressedNeedsSeparatedQuartiles(t *testing.T) {
 	for _, c := range cases {
 		if got := regressed(c.was, c.now, 0.20); got != c.want {
 			t.Errorf("%s: regressed = %v, want %v", c.name, got, c.want)
+		}
+	}
+}
+
+// TestDiffGatesOnlyOnTheSameHost: a regression past the rule fails the
+// gate only when the whole host stamp matches — CPU model, num_cpu and
+// GOMAXPROCS — and the stamp round-trips through the file format.
+func TestDiffGatesOnlyOnTheSameHost(t *testing.T) {
+	xeon := hostStamp{CPU: "Xeon @ 2.10GHz", NumCPU: 2, GOMAXPROCS: 2}
+	legacy := hostStamp{NumCPU: 2} // written before cpu/gomaxprocs were recorded
+	file := func(h hostStamp, ns float64) benchFile {
+		return benchFile{hostStamp: h, Benchmarks: []benchRecord{{Name: "SaturatedSteadyState/n=1000", NsPerOp: ns}}}
+	}
+	cases := []struct {
+		name      string
+		old, new  hostStamp
+		wantFails bool
+	}{
+		{"same stamp", xeon, xeon, true},
+		{"other cpu model, same count", xeon, hostStamp{CPU: "EPYC", NumCPU: 2, GOMAXPROCS: 2}, false},
+		{"other num_cpu", xeon, hostStamp{CPU: xeon.CPU, NumCPU: 8, GOMAXPROCS: 2}, false},
+		{"other gomaxprocs", xeon, hostStamp{CPU: xeon.CPU, NumCPU: 2, GOMAXPROCS: 1}, false},
+		{"legacy file against a stamped one", legacy, xeon, false},
+		{"two legacy files", legacy, legacy, true},
+	}
+	for _, c := range cases {
+		v := diff(io.Discard, file(c.old, 100), file(c.new, 200), defaultGuard, 0.20)
+		if len(v.regressions) != 1 {
+			t.Errorf("%s: %d regressions reported, want 1 on any host", c.name, len(v.regressions))
+		}
+		if v.fails() != c.wantFails {
+			t.Errorf("%s: fails = %v, want %v", c.name, v.fails(), c.wantFails)
+		}
+	}
+
+	path := t.TempDir() + "/BENCH_x.json"
+	if err := os.WriteFile(path, []byte(`{"commit":"x","cpu":"Xeon @ 2.10GHz","num_cpu":2,"gomaxprocs":2,"benchmarks":[]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, err := load(path)
+	if err != nil || f.hostStamp != xeon {
+		t.Fatalf("load: stamp %v err %v, want %v", f.hostStamp, err, xeon)
+	}
+}
+
+// TestDiffFailsOnMissingGuardedFamily: a guarded family with rows in
+// the older file and none in the newer fails the gate, host or no host;
+// a dropped row of a family that is still there, a dropped unguarded
+// family and a family neither file has do not.
+func TestDiffFailsOnMissingGuardedFamily(t *testing.T) {
+	rows := func(names ...string) []benchRecord {
+		var out []benchRecord
+		for _, n := range names {
+			out = append(out, benchRecord{Name: n, NsPerOp: 100})
+		}
+		return out
+	}
+	old := rows("SaturatedSteadyState/n=50", "SaturatedSteadyState/n=1000", "EpochUpdate/n=50", "MediumConstruct/n=50")
+	cases := []struct {
+		name        string
+		new         []benchRecord
+		wantMissing []string
+	}{
+		{"nothing dropped", old, nil},
+		{"one row of a family dropped", rows("SaturatedSteadyState/n=1000", "EpochUpdate/n=50", "MediumConstruct/n=50"), nil},
+		{"unguarded family dropped", rows("SaturatedSteadyState/n=50", "EpochUpdate/n=50"), nil},
+		{"guarded family dropped", rows("SaturatedSteadyState/n=50", "MediumConstruct/n=50"), []string{"EpochUpdate"}},
+		{"two guarded families dropped", rows("MediumConstruct/n=50"), []string{"SaturatedSteadyState", "EpochUpdate"}},
+	}
+	for _, otherHost := range []bool{false, true} {
+		for _, c := range cases {
+			newF := benchFile{Benchmarks: c.new}
+			if otherHost {
+				newF.NumCPU = 64
+			}
+			v := diff(io.Discard, benchFile{Benchmarks: old}, newF, defaultGuard, 0.20)
+			if !slices.Equal(v.missing, c.wantMissing) {
+				t.Errorf("%s (other host %v): missing = %v, want %v", c.name, otherHost, v.missing, c.wantMissing)
+			}
+			if v.fails() != (len(c.wantMissing) > 0) {
+				t.Errorf("%s (other host %v): fails = %v", c.name, otherHost, v.fails())
+			}
 		}
 	}
 }

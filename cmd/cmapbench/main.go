@@ -638,12 +638,30 @@ func summarize(name string, runs []testing.BenchmarkResult) benchRecord {
 	}
 }
 
-// benchFile is the BENCH_<sha>.json schema.
+// benchFile is the BENCH_<sha>.json schema. CPU, NumCPU and GOMAXPROCS
+// are the host stamp benchdiff compares before it lets a delta gate.
 type benchFile struct {
 	Commit     string        `json:"commit"`
 	GoVersion  string        `json:"go_version"`
+	CPU        string        `json:"cpu"`
 	NumCPU     int           `json:"num_cpu"`
+	GOMAXPROCS int           `json:"gomaxprocs"`
 	Benchmarks []benchRecord `json:"benchmarks"`
+}
+
+// cpuModel reads the processor's model name, "unknown" where the
+// platform does not say.
+func cpuModel() string {
+	data, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		return "unknown"
+	}
+	for _, line := range strings.Split(string(data), "\n") {
+		if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+			return strings.TrimSpace(v)
+		}
+	}
+	return "unknown"
 }
 
 // gitShortSHA resolves the current commit, falling back to the binary's
@@ -669,9 +687,11 @@ func gitShortSHA() string {
 // file.
 func writeBenchJSON(stdout, stderr io.Writer) error {
 	out := benchFile{
-		Commit:    gitShortSHA(),
-		GoVersion: runtime.Version(),
-		NumCPU:    runtime.NumCPU(),
+		Commit:     gitShortSHA(),
+		GoVersion:  runtime.Version(),
+		CPU:        cpuModel(),
+		NumCPU:     runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
 	}
 	// Round-robin, not five in a row: a row's runs are then spread over
 	// the whole session, so its quartiles take in the minutes-scale drift

@@ -15,8 +15,9 @@ import (
 // captures the mutable half: sender flows and the staged virtual
 // packet, receiver flows and the in-progress inbound virtual packet,
 // the observation table, the defer table, interference statistics, the
-// timers and the RNG stream. Struct-keyed maps (obsKey, deferKey,
-// pairKey) cannot be JSON object keys, so each exports as a slice of
+// timers and the RNG stream. Struct-keyed maps (deferKey, pairKey)
+// cannot be JSON object keys and the observation table's slice order
+// means nothing, so each exports as a slice of
 // entries in a canonical sort order — which also makes the checkpoint
 // bytes themselves deterministic, independent of Go map layout.
 //
@@ -210,8 +211,8 @@ func (n *Node) ExportState() (json.RawMessage, error) {
 		Stat:         n.stat,
 		RNG:          n.rng.State(),
 	}
-	for k, e := range n.obs.entries {
-		st.Obs = append(st.Obs, obsEntryState{Src: k.Src, VSeq: k.VSeq, Dst: e.Dst,
+	for _, e := range n.obs.entries {
+		st.Obs = append(st.Obs, obsEntryState{Src: e.Src, VSeq: e.VSeq, Dst: e.Dst,
 			Rate: e.Rate, EstStart: e.EstStart, EstEnd: e.EstEnd, VisibleAt: e.VisibleAt})
 	}
 	sort.Slice(st.Obs, func(i, j int) bool {
@@ -325,12 +326,12 @@ func (n *Node) RestoreState(enc json.RawMessage) error {
 		return fmt.Errorf("core: node %d state: %w", n.id, err)
 	}
 
-	n.obs.entries = make(map[obsKey]*obsEntry, len(st.Obs))
+	n.obs.entries = make([]*obsEntry, 0, len(st.Obs))
 	n.obs.free = n.obs.free[:0]
 	for _, e := range st.Obs {
-		n.obs.entries[obsKey{Src: e.Src, VSeq: e.VSeq}] = &obsEntry{
+		n.obs.entries = append(n.obs.entries, &obsEntry{
 			Src: e.Src, Dst: e.Dst, Rate: e.Rate, VSeq: e.VSeq,
-			EstStart: e.EstStart, EstEnd: e.EstEnd, VisibleAt: e.VisibleAt}
+			EstStart: e.EstStart, EstEnd: e.EstEnd, VisibleAt: e.VisibleAt})
 	}
 	n.deferTab.entries = make(map[deferKey]sim.Time, len(st.DeferTab))
 	for _, e := range st.DeferTab {

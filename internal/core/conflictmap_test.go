@@ -179,7 +179,7 @@ func TestObservationsMerge(t *testing.T) {
 
 	o.upsert(k, dst, 0, 100*sim.Millisecond, 120*sim.Millisecond, 101*sim.Millisecond)
 	o.upsert(k, dst, 0, 95*sim.Millisecond, 118*sim.Millisecond, 96*sim.Millisecond)
-	e := o.entries[k]
+	e := o.find(k)
 	if e.EstStart != 95*sim.Millisecond || e.EstEnd != 120*sim.Millisecond {
 		t.Errorf("merged interval [%v,%v], want [95ms,120ms]", e.EstStart, e.EstEnd)
 	}

@@ -35,14 +35,33 @@ type obsEntry struct {
 // Pruned entries park on a free list for reuse, so the steady-state
 // observation flow (one entry per overheard virtual packet) does not
 // touch the allocator.
+//
+// The table is a slice searched linearly: it holds two virtual-packet
+// airtimes of history, a handful of entries, and finalizeVpkt walks it
+// once per expected packet. Its order is arrival order perturbed by
+// prune and means nothing. Every walker is order-independent by
+// construction: ongoing's caller keeps a minimum, and overlapping's
+// caller does decay(now) (idempotent at one now), Expected++ and Lost++
+// on a per-(source, interferer, rate) stat, so visiting the same set of
+// entries in any order leaves the same state. ExportState sorts.
 type observations struct {
 	cfg     Config
-	entries map[obsKey]*obsEntry
+	entries []*obsEntry
 	free    []*obsEntry
 }
 
 func newObservations(cfg Config) *observations {
-	return &observations{cfg: cfg, entries: make(map[obsKey]*obsEntry)}
+	return &observations{cfg: cfg}
+}
+
+// find returns the entry for k, or nil.
+func (o *observations) find(k obsKey) *obsEntry {
+	for _, e := range o.entries {
+		if e.Src == k.Src && e.VSeq == k.VSeq {
+			return e
+		}
+	}
+	return nil
 }
 
 // retention is how long a finished transmission stays in the table for
@@ -53,8 +72,8 @@ func (o *observations) retention() sim.Time {
 
 // upsert merges an interval estimate for (src, vseq).
 func (o *observations) upsert(k obsKey, dst frame.Addr, rate uint8, start, end, visible sim.Time) *obsEntry {
-	e, ok := o.entries[k]
-	if !ok {
+	e := o.find(k)
+	if e == nil {
 		if f := len(o.free); f > 0 {
 			e = o.free[f-1]
 			o.free = o.free[:f-1]
@@ -63,7 +82,7 @@ func (o *observations) upsert(k obsKey, dst frame.Addr, rate uint8, start, end, 
 		}
 		*e = obsEntry{Src: k.Src, Dst: dst, Rate: rate, VSeq: k.VSeq,
 			EstStart: start, EstEnd: end, VisibleAt: visible}
-		o.entries[k] = e
+		o.entries = append(o.entries, e)
 		return e
 	}
 	if start < e.EstStart {
@@ -102,7 +121,7 @@ func (o *observations) noteData(d *frame.Data, info phy.RxInfo, visible sim.Time
 // markEnded clamps an entry's end time (a trailer was heard, so the
 // transmission is definitely over).
 func (o *observations) markEnded(src frame.Addr, vseq uint32, end sim.Time) {
-	if e, ok := o.entries[obsKey{Src: src, VSeq: vseq}]; ok && end < e.EstEnd {
+	if e := o.find(obsKey{Src: src, VSeq: vseq}); e != nil && end < e.EstEnd {
 		e.EstEnd = end
 	}
 }
@@ -130,12 +149,16 @@ func (o *observations) overlapping(t sim.Time, excl frame.Addr, fn func(*obsEntr
 // prune drops entries that ended longer than the retention ago.
 func (o *observations) prune(now sim.Time) {
 	horizon := now - o.retention()
-	for k, e := range o.entries {
+	kept := o.entries[:0]
+	for _, e := range o.entries {
 		if e.EstEnd < horizon {
-			delete(o.entries, k)
 			o.free = append(o.free, e)
+		} else {
+			kept = append(kept, e)
 		}
 	}
+	clear(o.entries[len(kept):])
+	o.entries = kept
 }
 
 // size returns the table size (diagnostics).

@@ -121,6 +121,16 @@ func BenchmarkSaturatedSteadyState(b *testing.B) {
 	b.Run("n=1000/dense", BenchSaturatedSteadyState(1000, DenseDensity, 0))
 }
 
+// BenchmarkAgenda measures the scheduler alone: the hold model at the
+// saturated network's depth and at a depth that crowds every bucket,
+// timer re-arming inside two or three buckets, and a same-instant burst.
+func BenchmarkAgenda(b *testing.B) {
+	b.Run("Hold/pending=256", BenchAgendaHold(256))
+	b.Run("Hold/pending=4096", BenchAgendaHold(4096))
+	b.Run("Rearm/pending=4096", BenchAgendaRearm(4096))
+	b.Run("Burst/n=10000", BenchAgendaBurst(10000))
+}
+
 // BenchmarkIncrementalUpdate measures one MoveNode through the
 // incremental patch path at each scale size: one model evaluation per
 // grid candidate, so ns/op tracks the candidate set, not n.

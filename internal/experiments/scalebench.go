@@ -268,6 +268,79 @@ func BenchDeliveryRebuild(n int) func(b *testing.B) {
 	}
 }
 
+// holdEvent re-posts itself a pseudo-random delay (up to ~1 ms, the
+// span of a frame) ahead each time it fires: the classic hold model of a
+// steady-state agenda.
+type holdEvent struct {
+	sched *sim.Scheduler
+	state uint64
+}
+
+func (h *holdEvent) HandleEvent(any) {
+	h.state = h.state*6364136223846793005 + 1442695040888963407
+	h.sched.PostAfter(sim.Time(1+h.state>>44), h, nil)
+}
+
+// nopEvent is an agenda target that does nothing.
+type nopEvent struct{}
+
+func (nopEvent) HandleEvent(any) {}
+
+// BenchAgendaHold measures one fire-and-repost cycle of the agenda with
+// a constant number of events pending: 256 is the saturated n=1000
+// network's depth, 4096 crowds every bucket of the ring.
+func BenchAgendaHold(pending int) func(b *testing.B) {
+	return func(b *testing.B) {
+		sched := sim.NewScheduler()
+		h := &holdEvent{sched: sched, state: 1}
+		for i := 0; i < pending; i++ {
+			sched.Post(sim.Time(i), h, nil)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sched.Step()
+		}
+	}
+}
+
+// BenchAgendaRearm measures Stop + ResetAfter on one of pending armed
+// timers whose deadlines all fall within 8 µs — two or three buckets
+// holding thousands of events each, so unlink and insert must not
+// depend on how crowded a bucket is.
+func BenchAgendaRearm(pending int) func(b *testing.B) {
+	return func(b *testing.B) {
+		sched := sim.NewScheduler()
+		timers := make([]sim.Timer, pending)
+		for i := range timers {
+			sched.ResetAfter(&timers[i], sim.Time(1000+i), nopEvent{}, nil)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			tm := &timers[i%pending]
+			tm.Stop()
+			sched.ResetAfter(tm, sim.Time(1000+i%7919), nopEvent{}, nil)
+		}
+	}
+}
+
+// BenchAgendaBurst measures the cold start of n saturated senders: n
+// events posted at one instant, then drained. ns/op is the whole burst;
+// it is the one shape whose cost grows with a bucket's population.
+func BenchAgendaBurst(n int) func(b *testing.B) {
+	return func(b *testing.B) {
+		sched := sim.NewScheduler()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for k := 0; k < n; k++ {
+				sched.Post(sched.Now(), nopEvent{}, nil)
+			}
+			sched.RunAll()
+		}
+	}
+}
+
 // ScaleBenchmarks returns the scaling suite cmapbench -benchjson runs.
 func ScaleBenchmarks() []ScaleBenchmark {
 	var out []ScaleBenchmark
@@ -311,6 +384,12 @@ func ScaleBenchmarks() []ScaleBenchmark {
 			Run:  BenchDeliveryRebuild(n),
 		})
 	}
+	out = append(out,
+		ScaleBenchmark{Name: "AgendaHold/pending=256", Run: BenchAgendaHold(256)},
+		ScaleBenchmark{Name: "AgendaHold/pending=4096", Run: BenchAgendaHold(4096)},
+		ScaleBenchmark{Name: "AgendaRearm/pending=4096", Run: BenchAgendaRearm(4096)},
+		ScaleBenchmark{Name: "AgendaBurst/n=10000", Run: BenchAgendaBurst(10000)},
+	)
 	for _, n := range ShardScaleSizes {
 		for _, k := range ShardCounts {
 			out = append(out, ScaleBenchmark{

@@ -79,8 +79,8 @@ func TestCleanDelivery(t *testing.T) {
 	if info.From != 0 {
 		t.Errorf("info.From = %d, want 0", info.From)
 	}
-	if math.Abs(info.PowerDBm-(-60)) > 1e-9 {
-		t.Errorf("info.PowerDBm = %v, want -60", info.PowerDBm)
+	if math.Abs(info.PowerDBm()-(-60)) > 1e-9 {
+		t.Errorf("info.PowerDBm() = %v, want -60", info.PowerDBm())
 	}
 	if len(recs[0].txDone) != 1 {
 		t.Errorf("A got %d OnTxDone, want 1", len(recs[0].txDone))

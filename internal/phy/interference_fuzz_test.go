@@ -14,15 +14,15 @@ import (
 type upcall struct {
 	kind  byte // 'F' OnFrame, 'X' OnCorrupt, 'T' OnTxDone, 'C' OnCarrier
 	info  RxInfo
-	power uint64 // Float64bits(info.PowerDBm): NaN-safe equality
+	power uint64 // Float64bits(info.PowerMW): NaN-safe equality
 	busy  bool
 }
 
 type upcallLog struct{ calls []upcall }
 
 func (l *upcallLog) rx(kind byte, info RxInfo) {
-	u := upcall{kind: kind, info: info, power: math.Float64bits(info.PowerDBm)}
-	u.info.PowerDBm = 0
+	u := upcall{kind: kind, info: info, power: math.Float64bits(info.PowerMW)}
+	u.info.PowerMW = 0
 	l.calls = append(l.calls, u)
 }
 func (l *upcallLog) OnFrame(_ frame.Frame, info RxInfo) { l.rx('F', info) }

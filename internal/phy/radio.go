@@ -55,12 +55,17 @@ type activeSignal struct {
 
 // RxInfo describes a reception outcome delivered to the MAC.
 type RxInfo struct {
-	From     int     // transmitting node ID
-	PowerDBm float64 // received power
-	Rate     Rate
-	Start    sim.Time // when the frame hit the antenna
-	End      sim.Time // when it ended
+	From    int     // transmitting node ID
+	PowerMW float64 // received power, linear: what the radio accounts in
+	Rate    Rate
+	Start   sim.Time // when the frame hit the antenna
+	End     sim.Time // when it ended
 }
+
+// PowerDBm returns the received power in dBm. It costs a logarithm, so
+// it is computed by whoever reads it (tracing) rather than stored for
+// every reception.
+func (i RxInfo) PowerDBm() float64 { return radio.MWToDBm(i.PowerMW) }
 
 // Handler is the MAC-facing upcall interface of a radio. Radios are
 // promiscuous: every decodable frame is delivered regardless of its
@@ -396,11 +401,11 @@ func (r *Radio) tryCapture(tx *Transmission, powerMW float64, now sim.Time) {
 	r.stats.Corrupted++
 	if r.handler != nil {
 		r.handler.OnCorrupt(RxInfo{
-			From:     old.From,
-			PowerDBm: radio.MWToDBm(oldMW),
-			Rate:     old.Rate,
-			Start:    old.Start,
-			End:      now,
+			From:    old.From,
+			PowerMW: oldMW,
+			Rate:    old.Rate,
+			Start:   old.Start,
+			End:     now,
 		})
 	}
 }
@@ -481,11 +486,11 @@ func (r *Radio) closeSegment(now sim.Time) {
 func (r *Radio) finishReception(tx *Transmission, now sim.Time) {
 	r.locked = nil
 	info := RxInfo{
-		From:     tx.From,
-		PowerDBm: radio.MWToDBm(r.lockedMW),
-		Rate:     tx.Rate,
-		Start:    tx.Start,
-		End:      now,
+		From:    tx.From,
+		PowerMW: r.lockedMW,
+		Rate:    tx.Rate,
+		Start:   tx.Start,
+		End:     now,
 	}
 	r.lockedMW = 0
 	pSuccess := math.Exp(r.lockLogSucc)

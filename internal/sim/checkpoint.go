@@ -60,7 +60,7 @@ type DecodeFunc func(owner string, encoded json.RawMessage) (EventHandler, any, 
 
 // ExportState captures the scheduler's complete state. Events are
 // emitted in (at, seq) pop order, which is deterministic regardless of
-// heap layout. Closure events (At/After) cannot be encoded; components
+// how the agenda is laid out. Closure events (At/After) cannot be encoded; components
 // that checkpoint must schedule through Post/PostAfter/ResetAt with
 // typed arguments instead.
 func (s *Scheduler) ExportState(encode EncodeFunc) (SchedulerState, error) {
@@ -70,13 +70,16 @@ func (s *Scheduler) ExportState(encode EncodeFunc) (SchedulerState, error) {
 		Fired:     s.fired,
 		SlotGens:  make([]uint32, len(s.slots)),
 		FreeSlots: append([]int32(nil), s.freeSlots...),
-		Events:    make([]EventRecord, 0, len(s.queue)),
+		Events:    make([]EventRecord, 0, s.Pending()),
 	}
 	for i, sl := range s.slots {
 		st.SlotGens[i] = sl.gen
 	}
-	for i := range s.queue {
-		ev := &s.queue[i]
+	for i := range s.events {
+		ev := &s.events[i]
+		if ev.pos == posFree {
+			continue
+		}
 		if _, isClosure := ev.target.(funcRunner); isClosure {
 			return SchedulerState{}, fmt.Errorf("sim: agenda holds a closure event at %v (seq %d); closure events are not checkpointable", ev.at, ev.seq)
 		}
@@ -103,7 +106,7 @@ func (s *Scheduler) ExportState(encode EncodeFunc) (SchedulerState, error) {
 // separately via RestoreTimer, against the slot generations restored
 // here.
 func (s *Scheduler) RestoreState(st SchedulerState, decode DecodeFunc) error {
-	queue := make([]event, 0, len(st.Events))
+	events := make([]event, 0, len(st.Events))
 	for _, rec := range st.Events {
 		target, arg, err := decode(rec.Owner, rec.Arg)
 		if err != nil {
@@ -112,23 +115,31 @@ func (s *Scheduler) RestoreState(st SchedulerState, decode DecodeFunc) error {
 		if rec.Slot >= 0 && int(rec.Slot) >= len(st.SlotGens) {
 			return fmt.Errorf("sim: event seq %d references slot %d beyond table size %d", rec.Seq, rec.Slot, len(st.SlotGens))
 		}
-		queue = append(queue, event{at: rec.At, seq: rec.Seq, target: target, arg: arg, slot: rec.Slot})
+		if rec.At < st.Now {
+			return fmt.Errorf("sim: event seq %d at %v is before the checkpointed clock %v", rec.Seq, rec.At, st.Now)
+		}
+		events = append(events, event{at: rec.At, seq: rec.Seq, target: target, arg: arg, slot: rec.Slot})
 	}
-	s.now = st.Now
-	s.nextSeq = st.NextSeq
-	s.fired = st.Fired
-	s.slots = make([]slotEntry, len(st.SlotGens))
+	slots := make([]slotEntry, len(st.SlotGens))
 	for i, gen := range st.SlotGens {
-		s.slots[i] = slotEntry{heapIndex: -1, gen: gen}
+		slots[i] = slotEntry{ev: -1, gen: gen}
 	}
-	s.freeSlots = append([]int32(nil), st.FreeSlots...)
-	// The events arrive in (at, seq) order, which is a valid min-heap
-	// (every prefix of a sorted sequence satisfies the heap property),
-	// so they can be installed directly.
-	s.queue = queue
-	for i := range s.queue {
-		if slot := s.queue[i].slot; slot >= 0 {
-			s.slots[slot].heapIndex = int32(i)
+	// The window starts at the clock, not at the last fired event: pop
+	// order does not depend on where the window sits, only on every
+	// event being filed against the same one.
+	*s = Scheduler{
+		now:       st.Now,
+		base:      tickOf(st.Now),
+		events:    make([]event, 0, len(events)),
+		slots:     slots,
+		freeSlots: append([]int32(nil), st.FreeSlots...),
+		nextSeq:   st.NextSeq,
+		fired:     st.Fired,
+	}
+	for _, ev := range events {
+		i := s.add(ev)
+		if ev.slot >= 0 {
+			s.slots[ev.slot].ev = i
 		}
 	}
 	return nil

@@ -16,8 +16,16 @@
 //
 // # Design
 //
-// The agenda is a hand-rolled 4-ary min-heap storing events by value
-// with hole-based sifts — container/heap would box every entry.
+// The agenda indexes the next event by time instead of searching for it:
+// events live once in a slab; the near horizon (4.19 ms, which takes in
+// 99 % of what a saturated network schedules — slots, SIFS, frame
+// airtimes) is a ring of 1024 buckets of 4.096 µs found through an
+// occupancy bitmap; anything later waits in a small binary heap of slab
+// indices and is admitted to the ring as firing events advance the
+// window. Pop order is exactly the (deadline, sequence) total order,
+// whatever the layout — see the comment above Scheduler in sim.go for
+// the window invariant that guarantees it.
+//
 // Post/PostAfter is the fire-and-forget path used by per-frame traffic;
 // AtHandler/AfterHandler add cancellation handles backed by a recycled
 // slot table; ResetAt/ResetAfter re-arm caller-owned Timer values so

@@ -1,29 +1,97 @@
 package sim
 
-import "testing"
+import (
+	"encoding/json"
+	"testing"
+)
 
-// fuzzRecorder appends each fired event's id to a shared log, giving the
-// fuzzer an observable total order of execution.
-type fuzzRecorder struct{ fired *[]uint64 }
+// fuzzRecorder logs each fired event's id and the clock it fired at,
+// giving the fuzzer an observable total order of execution. s follows
+// the scheduler under test across checkpoint/restore.
+type fuzzRecorder struct {
+	s     *Scheduler
+	fired []fuzzFired
+}
 
-func (r fuzzRecorder) HandleEvent(arg any) { *r.fired = append(*r.fired, arg.(uint64)) }
+type fuzzFired struct {
+	id uint64
+	at Time
+}
 
-// FuzzScheduler drives the agenda heap with a random interleaving of
-// Post, ResetAt, Stop and Step decoded from the fuzz input, against a
-// flat reference model (a plain slice, min by (deadline, seq)). Checked
+func (r *fuzzRecorder) HandleEvent(arg any) {
+	r.fired = append(r.fired, fuzzFired{arg.(uint64), r.s.Now()})
+}
+
+// fuzzDelta decodes one byte on an exponent scale: mantissa 0–7 shifted
+// by 0–31, so 0 ns … 15 s. Small exponents land in the bucket the
+// clock is in, middling ones across the ring (and, as the clock moves,
+// across the bitmap's wrap), large ones deep in the far heap.
+func fuzzDelta(b byte) Time { return Time(b&7) << (b >> 3) }
+
+// Delta bytes the in-code seeds use.
+const (
+	fz1us   = 10<<3 | 1 // 1<<10 ns ≈ 1 µs
+	fz2ms   = 21<<3 | 1 // 1<<21 ns ≈ 2.1 ms: inside the ring
+	fz3ms   = 19<<3 | 7 // 7<<19 ns ≈ 3.7 ms: inside the ring
+	fzShort = 22<<3 | 1 // 1<<22 ns ≈ 4.2 ms: a Run horizon short of fz6ms
+	fz6ms   = 20<<3 | 6 // 6<<20 ns ≈ 6.3 ms: beyond the window
+	fz1s    = 30<<3 | 1 // 1<<30 ns ≈ 1.07 s: deep in the far heap
+)
+
+// FuzzScheduler drives the agenda with a random interleaving of Post,
+// ResetAt, Stop, Step, Run and checkpoint/restore decoded from the fuzz
+// input (three bytes per operation: op, delta, selector), against a flat
+// reference model (a plain slice, min by (deadline, seq)). Checked
 // invariants: events fire in exact (deadline, scheduling-order) order,
-// the clock lands on each fired deadline, Stop's return value matches
-// the model's notion of pending, a fired or stopped timer is inactive,
-// and Pending tracks the model's size after every operation.
+// the clock lands on each fired deadline, Run fires exactly the events
+// due by its horizon and leaves the clock on it, Stop's return value
+// matches the model's notion of pending, a fired or stopped timer is
+// inactive, a restored scheduler continues the sequence unchanged, and
+// Pending tracks the model's size after every operation.
+//
+// The in-code seeds pin the traps of the two-tier agenda; each was
+// checked to fail under the mutation it names.
 func FuzzScheduler(f *testing.F) {
-	f.Add([]byte{0, 10, 0, 5, 3, 0, 3, 0, 3, 0})
-	f.Add([]byte{1, 0, 1, 1, 2, 0, 3, 0, 1, 64, 2, 1, 3, 0})
-	f.Add([]byte{0, 3, 1, 3, 1, 3, 3, 0, 2, 3, 0, 0, 3, 0, 3, 0, 3, 0})
-	f.Add([]byte{1, 7, 1, 7, 1, 7, 3, 0, 3, 0, 2, 7, 0, 1, 3, 0})
+	const (
+		post, reset, stop, step, run, edge, restore = 0, 1, 2, 3, 4, 5, 6
+	)
+	f.Add([]byte{post, 10, 0, post, 5, 0, step, 0, 0, step, 0, 0, step, 0, 0})
+	f.Add([]byte{reset, fz1us, 0, reset, fz1us, 1, stop, 0, 0, step, 0, 0, reset, 64, 1, stop, 0, 1, step, 0, 0})
+	f.Add([]byte{post, 3, 0, reset, 3, 1, reset, 3, 1, step, 0, 0, stop, 0, 3, post, 0, 0, step, 0, 0, step, 0, 0})
+	f.Add([]byte{reset, 7, 3, reset, 7, 3, reset, 7, 3, step, 0, 0, step, 0, 0, stop, 0, 3, post, 1, 0, step, 0, 0})
+	// Missing bitmap clear: two buckets, drained one after the other.
+	f.Add([]byte{post, fz1us, 0, post, fz2ms, 0, step, 0, 0, step, 0, 0, post, fz1us, 0, step, 0, 0})
+	// Admit before select: firing A moves the window over far event F;
+	// D is then filed in the ring behind F and must not overtake it.
+	f.Add([]byte{post, fz3ms, 0, post, fz6ms, 0, step, 0, 0, post, fz3ms, 0, step, 0, 0, step, 0, 0})
+	// One deadline reached two ways: F is filed far, admitted when A
+	// fires, and D is then filed near at F's exact deadline; the chain
+	// must still hold them in scheduling order.
+	f.Add([]byte{post, fz6ms, 0, post, fz3ms, 0, step, 0, 0, post, 19<<3 | 5, 0, post, fz6ms, 0, step, 0, 0, step, 0, 0})
+	// Peeking must not move the window: Run stops short of far event F,
+	// then E (due first) and R (due after F) are posted.
+	f.Add([]byte{post, fz6ms, 0, run, fzShort, 0, post, fz3ms, 0, post, fz1us, 0, step, 0, 0, step, 0, 0, step, 0, 0})
+	// The window edge: tick-base = 1023 is the ring's last bucket, 1024
+	// is the first far tick and must not alias the cursor's bucket.
+	f.Add([]byte{post, fz3ms, 0, edge, 0, 0, edge, 0, 1, edge, 9, 1, edge, 9, 0, step, 0, 0, step, 0, 0, step, 0, 0, step, 0, 0, step, 0, 0})
+	// Run leaves now past the window's base without firing (trap 4):
+	// the next inserts are near now but far from base.
+	f.Add([]byte{post, fz1us, 0, step, 0, 0, run, fz6ms, 0, post, fz1us, 0, post, 0, 0, reset, fz2ms, 2, post, fz6ms, 0, step, 0, 0, step, 0, 0})
+	// Stop on far timers, from the root and from the middle of the heap.
+	f.Add([]byte{reset, fz1s, 0, reset, fz6ms, 1, reset, fz1s, 2, reset, fz6ms, 3, stop, 0, 1, stop, 0, 2, post, fz1us, 0, step, 0, 0, step, 0, 0, step, 0, 0})
+	// Stop in the far heap where the displaced tail must sift up: d
+	// leaves position 3 and g (from the other subtree) is smaller than
+	// d's parent b; x keeps g off the tail until b reaches the root.
+	const e23 = 23 << 3 // 8.4 ms units, all beyond the window
+	f.Add([]byte{post, e23 | 1, 0, post, e23 | 5, 0, post, e23 | 2, 0, reset, e23 | 6, 0, post, e23 | 7, 0, post, e23 | 4, 0, post, e23 | 3, 0, stop, 0, 0, post, e23 | 6, 0})
+	// Stop from the middle and then the tail of one bucket's chain.
+	f.Add([]byte{reset, fz1us, 0, reset, fz1us, 1, reset, fz1us, 2, stop, 0, 1, stop, 0, 0, step, 0, 0, reset, fz1us, 3})
+	// Checkpoint mid-sequence with armed near and far timers, then keep
+	// going on the restored scheduler.
+	f.Add([]byte{post, fz1us, 0, reset, fz2ms, 0, reset, fz1s, 1, post, fz6ms, 0, step, 0, 0, restore, 0, 0, stop, 0, 1, reset, fz3ms, 1, post, 0, 0, restore, 0, 0, step, 0, 0, step, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s := NewScheduler()
-		var fired []uint64
-		rec := fuzzRecorder{&fired}
+		rec := &fuzzRecorder{s: NewScheduler()}
+		s := rec.s
 
 		type mev struct {
 			at  Time
@@ -60,26 +128,19 @@ func FuzzScheduler(f *testing.F) {
 		}
 		var nextID uint64
 		seq := 0
-		step := func() {
-			if len(model) == 0 {
-				if s.Step() {
-					t.Fatal("Step fired with an empty model")
-				}
-				return
-			}
+		add := func(at Time) uint64 {
+			id := nextID
+			nextID++
+			model = append(model, mev{at: at, seq: seq, id: id})
+			seq++
+			return id
+		}
+		// expect checks that the k-th fired record is the model's next
+		// event, and retires it.
+		expect := func(k int) {
 			exp := minEvent()
-			before := len(fired)
-			if !s.Step() {
-				t.Fatalf("Step returned false with %d modelled events pending", len(model))
-			}
-			if len(fired) != before+1 {
-				t.Fatalf("Step fired %d events, want exactly 1", len(fired)-before)
-			}
-			if fired[before] != exp.id {
-				t.Fatalf("fired event %d, model says %d is next (at %v, seq %d)", fired[before], exp.id, exp.at, exp.seq)
-			}
-			if s.Now() != exp.at {
-				t.Fatalf("clock at %v after firing event with deadline %v", s.Now(), exp.at)
+			if got := rec.fired[k]; got.id != exp.id || got.at != exp.at {
+				t.Fatalf("fired event %d at %v, model says %d is next (at %v, seq %d)", got.id, got.at, exp.id, exp.at, exp.seq)
 			}
 			removeID(exp.id)
 			for ti, id := range timerEvent {
@@ -94,28 +155,58 @@ func FuzzScheduler(f *testing.F) {
 				}
 			}
 		}
+		doStep := func() {
+			before := len(rec.fired)
+			if len(model) == 0 {
+				if s.Step() {
+					t.Fatal("Step fired with an empty model")
+				}
+				return
+			}
+			exp := minEvent()
+			if !s.Step() {
+				t.Fatalf("Step returned false with %d modelled events pending", len(model))
+			}
+			if len(rec.fired) != before+1 {
+				t.Fatalf("Step fired %d events, want exactly 1", len(rec.fired)-before)
+			}
+			expect(before)
+			if s.Now() != exp.at {
+				t.Fatalf("clock at %v after firing event with deadline %v", s.Now(), exp.at)
+			}
+		}
+		encode := func(target EventHandler, arg any) (string, json.RawMessage, error) {
+			raw, err := json.Marshal(arg.(uint64))
+			return "rec", raw, err
+		}
+		decode := func(owner string, raw json.RawMessage) (EventHandler, any, error) {
+			var id uint64
+			err := json.Unmarshal(raw, &id)
+			return rec, id, err
+		}
 
-		for k := 0; k+1 < len(data); k += 2 {
-			op, d := data[k], data[k+1]
-			switch op % 4 {
-			case 0: // Post: uncancellable event at now + bounded delta
-				at := s.Now() + Time(d%64)*Microsecond
-				id := nextID
-				nextID++
-				s.Post(at, rec, id)
-				model = append(model, mev{at: at, seq: seq, id: id})
-				seq++
-			case 1: // ResetAt on a pooled timer (stopping it first if armed)
-				ti := int(d) % len(timers)
+		for k := 0; k+2 < len(data); k += 3 {
+			op, d, sel := data[k], data[k+1], data[k+2]
+			switch op % 7 {
+			case post:
+				at := s.Now() + fuzzDelta(d)
+				s.Post(at, rec, add(at))
+			case edge: // Post on the last ring tick or the first far one
+				at := Time(s.base+ringSize-1+int64(sel&1))<<tickShift + Time(d)*16
+				if at < s.Now() {
+					at = s.Now()
+				}
+				s.Post(at, rec, add(at))
+			case reset: // ResetAt on a pooled timer (stopping it first if armed)
+				ti := int(sel) % len(timers)
 				if timerEvent[ti] != none && indexOf(timerEvent[ti]) >= 0 {
 					if !timers[ti].Stop() {
 						t.Fatalf("timer %d pending in model but Stop returned false", ti)
 					}
 					removeID(timerEvent[ti])
 				}
-				at := s.Now() + Time(d%64)*Microsecond
-				id := nextID
-				nextID++
+				at := s.Now() + fuzzDelta(d)
+				id := add(at)
 				s.ResetAt(&timers[ti], at, rec, id)
 				if !timers[ti].Active() {
 					t.Fatalf("timer %d inactive immediately after ResetAt", ti)
@@ -124,10 +215,8 @@ func FuzzScheduler(f *testing.F) {
 					t.Fatalf("timer %d deadline %v, want %v", ti, timers[ti].When(), at)
 				}
 				timerEvent[ti] = id
-				model = append(model, mev{at: at, seq: seq, id: id})
-				seq++
-			case 2: // Stop
-				ti := int(d) % len(timers)
+			case stop:
+				ti := int(sel) % len(timers)
 				wasPending := timerEvent[ti] != none && indexOf(timerEvent[ti]) >= 0
 				if got := timers[ti].Stop(); got != wasPending {
 					t.Fatalf("timer %d Stop = %v, model says pending = %v", ti, got, wasPending)
@@ -136,15 +225,48 @@ func FuzzScheduler(f *testing.F) {
 					removeID(timerEvent[ti])
 				}
 				timerEvent[ti] = none
-			case 3:
-				step()
+			case step:
+				doStep()
+			case run: // Run to a horizon that may fall between events
+				until := s.Now() + fuzzDelta(d)
+				before := len(rec.fired)
+				s.Run(until)
+				for k := before; k < len(rec.fired); k++ {
+					if len(model) == 0 {
+						t.Fatalf("Run fired %d events past an empty model", len(rec.fired)-k)
+					}
+					expect(k)
+				}
+				if len(model) > 0 && minEvent().at <= until {
+					t.Fatalf("Run(%v) left event due at %v unfired", until, minEvent().at)
+				}
+				if s.Now() != until {
+					t.Fatalf("clock at %v after Run(%v)", s.Now(), until)
+				}
+			case restore: // checkpoint, and continue on a fresh scheduler
+				st, err := s.ExportState(encode)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fresh := NewScheduler()
+				fresh.Post(Time(sel), rec, none) // skeleton noise RestoreState must discard
+				if err := fresh.RestoreState(st, decode); err != nil {
+					t.Fatal(err)
+				}
+				for ti := range timers {
+					fresh.RestoreTimer(&timers[ti], timers[ti].State())
+				}
+				if fresh.Now() != s.Now() || fresh.Fired() != s.Fired() {
+					t.Fatalf("restored clock/fired %v/%d, want %v/%d", fresh.Now(), fresh.Fired(), s.Now(), s.Fired())
+				}
+				s, rec.s = fresh, fresh
 			}
 			if s.Pending() != len(model) {
 				t.Fatalf("Pending() = %d, model holds %d", s.Pending(), len(model))
 			}
 		}
 		for len(model) > 0 {
-			step()
+			doStep()
 		}
 		if s.Step() {
 			t.Fatal("agenda not empty after draining the model")

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 	"time"
 )
 
@@ -35,25 +36,40 @@ type EventHandler interface {
 	HandleEvent(arg any)
 }
 
-// event is a scheduled callback, stored by value in the agenda heap.
-// Events with equal deadlines fire in scheduling order (seq breaks
-// ties), which keeps runs stable across heap-sift nondeterminism. slot
+// event is a scheduled callback. It lives in the scheduler's slab from
+// insert to fire and is never moved: the ring and the far heap order
+// slab indices, not events. Events with equal deadlines fire in
+// scheduling order (seq breaks ties), so (at, seq) is a total order and
+// the pop sequence is independent of how the agenda is laid out. slot
 // indexes the cancellation table for timer-backed events; -1 marks the
 // uncancellable fire-and-forget events of the hot path.
+//
+// next and prev chain the event into its ring bucket (or, next alone,
+// into the slab's free list). Every slab index the agenda stores is
+// index+1, so a zeroed bucket head or free-list link means "none". pos
+// is the event's position in the far heap, or one of the two markers
+// below.
 type event struct {
-	at     Time
-	seq    uint64
-	target EventHandler
-	arg    any
-	slot   int32
+	at         Time
+	seq        uint64
+	target     EventHandler
+	arg        any
+	slot       int32
+	next, prev int32
+	pos        int32
 }
 
-// slotEntry tracks one cancellable event's position in the heap. gen
+const (
+	posRing = -1 // the event is chained into a ring bucket
+	posFree = -2 // the slab entry is on the free list
+)
+
+// slotEntry tracks one cancellable event's slab index. gen
 // disambiguates recycled slots: a Timer holds the generation it was
 // issued with and goes stale when the slot is freed and reissued.
 type slotEntry struct {
-	heapIndex int32 // -1 once fired or stopped
-	gen       uint32
+	ev  int32 // -1 once fired or stopped
+	gen uint32
 }
 
 // funcRunner adapts func() callbacks to the EventHandler path; At and
@@ -79,10 +95,10 @@ func (t *Timer) Stop() bool {
 		return false
 	}
 	sl := &t.s.slots[t.slot]
-	if sl.gen != t.gen || sl.heapIndex < 0 {
+	if sl.gen != t.gen || sl.ev < 0 {
 		return false
 	}
-	t.s.removeAt(int(sl.heapIndex))
+	t.s.remove(sl.ev)
 	t.s.freeSlot(t.slot)
 	return true
 }
@@ -93,7 +109,7 @@ func (t *Timer) Active() bool {
 		return false
 	}
 	sl := &t.s.slots[t.slot]
-	return sl.gen == t.gen && sl.heapIndex >= 0
+	return sl.gen == t.gen && sl.ev >= 0
 }
 
 // When returns the deadline of the timer. It is valid even after the
@@ -105,11 +121,61 @@ func (t *Timer) When() Time {
 	return t.at
 }
 
+// The agenda. Almost every event a wireless simulation schedules is a
+// slot, a SIFS or a frame airtime ahead of now, so the next event is
+// indexed by time instead of searched for by comparison:
+//
+//   - Events live once in a slab with an intrusive free list. An event is
+//     written on insert and read on fire; nothing in between copies it.
+//   - The near horizon is a ring of ringSize buckets, each one tick
+//     (1<<tickShift ns) wide, covering ticks [base, base+ringSize) where
+//     base is the tick of the last fired event. A bucket is a circular
+//     doubly linked chain of slab indices (append and unlink are O(1)
+//     however many events share a tick); an occupancy bitmap finds the
+//     next non-empty bucket from the cursor, and the earliest event
+//     inside it is a scan of the handful of events it holds.
+//   - Anything later than the window waits in a binary heap of slab
+//     indices and is admitted to the ring when firing an event advances
+//     the window.
+//
+// Window invariant: every ring event has base <= tick < base+ringSize
+// and every far event has tick >= base+ringSize. Far events are therefore
+// later than every ring event, bucket order from the cursor is tick
+// order, and pop order is exactly the (at, seq) total order whatever the
+// layout. Only fire moves base (peeking must not: Run(until) may stop
+// short of a far event and the next insert is filed against the old
+// window), and it admits far events before the handler runs, so no
+// insert can be filed ahead of an earlier event still in the heap. Run
+// can leave now past the window's base without firing anything; inserts
+// are bounded below by tick(now) >= base, and tick-base < ringSize is
+// the only ring test.
+//
+// 4.096 µs × 1024 = 4.19 ms is sized to the traffic, not tunable: 9 µs
+// slots, 16 µs SIFS and frames of at most 1.9 ms put 99 % of inserts
+// inside it, buckets hold one to three events on the saturated
+// workloads, and the fixed arrays (4 KB of heads, 128 B of bitmap) stay
+// small enough for the figure suite to build hundreds of schedulers.
+const (
+	tickShift = 12
+	ringSize  = 1024
+	ringMask  = ringSize - 1
+)
+
+func tickOf(t Time) int64 { return int64(t) >> tickShift }
+
 // Scheduler owns the virtual clock and the event agenda.
 // The zero value is ready to use.
 type Scheduler struct {
-	now   Time
-	queue []event // 4-ary min-heap over (at, seq)
+	now Time
+
+	events []event // slab; live entries are in the ring or the far heap
+	free   int32   // head of the slab's free list, as index+1
+
+	base     int64                 // first tick of the ring's window
+	ringN    int                   // events in the ring
+	occupied [ringSize / 64]uint64 // bit b set iff heads[b] != 0
+	heads    [ringSize]int32       // bucket chains, as index+1
+	far      []int32               // binary min-heap of slab indices
 
 	// Cancellation table for timer-backed events, with a free-list so
 	// fired events recycle their slots instead of growing the table.
@@ -127,7 +193,7 @@ func NewScheduler() *Scheduler { return &Scheduler{} }
 func (s *Scheduler) Now() Time { return s.now }
 
 // Pending returns the number of events waiting in the agenda.
-func (s *Scheduler) Pending() int { return len(s.queue) }
+func (s *Scheduler) Pending() int { return s.ringN + len(s.far) }
 
 // Fired returns the total number of events executed so far.
 func (s *Scheduler) Fired() uint64 { return s.fired }
@@ -140,12 +206,12 @@ func (s *Scheduler) checkNotPast(t Time) {
 
 // Post schedules h.HandleEvent(arg) at absolute virtual time t with no
 // cancellation handle. This is the zero-allocation path: the event lives
-// by value in the agenda heap, so steady-state traffic (which posts and
+// by value in the agenda's slab, so steady-state traffic (which posts and
 // fires at the same rate) touches no allocator. Scheduling in the past
 // panics, as with At.
 func (s *Scheduler) Post(t Time, h EventHandler, arg any) {
 	s.checkNotPast(t)
-	s.push(event{at: t, seq: s.nextSeq, target: h, arg: arg, slot: -1})
+	s.add(event{at: t, seq: s.nextSeq, target: h, arg: arg, slot: -1})
 	s.nextSeq++
 }
 
@@ -177,7 +243,7 @@ func (s *Scheduler) ResetAt(tm *Timer, t Time, h EventHandler, arg any) {
 	s.checkNotPast(t)
 	slot := s.allocSlot()
 	*tm = Timer{s: s, slot: slot, gen: s.slots[slot].gen, at: t}
-	s.push(event{at: t, seq: s.nextSeq, target: h, arg: arg, slot: slot})
+	s.slots[slot].ev = s.add(event{at: t, seq: s.nextSeq, target: h, arg: arg, slot: slot})
 	s.nextSeq++
 }
 
@@ -218,19 +284,11 @@ func (s *Scheduler) After(d Time, fn func()) *Timer {
 // Step executes the next event, advancing the clock to its deadline.
 // It reports false when the agenda is empty.
 func (s *Scheduler) Step() bool {
-	if len(s.queue) == 0 {
+	i := s.peek()
+	if i < 0 {
 		return false
 	}
-	ev := s.queue[0]
-	s.popRoot()
-	if ev.slot >= 0 {
-		// Free before firing so Stop from inside the callback reports
-		// false for the event already executing.
-		s.freeSlot(ev.slot)
-	}
-	s.now = ev.at
-	s.fired++
-	ev.target.HandleEvent(ev.arg)
+	s.fire(i)
 	return true
 }
 
@@ -238,8 +296,12 @@ func (s *Scheduler) Step() bool {
 // until. The clock is left at until (or at the last event if the agenda
 // drained first but never beyond until).
 func (s *Scheduler) Run(until Time) {
-	for len(s.queue) > 0 && s.queue[0].at <= until {
-		s.Step()
+	for {
+		i := s.peek()
+		if i < 0 || s.events[i].at > until {
+			break
+		}
+		s.fire(i)
 	}
 	if s.now < until {
 		s.now = until
@@ -253,6 +315,49 @@ func (s *Scheduler) RunAll() {
 	}
 }
 
+// peek returns the slab index of the earliest pending event, or -1. It
+// changes nothing: the window moves only when an event fires.
+func (s *Scheduler) peek() int32 {
+	if s.ringN == 0 {
+		if len(s.far) == 0 {
+			return -1
+		}
+		return s.far[0]
+	}
+	// Chain order is scheduling order among equal deadlines (see link),
+	// so the first event with the least deadline is the answer, and
+	// nothing can be due before now: a burst scheduled for one instant
+	// drains from the head without rescanning what is behind it.
+	head := s.heads[s.nextBucket()] - 1
+	best := head
+	for i := s.events[head].next - 1; i != head && s.events[best].at != s.now; i = s.events[i].next - 1 {
+		if s.events[i].at < s.events[best].at {
+			best = i
+		}
+	}
+	return best
+}
+
+// fire removes event i from the agenda, advances the clock and the
+// window to it, and runs it.
+func (s *Scheduler) fire(i int32) {
+	ev := &s.events[i]
+	at, target, arg, slot := ev.at, ev.target, ev.arg, ev.slot
+	s.remove(i)
+	if slot >= 0 {
+		// Free before firing so Stop from inside the callback reports
+		// false for the event already executing.
+		s.freeSlot(slot)
+	}
+	s.now = at
+	if t := tickOf(at); t != s.base {
+		s.base = t
+		s.admit()
+	}
+	s.fired++
+	target.HandleEvent(arg)
+}
+
 // ---------------------------------------------------------------------------
 // Cancellation slots.
 
@@ -262,33 +367,136 @@ func (s *Scheduler) allocSlot() int32 {
 		s.freeSlots = s.freeSlots[:n-1]
 		return slot
 	}
-	s.slots = append(s.slots, slotEntry{heapIndex: -1})
+	s.slots = append(s.slots, slotEntry{ev: -1})
 	return int32(len(s.slots) - 1)
 }
 
 func (s *Scheduler) freeSlot(slot int32) {
-	s.slots[slot].heapIndex = -1
+	s.slots[slot].ev = -1
 	s.slots[slot].gen++ // invalidate outstanding Timers
 	s.freeSlots = append(s.freeSlots, slot)
 }
 
 // ---------------------------------------------------------------------------
-// Heap. Hand-rolled over []event rather than container/heap: the
-// interface-based API would box every by-value event on Push/Pop, which
-// is exactly the allocation this representation exists to avoid.
-//
-// The heap is 4-ary and the sifts are hole-based. Events are ~7 words
-// (two of them interfaces, so every copy pays write-barrier
-// bookkeeping); the dominant steady-state cost is therefore event
-// copies, not comparisons. A 4-ary layout halves the tree depth of the
-// binary heap, and moving elements into a hole instead of swapping
-// does one copy per level instead of three. Pop order cannot change:
-// (at, seq) keys are unique, so every valid min-heap drains in exactly
-// the same total order — this is a representation choice, invisible to
-// golden traces.
+// Slab.
 
-// heapArity is the fan-out of the agenda heap.
-const heapArity = 4
+// add stores ev in the slab, files it in the ring or the far heap by
+// its deadline, and returns its slab index.
+func (s *Scheduler) add(ev event) int32 {
+	var i int32
+	if s.free != 0 {
+		i = s.free - 1
+		s.free = s.events[i].next
+	} else {
+		s.events = append(s.events, event{})
+		i = int32(len(s.events) - 1)
+	}
+	s.events[i] = ev
+	if uint64(tickOf(ev.at)-s.base) < ringSize {
+		s.link(i)
+	} else {
+		s.farPush(i)
+	}
+	return i
+}
+
+// remove takes event i out of whichever tier holds it and returns its
+// slab entry to the free list, dropping the target/arg references.
+func (s *Scheduler) remove(i int32) {
+	if pos := s.events[i].pos; pos >= 0 {
+		s.farRemove(int(pos))
+	} else {
+		s.unlink(i)
+	}
+	s.events[i] = event{next: s.free, pos: posFree}
+	s.free = i + 1
+}
+
+// ---------------------------------------------------------------------------
+// Ring.
+
+// link appends event i to its bucket's chain. Chains are circular — the
+// head's prev is the tail — so appending walks nothing and needs no
+// array of tails.
+//
+// Appending keeps every chain in scheduling order among equal deadlines,
+// which is what lets peek compare deadlines alone. Direct inserts arrive
+// in seq order. Far events of tick T are admitted together, in (at, seq)
+// order, by the first fire that brings T inside the window, before that
+// event's handler runs; a direct insert into T needs T inside the window,
+// so it comes after them in the chain, and it was scheduled after them
+// too: the window only moves forward, so they were filed (far) under an
+// earlier window than it was (near). RestoreState inserts in (at, seq)
+// order against a single window.
+func (s *Scheduler) link(i int32) {
+	ev := &s.events[i]
+	b := tickOf(ev.at) & ringMask
+	ev.pos = posRing
+	if head := s.heads[b]; head != 0 {
+		tail := s.events[head-1].prev
+		ev.next, ev.prev = head, tail
+		s.events[tail-1].next = i + 1
+		s.events[head-1].prev = i + 1
+	} else {
+		ev.next, ev.prev = i+1, i+1
+		s.heads[b] = i + 1
+		s.occupied[b>>6] |= 1 << (b & 63)
+	}
+	s.ringN++
+}
+
+// unlink takes event i out of its bucket's chain.
+func (s *Scheduler) unlink(i int32) {
+	ev := &s.events[i]
+	b := tickOf(ev.at) & ringMask
+	if ev.next == i+1 { // alone in the bucket
+		s.heads[b] = 0
+		s.occupied[b>>6] &^= 1 << (b & 63)
+	} else {
+		s.events[ev.prev-1].next = ev.next
+		s.events[ev.next-1].prev = ev.prev
+		if s.heads[b] == i+1 {
+			s.heads[b] = ev.next
+		}
+	}
+	s.ringN--
+}
+
+// nextBucket returns the first occupied bucket at or after the cursor,
+// in ring order. The ring must not be empty.
+func (s *Scheduler) nextBucket() int {
+	c := int(s.base & ringMask)
+	w := c >> 6
+	if m := s.occupied[w] >> (c & 63); m != 0 {
+		return c + bits.TrailingZeros64(m)
+	}
+	// The last step wraps back onto the cursor's own word, whose bits
+	// at and above the cursor are known clear.
+	for range s.occupied {
+		w = (w + 1) % len(s.occupied)
+		if m := s.occupied[w]; m != 0 {
+			return w<<6 + bits.TrailingZeros64(m)
+		}
+	}
+	panic("sim: ring count and occupancy bitmap disagree")
+}
+
+// admit moves every far event the window now covers into the ring.
+func (s *Scheduler) admit() {
+	for len(s.far) > 0 {
+		i := s.far[0]
+		if tickOf(s.events[i].at)-s.base >= ringSize {
+			break
+		}
+		s.farRemove(0)
+		s.link(i)
+	}
+}
+
+// ---------------------------------------------------------------------------
+// Far heap: a binary min-heap of slab indices ordered by the events'
+// (at, seq), hole-based, with each event's position kept in its pos
+// field so a timer can be stopped in O(log n).
 
 // eventLess orders events by (deadline, scheduling sequence).
 func eventLess(a, b *event) bool {
@@ -298,88 +506,63 @@ func eventLess(a, b *event) bool {
 	return a.seq < b.seq
 }
 
-// place writes ev at heap index i and repoints its cancellation slot.
-func (s *Scheduler) place(i int, ev event) {
-	s.queue[i] = ev
-	if ev.slot >= 0 {
-		s.slots[ev.slot].heapIndex = int32(i)
-	}
+func (s *Scheduler) farPlace(p int, i int32) {
+	s.far[p] = i
+	s.events[i].pos = int32(p)
 }
 
-func (s *Scheduler) push(ev event) {
-	s.queue = append(s.queue, event{}) // open a hole at the tail
-	s.siftUp(len(s.queue)-1, ev)
+func (s *Scheduler) farPush(i int32) {
+	s.far = append(s.far, i)
+	s.farUp(len(s.far)-1, i)
 }
 
-// siftUp moves the hole at index i rootward until ev fits, then places
-// ev into it. The caller must have detached s.queue[i] already (it is a
-// hole: its previous contents are dead or duplicated elsewhere).
-func (s *Scheduler) siftUp(i int, ev event) {
-	for i > 0 {
-		parent := (i - 1) / heapArity
-		if !eventLess(&ev, &s.queue[parent]) {
+// farUp moves the hole at position p rootward until event i fits, then
+// places i into it.
+func (s *Scheduler) farUp(p int, i int32) {
+	for p > 0 {
+		parent := (p - 1) / 2
+		if !eventLess(&s.events[i], &s.events[s.far[parent]]) {
 			break
 		}
-		s.place(i, s.queue[parent])
-		i = parent
+		s.farPlace(p, s.far[parent])
+		p = parent
 	}
-	s.place(i, ev)
+	s.farPlace(p, i)
 }
 
-// siftDown moves the hole at index i leafward until ev fits, then
-// places ev into it.
-func (s *Scheduler) siftDown(i int, ev event) {
-	n := len(s.queue)
+// farDown moves the hole at position p leafward until event i fits,
+// then places i into it.
+func (s *Scheduler) farDown(p int, i int32) {
+	n := len(s.far)
 	for {
-		first := heapArity*i + 1
-		if first >= n {
+		c := 2*p + 1
+		if c >= n {
 			break
 		}
-		least := first
-		last := first + heapArity
-		if last > n {
-			last = n
+		if c+1 < n && eventLess(&s.events[s.far[c+1]], &s.events[s.far[c]]) {
+			c++
 		}
-		for c := first + 1; c < last; c++ {
-			if eventLess(&s.queue[c], &s.queue[least]) {
-				least = c
-			}
-		}
-		if !eventLess(&s.queue[least], &ev) {
+		if !eventLess(&s.events[s.far[c]], &s.events[i]) {
 			break
 		}
-		s.place(i, s.queue[least])
-		i = least
+		s.farPlace(p, s.far[c])
+		p = c
 	}
-	s.place(i, ev)
+	s.farPlace(p, i)
 }
 
-// popRoot removes the minimum event, zeroing the vacated tail entry so
-// the heap's spare capacity retains no target/arg references.
-func (s *Scheduler) popRoot() {
-	n := len(s.queue) - 1
-	tail := s.queue[n]
-	s.queue[n] = event{}
-	s.queue = s.queue[:n]
-	if n > 0 {
-		s.siftDown(0, tail)
-	}
-}
-
-// removeAt removes the event at heap index i (timer cancellation). The
-// displaced tail event may belong on either side of i, so it is sifted
-// down first and, if it did not move, up.
-func (s *Scheduler) removeAt(i int) {
-	n := len(s.queue) - 1
-	tail := s.queue[n]
-	s.queue[n] = event{}
-	s.queue = s.queue[:n]
-	if i == n {
+// farRemove removes the entry at heap position p. The displaced tail
+// entry may belong on either side of p, so it is sifted down first and,
+// if it did not move, up.
+func (s *Scheduler) farRemove(p int) {
+	n := len(s.far) - 1
+	tail := s.far[n]
+	s.far = s.far[:n]
+	if p == n {
 		return
 	}
-	s.siftDown(i, tail)
-	if s.queue[i].seq == tail.seq {
-		// tail settled at i; it may still be smaller than its parent.
-		s.siftUp(i, tail)
+	s.farDown(p, tail)
+	if s.far[p] == tail {
+		s.farUp(p, tail)
 	}
 }

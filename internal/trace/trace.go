@@ -172,7 +172,7 @@ func (t *Tracer) Wrap(node int, inner phy.Handler, sched *sim.Scheduler) phy.Han
 func (h *handler) OnFrame(f frame.Frame, info phy.RxInfo) {
 	h.t.add(Event{
 		At: h.sched.Now(), Node: h.node, Op: OpRx, Kind: f.Kind(),
-		From: info.From, PowerDBm: info.PowerDBm, Detail: detail(f),
+		From: info.From, PowerDBm: info.PowerDBm(), Detail: detail(f),
 	})
 	h.inner.OnFrame(f, info)
 }
@@ -180,7 +180,7 @@ func (h *handler) OnFrame(f frame.Frame, info phy.RxInfo) {
 func (h *handler) OnCorrupt(info phy.RxInfo) {
 	h.t.add(Event{
 		At: h.sched.Now(), Node: h.node, Op: OpCorrupt,
-		From: info.From, PowerDBm: info.PowerDBm,
+		From: info.From, PowerDBm: info.PowerDBm(),
 	})
 	h.inner.OnCorrupt(info)
 }
