@@ -18,8 +18,9 @@
 #   make fuzz-smoke short randomized pass of the checked-in fuzzers
 #                   (scheduler agenda, CMAP defer table, grid
 #                   re-bucketing, delivery-list patching, the radio's
-#                   interference path against its one-tier reference)
-#                   beyond their seed corpora
+#                   interference path against its one-tier reference,
+#                   the shadowing screen against Loss, the mobility
+#                   spec parser) beyond their seed corpora
 #   make conformance  the shared MAC conformance suite (every registered
 #                   arm: allocation, determinism, worker-equivalence and
 #                   conservation contracts) under the race detector
@@ -140,6 +141,8 @@ fuzz-smoke:
 	$(GO) test -timeout $(TEST_TIMEOUT) -run='^$$' -fuzz=FuzzGridRebucket -fuzztime=5s ./internal/geo
 	$(GO) test -timeout $(TEST_TIMEOUT) -run='^$$' -fuzz=FuzzDeliveryPatch -fuzztime=5s ./internal/medium
 	$(GO) test -timeout $(TEST_TIMEOUT) -run='^$$' -fuzz=FuzzInterferencePath -fuzztime=5s ./internal/phy
+	$(GO) test -timeout $(TEST_TIMEOUT) -run='^$$' -fuzz=FuzzScreenNeverRefusesAudible -fuzztime=5s ./internal/radio
+	$(GO) test -timeout $(TEST_TIMEOUT) -run='^$$' -fuzz=FuzzParseSpec -fuzztime=5s ./internal/mobility
 
 # The shared MAC conformance suite under the race detector: every
 # registered arm's allocation (skipped under race), determinism,
@@ -172,7 +175,8 @@ bench-guard:
 # The mobility tier: the mobility package's own unit tests (models,
 # channel, checkpoint codec, and bitwise Loss reciprocity of every
 # range-bounded model — one of the two invariants the batch patch leans
-# on), every registered arm's mobile determinism / worker-equivalence /
+# on — and the same for the shadowing screen), every registered arm's
+# mobile determinism / worker-equivalence /
 # conservation contracts under the race detector, the
 # incremental-vs-rebuild delivery-list equivalence (every node per
 # epoch, and partial batches against both oracles and the
@@ -184,7 +188,7 @@ bench-guard:
 mobility-conformance:
 	$(GO) test -timeout $(TEST_TIMEOUT) -count=1 ./internal/mobility
 	$(GO) test -timeout $(TEST_TIMEOUT) -race -count=1 -run 'TestConformance/.*/Mobile' ./internal/mac/conformance
-	$(GO) test -timeout $(TEST_TIMEOUT) -count=1 -run 'TestIncrementalMatchesRebuild|TestPartialBatchMatchesRebuild|TestFloorMatchesLiteral' ./internal/medium
+	$(GO) test -timeout $(TEST_TIMEOUT) -count=1 -run 'TestIncrementalMatchesRebuild|TestPartialBatchMatchesRebuild|TestFloorMatchesLiteral|TestScreenRefusesMost' ./internal/medium
 	$(GO) test -timeout $(TEST_TIMEOUT) -count=1 -run 'TestGoldenMobileTraces|TestStalenessSweep|TestMobilityChurnInterplay|TestCheckpointResumeBitIdentical/.*mobile' ./internal/experiments
 
 # Checkpoint/resume bit-identity: checkpoint-at-midpoint-then-resume

@@ -115,6 +115,7 @@ func TestRunUsageErrors(t *testing.T) {
 		{"unknown scale", []string{"-scale", "bogus"}, `unknown scale "bogus"`},
 		{"bad load", []string{"-load", "1,-2"}, `bad -load entry "-2"`},
 		{"bad mobility", []string{"-mobility", "teleport@3"}, "teleport"},
+		{"NaN mobility speed", []string{"-mobility", "waypoint@NaN"}, `bad speed "NaN"`},
 		{"bad traffic", []string{"-traffic", "pigeon"}, "pigeon"},
 		{"unknown arm", []string{"-arms", "csma,bogus"}, "bogus"},
 	} {

@@ -107,6 +107,11 @@ func TestRunUsageErrors(t *testing.T) {
 		{"checkpoint with trials", []string{"-checkpoint", "x.json", "-trials", "2"}, "-checkpoint/-resume"},
 		{"checkpoint interval", []string{"-checkpoint", "x.json", "-checkpoint-every", "0"}, "-checkpoint-every 0s"},
 		{"bad mobility", []string{"-mobility", "teleport@3"}, "teleport"},
+		{"NaN speed", []string{"-scenario", "disk", "-nodes", "50", "-mobility", "waypoint@NaN"}, `bad speed "NaN"`},
+		{"infinite speed", []string{"-scenario", "disk", "-nodes", "50", "-mobility", "walk@Inf"}, `bad speed "Inf"`},
+		{"overflowing speed", []string{"-mobility", "waypoint@1e300"}, `bad speed "1e300"`},
+		{"NaN roam radius", []string{"-mobility", "waypoint@3@NaN"}, `bad roam radius "NaN"`},
+		{"infinite roam radius", []string{"-mobility", "waypoint@3@+Inf"}, `bad roam radius "+Inf"`},
 		{"bad traffic", []string{"-traffic", "pigeon"}, "pigeon"},
 		{"bad load", []string{"-traffic", "cbr", "-load", "-1"}, "-load -1"},
 		{"bad topology", []string{"-topology", "star"}, "star"},

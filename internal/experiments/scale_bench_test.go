@@ -131,9 +131,18 @@ func BenchmarkAgenda(b *testing.B) {
 	b.Run("Burst/n=10000", BenchAgendaBurst(10000))
 }
 
+// BenchmarkModel prices one grid candidate at mobile_churn's density:
+// the full Loss against the shadowing screen that spares most
+// candidates it.
+func BenchmarkModel(b *testing.B) {
+	b.Run(fmt.Sprintf("Loss/n=1000@%d", ChurnDensity), BenchModelLoss(1000, ChurnDensity))
+	b.Run(fmt.Sprintf("Screen/n=1000@%d", ChurnDensity), BenchModelScreen(1000, ChurnDensity))
+}
+
 // BenchmarkIncrementalUpdate measures one MoveNode through the
-// incremental patch path at each scale size: one model evaluation per
-// grid candidate, so ns/op tracks the candidate set, not n.
+// incremental patch path at each scale size: one screen test per grid
+// candidate and a model evaluation per survivor, so ns/op tracks the
+// candidate set, not n.
 func BenchmarkIncrementalUpdate(b *testing.B) {
 	for _, n := range ScaleSizes {
 		b.Run(fmt.Sprintf("n=%d", n), BenchIncrementalUpdate(n))

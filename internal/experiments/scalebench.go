@@ -13,6 +13,7 @@ import (
 	"repro/internal/medium"
 	"repro/internal/mobility"
 	"repro/internal/phy"
+	"repro/internal/radio"
 	"repro/internal/sim"
 	"repro/internal/topo"
 )
@@ -198,9 +199,10 @@ func BenchSaturatedSteadyState(n int, density float64, shards int) func(b *testi
 // through the incremental patch path: re-bucket the moved node in the
 // grid, rebuild its own delivery list from the candidate set, and patch
 // every affected neighbour list copy-on-write. The cost tracks the
-// grid candidate set C (every node within the ±6σ range bound, one
-// model evaluation each), not the much smaller audible neighbourhood;
-// at fixed density C stops growing once the layout outgrows the bound.
+// grid candidate set C (every node within the ±6σ range bound: one
+// screen test each, one model evaluation per survivor), not the much
+// smaller audible neighbourhood; at fixed density C stops growing once
+// the layout outgrows the bound.
 func BenchIncrementalUpdate(n int) func(b *testing.B) {
 	s := topo.UniformDisk(n, ScaleDensity, 1)
 	return func(b *testing.B) {
@@ -225,8 +227,10 @@ func BenchIncrementalUpdate(n int) func(b *testing.B) {
 // waypoint 3 m/s, DecorrM 10 m run advanced, shadow epochs bumped, and
 // the whole batch pushed through Medium.MoveNodes — the unit of medium
 // update a mobile simulation actually pays per 100 ms of virtual time.
-// Each unordered candidate pair is evaluated once, so the cost is
-// ≤ n·C/2 model evaluations against the 2·n·C of n separate moves.
+// Every candidate is screened from both ends and each unordered
+// surviving pair is evaluated once, so the cost is n·C screen tests
+// plus ≤ n·S/2 model evaluations (S ≈ C/10 survivors) against the
+// 2·n·C evaluations of n separate unscreened moves.
 func BenchEpochUpdate(n int) func(b *testing.B) {
 	s := topo.UniformDisk(n, ScaleDensity, 1)
 	spec := mobility.Spec{Kind: mobility.Waypoint, SpeedMps: 3, DecorrM: 10}
@@ -264,6 +268,66 @@ func BenchDeliveryRebuild(n int) func(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			m.RebuildDeliveries()
+		}
+	}
+}
+
+// ChurnDensity is the mobile_churn workload's: 200 nodes/km² puts ~700
+// nodes inside the ±6σ range bound of which ~37 are audible, the
+// regime the shadowing screen is for.
+const ChurnDensity = 200 // nodes per km²
+
+// gridCandidates lists the (node, candidate) pairs the grid path would
+// put to the model for the first nodes of the scenario, up to limit.
+func gridCandidates(s *topo.Scenario, limit int) [][2]int {
+	reach := s.Model.(radio.RangeBounder).MaxRange(s.Params.TxPowerDBm - s.Params.DeliveryFloorDBm)
+	grid := geo.NewGrid(s.Pos, reach)
+	var pairs [][2]int
+	for a := 0; a < s.N() && len(pairs) < limit; a++ {
+		grid.Within(a, reach, func(b int) { pairs = append(pairs, [2]int{a, b}) })
+	}
+	return pairs
+}
+
+// BenchModelLoss measures what one grid candidate costs when the model
+// is evaluated in full — Loss, the unit the delivery lists paid per
+// candidate before the shadowing screen and still pay per survivor.
+func BenchModelLoss(n int, density float64) func(b *testing.B) {
+	s := topo.UniformDisk(n, density, 1)
+	return func(b *testing.B) {
+		pairs := gridCandidates(s, 100000)
+		var sum float64
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			p := pairs[i%len(pairs)]
+			sum += s.Model.Loss(p[0], s.Pos[p[0]], p[1], s.Pos[p[1]])
+		}
+		if sum == 0 {
+			b.Fatal("no loss")
+		}
+	}
+}
+
+// BenchModelScreen measures what one grid candidate costs the
+// shadowing screen, refused or not: read against ModelLoss at the same
+// size, it is the unit saving the screened delivery lists rest on
+// (~nine candidates in ten are refused at ChurnDensity).
+func BenchModelScreen(n int, density float64) func(b *testing.B) {
+	s := topo.UniformDisk(n, density, 1)
+	return func(b *testing.B) {
+		pairs := gridCandidates(s, 100000)
+		scr := s.Model.(radio.Screener)
+		tab := scr.Screen(s.Params.TxPowerDBm - s.Params.DeliveryFloorDBm)
+		refused := 0
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			p := pairs[i%len(pairs)]
+			if scr.Inaudible(tab, p[0], s.Pos[p[0]], p[1], s.Pos[p[1]]) {
+				refused++
+			}
+		}
+		if refused == 0 && b.N > 100 {
+			b.Fatal("the screen refused nothing")
 		}
 	}
 }
@@ -385,6 +449,8 @@ func ScaleBenchmarks() []ScaleBenchmark {
 		})
 	}
 	out = append(out,
+		ScaleBenchmark{Name: fmt.Sprintf("ModelLoss/n=1000@%d", ChurnDensity), Run: BenchModelLoss(1000, ChurnDensity)},
+		ScaleBenchmark{Name: fmt.Sprintf("ModelScreen/n=1000@%d", ChurnDensity), Run: BenchModelScreen(1000, ChurnDensity)},
 		ScaleBenchmark{Name: "AgendaHold/pending=256", Run: BenchAgendaHold(256)},
 		ScaleBenchmark{Name: "AgendaHold/pending=4096", Run: BenchAgendaHold(4096)},
 		ScaleBenchmark{Name: "AgendaRearm/pending=4096", Run: BenchAgendaRearm(4096)},

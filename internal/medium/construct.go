@@ -1,6 +1,7 @@
 package medium
 
 import (
+	"cmp"
 	"math"
 	"runtime"
 	"slices"
@@ -58,16 +59,60 @@ func (f floor) gain(lossDB float64) (float64, bool) {
 	return g, g >= f.floorMW
 }
 
+// screen is the model's shadowing screen at the floor's loss budget,
+// asked before every grid-path model evaluation. A pair it refuses is
+// one floor.gain would have rejected (radio.Screener's contract, at the
+// budget txDBm − cutDBm, so the floor's guard band is inside it), and a
+// pair it passes goes down the unscreened path untouched, so kept sets
+// and stored gains do not depend on it. The zero screen — the model
+// offers none — refuses nothing. The dense reference paths never ask.
+type screen struct {
+	by  radio.Screener
+	tab *radio.Screen
+}
+
+func newScreen(fl floor, model radio.Model) screen {
+	if by, ok := model.(radio.Screener); ok {
+		if tab := by.Screen(fl.txDBm - fl.cutDBm); tab != nil {
+			return screen{by, tab}
+		}
+	}
+	return screen{}
+}
+
+// refuses reports whether the model can prove b out of a's earshot
+// without evaluating the link.
+func (s screen) refuses(a int, pa geo.Point, b int, pb geo.Point) bool {
+	return s.by != nil && s.by.Inaudible(s.tab, a, pa, b, pb)
+}
+
+// sortedCopy sorts a scratch row by receiver and returns it as a fresh
+// exact-length list, nil when empty: the form every delivery list is
+// stored in. Grid visit order is cell-major, and sorting the few kept
+// entries is far cheaper than sorting the candidates they came from.
+func sortedCopy(row []Delivery) []Delivery {
+	if len(row) == 0 {
+		return nil
+	}
+	slices.SortFunc(row, func(x, y Delivery) int { return cmp.Compare(x.Dst, y.Dst) })
+	list := make([]Delivery, len(row))
+	copy(list, row)
+	return list
+}
+
 // BuildDeliveries computes, for every node, the receivers that hear it
 // above the delivery floor, in ascending receiver order, with the power
 // each receives. When the model bounds its range the candidate set is
-// enumerated through a spatial grid and the per-node computation fans
-// out across workers goroutines (workers <= 0 means GOMAXPROCS); the
-// output is bit-identical at any worker count because each node's list
-// is an independent pure computation written to a disjoint slot, and
-// every model in internal/radio is a pure function of its arguments
-// (deterministic per-pair shadowing, no internal state), which makes
-// concurrent Loss calls safe. Without a range bound the exhaustive
+// enumerated through a spatial grid — each candidate put to the model's
+// screen, the survivors evaluated in grid visit order, the kept entries
+// sorted — and the per-node computation fans out across workers
+// goroutines (workers <= 0 means GOMAXPROCS); the output is
+// bit-identical at any worker count because each node's list is an
+// independent pure computation written to a disjoint slot, and every
+// model in internal/radio is a pure function of its arguments
+// (deterministic per-pair shadowing, no state but a memoised screen
+// table read through an atomic), which makes concurrent Loss and
+// Inaudible calls safe. Without a range bound the exhaustive
 // O(n²) reference scan runs serially. The second result reports whether
 // the grid path was taken.
 func BuildDeliveries(params phy.Params, model radio.Model, positions []geo.Point, workers int) ([][]Delivery, bool) {
@@ -82,6 +127,7 @@ func BuildDeliveries(params phy.Params, model radio.Model, positions []geo.Point
 	n := len(positions)
 	lists := make([][]Delivery, n)
 	fl := newFloor(params)
+	scr := newScreen(fl, model)
 	grid := geo.NewGrid(positions, maxRange)
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -93,25 +139,19 @@ func BuildDeliveries(params phy.Params, model radio.Model, positions []geo.Point
 		workers = 1
 	}
 	fill := func(lo, hi int) {
-		buf := make([]int, 0, 64)
+		row := make([]Delivery, 0, 64) // scratch, reused across this worker's nodes
 		for a := lo; a < hi; a++ {
-			buf = buf[:0]
-			grid.Within(a, maxRange, func(b int) { buf = append(buf, b) })
-			slices.Sort(buf)
-			if len(buf) == 0 {
-				continue
-			}
-			// Pre-size from the grid candidate count: the kept set is a
-			// subset of the candidates, so one allocation always suffices.
-			list := make([]Delivery, 0, len(buf))
-			for _, b := range buf {
-				if g, ok := fl.gain(model.Loss(a, positions[a], b, positions[b])); ok {
-					list = append(list, Delivery{Dst: b, GainMW: g})
+			row = row[:0]
+			pa := positions[a]
+			grid.Within(a, maxRange, func(b int) {
+				if scr.refuses(a, pa, b, positions[b]) {
+					return
 				}
-			}
-			if len(list) > 0 {
-				lists[a] = list
-			}
+				if g, ok := fl.gain(model.Loss(a, pa, b, positions[b])); ok {
+					row = append(row, Delivery{Dst: b, GainMW: g})
+				}
+			})
+			lists[a] = sortedCopy(row)
 		}
 	}
 	if workers == 1 {

@@ -22,6 +22,19 @@
 // the reference the sparse path is tested against; both produce
 // bit-identical simulations.
 //
+// The range bound has to budget for the luckiest shadowing draw there
+// is (+6σ: 6.3× the unshadowed range at the urban model's constants),
+// so nineteen grid candidates in twenty are out of earshot at the draw
+// they actually got — 706 candidates per node for 37 kept at 200
+// nodes/km². Where the model offers a radio.Screener the grid paths
+// (BuildDeliveries, and MoveNodes' patch including its read-back of
+// rows already rebuilt) put every candidate to it first, and evaluate
+// the model only on the tenth that survives. The screen is one-sided —
+// it refuses only pairs the floor would have rejected — so kept sets
+// and stored gains are the same bits with or without it; the dense
+// reference paths never consult it, and the equivalence tests hold the
+// screened paths to them.
+//
 // # The zero-allocation transmit path
 //
 // The per-frame data path is allocation-free in steady state: each

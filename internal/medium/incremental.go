@@ -1,7 +1,6 @@
 package medium
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -12,21 +11,27 @@ import (
 
 // Incremental delivery-list maintenance for mobile nodes. MoveNodes
 // relocates a set of nodes — one movement epoch's worth — and patches
-// only the lists the moves can change, evaluating the model once per
-// affected unordered pair, while staying bit-identical to
+// only the lists the moves can change, evaluating the model at most
+// once per affected unordered pair (not at all for a pair the model's
+// shadowing screen refuses), while staying bit-identical to
 // BuildDeliveries over the final positions: every kept entry is the
 // same pure float computation (floor.gain of model.Loss), membership
 // uses the same predicate, and lists stay in ascending receiver order
 // with the same nil-when-empty convention.
 //
-// Two invariants carry the grid path. Reciprocity: a range-bounded
+// Three invariants carry the grid path. Reciprocity: a range-bounded
 // model's Loss(a,pa,b,pb) and Loss(b,pb,a,pa) have equal bits
 // (geo.Point.Dist squares the coordinate differences, the shadowing
 // hash is keyed on (lo,hi), mobility.Channel mixes epochs in id order;
 // pinned by TestLossReciprocityBits in internal/mobility), so one
 // evaluation serves both endpoints' lists. The guard band: floor.gain
 // skips the Pow only where the literal comparison could not have kept
-// the link (TestFloorMatchesLiteral). TestIncrementalMatchesRebuild,
+// the link (TestFloorMatchesLiteral). The screen: it refuses a pair
+// only when floor.gain would have, and answers alike in both directions
+// (TestScreenReciprocityBits, FuzzScreenNeverRefusesAudible), so a
+// refused candidate belongs in neither endpoint's row — including a
+// row already rebuilt in this batch, which spares the read-back its
+// binary search. TestIncrementalMatchesRebuild,
 // TestPartialBatchMatchesRebuild and FuzzDeliveryPatch pin the
 // equivalence against both the sparse and the dense oracle.
 //
@@ -133,11 +138,18 @@ func (m *Medium) audible(a, b int) (float64, bool) {
 // i before) and of its new one. Other nodes of the batch are skipped —
 // their rows are rebuilt whole — and a candidate whose row is already
 // final is read back from that row instead of evaluated again, so each
-// moved pair costs one model evaluation per batch.
+// moved pair costs at most one model evaluation per batch, and none
+// when the screen refuses it.
 func (m *Medium) moveGridPatch(mv *mover, i int) {
 	old := m.deliveries[i]
 	row := mv.row[:0]
+	pi := m.positions[i]
 	mv.grid.Within(i, mv.maxRange, func(b int) {
+		// A refused pair is in neither endpoint's row, so the screen
+		// also spares the read-back its binary search.
+		if m.screen.refuses(i, pi, b, m.positions[b]) {
+			return
+		}
 		var g float64
 		var ok bool
 		if mv.state[b] == rowFinal {
@@ -150,16 +162,9 @@ func (m *Medium) moveGridPatch(mv *mover, i int) {
 		}
 	})
 	mv.row = row
-	// Within visits cell-major; sort the few kept entries rather than
-	// the whole candidate set.
-	slices.SortFunc(row, func(x, y Delivery) int { return cmp.Compare(x.Dst, y.Dst) })
-	// A fresh slice at the exact length: the scratch row is reused, and
-	// snapshots of the old list must stay valid.
-	var list []Delivery
-	if len(row) > 0 {
-		list = make([]Delivery, len(row))
-		copy(list, row)
-	}
+	// A fresh slice: the scratch row is reused, and snapshots of the
+	// old list must stay valid.
+	list := sortedCopy(row)
 	m.deliveries[i] = list
 	for _, d := range list {
 		if mv.state[d.Dst] == unmoved {

@@ -50,13 +50,22 @@ func requireListsEqual(t *testing.T, label string, got, want [][]Delivery) {
 	}
 }
 
+// arenas are the two scales the patch oracles run at. In the room every
+// pair is within budget before shadowing and the screen has nothing to
+// refuse; across the field most grid candidates are out of earshot, so
+// the screened patch path (refused candidates, refused read-backs) is
+// what the oracles are held to.
+var arenas = map[string]geo.Rect{
+	"room":  {MinX: 0, MinY: 0, MaxX: 120, MaxY: 80},
+	"field": {MinX: 0, MinY: 0, MaxX: 1800, MaxY: 1200},
+}
+
 // TestIncrementalMatchesRebuild drives each mobility model over a
 // log-distance testbed (with shadowing re-draws) and proves, after
 // every movement epoch, that the incrementally patched delivery lists
 // are bit-identical to a from-scratch sparse build AND to the dense
 // O(n²) reference over the same final positions and shadowing epochs.
 func TestIncrementalMatchesRebuild(t *testing.T) {
-	arena := geo.Rect{MinX: 0, MinY: 0, MaxX: 120, MaxY: 80}
 	specs := []mobility.Spec{
 		{Kind: mobility.Waypoint, SpeedMps: 12, DecorrM: 15},
 		{Kind: mobility.RandomWalk, SpeedMps: 8, DecorrM: 15},
@@ -64,28 +73,43 @@ func TestIncrementalMatchesRebuild(t *testing.T) {
 	}
 	for _, spec := range specs {
 		t.Run(spec.Kind.String(), func(t *testing.T) {
-			params := phy.DefaultParams()
-			inner := &radio.LogDistance{RefLossDB: 50, Exponent: 3.0, ShadowSigmaDB: 4, Seed: 0xd15c0}
-			rng := sim.NewRNG(42)
-			pts := scatter(60, arena, rng.Stream(7))
-			ch := mobility.NewChannel(inner, len(pts))
-			sched := sim.NewScheduler()
-			m := NewWithWorkers(sched, params, ch, pts, rng.Stream(1), 1)
-			mg := mobility.New(spec, arena, m, rng.Stream(mobility.StreamLabel), ch)
-			mg.Start()
-			for epoch := 0; epoch < 30; epoch++ {
-				if !sched.Step() {
-					t.Fatal("scheduler drained early")
-				}
-				sparse, gridBacked := BuildDeliveries(params, ch, m.positions, 1)
-				if !gridBacked {
-					t.Fatal("expected the grid construction path")
-				}
-				requireListsEqual(t, "sparse oracle", m.deliveries, sparse)
-				requireListsEqual(t, "dense oracle", m.deliveries, denseDeliveries(params, ch, m.positions))
-			}
-			if mg.Epochs != 30 {
-				t.Fatalf("manager applied %d epochs, want 30", mg.Epochs)
+			for where, arena := range arenas {
+				t.Run(where, func(t *testing.T) {
+					params := phy.DefaultParams()
+					inner := &radio.LogDistance{RefLossDB: 50, Exponent: 3.0, ShadowSigmaDB: 4, Seed: 0xd15c0}
+					rng := sim.NewRNG(42)
+					pts := scatter(60, arena, rng.Stream(7))
+					ch := mobility.NewChannel(inner, len(pts))
+					sched := sim.NewScheduler()
+					m := NewWithWorkers(sched, params, ch, pts, rng.Stream(1), 1)
+					mg := mobility.New(spec, arena, m, rng.Stream(mobility.StreamLabel), ch)
+					mg.Start()
+					for epoch := 0; epoch < 30; epoch++ {
+						if !sched.Step() {
+							t.Fatal("scheduler drained early")
+						}
+						sparse, gridBacked := BuildDeliveries(params, ch, m.positions, 1)
+						if !gridBacked {
+							t.Fatal("expected the grid construction path")
+						}
+						requireListsEqual(t, "sparse oracle", m.deliveries, sparse)
+						requireListsEqual(t, "dense oracle", m.deliveries, denseDeliveries(params, ch, m.positions))
+					}
+					if mg.Epochs != 30 {
+						t.Fatalf("manager applied %d epochs, want 30", mg.Epochs)
+					}
+					refused := 0
+					for a := range pts {
+						for b := range pts {
+							if a != b && m.screen.refuses(a, m.positions[a], b, m.positions[b]) {
+								refused++
+							}
+						}
+					}
+					if (where == "field") != (refused > len(pts)*len(pts)/2) {
+						t.Fatalf("the screen refuses %d of %d ordered pairs in the %s", refused, len(pts)*(len(pts)-1), where)
+					}
+				})
 			}
 		})
 	}
@@ -102,7 +126,6 @@ type unbounded struct{ radio.Model }
 // equal a twin medium that took the same moves one MoveNode at a time.
 // Every case runs on the grid path and on the dense fallback.
 func TestPartialBatchMatchesRebuild(t *testing.T) {
-	arena := geo.Rect{MinX: 0, MinY: 0, MaxX: 120, MaxY: 80}
 	const n = 60
 	// A batch is built against the current positions; bump lists nodes
 	// whose shadow epoch advances before the batch is applied.
@@ -190,40 +213,44 @@ func TestPartialBatchMatchesRebuild(t *testing.T) {
 				name += "/dense path"
 			}
 			t.Run(name, func(t *testing.T) {
-				params := phy.DefaultParams()
-				inner := &radio.LogDistance{RefLossDB: 50, Exponent: 3.0, ShadowSigmaDB: 4, Seed: 0xba7c4}
-				rng := sim.NewRNG(77)
-				pts := scatter(n, arena, rng.Stream(7))
-				ch := mobility.NewChannel(inner, n)
-				var model radio.Model = ch
-				if dense {
-					model = unbounded{ch}
-				}
-				m := NewWithWorkers(sim.NewScheduler(), params, model, pts, rng.Stream(1), 1)
-				twin := NewWithWorkers(sim.NewScheduler(), params, model, pts, rng.Stream(1), 1)
-				if m.GridBacked() == dense {
-					t.Fatalf("grid-backed = %v on the %s", m.GridBacked(), name)
-				}
-				draw := rng.Stream(9)
-				for round := 0; round < tc.rounds; round++ {
-					bt := tc.next(m.positions, draw)
-					for _, i := range bt.bump {
-						ch.Bump(i)
-					}
-					m.MoveNodes(bt.ids, bt.pts)
-					for k, i := range bt.ids {
-						twin.MoveNode(i, bt.pts[k])
-					}
-					for k := len(bt.ids) - 1; k >= 0; k-- {
-						// The last listing of an id is where it must be.
-						if i := bt.ids[k]; !slices.Contains(bt.ids[k+1:], i) && m.positions[i] != bt.pts[k] {
-							t.Fatalf("round %d: node %d at %v, want %v", round, i, m.positions[i], bt.pts[k])
+				for where, arena := range arenas {
+					t.Run(where, func(t *testing.T) {
+						params := phy.DefaultParams()
+						inner := &radio.LogDistance{RefLossDB: 50, Exponent: 3.0, ShadowSigmaDB: 4, Seed: 0xba7c4}
+						rng := sim.NewRNG(77)
+						pts := scatter(n, arena, rng.Stream(7))
+						ch := mobility.NewChannel(inner, n)
+						var model radio.Model = ch
+						if dense {
+							model = unbounded{ch}
 						}
-					}
-					sparse, _ := BuildDeliveries(params, ch, m.positions, 1)
-					requireListsEqual(t, "sparse oracle", m.deliveries, sparse)
-					requireListsEqual(t, "dense oracle", m.deliveries, denseDeliveries(params, ch, m.positions))
-					requireListsEqual(t, "one MoveNode at a time", m.deliveries, twin.deliveries)
+						m := NewWithWorkers(sim.NewScheduler(), params, model, pts, rng.Stream(1), 1)
+						twin := NewWithWorkers(sim.NewScheduler(), params, model, pts, rng.Stream(1), 1)
+						if m.GridBacked() == dense {
+							t.Fatalf("grid-backed = %v on the %s", m.GridBacked(), name)
+						}
+						draw := rng.Stream(9)
+						for round := 0; round < tc.rounds; round++ {
+							bt := tc.next(m.positions, draw)
+							for _, i := range bt.bump {
+								ch.Bump(i)
+							}
+							m.MoveNodes(bt.ids, bt.pts)
+							for k, i := range bt.ids {
+								twin.MoveNode(i, bt.pts[k])
+							}
+							for k := len(bt.ids) - 1; k >= 0; k-- {
+								// The last listing of an id is where it must be.
+								if i := bt.ids[k]; !slices.Contains(bt.ids[k+1:], i) && m.positions[i] != bt.pts[k] {
+									t.Fatalf("round %d: node %d at %v, want %v", round, i, m.positions[i], bt.pts[k])
+								}
+							}
+							sparse, _ := BuildDeliveries(params, ch, m.positions, 1)
+							requireListsEqual(t, "sparse oracle", m.deliveries, sparse)
+							requireListsEqual(t, "dense oracle", m.deliveries, denseDeliveries(params, ch, m.positions))
+							requireListsEqual(t, "one MoveNode at a time", m.deliveries, twin.deliveries)
+						}
+					})
 				}
 			})
 		}

@@ -29,6 +29,7 @@ type Medium struct {
 	// sequence that golden traces pin down.
 	deliveries [][]Delivery
 	floor      floor
+	screen     screen
 	gridBacked bool
 
 	// txFree recycles Transmission objects: a transmission returns to
@@ -82,6 +83,7 @@ func newMedium(sched *sim.Scheduler, params phy.Params, model radio.Model, posit
 		positions: append([]geo.Point(nil), positions...),
 		floor:     newFloor(params),
 	}
+	m.screen = newScreen(m.floor, model)
 	n := len(positions)
 	m.radios = make([]*phy.Radio, n)
 	for i := 0; i < n; i++ {

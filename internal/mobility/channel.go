@@ -15,22 +15,32 @@ import (
 // stays deterministic (a pure function of seed, pair, and epochs),
 // reciprocal (epochs are combined in node-id order), and bounded by the
 // same ±MaxShadowSigmas truncation MaxRange already budgets for. While
-// both epochs are zero the inner model is consulted untouched, so a
+// both epochs are zero the pair keeps the inner model's own seed, so a
 // wrapped static run is bit-identical to an unwrapped one. Inner models
-// without shadowing (FreeSpace, Matrix) pass through unchanged.
+// without shadowing (FreeSpace, Matrix) pass through unchanged. The
+// inner model's shadowing screen is forwarded under the same per-pair
+// seed, so it speaks of the realisation Loss evaluates at every epoch
+// pair.
 //
 // A Channel belongs to one run: the Manager bumps epochs only inside an
 // epoch step, before repatching the moved nodes' delivery lists in the
 // same step, which keeps the lists and the model consistent at every
 // event.
 type Channel struct {
-	inner  radio.Model
-	epochs []uint32
+	inner radio.Model
+	// shadowed is inner when it is a LogDistance with shadowing to
+	// re-draw, nil otherwise.
+	shadowed *radio.LogDistance
+	epochs   []uint32
 }
 
 // NewChannel wraps inner for n nodes, all epochs zero.
 func NewChannel(inner radio.Model, n int) *Channel {
-	return &Channel{inner: inner, epochs: make([]uint32, n)}
+	c := &Channel{inner: inner, epochs: make([]uint32, n)}
+	if ld, ok := inner.(*radio.LogDistance); ok && ld.ShadowSigmaDB > 0 {
+		c.shadowed = ld
+	}
+	return c
 }
 
 // Bump advances node i's shadowing epoch.
@@ -50,25 +60,44 @@ func (c *Channel) SetEpochs(e []uint32) {
 	}
 }
 
-// Loss implements radio.Model.
-func (c *Channel) Loss(a int, pa geo.Point, b int, pb geo.Point) float64 {
+// pairSeed returns the shadowing seed of pair (a, b) at its current
+// epochs: the model's own while both are zero, otherwise the model's
+// with the epochs mixed in, in node-id order so that both directions of
+// the pair agree.
+func (c *Channel) pairSeed(a, b int) uint64 {
 	ea, eb := c.epochs[a], c.epochs[b]
 	if ea == 0 && eb == 0 {
-		return c.inner.Loss(a, pa, b, pb)
+		return c.shadowed.Seed
 	}
-	ld, ok := c.inner.(*radio.LogDistance)
-	if !ok || ld.ShadowSigmaDB <= 0 {
-		return c.inner.Loss(a, pa, b, pb)
-	}
-	// Re-seed a copy of the inner model with the pair's epochs mixed in
-	// node-id order, so Loss(a,b) == Loss(b,a) at any epoch pair.
 	elo, ehi := ea, eb
 	if b < a {
 		elo, ehi = eb, ea
 	}
-	re := *ld
-	re.Seed = ld.Seed ^ sim.HashPair(uint64(elo)+1, uint64(ehi)+1)
-	return re.Loss(a, pa, b, pb)
+	return c.shadowed.Seed ^ sim.HashPair(uint64(elo)+1, uint64(ehi)+1)
+}
+
+// Loss implements radio.Model.
+func (c *Channel) Loss(a int, pa geo.Point, b int, pb geo.Point) float64 {
+	if c.shadowed == nil {
+		return c.inner.Loss(a, pa, b, pb)
+	}
+	return c.shadowed.LossSeeded(c.pairSeed(a, b), a, pa, b, pb)
+}
+
+// Screen implements radio.Screener with the inner model's table, which
+// holds no seed and so serves every epoch pair; nil when the inner
+// model has no shadowing to screen by.
+func (c *Channel) Screen(maxLossDB float64) *radio.Screen {
+	if c.shadowed == nil {
+		return nil
+	}
+	return c.shadowed.Screen(maxLossDB)
+}
+
+// Inaudible implements radio.Screener under the pair's current epochs,
+// the realisation Loss would evaluate.
+func (c *Channel) Inaudible(s *radio.Screen, a int, pa geo.Point, b int, pb geo.Point) bool {
+	return s.InaudibleSeeded(c.pairSeed(a, b), a, pa, b, pb)
 }
 
 // MaxRange implements radio.RangeBounder by forwarding to the inner

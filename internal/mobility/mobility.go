@@ -2,6 +2,7 @@ package mobility
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -79,10 +80,24 @@ func (s Spec) String() string {
 	return out
 }
 
+// MaxSpeedMps is the fastest speed ParseSpec accepts: one metre per
+// tick of sim.Time. Anything faster covers a metre in less virtual time
+// than the clock can count, and is a typo or an overflow, not a model.
+const MaxSpeedMps = float64(sim.Second)
+
+// parseBounded parses a field that must lie in [0, max].
+// strconv.ParseFloat alone accepts "NaN" and "Inf", and NaN is not
+// below zero.
+func parseBounded(field string, max float64) (float64, bool) {
+	v, err := strconv.ParseFloat(field, 64)
+	return v, err == nil && v >= 0 && v <= max
+}
+
 // ParseSpec parses the CLI mobility syntax "<model>@<speed>" with an
 // optional roam-radius third field: "waypoint@3", "walk@1.5",
 // "vehicular@20", "waypoint@3@15" (roam within 15 m of home), or
-// "none". Speeds are in m/s, the radius in metres.
+// "none". Speeds are in m/s and at most MaxSpeedMps, the radius in
+// metres; both must be finite and non-negative.
 func ParseSpec(s string) (Spec, error) {
 	s = strings.TrimSpace(s)
 	if s == "" || s == "none" {
@@ -103,17 +118,14 @@ func ParseSpec(s string) (Spec, error) {
 	if len(parts) < 2 {
 		return Spec{}, fmt.Errorf("mobility: %q needs a speed, e.g. %q", s, parts[0]+"@3")
 	}
-	v, err := strconv.ParseFloat(parts[1], 64)
-	if err != nil || v < 0 {
-		return Spec{}, fmt.Errorf("mobility: bad speed %q in %q", parts[1], s)
+	var ok bool
+	if spec.SpeedMps, ok = parseBounded(parts[1], MaxSpeedMps); !ok {
+		return Spec{}, fmt.Errorf("mobility: bad speed %q in %q (want 0 to %g m/s)", parts[1], s, MaxSpeedMps)
 	}
-	spec.SpeedMps = v
 	if len(parts) >= 3 {
-		r, err := strconv.ParseFloat(parts[2], 64)
-		if err != nil || r < 0 {
-			return Spec{}, fmt.Errorf("mobility: bad roam radius %q in %q", parts[2], s)
+		if spec.RangeM, ok = parseBounded(parts[2], math.MaxFloat64); !ok {
+			return Spec{}, fmt.Errorf("mobility: bad roam radius %q in %q (want a finite, non-negative number of metres)", parts[2], s)
 		}
-		spec.RangeM = r
 	}
 	if len(parts) > 3 {
 		return Spec{}, fmt.Errorf("mobility: too many fields in %q", s)

@@ -38,6 +38,38 @@ func scatterPts(n int, w, h float64, seed uint64) []geo.Point {
 	return out
 }
 
+// FuzzParseSpec: any string is either an error or a spec whose fields
+// are finite, non-negative and within bounds, and which survives a trip
+// through Spec.String — never a panic, never a NaN that reads as "not
+// moving" or an Inf that moves every node to the arena wall.
+func FuzzParseSpec(f *testing.F) {
+	for _, s := range []string{"", "none", "waypoint@3", "walk@1.5", "vehicular@20", "waypoint@3@15", " walk@0 ",
+		"waypoint@NaN", "waypoint@3@NaN", "walk@Inf", "waypoint@1e300", "waypoint@-0", "waypoint@0x1p-2@1e308",
+		"waypoint@1e9", "waypoint@@", "teleport@3", "walk@3@4@5", "waypoint@1_0"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		spec, err := ParseSpec(in)
+		if err != nil {
+			if spec != (Spec{}) {
+				t.Fatalf("ParseSpec(%q) failed (%v) and still returned %+v", in, err, spec)
+			}
+			return
+		}
+		finite := func(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }
+		if !finite(spec.SpeedMps) || spec.SpeedMps > MaxSpeedMps || !finite(spec.RangeM) {
+			t.Fatalf("ParseSpec(%q) = %+v: speed or radius out of range", in, spec)
+		}
+		if spec.Kind > Vehicular || spec.Epoch != 0 || spec.DecorrM != 0 {
+			t.Fatalf("ParseSpec(%q) = %+v: fields the syntax cannot set", in, spec)
+		}
+		back, err := ParseSpec(spec.String())
+		if err != nil || back != spec {
+			t.Fatalf("ParseSpec(%q) = %+v renders %q, which parses to %+v (%v)", in, spec, spec.String(), back, err)
+		}
+	})
+}
+
 func TestParseSpecRoundTrip(t *testing.T) {
 	cases := []struct {
 		in   string
@@ -65,7 +97,9 @@ func TestParseSpecRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	for _, bad := range []string{"teleport@3", "waypoint", "walk@-1", "walk@x", "waypoint@3@-2", "waypoint@3@q", "waypoint@3@4@5"} {
+	for _, bad := range []string{"teleport@3", "waypoint", "walk@-1", "walk@x", "waypoint@3@-2", "waypoint@3@q", "waypoint@3@4@5",
+		"waypoint@NaN", "walk@Inf", "waypoint@-Inf", "vehicular@infinity", "waypoint@1e300", "waypoint@1e400", "waypoint@1000000001",
+		"waypoint@3@NaN", "waypoint@3@Inf", "walk@3@1e999"} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Fatalf("ParseSpec(%q) succeeded, want error", bad)
 		}
@@ -417,5 +451,56 @@ func TestLossReciprocityBits(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestScreenReciprocityBits is the same pin for the shadowing screen:
+// the grid patch drops a refused candidate from both endpoints' rows on
+// one asking, so Inaudible(a,b) must equal Inaudible(b,a) — same ring
+// (Dist is symmetric to the bit), same (lo,hi) stream, epochs mixed in
+// id order — at any epoch pair, and must say "refused" only of a pair
+// whose Loss is over the budget. FreeSpace offers no screen, bare or
+// wrapped.
+func TestScreenReciprocityBits(t *testing.T) {
+	const n, budget = 40, 112.0
+	inner := radio.DefaultUrban5GHz(11)
+	ch := NewChannel(inner, n)
+	if NewChannel(&radio.FreeSpace{RefLossDB: 46.8, Exponent: 2}, n).Screen(budget) != nil {
+		t.Fatal("a channel over FreeSpace offers a screen")
+	}
+	tab := ch.Screen(budget)
+	if tab == nil || tab != inner.Screen(budget) {
+		t.Fatal("the channel does not forward the inner model's screen")
+	}
+	reach := ch.MaxRange(budget)
+	rng := sim.NewRNG(0x5c7ee)
+	refused := 0
+	for trial := 0; trial < 40000; trial++ {
+		if trial%50 == 0 {
+			ch.Bump(rng.Intn(n))
+		}
+		a, b := rng.Intn(n), rng.Intn(n)
+		pa := geo.Point{X: reach * rng.Float64(), Y: reach * rng.Float64()}
+		pb := geo.Point{X: reach * rng.Float64(), Y: reach * rng.Float64()}
+		for _, m := range []interface {
+			radio.Model
+			radio.Screener
+		}{inner, ch} {
+			ab, ba := m.Inaudible(tab, a, pa, b, pb), m.Inaudible(tab, b, pb, a, pa)
+			if ab != ba {
+				t.Fatalf("%T epochs %d,%d: Inaudible(%d,%v,%d,%v) = %v but reversed = %v",
+					m, ch.Epoch(a), ch.Epoch(b), a, pa, b, pb, ab, ba)
+			}
+			if ab {
+				refused++
+				if loss := m.Loss(a, pa, b, pb); !(loss > budget) {
+					t.Fatalf("%T epochs %d,%d: %d→%d refused at loss %v, budget %v",
+						m, ch.Epoch(a), ch.Epoch(b), a, b, loss, budget)
+				}
+			}
+		}
+	}
+	if refused < 40000 {
+		t.Fatalf("only %d of 80000 askings refused", refused)
 	}
 }

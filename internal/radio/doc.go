@@ -20,4 +20,14 @@
 // constant into linear multipliers at construction and keep per-pair
 // gains in mW end to end. Models that implement RangeBounder let the
 // sparse medium bound audibility and skip the O(n²) pair scan.
+//
+// That bound must allow for the most favourable shadowing draw, so most
+// of the pairs inside it are still out of earshot. A Screener proves
+// that of a pair from the first uniform of its shadowing stream and a
+// table lookup (screen.go has the inequality and what keeps it exact):
+// a fifth of the cost of Loss, no logarithm, and never wrong in the
+// direction that matters, so a caller that evaluates Loss on whatever
+// the screen lets through computes exactly what it would have without
+// one. LogDistance implements it; FreeSpace and Matrix have no
+// shadowing to screen by.
 package radio

@@ -2,6 +2,7 @@ package radio
 
 import (
 	"math"
+	"sync/atomic"
 
 	"repro/internal/geo"
 	"repro/internal/sim"
@@ -54,6 +55,27 @@ type RangeBounder interface {
 	MaxRange(maxLossDB float64) float64
 }
 
+// Screener is implemented by shadowed models that can often prove a
+// pair out of earshot far more cheaply than Loss can say by how much.
+// MaxRange has to budget for the most favourable shadowing draw there
+// is, so most of the candidates a spatial grid hands back are decibels
+// past the budget at the draw they actually got; a screen tells from
+// the first uniform of the pair's shadowing stream, before any
+// logarithm. It is one-sided: Inaudible may return true only when
+// Loss(a, pa, b, pb) > maxLossDB in the very floats Loss computes, and
+// false promises nothing — the caller then evaluates Loss as if there
+// were no screen, which is why screened and unscreened delivery lists
+// are the same bits. Like Loss it must be reciprocal. Models without
+// shadowing do not implement it.
+type Screener interface {
+	// Screen returns the table for a loss budget, or nil when this
+	// model has nothing to screen by (no shadowing, no range bound).
+	Screen(maxLossDB float64) *Screen
+	// Inaudible reports whether the pair's loss provably exceeds the
+	// budget s was made for. s must come from this model's Screen.
+	Inaudible(s *Screen, a int, pa geo.Point, b int, pb geo.Point) bool
+}
+
 // MaxShadowSigmas truncates the shadowing variate. Lognormal shadowing
 // is an empirical fit whose far tails are unphysical (±6σ of a 6 dB
 // spread is already ±36 dB — more than any wall); truncating there
@@ -83,6 +105,12 @@ type LogDistance struct {
 	MinDistance float64
 	// Seed selects the shadowing realisation.
 	Seed uint64
+
+	// screen memoises the last table Screen built. Experiments build
+	// hundreds of media over one shared model, so the table is paid for
+	// once per model rather than once per medium; it is keyed on the
+	// constants it was built from, so editing a field just rebuilds it.
+	screen atomic.Pointer[Screen]
 }
 
 // DefaultIndoor5GHz returns the calibrated model used for the reproduction
@@ -113,7 +141,22 @@ func DefaultUrban5GHz(seed uint64) *LogDistance {
 
 // Loss implements Model.
 func (m *LogDistance) Loss(a int, pa geo.Point, b int, pb geo.Point) float64 {
-	d := pa.Dist(pb)
+	return m.LossSeeded(m.Seed, a, pa, b, pb)
+}
+
+// LossSeeded is Loss with the shadowing realisation chosen by seed
+// instead of m.Seed: the hook mobility.Channel re-draws a pair's
+// shadowing through without copying the model.
+func (m *LogDistance) LossSeeded(seed uint64, a int, pa geo.Point, b int, pb geo.Point) float64 {
+	loss := m.meanLoss(pa.Dist(pb))
+	if m.ShadowSigmaDB > 0 {
+		loss += m.ShadowSigmaDB * shadow(seed, a, b)
+	}
+	return loss
+}
+
+// meanLoss is the unshadowed loss at distance d.
+func (m *LogDistance) meanLoss(d float64) float64 {
 	min := m.MinDistance
 	if min <= 0 {
 		min = 1.0
@@ -121,11 +164,7 @@ func (m *LogDistance) Loss(a int, pa geo.Point, b int, pb geo.Point) float64 {
 	if d < min {
 		d = min
 	}
-	loss := m.RefLossDB + 10*m.Exponent*math.Log10(d)
-	if m.ShadowSigmaDB > 0 {
-		loss += m.ShadowSigmaDB * m.shadow(a, b)
-	}
-	return loss
+	return m.RefLossDB + 10*m.Exponent*math.Log10(d)
 }
 
 // MaxRange implements RangeBounder: beyond the returned distance, path
@@ -148,16 +187,22 @@ func (m *LogDistance) MaxRange(maxLossDB float64) float64 {
 	return d * (1 + 1e-9)
 }
 
-// shadow returns a standard normal variate truncated to ±MaxShadowSigmas
-// that is symmetric in (a, b) and deterministic in the model seed.
-func (m *LogDistance) shadow(a, b int) float64 {
+// pairStream seeds the shadowing stream of the unordered pair (a, b)
+// under seed. shadow and the screen both draw from sim.NewRNG of it,
+// which is what lets the screen reason about the first uniform shadow
+// will see.
+func pairStream(seed uint64, a, b int) uint64 {
 	lo, hi := a, b
 	if lo > hi {
 		lo, hi = hi, lo
 	}
-	h := sim.HashPair(uint64(lo)+1, uint64(hi)+1)
-	rng := sim.NewRNG(h ^ m.Seed)
-	v := rng.NormFloat64()
+	return sim.HashPair(uint64(lo)+1, uint64(hi)+1) ^ seed
+}
+
+// shadow returns a standard normal variate truncated to ±MaxShadowSigmas
+// that is symmetric in (a, b) and deterministic in the seed.
+func shadow(seed uint64, a, b int) float64 {
+	v := sim.NewRNG(pairStream(seed, a, b)).NormFloat64()
 	if v > MaxShadowSigmas {
 		v = MaxShadowSigmas
 	} else if v < -MaxShadowSigmas {
