@@ -17,7 +17,8 @@
 #                   guard over internal/, markdown link check
 #   make fuzz-smoke short randomized pass of the checked-in fuzzers
 #                   (scheduler agenda, CMAP defer table, grid
-#                   re-bucketing, delivery-list patching, the radio's
+#                   re-bucketing, delivery-list patching, station attach
+#                   order against the medium's fan-out, the radio's
 #                   interference path against its one-tier reference,
 #                   the shadowing screen against Loss, the mobility
 #                   spec parser) beyond their seed corpora
@@ -140,6 +141,7 @@ fuzz-smoke:
 	$(GO) test -timeout $(TEST_TIMEOUT) -run='^$$' -fuzz=FuzzDeferTable -fuzztime=5s ./internal/core
 	$(GO) test -timeout $(TEST_TIMEOUT) -run='^$$' -fuzz=FuzzGridRebucket -fuzztime=5s ./internal/geo
 	$(GO) test -timeout $(TEST_TIMEOUT) -run='^$$' -fuzz=FuzzDeliveryPatch -fuzztime=5s ./internal/medium
+	$(GO) test -timeout $(TEST_TIMEOUT) -run='^$$' -fuzz=FuzzAttachOrder -fuzztime=5s ./internal/medium
 	$(GO) test -timeout $(TEST_TIMEOUT) -run='^$$' -fuzz=FuzzInterferencePath -fuzztime=5s ./internal/phy
 	$(GO) test -timeout $(TEST_TIMEOUT) -run='^$$' -fuzz=FuzzScreenNeverRefusesAudible -fuzztime=5s ./internal/radio
 	$(GO) test -timeout $(TEST_TIMEOUT) -run='^$$' -fuzz=FuzzParseSpec -fuzztime=5s ./internal/mobility

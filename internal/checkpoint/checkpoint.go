@@ -15,10 +15,13 @@ import (
 // binary must never misinterpret an old layout silently. Version 2:
 // radios stopped listing sub-sensitivity signals in their active sets
 // (phy.RadioState.WeakN counts them); a version-1 list restored here
-// would depart those signals through the wrong path.
+// would depart those signals through the wrong path. Version 3: frames
+// are delivered only to radios a station listens on; a version-2 payload
+// has every radio in range holding each in-flight signal, and the ones
+// nobody listens on would never be departed.
 const (
 	Magic   = "cmapckpt"
-	Version = 2
+	Version = 3
 )
 
 // The typed failure modes of Load. Callers branch with errors.Is; every

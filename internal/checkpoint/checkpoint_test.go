@@ -94,6 +94,9 @@ func TestLoadFailureModes(t *testing.T) {
 		// Version 1 listed sub-sensitivity signals in the radios' active
 		// sets; this binary would depart them through the wrong path.
 		{"version 1 envelope", func() []byte { return reversion("1") }, hash, ErrVersionMismatch},
+		// Version 2 had every radio in range holding each in-flight
+		// signal; the ones no station listens on would never be departed.
+		{"version 2 envelope", func() []byte { return reversion("2") }, hash, ErrVersionMismatch},
 		{"config mismatch", func() []byte { return good }, ConfigHash("config-B"), ErrConfigMismatch},
 	}
 	for _, tc := range cases {

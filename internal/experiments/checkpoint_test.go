@@ -172,24 +172,55 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 	// A cut with a sub-sensitivity signal on the air at a locked
 	// receiver: that signal is in no active set, only in the radio's weak
 	// count and in its transmission's stored delivery snapshot, and the
-	// resumed run has to depart it from there mid-reception.
+	// resumed run has to depart it from there mid-reception. Only the
+	// four endpoints hear anything, so the flows have to bring the weak
+	// cross link themselves: take the first sampled exposed pair that has
+	// such an instant (the golden one's endpoints never do — its only
+	// weak signal at a locked receiver is one the skeleton holds too).
 	t.Run("exposed/cmap/weak-on-air", func(t *testing.T) {
+		t.Parallel()
+		for _, p := range tb.ExposedPairs(sim.NewRNG(seed^0x901d), 4) {
+			cfg := flowSimConfig(string(CMAP), []topo.Link{p.A, p.B}, opt, 1, traffic.Saturate(), seed+CMAP.seedSalt()*104729)
+			mk := func() *FlowSim {
+				fs, err := NewFlowSim(tb, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return fs
+			}
+			probe, skeleton := mk(), mk()
+			for cut := opt.Duration / 2; cut < opt.Duration; cut += 10 * sim.Microsecond {
+				if probe.Run(cut); weakAtLockedReceiver(t, probe, skeleton) {
+					checkpointResumeCase(t, tb, cfg, cut, opt.Duration)
+					return
+				}
+			}
+		}
+		t.Fatal("no instant with a weak signal on the air at a locked receiver")
+	})
+	// A cut inside the frames CMAP's saturated senders put on the air
+	// while the run is being wired. Those are marked All and are the only
+	// frames a radio without a station ever hears; the mark has to
+	// survive the cut, or the resumed run never departs them from the
+	// bystanders and the end-of-run checkpoints differ.
+	t.Run("exposed/cmap/all-on-air", func(t *testing.T) {
 		t.Parallel()
 		tp := goldenTopologies(tb, seed)[0]
 		cfg := flowSimConfig(string(CMAP), tp.flows, opt, 1, traffic.Saturate(), seed+CMAP.seedSalt()*104729)
-		mk := func() *FlowSim {
-			fs, err := NewFlowSim(tb, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return fs
+		const cut = 10 * sim.Microsecond // shorter than any preamble
+		probe, err := NewFlowSim(tb, cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		probe, skeleton := mk(), mk()
-		cut := opt.Duration / 2
-		for probe.Run(cut); !weakAtLockedReceiver(t, probe, skeleton); probe.Run(cut) {
-			if cut += 10 * sim.Microsecond; cut >= opt.Duration {
-				t.Fatal("no instant with a weak signal on the air at a locked receiver")
+		probe.Run(cut)
+		bystanders := 0
+		for i := 0; i < probe.m.NodeCount(); i++ {
+			if _, station := probe.nodes[i]; !station && probe.m.Radio(i).ActiveSignals() > 0 {
+				bystanders++
 			}
+		}
+		if bystanders == 0 {
+			t.Fatalf("no bystander radio hears a frame at t=%v: nothing marked All is on the air", cut)
 		}
 		checkpointResumeCase(t, tb, cfg, cut, opt.Duration)
 	})
@@ -205,23 +236,16 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 	})
 }
 
-// weakAtLockedReceiver reports whether some radio of fs is, right now,
-// locked onto a frame while sub-sensitivity signals are on the air at
-// it — and not the same number of them as at that radio in skeleton,
-// an unrun simulation of the same configuration (saturated senders put
-// their first frames on the air at construction), so a restore that
-// dropped the count could not pass by coincidence.
+// weakAtLockedReceiver reports whether some station's radio of fs is,
+// right now, locked onto a frame while sub-sensitivity signals are on
+// the air at it — and not the same number of them as at that radio in
+// skeleton, an unrun simulation of the same configuration (saturated
+// senders put their first frames on the air at construction), so a
+// restore that dropped the count could not pass by coincidence.
 func weakAtLockedReceiver(t *testing.T, fs, skeleton *FlowSim) bool {
 	t.Helper()
-	export := func(fs *FlowSim, i int) phy.RadioState {
-		rs, err := fs.m.Radio(i).ExportState()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rs
-	}
-	for i := 0; i < fs.m.NodeCount(); i++ {
-		if rs := export(fs, i); rs.LockedTxID != 0 && rs.WeakN > 0 && rs.WeakN != export(skeleton, i).WeakN {
+	for _, i := range fs.order {
+		if rs := radioState(t, fs, i); rs.LockedTxID != 0 && rs.WeakN > 0 && rs.WeakN != radioState(t, skeleton, i).WeakN {
 			return true
 		}
 	}

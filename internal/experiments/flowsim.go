@@ -127,6 +127,15 @@ type flowSimState struct {
 // draws rng.Stream(5000+i). It reads only N, Pos, Bounds, Params, Model
 // and DenseMedium from the testbed, never the link measurements.
 func NewFlowSim(tb *topo.Testbed, cfg FlowSimConfig) (*FlowSim, error) {
+	return newFlowSim(tb, cfg, nil)
+}
+
+// newFlowSim is NewFlowSim with an optional step between the channel
+// and the first station. Frames are delivered only to radios a station
+// listens on; TestAttendedFanoutEquivalence uses the step to put a
+// listener on every other radio first, which is the only way to build
+// the deliver-to-everyone reference.
+func newFlowSim(tb *topo.Testbed, cfg FlowSimConfig, beforeStations func(*FlowSim)) (*FlowSim, error) {
 	arm, err := mac.Lookup(string(cfg.Arm))
 	if err != nil {
 		return nil, err
@@ -175,6 +184,9 @@ func NewFlowSim(tb *topo.Testbed, cfg FlowSimConfig) (*FlowSim, error) {
 	if !fs.saturated {
 		fs.lats = make([]*stats.Latency, n)
 		fs.sources = make([]*traffic.Source, n)
+	}
+	if beforeStations != nil {
+		beforeStations(fs)
 	}
 	mk := func(id int) mac.Node {
 		if nd, ok := fs.nodes[id]; ok {

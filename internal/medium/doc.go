@@ -1,7 +1,8 @@
 // Package medium implements the shared wireless channel: it places
 // radios, computes the received power of every transmission at every
-// other radio through the propagation model, and drives each radio's
-// signal start/end callbacks in virtual time.
+// other radio through the propagation model, and drives the signal
+// start/end callbacks of the radios a station listens on in virtual
+// time.
 //
 // # Relation to the paper
 //
@@ -16,7 +17,7 @@
 // list of only the receivers that hear it above the delivery floor.
 // Lists are built with a spatial grid when the propagation model can
 // bound its range (radio.RangeBounder), making construction O(n·k) at
-// fixed node density and Transmit O(audible receivers) — the
+// fixed node density and Transmit O(audible receivers) at most — the
 // representation that lets the testbed scale from the paper's 50 nodes
 // to thousands. NewDense retains the brute-force O(n²) construction as
 // the reference the sparse path is tested against; both produce
@@ -35,11 +36,30 @@
 // reference paths never consult it, and the equivalence tests hold the
 // screened paths to them.
 //
+// # Who hears a frame
+//
+// A delivery list says who could hear a sender; a frame is delivered to
+// the entries a station listens on. Radio.SetHandler tells the medium
+// about a radio's first handler (Attend), the medium notes the TxID
+// from which that radio listens, and both fan-outs — Arrive at the
+// start of a frame, Depart at its end — skip a receiver whose first
+// TxID lies beyond the frame's. The paper's experiments, and every run
+// here, put stations on a handful of a testbed's nodes; a radio nobody
+// attached to transmits nothing, draws from a private RNG stream and
+// has nobody to tell, so skipping it changes no result. One exception:
+// a frame that starts in an instant in which a station attached goes to
+// every entry (Transmission.All), because a MAC may transmit while the
+// run is still being wired and stations attached later in that instant
+// must find the frame on the air. See ARCHITECTURE.md, "Who hears a
+// frame"; FuzzAttachOrder holds the Arrive/Depart pairing under any
+// order of attaches and frames.
+//
 // # The zero-allocation transmit path
 //
 // The per-frame data path is allocation-free in steady state: each
 // transmission borrows a phy.Transmission from the medium's free list,
-// fans out to receivers as (shared pointer, per-receiver power) pairs,
+// fans out to listening receivers as (shared pointer, per-receiver
+// power) pairs,
 // and is torn down by a single scheduler event that walks the delivery
 // list again — no per-receiver closures, no per-receiver signal
 // objects. Delivery gains are stored in linear mW, which is also the

@@ -3,6 +3,7 @@ package medium
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 
 	"repro/internal/frame"
@@ -12,8 +13,9 @@ import (
 	"repro/internal/sim"
 )
 
-// Medium is the air. It owns one radio per node and dispatches
-// transmissions to every radio that can hear them.
+// Medium is the air. It owns one radio per node and dispatches each
+// transmission to the radios that can hear it and that a station
+// listens on.
 type Medium struct {
 	sched  *sim.Scheduler
 	params phy.Params
@@ -31,6 +33,17 @@ type Medium struct {
 	floor      floor
 	screen     screen
 	gridBacked bool
+
+	// since[i] is the TxID from which radio i is delivered to: the next
+	// one to be issued when a station attached to it, MaxUint64 until
+	// then. It is written once per radio, and a frame's TxID never
+	// changes, so "TxID >= since[dst]" answers the same for a given
+	// (radio, frame) at the frame's start and at its end — whatever
+	// attaches in between — which is what keeps Arrive and Depart
+	// paired. attachAt is the instant of the latest attach; a frame that
+	// starts in that instant is marked All (see Transmit).
+	since    []uint64
+	attachAt sim.Time
 
 	// txFree recycles Transmission objects: a transmission returns to
 	// the list when its end fan-out completes, so steady-state traffic
@@ -82,14 +95,28 @@ func newMedium(sched *sim.Scheduler, params phy.Params, model radio.Model, posit
 		model:     model,
 		positions: append([]geo.Point(nil), positions...),
 		floor:     newFloor(params),
+		attachAt:  -1,
 	}
 	m.screen = newScreen(m.floor, model)
 	n := len(positions)
 	m.radios = make([]*phy.Radio, n)
+	m.since = make([]uint64, n)
 	for i := 0; i < n; i++ {
 		m.radios[i] = phy.NewRadio(i, params, sched, rng.Stream(uint64(0x5ad10+i)), m)
+		m.since[i] = math.MaxUint64
 	}
 	return m
+}
+
+// Attend implements phy.Channel: a station now listens on r, so r hears
+// every frame from the next TxID on.
+func (m *Medium) Attend(r *phy.Radio) {
+	id := r.ID()
+	if m.since[id] != math.MaxUint64 {
+		return // already listening; a re-attach must not move since
+	}
+	m.since[id] = m.nextTxID + 1
+	m.attachAt = m.sched.Now()
 }
 
 // gain returns the received power in mW at b when a transmits.
@@ -209,27 +236,40 @@ func (m *Medium) HandleEvent(arg any) {
 	}
 }
 
-// finishTransmission delivers Depart to every receiver of tx in the
-// same ascending order Arrive used, with the same power, then recycles
-// tx. The walk is over the transmit-time snapshot, not the live list:
+// finishTransmission delivers Depart to every receiver Transmit
+// delivered Arrive to, in the same ascending order and with the same
+// power, then recycles tx. The walk is over the transmit-time snapshot,
+// not the live list:
 // MoveNodes patches lists copy-on-write, so the snapshot keeps Arrive
 // and Depart pinned to one receiver set — and one power per receiver,
 // which is what keeps a signal on the same side of the radio's
 // sensitivity test both times — even while nodes move mid-frame.
 func (m *Medium) finishTransmission(tx *phy.Transmission) {
 	for _, d := range tx.Deliveries {
-		m.radios[d.Dst].Depart(tx, d.GainMW)
+		if tx.All || tx.TxID >= m.since[d.Dst] {
+			m.radios[d.Dst].Depart(tx, d.GainMW)
+		}
 	}
 	tx.Frame = nil      // do not retain the MAC's frame past the air interval
 	tx.Deliveries = nil // nor the delivery snapshot
 	m.txFree = append(m.txFree, tx)
 }
 
-// Transmit implements phy.Channel. It fans the frame out to every radio
-// on the sender's delivery list and posts one signal-end fan-out event
-// plus the transmitter-done event — two heap-stored events per
-// transmission, regardless of receiver count, and zero allocations in
-// steady state.
+// Transmit implements phy.Channel. It fans the frame out to the radios
+// on the sender's delivery list that a station listens on and posts one
+// signal-end fan-out event plus the transmitter-done event — two
+// heap-stored events per transmission, regardless of receiver count,
+// and zero allocations in steady state.
+//
+// A frame that starts in an instant in which a station has attached goes
+// to every radio on the list (All). CMAP's SetSaturated transmits at t=0
+// while the run is still being wired, before later flows' stations
+// exist; those stations must find that frame on the air when they
+// attach, and which radios will attach later in the instant cannot be
+// known here. So a station hears every frame that starts after it
+// attaches, and every frame of its attach instant that followed an
+// attach — while a run is wired that is all of them, the sender being a
+// station that attached in that instant itself.
 func (m *Medium) Transmit(from *phy.Radio, f frame.Frame, r phy.Rate) sim.Time {
 	src := from.ID()
 	if src < 0 || src >= len(m.radios) || m.radios[src] != from {
@@ -251,9 +291,12 @@ func (m *Medium) Transmit(from *phy.Radio, f frame.Frame, r phy.Rate) sim.Time {
 		// allocation): the end fan-out must reach exactly this set even
 		// if MoveNode patches the live list mid-frame.
 		Deliveries: m.deliveries[src],
+		All:        now == m.attachAt,
 	}
 	for _, d := range tx.Deliveries {
-		m.radios[d.Dst].Arrive(tx, d.GainMW)
+		if tx.All || tx.TxID >= m.since[d.Dst] {
+			m.radios[d.Dst].Arrive(tx, d.GainMW)
+		}
 	}
 	// Signal-end fan-out first, then the sender's tx-done: at equal
 	// deadlines, receivers resolve their decodes before the sender's

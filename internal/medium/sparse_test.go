@@ -142,12 +142,16 @@ func TestForEachNeighborAscending(t *testing.T) {
 // means: on a static topology, the arrivals the radios' interference
 // path took, summed over the network, are exactly the frames each node
 // sent times the sub-sensitivity entries of its delivery row — the
-// interference-graph edge traffic and nothing else.
+// interference-graph edge traffic and nothing else. Every node gets a
+// listener: a radio nobody attached to is delivered nothing.
 func TestWeakCountsInterferenceEdgeTraffic(t *testing.T) {
 	pts := sparseLayouts()["wide"]
 	params := phy.DefaultParams()
 	sched := sim.NewScheduler()
 	m := New(sched, params, radio.DefaultIndoor5GHz(7), pts, sim.NewRNG(1))
+	for i := range pts {
+		m.Radio(i).SetHandler(nopHandler{})
+	}
 	rate := phy.RateByID(phy.Rate6Mbps)
 	// Every node sends a different number of frames back to back, so
 	// transmissions from different nodes overlap freely.

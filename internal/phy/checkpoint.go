@@ -35,6 +35,9 @@ type TxState struct {
 	// the same receiver set the interrupted run's Arrive reached,
 	// even if delivery lists were patched after the frame went on air.
 	Deliveries []Delivery `json:"deliveries,omitempty"`
+	// All is Transmission.All: the end fan-out of a restored frame must
+	// reach the radios its start fan-out did.
+	All bool `json:"all,omitempty"`
 }
 
 // ExportTransmission captures one in-flight transmission.
@@ -43,7 +46,7 @@ func ExportTransmission(tx *Transmission) (TxState, error) {
 	if err != nil {
 		return TxState{}, fmt.Errorf("phy: transmission %d from %d: %w", tx.TxID, tx.From, err)
 	}
-	return TxState{TxID: tx.TxID, From: tx.From, Frame: enc, Rate: tx.Rate.ID, Start: tx.Start, End: tx.End, Deliveries: tx.Deliveries}, nil
+	return TxState{TxID: tx.TxID, From: tx.From, Frame: enc, Rate: tx.Rate.ID, Start: tx.Start, End: tx.End, Deliveries: tx.Deliveries, All: tx.All}, nil
 }
 
 // Restore fills tx from the checkpointed record.
@@ -55,7 +58,7 @@ func (st TxState) Restore(tx *Transmission) error {
 	if int(st.Rate) >= len(rateTable) {
 		return fmt.Errorf("phy: transmission %d names invalid rate id %d", st.TxID, st.Rate)
 	}
-	*tx = Transmission{TxID: st.TxID, From: st.From, Frame: f, Rate: rateTable[st.Rate], Start: st.Start, End: st.End, Deliveries: st.Deliveries}
+	*tx = Transmission{TxID: st.TxID, From: st.From, Frame: f, Rate: rateTable[st.Rate], Start: st.Start, End: st.End, Deliveries: st.Deliveries, All: st.All}
 	return nil
 }
 

@@ -29,6 +29,17 @@
 // through them for A/B validation, and property tests bound the table
 // error. See ARCHITECTURE.md, "The reception compute path".
 //
+// # Who a radio hears
+//
+// A radio is delivered frames only once a station listens on it: the
+// first handler given to SetHandler makes the radio tell its channel
+// (Channel.Attend), and the channel's fan-out leaves out every radio
+// that never did. Such a radio transmits nothing, draws from its own
+// RNG stream and has nobody to make an upcall to, so what it would have
+// heard can reach no result; its RadioStats stay at zero apart from
+// frames marked Transmission.All. See ARCHITECTURE.md, "Who hears a
+// frame".
+//
 // # The interference path
 //
 // Most of what a radio hears is below its sensitivity: it can neither

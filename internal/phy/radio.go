@@ -12,8 +12,8 @@ import (
 // Transmission is one frame on the air: the shared, per-transmission
 // half of what a receiver perceives. The medium creates exactly one per
 // transmitted frame (recycling them through a free list) and every
-// audible receiver shares the pointer; the per-receiver half — the
-// power the signal arrives with — travels alongside it as a plain
+// radio it is delivered to shares the pointer; the per-receiver half —
+// the power the signal arrives with — travels alongside it as a plain
 // float, so fanning a frame out to k receivers allocates nothing.
 type Transmission struct {
 	// TxID identifies the transmission network-wide (all receivers of
@@ -34,6 +34,11 @@ type Transmission struct {
 	// while the frame is on the air. Under static scenarios it aliases
 	// the live list and behaviour is unchanged.
 	Deliveries []Delivery
+	// All marks a frame that goes to every radio on Deliveries whether
+	// or not a station listens there: one that started in an instant in
+	// which a station attached (see Channel.Attend). Fixed at transmit
+	// time, so both fan-outs of the frame agree on it.
+	All bool
 }
 
 // Delivery is one audible receiver of a node's transmissions: the
@@ -89,6 +94,13 @@ type Channel interface {
 	// Transmit puts a frame on the air from the given radio at the given
 	// rate and returns the transmission end time.
 	Transmit(from *Radio, f frame.Frame, r Rate) sim.Time
+	// Attend tells the channel a station now listens on r: from here on
+	// frames are delivered to it. A radio nobody ever attached to is
+	// left out of every fan-out (it transmits nothing, draws from a
+	// private RNG stream and has nobody to make an upcall to, so what it
+	// would have heard can reach no result). SetHandler calls it on
+	// every nil → non-nil change; only a radio's first call counts.
+	Attend(r *Radio)
 }
 
 // Radio is a half-duplex 802.11a transceiver. It tracks all signals
@@ -147,7 +159,9 @@ type Radio struct {
 }
 
 // RadioStats counts reception outcomes for diagnostics and the
-// header/trailer delivery figures.
+// header/trailer delivery figures. A radio counts only what its channel
+// delivers to it, so one no station ever attached to (Channel.Attend)
+// stays at zero apart from frames marked Transmission.All.
 type RadioStats struct {
 	Decoded     uint64 // frames decoded successfully
 	Corrupted   uint64 // locked but failed decode (or truncated by capture)
@@ -206,8 +220,17 @@ func (r *Radio) deriveLinear() {
 // ID returns the node ID this radio belongs to.
 func (r *Radio) ID() int { return r.id }
 
-// SetHandler installs the MAC upcall target.
-func (r *Radio) SetHandler(h Handler) { r.handler = h }
+// SetHandler installs the MAC upcall target. The first handler a radio
+// is given is also what makes its channel start delivering frames to it
+// (Channel.Attend); replacing one handler with another — a tracer
+// wrapping the MAC — is not an attach, and SetHandler(nil) afterwards
+// only stops the upcalls: the radio keeps hearing the air.
+func (r *Radio) SetHandler(h Handler) {
+	if r.handler == nil && h != nil && r.channel != nil {
+		r.channel.Attend(r)
+	}
+	r.handler = h
+}
 
 // Stats returns a copy of the radio's counters.
 func (r *Radio) Stats() RadioStats { return r.stats }

@@ -22,6 +22,8 @@ func (c *stubChannel) Transmit(from *Radio, f frame.Frame, r Rate) sim.Time {
 	return c.end
 }
 
+func (c *stubChannel) Attend(*Radio) {}
+
 // recHandler records upcalls.
 type recHandler struct {
 	frames  []frame.Frame

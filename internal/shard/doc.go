@@ -39,6 +39,16 @@
 // The barrier order also makes the parity buffers race-free: a buffer
 // is only written again two windows after it was last read.
 //
+// # Who hears a frame
+//
+// As on the serial medium, a frame is delivered only to radios a
+// station listens on (Shard.Attend, called by Radio.SetHandler), plus
+// every radio in range when it is marked Transmission.All. Stations
+// attach while the engine is wired, before the first Run: the attended
+// set is then read-only shared state, and a foreign shard in which
+// nobody listens to a sender gets no handoff from it — no marshalled
+// frame, no remote event pair.
+//
 // # Determinism and flow placement
 //
 // For a fixed shard count the engine is deterministic: every shard's

@@ -40,6 +40,10 @@ type Engine struct {
 	shards []*Shard
 	assign []int
 	radios []*phy.Radio
+	// attended[i] reports whether a station listens on radio i: frames
+	// are delivered to those radios only (see Shard.Attend). Written
+	// while the engine is being wired, read by every shard during Run.
+	attended []bool
 
 	seg   int64    // absolute index of the window Run resumes in
 	clock sim.Time // high-water mark of Run
@@ -66,20 +70,22 @@ func NewEngine(params phy.Params, model radio.Model, positions []geo.Point, rng 
 	deliveries, _ := medium.BuildDeliveries(params, model, positions, 0)
 
 	e := &Engine{
-		params: params,
-		assign: assign,
-		radios: make([]*phy.Radio, n),
+		params:   params,
+		assign:   assign,
+		radios:   make([]*phy.Radio, n),
+		attended: make([]bool, n),
 	}
 	e.bar.n = int32(k)
 	e.shards = make([]*Shard, k)
 	for s := 0; s < k; s++ {
 		sh := &Shard{
-			eng:    e,
-			idx:    s,
-			sched:  sim.NewScheduler(),
-			local:  make([][]medium.Delivery, n),
-			inFrom: make([][]medium.Delivery, n),
-			outTo:  make([][]int32, n),
+			eng:      e,
+			idx:      s,
+			sched:    sim.NewScheduler(),
+			attachAt: -1,
+			local:    make([][]medium.Delivery, n),
+			inFrom:   make([][]medium.Delivery, n),
+			outTo:    make([][]peer, n),
 		}
 		for p := 0; p < 2; p++ {
 			sh.outbox[p] = make([][]handoff, k)
@@ -113,7 +119,7 @@ func NewEngine(params phy.Params, model radio.Model, positions []geo.Point, rng 
 			if !ok {
 				continue
 			}
-			src.outTo[i] = append(src.outTo[i], int32(ds))
+			src.outTo[i] = append(src.outTo[i], peer{shard: int32(ds)})
 			e.shards[ds].inFrom[i] = list
 		}
 	}

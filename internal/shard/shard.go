@@ -1,7 +1,9 @@
 package shard
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/frame"
 	"repro/internal/medium"
@@ -19,7 +21,16 @@ type handoff struct {
 	from       int
 	rate       phy.Rate
 	start, end sim.Time // on-air interval in the SENDER's frame of reference
+	all        bool     // phy.Transmission.All
 	payload    []byte
+}
+
+// peer is one foreign shard hosting receivers of a local node; listens
+// reports whether a station listens on any of them, i.e. whether a
+// frame not marked All has anybody to reach there.
+type peer struct {
+	shard   int32
+	listens bool
 }
 
 // remoteTx is the receiving-shard state of one cross-shard signal: the
@@ -48,7 +59,12 @@ type Shard struct {
 	// the foreign shards hosting receivers of local node i, ascending.
 	local  [][]medium.Delivery
 	inFrom [][]medium.Delivery
-	outTo  [][]int32
+	outTo  [][]peer
+
+	// attachAt is the instant a station last attached to one of this
+	// shard's radios; a frame sent from here in that instant is marked
+	// All, as on the serial medium.
+	attachAt sim.Time
 
 	// outbox[p][d] holds the handoffs for shard d produced during
 	// windows of parity p. Written only by this shard during its own
@@ -101,10 +117,51 @@ func (s *Shard) acquireRT() *remoteTx {
 	return new(remoteTx)
 }
 
+// Attend implements phy.Channel: a station now listens on r. Stations
+// attach while the engine is being wired, before the first Run. TxIDs
+// interleave across shards, so the serial medium's "listening since
+// this TxID" cannot order an attach against the frames on the air here,
+// and the attended set is read by every shard goroutine; an attach on a
+// running engine is therefore a wiring bug. Frames sent while wiring
+// all start in an attach instant of their own shard and are marked All,
+// so Arrive and Depart pair up as on the serial medium.
+func (s *Shard) Attend(r *phy.Radio) {
+	e, id := s.eng, r.ID()
+	if e.attended[id] {
+		return
+	}
+	if e.clock != 0 {
+		panic(fmt.Sprintf("shard %d: station attached to node %d at t=%v, after the engine ran", s.idx, id, e.clock))
+	}
+	e.attended[id] = true
+	s.attachAt = s.sched.Now()
+	// Every foreign sender heard at id now has a listener in this shard.
+	for src, list := range s.inFrom {
+		if _, ok := slices.BinarySearchFunc(list, id, func(d medium.Delivery, dst int) int { return cmp.Compare(d.Dst, dst) }); !ok {
+			continue
+		}
+		out := e.shards[e.assign[src]].outTo[src]
+		for k := range out {
+			if out[k].shard == int32(s.idx) {
+				out[k].listens = true
+			}
+		}
+	}
+}
+
+// hears is the fan-out predicate of all four loops: a frame is
+// delivered to the radios a station listens on, or to every radio when
+// it is marked All. Neither side changes while a frame is on the air.
+func (s *Shard) hears(tx *phy.Transmission, dst int) bool {
+	return tx.All || s.eng.attended[dst]
+}
+
 // Transmit implements phy.Channel for this shard's radios: fan out to
 // same-shard receivers synchronously (the serial engine's exact event
 // shape — one signal-end fan-out plus one tx-done, posted in that
-// order), and enqueue one handoff per foreign shard with receivers.
+// order), and enqueue one handoff per foreign shard with a receiver the
+// frame is delivered to — a shard where nobody listens costs neither a
+// handoff nor the frame's marshalling.
 //
 // TxID = localSeq·S + shardIndex + 1 interleaves the shards' ID spaces:
 // unique network-wide without coordination, monotone per shard (radios
@@ -127,18 +184,25 @@ func (s *Shard) Transmit(from *phy.Radio, f frame.Frame, r phy.Rate) sim.Time {
 		Rate:  r,
 		Start: now,
 		End:   end,
+		All:   now == s.attachAt,
 	}
 	for _, d := range s.local[src] {
-		s.eng.radios[d.Dst].Arrive(tx, d.GainMW)
-	}
-	if out := s.outTo[src]; len(out) > 0 {
-		payload := frame.Marshal(f)
-		p := s.curWin & 1
-		for _, ds := range out {
-			s.outbox[p][ds] = append(s.outbox[p][ds], handoff{
-				txID: tx.TxID, from: src, rate: r, start: now, end: end, payload: payload,
-			})
+		if s.hears(tx, d.Dst) {
+			s.eng.radios[d.Dst].Arrive(tx, d.GainMW)
 		}
+	}
+	var payload []byte
+	p := s.curWin & 1
+	for _, out := range s.outTo[src] {
+		if !tx.All && !out.listens {
+			continue
+		}
+		if payload == nil {
+			payload = frame.Marshal(f)
+		}
+		s.outbox[p][out.shard] = append(s.outbox[p][out.shard], handoff{
+			txID: tx.TxID, from: src, rate: r, start: now, end: end, all: tx.All, payload: payload,
+		})
 	}
 	// Signal-end fan-out first, then the sender's tx-done: at equal
 	// deadlines, receivers resolve their decodes before the sender's
@@ -155,7 +219,9 @@ func (s *Shard) HandleEvent(arg any) {
 	switch v := arg.(type) {
 	case *phy.Transmission:
 		for _, d := range s.local[v.From] {
-			s.eng.radios[d.Dst].Depart(v, d.GainMW)
+			if s.hears(v, d.Dst) {
+				s.eng.radios[d.Dst].Depart(v, d.GainMW)
+			}
 		}
 		v.Frame = nil // do not retain the MAC's frame past the air interval
 		s.txFree = append(s.txFree, v)
@@ -177,13 +243,17 @@ func (s *Shard) handleRemote(rt *remoteTx) {
 	if !rt.started {
 		rt.started = true
 		for _, d := range rt.list {
-			s.eng.radios[d.Dst].Arrive(&rt.tx, d.GainMW)
+			if s.hears(&rt.tx, d.Dst) {
+				s.eng.radios[d.Dst].Arrive(&rt.tx, d.GainMW)
+			}
 		}
 		s.sched.Post(rt.tx.End, s, rt)
 		return
 	}
 	for _, d := range rt.list {
-		s.eng.radios[d.Dst].Depart(&rt.tx, d.GainMW)
+		if s.hears(&rt.tx, d.Dst) {
+			s.eng.radios[d.Dst].Depart(&rt.tx, d.GainMW)
+		}
 	}
 	rt.tx.Frame = nil
 	rt.list = nil
@@ -215,7 +285,7 @@ func (s *Shard) drain(k int64) {
 			// same duration, so airtime and SINR integration are exact.
 			rt.tx = phy.Transmission{
 				TxID: h.txID, From: h.from, Frame: f, Rate: h.rate,
-				Start: h.start + window, End: h.end + window,
+				Start: h.start + window, End: h.end + window, All: h.all,
 			}
 			rt.list = s.inFrom[h.from]
 			rt.started = false
