@@ -21,7 +21,9 @@
 #                   order against the medium's fan-out, the radio's
 #                   interference path against its one-tier reference,
 #                   the shadowing screen against Loss, the mobility
-#                   spec parser) beyond their seed corpora
+#                   spec parser, every layer's RestoreState through
+#                   damaged re-stamped checkpoints, the -arm/-arms
+#                   parser) beyond their seed corpora
 #   make conformance  the shared MAC conformance suite (every registered
 #                   arm: allocation, determinism, worker-equivalence and
 #                   conservation contracts) under the race detector
@@ -145,6 +147,8 @@ fuzz-smoke:
 	$(GO) test -timeout $(TEST_TIMEOUT) -run='^$$' -fuzz=FuzzInterferencePath -fuzztime=5s ./internal/phy
 	$(GO) test -timeout $(TEST_TIMEOUT) -run='^$$' -fuzz=FuzzScreenNeverRefusesAudible -fuzztime=5s ./internal/radio
 	$(GO) test -timeout $(TEST_TIMEOUT) -run='^$$' -fuzz=FuzzParseSpec -fuzztime=5s ./internal/mobility
+	$(GO) test -timeout $(TEST_TIMEOUT) -run='^$$' -fuzz=FuzzRestoreState -fuzztime=5s ./internal/experiments
+	$(GO) test -timeout $(TEST_TIMEOUT) -run='^$$' -fuzz=FuzzParseArms -fuzztime=5s ./internal/experiments
 
 # The shared MAC conformance suite under the race detector: every
 # registered arm's allocation (skipped under race), determinism,
@@ -198,13 +202,15 @@ mobility-conformance:
 # patterns) and end-of-run checkpoint bytes, across every golden
 # scenario × every registered MAC arm × shards 1/2/4, and the lazily
 # derived config hash / owner index must not depend on when they are
-# first read. The second line is the envelope
-# damage table (truncation/corruption/version/config typed errors) and
-# the scheduler/RNG round-trip unit tier.
+# first read; every layer's completeness and export → restore → export
+# round-trip tests, and slot-table damage through Resume. The second line
+# is the envelope damage table (truncation/corruption/version/config
+# typed errors) and the Map/Set codecs, the third the scheduler, timer
+# and RNG round-trip and slot-table damage unit tier.
 checkpoint-conformance:
-	$(GO) test -timeout $(TEST_TIMEOUT) -count=1 -run 'TestCheckpointResumeBitIdentical|TestCheckpointConfigHashGuard' ./internal/experiments
+	$(GO) test -timeout $(TEST_TIMEOUT) -count=1 -run 'TestCheckpointResumeBitIdentical|TestCheckpointConfigHashGuard|TestState|TestResumeRejectsBadSlots' ./internal/experiments
 	$(GO) test -timeout $(TEST_TIMEOUT) -count=1 ./internal/checkpoint
-	$(GO) test -timeout $(TEST_TIMEOUT) -count=1 -run 'TestScheduler|TestRNGState' ./internal/sim
+	$(GO) test -timeout $(TEST_TIMEOUT) -count=1 -run 'TestScheduler|TestRNGState|TestTimer' ./internal/sim
 
 # One whole-module test pass ($(1) = extra go test flags) that writes
 # coverage.out and enforces hard floors on the analytic oracle (its

@@ -118,6 +118,7 @@ func TestRunUsageErrors(t *testing.T) {
 		{"NaN mobility speed", []string{"-mobility", "waypoint@NaN"}, `bad speed "NaN"`},
 		{"bad traffic", []string{"-traffic", "pigeon"}, "pigeon"},
 		{"unknown arm", []string{"-arms", "csma,bogus"}, "bogus"},
+		{"NaN cs threshold", []string{"-arms", "csma,cs@NaN"}, `cs@ arm "cs@NaN": threshold must be in`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			code, stdout, stderr := cmapbench(tc.args...)

@@ -96,6 +96,8 @@ func TestRunUsageErrors(t *testing.T) {
 		want string // substring of stderr
 	}{
 		{"unknown arm", []string{"-arm", "bogus"}, "unknown arm"},
+		{"NaN cs threshold", []string{"-arm", "cs@NaN"}, `cs@ arm "cs@NaN": threshold must be in`},
+		{"infinite cs threshold", []string{"-arm", "cs@-Inf"}, `cs@ arm "cs@-Inf": threshold must be in`},
 		{"retired flag", []string{"-protocol", "cmap"}, "not defined: -protocol"},
 		{"negative index", []string{"-index", "-1"}, "-index -1"},
 		{"zero duration", []string{"-duration", "0"}, "-duration 0s"},

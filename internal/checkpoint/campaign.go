@@ -3,6 +3,7 @@ package checkpoint
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -113,16 +114,16 @@ func (c *Campaign) flush() error {
 	return nil
 }
 
-// SaveFile writes a checkpoint atomically to path (temp file + rename),
-// so a crash mid-write never leaves a half-written file where a
+// SaveFile installs what save writes at path atomically (temp file +
+// rename), so a crash mid-write never leaves a half-written file where a
 // resumable checkpoint should be.
-func SaveFile(path, configHash string, payload any) error {
+func SaveFile(path string, save func(io.Writer) error) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return fmt.Errorf("checkpoint: create: %w", err)
 	}
-	if err := Save(f, configHash, payload); err != nil {
+	if err := save(f); err != nil {
 		f.Close()
 		os.Remove(tmp)
 		return err
@@ -136,15 +137,4 @@ func SaveFile(path, configHash string, payload any) error {
 		return fmt.Errorf("checkpoint: install: %w", err)
 	}
 	return nil
-}
-
-// LoadFile reads a checkpoint from path. See Load for the error
-// contract.
-func LoadFile(path, wantConfigHash string) (json.RawMessage, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: open: %w", err)
-	}
-	defer f.Close()
-	return Load(f, wantConfigHash)
 }

@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -18,10 +19,12 @@ import (
 // would depart those signals through the wrong path. Version 3: frames
 // are delivered only to radios a station listens on; a version-2 payload
 // has every radio in range holding each in-flight signal, and the ones
-// nobody listens on would never be departed.
+// nobody listens on would never be departed. Version 4: every layer's
+// live state struct is its stored form, so field names, map encodings
+// and the payload's component table all changed shape.
 const (
 	Magic   = "cmapckpt"
-	Version = 3
+	Version = 4
 )
 
 // The typed failure modes of Load. Callers branch with errors.Is; every
@@ -75,24 +78,26 @@ func payloadSHA(p []byte) string {
 // Save writes payload to w inside a versioned envelope stamped with
 // configHash. payload is marshalled with encoding/json; components keep
 // their state types concrete (never `any`), so the bytes round-trip
-// exactly.
+// exactly. The bytes are json.Marshal's of the whole envelope, but the
+// payload, which json.Marshal has just written compact, takes the place
+// of the null the envelope is marshalled with instead of being scanned
+// again: a second pass over every byte of a large checkpoint.
 func Save(w io.Writer, configHash string, payload any) error {
 	body, err := json.Marshal(payload)
 	if err != nil {
 		return fmt.Errorf("checkpoint: marshal payload: %w", err)
 	}
-	env := envelope{
+	head, err := json.Marshal(envelope{
 		Magic:      Magic,
 		Version:    Version,
 		ConfigHash: configHash,
 		PayloadSHA: payloadSHA(body),
-		Payload:    body,
-	}
-	out, err := json.Marshal(env)
+	})
 	if err != nil {
 		return fmt.Errorf("checkpoint: marshal envelope: %w", err)
 	}
-	out = append(out, '\n')
+	out := append(bytes.TrimSuffix(head, []byte("null}")), body...)
+	out = append(out, "}\n"...)
 	if _, err := w.Write(out); err != nil {
 		return fmt.Errorf("checkpoint: write: %w", err)
 	}

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -43,6 +45,12 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	// An empty wantConfigHash skips the config check (inspection mode).
 	if _, err := Load(bytes.NewReader(data), ""); err != nil {
 		t.Fatalf("hash-less load: %v", err)
+	}
+	// Save writes exactly json.Marshal's bytes for the whole envelope.
+	body, _ := json.Marshal(want)
+	env, _ := json.Marshal(envelope{Magic: Magic, Version: Version, ConfigHash: hash, PayloadSHA: payloadSHA(body), Payload: body})
+	if !bytes.Equal(data, append(env, '\n')) {
+		t.Fatalf("Save wrote\n%s\nthe envelope marshals as\n%s", data, env)
 	}
 }
 
@@ -97,6 +105,9 @@ func TestLoadFailureModes(t *testing.T) {
 		// Version 2 had every radio in range holding each in-flight
 		// signal; the ones no station listens on would never be departed.
 		{"version 2 envelope", func() []byte { return reversion("2") }, hash, ErrVersionMismatch},
+		// Version 3 kept hand-copied mirrors of every layer's state; its
+		// field names and map encodings are not the live structs'.
+		{"version 3 envelope", func() []byte { return reversion("3") }, hash, ErrVersionMismatch},
 		{"config mismatch", func() []byte { return good }, ConfigHash("config-B"), ErrConfigMismatch},
 	}
 	for _, tc := range cases {
@@ -132,14 +143,20 @@ func TestSaveFileAtomicAndLoadFile(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "ck.json")
 	hash := ConfigHash(7)
-	if err := SaveFile(path, hash, testPayload{Clock: 9}); err != nil {
+	save := func(w io.Writer) error { return Save(w, hash, testPayload{Clock: 9}) }
+	if err := SaveFile(path, save); err != nil {
 		t.Fatal(err)
 	}
 	// No temp residue after a successful install.
 	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
 		t.Fatalf("temp file left behind: %v", err)
 	}
-	raw, err := LoadFile(path, hash)
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	raw, err := Load(f, hash)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,8 +167,56 @@ func TestSaveFileAtomicAndLoadFile(t *testing.T) {
 	if p.Clock != 9 {
 		t.Fatalf("clock %d", p.Clock)
 	}
-	if _, err := LoadFile(filepath.Join(dir, "missing.json"), hash); err == nil {
-		t.Fatal("load of a missing file succeeded")
+	// A failing writer leaves neither the file nor its temp behind.
+	bad := filepath.Join(dir, "bad.json")
+	if err := SaveFile(bad, func(io.Writer) error { return errors.New("boom") }); err == nil {
+		t.Fatal("SaveFile reported success for a failing writer")
+	}
+	if _, err := os.Stat(bad + ".tmp"); !os.IsNotExist(err) {
+		t.Fatalf("temp file left behind after a failed save: %v", err)
+	}
+}
+
+// TestMapAndSetEncodeSorted: the struct-keyed map and the set write
+// their entries in one order whatever the map's layout, and read back
+// what they wrote; a key or member listed twice, and a set that is not
+// an array, is refused.
+func TestMapAndSetEncodeSorted(t *testing.T) {
+	type key struct{ A, B int }
+	m := Map[key, string]{}
+	s := Set{}
+	for i := 40; i > 0; i-- {
+		m[key{i % 7, i}] = strings.Repeat("x", i%3)
+		s[uint32(i*i)] = struct{}{}
+	}
+	for _, v := range []any{m, s} {
+		first, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for range 5 {
+			if again, _ := json.Marshal(v); !bytes.Equal(again, first) {
+				t.Fatalf("%T encoded two ways:\n%s\n%s", v, first, again)
+			}
+		}
+	}
+	var m2 Map[key, string]
+	var s2 Set
+	mb, _ := json.Marshal(m)
+	sb, _ := json.Marshal(s)
+	if err := json.Unmarshal(mb, &m2); err != nil || !reflect.DeepEqual(m, m2) {
+		t.Fatalf("map round trip: %v", err)
+	}
+	if err := json.Unmarshal(sb, &s2); err != nil || !reflect.DeepEqual(s, s2) {
+		t.Fatalf("set round trip: %v", err)
+	}
+	if err := json.Unmarshal([]byte(`[{"k":{"A":1,"B":2},"v":"a"},{"k":{"A":1,"B":2},"v":"b"}]`), &m2); err == nil {
+		t.Fatal("a map key listed twice was accepted")
+	}
+	for _, bad := range []string{`[3,1,3]`, `7`, `{"1":{}}`} {
+		if err := json.Unmarshal([]byte(bad), &s2); err == nil {
+			t.Fatalf("set %s was accepted", bad)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"repro/internal/checkpoint"
 	"repro/internal/frame"
 	"repro/internal/sim"
 )
@@ -23,17 +24,13 @@ type deferKey struct {
 // deferTable is a node's slice of the network-wide conflict map: entries
 // expire so the map adapts to changing channels.
 type deferTable struct {
-	entries map[deferKey]sim.Time // expiry per entry
-}
-
-func newDeferTable() *deferTable {
-	return &deferTable{entries: make(map[deferKey]sim.Time)}
+	Entries checkpoint.Map[deferKey, sim.Time] `json:"entries,omitempty"` // expiry per entry
 }
 
 // add inserts or refreshes an entry.
 func (t *deferTable) add(k deferKey, expiry sim.Time) {
-	if cur, ok := t.entries[k]; !ok || expiry > cur {
-		t.entries[k] = k.expireSentinel(expiry)
+	if cur, ok := t.Entries[k]; !ok || expiry > cur {
+		t.Entries[k] = k.expireSentinel(expiry)
 	}
 }
 
@@ -62,10 +59,10 @@ func (t *deferTable) applyRules(me frame.Addr, list *frame.InterfererList, expir
 //	Pattern 1: (∗ : p→q)
 //	Pattern 2: (v : p→∗)
 func (t *deferTable) conflicts(now sim.Time, dst, src, theirDst frame.Addr, rate uint8) bool {
-	if exp, ok := t.entries[deferKey{OurDst: anyAddr, Src: src, TheirDst: theirDst, Rate: rate}]; ok && exp > now {
+	if exp, ok := t.Entries[deferKey{OurDst: anyAddr, Src: src, TheirDst: theirDst, Rate: rate}]; ok && exp > now {
 		return true
 	}
-	if exp, ok := t.entries[deferKey{OurDst: dst, Src: src, TheirDst: anyAddr, Rate: rate}]; ok && exp > now {
+	if exp, ok := t.Entries[deferKey{OurDst: dst, Src: src, TheirDst: anyAddr, Rate: rate}]; ok && exp > now {
 		return true
 	}
 	return false
@@ -73,16 +70,16 @@ func (t *deferTable) conflicts(now sim.Time, dst, src, theirDst frame.Addr, rate
 
 // prune removes expired entries.
 func (t *deferTable) prune(now sim.Time) {
-	for k, exp := range t.entries {
+	for k, exp := range t.Entries {
 		if exp <= now {
-			delete(t.entries, k)
+			delete(t.Entries, k)
 		}
 	}
 }
 
 // size returns the number of live entries (including any not yet pruned
 // but unexpired).
-func (t *deferTable) size() int { return len(t.entries) }
+func (t *deferTable) size() int { return len(t.Entries) }
 
 // pairKey identifies a (source, interferer) pair in a receiver's
 // interference statistics and interferer list.
@@ -97,10 +94,10 @@ type pairKey struct {
 // Lost were not delivered. Counters decay with a half-life so stale
 // conflicts fade.
 type interfStat struct {
-	Expected float64
-	Lost     float64
-	// lastDecay is when the counters were last halved.
-	lastDecay sim.Time
+	Expected float64 `json:"expected"`
+	Lost     float64 `json:"lost"`
+	// LastDecay is when the counters were last halved.
+	LastDecay sim.Time `json:"last_decay"`
 }
 
 // lossRate returns Lost/Expected or 0 when empty.
@@ -116,9 +113,9 @@ func (s *interfStat) decay(now sim.Time, halfLife sim.Time) {
 	if halfLife <= 0 {
 		return
 	}
-	for s.lastDecay+halfLife <= now {
+	for s.LastDecay+halfLife <= now {
 		s.Expected /= 2
 		s.Lost /= 2
-		s.lastDecay += halfLife
+		s.LastDecay += halfLife
 	}
 }

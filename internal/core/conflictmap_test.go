@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/checkpoint"
 	"repro/internal/frame"
 	"repro/internal/sim"
 )
@@ -256,3 +257,9 @@ func TestConfigDerivedValues(t *testing.T) {
 		t.Error("explicit tau bounds ignored")
 	}
 }
+
+func newDeferTable() *deferTable {
+	return &deferTable{Entries: make(checkpoint.Map[deferKey, sim.Time])}
+}
+
+func newObservations(cfg Config) *observations { return &observations{cfg: &cfg} }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/checkpoint"
 	"repro/internal/frame"
 	"repro/internal/mac"
 	"repro/internal/phy"
@@ -31,13 +32,15 @@ type Stats struct {
 }
 
 // vpktTx tracks the in-progress transmission of one virtual packet.
+// flow is the sender flow it serves, re-linked by Dst on restore.
 type vpktTx struct {
 	flow        *txFlow
-	vseq        uint32
-	seqs        []uint32
-	next        int
-	trailerSent bool
-	isRetx      bool
+	Dst         frame.Addr `json:"dst"`
+	VSeq        uint32     `json:"vseq"`
+	Seqs        []uint32   `json:"seqs"`
+	Next        int        `json:"next"`
+	TrailerSent bool       `json:"trailer_sent,omitempty"`
+	IsRetx      bool       `json:"is_retx,omitempty"`
 }
 
 // txFlow is the sender-side state of one destination: its queue, sequence
@@ -46,62 +49,63 @@ type vpktTx struct {
 // several, letting the sender transmit to a non-conflicting destination
 // while the head-of-line one must defer.
 type txFlow struct {
-	dst          frame.Addr
-	dstID        int
-	bcast        bool
-	bcastTargets []frame.Addr
-	saturated    bool
-	backlog      int
-	nextPktSeq   uint32
-	unacked      map[uint32]struct{}
-	retx         []uint32
+	Dst          frame.Addr     `json:"dst"`
+	DstID        int            `json:"dst_id"`
+	Bcast        bool           `json:"bcast,omitempty"`
+	BcastTargets []frame.Addr   `json:"bcast_targets,omitempty"`
+	Saturated    bool           `json:"saturated,omitempty"`
+	Backlog      int            `json:"backlog,omitempty"`
+	NextPktSeq   uint32         `json:"next_pkt_seq,omitempty"`
+	Unacked      checkpoint.Set `json:"unacked"`
+	Retx         []uint32       `json:"retx,omitempty"` // consumption order
 }
 
 // drained reports whether the flow has nothing queued or outstanding.
 func (f *txFlow) drained() bool {
-	return !f.saturated && f.backlog == 0 && len(f.unacked) == 0
+	return !f.Saturated && f.Backlog == 0 && len(f.Unacked) == 0
 }
 
 // rxVpkt tracks the in-progress reception of one inbound virtual packet.
 type rxVpkt struct {
-	vseq        uint32
-	start       sim.Time // estimated on-air start (header start)
-	expected    int
-	got         []bool
-	headerSeen  bool
-	trailerSeen bool
-	rate        uint8
-	bcast       bool
+	VSeq        uint32   `json:"vseq"`
+	Start       sim.Time `json:"start"` // estimated on-air start (header start)
+	Expected    int      `json:"expected"`
+	Got         []bool   `json:"got"`
+	HeaderSeen  bool     `json:"header_seen,omitempty"`
+	TrailerSeen bool     `json:"trailer_seen,omitempty"`
+	Rate        uint8    `json:"rate"`
+	Bcast       bool     `json:"bcast,omitempty"`
 }
 
 // rxFlow is the receiver-side state for one sender.
 type rxFlow struct {
-	srcID   int
-	srcAddr frame.Addr
-	cum     uint32
-	sack    map[uint32]struct{}
-	cur     *rxVpkt
-	// curBuf and gotBuf are the reusable storage behind cur: one inbound
-	// virtual packet is tracked per sender at a time, so reception state
-	// needs no per-vpkt heap objects. finTimer is the caller-owned
-	// finalisation timer; finVseq records which virtual packet armed it.
-	curBuf   rxVpkt
-	gotBuf   []bool
-	finTimer sim.Timer
-	finVseq  uint32
-	// pendExpected and pendLost accumulate loss evidence since the last
+	SrcID   int            `json:"src_id"`
+	SrcAddr frame.Addr     `json:"src_addr"`
+	Cum     uint32         `json:"cum,omitempty"`
+	Sack    checkpoint.Set `json:"sack"`
+	// Cur is nil or &curBuf. curBuf and gotBuf are the reusable storage
+	// behind it: one inbound virtual packet is tracked per sender at a
+	// time, so reception state needs no per-vpkt heap objects.
+	Cur    *rxVpkt `json:"cur,omitempty"`
+	curBuf rxVpkt
+	gotBuf []bool
+	// FinTimer is the caller-owned finalisation timer; FinVseq records
+	// which virtual packet armed it.
+	FinTimer sim.Timer `json:"fin_timer"`
+	FinVseq  uint32    `json:"fin_vseq,omitempty"`
+	// PendExpected and PendLost accumulate loss evidence since the last
 	// ACK, so every ACK reports the loss rate "over the previous window
 	// of packets" (§3.3) — including virtual packets whose own trailer
 	// (and hence ACK) was destroyed.
-	pendExpected int
-	pendLost     int
+	PendExpected int `json:"pend_expected,omitempty"`
+	PendLost     int `json:"pend_lost,omitempty"`
 
 	// Figure 16/19 counters: of the virtual packets this receiver became
 	// aware of, how many had a decodable header, and how many a header or
 	// trailer.
-	VpktsSeen     uint64
-	VpktsHeader   uint64
-	VpktsHdrOrTrl uint64
+	VpktsSeen     uint64 `json:"vpkts_seen,omitempty"`
+	VpktsHeader   uint64 `json:"vpkts_header,omitempty"`
+	VpktsHdrOrTrl uint64 `json:"vpkts_hdr_or_trl,omitempty"`
 }
 
 // Node is one CMAP station: simultaneously a sender, a receiver, and a
@@ -111,7 +115,6 @@ type Node struct {
 	cfg   Config
 	radio *phy.Radio
 	sched *sim.Scheduler
-	rng   *sim.RNG
 	addr  frame.Addr
 
 	// Meter, when set, records non-duplicate deliveries at this node.
@@ -119,34 +122,8 @@ type Node struct {
 	// OnDeliver, when set, observes non-duplicate deliveries.
 	OnDeliver mac.DeliverFunc
 
-	obs         *observations
-	deferTab    *deferTable
-	interfStats map[pairKey]*interfStat
-	interferers map[pairKey]sim.Time
-
-	rx map[frame.Addr]*rxFlow
-
-	// Sender state: one txFlow per destination (§3.2), scheduled
-	// round-robin so no queue starves.
-	flows     []*txFlow
+	// flowByDst indexes Flows by destination.
 	flowByDst map[frame.Addr]*txFlow
-	rrNext    int
-	nextVSeq  uint32
-	cw        sim.Time
-	cur       *vpktTx
-	waitAck   bool
-
-	// The send-loop timers are caller-owned values re-armed through
-	// Scheduler.ResetAfter/ResetAt, so the per-virtual-packet cycle
-	// allocates no Timer handles.
-	ackTimer     sim.Timer
-	backoffTimer sim.Timer
-	deferTimer   sim.Timer
-	retxTimer    sim.Timer
-	retryTimer   sim.Timer
-
-	// lastRelay rate-limits two-hop list relays per original source.
-	lastRelay map[frame.Addr]sim.Time
 
 	// Reusable buffers for the steady-state virtual-packet pipeline: one
 	// virtual packet is in flight per sender and the medium completes all
@@ -161,34 +138,80 @@ type Node struct {
 	dataBuf frame.Data
 	targBuf [1]frame.Addr
 
-	// ackFree recycles receiver-side ACK attempts; inflightAck is the one
-	// whose frame is currently on the air (the radio transmits at most one
-	// frame at a time), recycled at tx-done.
-	ackFree     []*ackAttempt
-	inflightAck *ackAttempt
+	// ackFree recycles receiver-side ACK attempts.
+	ackFree []*ackAttempt
 
-	stat Stats
+	state
+}
+
+// state is a CMAP node's mutable half and its checkpoint form (§3.1–3.3):
+// the observation, defer and interference tables, receiver and sender
+// flows with the staged virtual packet, the timers, counters and the RNG
+// stream. Config, radio wiring and the airtime tables are rebuilt by New.
+type state struct {
+	Obs         observations                         `json:"obs"`
+	DeferTab    deferTable                           `json:"defer_tab"`
+	InterfStats checkpoint.Map[pairKey, *interfStat] `json:"interf_stats,omitempty"`
+	Interferers checkpoint.Map[pairKey, sim.Time]    `json:"interferers,omitempty"`
+	Rx          checkpoint.Map[frame.Addr, *rxFlow]  `json:"rx,omitempty"`
+
+	// Sender state: one txFlow per destination (§3.2), scheduled
+	// round-robin (RRNext indexes Flows) so no queue starves.
+	Flows    []*txFlow `json:"flows,omitempty"`
+	RRNext   int       `json:"rr_next,omitempty"`
+	NextVSeq uint32    `json:"next_vseq,omitempty"`
+	CW       sim.Time  `json:"cw,omitempty"`
+	Cur      *vpktTx   `json:"cur,omitempty"` // nil or &curBuf, Seqs aliasing seqBuf
+	WaitAck  bool      `json:"wait_ack,omitempty"`
+
+	// The send-loop timers are caller-owned values re-armed through
+	// Scheduler.ResetAfter/ResetAt, so the per-virtual-packet cycle
+	// allocates no Timer handles.
+	AckTimer     sim.Timer `json:"ack_timer"`
+	BackoffTimer sim.Timer `json:"backoff_timer"`
+	DeferTimer   sim.Timer `json:"defer_timer"`
+	RetxTimer    sim.Timer `json:"retx_timer"`
+	RetryTimer   sim.Timer `json:"retry_timer"`
+
+	// LastRelay rate-limits two-hop list relays per original source.
+	LastRelay checkpoint.Map[frame.Addr, sim.Time] `json:"last_relay,omitempty"`
+
+	// InflightAck is the receiver-side ACK attempt whose frame is on the
+	// air (the radio transmits at most one frame at a time), recycled at
+	// tx-done.
+	InflightAck *ackAttempt `json:"inflight_ack,omitempty"`
+
+	Stat Stats   `json:"stat"`
+	RNG  sim.RNG `json:"rng"`
+}
+
+// newState is the state a node starts from, and what a checkpoint
+// decodes into.
+func newState() state {
+	return state{
+		DeferTab:    deferTable{Entries: make(checkpoint.Map[deferKey, sim.Time])},
+		InterfStats: make(checkpoint.Map[pairKey, *interfStat]),
+		Interferers: make(checkpoint.Map[pairKey, sim.Time]),
+		Rx:          make(checkpoint.Map[frame.Addr, *rxFlow]),
+	}
 }
 
 // New creates a CMAP node on network node id.
 func New(id int, cfg Config, m mac.Network, rng *sim.RNG) *Node {
 	n := &Node{
-		id:          id,
-		cfg:         cfg,
-		radio:       m.Radio(id),
-		sched:       m.Scheduler(),
-		rng:         rng,
-		addr:        frame.AddrFromID(id),
-		obs:         newObservations(cfg),
-		deferTab:    newDeferTable(),
-		interfStats: make(map[pairKey]*interfStat),
-		interferers: make(map[pairKey]sim.Time),
-		rx:          make(map[frame.Addr]*rxFlow),
-		flowByDst:   make(map[frame.Addr]*txFlow),
+		id:        id,
+		cfg:       cfg,
+		radio:     m.Radio(id),
+		sched:     m.Scheduler(),
+		addr:      frame.AddrFromID(id),
+		flowByDst: make(map[frame.Addr]*txFlow),
+		state:     newState(),
 	}
+	n.Obs.cfg = &n.cfg
+	n.RNG = *rng
 	n.radio.SetHandler(n)
 	// Desynchronised periodic interferer-list broadcast.
-	first := rng.DurationIn(cfg.BroadcastPeriod/4, cfg.BroadcastPeriod)
+	first := n.RNG.DurationIn(cfg.BroadcastPeriod/4, cfg.BroadcastPeriod)
 	n.sched.PostAfter(first, n, evBroadcastTick)
 	return n
 }
@@ -200,16 +223,16 @@ func (n *Node) ID() int { return n.id }
 func (n *Node) Addr() frame.Addr { return n.addr }
 
 // Stats returns a copy of the node's counters.
-func (n *Node) Stats() Stats { return n.stat }
+func (n *Node) Stats() Stats { return n.Stat }
 
 // DeferTableSize returns the number of live defer-table entries.
-func (n *Node) DeferTableSize() int { return n.deferTab.size() }
+func (n *Node) DeferTableSize() int { return n.DeferTab.size() }
 
 // InterfererListLen returns the number of live interferer-list entries.
 func (n *Node) InterfererListLen() int {
 	now := n.sched.Now()
 	c := 0
-	for _, exp := range n.interferers {
+	for _, exp := range n.Interferers {
 		if exp > now {
 			c++
 		}
@@ -220,7 +243,7 @@ func (n *Node) InterfererListLen() int {
 // HasDeferEntry reports whether the defer table holds a live entry that
 // would make sending to dst defer to src→theirDst (used by tests).
 func (n *Node) HasDeferEntry(dst, src, theirDst frame.Addr, rate uint8) bool {
-	return n.deferTab.conflicts(n.sched.Now(), dst, src, theirDst, rate)
+	return n.DeferTab.conflicts(n.sched.Now(), dst, src, theirDst, rate)
 }
 
 // FlowCounters returns the Figure 16/19 virtual-packet visibility
@@ -228,7 +251,7 @@ func (n *Node) HasDeferEntry(dst, src, theirDst frame.Addr, rate uint8) bool {
 // became aware of, those with a decoded header, and those with a decoded
 // header or trailer.
 func (n *Node) FlowCounters(src int) (seen, header, headerOrTrailer uint64) {
-	f, ok := n.rx[frame.AddrFromID(src)]
+	f, ok := n.Rx[frame.AddrFromID(src)]
 	if !ok {
 		return 0, 0, 0
 	}
@@ -239,10 +262,10 @@ func (n *Node) FlowCounters(src int) (seen, header, headerOrTrailer uint64) {
 // backlog, no unacknowledged packets, nothing on the air. Saturated
 // senders are never idle.
 func (n *Node) Idle() bool {
-	if n.cur != nil || n.waitAck {
+	if n.Cur != nil || n.WaitAck {
 		return false
 	}
-	for _, f := range n.flows {
+	for _, f := range n.Flows {
 		if !f.drained() {
 			return false
 		}
@@ -256,7 +279,7 @@ func (n *Node) Idle() bool {
 // queue bounds. Saturated flows report 0 (their backlog is notional).
 func (n *Node) Backlog(dst int) int {
 	if f, ok := n.flowByDst[frame.AddrFromID(dst)]; ok {
-		return f.backlog
+		return f.Backlog
 	}
 	return 0
 }
@@ -264,11 +287,11 @@ func (n *Node) Backlog(dst int) int {
 // ReceivedFrom returns how many non-duplicate packets were delivered from
 // src (0 if none).
 func (n *Node) ReceivedFrom(src int) uint64 {
-	f, ok := n.rx[frame.AddrFromID(src)]
+	f, ok := n.Rx[frame.AddrFromID(src)]
 	if !ok {
 		return 0
 	}
-	return uint64(f.cum) + uint64(len(f.sack))
+	return uint64(f.Cum) + uint64(len(f.Sack))
 }
 
 // ---------------------------------------------------------------------------
@@ -277,7 +300,7 @@ func (n *Node) ReceivedFrom(src int) uint64 {
 // SetSaturated makes the node a backlogged unicast source towards dst.
 func (n *Node) SetSaturated(dst int) {
 	f := n.flowTo(dst)
-	f.saturated = true
+	f.Saturated = true
 	n.kick()
 }
 
@@ -286,7 +309,7 @@ func (n *Node) SetSaturated(dst int) {
 // destination gets its own queue, window and sequence space (§3.2).
 func (n *Node) Enqueue(dst int, count int) {
 	f := n.flowTo(dst)
-	f.backlog += count
+	f.Backlog += count
 	n.kick()
 }
 
@@ -296,22 +319,22 @@ func (n *Node) Enqueue(dst int, count int) {
 // transmission not to conflict with any target. Broadcast is exclusive
 // with unicast flows.
 func (n *Node) SetBroadcast(targets []int, saturated bool, count int) {
-	if len(n.flows) > 0 {
+	if len(n.Flows) > 0 {
 		panic("core: node already has a unicast flow")
 	}
 	f := &txFlow{
-		dst:       frame.Broadcast,
-		dstID:     -1,
-		bcast:     true,
-		saturated: saturated,
-		backlog:   count,
-		unacked:   make(map[uint32]struct{}),
+		Dst:       frame.Broadcast,
+		DstID:     -1,
+		Bcast:     true,
+		Saturated: saturated,
+		Backlog:   count,
+		Unacked:   make(checkpoint.Set),
 	}
 	for _, t := range targets {
-		f.bcastTargets = append(f.bcastTargets, frame.AddrFromID(t))
+		f.BcastTargets = append(f.BcastTargets, frame.AddrFromID(t))
 	}
-	n.flows = append(n.flows, f)
-	n.flowByDst[f.dst] = f
+	n.Flows = append(n.Flows, f)
+	n.flowByDst[f.Dst] = f
 	n.kick()
 }
 
@@ -322,7 +345,7 @@ func (n *Node) EnqueueBroadcast(count int) {
 	if f == nil {
 		panic("core: EnqueueBroadcast without SetBroadcast")
 	}
-	f.backlog += count
+	f.Backlog += count
 	n.kick()
 }
 
@@ -332,12 +355,12 @@ func (n *Node) flowTo(dst int) *txFlow {
 	if f, ok := n.flowByDst[a]; ok {
 		return f
 	}
-	if len(n.flows) > 0 && (!n.cfg.PerDestQueues || n.flows[0].bcast) {
+	if len(n.Flows) > 0 && (!n.cfg.PerDestQueues || n.Flows[0].Bcast) {
 		panic(fmt.Sprintf("core: node %d already has a flow to %v (enable PerDestQueues for multiple destinations)",
-			n.id, n.flows[0].dst))
+			n.id, n.Flows[0].Dst))
 	}
-	f := &txFlow{dst: a, dstID: dst, unacked: make(map[uint32]struct{})}
-	n.flows = append(n.flows, f)
+	f := &txFlow{Dst: a, DstID: dst, Unacked: make(checkpoint.Set)}
+	n.Flows = append(n.Flows, f)
 	n.flowByDst[a] = f
 	return f
 }
@@ -382,7 +405,7 @@ func (n *Node) HandleEvent(arg any) {
 	case *ackAttempt:
 		n.runAckAttempt(v)
 	case *listSend:
-		n.sendListWithRetries(v.list, v.budget)
+		n.sendListWithRetries(v.List, v.Budget)
 	}
 }
 
@@ -400,15 +423,15 @@ func (n *Node) OnFrame(f frame.Frame, info phy.RxInfo) {
 			return
 		}
 		if ff.Trailer {
-			n.stat.TrailersHeard++
-			n.obs.noteTrailer(ff, info, visible)
-			n.obs.markEnded(ff.Src, ff.Seq, info.End)
+			n.Stat.TrailersHeard++
+			n.Obs.noteTrailer(ff, info, visible)
+			n.Obs.markEnded(ff.Src, ff.Seq, info.End)
 			if ff.Dst == n.addr {
 				n.rxTrailer(ff, info)
 			}
 		} else {
-			n.stat.HeadersHeard++
-			n.obs.noteHeader(ff, info, visible)
+			n.Stat.HeadersHeard++
+			n.Obs.noteHeader(ff, info, visible)
 			if ff.Dst == n.addr {
 				n.rxHeader(ff, info)
 			}
@@ -417,7 +440,7 @@ func (n *Node) OnFrame(f frame.Frame, info phy.RxInfo) {
 		if ff.Src == n.addr {
 			return
 		}
-		n.obs.noteData(ff, info, visible)
+		n.Obs.noteData(ff, info, visible)
 		if ff.Dst == n.addr || ff.Dst.IsBroadcast() {
 			n.rxData(ff, info)
 		}
@@ -426,8 +449,8 @@ func (n *Node) OnFrame(f frame.Frame, info phy.RxInfo) {
 			n.onAck(ff)
 		}
 	case *frame.InterfererList:
-		n.stat.ListsHeard++
-		n.deferTab.applyRules(n.addr, ff, now+n.cfg.DeferTimeout)
+		n.Stat.ListsHeard++
+		n.DeferTab.applyRules(n.addr, ff, now+n.cfg.DeferTimeout)
 		n.maybeRelayList(ff, now)
 	}
 }
@@ -438,33 +461,33 @@ func (n *Node) maybeRelayList(l *frame.InterfererList, now sim.Time) {
 	if !n.cfg.TwoHopLists || l.Relayed || l.Src == n.addr || len(l.Entries) == 0 {
 		return
 	}
-	if n.lastRelay == nil {
-		n.lastRelay = make(map[frame.Addr]sim.Time)
+	if n.LastRelay == nil {
+		n.LastRelay = make(map[frame.Addr]sim.Time)
 	}
-	if last, ok := n.lastRelay[l.Src]; ok && now-last < n.cfg.BroadcastPeriod {
+	if last, ok := n.LastRelay[l.Src]; ok && now-last < n.cfg.BroadcastPeriod {
 		return
 	}
-	n.lastRelay[l.Src] = now
+	n.LastRelay[l.Src] = now
 	copyList := &frame.InterfererList{
 		Src:     l.Src,
 		Relayed: true,
 		Entries: append([]frame.InterferenceEntry(nil), l.Entries...),
 	}
-	n.stat.ListsRelayed++
-	n.sched.PostAfter(n.turnaroundDelay(), n, &listSend{list: copyList, budget: 8})
+	n.Stat.ListsRelayed++
+	n.sched.PostAfter(n.turnaroundDelay(), n, &listSend{List: copyList, Budget: 8})
 }
 
 // listSend carries a pending interferer-list transmission (a two-hop
 // relay or a radio-busy retry) through the agenda as a typed argument,
 // keeping the agenda closure-free for checkpointing.
 type listSend struct {
-	list   *frame.InterfererList
-	budget int
+	List   *frame.InterfererList `json:"list"`
+	Budget int                   `json:"budget"`
 }
 
 // OnCorrupt implements phy.Handler. CMAP infers collisions from sequence
 // gaps, not from PHY corruption events, but counts them for diagnostics.
-func (n *Node) OnCorrupt(phy.RxInfo) { n.stat.Corrupt++ }
+func (n *Node) OnCorrupt(phy.RxInfo) { n.Stat.Corrupt++ }
 
 // OnCarrier implements phy.Handler. CMAP does not carrier sense.
 func (n *Node) OnCarrier(bool) {}
@@ -474,11 +497,11 @@ func (n *Node) OnCarrier(bool) {}
 // left the air (every addressee has decoded it by now — receptions
 // complete before tx-done).
 func (n *Node) OnTxDone(f frame.Frame) {
-	if _, ok := f.(*frame.Ack); ok && n.inflightAck != nil {
-		n.ackFree = append(n.ackFree, n.inflightAck)
-		n.inflightAck = nil
+	if _, ok := f.(*frame.Ack); ok && n.InflightAck != nil {
+		n.ackFree = append(n.ackFree, n.InflightAck)
+		n.InflightAck = nil
 	}
-	if n.cur != nil {
+	if n.Cur != nil {
 		n.continueVpkt()
 	}
 }

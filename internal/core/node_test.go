@@ -325,7 +325,7 @@ func TestDeferToOngoingTowardOwnReceiver(t *testing.T) {
 	// Step until s2 is provably mid-virtual-packet (header long on the
 	// air, several data frames in), so s1's ongoing list must show it.
 	for sched.Step() {
-		if sched.Now() > 100*sim.Millisecond && s2.cur != nil && s2.cur.next >= 3 {
+		if sched.Now() > 100*sim.Millisecond && s2.Cur != nil && s2.Cur.Next >= 3 {
 			break
 		}
 	}
@@ -431,7 +431,7 @@ func TestTwoHopListPropagation(t *testing.T) {
 
 	// Seed R's interferer list directly: transmissions from X conflict
 	// with S→R. (The propagation path is what this test pins down.)
-	r.interferers[pairKey{Source: addr(0), Interferer: addr(2)}] = 100 * sim.Second
+	r.Interferers[pairKey{Source: addr(0), Interferer: addr(2)}] = 100 * sim.Second
 	sched.Run(3 * sim.Second)
 
 	if relay.Stats().ListsRelayed == 0 {
@@ -453,7 +453,7 @@ func TestTwoHopListPropagation(t *testing.T) {
 	x2 := New(2, cfg2, m2, rng2.Stream(12))
 	New(0, cfg2, m2, rng2.Stream(10))
 	New(3, cfg2, m2, rng2.Stream(13))
-	r2.interferers[pairKey{Source: addr(0), Interferer: addr(2)}] = 100 * sim.Second
+	r2.Interferers[pairKey{Source: addr(0), Interferer: addr(2)}] = 100 * sim.Second
 	sched2.Run(3 * sim.Second)
 	if x2.HasDeferEntry(addr(9), addr(0), addr(1), 0) {
 		t.Error("X learned the entry without two-hop relaying despite no direct path")
@@ -550,7 +550,7 @@ func TestPerDestQueuesSkipConflictedDestination(t *testing.T) {
 	x := New(3, cfg, m, rng.Stream(13))
 	New(4, cfg, m, rng.Stream(14))
 	// Seed the conflict: sending to A while x transmits loses (A : x→∗).
-	s.deferTab.add(deferKey{OurDst: addr(1), Src: addr(3), TheirDst: anyAddr}, 1000*sim.Second)
+	s.DeferTab.add(deferKey{OurDst: addr(1), Src: addr(3), TheirDst: anyAddr}, 1000*sim.Second)
 
 	x.SetSaturated(4)
 	sched.Run(100 * sim.Millisecond) // x's stream is on the air
@@ -567,7 +567,12 @@ func TestPerDestQueuesSkipConflictedDestination(t *testing.T) {
 	}
 	s.Enqueue(1, 100)
 	s.Enqueue(2, 100)
-	sched.Run(60 * sim.Second)
+	// Both flows finish within about 3 s; step until they have rather
+	// than simulating the 60 s cap (most of this test's race-detector
+	// time in make ci went to the idle remainder).
+	for until := sched.Now() + sim.Second; (aDone == 0 || bDone == 0) && until <= 60*sim.Second; until += sim.Second {
+		sched.Run(until)
+	}
 	if bDone == 0 {
 		t.Fatal("flow to B never completed")
 	}

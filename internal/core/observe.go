@@ -20,15 +20,17 @@ type obsKey struct {
 // into a short history used for both the access decision and interferer
 // attribution).
 type obsEntry struct {
-	Src, Dst frame.Addr
-	Rate     uint8
-	VSeq     uint32
+	Src  frame.Addr `json:"src"`
+	VSeq uint32     `json:"vseq"`
+	Dst  frame.Addr `json:"dst"`
+	Rate uint8      `json:"rate"`
 	// EstStart and EstEnd bound the virtual packet on the air.
-	EstStart, EstEnd sim.Time
+	EstStart sim.Time `json:"est_start"`
+	EstEnd   sim.Time `json:"est_end"`
 	// VisibleAt is when the software MAC has processed the first frame of
 	// this entry (decode time + turnaround); the access decision cannot
 	// act on it earlier (§4.1).
-	VisibleAt sim.Time
+	VisibleAt sim.Time `json:"visible_at"`
 }
 
 // observations is the per-node table of overheard transmissions.
@@ -43,20 +45,18 @@ type obsEntry struct {
 // construction: ongoing's caller keeps a minimum, and overlapping's
 // caller does decay(now) (idempotent at one now), Expected++ and Lost++
 // on a per-(source, interferer, rate) stat, so visiting the same set of
-// entries in any order leaves the same state. ExportState sorts.
+// entries in any order leaves the same state. Entries is stored in its
+// live order, so a resumed node walks them exactly as the original did;
+// cfg points at the node's Config and free is a pool, both re-linked.
 type observations struct {
-	cfg     Config
-	entries []*obsEntry
+	Entries []*obsEntry `json:"entries,omitempty"`
+	cfg     *Config
 	free    []*obsEntry
-}
-
-func newObservations(cfg Config) *observations {
-	return &observations{cfg: cfg}
 }
 
 // find returns the entry for k, or nil.
 func (o *observations) find(k obsKey) *obsEntry {
-	for _, e := range o.entries {
+	for _, e := range o.Entries {
 		if e.Src == k.Src && e.VSeq == k.VSeq {
 			return e
 		}
@@ -82,7 +82,7 @@ func (o *observations) upsert(k obsKey, dst frame.Addr, rate uint8, start, end, 
 		}
 		*e = obsEntry{Src: k.Src, Dst: dst, Rate: rate, VSeq: k.VSeq,
 			EstStart: start, EstEnd: end, VisibleAt: visible}
-		o.entries = append(o.entries, e)
+		o.Entries = append(o.Entries, e)
 		return e
 	}
 	if start < e.EstStart {
@@ -129,7 +129,7 @@ func (o *observations) markEnded(src frame.Addr, vseq uint32, end sim.Time) {
 // ongoing calls fn for every transmission believed to still be on the air
 // and visible to the software MAC.
 func (o *observations) ongoing(now sim.Time, fn func(*obsEntry)) {
-	for _, e := range o.entries {
+	for _, e := range o.Entries {
 		if e.EstEnd > now && e.VisibleAt <= now {
 			fn(e)
 		}
@@ -139,7 +139,7 @@ func (o *observations) ongoing(now sim.Time, fn func(*obsEntry)) {
 // overlapping calls fn for every known transmission (current or recent)
 // from a source other than excl whose interval covers t.
 func (o *observations) overlapping(t sim.Time, excl frame.Addr, fn func(*obsEntry)) {
-	for _, e := range o.entries {
+	for _, e := range o.Entries {
 		if e.Src != excl && e.EstStart <= t && t < e.EstEnd {
 			fn(e)
 		}
@@ -149,17 +149,17 @@ func (o *observations) overlapping(t sim.Time, excl frame.Addr, fn func(*obsEntr
 // prune drops entries that ended longer than the retention ago.
 func (o *observations) prune(now sim.Time) {
 	horizon := now - o.retention()
-	kept := o.entries[:0]
-	for _, e := range o.entries {
+	kept := o.Entries[:0]
+	for _, e := range o.Entries {
 		if e.EstEnd < horizon {
 			o.free = append(o.free, e)
 		} else {
 			kept = append(kept, e)
 		}
 	}
-	clear(o.entries[len(kept):])
-	o.entries = kept
+	clear(o.Entries[len(kept):])
+	o.Entries = kept
 }
 
 // size returns the table size (diagnostics).
-func (o *observations) size() int { return len(o.entries) }
+func (o *observations) size() int { return len(o.Entries) }

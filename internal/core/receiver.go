@@ -8,10 +8,10 @@ import (
 
 // flowFor returns (creating if needed) the receive state for sender src.
 func (n *Node) flowFor(src frame.Addr, srcID int) *rxFlow {
-	f, ok := n.rx[src]
+	f, ok := n.Rx[src]
 	if !ok {
-		f = &rxFlow{srcID: srcID, srcAddr: src, sack: make(map[uint32]struct{})}
-		n.rx[src] = f
+		f = &rxFlow{SrcID: srcID, SrcAddr: src, Sack: make(map[uint32]struct{})}
+		n.Rx[src] = f
 	}
 	return f
 }
@@ -34,10 +34,10 @@ func (n *Node) expectedFromTxTime(txMicros uint32) int {
 // beginVpkt opens reception state for virtual packet vseq from flow f,
 // finalising any previous one first.
 func (n *Node) beginVpkt(f *rxFlow, vseq uint32, start sim.Time, expected int, rate uint8, bcast bool) *rxVpkt {
-	if f.cur != nil && f.cur.vseq != vseq {
+	if f.Cur != nil && f.Cur.VSeq != vseq {
 		n.finalizeVpkt(f)
 	}
-	if f.cur == nil {
+	if f.Cur == nil {
 		if expected <= 0 {
 			expected = n.cfg.Nvpkt
 		}
@@ -54,14 +54,14 @@ func (n *Node) beginVpkt(f *rxFlow, vseq uint32, start sim.Time, expected int, r
 		}
 		f.gotBuf = got
 		f.curBuf = rxVpkt{
-			vseq:     vseq,
-			start:    start,
-			expected: expected,
-			got:      got,
-			rate:     rate,
-			bcast:    bcast,
+			VSeq:     vseq,
+			Start:    start,
+			Expected: expected,
+			Got:      got,
+			Rate:     rate,
+			Bcast:    bcast,
 		}
-		f.cur = &f.curBuf
+		f.Cur = &f.curBuf
 		// Finalise even if the trailer never arrives (lost or sender
 		// aborted): a grace period after the expected end. With trailers
 		// disabled (ablation) this timer is also the ACK trigger, so it
@@ -71,27 +71,27 @@ func (n *Node) beginVpkt(f *rxFlow, vseq uint32, start sim.Time, expected int, r
 		if n.cfg.DisableTrailers {
 			grace = n.cfg.Turnaround
 		}
-		f.finVseq = vseq
-		n.sched.ResetAt(&f.finTimer, end+grace, n, f)
+		f.FinVseq = vseq
+		n.sched.ResetAt(&f.FinTimer, end+grace, n, f)
 	}
-	return f.cur
+	return f.Cur
 }
 
 // vpktFinExpired fires when the finalisation grace period of the virtual
 // packet that armed f's timer passes without a trailer.
 func (n *Node) vpktFinExpired(f *rxFlow) {
-	if f.cur == nil || f.cur.vseq != f.finVseq {
+	if f.Cur == nil || f.Cur.VSeq != f.FinVseq {
 		return
 	}
 	gotAny := false
-	for _, g := range f.cur.got {
+	for _, g := range f.Cur.Got {
 		if g {
 			gotAny = true
 			break
 		}
 	}
-	vseq := f.cur.vseq
-	wasBcast := f.cur.bcast
+	vseq := f.Cur.VSeq
+	wasBcast := f.Cur.Bcast
 	n.finalizeVpkt(f)
 	if n.cfg.DisableTrailers && !wasBcast && gotAny {
 		n.sendAck(f, vseq, 10)
@@ -102,7 +102,7 @@ func (n *Node) vpktFinExpired(f *rxFlow) {
 func (n *Node) rxHeader(c *frame.Control, info phy.RxInfo) {
 	f := n.flowFor(c.Src, info.From)
 	v := n.beginVpkt(f, c.Seq, info.Start, n.expectedFromTxTime(c.TxTimeMicros), c.Rate, c.Dst.IsBroadcast())
-	v.headerSeen = true
+	v.HeaderSeen = true
 }
 
 // rxData handles a data packet addressed to us (or broadcast).
@@ -110,32 +110,32 @@ func (n *Node) rxData(d *frame.Data, info phy.RxInfo) {
 	f := n.flowFor(d.Src, info.From)
 	start := info.Start - n.cfg.controlAirtime() - sim.Time(d.Index)*n.cfg.dataAirtime()
 	v := n.beginVpkt(f, d.VSeq, start, 0, uint8(n.cfg.Rate), d.Dst.IsBroadcast())
-	if int(d.Index) < len(v.got) {
-		v.got[d.Index] = true
+	if int(d.Index) < len(v.Got) {
+		v.Got[d.Index] = true
 	}
 
 	// Deduplicate and deliver. Broadcast flows never retransmit, so every
 	// packet is fresh; unicast flows dedup against the cumulative point
 	// and the SACK set.
 	if !d.Dst.IsBroadcast() {
-		if d.PktSeq < f.cum {
-			n.stat.Duplicates++
+		if d.PktSeq < f.Cum {
+			n.Stat.Duplicates++
 			return
 		}
-		if _, dup := f.sack[d.PktSeq]; dup {
-			n.stat.Duplicates++
+		if _, dup := f.Sack[d.PktSeq]; dup {
+			n.Stat.Duplicates++
 			return
 		}
-		f.sack[d.PktSeq] = struct{}{}
+		f.Sack[d.PktSeq] = struct{}{}
 		for {
-			if _, ok := f.sack[f.cum]; !ok {
+			if _, ok := f.Sack[f.Cum]; !ok {
 				break
 			}
-			delete(f.sack, f.cum)
-			f.cum++
+			delete(f.Sack, f.Cum)
+			f.Cum++
 		}
 	}
-	n.stat.Delivered++
+	n.Stat.Delivered++
 	if n.Meter != nil {
 		n.Meter.Record(n.sched.Now(), int(d.PayloadLen))
 	}
@@ -150,7 +150,7 @@ func (n *Node) rxTrailer(c *frame.Control, info phy.RxInfo) {
 	f := n.flowFor(c.Src, info.From)
 	start := info.End - sim.Time(c.TxTimeMicros)*sim.Microsecond
 	v := n.beginVpkt(f, c.Seq, start, n.expectedFromTxTime(c.TxTimeMicros), c.Rate, c.Dst.IsBroadcast())
-	v.trailerSeen = true
+	v.TrailerSeen = true
 	n.finalizeVpkt(f)
 	if !c.Dst.IsBroadcast() {
 		n.sendAck(f, c.Seq, 10)
@@ -161,26 +161,26 @@ func (n *Node) rxTrailer(c *frame.Control, info phy.RxInfo) {
 // its loss, attributes lost packets to overlapping transmissions for the
 // interferer list (§3.1), and updates the visibility counters.
 func (n *Node) finalizeVpkt(f *rxFlow) {
-	v := f.cur
+	v := f.Cur
 	if v == nil {
 		return
 	}
-	f.cur = nil
-	f.finTimer.Stop()
+	f.Cur = nil
+	f.FinTimer.Stop()
 	received := 0
-	for _, g := range v.got {
+	for _, g := range v.Got {
 		if g {
 			received++
 		}
 	}
-	lost := v.expected - received
-	f.pendExpected += v.expected
-	f.pendLost += lost
+	lost := v.Expected - received
+	f.PendExpected += v.Expected
+	f.PendLost += lost
 	f.VpktsSeen++
-	if v.headerSeen {
+	if v.HeaderSeen {
 		f.VpktsHeader++
 	}
-	if v.headerSeen || v.trailerSeen {
+	if v.HeaderSeen || v.TrailerSeen {
 		f.VpktsHdrOrTrl++
 	}
 
@@ -189,18 +189,18 @@ func (n *Node) finalizeVpkt(f *rxFlow) {
 	now := n.sched.Now()
 	hdr := n.cfg.controlAirtime()
 	per := n.cfg.dataAirtime()
-	for i := 0; i < v.expected; i++ {
-		t := v.start + hdr + sim.Time(i)*per + per/2
-		hit := i < len(v.got) && v.got[i]
-		n.obs.overlapping(t, f.srcAddr, func(e *obsEntry) {
+	for i := 0; i < v.Expected; i++ {
+		t := v.Start + hdr + sim.Time(i)*per + per/2
+		hit := i < len(v.Got) && v.Got[i]
+		n.Obs.overlapping(t, f.SrcAddr, func(e *obsEntry) {
 			if e.Src == n.addr {
 				return
 			}
-			k := pairKey{Source: f.srcAddr, Interferer: e.Src, Rate: e.Rate}
-			st, ok := n.interfStats[k]
+			k := pairKey{Source: f.SrcAddr, Interferer: e.Src, Rate: e.Rate}
+			st, ok := n.InterfStats[k]
 			if !ok {
-				st = &interfStat{lastDecay: now}
-				n.interfStats[k] = st
+				st = &interfStat{LastDecay: now}
+				n.InterfStats[k] = st
 			}
 			st.decay(now, n.cfg.StatsHalfLife)
 			st.Expected++
@@ -211,12 +211,12 @@ func (n *Node) finalizeVpkt(f *rxFlow) {
 	}
 	// Promote pairs over the loss threshold immediately so senders learn
 	// at the next broadcast.
-	for k, st := range n.interfStats {
-		if k.Source != f.srcAddr {
+	for k, st := range n.InterfStats {
+		if k.Source != f.SrcAddr {
 			continue
 		}
 		if st.Expected >= float64(n.cfg.MinInterfSamples) && st.lossRate() > n.cfg.LossInterf {
-			n.interferers[k] = now + n.cfg.InterfTimeout
+			n.Interferers[k] = now + n.cfg.InterfTimeout
 		}
 	}
 }
@@ -226,8 +226,8 @@ func (n *Node) finalizeVpkt(f *rxFlow) {
 // list once the frame has left the air (or the budget runs out), so the
 // per-virtual-packet ACK path allocates nothing in steady state.
 type ackAttempt struct {
-	ack  frame.Ack
-	left int
+	Ack  frame.Ack `json:"ack"`
+	Left int       `json:"left"`
 }
 
 // getAckAttempt pops a recycled attempt (refilled at OnTxDone), with the
@@ -237,7 +237,7 @@ func (n *Node) getAckAttempt() *ackAttempt {
 	if k := len(n.ackFree); k > 0 {
 		a := n.ackFree[k-1]
 		n.ackFree = n.ackFree[:k-1]
-		a.ack = frame.Ack{Bitmap: a.ack.Bitmap[:0]}
+		a.Ack = frame.Ack{Bitmap: a.Ack.Bitmap[:0]}
 		return a
 	}
 	return &ackAttempt{}
@@ -247,21 +247,21 @@ func (n *Node) getAckAttempt() *ackAttempt {
 // turnaround, retrying briefly if the radio is mid-transmission.
 func (n *Node) sendAck(f *rxFlow, vseq uint32, budget int) {
 	loss := 0.0
-	if f.pendExpected > 0 {
-		loss = float64(f.pendLost) / float64(f.pendExpected)
+	if f.PendExpected > 0 {
+		loss = float64(f.PendLost) / float64(f.PendExpected)
 	}
-	f.pendExpected, f.pendLost = 0, 0
+	f.PendExpected, f.PendLost = 0, 0
 	aa := n.getAckAttempt()
-	aa.left = budget
-	aa.ack.Src = n.addr
-	aa.ack.Dst = f.srcAddr
-	aa.ack.CumSeq = f.cum
-	aa.ack.VSeq = vseq
-	aa.ack.LossRate = loss
+	aa.Left = budget
+	aa.Ack.Src = n.addr
+	aa.Ack.Dst = f.SrcAddr
+	aa.Ack.CumSeq = f.Cum
+	aa.Ack.VSeq = vseq
+	aa.Ack.LossRate = loss
 	limit := uint32(2 * n.cfg.windowPackets())
-	for s := range f.sack {
-		if s >= f.cum && s-f.cum < limit {
-			aa.ack.BitmapSet(int(s - f.cum))
+	for s := range f.Sack {
+		if s >= f.Cum && s-f.Cum < limit {
+			aa.Ack.BitmapSet(int(s - f.Cum))
 		}
 	}
 	n.sched.PostAfter(n.turnaroundDelay(), n, aa)
@@ -270,18 +270,18 @@ func (n *Node) sendAck(f *rxFlow, vseq uint32, budget int) {
 // runAckAttempt transmits a pending ACK as soon as the radio is free,
 // giving up (and recycling the attempt) after the retry budget.
 func (n *Node) runAckAttempt(aa *ackAttempt) {
-	if aa.left <= 0 {
+	if aa.Left <= 0 {
 		n.ackFree = append(n.ackFree, aa)
 		return
 	}
 	if n.radio.Transmitting() {
-		aa.left--
+		aa.Left--
 		n.sched.PostAfter(200*sim.Microsecond, n, aa)
 		return
 	}
-	n.stat.AcksSent++
-	n.inflightAck = aa
-	n.radio.Transmit(&aa.ack, phy.RateByID(n.cfg.ControlRate))
+	n.Stat.AcksSent++
+	n.InflightAck = aa
+	n.radio.Transmit(&aa.Ack, phy.RateByID(n.cfg.ControlRate))
 }
 
 // turnaroundDelay draws the software-MAC-to-PHY latency with the
@@ -294,8 +294,8 @@ func (n *Node) turnaroundDelay() sim.Time {
 	if t <= 0 {
 		return 0
 	}
-	if n.rng.Float64() < 0.9 {
-		return n.rng.DurationIn(t/2, 2*t)
+	if n.RNG.Float64() < 0.9 {
+		return n.RNG.DurationIn(t/2, 2*t)
 	}
-	return n.rng.DurationIn(2*t, 5*t)
+	return n.RNG.DurationIn(2*t, 5*t)
 }

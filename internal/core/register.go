@@ -26,14 +26,14 @@ func (n *Node) LatencyWindow() int { return n.cfg.Nwindow * n.cfg.Nvpkt }
 // packets persist until acknowledged — so Dropped stays zero.
 func (n *Node) Counters() mac.Counters {
 	return mac.Counters{
-		Sent:              n.stat.DataSent,
-		Delivered:         n.stat.Delivered,
-		Duplicates:        n.stat.Duplicates,
-		AckTimeouts:       n.stat.AckWaitExpired,
-		VpktsSent:         n.stat.VpktsSent,
-		Defers:            n.stat.Defers,
-		Backoffs:          n.stat.Backoffs,
-		RetxTimeouts:      n.stat.RetxTimeouts,
+		Sent:              n.Stat.DataSent,
+		Delivered:         n.Stat.Delivered,
+		Duplicates:        n.Stat.Duplicates,
+		AckTimeouts:       n.Stat.AckWaitExpired,
+		VpktsSent:         n.Stat.VpktsSent,
+		Defers:            n.Stat.Defers,
+		Backoffs:          n.Stat.Backoffs,
+		RetxTimeouts:      n.Stat.RetxTimeouts,
 		DeferEntries:      uint64(n.DeferTableSize()),
 		InterfererEntries: uint64(n.InterfererListLen()),
 	}

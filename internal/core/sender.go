@@ -16,31 +16,31 @@ import (
 // has no conflict, the other is served — the §3.2 per-destination-queue
 // optimisation (with one flow this degenerates to the plain algorithm).
 func (n *Node) trySend() {
-	if len(n.flows) == 0 || n.cur != nil || n.waitAck {
+	if len(n.Flows) == 0 || n.Cur != nil || n.WaitAck {
 		return
 	}
-	if n.backoffTimer.Active() || n.deferTimer.Active() || n.retryTimer.Active() {
+	if n.BackoffTimer.Active() || n.DeferTimer.Active() || n.RetryTimer.Active() {
 		return
 	}
 	if n.radio.Transmitting() {
 		// An ACK or interferer list of ours is on the air; come back.
-		n.sched.ResetAfter(&n.retryTimer, 200*sim.Microsecond, n, evRetry)
+		n.sched.ResetAfter(&n.RetryTimer, 200*sim.Microsecond, n, evRetry)
 		return
 	}
 	now := n.sched.Now()
-	n.obs.prune(now)
-	n.deferTab.prune(now)
+	n.Obs.prune(now)
+	n.DeferTab.prune(now)
 
 	var earliestEnd sim.Time
 	conflicted := false
 	sendable := false
 	totalUnacked := 0
-	for _, f := range n.flows {
-		totalUnacked += len(f.unacked)
+	for _, f := range n.Flows {
+		totalUnacked += len(f.Unacked)
 	}
-	start := n.rrNext
-	for k := 0; k < len(n.flows); k++ {
-		f := n.flows[(start+k)%len(n.flows)]
+	start := n.RRNext
+	for k := 0; k < len(n.Flows); k++ {
+		f := n.Flows[(start+k)%len(n.Flows)]
 		seqs, isRetx := n.candidate(f)
 		if len(seqs) == 0 {
 			continue
@@ -55,7 +55,7 @@ func (n *Node) trySend() {
 			}
 			continue // try the next destination's queue
 		}
-		n.rrNext = (start + k + 1) % len(n.flows)
+		n.RRNext = (start + k + 1) % len(n.Flows)
 		n.startVpkt(f, seqs, isRetx)
 		return
 	}
@@ -66,13 +66,13 @@ func (n *Node) trySend() {
 		// conflicting transmission ends plus tdeferwait, then check
 		// again. The re-check carries the software MAC's scheduling slop
 		// (§4.1).
-		n.stat.Defers++
-		wait := earliestEnd + n.cfg.TdeferWait + n.rng.DurationIn(0, n.cfg.Turnaround)
+		n.Stat.Defers++
+		wait := earliestEnd + n.cfg.TdeferWait + n.RNG.DurationIn(0, n.cfg.Turnaround)
 		if wait <= now {
 			wait = now + n.cfg.TdeferWait
 		}
-		n.sched.ResetAt(&n.deferTimer, wait, n, evDefer)
-	case !sendable && totalUnacked > 0 && !n.retxTimer.Active():
+		n.sched.ResetAt(&n.DeferTimer, wait, n, evDefer)
+	case !sendable && totalUnacked > 0 && !n.RetxTimer.Active():
 		// Nothing sendable but packets are stuck unacknowledged: arm the
 		// retransmission timeout (§3.3). The paper sizes τmax as the
 		// airtime of a full window so a transmission interfering at the
@@ -88,7 +88,7 @@ func (n *Node) trySend() {
 		if tauMin > tauMax/2 {
 			tauMin = tauMax / 2
 		}
-		n.sched.ResetAfter(&n.retxTimer, n.rng.DurationIn(tauMin, tauMax), n, evRetxTimeout)
+		n.sched.ResetAfter(&n.RetxTimer, n.RNG.DurationIn(tauMin, tauMax), n, evRetxTimeout)
 	}
 }
 
@@ -97,22 +97,22 @@ func (n *Node) trySend() {
 // room. It does not consume anything; startVpkt does.
 func (n *Node) candidate(f *txFlow) ([]uint32, bool) {
 	// Drop retransmission candidates acknowledged in the meantime.
-	live := f.retx[:0]
-	for _, s := range f.retx {
-		if _, ok := f.unacked[s]; ok {
+	live := f.Retx[:0]
+	for _, s := range f.Retx {
+		if _, ok := f.Unacked[s]; ok {
 			live = append(live, s)
 		}
 	}
-	f.retx = live
-	if len(f.retx) > 0 {
-		k := len(f.retx)
+	f.Retx = live
+	if len(f.Retx) > 0 {
+		k := len(f.Retx)
 		if k > n.cfg.Nvpkt {
 			k = n.cfg.Nvpkt
 		}
-		return f.retx[:k], true
+		return f.Retx[:k], true
 	}
-	avail := f.backlog
-	if f.saturated {
+	avail := f.Backlog
+	if f.Saturated {
 		avail = n.cfg.Nvpkt
 	}
 	if avail > n.cfg.Nvpkt {
@@ -121,8 +121,8 @@ func (n *Node) candidate(f *txFlow) ([]uint32, bool) {
 	if avail == 0 {
 		return nil, false
 	}
-	if !f.bcast {
-		room := n.cfg.windowPackets() - len(f.unacked)
+	if !f.Bcast {
+		room := n.cfg.windowPackets() - len(f.Unacked)
 		if room < avail {
 			return nil, false
 		}
@@ -133,7 +133,7 @@ func (n *Node) candidate(f *txFlow) ([]uint32, bool) {
 	// the next flow's candidate overwrites it.
 	seqs := n.seqBuf[:0]
 	for i := 0; i < avail; i++ {
-		seqs = append(seqs, f.nextPktSeq+uint32(i))
+		seqs = append(seqs, f.NextPktSeq+uint32(i))
 	}
 	n.seqBuf = seqs
 	return seqs, false
@@ -153,12 +153,12 @@ func (n *Node) deferConflictEnd(now sim.Time, f *txFlow) (sim.Time, bool) {
 			found = true
 		}
 	}
-	targets := f.bcastTargets
-	if !f.bcast {
-		n.targBuf[0] = f.dst
+	targets := f.BcastTargets
+	if !f.Bcast {
+		n.targBuf[0] = f.Dst
 		targets = n.targBuf[:]
 	}
-	n.obs.ongoing(now, func(e *obsEntry) {
+	n.Obs.ongoing(now, func(e *obsEntry) {
 		if e.Src == n.addr {
 			return
 		}
@@ -173,7 +173,7 @@ func (n *Node) deferConflictEnd(now sim.Time, f *txFlow) (sim.Time, bool) {
 				note(e.EstEnd) // destination busy sending or receiving
 				return
 			}
-			if n.deferTab.conflicts(now, v, e.Src, e.Dst, e.Rate) {
+			if n.DeferTab.conflicts(now, v, e.Src, e.Dst, e.Rate) {
 				note(e.EstEnd)
 				return
 			}
@@ -186,35 +186,35 @@ func (n *Node) deferConflictEnd(now sim.Time, f *txFlow) (sim.Time, bool) {
 // packet of flow f, consuming the candidate packets.
 func (n *Node) startVpkt(f *txFlow, seqs []uint32, isRetx bool) {
 	if isRetx {
-		f.retx = f.retx[len(seqs):]
-		// Copy into the reusable buffer: seqs aliases f.retx, which the
+		f.Retx = f.Retx[len(seqs):]
+		// Copy into the reusable buffer: seqs aliases f.Retx, which the
 		// next retransmission timeout rebuilds in place.
 		n.seqBuf = append(n.seqBuf[:0], seqs...)
 		seqs = n.seqBuf
 	} else {
-		f.nextPktSeq += uint32(len(seqs))
-		if !f.saturated {
-			f.backlog -= len(seqs)
+		f.NextPktSeq += uint32(len(seqs))
+		if !f.Saturated {
+			f.Backlog -= len(seqs)
 		}
-		if !f.bcast {
+		if !f.Bcast {
 			for _, s := range seqs {
-				f.unacked[s] = struct{}{}
+				f.Unacked[s] = struct{}{}
 			}
 		}
 	}
-	vseq := n.nextVSeq
-	n.nextVSeq++
+	vseq := n.NextVSeq
+	n.NextVSeq++
 	// The staged virtual packet and its header frame live in embedded
 	// buffers: only one virtual packet is in flight per sender, and the
 	// medium completes every reception of a frame before the sender's
 	// tx-done, so by the time a buffer is rewritten nobody reads it.
-	n.curBuf = vpktTx{flow: f, vseq: vseq, seqs: seqs, isRetx: isRetx}
-	n.cur = &n.curBuf
-	n.stat.VpktsSent++
+	n.curBuf = vpktTx{flow: f, Dst: f.Dst, VSeq: vseq, Seqs: seqs, IsRetx: isRetx}
+	n.Cur = &n.curBuf
+	n.Stat.VpktsSent++
 	txMicros := uint32(n.cfg.vpktAirtime(len(seqs)) / sim.Microsecond)
 	n.hdrBuf = frame.Control{
 		Src:          n.addr,
-		Dst:          f.dst,
+		Dst:          f.Dst,
 		TxTimeMicros: txMicros,
 		Seq:          vseq,
 		Rate:         uint8(n.cfg.Rate),
@@ -225,37 +225,37 @@ func (n *Node) startVpkt(f *txFlow, seqs []uint32, isRetx bool) {
 // continueVpkt transmits the next frame of the in-progress virtual packet
 // with no interframe gap, as the prototype does (§4.1).
 func (n *Node) continueVpkt() {
-	c := n.cur
+	c := n.Cur
 	switch {
-	case c.next < len(c.seqs):
-		i := c.next
-		c.next++
+	case c.Next < len(c.Seqs):
+		i := c.Next
+		c.Next++
 		// One embedded data buffer serves the whole chain: frame i's
 		// receivers all decode before the tx-done that stages frame i+1.
 		n.dataBuf = frame.Data{
 			Src:        n.addr,
-			Dst:        c.flow.dst,
-			PktSeq:     c.seqs[i],
-			VSeq:       c.vseq,
+			Dst:        c.Dst,
+			PktSeq:     c.Seqs[i],
+			VSeq:       c.VSeq,
 			Index:      uint16(i),
 			PayloadLen: uint16(n.cfg.PayloadBytes),
 		}
-		n.stat.DataSent++
+		n.Stat.DataSent++
 		n.radio.Transmit(&n.dataBuf, phy.RateByID(n.cfg.Rate))
-	case !c.trailerSent && !n.cfg.DisableTrailers:
-		c.trailerSent = true
+	case !c.TrailerSent && !n.cfg.DisableTrailers:
+		c.TrailerSent = true
 		n.trlBuf = frame.Control{
 			Trailer:      true,
 			Src:          n.addr,
-			Dst:          c.flow.dst,
-			TxTimeMicros: uint32(n.cfg.vpktAirtime(len(c.seqs)) / sim.Microsecond),
-			Seq:          c.vseq,
+			Dst:          c.Dst,
+			TxTimeMicros: uint32(n.cfg.vpktAirtime(len(c.Seqs)) / sim.Microsecond),
+			Seq:          c.VSeq,
 			Rate:         uint8(n.cfg.Rate),
 		}
 		n.radio.Transmit(&n.trlBuf, phy.RateByID(n.cfg.ControlRate))
 	default:
 		f := c.flow
-		n.cur = nil
+		n.Cur = nil
 		n.finishVpkt(f)
 	}
 }
@@ -263,26 +263,26 @@ func (n *Node) continueVpkt() {
 // finishVpkt runs after the trailer: broadcast flows go straight to
 // backoff; unicast flows wait up to tackwait for an ACK (Figure 6).
 func (n *Node) finishVpkt(f *txFlow) {
-	if f.bcast {
+	if f.Bcast {
 		n.startBackoff()
 		return
 	}
-	n.waitAck = true
-	n.sched.ResetAfter(&n.ackTimer, n.cfg.TackWait, n, evAckWait)
+	n.WaitAck = true
+	n.sched.ResetAfter(&n.AckTimer, n.cfg.TackWait, n, evAckWait)
 }
 
 // ackWaitExpired fires when tackwait passes with no ACK.
 func (n *Node) ackWaitExpired() {
-	n.waitAck = false
-	n.stat.AckWaitExpired++
+	n.WaitAck = false
+	n.Stat.AckWaitExpired++
 	if n.cfg.BackoffOnMissingAck {
 		// Ablation: 802.11-style growth on every missing ACK.
-		if n.cw == 0 {
-			n.cw = n.cfg.CWStart
-		} else if n.cw < n.cfg.CWMax {
-			n.cw *= 2
-			if n.cw > n.cfg.CWMax {
-				n.cw = n.cfg.CWMax
+		if n.CW == 0 {
+			n.CW = n.cfg.CWStart
+		} else if n.CW < n.cfg.CWMax {
+			n.CW *= 2
+			if n.CW > n.cfg.CWMax {
+				n.CW = n.cfg.CWMax
 			}
 		}
 	}
@@ -295,24 +295,24 @@ func (n *Node) ackWaitExpired() {
 // ACK finishes decoding.
 func (n *Node) startBackoff() {
 	d := n.turnaroundDelay()
-	if n.cw > 0 {
-		b := n.rng.DurationIn(0, n.cw)
+	if n.CW > 0 {
+		b := n.RNG.DurationIn(0, n.CW)
 		if b > 0 {
-			n.stat.Backoffs++
+			n.Stat.Backoffs++
 			d += b
 		}
 	}
-	n.sched.ResetAfter(&n.backoffTimer, d, n, evBackoff)
+	n.sched.ResetAfter(&n.BackoffTimer, d, n, evBackoff)
 }
 
 // onAck processes a cumulative windowed ACK (Figure 7). The ACK's source
 // identifies which flow it acknowledges.
 func (n *Node) onAck(a *frame.Ack) {
-	n.stat.AcksReceived++
+	n.Stat.AcksReceived++
 	if f, ok := n.flowByDst[a.Src]; ok {
-		for s := range f.unacked {
+		for s := range f.Unacked {
 			if s < a.CumSeq || a.BitmapGet(int(s-a.CumSeq)) {
-				delete(f.unacked, s)
+				delete(f.Unacked, s)
 			}
 		}
 	}
@@ -320,25 +320,25 @@ func (n *Node) onAck(a *frame.Ack) {
 	// loss above l_backoff, reset otherwise. Never touched on missing
 	// ACKs. (Under the 802.11-style ablation, any ACK resets it.)
 	if n.cfg.BackoffOnMissingAck {
-		n.cw = 0
+		n.CW = 0
 	} else if a.LossRate > n.cfg.LossBackoff {
-		if n.cw == 0 {
-			n.cw = n.cfg.CWStart
-		} else if n.cw < n.cfg.CWMax {
-			n.cw *= 2
-			if n.cw > n.cfg.CWMax {
-				n.cw = n.cfg.CWMax
+		if n.CW == 0 {
+			n.CW = n.cfg.CWStart
+		} else if n.CW < n.cfg.CWMax {
+			n.CW *= 2
+			if n.CW > n.cfg.CWMax {
+				n.CW = n.cfg.CWMax
 			}
 		}
 	} else {
-		n.cw = 0
+		n.CW = 0
 	}
 	// Progress: the retransmission timeout restarts from scratch if still
 	// needed.
-	n.retxTimer.Stop()
-	if n.waitAck {
-		n.ackTimer.Stop()
-		n.waitAck = false
+	n.RetxTimer.Stop()
+	if n.WaitAck {
+		n.AckTimer.Stop()
+		n.WaitAck = false
 		n.startBackoff()
 		return
 	}
@@ -350,13 +350,13 @@ func (n *Node) onAck(a *frame.Ack) {
 // retxTimedOut queues every unacknowledged packet of every flow for
 // retransmission in sequence (§3.3).
 func (n *Node) retxTimedOut() {
-	n.stat.RetxTimeouts++
-	for _, f := range n.flows {
-		f.retx = f.retx[:0]
-		for s := range f.unacked {
-			f.retx = append(f.retx, s)
+	n.Stat.RetxTimeouts++
+	for _, f := range n.Flows {
+		f.Retx = f.Retx[:0]
+		for s := range f.Unacked {
+			f.Retx = append(f.Retx, s)
 		}
-		slices.Sort(f.retx)
+		slices.Sort(f.Retx)
 	}
 	n.trySend()
 }
@@ -366,24 +366,24 @@ func (n *Node) retxTimedOut() {
 func (n *Node) broadcastTick() {
 	now := n.sched.Now()
 	period := n.cfg.BroadcastPeriod
-	n.sched.PostAfter(n.rng.DurationIn(period*9/10, period*11/10), n, evBroadcastTick)
+	n.sched.PostAfter(n.RNG.DurationIn(period*9/10, period*11/10), n, evBroadcastTick)
 
 	// Refresh the interferer list from current statistics.
-	for k, st := range n.interfStats {
+	for k, st := range n.InterfStats {
 		st.decay(now, n.cfg.StatsHalfLife)
 		if st.Expected >= float64(n.cfg.MinInterfSamples) && st.lossRate() > n.cfg.LossInterf {
-			n.interferers[k] = now + n.cfg.InterfTimeout
+			n.Interferers[k] = now + n.cfg.InterfTimeout
 		}
 		if st.Expected < 1 {
-			delete(n.interfStats, k)
+			delete(n.InterfStats, k)
 		}
 	}
 	// Expire stale entries first; the common steady-state case of an empty
 	// list returns before allocating anything.
 	live := 0
-	for k, exp := range n.interferers {
+	for k, exp := range n.Interferers {
 		if exp <= now {
-			delete(n.interferers, k)
+			delete(n.Interferers, k)
 			continue
 		}
 		live++
@@ -392,7 +392,7 @@ func (n *Node) broadcastTick() {
 		return
 	}
 	list := &frame.InterfererList{Src: n.addr}
-	for k := range n.interferers {
+	for k := range n.Interferers {
 		list.Entries = append(list.Entries, frame.InterferenceEntry{
 			Source:     k.Source,
 			Interferer: k.Interferer,
@@ -418,10 +418,10 @@ func (n *Node) sendListWithRetries(list *frame.InterfererList, budget int) {
 	if budget <= 0 {
 		return
 	}
-	if n.radio.Transmitting() || n.cur != nil {
-		n.sched.PostAfter(2*sim.Millisecond, n, &listSend{list: list, budget: budget - 1})
+	if n.radio.Transmitting() || n.Cur != nil {
+		n.sched.PostAfter(2*sim.Millisecond, n, &listSend{List: list, Budget: budget - 1})
 		return
 	}
-	n.stat.ListsSent++
+	n.Stat.ListsSent++
 	n.radio.Transmit(list, phy.RateByID(n.cfg.ControlRate))
 }

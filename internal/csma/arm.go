@@ -30,11 +30,11 @@ func (n *Node) LatencyWindow() int { return 16 }
 // Counters implements mac.Node.
 func (n *Node) Counters() mac.Counters {
 	return mac.Counters{
-		Sent:        n.stat.Sent,
-		Delivered:   n.stat.Delivered,
-		Duplicates:  n.stat.Duplicates,
-		Dropped:     n.stat.Dropped,
-		AckTimeouts: n.stat.AckTimeout,
+		Sent:        n.Stat.Sent,
+		Delivered:   n.Stat.Delivered,
+		Duplicates:  n.Stat.Duplicates,
+		Dropped:     n.Stat.Dropped,
+		AckTimeouts: n.Stat.AckTimeout,
 	}
 }
 
@@ -64,13 +64,15 @@ func (a arm) New(id int, m mac.Network, rng *sim.RNG, opt mac.Options) mac.Node 
 const csSaltBase = 1_000_003
 
 // parseCSArm resolves one member of the cs@<dBm> family, e.g. cs@-82.
+// The range test is written so NaN, which compares false with
+// everything, fails it.
 func parseCSArm(name string) (mac.Arm, error) {
 	spec := strings.TrimPrefix(name, "cs@")
 	thr, err := strconv.ParseFloat(spec, 64)
 	if err != nil {
 		return nil, fmt.Errorf("cs@ arm %q: threshold %q is not a number", name, spec)
 	}
-	if thr >= 0 || thr < -120 {
+	if !(thr < 0 && thr >= -120) {
 		return nil, fmt.Errorf("cs@ arm %q: threshold must be in (-120, 0) dBm", name)
 	}
 	return arm{

@@ -5,123 +5,30 @@ import (
 	"fmt"
 
 	"repro/internal/frame"
-	"repro/internal/sim"
 )
 
 // Checkpoint surface of the DCF station (and, through Config, of the
-// RTS/CTS and cs@<dBm> arms built on it). Everything reachable from
-// Config is structural — the resumer reconstructs the node through
-// arm.New with the same config — so the state below is exactly the
-// mutable remainder: the sender's staged packet and access countdown,
-// the receiver's dedup cache, the NAV, the timers, counters and the
-// RNG stream. The ACK/CTS free lists are pools and restore empty.
-
-// nodeState is a csma.Node in checkpoint form.
-type nodeState struct {
-	Saturated      bool           `json:"saturated,omitempty"`
-	SatDst         int            `json:"sat_dst,omitempty"`
-	Queue          []int          `json:"queue,omitempty"`
-	HasPending     bool           `json:"has_pending,omitempty"`
-	PendDst        int            `json:"pend_dst,omitempty"`
-	TxSeq          uint16         `json:"tx_seq,omitempty"`
-	Retries        int            `json:"retries,omitempty"`
-	CW             int            `json:"cw"`
-	Backoff        int            `json:"backoff,omitempty"`
-	WantsTx        bool           `json:"wants_tx,omitempty"`
-	WaitAck        bool           `json:"wait_ack,omitempty"`
-	CountdownStart sim.Time       `json:"countdown_start,omitempty"`
-	DifsTimer      sim.TimerState `json:"difs_timer,omitempty"`
-	BackoffTimer   sim.TimerState `json:"backoff_timer,omitempty"`
-	AckTimer       sim.TimerState `json:"ack_timer,omitempty"`
-	CtsTimer       sim.TimerState `json:"cts_timer,omitempty"`
-	NavTimer       sim.TimerState `json:"nav_timer,omitempty"`
-	NavUntil       sim.Time       `json:"nav_until,omitempty"`
-	WaitCts        bool           `json:"wait_cts,omitempty"`
-	RtsBuf         frame.Dot11RTS `json:"rts_buf"`
-	// DataBuf is the staged data frame's embedded buffer; HasPending
-	// records whether n.pending aimed at it (n.pending is only ever nil
-	// or &n.dataBuf).
-	DataBuf frame.Dot11Data `json:"data_buf"`
-	LastSeq map[int]uint16  `json:"last_seq,omitempty"`
-	GotAny  map[int]bool    `json:"got_any,omitempty"`
-	Stat    Stats           `json:"stat"`
-	RNG     uint64          `json:"rng"`
-}
+// RTS/CTS and cs@<dBm> arms built on it): the embedded state struct is
+// stored as it is. The ACK/CTS free lists are pools and restore empty.
 
 // ExportState implements mac.Checkpointer.
-func (n *Node) ExportState() (json.RawMessage, error) {
-	st := nodeState{
-		Saturated:      n.saturated,
-		SatDst:         n.satDst,
-		Queue:          append([]int(nil), n.queue...),
-		HasPending:     n.pending != nil,
-		PendDst:        n.pendDst,
-		TxSeq:          n.txSeq,
-		Retries:        n.retries,
-		CW:             n.cw,
-		Backoff:        n.backoff,
-		WantsTx:        n.wantsTx,
-		WaitAck:        n.waitAck,
-		CountdownStart: n.countdownStart,
-		DifsTimer:      n.difsTimer.State(),
-		BackoffTimer:   n.backoffTimer.State(),
-		AckTimer:       n.ackTimer.State(),
-		CtsTimer:       n.ctsTimer.State(),
-		NavTimer:       n.navTimer.State(),
-		NavUntil:       n.navUntil,
-		WaitCts:        n.waitCts,
-		RtsBuf:         n.rtsBuf,
-		DataBuf:        n.dataBuf,
-		LastSeq:        n.lastSeq,
-		GotAny:         n.gotAny,
-		Stat:           n.stat,
-		RNG:            n.rng.State(),
-	}
-	return json.Marshal(st)
-}
+func (n *Node) ExportState() (json.RawMessage, error) { return json.Marshal(&n.state) }
 
 // RestoreState implements mac.Checkpointer. It must run after the
-// scheduler's RestoreState so the timer handles re-point against the
-// restored slot generations.
+// scheduler's RestoreState so the timers attach to the restored slot
+// table.
 func (n *Node) RestoreState(enc json.RawMessage) error {
-	var st nodeState
+	st := newState(n.cfg)
 	if err := json.Unmarshal(enc, &st); err != nil {
 		return fmt.Errorf("csma: node %d state: %w", n.id, err)
 	}
-	n.saturated = st.Saturated
-	n.satDst = st.SatDst
-	n.queue = append(n.queue[:0], st.Queue...)
-	n.dataBuf = st.DataBuf
-	n.pending = nil
-	if st.HasPending {
-		n.pending = &n.dataBuf
+	if st.LastSeq == nil || st.GotAny == nil {
+		return fmt.Errorf("csma: node %d state has no dedup cache", n.id)
 	}
-	n.pendDst = st.PendDst
-	n.txSeq = st.TxSeq
-	n.retries = st.Retries
-	n.cw = st.CW
-	n.backoff = st.Backoff
-	n.wantsTx = st.WantsTx
-	n.waitAck = st.WaitAck
-	n.countdownStart = st.CountdownStart
-	n.sched.RestoreTimer(&n.difsTimer, st.DifsTimer)
-	n.sched.RestoreTimer(&n.backoffTimer, st.BackoffTimer)
-	n.sched.RestoreTimer(&n.ackTimer, st.AckTimer)
-	n.sched.RestoreTimer(&n.ctsTimer, st.CtsTimer)
-	n.sched.RestoreTimer(&n.navTimer, st.NavTimer)
-	n.navUntil = st.NavUntil
-	n.waitCts = st.WaitCts
-	n.rtsBuf = st.RtsBuf
-	n.lastSeq = st.LastSeq
-	if n.lastSeq == nil {
-		n.lastSeq = make(map[int]uint16)
+	if err := n.sched.Attach(&st.DIFSTimer, &st.BackoffTimer, &st.AckTimer, &st.CtsTimer, &st.NavTimer); err != nil {
+		return fmt.Errorf("csma: node %d timers: %w", n.id, err)
 	}
-	n.gotAny = st.GotAny
-	if n.gotAny == nil {
-		n.gotAny = make(map[int]bool)
-	}
-	n.stat = st.Stat
-	n.rng.SetState(st.RNG)
+	n.state = st
 	return nil
 }
 
@@ -129,28 +36,17 @@ func (n *Node) RestoreState(enc json.RawMessage) error {
 // this station: a fixed timer callback kind or a deferred ACK/CTS
 // response frame.
 type csmaArg struct {
-	Ev    *int            `json:"ev,omitempty"`
-	Frame json.RawMessage `json:"frame,omitempty"`
+	Ev    *macEvent  `json:"ev,omitempty"`
+	Frame *frame.Any `json:"frame,omitempty"`
 }
 
 // EncodeEventArg implements mac.Checkpointer.
 func (n *Node) EncodeEventArg(arg any) (json.RawMessage, error) {
 	switch v := arg.(type) {
 	case macEvent:
-		ev := int(v)
-		return json.Marshal(csmaArg{Ev: &ev})
-	case *frame.Dot11Ack:
-		enc, err := frame.MarshalState(v)
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(csmaArg{Frame: enc})
-	case *frame.Dot11CTS:
-		enc, err := frame.MarshalState(v)
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(csmaArg{Frame: enc})
+		return json.Marshal(csmaArg{Ev: &v})
+	case *frame.Dot11Ack, *frame.Dot11CTS:
+		return json.Marshal(csmaArg{Frame: &frame.Any{Frame: v.(frame.Frame)}})
 	default:
 		return nil, fmt.Errorf("csma: node %d holds unencodable event arg %T", n.id, arg)
 	}
@@ -166,18 +62,13 @@ func (n *Node) DecodeEventArg(enc json.RawMessage) (any, error) {
 	}
 	switch {
 	case a.Ev != nil:
-		return macEvent(*a.Ev), nil
+		return *a.Ev, nil
 	case a.Frame != nil:
-		f, err := frame.UnmarshalState(a.Frame)
-		if err != nil {
-			return nil, fmt.Errorf("csma: node %d event arg: %w", n.id, err)
-		}
-		switch ff := f.(type) {
+		switch f := a.Frame.Frame.(type) {
 		case *frame.Dot11Ack, *frame.Dot11CTS:
-			return ff, nil
-		default:
-			return nil, fmt.Errorf("csma: node %d event arg holds unexpected %v frame", n.id, f.Kind())
+			return f, nil
 		}
+		return nil, fmt.Errorf("csma: node %d event arg holds unexpected frame %T", n.id, a.Frame.Frame)
 	default:
 		return nil, fmt.Errorf("csma: node %d event arg encodes neither kind nor frame", n.id)
 	}

@@ -66,7 +66,6 @@ type Node struct {
 	cfg   Config
 	radio *phy.Radio
 	sched *sim.Scheduler
-	rng   *sim.RNG
 	addr  frame.Addr
 
 	// Meter, when set, records non-duplicate deliveries at this node.
@@ -75,56 +74,73 @@ type Node struct {
 	// chain mesh forwarding).
 	OnDeliver mac.DeliverFunc
 
-	// Sender state.
-	saturated bool
-	satDst    int
-	queue     []int // destination per queued packet
-	pending   *frame.Dot11Data
-	pendDst   int
-	txSeq     uint16 // next data sequence number, one per staged packet
-	retries   int
-	cw        int
-	backoff   int // remaining backoff slots
-	wantsTx   bool
-	waitAck   bool
+	// ACK and CTS responses recycle through free lists: by the time one
+	// is reused every receiver of the previous frame has finished with it
+	// (the medium completes all receptions before the sender's tx-done),
+	// so the steady-state frame path allocates nothing.
+	ackFree []*frame.Dot11Ack
+	ctsFree []*frame.Dot11CTS
 
-	// countdownStart is when the running backoff countdown began; on a
+	state
+}
+
+// state is a station's mutable half and its checkpoint form: the
+// sender's staged packet and access countdown, the receiver's dedup
+// cache, the NAV, the timers, counters and the RNG stream. Everything
+// reachable from Config is structural — the resumer reconstructs the
+// station through arm.New with the same config.
+type state struct {
+	Saturated bool  `json:"saturated,omitempty"`
+	SatDst    int   `json:"sat_dst,omitempty"`
+	Queue     []int `json:"queue,omitempty"` // destination per queued packet
+	// Pending reports that DataBuf holds a staged packet. The staged
+	// frame lives in that embedded buffer — stop-and-wait keeps one packet
+	// in flight, and by the time the next is staged every receiver of the
+	// previous frame has finished with it.
+	Pending bool            `json:"has_pending,omitempty"`
+	DataBuf frame.Dot11Data `json:"data_buf"`
+	PendDst int             `json:"pend_dst,omitempty"`
+	TxSeq   uint16          `json:"tx_seq,omitempty"` // next data sequence number, one per staged packet
+	Retries int             `json:"retries,omitempty"`
+	CW      int             `json:"cw"`
+	Backoff int             `json:"backoff,omitempty"` // remaining backoff slots
+	WantsTx bool            `json:"wants_tx,omitempty"`
+	WaitAck bool            `json:"wait_ack,omitempty"`
+
+	// CountdownStart is when the running backoff countdown began; on a
 	// carrier-busy freeze the fully elapsed slots since then are deducted.
-	countdownStart sim.Time
+	CountdownStart sim.Time `json:"countdown_start,omitempty"`
 
 	// The per-frame timers are caller-owned values re-armed through
 	// Scheduler.ResetAfter, so steady-state access cycles allocate no
 	// Timer handles.
-	difsTimer    sim.Timer
-	backoffTimer sim.Timer
-	ackTimer     sim.Timer
-	ctsTimer     sim.Timer
-	navTimer     sim.Timer
+	DIFSTimer    sim.Timer `json:"difs_timer"`
+	BackoffTimer sim.Timer `json:"backoff_timer"`
+	AckTimer     sim.Timer `json:"ack_timer"`
+	CtsTimer     sim.Timer `json:"cts_timer"`
+	NavTimer     sim.Timer `json:"nav_timer"`
 
 	// RTS/CTS virtual-carrier-sense state: the network-allocation-vector
 	// deadline learned from overheard RTS/CTS reservations, and whether
 	// we are between our own RTS and the answering CTS.
-	navUntil sim.Time
-	waitCts  bool
-	rtsBuf   frame.Dot11RTS
-
-	// Frame pools. The staged data frame lives in an embedded buffer —
-	// stop-and-wait keeps one packet in flight, and by the time the next
-	// is staged every receiver of the previous frame has finished with
-	// it (the medium completes all receptions before the sender's
-	// tx-done). ACK and CTS responses recycle through free lists the
-	// same way, so the steady-state frame path allocates nothing.
-	dataBuf frame.Dot11Data
-	ackFree []*frame.Dot11Ack
-	ctsFree []*frame.Dot11CTS
+	NavUntil sim.Time       `json:"nav_until,omitempty"`
+	WaitCts  bool           `json:"wait_cts,omitempty"`
+	RtsBuf   frame.Dot11RTS `json:"rts_buf"`
 
 	// Receiver state: last delivered seq per source. Stop-and-wait means
 	// a duplicate can only be a retransmission of the most recent packet,
 	// which is how 802.11's dedup cache works and keeps seq wrap safe.
-	lastSeq map[int]uint16
-	gotAny  map[int]bool
+	LastSeq map[int]uint16 `json:"last_seq"`
+	GotAny  map[int]bool   `json:"got_any"`
 
-	stat Stats
+	Stat Stats   `json:"stat"`
+	RNG  sim.RNG `json:"rng"`
+}
+
+// newState is the state a station starts from, and what a checkpoint
+// decodes into.
+func newState(cfg Config) state {
+	return state{CW: cfg.CWMin, LastSeq: make(map[int]uint16), GotAny: make(map[int]bool)}
 }
 
 // Stats counts protocol events at one node.
@@ -143,16 +159,14 @@ type Stats struct {
 // New creates a DCF node on network node id.
 func New(id int, cfg Config, m mac.Network, rng *sim.RNG) *Node {
 	n := &Node{
-		id:      id,
-		cfg:     cfg,
-		radio:   m.Radio(id),
-		sched:   m.Scheduler(),
-		rng:     rng,
-		addr:    frame.AddrFromID(id),
-		cw:      cfg.CWMin,
-		lastSeq: make(map[int]uint16),
-		gotAny:  make(map[int]bool),
+		id:    id,
+		cfg:   cfg,
+		radio: m.Radio(id),
+		sched: m.Scheduler(),
+		addr:  frame.AddrFromID(id),
+		state: newState(cfg),
 	}
+	n.RNG = *rng
 	n.radio.SetHandler(n)
 	if cfg.CSThresholdDBm != 0 {
 		n.radio.SetCSThresholdDBm(cfg.CSThresholdDBm)
@@ -164,7 +178,7 @@ func New(id int, cfg Config, m mac.Network, rng *sim.RNG) *Node {
 func (n *Node) ID() int { return n.id }
 
 // Stats returns a copy of the node's counters.
-func (n *Node) Stats() Stats { return n.stat }
+func (n *Node) Stats() Stats { return n.Stat }
 
 // BroadcastDst is the pseudo-destination for 802.11 broadcast frames:
 // they carry the broadcast address and are never ACKed or retried.
@@ -217,28 +231,28 @@ func (n *Node) HandleEvent(arg any) {
 // BroadcastDst): it always has the next packet ready, the paper's
 // traffic model.
 func (n *Node) SetSaturated(dst int) {
-	n.saturated = true
-	n.satDst = dst
+	n.Saturated = true
+	n.SatDst = dst
 	n.kick()
 }
 
 // Enqueue adds count packets destined to dst.
 func (n *Node) Enqueue(dst int, count int) {
 	for i := 0; i < count; i++ {
-		n.queue = append(n.queue, dst)
+		n.Queue = append(n.Queue, dst)
 	}
 	n.kick()
 }
 
 // QueueLen returns the number of queued (not yet attempted) packets.
-func (n *Node) QueueLen() int { return len(n.queue) }
+func (n *Node) QueueLen() int { return len(n.Queue) }
 
 // Backlog returns how many queued packets are destined to dst. Together
 // with Enqueue it makes the node a traffic.Enqueuer, so arrival
 // processes can enforce finite queue bounds.
 func (n *Node) Backlog(dst int) int {
 	c := 0
-	for _, d := range n.queue {
+	for _, d := range n.Queue {
 		if d == dst {
 			c++
 		}
@@ -249,15 +263,15 @@ func (n *Node) Backlog(dst int) int {
 // Idle reports whether the sender has nothing left to do. Saturated
 // senders are never idle.
 func (n *Node) Idle() bool {
-	if n.saturated {
+	if n.Saturated {
 		return false
 	}
-	return n.pending == nil && len(n.queue) == 0 && !n.waitAck
+	return !n.Pending && len(n.Queue) == 0 && !n.WaitAck
 }
 
 // kick starts channel access if there is work and the node is idle.
 func (n *Node) kick() {
-	if n.pending != nil || n.waitAck {
+	if n.Pending || n.WaitAck {
 		return
 	}
 	if !n.makeNext() {
@@ -272,15 +286,15 @@ func (n *Node) kick() {
 func (n *Node) makeNext() bool {
 	dst := -1
 	switch {
-	case len(n.queue) > 0:
-		dst = n.queue[0]
-		n.queue = n.queue[1:]
-	case n.saturated:
-		dst = n.satDst
+	case len(n.Queue) > 0:
+		dst = n.Queue[0]
+		n.Queue = n.Queue[1:]
+	case n.Saturated:
+		dst = n.SatDst
 	default:
 		return false
 	}
-	n.pendDst = dst
+	n.PendDst = dst
 	da := frame.Broadcast
 	if dst != BroadcastDst {
 		da = frame.AddrFromID(dst)
@@ -291,29 +305,29 @@ func (n *Node) makeNext() bool {
 	// back to its arrival time. Stop-and-wait dedup only ever compares
 	// against the immediately preceding packet, so consecutive values
 	// are as collision-safe as the attempt-counter scheme they replace.
-	n.dataBuf = frame.Dot11Data{
+	n.DataBuf = frame.Dot11Data{
 		Src:        n.addr,
 		Dst:        da,
-		Seq:        n.txSeq,
+		Seq:        n.TxSeq,
 		PayloadLen: uint16(n.cfg.PayloadBytes),
 	}
-	n.pending = &n.dataBuf
-	n.txSeq++
-	n.retries = 0
+	n.Pending = true
+	n.TxSeq++
+	n.Retries = 0
 	return true
 }
 
 // drawBackoff picks a fresh backoff from the current contention window.
 func (n *Node) drawBackoff() {
-	n.backoff = n.rng.Intn(n.cw + 1)
+	n.Backoff = n.RNG.Intn(n.CW + 1)
 }
 
 // beginAccess starts the DIFS + backoff procedure for the staged packet.
 func (n *Node) beginAccess() {
-	if n.pending == nil {
+	if !n.Pending {
 		return
 	}
-	n.wantsTx = true
+	n.WantsTx = true
 	if n.navBusy() {
 		n.armNavTimer()
 		return // resume when the NAV reservation clears
@@ -326,7 +340,7 @@ func (n *Node) beginAccess() {
 
 func (n *Node) startDIFS() {
 	n.stopAccessTimers()
-	n.sched.ResetAfter(&n.difsTimer, phy.DIFS, n, evDIFS)
+	n.sched.ResetAfter(&n.DIFSTimer, phy.DIFS, n, evDIFS)
 }
 
 func (n *Node) difsElapsed() {
@@ -347,31 +361,31 @@ func (n *Node) difsElapsed() {
 // the timer is cancelled on busy edges and the countdown resumes after
 // the next idle DIFS, freezing the remaining slots as DCF specifies.
 func (n *Node) countdown() {
-	if n.backoff <= 0 {
+	if n.Backoff <= 0 {
 		n.transmitData()
 		return
 	}
-	n.countdownStart = n.sched.Now()
-	n.sched.ResetAfter(&n.backoffTimer, sim.Time(n.backoff)*phy.SlotTime, n, evBackoff)
+	n.CountdownStart = n.sched.Now()
+	n.sched.ResetAfter(&n.BackoffTimer, sim.Time(n.Backoff)*phy.SlotTime, n, evBackoff)
 }
 
 func (n *Node) backoffElapsed() {
-	n.backoff = 0
+	n.Backoff = 0
 	n.transmitData()
 }
 
 func (n *Node) stopAccessTimers() {
-	n.difsTimer.Stop()
-	if n.backoffTimer.Stop() {
-		n.backoff -= int((n.sched.Now() - n.countdownStart) / phy.SlotTime)
-		if n.backoff < 0 {
-			n.backoff = 0
+	n.DIFSTimer.Stop()
+	if n.BackoffTimer.Stop() {
+		n.Backoff -= int((n.sched.Now() - n.CountdownStart) / phy.SlotTime)
+		if n.Backoff < 0 {
+			n.Backoff = 0
 		}
 	}
 }
 
 func (n *Node) transmitData() {
-	n.wantsTx = false
+	n.WantsTx = false
 	if n.radio.Transmitting() {
 		// An ACK we owed someone is on the air; retry shortly.
 		n.sched.PostAfter(phy.SlotTime, n, evBeginAccess)
@@ -381,8 +395,8 @@ func (n *Node) transmitData() {
 		n.transmitRTS()
 		return
 	}
-	n.stat.Sent++
-	n.radio.Transmit(n.pending, phy.RateByID(n.cfg.Rate))
+	n.Stat.Sent++
+	n.radio.Transmit(&n.DataBuf, phy.RateByID(n.cfg.Rate))
 }
 
 // ackTimeout is how long a sender waits for the stop-and-wait ACK.
@@ -396,13 +410,13 @@ func (n *Node) OnTxDone(f frame.Frame) {
 	switch ff := f.(type) {
 	case *frame.Dot11Data:
 		if n.cfg.LinkACKs && !ff.Dst.IsBroadcast() {
-			n.waitAck = true
-			n.sched.ResetAfter(&n.ackTimer, n.ackTimeout(), n, evAckTimeout)
+			n.WaitAck = true
+			n.sched.ResetAfter(&n.AckTimer, n.ackTimeout(), n, evAckTimeout)
 			return
 		}
 		// Broadcast or fire-and-forget: next packet immediately.
-		n.pending = nil
-		n.cw = n.cfg.CWMin
+		n.Pending = false
+		n.CW = n.cfg.CWMin
 		if n.makeNext() {
 			n.drawBackoff()
 			n.beginAccess()
@@ -419,24 +433,24 @@ func (n *Node) OnTxDone(f frame.Frame) {
 }
 
 func (n *Node) ackTimedOut() {
-	n.waitAck = false
-	n.stat.AckTimeout++
-	n.retries++
-	if n.retries > n.cfg.RetryLimit {
-		n.stat.Dropped++
-		n.pending = nil
-		n.cw = n.cfg.CWMin
+	n.WaitAck = false
+	n.Stat.AckTimeout++
+	n.Retries++
+	if n.Retries > n.cfg.RetryLimit {
+		n.Stat.Dropped++
+		n.Pending = false
+		n.CW = n.cfg.CWMin
 		if n.makeNext() {
 			n.drawBackoff()
 			n.beginAccess()
 		}
 		return
 	}
-	n.pending.Retry = true
-	if n.cw < n.cfg.CWMax {
-		n.cw = 2*n.cw + 1
-		if n.cw > n.cfg.CWMax {
-			n.cw = n.cfg.CWMax
+	n.DataBuf.Retry = true
+	if n.CW < n.cfg.CWMax {
+		n.CW = 2*n.CW + 1
+		if n.CW > n.cfg.CWMax {
+			n.CW = n.cfg.CWMax
 		}
 	}
 	n.drawBackoff()
@@ -450,12 +464,12 @@ func (n *Node) OnFrame(f frame.Frame, info phy.RxInfo) {
 		if ff.Dst != n.addr && !ff.Dst.IsBroadcast() {
 			return
 		}
-		if n.gotAny[info.From] && n.lastSeq[info.From] == ff.Seq {
-			n.stat.Duplicates++
+		if n.GotAny[info.From] && n.LastSeq[info.From] == ff.Seq {
+			n.Stat.Duplicates++
 		} else {
-			n.gotAny[info.From] = true
-			n.lastSeq[info.From] = ff.Seq
-			n.stat.Delivered++
+			n.GotAny[info.From] = true
+			n.LastSeq[info.From] = ff.Seq
+			n.Stat.Delivered++
 			if n.Meter != nil {
 				n.Meter.Record(n.sched.Now(), int(ff.PayloadLen))
 			}
@@ -469,17 +483,17 @@ func (n *Node) OnFrame(f frame.Frame, info phy.RxInfo) {
 			n.sched.PostAfter(phy.SIFS, n, ack)
 		}
 	case *frame.Dot11Ack:
-		if ff.Dst != n.addr || !n.waitAck || n.pending == nil {
+		if ff.Dst != n.addr || !n.WaitAck || !n.Pending {
 			return
 		}
-		if ff.Seq != n.pending.Seq {
+		if ff.Seq != n.DataBuf.Seq {
 			return
 		}
-		n.ackTimer.Stop()
-		n.waitAck = false
-		n.pending = nil
-		n.retries = 0
-		n.cw = n.cfg.CWMin
+		n.AckTimer.Stop()
+		n.WaitAck = false
+		n.Pending = false
+		n.Retries = 0
+		n.CW = n.cfg.CWMin
 		if n.makeNext() {
 			n.drawBackoff()
 			n.beginAccess()
@@ -499,7 +513,7 @@ func (n *Node) sendAck(ack *frame.Dot11Ack) {
 		n.ackFree = append(n.ackFree, ack)
 		return
 	}
-	n.stat.AcksSent++
+	n.Stat.AcksSent++
 	n.radio.Transmit(ack, phy.RateByID(n.cfg.ControlRate))
 }
 
@@ -526,7 +540,7 @@ func (n *Node) OnCarrier(busy bool) {
 		n.stopAccessTimers()
 		return
 	}
-	if n.wantsTx && n.pending != nil && !n.waitAck {
+	if n.WantsTx && n.Pending && !n.WaitAck {
 		if n.navBusy() {
 			n.armNavTimer()
 			return

@@ -68,47 +68,47 @@ func (c Config) CTSTimeout() sim.Time {
 
 // useRTS reports whether the staged frame goes through the handshake.
 func (n *Node) useRTS() bool {
-	return n.cfg.RTSCTS && !n.pending.Dst.IsBroadcast() &&
-		int(n.pending.PayloadLen) >= n.cfg.RTSThreshold
+	return n.cfg.RTSCTS && !n.DataBuf.Dst.IsBroadcast() &&
+		int(n.DataBuf.PayloadLen) >= n.cfg.RTSThreshold
 }
 
 // transmitRTS opens the handshake for the staged data frame.
 func (n *Node) transmitRTS() {
-	n.rtsBuf = frame.Dot11RTS{
+	n.RtsBuf = frame.Dot11RTS{
 		Src:        n.addr,
-		Dst:        n.pending.Dst,
-		DurationUS: n.cfg.RTSNavUS(int(n.pending.PayloadLen)),
+		Dst:        n.DataBuf.Dst,
+		DurationUS: n.cfg.RTSNavUS(int(n.DataBuf.PayloadLen)),
 	}
-	n.stat.RtsSent++
-	n.radio.Transmit(&n.rtsBuf, phy.RateByID(n.cfg.ControlRate))
+	n.Stat.RtsSent++
+	n.radio.Transmit(&n.RtsBuf, phy.RateByID(n.cfg.ControlRate))
 }
 
 // rtsSent (tx-done of our RTS) arms the CTS timeout.
 func (n *Node) rtsSent() {
-	n.waitCts = true
-	n.sched.ResetAfter(&n.ctsTimer, n.cfg.CTSTimeout(), n, evCtsTimeout)
+	n.WaitCts = true
+	n.sched.ResetAfter(&n.CtsTimer, n.cfg.CTSTimeout(), n, evCtsTimeout)
 }
 
 // ctsTimedOut handles a missing CTS exactly like a missing ACK: count
 // the attempt, grow the window, and retry or drop at the limit.
 func (n *Node) ctsTimedOut() {
-	n.waitCts = false
-	n.stat.CtsTimeout++
-	n.retries++
-	if n.retries > n.cfg.RetryLimit {
-		n.stat.Dropped++
-		n.pending = nil
-		n.cw = n.cfg.CWMin
+	n.WaitCts = false
+	n.Stat.CtsTimeout++
+	n.Retries++
+	if n.Retries > n.cfg.RetryLimit {
+		n.Stat.Dropped++
+		n.Pending = false
+		n.CW = n.cfg.CWMin
 		if n.makeNext() {
 			n.drawBackoff()
 			n.beginAccess()
 		}
 		return
 	}
-	if n.cw < n.cfg.CWMax {
-		n.cw = 2*n.cw + 1
-		if n.cw > n.cfg.CWMax {
-			n.cw = n.cfg.CWMax
+	if n.CW < n.cfg.CWMax {
+		n.CW = 2*n.CW + 1
+		if n.CW > n.cfg.CWMax {
+			n.CW = n.cfg.CWMax
 		}
 	}
 	n.drawBackoff()
@@ -137,26 +137,26 @@ func (n *Node) onCTS(c *frame.Dot11CTS) {
 		n.setNav(n.sched.Now() + sim.Time(c.DurationUS)*1000)
 		return
 	}
-	if !n.waitCts {
+	if !n.WaitCts {
 		return
 	}
-	n.ctsTimer.Stop()
-	n.waitCts = false
+	n.CtsTimer.Stop()
+	n.WaitCts = false
 	n.sched.PostAfter(phy.SIFS, n, evSendData)
 }
 
 // sendDataAfterCts puts the protected data frame on air SIFS after the
 // clearing CTS.
 func (n *Node) sendDataAfterCts() {
-	if n.pending == nil {
+	if !n.Pending {
 		return
 	}
 	if n.radio.Transmitting() {
 		n.sched.PostAfter(phy.SlotTime, n, evBeginAccess)
 		return
 	}
-	n.stat.Sent++
-	n.radio.Transmit(n.pending, phy.RateByID(n.cfg.Rate))
+	n.Stat.Sent++
+	n.radio.Transmit(&n.DataBuf, phy.RateByID(n.cfg.Rate))
 }
 
 // sendCts transmits a deferred CTS response (scheduled SIFS after the
@@ -167,7 +167,7 @@ func (n *Node) sendCts(cts *frame.Dot11CTS) {
 		n.ctsFree = append(n.ctsFree, cts)
 		return
 	}
-	n.stat.CtsSent++
+	n.Stat.CtsSent++
 	n.radio.Transmit(cts, phy.RateByID(n.cfg.ControlRate))
 }
 
@@ -183,17 +183,17 @@ func (n *Node) getCts() *frame.Dot11CTS {
 
 // navBusy reports whether the virtual carrier sense forbids access.
 func (n *Node) navBusy() bool {
-	return n.cfg.RTSCTS && n.sched.Now() < n.navUntil
+	return n.cfg.RTSCTS && n.sched.Now() < n.NavUntil
 }
 
 // setNav extends the NAV to the given deadline, freezing any running
 // access countdown for the duration of the reservation.
 func (n *Node) setNav(until sim.Time) {
-	if !n.cfg.RTSCTS || until <= n.navUntil {
+	if !n.cfg.RTSCTS || until <= n.NavUntil {
 		return
 	}
-	n.navUntil = until
-	if n.wantsTx {
+	n.NavUntil = until
+	if n.WantsTx {
 		n.stopAccessTimers()
 		n.armNavTimer()
 	}
@@ -201,14 +201,14 @@ func (n *Node) setNav(until sim.Time) {
 
 // armNavTimer (re)schedules the access-resume event at NAV expiry.
 func (n *Node) armNavTimer() {
-	n.navTimer.Stop()
-	n.sched.ResetAt(&n.navTimer, n.navUntil, n, evNavClear)
+	n.NavTimer.Stop()
+	n.sched.ResetAt(&n.NavTimer, n.NavUntil, n, evNavClear)
 }
 
 // navCleared resumes channel access once the reservation expires,
 // physical carrier sense permitting.
 func (n *Node) navCleared() {
-	if !n.wantsTx || n.pending == nil || n.waitAck || n.waitCts {
+	if !n.WantsTx || !n.Pending || n.WaitAck || n.WaitCts {
 		return
 	}
 	if n.cfg.CarrierSense && n.radio.CarrierBusy() {

@@ -54,8 +54,8 @@ func requireSameSweep(t *testing.T, label string, a, b *LoadSweep) {
 	for i := range a.Points {
 		pa, pb := &a.Points[i], &b.Points[i]
 		for _, arm := range a.Arms {
-			sameBits("goodput "+arm.String(), pa.Aggregate[arm].State().Xs, pb.Aggregate[arm].State().Xs)
-			sameBits("fairness "+arm.String(), pa.Fairness[arm].State().Xs, pb.Fairness[arm].State().Xs)
+			sameBits("goodput "+arm.String(), pa.Aggregate[arm].Xs, pb.Aggregate[arm].Xs)
+			sameBits("fairness "+arm.String(), pa.Fairness[arm].Xs, pb.Fairness[arm].Xs)
 			la, lb := pa.Latency[arm], pb.Latency[arm]
 			sameBits("latency percentiles "+arm.String(),
 				[]float64{la.P50(), la.P95(), la.P99()}, []float64{lb.P50(), lb.P95(), lb.P99()})

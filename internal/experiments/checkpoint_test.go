@@ -95,7 +95,7 @@ func requireSameResults(t *testing.T, label string, a, b []FlowResult) {
 		case (x.Lat == nil) != (y.Lat == nil):
 			t.Errorf("%s flow %d: one side has a latency recorder, the other not", label, i)
 		case x.Lat != nil:
-			if !reflect.DeepEqual(x.Lat.State(), y.Lat.State()) {
+			if !reflect.DeepEqual(*x.Lat, *y.Lat) {
 				t.Errorf("%s flow %d: latency recorders diverge", label, i)
 			}
 		}
@@ -245,7 +245,7 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 func weakAtLockedReceiver(t *testing.T, fs, skeleton *FlowSim) bool {
 	t.Helper()
 	for _, i := range fs.order {
-		if rs := radioState(t, fs, i); rs.LockedTxID != 0 && rs.WeakN > 0 && rs.WeakN != radioState(t, skeleton, i).WeakN {
+		if r := radioOf(fs, i); r.Locked != nil && r.WeakN > 0 && r.WeakN != radioOf(skeleton, i).WeakN {
 			return true
 		}
 	}
@@ -282,7 +282,9 @@ func checkpointResumeCase(t *testing.T, tb *topo.Testbed, cfg FlowSimConfig, mid
 
 	b1 := mk()
 	hashB := b1.ConfigHash()
-	b1.index()
+	if err := b1.index(); err != nil {
+		t.Fatal(err)
+	}
 	if got := a.ConfigHash(); got != hashB {
 		t.Fatalf("config hash first read after Run+Save %s, first read at construction %s", got, hashB)
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"strconv"
 
 	"repro/internal/checkpoint"
@@ -53,24 +54,25 @@ type FlowSim struct {
 	receivers []mac.Node
 	order     []int // distinct node ids in construction order
 	nodes     map[int]mac.Node
-	meters    []*stats.Meter
-	lats      []*stats.Latency
+	meters    []stats.Meter // stations hold pointers into both
+	lats      []stats.Latency
 	sources   []*traffic.Source
 
 	// Checkpoint bookkeeping, derived on first use (ConfigHash, index):
 	// a batch trial that never checkpoints pays nothing for it.
 	hash   string
-	owners map[sim.EventHandler]ownerRef
-	byKey  map[string]ownerRef
+	comps  []component
+	owners map[sim.EventHandler]*component
+	byKey  map[string]*component
 }
 
-// ownerRef names one event-owning component for the agenda codec.
-type ownerRef struct {
-	key     string
-	handler sim.EventHandler
-	node    mac.Node          // set for MAC owners
-	src     *traffic.Source   // set for source owners
-	mob     *mobility.Manager // set for the mobility epoch owner
+// component is one agenda-owning checkpoint.Component of the run: the
+// mobility manager, a MAC station or a traffic source, under the key its
+// events and state are filed by.
+type component struct {
+	key string
+	h   sim.EventHandler
+	c   checkpoint.Component
 }
 
 // FlowSimConfig fixes one run. Every field participates in the
@@ -104,19 +106,17 @@ type flowSimHash struct {
 	Params phy.Params
 }
 
-// flowSimState is the checkpoint payload: engine state (serial or
-// sharded), then per-component states keyed or ordered exactly as the
-// construction orders them.
+// flowSimState is the checkpoint payload: the engine (serial scheduler,
+// medium and radios, or the sharded engine), then every component's
+// state by key and the recorders in construction order.
 type flowSimState struct {
-	Sched    *sim.SchedulerState        `json:"sched,omitempty"`
-	Medium   *medium.State              `json:"medium,omitempty"`
-	Radios   []phy.RadioState           `json:"radios,omitempty"`
-	Engine   *shard.EngineState         `json:"engine,omitempty"`
-	Macs     map[string]json.RawMessage `json:"macs"`
-	Sources  []json.RawMessage          `json:"sources,omitempty"`
-	Meters   []stats.MeterState         `json:"meters"`
-	Lats     []stats.LatencyState       `json:"lats,omitempty"`
-	Mobility *mobility.State            `json:"mobility,omitempty"`
+	Sched  *sim.SchedulerState        `json:"sched,omitempty"`
+	Medium *medium.State              `json:"medium,omitempty"`
+	Radios []phy.RadioState           `json:"radios,omitempty"`
+	Engine *shard.EngineState         `json:"engine,omitempty"`
+	Comps  map[string]json.RawMessage `json:"comps"`
+	Meters []stats.Meter              `json:"meters"`
+	Lats   []stats.Latency            `json:"lats,omitempty"`
 }
 
 // NewFlowSim builds the simulation. The construction sequence is the
@@ -149,7 +149,7 @@ func newFlowSim(tb *topo.Testbed, cfg FlowSimConfig, beforeStations func(*FlowSi
 		receivers: make([]mac.Node, n),
 		order:     make([]int, 0, 2*n),
 		nodes:     map[int]mac.Node{},
-		meters:    make([]*stats.Meter, n),
+		meters:    make([]stats.Meter, n),
 	}
 	rng := sim.NewRNG(cfg.Seed)
 	if cfg.Shards > 1 {
@@ -182,7 +182,7 @@ func newFlowSim(tb *topo.Testbed, cfg FlowSimConfig, beforeStations func(*FlowSi
 		}
 	}
 	if !fs.saturated {
-		fs.lats = make([]*stats.Latency, n)
+		fs.lats = make([]stats.Latency, n)
 		fs.sources = make([]*traffic.Source, n)
 	}
 	if beforeStations != nil {
@@ -204,13 +204,13 @@ func newFlowSim(tb *topo.Testbed, cfg FlowSimConfig, beforeStations func(*FlowSi
 	for i, f := range cfg.Flows {
 		fs.senders[i] = mk(f.Src)
 		fs.receivers[i] = mk(f.Dst)
-		fs.meters[i] = &stats.Meter{Start: cfg.Warmup, End: cfg.Duration}
-		fs.receivers[i].SetMeter(fs.meters[i])
+		fs.meters[i] = stats.Meter{Start: cfg.Warmup, End: cfg.Duration}
+		fs.receivers[i].SetMeter(&fs.meters[i])
 		if fs.saturated {
 			fs.senders[i].SetSaturated(f.Dst)
 			continue
 		}
-		fs.lats[i] = &stats.Latency{W: stats.Window{Start: cfg.Warmup, End: cfg.Duration}}
+		fs.lats[i] = stats.Latency{W: stats.Window{Start: cfg.Warmup, End: cfg.Duration}}
 		fs.receivers[i].SetOnDeliver(fs.deliver(i, f.Src))
 		// The source lives on the sender's scheduler (its shard's, on the
 		// sharded engine): arrivals and the MAC they feed share one
@@ -240,32 +240,39 @@ func (fs *FlowSim) deliver(i, wantSrc int) mac.DeliverFunc {
 	}
 }
 
-// index builds the agenda owner tables the checkpoint codec resolves
-// events through, on first use.
-func (fs *FlowSim) index() {
+// index lists the run's components in construction order on first use:
+// the mobility manager, each station, each source.
+func (fs *FlowSim) index() error {
 	if fs.owners != nil {
-		return
+		return nil
 	}
-	fs.owners = map[sim.EventHandler]ownerRef{}
-	fs.byKey = map[string]ownerRef{}
-	add := func(ref ownerRef) {
-		fs.owners[ref.handler] = ref
-		fs.byKey[ref.key] = ref
-	}
-	if fs.m != nil {
-		add(ownerRef{key: "medium", handler: fs.m})
+	var comps []component
+	add := func(key string, c checkpoint.Component) {
+		h, _ := c.(sim.EventHandler)
+		comps = append(comps, component{key: key, h: h, c: c})
 	}
 	if fs.mg != nil {
-		add(ownerRef{key: "mobility", handler: fs.mg, mob: fs.mg})
+		add("mobility", fs.mg)
 	}
 	for _, id := range fs.order {
-		if h, ok := fs.nodes[id].(sim.EventHandler); ok {
-			add(ownerRef{key: "mac:" + strconv.Itoa(id), handler: h, node: fs.nodes[id]})
+		c, ok := fs.nodes[id].(checkpoint.Component)
+		if !ok {
+			return fmt.Errorf("experiments: arm node %d (%T) does not implement mac.Checkpointer; this arm cannot checkpoint", id, fs.nodes[id])
 		}
+		add("mac:"+strconv.Itoa(id), c)
 	}
 	for i, src := range fs.sources {
-		add(ownerRef{key: "src:" + strconv.Itoa(i), handler: src, src: src})
+		add("src:"+strconv.Itoa(i), src)
 	}
+	fs.comps = comps
+	fs.owners = make(map[sim.EventHandler]*component, len(comps))
+	fs.byKey = make(map[string]*component, len(comps))
+	for i := range fs.comps {
+		c := &fs.comps[i]
+		fs.owners[c.h] = c
+		fs.byKey[c.key] = c
+	}
+	return nil
 }
 
 // Run advances the simulation to the given virtual time. Repeated calls
@@ -362,7 +369,7 @@ func (fs *FlowSim) Results() []FlowResult {
 			results[i].AcceptedPkts = st.Accepted
 			results[i].DroppedPkts = st.Dropped
 			results[i].DeliveredPkts = fs.meters[i].Packets()
-			results[i].Lat = fs.lats[i]
+			results[i].Lat = &fs.lats[i]
 		}
 		results[i].VpktsSent = fs.senders[i].Counters().VpktsSent
 		if rv, ok := fs.receivers[i].(mac.Visibility); ok {
@@ -372,41 +379,19 @@ func (fs *FlowSim) Results() []FlowResult {
 	return results
 }
 
-// checkpointer returns the node's checkpoint surface or a typed error —
-// an arm registered without one can run but not checkpoint.
-func nodeCheckpointer(id int, nd mac.Node) (mac.Checkpointer, error) {
-	ck, ok := nd.(mac.Checkpointer)
-	if !ok {
-		return nil, fmt.Errorf("experiments: arm node %d (%T) does not implement mac.Checkpointer; this arm cannot checkpoint", id, nd)
-	}
-	return ck, nil
-}
-
 // encode translates one agenda event to (owner key, encoded arg) — the
 // sim.EncodeFunc for this simulation's component set.
 func (fs *FlowSim) encode(target sim.EventHandler, arg any) (string, json.RawMessage, error) {
-	ref, ok := fs.owners[target]
+	if fs.m != nil && target == sim.EventHandler(fs.m) {
+		enc, err := fs.m.EncodeEventArg(arg)
+		return "medium", enc, err
+	}
+	c, ok := fs.owners[target]
 	if !ok {
 		return "", nil, fmt.Errorf("experiments: agenda event owned by unknown handler %T", target)
 	}
-	switch {
-	case ref.node != nil:
-		ck, err := nodeCheckpointer(ref.node.ID(), ref.node)
-		if err != nil {
-			return "", nil, err
-		}
-		enc, err := ck.EncodeEventArg(arg)
-		return ref.key, enc, err
-	case ref.src != nil:
-		enc, err := ref.src.EncodeEventArg(arg)
-		return ref.key, enc, err
-	case ref.mob != nil:
-		enc, err := ref.mob.EncodeEventArg(arg)
-		return ref.key, enc, err
-	default: // the serial medium
-		enc, err := fs.m.EncodeEventArg(arg)
-		return ref.key, enc, err
-	}
+	enc, err := c.c.EncodeEventArg(arg)
+	return c.key, enc, err
 }
 
 // decode inverts encode against the reconstructed skeleton. txs is the
@@ -415,38 +400,25 @@ func (fs *FlowSim) encode(target sim.EventHandler, arg any) (string, json.RawMes
 // never routes the "medium" key here.
 func (fs *FlowSim) decode(txs map[uint64]*phy.Transmission) sim.DecodeFunc {
 	return func(owner string, enc json.RawMessage) (sim.EventHandler, any, error) {
-		ref, ok := fs.byKey[owner]
+		if fs.m != nil && owner == "medium" {
+			arg, err := fs.m.DecodeEventArg(enc, txs)
+			return fs.m, arg, err
+		}
+		c, ok := fs.byKey[owner]
 		if !ok {
 			return nil, nil, fmt.Errorf("experiments: checkpoint event has unknown owner %q", owner)
 		}
-		switch {
-		case ref.node != nil:
-			ck, err := nodeCheckpointer(ref.node.ID(), ref.node)
-			if err != nil {
-				return nil, nil, err
-			}
-			arg, err := ck.DecodeEventArg(enc)
-			return ref.handler, arg, err
-		case ref.src != nil:
-			arg, err := ref.src.DecodeEventArg(enc)
-			return ref.handler, arg, err
-		case ref.mob != nil:
-			arg, err := ref.mob.DecodeEventArg(enc)
-			return ref.handler, arg, err
-		default:
-			arg, err := fs.m.DecodeEventArg(enc, txs)
-			return ref.handler, arg, err
-		}
+		arg, err := c.c.DecodeEventArg(enc)
+		return c.h, arg, err
 	}
 }
 
 // exportState captures the complete simulation.
 func (fs *FlowSim) exportState() (*flowSimState, error) {
-	fs.index()
-	st := &flowSimState{
-		Macs:   map[string]json.RawMessage{},
-		Meters: make([]stats.MeterState, len(fs.meters)),
+	if err := fs.index(); err != nil {
+		return nil, err
 	}
+	st := &flowSimState{Comps: make(map[string]json.RawMessage, len(fs.comps))}
 	if fs.eng != nil {
 		es, err := fs.eng.ExportState(fs.encode)
 		if err != nil {
@@ -459,56 +431,35 @@ func (fs *FlowSim) exportState() (*flowSimState, error) {
 			return nil, err
 		}
 		st.Sched = &ss
-		ms := fs.m.ExportState()
-		st.Medium = &ms
-		st.Radios = make([]phy.RadioState, fs.m.NodeCount())
+		st.Medium = &fs.m.State
 		for i := 0; i < fs.m.NodeCount(); i++ {
-			rs, err := fs.m.Radio(i).ExportState()
-			if err != nil {
-				return nil, err
-			}
-			st.Radios[i] = rs
-		}
-		if fs.mg != nil {
-			ms := fs.mg.ExportState()
-			st.Mobility = &ms
+			st.Radios = append(st.Radios, fs.m.Radio(i).RadioState)
 		}
 	}
-	for _, id := range fs.order {
-		ck, err := nodeCheckpointer(id, fs.nodes[id])
+	for _, c := range fs.comps {
+		enc, err := c.c.ExportState()
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("experiments: %s: %w", c.key, err)
 		}
-		enc, err := ck.ExportState()
-		if err != nil {
-			return nil, fmt.Errorf("experiments: node %d: %w", id, err)
-		}
-		st.Macs[strconv.Itoa(id)] = enc
+		st.Comps[c.key] = enc
 	}
-	for _, src := range fs.sources {
-		enc, err := src.ExportState()
-		if err != nil {
-			return nil, err
-		}
-		st.Sources = append(st.Sources, enc)
-	}
-	for i, m := range fs.meters {
-		st.Meters[i] = m.State()
-	}
-	for _, l := range fs.lats {
-		st.Lats = append(st.Lats, l.State())
-	}
+	st.Meters = fs.meters
+	st.Lats = fs.lats
 	return st, nil
 }
 
 // restoreState overwrites the skeleton with a captured state, in
 // dependency order: the agenda first (decoding materialises the
 // in-flight transmission set and the receive-flow objects), then the
-// channel and radios resolved against it, then every component's
-// mutable state (MAC restores re-point their timers against the
-// restored slot generations).
+// medium and radios resolved against it, then every component in
+// construction order (mobility repositions nodes before any station;
+// stations and sources attach their timers to the restored slot table),
+// then the recorders, which stations and sources share by pointer and
+// so are overwritten in place.
 func (fs *FlowSim) restoreState(st *flowSimState) error {
-	fs.index()
+	if err := fs.index(); err != nil {
+		return err
+	}
 	if fs.eng != nil {
 		if st.Engine == nil {
 			return fmt.Errorf("experiments: checkpoint holds a serial simulation, this skeleton is sharded")
@@ -524,66 +475,33 @@ func (fs *FlowSim) restoreState(st *flowSimState) error {
 		if err := fs.sched.RestoreState(*st.Sched, fs.decode(txs)); err != nil {
 			return err
 		}
-		fs.m.RestoreState(*st.Medium)
 		if len(st.Radios) != fs.m.NodeCount() {
 			return fmt.Errorf("experiments: checkpoint has %d radios, testbed has %d", len(st.Radios), fs.m.NodeCount())
 		}
-		for i, rs := range st.Radios {
-			err := fs.m.Radio(i).RestoreState(rs, func(txID uint64) (*phy.Transmission, error) {
-				tx, ok := txs[txID]
-				if !ok {
-					return nil, fmt.Errorf("experiments: radio %d references transmission %d with no agenda event", i, txID)
-				}
-				return tx, nil
-			})
-			if err != nil {
+		for i := range st.Radios {
+			if err := fs.m.Radio(i).RestoreState(st.Radios[i], txs); err != nil {
 				return err
 			}
 		}
-		switch {
-		case fs.mg != nil && st.Mobility == nil:
-			return fmt.Errorf("experiments: checkpoint has no mobility state but the skeleton is mobile")
-		case fs.mg == nil && st.Mobility != nil:
-			return fmt.Errorf("experiments: checkpoint has mobility state but the skeleton is static")
-		case fs.mg != nil:
-			if err := fs.mg.RestoreState(*st.Mobility); err != nil {
-				return err
-			}
-		}
+		fs.m.State = *st.Medium
 	}
-	for _, id := range fs.order {
-		enc, ok := st.Macs[strconv.Itoa(id)]
+	if len(st.Comps) != len(fs.comps) {
+		return fmt.Errorf("experiments: checkpoint has %d components, skeleton %d", len(st.Comps), len(fs.comps))
+	}
+	for _, c := range fs.comps {
+		enc, ok := st.Comps[c.key]
 		if !ok {
-			return fmt.Errorf("experiments: checkpoint has no state for node %d", id)
+			return fmt.Errorf("experiments: checkpoint has no state for %s", c.key)
 		}
-		ck, err := nodeCheckpointer(id, fs.nodes[id])
-		if err != nil {
-			return err
-		}
-		if err := ck.RestoreState(enc); err != nil {
-			return fmt.Errorf("experiments: node %d: %w", id, err)
+		if err := c.c.RestoreState(enc); err != nil {
+			return fmt.Errorf("experiments: %s: %w", c.key, err)
 		}
 	}
-	if len(st.Sources) != len(fs.sources) {
-		return fmt.Errorf("experiments: checkpoint has %d sources, skeleton %d", len(st.Sources), len(fs.sources))
+	if len(st.Meters) != len(fs.meters) || len(st.Lats) != len(fs.lats) {
+		return fmt.Errorf("experiments: checkpoint has %d meters and %d latency recorders, skeleton %d and %d", len(st.Meters), len(st.Lats), len(fs.meters), len(fs.lats))
 	}
-	for i, enc := range st.Sources {
-		if err := fs.sources[i].RestoreState(enc); err != nil {
-			return fmt.Errorf("experiments: source %d: %w", i, err)
-		}
-	}
-	if len(st.Meters) != len(fs.meters) {
-		return fmt.Errorf("experiments: checkpoint has %d meters, skeleton %d", len(st.Meters), len(fs.meters))
-	}
-	for i, ms := range st.Meters {
-		fs.meters[i].Restore(ms)
-	}
-	if len(st.Lats) != len(fs.lats) {
-		return fmt.Errorf("experiments: checkpoint has %d latency recorders, skeleton %d", len(st.Lats), len(fs.lats))
-	}
-	for i, ls := range st.Lats {
-		fs.lats[i].Restore(ls)
-	}
+	copy(fs.meters, st.Meters)
+	copy(fs.lats, st.Lats)
 	return nil
 }
 
@@ -599,13 +517,7 @@ func (fs *FlowSim) Save(w io.Writer) error {
 }
 
 // SaveFile writes a checkpoint atomically to path.
-func (fs *FlowSim) SaveFile(path string) error {
-	st, err := fs.exportState()
-	if err != nil {
-		return err
-	}
-	return checkpoint.SaveFile(path, fs.ConfigHash(), st)
-}
+func (fs *FlowSim) SaveFile(path string) error { return checkpoint.SaveFile(path, fs.Save) }
 
 // Resume overwrites this freshly constructed skeleton with the state in
 // r. The checkpoint must carry this simulation's configuration hash;
@@ -625,13 +537,10 @@ func (fs *FlowSim) Resume(r io.Reader) error {
 
 // ResumeFile reads a checkpoint from path into this skeleton.
 func (fs *FlowSim) ResumeFile(path string) error {
-	payload, err := checkpoint.LoadFile(path, fs.ConfigHash())
+	f, err := os.Open(path)
 	if err != nil {
-		return err
+		return fmt.Errorf("checkpoint: open: %w", err)
 	}
-	var st flowSimState
-	if err := json.Unmarshal(payload, &st); err != nil {
-		return fmt.Errorf("%w: payload: %v", checkpoint.ErrCorrupt, err)
-	}
-	return fs.restoreState(&st)
+	defer f.Close()
+	return fs.Resume(f)
 }

@@ -5,64 +5,67 @@ import (
 	"fmt"
 )
 
-// Checkpoint codec: a lossless JSON encoding of every frame kind, used
-// when an in-flight frame must survive a checkpoint/resume cycle
-// bit-exactly. The wire codec (Marshal/Unmarshal) is NOT suitable for
-// that — it quantises Ack.LossRate to 1/65535 on the air, which is
-// faithful physics but would make a resumed simulation diverge from the
-// uninterrupted one. JSON round-trips float64 exactly.
+// Any holds a frame of any kind and is its checkpoint form: a lossless
+// JSON encoding tagged with the kind, so an in-flight frame survives a
+// checkpoint/resume cycle bit-exactly. The wire codec (Marshal/Unmarshal)
+// is NOT suitable for that — it quantises Ack.LossRate to 1/65535 on the
+// air, which is faithful physics but would make a resumed simulation
+// diverge from the uninterrupted one. JSON round-trips float64 exactly.
+// A nil frame encodes as null.
+type Any struct{ Frame }
 
-// stateEnvelope tags the concrete frame type so UnmarshalState can pick
-// the right struct back out.
-type stateEnvelope struct {
+// anyJSON tags the concrete frame type so decoding can pick the right
+// struct back out.
+type anyJSON struct {
 	Kind Kind            `json:"kind"`
 	Body json.RawMessage `json:"body"`
 }
 
-// MarshalState encodes f losslessly for a checkpoint.
-func MarshalState(f Frame) (json.RawMessage, error) {
-	if f == nil {
-		return nil, fmt.Errorf("frame: cannot checkpoint a nil frame")
+// emptyFrame makes a frame of each kind for UnmarshalJSON to fill.
+var emptyFrame = map[Kind]func() Frame{
+	KindHeader:         func() Frame { return &Control{} },
+	KindTrailer:        func() Frame { return &Control{} },
+	KindData:           func() Frame { return &Data{} },
+	KindAck:            func() Frame { return &Ack{} },
+	KindInterfererList: func() Frame { return &InterfererList{} },
+	KindDot11Data:      func() Frame { return &Dot11Data{} },
+	KindDot11Ack:       func() Frame { return &Dot11Ack{} },
+	KindDot11RTS:       func() Frame { return &Dot11RTS{} },
+	KindDot11CTS:       func() Frame { return &Dot11CTS{} },
+}
+
+// MarshalJSON implements json.Marshaler.
+func (a Any) MarshalJSON() ([]byte, error) {
+	if a.Frame == nil {
+		return []byte("null"), nil
 	}
-	body, err := json.Marshal(f)
+	body, err := json.Marshal(a.Frame)
 	if err != nil {
 		return nil, err
 	}
-	return json.Marshal(stateEnvelope{Kind: f.Kind(), Body: body})
+	return json.Marshal(anyJSON{Kind: a.Frame.Kind(), Body: body})
 }
 
-// UnmarshalState decodes a frame written by MarshalState. The result is
-// a freshly allocated frame with field-identical content; pointer
-// identity is not preserved (no component in this codebase compares
-// frames by pointer).
-func UnmarshalState(b json.RawMessage) (Frame, error) {
-	var env stateEnvelope
+// UnmarshalJSON implements json.Unmarshaler. The result is a freshly
+// allocated frame with field-identical content; pointer identity is not
+// preserved (no component in this codebase compares frames by pointer).
+func (a *Any) UnmarshalJSON(b []byte) error {
+	var env *anyJSON
 	if err := json.Unmarshal(b, &env); err != nil {
-		return nil, fmt.Errorf("frame: bad state envelope: %w", err)
+		return fmt.Errorf("frame: bad state envelope: %w", err)
 	}
-	var f Frame
-	switch env.Kind {
-	case KindHeader, KindTrailer:
-		f = &Control{}
-	case KindData:
-		f = &Data{}
-	case KindAck:
-		f = &Ack{}
-	case KindInterfererList:
-		f = &InterfererList{}
-	case KindDot11Data:
-		f = &Dot11Data{}
-	case KindDot11Ack:
-		f = &Dot11Ack{}
-	case KindDot11RTS:
-		f = &Dot11RTS{}
-	case KindDot11CTS:
-		f = &Dot11CTS{}
-	default:
-		return nil, fmt.Errorf("frame: state envelope names unknown kind %d", env.Kind)
+	if env == nil {
+		a.Frame = nil
+		return nil
 	}
+	mk, ok := emptyFrame[env.Kind]
+	if !ok {
+		return fmt.Errorf("frame: state envelope names unknown kind %d", env.Kind)
+	}
+	f := mk()
 	if err := json.Unmarshal(env.Body, f); err != nil {
-		return nil, fmt.Errorf("frame: bad %v state body: %w", env.Kind, err)
+		return fmt.Errorf("frame: bad %v state body: %w", env.Kind, err)
 	}
-	return f, nil
+	a.Frame = f
+	return nil
 }

@@ -1,12 +1,12 @@
 package mac
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
 	"sync"
 
+	"repro/internal/checkpoint"
 	"repro/internal/phy"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -96,26 +96,11 @@ type Counters struct {
 	InterfererEntries uint64
 }
 
-// Checkpointer is the checkpoint surface of a MAC station. Every arm
-// this repository registers implements it (the checkpoint conformance
-// matrix in CI runs every registered arm through a save/resume cycle);
-// it is a separate interface rather than part of Node so an
-// experimental arm can still register before growing checkpoint
-// support — it then fails checkpointing with a typed error instead of
-// failing registration.
-//
-// ExportState/RestoreState carry the station's full mutable state
-// (sequence counters, backoff countdowns, windows, timers via
-// sim.TimerState, RNG stream) in a format the station owns.
-// EncodeEventArg/DecodeEventArg translate the arguments of agenda
-// events targeted at this station, so the scheduler checkpoint can
-// round-trip them without knowing MAC-internal types.
-type Checkpointer interface {
-	ExportState() (json.RawMessage, error)
-	RestoreState(enc json.RawMessage) error
-	EncodeEventArg(arg any) (json.RawMessage, error)
-	DecodeEventArg(enc json.RawMessage) (any, error)
-}
+// Checkpointer is the checkpoint surface of a MAC station: the
+// checkpoint.Component that traffic sources and the mobility manager
+// implement too. It is not part of Node, so an arm can register before
+// it can checkpoint; a run of it then fails to checkpoint with an error.
+type Checkpointer = checkpoint.Component
 
 // Visibility is the optional receiver-side per-flow visibility surface
 // of CMAP-family stations (Figures 16 and 19); the matching sender-side

@@ -136,16 +136,12 @@ func FuzzAttachOrder(f *testing.F) {
 
 		for i := 0; i < n; i++ {
 			r := m.Radio(i)
-			st, err := r.ExportState()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if r.ActiveSignals() != 0 || st.TotalMW != 0 || st.LockedTxID != 0 || r.CarrierBusy() {
-				t.Fatalf("radio %d after the last frame: %d signals, totalMW %v, locked on %d, carrier busy %v — an Arrive without its Depart, or the reverse",
-					i, r.ActiveSignals(), st.TotalMW, st.LockedTxID, r.CarrierBusy())
+			if r.ActiveSignals() != 0 || r.TotalMW != 0 || r.Locked != nil || r.CarrierBusy() {
+				t.Fatalf("radio %d after the last frame: %d signals, totalMW %v, locked on %v, carrier busy %v — an Arrive without its Depart, or the reverse",
+					i, r.ActiveSignals(), r.TotalMW, r.Locked, r.CarrierBusy())
 			}
 			if !attended[i] && !reachedAll[i] {
-				heard := st.Stats
+				heard := r.Stats()
 				heard.Transmitted = 0 // its own doing
 				if heard != (phy.RadioStats{}) {
 					t.Fatalf("radio %d was never attended and no All frame reached it, yet it counted %+v", i, heard)

@@ -7,33 +7,20 @@ import (
 	"repro/internal/phy"
 )
 
-// Checkpoint surface of the medium. The delivery lists, radios and gain
-// numbers are all structural (rebuilt deterministically by New from the
-// same inputs), so the medium itself only carries two counters. The
-// interesting work is the event-argument codec: the medium owns two
-// agenda event shapes — the end-of-signal fan-out (*phy.Transmission)
-// and the sender tx-done upcall (*phy.Radio) — and the fan-out events
-// are exactly the set of in-flight transmissions, so decoding them
-// doubles as materialising the active transmission set every radio's
-// pointer state resolves against.
+// Checkpoint surface of the medium. Delivery lists, radios and gains are
+// structural (rebuilt by New from the same inputs), so the medium's own
+// state is two counters. The interesting work is the event codec: the
+// end-of-signal fan-outs (*phy.Transmission) are exactly the in-flight
+// transmissions, so decoding them materialises the set every radio's
+// signals resolve against; the other shape is the tx-done (*phy.Radio).
 
-// State is the medium's mutable state in checkpoint form.
+// State is the medium's mutable state and its checkpoint form. The
+// transmission free list is deliberately not part of it: pool contents
+// are invisible to behaviour, and a resumed run simply re-grows its ring.
 type State struct {
-	NextTxID      uint64 `json:"next_tx_id"`
+	NextTxID uint64 `json:"next_tx_id"`
+	// Transmissions counts frames put on the air, for diagnostics.
 	Transmissions uint64 `json:"transmissions"`
-}
-
-// ExportState captures the medium's counters. The transmission free
-// list is deliberately not captured: pool contents are invisible to
-// behaviour, and a resumed run simply re-grows its ring.
-func (m *Medium) ExportState() State {
-	return State{NextTxID: m.nextTxID, Transmissions: m.Transmissions}
-}
-
-// RestoreState overwrites the medium's counters.
-func (m *Medium) RestoreState(st State) {
-	m.nextTxID = st.NextTxID
-	m.Transmissions = st.Transmissions
 }
 
 // mediumArg is the encoded form of a medium-owned event argument:
@@ -47,10 +34,7 @@ type mediumArg struct {
 func (m *Medium) EncodeEventArg(arg any) (json.RawMessage, error) {
 	switch v := arg.(type) {
 	case *phy.Transmission:
-		ts, err := phy.ExportTransmission(v)
-		if err != nil {
-			return nil, err
-		}
+		ts := phy.ExportTransmission(v)
 		return json.Marshal(mediumArg{Tx: &ts})
 	case *phy.Radio:
 		id := v.ID()
@@ -72,7 +56,7 @@ func (m *Medium) DecodeEventArg(enc json.RawMessage, txs map[uint64]*phy.Transmi
 	switch {
 	case a.Tx != nil:
 		tx := new(phy.Transmission)
-		if err := a.Tx.Restore(tx); err != nil {
+		if err := a.Tx.Restore(tx, len(m.radios)); err != nil {
 			return nil, err
 		}
 		txs[tx.TxID] = tx

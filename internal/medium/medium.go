@@ -50,9 +50,7 @@ type Medium struct {
 	// reuses a small ring of them instead of allocating one per frame.
 	txFree []*phy.Transmission
 
-	nextTxID uint64
-	// Transmissions counts frames put on the air, for diagnostics.
-	Transmissions uint64
+	State
 
 	// mv holds the incremental-update machinery (spatial grid, scratch
 	// buffers); built lazily on the first MoveNodes so static runs pay
@@ -115,7 +113,7 @@ func (m *Medium) Attend(r *phy.Radio) {
 	if m.since[id] != math.MaxUint64 {
 		return // already listening; a re-attach must not move since
 	}
-	m.since[id] = m.nextTxID + 1
+	m.since[id] = m.NextTxID + 1
 	m.attachAt = m.sched.Now()
 }
 
@@ -275,13 +273,13 @@ func (m *Medium) Transmit(from *phy.Radio, f frame.Frame, r phy.Rate) sim.Time {
 	if src < 0 || src >= len(m.radios) || m.radios[src] != from {
 		panic(fmt.Sprintf("medium: transmit from unknown radio %d", src))
 	}
-	m.nextTxID++
+	m.NextTxID++
 	m.Transmissions++
 	now := m.sched.Now()
 	end := now + phy.Airtime(r, f.WireSize())
 	tx := m.acquireTx()
 	*tx = phy.Transmission{
-		TxID:  m.nextTxID,
+		TxID:  m.NextTxID,
 		From:  src,
 		Frame: f,
 		Rate:  r,

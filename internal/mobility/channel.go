@@ -49,9 +49,6 @@ func (c *Channel) Bump(i int) { c.epochs[i]++ }
 // Epoch returns node i's shadowing epoch.
 func (c *Channel) Epoch(i int) uint32 { return c.epochs[i] }
 
-// Epochs returns a copy of all shadowing epochs (checkpoint export).
-func (c *Channel) Epochs() []uint32 { return append([]uint32(nil), c.epochs...) }
-
 // SetEpochs overwrites all shadowing epochs (checkpoint restore).
 func (c *Channel) SetEpochs(e []uint32) {
 	copy(c.epochs, e)

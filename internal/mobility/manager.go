@@ -31,16 +31,16 @@ type batchMover interface {
 	MoveNodes(ids []int, pts []geo.Point)
 }
 
-// nodeState is one node's movement state. Every field is exported into
-// the checkpoint envelope — trajectories must continue bit-exactly
-// across a resume.
+// nodeState is one node's movement record. Every field is stored in the
+// checkpoint — trajectories must continue bit-exactly across a resume.
 type nodeState struct {
-	rng    *sim.RNG
-	home   geo.Point // initial position, centre of the roam disk
-	target geo.Point // waypoint: current destination
-	vx, vy float64   // walk/vehicular: velocity in m/s
-	until  sim.Time  // walk: when the current heading expires
-	trav   float64   // metres travelled since the last shadow re-draw
+	RNG    sim.RNG   `json:"rng"`
+	Home   geo.Point `json:"home"`         // initial position, centre of the roam disk
+	Target geo.Point `json:"target"`       // waypoint: current destination
+	VX     float64   `json:"vx,omitempty"` // walk/vehicular: velocity in m/s
+	VY     float64   `json:"vy,omitempty"`
+	Until  sim.Time  `json:"until,omitempty"` // walk: when the current heading expires
+	Trav   float64   `json:"trav,omitempty"`  // metres travelled since the last shadow re-draw
 }
 
 // Manager owns the movement state of every node and applies one
@@ -52,13 +52,19 @@ type Manager struct {
 	arena geo.Rect
 	med   Mover
 	ch    *Channel // optional shadowing channel; nil disables re-draws
-	nodes []nodeState
 	epoch sim.Time
 	// ids and pts collect one epoch's moves; empty between epochs.
 	ids []int
 	pts []geo.Point
+	state
+}
+
+// state is the manager's own mutable state and its checkpoint form; the
+// spec, arena and the collaborators above are structural.
+type state struct {
 	// Epochs counts applied position epochs, for diagnostics.
-	Epochs uint64
+	Epochs uint64      `json:"epochs"`
+	Nodes  []nodeState `json:"nodes"`
 }
 
 // New builds a manager over med. rng must be a dedicated stream of the
@@ -71,21 +77,21 @@ func New(spec Spec, arena geo.Rect, med Mover, rng *sim.RNG, ch *Channel) *Manag
 	}
 	mg := &Manager{spec: spec, arena: arena, med: med, ch: ch, epoch: spec.Epoch}
 	n := med.NodeCount()
-	mg.nodes = make([]nodeState, n)
+	mg.Nodes = make([]nodeState, n)
 	for i := 0; i < n; i++ {
-		st := &mg.nodes[i]
-		st.rng = rng.Stream(uint64(i))
-		st.home = med.Position(i)
+		st := &mg.Nodes[i]
+		st.RNG = *rng.Stream(uint64(i))
+		st.Home = med.Position(i)
 		switch spec.Kind {
 		case Waypoint:
-			st.target = mg.pickTarget(st)
+			st.Target = mg.pickTarget(st)
 		case Vehicular:
 			// Lane flow: keep Y, drive ±X at a per-node jittered speed.
 			dir := 1.0
-			if st.rng.Float64() < 0.5 {
+			if st.RNG.Float64() < 0.5 {
 				dir = -1
 			}
-			st.vx = dir * spec.SpeedMps * (0.8 + 0.4*st.rng.Float64())
+			st.VX = dir * spec.SpeedMps * (0.8 + 0.4*st.RNG.Float64())
 		}
 	}
 	return mg
@@ -123,17 +129,17 @@ func (mg *Manager) step() {
 	mg.Epochs++
 	now := mg.med.Scheduler().Now()
 	dt := float64(mg.epoch) / float64(sim.Second)
-	for i := range mg.nodes {
-		st := &mg.nodes[i]
+	for i := range mg.Nodes {
+		st := &mg.Nodes[i]
 		old := mg.med.Position(i)
 		p := mg.advance(st, old, now, dt)
 		if p == old {
 			continue
 		}
 		if mg.ch != nil && mg.spec.DecorrM > 0 {
-			st.trav += old.Dist(p)
-			for st.trav >= mg.spec.DecorrM {
-				st.trav -= mg.spec.DecorrM
+			st.Trav += old.Dist(p)
+			for st.Trav >= mg.spec.DecorrM {
+				st.Trav -= mg.spec.DecorrM
 				mg.ch.Bump(i)
 			}
 		}
@@ -165,39 +171,39 @@ func (mg *Manager) advance(st *nodeState, old geo.Point, now sim.Time, dt float6
 		// draw the next one (the residual step is forfeited — an epoch
 		// is short next to a leg, and exact landings keep the walk
 		// independent of epoch size at the waypoints themselves).
-		d := old.Dist(st.target)
+		d := old.Dist(st.Target)
 		if d <= step {
-			arrived := st.target
-			st.target = mg.pickTarget(st)
+			arrived := st.Target
+			st.Target = mg.pickTarget(st)
 			return arrived
 		}
-		return geo.Point{X: old.X + (st.target.X-old.X)/d*step, Y: old.Y + (st.target.Y-old.Y)/d*step}
+		return geo.Point{X: old.X + (st.Target.X-old.X)/d*step, Y: old.Y + (st.Target.Y-old.Y)/d*step}
 	case RandomWalk:
-		if now >= st.until || (st.vx == 0 && st.vy == 0) {
-			ang := st.rng.Float64() * 2 * math.Pi
-			st.vx = mg.spec.SpeedMps * math.Cos(ang)
-			st.vy = mg.spec.SpeedMps * math.Sin(ang)
-			st.until = now + sim.Time(float64(sim.Second)*(1+st.rng.Float64()))
+		if now >= st.Until || (st.VX == 0 && st.VY == 0) {
+			ang := st.RNG.Float64() * 2 * math.Pi
+			st.VX = mg.spec.SpeedMps * math.Cos(ang)
+			st.VY = mg.spec.SpeedMps * math.Sin(ang)
+			st.Until = now + sim.Time(float64(sim.Second)*(1+st.RNG.Float64()))
 		}
-		p := geo.Point{X: old.X + st.vx*dt, Y: old.Y + st.vy*dt}
+		p := geo.Point{X: old.X + st.VX*dt, Y: old.Y + st.VY*dt}
 		r := mg.roam(st)
 		if p.X < r.MinX {
 			p.X = 2*r.MinX - p.X
-			st.vx = -st.vx
+			st.VX = -st.VX
 		} else if p.X > r.MaxX {
 			p.X = 2*r.MaxX - p.X
-			st.vx = -st.vx
+			st.VX = -st.VX
 		}
 		if p.Y < r.MinY {
 			p.Y = 2*r.MinY - p.Y
-			st.vy = -st.vy
+			st.VY = -st.VY
 		} else if p.Y > r.MaxY {
 			p.Y = 2*r.MaxY - p.Y
-			st.vy = -st.vy
+			st.VY = -st.VY
 		}
 		return clamp(p, r) // a step longer than the region still lands inside
 	case Vehicular:
-		p := geo.Point{X: old.X + st.vx*dt, Y: old.Y}
+		p := geo.Point{X: old.X + st.VX*dt, Y: old.Y}
 		if w := mg.arena.Width(); w > 0 {
 			for p.X > mg.arena.MaxX {
 				p.X -= w
@@ -217,17 +223,17 @@ func (mg *Manager) roam(st *nodeState) geo.Rect {
 	r := mg.arena
 	if mg.spec.RangeM > 0 {
 		r = geo.Rect{
-			MinX: math.Max(r.MinX, st.home.X-mg.spec.RangeM),
-			MinY: math.Max(r.MinY, st.home.Y-mg.spec.RangeM),
-			MaxX: math.Min(r.MaxX, st.home.X+mg.spec.RangeM),
-			MaxY: math.Min(r.MaxY, st.home.Y+mg.spec.RangeM),
+			MinX: math.Max(r.MinX, st.Home.X-mg.spec.RangeM),
+			MinY: math.Max(r.MinY, st.Home.Y-mg.spec.RangeM),
+			MaxX: math.Min(r.MaxX, st.Home.X+mg.spec.RangeM),
+			MaxY: math.Min(r.MaxY, st.Home.Y+mg.spec.RangeM),
 		}
 	}
 	if r.MaxX < r.MinX {
-		r.MinX, r.MaxX = st.home.X, st.home.X
+		r.MinX, r.MaxX = st.Home.X, st.Home.X
 	}
 	if r.MaxY < r.MinY {
-		r.MinY, r.MaxY = st.home.Y, st.home.Y
+		r.MinY, r.MaxY = st.Home.Y, st.Home.Y
 	}
 	return r
 }
@@ -239,14 +245,14 @@ func (mg *Manager) pickTarget(st *nodeState) geo.Point {
 	r := mg.roam(st)
 	for try := 0; try < 16; try++ {
 		p := geo.Point{
-			X: r.MinX + st.rng.Float64()*(r.MaxX-r.MinX),
-			Y: r.MinY + st.rng.Float64()*(r.MaxY-r.MinY),
+			X: r.MinX + st.RNG.Float64()*(r.MaxX-r.MinX),
+			Y: r.MinY + st.RNG.Float64()*(r.MaxY-r.MinY),
 		}
-		if mg.spec.RangeM <= 0 || st.home.Dist(p) <= mg.spec.RangeM {
+		if mg.spec.RangeM <= 0 || st.Home.Dist(p) <= mg.spec.RangeM {
 			return p
 		}
 	}
-	return st.home
+	return st.Home
 }
 
 func clamp(p geo.Point, r geo.Rect) geo.Point {

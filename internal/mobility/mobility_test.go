@@ -1,6 +1,8 @@
 package mobility
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
 	"testing"
 
@@ -256,7 +258,7 @@ func TestStepBatchesWhenOffered(t *testing.T) {
 				i, batch.pos[i], chBatch.Epoch(i), loop.pos[i], chLoop.Epoch(i))
 		}
 	}
-	if err := mgBatch.RestoreState(mgLoop.ExportState()); err != nil {
+	if err := mgBatch.RestoreState(exportState(t, mgLoop)); err != nil {
 		t.Fatal(err)
 	}
 	if batch.batches != 11 {
@@ -350,13 +352,16 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		}
 		fa, mga, cha := mkc()
 		run(mga, fa, 20)
-		st := mga.ExportState()
+		st := exportState(t, mga)
 
 		// Fresh skeleton, restored mid-run state, then both continue.
 		fb, mgb, chb := mkc()
 		fb.sched.Run(fa.sched.Now()) // advance the clock past the restored epochs
 		if err := mgb.RestoreState(st); err != nil {
 			t.Fatalf("%s: restore: %v", spec, err)
+		}
+		if again := exportState(t, mgb); !bytes.Equal(again, st) {
+			t.Fatalf("%s: state changed across a round trip:\n  %s\n  %s", spec, st, again)
 		}
 		for i := range fa.pos {
 			if fa.pos[i] != fb.pos[i] {
@@ -382,12 +387,22 @@ func TestCheckpointRoundTrip(t *testing.T) {
 func TestRestoreStateRejectsMismatch(t *testing.T) {
 	f := newFakeMover(scatterPts(4, 50, 50, 1))
 	mg := New(Spec{Kind: Waypoint, SpeedMps: 1}, geo.Rect{MaxX: 50, MaxY: 50}, f, sim.NewRNG(1).Stream(StreamLabel), nil)
-	if err := mg.RestoreState(State{Nodes: make([]NodeState, 2)}); err == nil {
+	enc := func(s snapshot) json.RawMessage {
+		b, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	if err := mg.RestoreState(enc(snapshot{state: state{Nodes: make([]nodeState, 2)}, Pos: make([]geo.Point, 2)})); err == nil {
 		t.Fatal("restore with wrong node count succeeded")
+	}
+	if err := mg.RestoreState(enc(snapshot{state: state{Nodes: make([]nodeState, 4)}, Pos: make([]geo.Point, 3)})); err == nil {
+		t.Fatal("restore with wrong position count succeeded")
 	}
 	ch := NewChannel(&radio.LogDistance{RefLossDB: 50, Exponent: 3, ShadowSigmaDB: 4, Seed: 5}, 4)
 	mg2 := New(Spec{Kind: Waypoint, SpeedMps: 1, DecorrM: 5}, geo.Rect{MaxX: 50, MaxY: 50}, newFakeMover(scatterPts(4, 50, 50, 1)), sim.NewRNG(1).Stream(StreamLabel), ch)
-	if err := mg2.RestoreState(State{Nodes: make([]NodeState, 4), Shadow: []uint32{1}}); err == nil {
+	if err := mg2.RestoreState(enc(snapshot{state: state{Nodes: make([]nodeState, 4)}, Pos: make([]geo.Point, 4), Shadow: []uint32{1}})); err == nil {
 		t.Fatal("restore with wrong shadow length succeeded")
 	}
 }
@@ -503,4 +518,14 @@ func TestScreenReciprocityBits(t *testing.T) {
 	if refused < 40000 {
 		t.Fatalf("only %d of 80000 askings refused", refused)
 	}
+}
+
+// exportState is the manager's checkpoint bytes.
+func exportState(t *testing.T, mg *Manager) json.RawMessage {
+	t.Helper()
+	b, err := mg.ExportState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }

@@ -2,9 +2,7 @@ package phy
 
 import (
 	"encoding/json"
-	"fmt"
 	"math"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -30,53 +28,47 @@ func midReception(t *testing.T) (*Radio, map[uint64]*Transmission) {
 	arrive(2, -85)
 	arrive(3, -100)
 	arrive(4, -97)
-	if r.locked != txs[1] || len(r.active) != 2 || r.weakN != 2 {
-		t.Fatalf("fixture drift: locked=%v active=%d weak=%d", r.locked, len(r.active), r.weakN)
+	if r.Locked != txs[1] || len(r.Active) != 2 || r.WeakN != 2 {
+		t.Fatalf("fixture drift: locked=%v active=%d weak=%d", r.Locked, len(r.Active), r.WeakN)
 	}
 	return r, txs
 }
 
-func resolver(txs map[uint64]*Transmission) func(uint64) (*Transmission, error) {
-	return func(id uint64) (*Transmission, error) {
-		if tx, ok := txs[id]; ok {
-			return tx, nil
-		}
-		return nil, fmt.Errorf("no transmission %d", id)
+// exported is a radio's checkpoint bytes.
+func exported(t *testing.T, r *Radio) string {
+	t.Helper()
+	b, err := json.Marshal(&r.RadioState)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return string(b)
 }
 
 // TestRadioStateRoundTrip: export → JSON → restore into a fresh radio
-// reproduces the state exactly, and the two radios then finish the
-// reception identically — weak departures included, which the restored
-// radio can only get right from the exported count.
+// reproduces the state exactly — the same bytes exported again — and the
+// two radios then finish the reception identically, weak departures
+// included, which the restored radio can only get right from the
+// exported count.
 func TestRadioStateRoundTrip(t *testing.T) {
 	a, txs := midReception(t)
-	st, err := a.ExportState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.WeakN != 2 || len(st.Active) != 2 || st.LockedTxID != 1 {
-		t.Fatalf("exported weak=%d active=%d locked=%d, want 2, 2, 1", st.WeakN, len(st.Active), st.LockedTxID)
-	}
-	enc, err := json.Marshal(st)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := exported(t, a)
 	var dec RadioState
-	if err := json.Unmarshal(enc, &dec); err != nil {
+	if err := json.Unmarshal([]byte(st), &dec); err != nil {
 		t.Fatal(err)
+	}
+	if dec.WeakN != 2 || len(dec.Active) != 2 || dec.Locked.TxID != 1 {
+		t.Fatalf("exported weak=%d active=%d locked=%d, want 2, 2, 1", dec.WeakN, len(dec.Active), dec.Locked.TxID)
 	}
 	b, hb, _, _ := testRadio(t, DefaultParams())
 	b.sched = a.sched // one clock for both
-	if err := b.RestoreState(dec, resolver(txs)); err != nil {
+	if err := b.RestoreState(dec, txs); err != nil {
 		t.Fatal(err)
 	}
-	again, err := b.ExportState()
-	if err != nil {
-		t.Fatal(err)
+	if again := exported(t, b); again != st {
+		t.Fatalf("state changed across a round trip:\n  %s\n  %s", st, again)
 	}
-	if !reflect.DeepEqual(st, again) {
-		t.Fatalf("state changed across a round trip:\n  %+v\n  %+v", st, again)
+	if b.Locked != txs[1] || b.Active[0].Tx != txs[1] {
+		t.Fatal("restored signals do not point at the agenda's transmissions")
 	}
 	if b.ActiveSignals() != 4 {
 		t.Errorf("ActiveSignals = %d after restore, want 4 (2 active + 2 weak)", b.ActiveSignals())
@@ -90,15 +82,15 @@ func TestRadioStateRoundTrip(t *testing.T) {
 		for _, r := range []*Radio{a, b} {
 			r.Depart(txs[step.id], radio.DBmToMW(step.dbm))
 		}
-		if math.Float64bits(a.totalMW) != math.Float64bits(b.totalMW) || a.Stats() != b.Stats() || a.rng.State() != b.rng.State() {
-			t.Fatalf("after tx %d departs: original totalMW=%g %+v, restored totalMW=%g %+v", step.id, a.totalMW, a.Stats(), b.totalMW, b.Stats())
+		if math.Float64bits(a.TotalMW) != math.Float64bits(b.TotalMW) || a.Stats() != b.Stats() || a.RNG != b.RNG {
+			t.Fatalf("after tx %d departs: original totalMW=%g %+v, restored totalMW=%g %+v", step.id, a.TotalMW, a.Stats(), b.TotalMW, b.Stats())
 		}
 	}
 	if len(ha.frames)+len(ha.corrupt) != 1 || len(ha.frames) != len(hb.frames) || len(ha.corrupt) != len(hb.corrupt) {
 		t.Errorf("reception outcomes differ: original %d/%d, restored %d/%d decoded/corrupt", len(ha.frames), len(ha.corrupt), len(hb.frames), len(hb.corrupt))
 	}
-	if b.totalMW != 0 || b.ActiveSignals() != 0 {
-		t.Errorf("restored radio ends with totalMW=%g and %d signals, want a quiet radio", b.totalMW, b.ActiveSignals())
+	if b.TotalMW != 0 || b.ActiveSignals() != 0 {
+		t.Errorf("restored radio ends with totalMW=%g and %d signals, want a quiet radio", b.TotalMW, b.ActiveSignals())
 	}
 }
 
@@ -107,10 +99,7 @@ func TestRadioStateRoundTrip(t *testing.T) {
 // it was.
 func TestRestoreStateRejectsDamage(t *testing.T) {
 	src, txs := midReception(t)
-	good, err := src.ExportState()
-	if err != nil {
-		t.Fatal(err)
-	}
+	good := src.RadioState
 	cases := []struct {
 		name   string
 		damage func(*RadioState)
@@ -120,31 +109,25 @@ func TestRestoreStateRejectsDamage(t *testing.T) {
 		{"NaN total power", func(st *RadioState) { st.TotalMW = math.NaN() }, "total power"},
 		{"negative total power", func(st *RadioState) { st.TotalMW = -1e-9 }, "total power"},
 		{"active list shuffled", func(st *RadioState) {
-			st.Active = []SignalState{st.Active[1], st.Active[0]}
+			st.Active = []activeSignal{st.Active[1], st.Active[0]}
 		}, "ascending TxID"},
 		{"active entry repeated", func(st *RadioState) {
-			st.Active = []SignalState{st.Active[0], st.Active[0]}
+			st.Active = []activeSignal{st.Active[0], st.Active[0]}
 		}, "ascending TxID"},
+		{"signal with no agenda event", func(st *RadioState) { st.Locked = &Transmission{TxID: 99} }, "no agenda event"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			st := good
-			st.Active = append([]SignalState(nil), good.Active...)
+			st.Active = append([]activeSignal(nil), good.Active...)
 			tc.damage(&st)
 			r, _, _, _ := testRadio(t, DefaultParams())
-			before, err := r.ExportState()
-			if err != nil {
-				t.Fatal(err)
-			}
-			err = r.RestoreState(st, resolver(txs))
+			before := exported(t, r)
+			err := r.RestoreState(st, txs)
 			if err == nil || !strings.HasPrefix(err.Error(), "phy: radio 0 ") || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("err = %v, want a \"phy: radio 0 …\" error mentioning %q", err, tc.want)
 			}
-			after, err := r.ExportState()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(before, after) {
+			if after := exported(t, r); before != after {
 				t.Error("a refused restore modified the radio")
 			}
 		})

@@ -130,19 +130,19 @@ func FuzzInterferencePath(f *testing.F) {
 			}
 			gotStats.Weak = 0
 			switch {
-			case math.Float64bits(ref.totalMW) != math.Float64bits(got.totalMW):
-				t.Fatalf("step %d: totalMW %x vs reference %x", step, math.Float64bits(got.totalMW), math.Float64bits(ref.totalMW))
+			case math.Float64bits(ref.TotalMW) != math.Float64bits(got.TotalMW):
+				t.Fatalf("step %d: totalMW %x vs reference %x", step, math.Float64bits(got.TotalMW), math.Float64bits(ref.TotalMW))
 			case refStats != gotStats:
 				t.Fatalf("step %d: stats %+v vs reference %+v", step, gotStats, refStats)
 			case ref.CarrierBusy() != got.CarrierBusy():
 				t.Fatalf("step %d: CarrierBusy %v vs reference %v", step, got.CarrierBusy(), ref.CarrierBusy())
-			case ref.rng.State() != got.rng.State():
+			case ref.RNG != got.RNG:
 				t.Fatalf("step %d: RNG streams diverged", step)
 			case ref.ActiveSignals() != got.ActiveSignals() || got.ActiveSignals() != len(air):
 				t.Fatalf("step %d: ActiveSignals %d vs reference %d, %d on the air", step, got.ActiveSignals(), ref.ActiveSignals(), len(air))
-			case ref.locked != got.locked || ref.segStart != got.segStart ||
-				math.Float64bits(ref.lockedMW) != math.Float64bits(got.lockedMW) ||
-				math.Float64bits(ref.lockLogSucc) != math.Float64bits(got.lockLogSucc):
+			case ref.Locked != got.Locked || ref.SegStart != got.SegStart ||
+				math.Float64bits(ref.LockedMW) != math.Float64bits(got.LockedMW) ||
+				math.Float64bits(ref.LockLogSucc) != math.Float64bits(got.LockLogSucc):
 				t.Fatalf("step %d: reception state diverged", step)
 			case !slices.Equal(refLog.calls, gotLog.calls):
 				t.Fatalf("step %d: upcalls\n  %+v\nvs reference\n  %+v", step, gotLog.calls, refLog.calls)
@@ -192,8 +192,8 @@ func FuzzInterferencePath(f *testing.F) {
 			depart(0)
 			check(step)
 		}
-		if ref.totalMW != 0 || got.totalMW != 0 {
-			t.Fatalf("quiet radios hold totalMW %g (reference %g), want exactly 0", got.totalMW, ref.totalMW)
+		if ref.TotalMW != 0 || got.TotalMW != 0 {
+			t.Fatalf("quiet radios hold totalMW %g (reference %g), want exactly 0", got.TotalMW, ref.TotalMW)
 		}
 	})
 }

@@ -52,10 +52,11 @@ type Delivery struct {
 }
 
 // activeSignal is one transmission currently audible at a radio,
-// paired with the power it arrives with there.
+// paired with the power it arrives with there. In a checkpoint the
+// transmission is its TxID (see Transmission.MarshalJSON).
 type activeSignal struct {
-	tx      *Transmission
-	powerMW float64
+	Tx      *Transmission `json:"tx_id"`
+	PowerMW float64       `json:"power_mw"`
 }
 
 // RxInfo describes a reception outcome delivered to the MAC.
@@ -111,12 +112,10 @@ type Radio struct {
 	id      int
 	params  Params
 	sched   *sim.Scheduler
-	rng     *sim.RNG
 	channel Channel
 	handler Handler
 
 	noiseMW float64
-	csMW    float64
 
 	// Linear-domain reception constants, folded once at construction so
 	// the per-segment hot path is a multiply-divide plus a table lookup
@@ -132,30 +131,40 @@ type Radio struct {
 	captureK      float64
 	exact         bool
 
-	transmitting bool
-	txFrame      frame.Frame
+	RadioState
+}
 
-	// active holds the audible transmissions in ascending TxID order.
+// RadioState is the mutable half of a Radio and its checkpoint form;
+// everything else is rebuilt from Params by NewRadio. The fields are
+// exported for encoding/json only.
+type RadioState struct {
+	Sending bool      `json:"transmitting,omitempty"`
+	TxFrame frame.Any `json:"tx_frame"`
+
+	// Active holds the audible transmissions in ascending TxID order.
 	// TxIDs are issued monotonically, so arrivals append and removals
 	// binary-search — and any iteration is deterministic by
 	// construction, unlike the map this slice replaced.
-	active []activeSignal
-	// weakN counts the audible transmissions that arrived below
-	// sensitivity through Arrive: they add to totalMW and nothing else, so
+	Active []activeSignal `json:"active,omitempty"`
+	// WeakN counts the audible transmissions that arrived below
+	// sensitivity through Arrive: they add to TotalMW and nothing else, so
 	// they hold no active entry (see Arrive).
-	weakN int
-	// totalMW is the sum of all audible signal powers, active and weak
+	WeakN int `json:"weak_n,omitempty"`
+	// TotalMW is the sum of all audible signal powers, active and weak
 	// (incrementally maintained).
-	totalMW float64
+	TotalMW float64 `json:"total_mw"`
+	// CSMW is state, not a constant: the cs@<dBm> arms override it per
+	// node after construction.
+	CSMW float64 `json:"cs_mw"`
 
-	locked      *Transmission
-	lockedMW    float64 // received power of the locked transmission here
-	lockLogSucc float64
-	segStart    sim.Time
+	Locked      *Transmission `json:"locked_tx_id,omitempty"`
+	LockedMW    float64       `json:"locked_mw,omitempty"` // received power of the locked transmission here
+	LockLogSucc float64       `json:"lock_log_succ,omitempty"`
+	SegStart    sim.Time      `json:"seg_start,omitempty"`
 
-	carrierBusy bool
-
-	stats RadioStats
+	Carrier bool       `json:"carrier_busy,omitempty"`
+	RNG     sim.RNG    `json:"rng"`
+	Stat    RadioStats `json:"stats"`
 }
 
 // RadioStats counts reception outcomes for diagnostics and the
@@ -176,13 +185,12 @@ type RadioStats struct {
 // SetHandler before any traffic flows; channel is the medium.
 func NewRadio(id int, params Params, sched *sim.Scheduler, rng *sim.RNG, channel Channel) *Radio {
 	r := &Radio{
-		id:      id,
-		params:  params,
-		sched:   sched,
-		rng:     rng,
-		channel: channel,
-		noiseMW: radio.DBmToMW(params.NoiseFloorDBm),
-		csMW:    radio.DBmToMW(params.CSThresholdDBm),
+		id:         id,
+		params:     params,
+		sched:      sched,
+		channel:    channel,
+		noiseMW:    radio.DBmToMW(params.NoiseFloorDBm),
+		RadioState: RadioState{CSMW: radio.DBmToMW(params.CSThresholdDBm), RNG: *rng},
 	}
 	r.deriveLinear()
 	return r
@@ -193,7 +201,7 @@ func NewRadio(id int, params Params, sched *sim.Scheduler, rng *sim.RNG, channel
 // CS-threshold MAC arms use it to sweep sensing aggressiveness per
 // node; it only affects CarrierBusy, never reception outcomes.
 func (r *Radio) SetCSThresholdDBm(dbm float64) {
-	r.csMW = radio.DBmToMW(dbm)
+	r.CSMW = radio.DBmToMW(dbm)
 }
 
 // deriveLinear folds every dB-domain reception constant into the linear
@@ -233,42 +241,42 @@ func (r *Radio) SetHandler(h Handler) {
 }
 
 // Stats returns a copy of the radio's counters.
-func (r *Radio) Stats() RadioStats { return r.stats }
+func (r *Radio) Stats() RadioStats { return r.Stat }
 
 // Params returns the transceiver constants.
 func (r *Radio) Params() Params { return r.params }
 
 // Transmitting reports whether the radio is currently sending.
-func (r *Radio) Transmitting() bool { return r.transmitting }
+func (r *Radio) Transmitting() bool { return r.Sending }
 
 // ActiveSignals returns the number of transmissions currently audible
 // at this radio's antenna.
-func (r *Radio) ActiveSignals() int { return len(r.active) + r.weakN }
+func (r *Radio) ActiveSignals() int { return len(r.Active) + r.WeakN }
 
 // CarrierBusy reports the carrier-sense state: busy while transmitting,
 // while locked onto an incoming frame, or while total in-air power at the
 // antenna exceeds the carrier-sense threshold.
 func (r *Radio) CarrierBusy() bool {
-	return r.transmitting || r.locked != nil || r.totalMW >= r.csMW
+	return r.Sending || r.Locked != nil || r.TotalMW >= r.CSMW
 }
 
 // Transmit starts sending f at rate rate. The radio is half-duplex: any
 // reception in progress is abandoned. Transmitting while already
 // transmitting is a MAC bug and panics. Returns the transmission end time.
 func (r *Radio) Transmit(f frame.Frame, rate Rate) sim.Time {
-	if r.transmitting {
+	if r.Sending {
 		panic(fmt.Sprintf("phy: node %d transmit while transmitting", r.id))
 	}
-	if r.locked != nil {
+	if r.Locked != nil {
 		// Abandon the reception; the frame is lost to us.
-		r.stats.AbortedRx++
-		r.locked = nil
-		r.lockedMW = 0
-		r.lockLogSucc = 0
+		r.Stat.AbortedRx++
+		r.Locked = nil
+		r.LockedMW = 0
+		r.LockLogSucc = 0
 	}
-	r.transmitting = true
-	r.txFrame = f
-	r.stats.Transmitted++
+	r.Sending = true
+	r.TxFrame.Frame = f
+	r.Stat.Transmitted++
 	end := r.channel.Transmit(r, f, rate)
 	r.updateCarrier()
 	return end
@@ -277,9 +285,9 @@ func (r *Radio) Transmit(f frame.Frame, rate Rate) sim.Time {
 // TxDone is called by the medium when this radio's transmission ends.
 // MACs never call it.
 func (r *Radio) TxDone() {
-	r.transmitting = false
-	f := r.txFrame
-	r.txFrame = nil
+	r.Sending = false
+	f := r.TxFrame.Frame
+	r.TxFrame.Frame = nil
 	r.updateCarrier()
 	if r.handler != nil {
 		r.handler.OnTxDone(f)
@@ -288,16 +296,16 @@ func (r *Radio) TxDone() {
 
 // findActive returns the index of txID in the active list.
 func (r *Radio) findActive(txID uint64) (int, bool) {
-	lo, hi := 0, len(r.active)
+	lo, hi := 0, len(r.Active)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if r.active[mid].tx.TxID < txID {
+		if r.Active[mid].Tx.TxID < txID {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	if lo < len(r.active) && r.active[lo].tx.TxID == txID {
+	if lo < len(r.Active) && r.Active[lo].Tx.TxID == txID {
 		return lo, true
 	}
 	return lo, false
@@ -312,17 +320,17 @@ func (r *Radio) findActive(txID uint64) (int, bool) {
 // which is what classifies the signal the same way on the way out.
 func (r *Radio) Arrive(tx *Transmission, powerMW float64) {
 	if powerMW < r.sensitivityMW {
-		if r.locked != nil {
+		if r.Locked != nil {
 			r.closeSegment(r.sched.Now())
 		}
-		if r.transmitting || r.locked == nil {
+		if r.Sending || r.Locked == nil {
 			// SignalStart counts these missed; an arrival while locked
 			// is a refused capture, which counts nothing.
-			r.stats.Missed++
+			r.Stat.Missed++
 		}
-		r.stats.Weak++
-		r.weakN++
-		r.totalMW += powerMW
+		r.Stat.Weak++
+		r.WeakN++
+		r.TotalMW += powerMW
 		r.updateCarrier()
 		return
 	}
@@ -334,11 +342,11 @@ func (r *Radio) Arrive(tx *Transmission, powerMW float64) {
 // delivery snapshot anyway), so a weak departure needs no lookup.
 func (r *Radio) Depart(tx *Transmission, powerMW float64) {
 	if powerMW < r.sensitivityMW {
-		if r.locked != nil {
+		if r.Locked != nil {
 			r.closeSegment(r.sched.Now())
 		}
-		r.weakN--
-		r.totalMW -= powerMW
+		r.WeakN--
+		r.TotalMW -= powerMW
 		r.settleTotal()
 		r.updateCarrier()
 		return
@@ -353,8 +361,8 @@ func (r *Radio) Depart(tx *Transmission, powerMW float64) {
 // waits for them — at exactly the instants it would if they sat in the
 // active set.
 func (r *Radio) settleTotal() {
-	if (len(r.active) == 0 && r.weakN == 0) || r.totalMW < 0 {
-		r.totalMW = 0
+	if (len(r.Active) == 0 && r.WeakN == 0) || r.TotalMW < 0 {
+		r.TotalMW = 0
 	}
 }
 
@@ -366,24 +374,24 @@ func (r *Radio) SignalStart(tx *Transmission, powerMW float64) {
 	now := r.sched.Now()
 	// Close the running interference segment of a locked reception before
 	// the interference set changes.
-	if r.locked != nil {
+	if r.Locked != nil {
 		r.closeSegment(now)
 	}
 	// TxIDs are monotone, so new arrivals belong at the tail; the
 	// general insert is kept for robustness against future reordering.
-	if n := len(r.active); n == 0 || r.active[n-1].tx.TxID < tx.TxID {
-		r.active = append(r.active, activeSignal{tx: tx, powerMW: powerMW})
+	if n := len(r.Active); n == 0 || r.Active[n-1].Tx.TxID < tx.TxID {
+		r.Active = append(r.Active, activeSignal{Tx: tx, PowerMW: powerMW})
 	} else {
 		i, _ := r.findActive(tx.TxID)
-		r.active = append(r.active, activeSignal{})
-		copy(r.active[i+1:], r.active[i:])
-		r.active[i] = activeSignal{tx: tx, powerMW: powerMW}
+		r.Active = append(r.Active, activeSignal{})
+		copy(r.Active[i+1:], r.Active[i:])
+		r.Active[i] = activeSignal{Tx: tx, PowerMW: powerMW}
 	}
-	r.totalMW += powerMW
+	r.TotalMW += powerMW
 	switch {
-	case r.transmitting:
-		r.stats.Missed++
-	case r.locked == nil:
+	case r.Sending:
+		r.Stat.Missed++
+	case r.Locked == nil:
 		r.tryLock(tx, powerMW, now)
 	default:
 		r.tryCapture(tx, powerMW, now)
@@ -401,7 +409,7 @@ func (r *Radio) tryCapture(tx *Transmission, powerMW float64, now sim.Time) {
 	if powerMW < r.sensitivityMW {
 		return
 	}
-	interf := r.totalMW - powerMW
+	interf := r.TotalMW - powerMW
 	if interf < 0 {
 		interf = 0
 	}
@@ -412,16 +420,16 @@ func (r *Radio) tryCapture(tx *Transmission, powerMW float64, now sim.Time) {
 	} else {
 		pCapture = lockProbLinear(powerMW / (r.noiseMW + interf) * r.captureK)
 	}
-	if r.rng.Float64() >= pCapture {
+	if r.RNG.Float64() >= pCapture {
 		return
 	}
-	old, oldMW := r.locked, r.lockedMW
-	r.locked = tx
-	r.lockedMW = powerMW
-	r.lockLogSucc = 0
-	r.segStart = now
-	r.stats.Captures++
-	r.stats.Corrupted++
+	old, oldMW := r.Locked, r.LockedMW
+	r.Locked = tx
+	r.LockedMW = powerMW
+	r.LockLogSucc = 0
+	r.SegStart = now
+	r.Stat.Captures++
+	r.Stat.Corrupted++
 	if r.handler != nil {
 		r.handler.OnCorrupt(RxInfo{
 			From:    old.From,
@@ -436,18 +444,18 @@ func (r *Radio) tryCapture(tx *Transmission, powerMW float64, now sim.Time) {
 // SignalEnd is the full departure path, matching SignalStart.
 func (r *Radio) SignalEnd(tx *Transmission) {
 	now := r.sched.Now()
-	if r.locked != nil {
+	if r.Locked != nil {
 		r.closeSegment(now)
 	}
 	if i, ok := r.findActive(tx.TxID); ok {
-		powerMW := r.active[i].powerMW
-		copy(r.active[i:], r.active[i+1:])
-		r.active[len(r.active)-1] = activeSignal{} // drop the Transmission reference
-		r.active = r.active[:len(r.active)-1]
-		r.totalMW -= powerMW
+		powerMW := r.Active[i].PowerMW
+		copy(r.Active[i:], r.Active[i+1:])
+		r.Active[len(r.Active)-1] = activeSignal{} // drop the Transmission reference
+		r.Active = r.Active[:len(r.Active)-1]
+		r.TotalMW -= powerMW
 	}
 	r.settleTotal()
-	if r.locked == tx {
+	if r.Locked == tx {
 		r.finishReception(tx, now)
 	}
 	r.updateCarrier()
@@ -457,10 +465,10 @@ func (r *Radio) SignalEnd(tx *Transmission) {
 // probabilistic: a short BPSK block must decode at the instantaneous SINR.
 func (r *Radio) tryLock(tx *Transmission, powerMW float64, now sim.Time) {
 	if powerMW < r.sensitivityMW {
-		r.stats.Missed++
+		r.Stat.Missed++
 		return
 	}
-	interf := r.totalMW - powerMW
+	interf := r.TotalMW - powerMW
 	if interf < 0 {
 		interf = 0
 	}
@@ -471,14 +479,14 @@ func (r *Radio) tryLock(tx *Transmission, powerMW float64, now sim.Time) {
 	} else {
 		pLock = lockProbLinear(powerMW / (r.noiseMW + interf) * r.lockK)
 	}
-	if r.rng.Float64() >= pLock {
-		r.stats.Missed++
+	if r.RNG.Float64() >= pLock {
+		r.Stat.Missed++
 		return
 	}
-	r.locked = tx
-	r.lockedMW = powerMW
-	r.lockLogSucc = 0
-	r.segStart = now
+	r.Locked = tx
+	r.LockedMW = powerMW
+	r.LockLogSucc = 0
+	r.SegStart = now
 }
 
 // closeSegment integrates the bit-success probability of the locked frame
@@ -486,46 +494,46 @@ func (r *Radio) tryLock(tx *Transmission, powerMW float64, now sim.Time) {
 // path this is one divide, one multiply and a table interpolation — no
 // transcendental, no dB round trip.
 func (r *Radio) closeSegment(now sim.Time) {
-	dur := now - r.segStart
-	r.segStart = now
+	dur := now - r.SegStart
+	r.SegStart = now
 	if dur <= 0 {
 		return
 	}
-	interf := r.totalMW - r.lockedMW
+	interf := r.TotalMW - r.LockedMW
 	if interf < 0 {
 		interf = 0
 	}
-	bits := float64(dur) * r.locked.Rate.Mbps / 1000 // ns × Mb/s = 1e-3 bits
+	bits := float64(dur) * r.Locked.Rate.Mbps / 1000 // ns × Mb/s = 1e-3 bits
 	if r.exact {
-		sinr := radio.SINR(r.lockedMW, r.noiseMW, interf) - r.params.ImplementationLossDB
-		r.lockLogSucc += logSuccess(BitErrorRate(r.locked.Rate, sinr), bits)
+		sinr := radio.SINR(r.LockedMW, r.noiseMW, interf) - r.params.ImplementationLossDB
+		r.LockLogSucc += logSuccess(BitErrorRate(r.Locked.Rate, sinr), bits)
 		return
 	}
-	g := r.lockedMW / (r.noiseMW + interf) * r.ebn0K[r.locked.Rate.ID]
-	r.lockLogSucc += bits * lnBitSuccess(r.locked.Rate.Mod, g)
+	g := r.LockedMW / (r.noiseMW + interf) * r.ebn0K[r.Locked.Rate.ID]
+	r.LockLogSucc += bits * lnBitSuccess(r.Locked.Rate.Mod, g)
 }
 
 // finishReception resolves the decode of a completed locked frame.
 func (r *Radio) finishReception(tx *Transmission, now sim.Time) {
-	r.locked = nil
+	r.Locked = nil
 	info := RxInfo{
 		From:    tx.From,
-		PowerMW: r.lockedMW,
+		PowerMW: r.LockedMW,
 		Rate:    tx.Rate,
 		Start:   tx.Start,
 		End:     now,
 	}
-	r.lockedMW = 0
-	pSuccess := math.Exp(r.lockLogSucc)
-	r.lockLogSucc = 0
+	r.LockedMW = 0
+	pSuccess := math.Exp(r.LockLogSucc)
+	r.LockLogSucc = 0
 	if r.handler == nil {
 		return
 	}
-	if r.rng.Float64() < pSuccess {
-		r.stats.Decoded++
+	if r.RNG.Float64() < pSuccess {
+		r.Stat.Decoded++
 		r.handler.OnFrame(tx.Frame, info)
 	} else {
-		r.stats.Corrupted++
+		r.Stat.Corrupted++
 		r.handler.OnCorrupt(info)
 	}
 }
@@ -533,10 +541,10 @@ func (r *Radio) finishReception(tx *Transmission, now sim.Time) {
 // updateCarrier delivers carrier-sense edges to the MAC.
 func (r *Radio) updateCarrier() {
 	busy := r.CarrierBusy()
-	if busy == r.carrierBusy {
+	if busy == r.Carrier {
 		return
 	}
-	r.carrierBusy = busy
+	r.Carrier = busy
 	if r.handler != nil {
 		r.handler.OnCarrier(busy)
 	}

@@ -135,8 +135,8 @@ func TestTotalMWResetsWhenQuiet(t *testing.T) {
 	if r.ActiveSignals() != 0 {
 		t.Fatalf("%d active signals left", r.ActiveSignals())
 	}
-	if r.totalMW != 0 {
-		t.Errorf("totalMW = %g after all signals ended, want exactly 0", r.totalMW)
+	if r.TotalMW != 0 {
+		t.Errorf("totalMW = %g after all signals ended, want exactly 0", r.TotalMW)
 	}
 }
 
@@ -218,10 +218,10 @@ func BenchmarkCloseSegment(b *testing.B) {
 			r := NewRadio(0, p, sched, sim.NewRNG(1), &stubChannel{})
 			tx := testTx(1, 1)
 			r.SignalStart(tx, radio.DBmToMW(-70))
-			if r.locked != tx {
+			if r.Locked != tx {
 				b.Fatal("radio did not lock the benchmark frame")
 			}
-			r.totalMW += radio.DBmToMW(-80) // a steady interferer
+			r.TotalMW += radio.DBmToMW(-80) // a steady interferer
 			b.ReportAllocs()
 			b.ResetTimer()
 			now := sim.Time(0)

@@ -9,12 +9,13 @@ import (
 )
 
 // Checkpoint surface of the sharded engine: one sub-checkpoint per
-// shard (agenda, transmission counters) stitched together with the
-// engine clock and every radio's state. A multi-shard engine can only
-// be cut at a window edge — that is the one point where every outbox
-// parity is drained and every cross-shard signal already lives in the
-// receiving shard's agenda as a remoteTx event, so the per-shard
-// agendas plus radio states are the complete picture.
+// shard (its agenda and its embedded shardState) stitched together with
+// the engine's own engineState and every radio's RadioState, each stored
+// as it is. A multi-shard engine can only be cut at a window edge — that
+// is the one point where every outbox parity is drained and every
+// cross-shard signal already lives in the receiving shard's agenda as a
+// remoteTx event, so the per-shard agendas plus radio states are the
+// complete picture.
 //
 // Transmission identity is resolved per shard: every in-flight signal
 // a shard's radios can reference appears in that shard's agenda —
@@ -24,28 +25,22 @@ import (
 // shard owns an independent copy), so each shard decodes its own
 // TxID → object registry and its radios resolve against only that.
 
-// remoteState is a cross-shard signal in checkpoint form. Tx carries
-// the receiver-frame (already W-shifted) interval; the walk list is
-// structural (inFrom[From]) and rebuilt on decode.
-type remoteState struct {
-	Tx      phy.TxState `json:"tx"`
-	Started bool        `json:"started,omitempty"`
-}
-
 // shardArg is the encoded form of a shard-owned agenda event argument:
-// exactly one field is set.
+// exactly one of Tx, Radio and Remote is set. A cross-shard signal is its
+// receiver-frame (already W-shifted) transmission and whether its start
+// edge fired; its walk list is structural (inFrom[From]) and rebuilt on
+// decode.
 type shardArg struct {
-	Tx     *phy.TxState `json:"tx,omitempty"`
-	Radio  *int         `json:"radio,omitempty"`
-	Remote *remoteState `json:"remote,omitempty"`
+	Tx      *phy.TxState `json:"tx,omitempty"`
+	Radio   *int         `json:"radio,omitempty"`
+	Remote  *phy.TxState `json:"remote,omitempty"`
+	Started bool         `json:"started,omitempty"`
 }
 
 // ShardState is one shard's sub-checkpoint.
 type ShardState struct {
-	Sched         sim.SchedulerState `json:"sched"`
-	CurWin        int64              `json:"cur_win,omitempty"`
-	TxSeq         uint64             `json:"tx_seq,omitempty"`
-	Transmissions uint64             `json:"transmissions,omitempty"`
+	Sched sim.SchedulerState `json:"sched"`
+	shardState
 }
 
 // EngineState is the complete engine in checkpoint form. Window and
@@ -53,8 +48,7 @@ type ShardState struct {
 // engine with a different window or partition would silently misplace
 // every event.
 type EngineState struct {
-	Seg    int64            `json:"seg"`
-	Clock  sim.Time         `json:"clock"`
+	engineState
 	Window sim.Time         `json:"window"`
 	Assign []int            `json:"assign"`
 	Shards []ShardState     `json:"shards"`
@@ -65,20 +59,14 @@ type EngineState struct {
 func (s *Shard) encodeShardArg(arg any) (json.RawMessage, error) {
 	switch v := arg.(type) {
 	case *phy.Transmission:
-		ts, err := phy.ExportTransmission(v)
-		if err != nil {
-			return nil, err
-		}
+		ts := phy.ExportTransmission(v)
 		return json.Marshal(shardArg{Tx: &ts})
 	case *phy.Radio:
 		id := v.ID()
 		return json.Marshal(shardArg{Radio: &id})
 	case *remoteTx:
-		ts, err := phy.ExportTransmission(&v.tx)
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(shardArg{Remote: &remoteState{Tx: ts, Started: v.started}})
+		ts := phy.ExportTransmission(&v.tx)
+		return json.Marshal(shardArg{Remote: &ts, Started: v.started})
 	default:
 		return nil, fmt.Errorf("shard %d: unencodable event arg %T", s.idx, arg)
 	}
@@ -92,29 +80,30 @@ func (s *Shard) decodeShardArg(enc json.RawMessage, txs map[uint64]*phy.Transmis
 	if err := json.Unmarshal(enc, &a); err != nil {
 		return nil, fmt.Errorf("shard %d: bad event arg: %w", s.idx, err)
 	}
+	n := len(s.eng.radios)
 	switch {
 	case a.Tx != nil:
 		tx := new(phy.Transmission)
-		if err := a.Tx.Restore(tx); err != nil {
+		if err := a.Tx.Restore(tx, n); err != nil {
 			return nil, err
+		}
+		if s.eng.assign[tx.From] != s.idx {
+			return nil, fmt.Errorf("shard %d: local signal from node %d it does not host", s.idx, tx.From)
 		}
 		txs[tx.TxID] = tx
 		return tx, nil
 	case a.Radio != nil:
-		if *a.Radio < 0 || *a.Radio >= len(s.eng.radios) {
+		if *a.Radio < 0 || *a.Radio >= n {
 			return nil, fmt.Errorf("shard %d: event names unknown radio %d", s.idx, *a.Radio)
 		}
 		return s.eng.radios[*a.Radio], nil
 	case a.Remote != nil:
 		rt := new(remoteTx)
-		if err := a.Remote.Tx.Restore(&rt.tx); err != nil {
+		if err := a.Remote.Restore(&rt.tx, n); err != nil {
 			return nil, err
 		}
-		if rt.tx.From < 0 || rt.tx.From >= len(s.inFrom) {
-			return nil, fmt.Errorf("shard %d: remote signal from unknown node %d", s.idx, rt.tx.From)
-		}
 		rt.list = s.inFrom[rt.tx.From]
-		rt.started = a.Remote.Started
+		rt.started = a.Started
 		txs[rt.tx.TxID] = &rt.tx
 		return rt, nil
 	default:
@@ -131,22 +120,21 @@ func (s *Shard) decodeShardArg(enc json.RawMessage, txs map[uint64]*phy.Transmis
 // point where the outboxes are provably drained. Any other clock is a
 // caller bug and errors out.
 func (e *Engine) ExportState(encode sim.EncodeFunc) (EngineState, error) {
-	if len(e.shards) > 1 && e.clock%window != 0 {
-		return EngineState{}, fmt.Errorf("shard: checkpoint at t=%v is not on a window edge (W=%v); advance Run to a multiple of the window first", e.clock, window)
+	if len(e.shards) > 1 && e.Clock%window != 0 {
+		return EngineState{}, fmt.Errorf("shard: checkpoint at t=%v is not on a window edge (W=%v); advance Run to a multiple of the window first", e.Clock, window)
 	}
 	st := EngineState{
-		Seg:    e.seg,
-		Clock:  e.clock,
-		Window: window,
-		Assign: append([]int(nil), e.assign...),
-		Shards: make([]ShardState, len(e.shards)),
-		Radios: make([]phy.RadioState, len(e.radios)),
+		engineState: e.engineState,
+		Window:      window,
+		Assign:      e.assign,
+		Shards:      make([]ShardState, len(e.shards)),
+		Radios:      make([]phy.RadioState, len(e.radios)),
 	}
 	for i, sh := range e.shards {
 		for p := 0; p < 2; p++ {
 			for d, box := range sh.outbox[p] {
 				if len(box) > 0 {
-					return EngineState{}, fmt.Errorf("shard %d: outbox for shard %d not drained at t=%v; checkpoint cut outside the parity protocol", sh.idx, d, e.clock)
+					return EngineState{}, fmt.Errorf("shard %d: outbox for shard %d not drained at t=%v; checkpoint cut outside the parity protocol", sh.idx, d, e.Clock)
 				}
 			}
 		}
@@ -160,14 +148,10 @@ func (e *Engine) ExportState(encode sim.EncodeFunc) (EngineState, error) {
 		if err != nil {
 			return EngineState{}, fmt.Errorf("shard %d: %w", sh.idx, err)
 		}
-		st.Shards[i] = ShardState{Sched: sched, CurWin: sh.curWin, TxSeq: sh.txSeq, Transmissions: sh.Transmissions}
+		st.Shards[i] = ShardState{Sched: sched, shardState: sh.shardState}
 	}
 	for i, r := range e.radios {
-		rs, err := r.ExportState()
-		if err != nil {
-			return EngineState{}, err
-		}
-		st.Radios[i] = rs
+		st.Radios[i] = r.RadioState
 	}
 	return st, nil
 }
@@ -177,7 +161,7 @@ func (e *Engine) ExportState(encode sim.EncodeFunc) (EngineState, error) {
 // ExportState's encode. Radio states are restored after every shard's
 // agenda has been decoded, resolving transmission pointers against the
 // owning shard's freshly materialised registry. Component timers (MACs,
-// sources) must be re-pointed by their owners afterwards, per shard.
+// sources) must be re-attached by their owners afterwards, per shard.
 func (e *Engine) RestoreState(st EngineState, decode sim.DecodeFunc) error {
 	if st.Window != window {
 		return fmt.Errorf("shard: checkpoint window %v does not match engine window %v", st.Window, window)
@@ -200,8 +184,7 @@ func (e *Engine) RestoreState(st EngineState, decode sim.DecodeFunc) error {
 	for i, sh := range e.shards {
 		txs := make(map[uint64]*phy.Transmission)
 		registries[i] = txs
-		ss := &st.Shards[i]
-		err := sh.sched.RestoreState(ss.Sched, func(owner string, enc json.RawMessage) (sim.EventHandler, any, error) {
+		err := sh.sched.RestoreState(st.Shards[i].Sched, func(owner string, enc json.RawMessage) (sim.EventHandler, any, error) {
 			if owner == "shard" {
 				arg, err := sh.decodeShardArg(enc, txs)
 				return sh, arg, err
@@ -211,9 +194,7 @@ func (e *Engine) RestoreState(st EngineState, decode sim.DecodeFunc) error {
 		if err != nil {
 			return fmt.Errorf("shard %d: %w", sh.idx, err)
 		}
-		sh.curWin = ss.CurWin
-		sh.txSeq = ss.TxSeq
-		sh.Transmissions = ss.Transmissions
+		sh.shardState = st.Shards[i].shardState
 		sh.txFree = sh.txFree[:0]
 		sh.rtFree = sh.rtFree[:0]
 		for p := 0; p < 2; p++ {
@@ -223,19 +204,10 @@ func (e *Engine) RestoreState(st EngineState, decode sim.DecodeFunc) error {
 		}
 	}
 	for i, r := range e.radios {
-		txs := registries[e.assign[i]]
-		err := r.RestoreState(st.Radios[i], func(txID uint64) (*phy.Transmission, error) {
-			tx, ok := txs[txID]
-			if !ok {
-				return nil, fmt.Errorf("shard %d: radio %d references transmission %d with no agenda event", e.assign[i], i, txID)
-			}
-			return tx, nil
-		})
-		if err != nil {
-			return err
+		if err := r.RestoreState(st.Radios[i], registries[e.assign[i]]); err != nil {
+			return fmt.Errorf("shard %d: %w", e.assign[i], err)
 		}
 	}
-	e.seg = st.Seg
-	e.clock = st.Clock
+	e.engineState = st.engineState
 	return nil
 }

@@ -45,8 +45,7 @@ type Engine struct {
 	// while the engine is being wired, read by every shard during Run.
 	attended []bool
 
-	seg   int64    // absolute index of the window Run resumes in
-	clock sim.Time // high-water mark of Run
+	engineState
 
 	bar      barrier
 	failOnce sync.Once
@@ -126,6 +125,13 @@ func NewEngine(params phy.Params, model radio.Model, positions []geo.Point, rng 
 	return e
 }
 
+// engineState is the engine's own mutable state and its part of a
+// checkpoint, beside the shards' and the radios'.
+type engineState struct {
+	Seg   int64    `json:"seg"`   // absolute index of the window Run resumes in
+	Clock sim.Time `json:"clock"` // high-water mark of Run
+}
+
 // Partition assigns each node to one of k shards: a population-balanced
 // spatial strip partition (geo.PartitionStrips), then flow endpoints
 // pulled into one shard via union-find — each connected endpoint group
@@ -185,7 +191,7 @@ func (e *Engine) SchedulerOf(id int) *sim.Scheduler { return e.shards[e.assign[i
 
 // Now returns the engine's clock high-water mark: every shard has run
 // to at least this virtual time.
-func (e *Engine) Now() sim.Time { return e.clock }
+func (e *Engine) Now() sim.Time { return e.Clock }
 
 // Transmissions sums frames put on the air across all shards.
 func (e *Engine) Transmissions() uint64 {
@@ -211,14 +217,14 @@ func (e *Engine) fail(r any) {
 // including mid-window. A panic on any shard goroutine aborts the whole
 // run and re-panics here with the original value.
 func (e *Engine) Run(until sim.Time) {
-	if until <= e.clock {
+	if until <= e.Clock {
 		return
 	}
 	if len(e.shards) == 1 {
 		// One shard is the serial engine: no windows, no barrier, no
 		// goroutines — and therefore bit-identical to it.
 		e.shards[0].sched.Run(until)
-		e.clock = until
+		e.Clock = until
 		return
 	}
 	var wg sync.WaitGroup
@@ -230,7 +236,7 @@ func (e *Engine) Run(until sim.Time) {
 				if r := recover(); r != nil {
 					if r != errAborted {
 						r = fmt.Sprintf("shard %d (window %d, t=%v): %v\n%s",
-							sh.idx, sh.curWin, sh.sched.Now(), r, debug.Stack())
+							sh.idx, sh.CurWin, sh.sched.Now(), r, debug.Stack())
 					}
 					e.fail(r)
 				}
@@ -242,8 +248,8 @@ func (e *Engine) Run(until sim.Time) {
 	if e.failErr != nil {
 		panic(e.failErr)
 	}
-	e.seg = int64(until / window)
-	e.clock = until
+	e.Seg = int64(until / window)
+	e.Clock = until
 }
 
 // runShard is one shard goroutine's window loop: run to the next window
@@ -251,8 +257,8 @@ func (e *Engine) Run(until sim.Time) {
 // Every shard computes the identical (edge, stop) sequence, so the
 // barriers line up by construction.
 func (e *Engine) runShard(sh *Shard, until sim.Time) {
-	for k := e.seg; ; k++ {
-		sh.curWin = k
+	for k := e.Seg; ; k++ {
+		sh.CurWin = k
 		edge := sim.Time(k+1) * window
 		stop := edge
 		if until < stop {

@@ -72,14 +72,19 @@ type Shard struct {
 	// the window protocol keeps the two phases two barriers apart.
 	outbox [2][][]handoff
 
-	curWin int64  // window index currently executing (selects parity)
-	txSeq  uint64 // local transmission counter; see TxID assignment
-
 	txFree []*phy.Transmission
 	rtFree []*remoteTx
 
+	shardState
+}
+
+// shardState is a shard's own mutable state and its part of a
+// checkpoint, beside its agenda.
+type shardState struct {
+	CurWin int64  `json:"cur_win,omitempty"` // window index currently executing (selects parity)
+	TxSeq  uint64 `json:"tx_seq,omitempty"`  // local transmission counter; see TxID assignment
 	// Transmissions counts frames put on the air by this shard's nodes.
-	Transmissions uint64
+	Transmissions uint64 `json:"transmissions,omitempty"`
 }
 
 // Radio returns node id's transceiver. Only nodes hosted by this shard
@@ -130,8 +135,8 @@ func (s *Shard) Attend(r *phy.Radio) {
 	if e.attended[id] {
 		return
 	}
-	if e.clock != 0 {
-		panic(fmt.Sprintf("shard %d: station attached to node %d at t=%v, after the engine ran", s.idx, id, e.clock))
+	if e.Clock != 0 {
+		panic(fmt.Sprintf("shard %d: station attached to node %d at t=%v, after the engine ran", s.idx, id, e.Clock))
 	}
 	e.attended[id] = true
 	s.attachAt = s.sched.Now()
@@ -172,13 +177,13 @@ func (s *Shard) Transmit(from *phy.Radio, f frame.Frame, r phy.Rate) sim.Time {
 	if src < 0 || src >= len(s.eng.radios) || s.eng.radios[src] != from || s.eng.assign[src] != s.idx {
 		panic(fmt.Sprintf("shard %d: transmit from radio %d it does not host", s.idx, src))
 	}
-	s.txSeq++
+	s.TxSeq++
 	s.Transmissions++
 	now := s.sched.Now()
 	end := now + phy.Airtime(r, f.WireSize())
 	tx := s.acquireTx()
 	*tx = phy.Transmission{
-		TxID:  (s.txSeq-1)*uint64(len(s.eng.shards)) + uint64(s.idx) + 1,
+		TxID:  (s.TxSeq-1)*uint64(len(s.eng.shards)) + uint64(s.idx) + 1,
 		From:  src,
 		Frame: f,
 		Rate:  r,
@@ -192,7 +197,7 @@ func (s *Shard) Transmit(from *phy.Radio, f frame.Frame, r phy.Rate) sim.Time {
 		}
 	}
 	var payload []byte
-	p := s.curWin & 1
+	p := s.CurWin & 1
 	for _, out := range s.outTo[src] {
 		if !tx.All && !out.listens {
 			continue

@@ -1,24 +1,87 @@
 package sim
 
 import (
+	"cmp"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
+	"strconv"
 )
 
-// This file is the checkpoint surface of the scheduler and RNG: enough
-// accessors to capture every piece of hidden state bit-exactly and put
-// it back. The scheduler itself stays format-agnostic — owners encode
-// their own event arguments through the codec callbacks, and
-// internal/checkpoint owns the envelope.
+// Checkpoint surface of the scheduler, its timers and the RNG. An RNG
+// and a Timer handle encode themselves, so a state struct holding them
+// needs no code of its own; the agenda exports through owner callbacks,
+// since the scheduler cannot name arbitrary handler types.
 
-// State returns the RNG's internal state word.
-func (r *RNG) State() uint64 { return r.state }
+// The typed failures of a checkpointed slot table, which is user input
+// (a digest proves only that the file was not damaged in transit): a
+// free slot, event or timer naming a slot the table does not have, a
+// slot listed free twice or held by two events, and a slot listed free
+// while an event holds it.
+var (
+	ErrSlotRange = errors.New("sim: slot out of range")
+	ErrSlotTwice = errors.New("sim: slot listed twice")
+	ErrSlotLive  = errors.New("sim: free slot held by a live event")
+)
 
-// SetState overwrites the RNG's internal state word. Restoring the
-// state captured by State reproduces the exact continuation of the
-// stream.
-func (r *RNG) SetState(s uint64) { r.state = s }
+// MarshalJSON writes the RNG as its state word.
+func (r RNG) MarshalJSON() ([]byte, error) { return strconv.AppendUint(nil, r.state, 10), nil }
+
+// UnmarshalJSON restores a state word written by MarshalJSON; the
+// stream continues exactly where the captured one stood.
+func (r *RNG) UnmarshalJSON(b []byte) (err error) {
+	r.state, err = strconv.ParseUint(string(b), 10, 64)
+	return err
+}
+
+// MarshalJSON writes a handle attached to a scheduler as [slot, gen, at]
+// and any other as null. Whether it is still pending is not stored: the
+// scheduler's slot table, restored exactly, says so.
+func (t Timer) MarshalJSON() ([]byte, error) {
+	if t.s == nil {
+		return []byte("null"), nil
+	}
+	return fmt.Appendf(nil, "[%d,%d,%d]", t.slot, t.gen, t.at), nil
+}
+
+// UnmarshalJSON implements json.Unmarshaler. A handle that was set
+// decodes detached — no scheduler, its slot complemented — so until
+// Scheduler.Attach it is inactive and exports as unset, which is how a
+// forgotten Attach shows up in a round-trip test.
+func (t *Timer) UnmarshalJSON(b []byte) error {
+	var a *[3]int64
+	if err := json.Unmarshal(b, &a); err != nil {
+		return fmt.Errorf("sim: timer %s is not [slot,gen,at]: %w", b, err)
+	}
+	*t = Timer{}
+	if a != nil {
+		if a[0] < 0 || a[0] > math.MaxInt32 || a[1] < 0 || a[1] > math.MaxUint32 {
+			return fmt.Errorf("%w: timer %s", ErrSlotRange, b)
+		}
+		*t = Timer{slot: ^int32(a[0]), gen: uint32(a[1]), at: Time(a[2])}
+	}
+	return nil
+}
+
+// Attach points timers decoded from a checkpoint at s. It must run after
+// s.RestoreState so the slot generations line up; Active and Stop then
+// behave exactly as they did at capture time. Timers that were not set
+// stay zero, and one naming a slot beyond s's table is refused.
+func (s *Scheduler) Attach(timers ...*Timer) error {
+	for _, t := range timers {
+		if t.s != nil || t.slot >= 0 {
+			continue
+		}
+		if slot := ^t.slot; int(slot) >= len(s.slots) {
+			return fmt.Errorf("%w: timer names slot %d of %d", ErrSlotRange, slot, len(s.slots))
+		}
+		t.s = s
+		t.slot = ^t.slot
+	}
+	return nil
+}
 
 // EventRecord is one agenda event in checkpoint form. Target and Arg
 // are encoded by the owning component (the scheduler cannot name
@@ -89,36 +152,47 @@ func (s *Scheduler) ExportState(encode EncodeFunc) (SchedulerState, error) {
 		}
 		st.Events = append(st.Events, EventRecord{At: ev.at, Seq: ev.seq, Slot: ev.slot, Owner: owner, Arg: arg})
 	}
-	sort.Slice(st.Events, func(i, j int) bool {
-		a, b := &st.Events[i], &st.Events[j]
-		if a.At != b.At {
-			return a.At < b.At
-		}
-		return a.Seq < b.Seq
-	})
+	slices.SortFunc(st.Events, func(a, b EventRecord) int { return cmp.Or(cmp.Compare(a.At, b.At), cmp.Compare(a.Seq, b.Seq)) })
 	return st, nil
 }
 
 // RestoreState replaces the scheduler's entire state with st. Whatever
 // the skeleton construction scheduled beforehand is discarded: after
 // RestoreState the agenda, clock, slot table and counters are exactly
-// those captured by ExportState. Component Timers must be re-pointed
-// separately via RestoreTimer, against the slot generations restored
-// here.
+// those captured by ExportState. Component Timers are pointed at the
+// restored table separately, through Attach. Every slot must be held by
+// at most one event or listed free exactly once, and never both.
 func (s *Scheduler) RestoreState(st SchedulerState, decode DecodeFunc) error {
+	const held, free = 1, 2
+	use := make([]byte, len(st.SlotGens))
 	events := make([]event, 0, len(st.Events))
 	for _, rec := range st.Events {
 		target, arg, err := decode(rec.Owner, rec.Arg)
 		if err != nil {
 			return fmt.Errorf("sim: decoding event at %v (seq %d, owner %q): %w", rec.At, rec.Seq, rec.Owner, err)
 		}
-		if rec.Slot >= 0 && int(rec.Slot) >= len(st.SlotGens) {
-			return fmt.Errorf("sim: event seq %d references slot %d beyond table size %d", rec.Seq, rec.Slot, len(st.SlotGens))
-		}
-		if rec.At < st.Now {
+		switch {
+		case rec.At < st.Now:
 			return fmt.Errorf("sim: event seq %d at %v is before the checkpointed clock %v", rec.Seq, rec.At, st.Now)
+		case rec.Slot < -1 || int(rec.Slot) >= len(use):
+			return fmt.Errorf("%w: event seq %d holds slot %d of %d", ErrSlotRange, rec.Seq, rec.Slot, len(use))
+		case rec.Slot >= 0 && use[rec.Slot] != 0:
+			return fmt.Errorf("%w: slot %d held by a second event (seq %d)", ErrSlotTwice, rec.Slot, rec.Seq)
+		case rec.Slot >= 0:
+			use[rec.Slot] = held
 		}
 		events = append(events, event{at: rec.At, seq: rec.Seq, target: target, arg: arg, slot: rec.Slot})
+	}
+	for _, f := range st.FreeSlots {
+		switch {
+		case f < 0 || int(f) >= len(use):
+			return fmt.Errorf("%w: free slot %d of %d", ErrSlotRange, f, len(use))
+		case use[f] == free:
+			return fmt.Errorf("%w: slot %d listed free twice", ErrSlotTwice, f)
+		case use[f] == held:
+			return fmt.Errorf("%w: slot %d", ErrSlotLive, f)
+		}
+		use[f] = free
 	}
 	slots := make([]slotEntry, len(st.SlotGens))
 	for i, gen := range st.SlotGens {
@@ -143,36 +217,4 @@ func (s *Scheduler) RestoreState(st SchedulerState, decode DecodeFunc) error {
 		}
 	}
 	return nil
-}
-
-// TimerState is a Timer handle in checkpoint form. Set distinguishes a
-// timer that has been armed at least once (its slot/gen are meaningful
-// against the owning scheduler's slot table) from a zero-valued one.
-type TimerState struct {
-	Set  bool   `json:"set,omitempty"`
-	Slot int32  `json:"slot,omitempty"`
-	Gen  uint32 `json:"gen,omitempty"`
-	At   Time   `json:"at,omitempty"`
-}
-
-// State captures the timer handle for a checkpoint. Whether the timer
-// is pending is not stored: Active is derived from the scheduler's
-// slot table, which the checkpoint restores exactly.
-func (t *Timer) State() TimerState {
-	if t == nil || t.s == nil {
-		return TimerState{}
-	}
-	return TimerState{Set: true, Slot: t.slot, Gen: t.gen, At: t.at}
-}
-
-// RestoreTimer re-points a component-owned timer at this scheduler
-// from its checkpointed state. It must run after RestoreState so the
-// slot generations line up; Active and Stop then behave exactly as
-// they did at capture time.
-func (s *Scheduler) RestoreTimer(tm *Timer, st TimerState) {
-	if !st.Set {
-		*tm = Timer{}
-		return
-	}
-	*tm = Timer{s: s, slot: st.Slot, gen: st.Gen, at: st.At}
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"reflect"
 	"strconv"
@@ -79,7 +80,7 @@ func TestSchedulerExportRestoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tmSt := tm.State()
+	tmJSON := marshalTimer(t, tm)
 	preLen := len(logA) // events A already fired before the cut
 
 	// The restore target has its own junk agenda that must vanish.
@@ -93,8 +94,7 @@ func TestSchedulerExportRestoreRoundTrip(t *testing.T) {
 	if err := b.RestoreState(st, decB); err != nil {
 		t.Fatal(err)
 	}
-	var tm2 Timer
-	b.RestoreTimer(&tm2, tmSt)
+	tm2 := attachTimer(t, b, tmJSON)
 
 	if b.Now() != a.Now() {
 		t.Fatalf("clock %v vs %v", b.Now(), a.Now())
@@ -131,7 +131,7 @@ func TestSchedulerRestoreTimerStop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tmSt := tm.State()
+	tmJSON := marshalTimer(t, tm)
 
 	b := NewScheduler()
 	hb := newRec(b, &log, "x")
@@ -139,8 +139,7 @@ func TestSchedulerRestoreTimerStop(t *testing.T) {
 	if err := b.RestoreState(st, dec); err != nil {
 		t.Fatal(err)
 	}
-	var tm2 Timer
-	b.RestoreTimer(&tm2, tmSt)
+	tm2 := attachTimer(t, b, tmJSON)
 	if !tm2.Stop() {
 		t.Fatal("restored timer failed to cancel its event")
 	}
@@ -198,22 +197,121 @@ func TestSchedulerStateJSONStable(t *testing.T) {
 	}
 }
 
-// TestRNGStateRoundTrip: SetState(State()) continues the stream exactly.
+// TestRNGStateRoundTrip: an RNG decoded from its JSON form continues
+// the stream exactly.
 func TestRNGStateRoundTrip(t *testing.T) {
 	r := NewRNG(12345)
 	for i := 0; i < 10; i++ {
 		r.Uint64()
 	}
-	saved := r.State()
+	saved, err := json.Marshal(r)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var want []uint64
 	for i := 0; i < 10; i++ {
 		want = append(want, r.Uint64())
 	}
 	r2 := NewRNG(1)
-	r2.SetState(saved)
+	if err := json.Unmarshal(saved, r2); err != nil {
+		t.Fatal(err)
+	}
 	for i, w := range want {
 		if g := r2.Uint64(); g != w {
 			t.Fatalf("draw %d: %s vs %s", i, strconv.FormatUint(g, 16), strconv.FormatUint(w, 16))
 		}
 	}
+}
+
+// marshalTimer encodes a timer handle as a component's state struct
+// would store it.
+func marshalTimer(t *testing.T, tm *Timer) []byte {
+	t.Helper()
+	b, err := json.Marshal(tm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// attachTimer decodes a stored handle and attaches it to s.
+func attachTimer(t *testing.T, s *Scheduler, b []byte) *Timer {
+	t.Helper()
+	tm := new(Timer)
+	if err := json.Unmarshal(b, tm); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Attach(tm); err != nil {
+		t.Fatal(err)
+	}
+	return tm
+}
+
+// TestTimerDetachedUntilAttached: a decoded handle exports as unset
+// until it is attached — a round trip that forgets Attach changes bytes
+// — and a never-set handle stays zero through the whole cycle.
+func TestTimerDetachedUntilAttached(t *testing.T) {
+	s := NewScheduler()
+	tm := s.AfterHandler(Time(9), funcRunner{}, func() {})
+	orig := marshalTimer(t, tm)
+	var dec Timer
+	if err := json.Unmarshal(orig, &dec); err != nil {
+		t.Fatal(err)
+	}
+	if got := marshalTimer(t, &dec); string(got) != "null" || dec.Active() || dec.Stop() {
+		t.Fatalf("detached timer exports %s, active %v; want an inactive, unset handle", got, dec.Active())
+	}
+	if err := s.Attach(&dec); err != nil {
+		t.Fatal(err)
+	}
+	if got := marshalTimer(t, &dec); string(got) != string(orig) {
+		t.Fatalf("attached timer exports %s, want %s", got, orig)
+	}
+	var zero Timer
+	if err := json.Unmarshal(marshalTimer(t, &zero), &zero); err != nil || s.Attach(&zero) != nil || zero != (Timer{}) {
+		t.Fatalf("unset timer did not stay zero: %+v, %v", zero, err)
+	}
+}
+
+// TestSchedulerRestoreRejectsBadSlots is the slot-table damage table: a
+// checkpoint that lists a free slot out of range, twice, or while an
+// event holds it, an event holding a slot beyond the table or one
+// another event holds, and a timer naming a slot the restored table does
+// not have all fail with their typed error instead of panicking on the
+// first ResetAfter or Stop after the resume.
+func TestSchedulerRestoreRejectsBadSlots(t *testing.T) {
+	h := &recHandler{name: "x", log: new([]string)}
+	dec := func(string, json.RawMessage) (EventHandler, any, error) { return h, 0, nil }
+	ev := func(slot int32) EventRecord { return EventRecord{At: 5, Seq: uint64(slot + 2), Slot: slot, Owner: "x"} }
+	for _, tc := range []struct {
+		name string
+		st   SchedulerState
+		want error
+	}{
+		{"free slot beyond a one-entry table", SchedulerState{SlotGens: []uint32{0}, FreeSlots: []int32{99}}, ErrSlotRange},
+		{"negative free slot", SchedulerState{SlotGens: []uint32{0}, FreeSlots: []int32{-1}}, ErrSlotRange},
+		{"free slot listed twice", SchedulerState{SlotGens: []uint32{0, 0}, FreeSlots: []int32{1, 1}}, ErrSlotTwice},
+		{"free slot held by an event", SchedulerState{SlotGens: []uint32{0}, FreeSlots: []int32{0}, Events: []EventRecord{ev(0)}}, ErrSlotLive},
+		{"event slot beyond the table", SchedulerState{SlotGens: []uint32{0}, Events: []EventRecord{ev(3)}}, ErrSlotRange},
+		{"slot held by two events", SchedulerState{SlotGens: []uint32{0}, Events: []EventRecord{ev(0), ev(0)}}, ErrSlotTwice},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := NewScheduler().RestoreState(tc.st, dec); !errors.Is(err, tc.want) {
+				t.Fatalf("RestoreState = %v, want %v", err, tc.want)
+			}
+		})
+	}
+	t.Run("timer slot beyond an empty table", func(t *testing.T) {
+		var tm Timer
+		if err := json.Unmarshal([]byte(`[7,0,0]`), &tm); err != nil {
+			t.Fatal(err)
+		}
+		s := NewScheduler()
+		if err := s.RestoreState(SchedulerState{}, dec); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Attach(&tm); !errors.Is(err, ErrSlotRange) {
+			t.Fatalf("Attach = %v, want %v", err, ErrSlotRange)
+		}
+	})
 }

@@ -254,7 +254,17 @@ func FuzzScheduler(f *testing.F) {
 					t.Fatal(err)
 				}
 				for ti := range timers {
-					fresh.RestoreTimer(&timers[ti], timers[ti].State())
+					b, err := json.Marshal(&timers[ti])
+					if err != nil {
+						t.Fatal(err)
+					}
+					timers[ti] = Timer{}
+					if err := json.Unmarshal(b, &timers[ti]); err != nil {
+						t.Fatal(err)
+					}
+					if err := fresh.Attach(&timers[ti]); err != nil {
+						t.Fatal(err)
+					}
 				}
 				if fresh.Now() != s.Now() || fresh.Fired() != s.Fired() {
 					t.Fatalf("restored clock/fired %v/%d, want %v/%d", fresh.Now(), fresh.Fired(), s.Now(), s.Fired())

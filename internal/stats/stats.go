@@ -10,87 +10,91 @@ import (
 )
 
 // Dist accumulates float64 samples and answers order statistics.
-// The zero value is ready to use.
+// The zero value is ready to use. Its fields are its checkpoint form and
+// exported only for encoding/json: the samples in their current order
+// (Percentile sorts in place, and a resumed run must hold the same
+// memory state, not just the same multiset) and whether that order is
+// sorted. Change them through Add.
 type Dist struct {
-	xs     []float64
-	sorted bool
+	Xs      []float64 `json:"xs,omitempty"`
+	InOrder bool      `json:"sorted,omitempty"`
 }
 
 // Add appends a sample.
 func (d *Dist) Add(v float64) {
-	d.xs = append(d.xs, v)
-	d.sorted = false
+	d.Xs = append(d.Xs, v)
+	d.InOrder = false
 }
 
 // AddAll appends many samples.
 func (d *Dist) AddAll(vs []float64) {
-	d.xs = append(d.xs, vs...)
-	d.sorted = false
+	d.Xs = append(d.Xs, vs...)
+	d.InOrder = false
 }
 
 // N returns the sample count.
-func (d *Dist) N() int { return len(d.xs) }
+func (d *Dist) N() int { return len(d.Xs) }
 
 // Mean returns the sample mean, or 0 for an empty distribution.
 func (d *Dist) Mean() float64 {
-	if len(d.xs) == 0 {
+	if len(d.Xs) == 0 {
 		return 0
 	}
 	var s float64
-	for _, v := range d.xs {
+	for _, v := range d.Xs {
 		s += v
 	}
-	return s / float64(len(d.xs))
+	return s / float64(len(d.Xs))
 }
 
 // Std returns the population standard deviation.
 func (d *Dist) Std() float64 {
-	n := len(d.xs)
+	n := len(d.Xs)
 	if n == 0 {
 		return 0
 	}
 	m := d.Mean()
 	var ss float64
-	for _, v := range d.xs {
+	for _, v := range d.Xs {
 		ss += (v - m) * (v - m)
 	}
 	return math.Sqrt(ss / float64(n))
 }
 
 func (d *Dist) sort() {
-	if !d.sorted {
-		sort.Float64s(d.xs)
-		d.sorted = true
+	if !d.InOrder {
+		sort.Float64s(d.Xs)
+		d.InOrder = true
 	}
 }
 
 // Percentile returns the p-th percentile (0 ≤ p ≤ 100) using linear
 // interpolation between order statistics. Empty distributions return 0.
 func (d *Dist) Percentile(p float64) float64 {
-	if len(d.xs) == 0 {
+	if len(d.Xs) == 0 {
 		return 0
 	}
 	d.sort()
 	if p <= 0 {
-		return d.xs[0]
+		return d.Xs[0]
 	}
 	if p >= 100 {
-		return d.xs[len(d.xs)-1]
+		return d.Xs[len(d.Xs)-1]
 	}
-	rank := p / 100 * float64(len(d.xs)-1)
+	rank := p / 100 * float64(len(d.Xs)-1)
 	lo := int(math.Floor(rank))
 	hi := int(math.Ceil(rank))
 	if lo == hi {
-		return d.xs[lo]
+		return d.Xs[lo]
 	}
 	frac := rank - float64(lo)
-	return d.xs[lo]*(1-frac) + d.xs[hi]*frac
+	return d.Xs[lo]*(1-frac) + d.Xs[hi]*frac
 }
 
 // Sorted returns a copy of the samples in ascending order.
 func (d *Dist) Sorted() []float64 {
 	d.sort()
-	return append([]float64(nil), d.xs...)
+	return append([]float64(nil), d.Xs...)
 }
 
 // Median returns the 50th percentile.
@@ -105,12 +109,12 @@ func (d *Dist) Max() float64 { return d.Percentile(100) }
 // FractionBelow returns the empirical CDF value at x: the fraction of
 // samples ≤ x.
 func (d *Dist) FractionBelow(x float64) float64 {
-	if len(d.xs) == 0 {
+	if len(d.Xs) == 0 {
 		return 0
 	}
 	d.sort()
-	i := sort.SearchFloat64s(d.xs, math.Nextafter(x, math.Inf(1)))
-	return float64(i) / float64(len(d.xs))
+	i := sort.SearchFloat64s(d.Xs, math.Nextafter(x, math.Inf(1)))
+	return float64(i) / float64(len(d.Xs))
 }
 
 // CDFPoint is one (value, cumulative fraction) pair.
@@ -122,9 +126,9 @@ type CDFPoint struct {
 // CDF returns the full empirical CDF, one point per sample.
 func (d *Dist) CDF() []CDFPoint {
 	d.sort()
-	out := make([]CDFPoint, len(d.xs))
-	for i, v := range d.xs {
-		out[i] = CDFPoint{X: v, P: float64(i+1) / float64(len(d.xs))}
+	out := make([]CDFPoint, len(d.Xs))
+	for i, v := range d.Xs {
+		out[i] = CDFPoint{X: v, P: float64(i+1) / float64(len(d.Xs))}
 	}
 	return out
 }
@@ -132,7 +136,7 @@ func (d *Dist) CDF() []CDFPoint {
 // Values returns a copy of the samples in sorted order.
 func (d *Dist) Values() []float64 {
 	d.sort()
-	return append([]float64(nil), d.xs...)
+	return append([]float64(nil), d.Xs...)
 }
 
 // Window is a measurement interval in virtual time: samples outside
@@ -180,8 +184,9 @@ func Jain(xs []float64) float64 {
 // the goodput Meter treats the same delivery.
 type Latency struct {
 	// W bounds which deliveries are recorded.
-	W Window
-	d Dist
+	W Window `json:"w"`
+	// D holds the recorded delays (see Dist).
+	D Dist `json:"d"`
 }
 
 // Record adds one packet's delay if its delivery instant now falls
@@ -190,29 +195,29 @@ func (l *Latency) Record(now sim.Time, delay sim.Time) {
 	if !l.W.Contains(now) {
 		return
 	}
-	l.d.Add(float64(delay) / float64(sim.Millisecond))
+	l.D.Add(float64(delay) / float64(sim.Millisecond))
 }
 
 // N returns the number of recorded deliveries.
-func (l *Latency) N() int { return l.d.N() }
+func (l *Latency) N() int { return l.D.N() }
 
 // P50 returns the median delay in milliseconds.
-func (l *Latency) P50() float64 { return l.d.Percentile(50) }
+func (l *Latency) P50() float64 { return l.D.Percentile(50) }
 
 // P95 returns the 95th-percentile delay in milliseconds.
-func (l *Latency) P95() float64 { return l.d.Percentile(95) }
+func (l *Latency) P95() float64 { return l.D.Percentile(95) }
 
 // P99 returns the 99th-percentile delay in milliseconds.
-func (l *Latency) P99() float64 { return l.d.Percentile(99) }
+func (l *Latency) P99() float64 { return l.D.Percentile(99) }
 
 // Dist exposes the underlying sample distribution (milliseconds).
-func (l *Latency) Dist() *Dist { return &l.d }
+func (l *Latency) Dist() *Dist { return &l.D }
 
 // Merge folds another recorder's samples into this one (window
 // filtering already happened at Record time).
 func (l *Latency) Merge(o *Latency) {
 	if o != nil {
-		l.d.AddAll(o.d.xs)
+		l.D.AddAll(o.D.Xs)
 	}
 }
 
@@ -222,9 +227,12 @@ func (l *Latency) Merge(o *Latency) {
 // caller's job (the link layers know their sequence spaces).
 type Meter struct {
 	// Start and End bound the measurement window.
-	Start, End sim.Time
-	packets    uint64
-	bytes      uint64
+	Start sim.Time `json:"start"`
+	End   sim.Time `json:"end"`
+	// Count and Bytes total what was recorded inside the window; they are
+	// exported for encoding/json and changed through Record.
+	Count uint64 `json:"packets"`
+	Bytes uint64 `json:"bytes"`
 }
 
 // Record counts one delivered non-duplicate packet of the given payload
@@ -233,12 +241,12 @@ func (m *Meter) Record(now sim.Time, payloadBytes int) {
 	if now < m.Start || now > m.End {
 		return
 	}
-	m.packets++
-	m.bytes += uint64(payloadBytes)
+	m.Count++
+	m.Bytes += uint64(payloadBytes)
 }
 
 // Packets returns the number of packets recorded.
-func (m *Meter) Packets() uint64 { return m.packets }
+func (m *Meter) Packets() uint64 { return m.Count }
 
 // Mbps returns the measured goodput in megabits per second.
 func (m *Meter) Mbps() float64 {
@@ -246,7 +254,7 @@ func (m *Meter) Mbps() float64 {
 	if window <= 0 {
 		return 0
 	}
-	return float64(m.bytes) * 8 / window / 1e6
+	return float64(m.Bytes) * 8 / window / 1e6
 }
 
 // Ratio is a convenience counter for success fractions.

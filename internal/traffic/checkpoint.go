@@ -3,70 +3,32 @@ package traffic
 import (
 	"encoding/json"
 	"fmt"
-
-	"repro/internal/sim"
 )
 
-// Checkpoint surface of an arrival source. The spec, queue binding and
-// derived rate parameters are structural (the resumer rebuilds the
-// source through NewSource with the same spec); the state below is the
-// process position: phase flags, the three timers, the arrival-time
-// ring and the RNG stream. The ring is captured in full — delivered
-// packets look their arrival times up long after acceptance, so its
-// stale slots are still live data.
+// Checkpoint surface of an arrival source: the embedded state struct is
+// stored as it is, and the resumer rebuilds everything structural
+// through NewSource with the same spec. It implements
+// checkpoint.Component.
 
-// SourceState is a Source in checkpoint form.
-type SourceState struct {
-	On      bool           `json:"on,omitempty"`
-	Up      bool           `json:"up,omitempty"`
-	Started bool           `json:"started,omitempty"`
-	Arrival sim.TimerState `json:"arrival,omitempty"`
-	Phase   sim.TimerState `json:"phase,omitempty"`
-	Churn   sim.TimerState `json:"churn,omitempty"`
-	Times   []sim.Time     `json:"times,omitempty"`
-	Mask    uint32         `json:"mask,omitempty"`
-	Stat    Stats          `json:"stat"`
-	RNG     uint64         `json:"rng"`
-}
+// ExportState marshals the source's state.
+func (s *Source) ExportState() (json.RawMessage, error) { return json.Marshal(&s.state) }
 
-// ExportState captures the source's mutable state.
-func (s *Source) ExportState() (json.RawMessage, error) {
-	st := SourceState{
-		On:      s.on,
-		Up:      s.up,
-		Started: s.started,
-		Arrival: s.arrivalTimer.State(),
-		Phase:   s.phaseTimer.State(),
-		Churn:   s.churnTimer.State(),
-		Times:   s.times,
-		Mask:    s.mask,
-		Stat:    s.stat,
-		RNG:     s.rng.State(),
-	}
-	return json.Marshal(st)
-}
-
-// RestoreState overwrites the source's mutable state. It must run
-// after the scheduler's RestoreState so the timer handles re-point
-// against the restored slot generations.
+// RestoreState replaces the source's state. It must run after the
+// scheduler's RestoreState so the timers attach to the restored slot
+// table. An arrival ring whose length is not Mask+1 is refused: arrive
+// would index past it.
 func (s *Source) RestoreState(enc json.RawMessage) error {
-	var st SourceState
+	var st state
 	if err := json.Unmarshal(enc, &st); err != nil {
 		return fmt.Errorf("traffic: source state: %w", err)
 	}
-	s.on = st.On
-	s.up = st.Up
-	s.started = st.Started
-	s.sched.RestoreTimer(&s.arrivalTimer, st.Arrival)
-	s.sched.RestoreTimer(&s.phaseTimer, st.Phase)
-	s.sched.RestoreTimer(&s.churnTimer, st.Churn)
-	s.times = nil
-	if len(st.Times) > 0 {
-		s.times = append([]sim.Time(nil), st.Times...)
+	if st.Times != nil && len(st.Times) != int(st.Mask)+1 {
+		return fmt.Errorf("traffic: arrival ring of %d slots under mask %#x", len(st.Times), st.Mask)
 	}
-	s.mask = st.Mask
-	s.stat = st.Stat
-	s.rng.SetState(st.RNG)
+	if err := s.sched.Attach(&st.Arrival, &st.Phase, &st.Churn); err != nil {
+		return fmt.Errorf("traffic: source timers: %w", err)
+	}
+	s.state = st
 	return nil
 }
 
@@ -77,14 +39,14 @@ func (s *Source) EncodeEventArg(arg any) (json.RawMessage, error) {
 	if !ok {
 		return nil, fmt.Errorf("traffic: source holds unencodable event arg %T", arg)
 	}
-	return json.Marshal(int(ev))
+	return json.Marshal(ev)
 }
 
 // DecodeEventArg inverts EncodeEventArg.
 func (s *Source) DecodeEventArg(enc json.RawMessage) (any, error) {
-	var ev int
+	var ev srcEvent
 	if err := json.Unmarshal(enc, &ev); err != nil {
 		return nil, fmt.Errorf("traffic: source event arg: %w", err)
 	}
-	return srcEvent(ev), nil
+	return ev, nil
 }

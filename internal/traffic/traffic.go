@@ -248,7 +248,6 @@ const (
 // way the transmit path is.
 type Source struct {
 	sched *sim.Scheduler
-	rng   *sim.RNG
 	spec  Spec
 	q     Enqueuer
 	dst   int
@@ -257,22 +256,32 @@ type Source struct {
 	burst     int
 	cap       int
 
-	on, up  bool
-	started bool
+	state
+}
 
-	arrivalTimer sim.Timer
-	phaseTimer   sim.Timer
-	churnTimer   sim.Timer
+// state is a Source's process position and its checkpoint form: phase
+// flags, the three timers, the arrival-time ring and the RNG stream. The
+// spec, queue binding and rate parameters above it are structural. The
+// ring is stored in full — delivered packets look their arrival times up
+// long after acceptance, so its stale slots are still live data.
+type state struct {
+	On      bool      `json:"on,omitempty"`
+	Up      bool      `json:"up,omitempty"`
+	Started bool      `json:"started,omitempty"`
+	Arrival sim.Timer `json:"arrival"`
+	Phase   sim.Timer `json:"phase"`
+	Churn   sim.Timer `json:"churn"`
 
-	// times is the arrival-time ring for latency measurement, indexed by
-	// accepted-packet sequence & mask (power-of-two length). The k-th
+	// Times is the arrival-time ring for latency measurement, indexed by
+	// accepted-packet sequence & Mask (power-of-two length). The k-th
 	// accepted packet becomes the flow's k-th link-layer sequence number
 	// in both MACs, so a receiver can look its arrival time up by the
 	// delivered frame's seq. Nil unless EnableLatency was called.
-	times []sim.Time
-	mask  uint32
+	Times []sim.Time `json:"times,omitempty"`
+	Mask  uint32     `json:"mask,omitempty"`
 
-	stat Stats
+	Stat Stats   `json:"stat"`
+	RNG  sim.RNG `json:"rng"`
 }
 
 // NewSource binds an arrival process to q's queue towards dst, drawing
@@ -289,7 +298,7 @@ func NewSource(sched *sim.Scheduler, rng *sim.RNG, spec Spec, q Enqueuer, dst in
 	b := spec.burst()
 	return &Source{
 		sched:     sched,
-		rng:       rng,
+		state:     state{RNG: *rng},
 		spec:      spec,
 		q:         q,
 		dst:       dst,
@@ -320,52 +329,52 @@ func (s *Source) EnableLatency(windowPackets int) {
 		// not be indexed consistently by wrapped sequence numbers.
 		size = 1 << 16
 	}
-	s.times = make([]sim.Time, size)
-	s.mask = uint32(size - 1)
+	s.Times = make([]sim.Time, size)
+	s.Mask = uint32(size - 1)
 }
 
 // Start arms the first arrival (and, when configured, the ON/OFF and
 // churn clocks). The first packet arrives after one inter-arrival draw,
 // not at time zero, so desynchronised flows stay desynchronised.
 func (s *Source) Start() {
-	if s.started {
+	if s.Started {
 		panic("traffic: Source started twice")
 	}
-	s.started = true
-	s.up = true
-	s.on = true
-	s.stat.Sessions = 1
+	s.Started = true
+	s.Up = true
+	s.On = true
+	s.Stat.Sessions = 1
 	if s.spec.churns() {
-		s.sched.ResetAfter(&s.churnTimer, s.exp(s.spec.UpMean), s, evChurn)
+		s.sched.ResetAfter(&s.Churn, s.exp(s.spec.UpMean), s, evChurn)
 	}
 	if s.spec.Kind == OnOff {
 		on, _ := s.spec.onOffMeans()
-		s.sched.ResetAfter(&s.phaseTimer, s.exp(on), s, evPhase)
+		s.sched.ResetAfter(&s.Phase, s.exp(on), s, evPhase)
 	}
 	s.armArrival()
 }
 
 // Stats returns a copy of the arrival counters.
-func (s *Source) Stats() Stats { return s.stat }
+func (s *Source) Stats() Stats { return s.Stat }
 
 // Spec returns the workload this source runs.
 func (s *Source) Spec() Spec { return s.spec }
 
 // Accepted returns how many packets have entered the queue so far.
-func (s *Source) Accepted() uint64 { return s.stat.Accepted }
+func (s *Source) Accepted() uint64 { return s.Stat.Accepted }
 
 // ArrivalTime returns when the packet that became flow sequence number
 // seq arrived, and whether the ring still holds it. Valid only after
 // EnableLatency; sequence numbers wrap consistently because the ring
 // length divides the 16-bit DCF sequence space.
 func (s *Source) ArrivalTime(seq uint32) (sim.Time, bool) {
-	if s.times == nil {
+	if s.Times == nil {
 		return 0, false
 	}
-	if uint64(seq) >= s.stat.Accepted && s.stat.Accepted <= uint64(s.mask) {
+	if uint64(seq) >= s.Stat.Accepted && s.Stat.Accepted <= uint64(s.Mask) {
 		return 0, false // never accepted (pre-wrap; afterwards age guards)
 	}
-	return s.times[seq&s.mask], true
+	return s.Times[seq&s.Mask], true
 }
 
 // HandleEvent implements sim.EventHandler: the three fixed timers
@@ -384,26 +393,26 @@ func (s *Source) HandleEvent(arg any) {
 // arrive is the hot path: one batch of packets hits the queue and the
 // next arrival is drawn. No allocation happens anywhere on it.
 func (s *Source) arrive() {
-	if !s.up || !s.on {
+	if !s.Up || !s.On {
 		return // stale fire across a transition; transitions stop the timer
 	}
-	s.stat.Offered += uint64(s.burst)
+	s.Stat.Offered += uint64(s.burst)
 	k := s.burst
 	if room := s.cap - s.q.Backlog(s.dst); k > room {
 		k = room
 	}
 	if k > 0 {
-		if s.times != nil {
+		if s.Times != nil {
 			for i := 0; i < k; i++ {
-				s.times[uint32(s.stat.Accepted+uint64(i))&s.mask] = s.sched.Now()
+				s.Times[uint32(s.Stat.Accepted+uint64(i))&s.Mask] = s.sched.Now()
 			}
 		}
-		s.stat.Accepted += uint64(k)
+		s.Stat.Accepted += uint64(k)
 		s.q.Enqueue(s.dst, k)
 	} else {
 		k = 0
 	}
-	s.stat.Dropped += uint64(s.burst - k)
+	s.Stat.Dropped += uint64(s.burst - k)
 	s.armArrival()
 }
 
@@ -412,28 +421,28 @@ func (s *Source) armArrival() {
 	var gap sim.Time
 	switch s.spec.Kind {
 	case Poisson:
-		gap = sim.Time(s.rng.ExpFloat64() * s.meanGapNs)
+		gap = sim.Time(s.RNG.ExpFloat64() * s.meanGapNs)
 	default: // CBR and the ON periods of OnOff: deterministic spacing
 		gap = sim.Time(s.meanGapNs)
 	}
 	if gap < 1 {
 		gap = 1
 	}
-	s.sched.ResetAfter(&s.arrivalTimer, gap, s, evArrive)
+	s.sched.ResetAfter(&s.Arrival, gap, s, evArrive)
 }
 
 // phaseFlip toggles the OnOff burst state.
 func (s *Source) phaseFlip() {
 	on, off := s.spec.onOffMeans()
-	s.on = !s.on
-	if s.on {
-		s.sched.ResetAfter(&s.phaseTimer, s.exp(on), s, evPhase)
-		if s.up {
+	s.On = !s.On
+	if s.On {
+		s.sched.ResetAfter(&s.Phase, s.exp(on), s, evPhase)
+		if s.Up {
 			s.armArrival()
 		}
 	} else {
-		s.arrivalTimer.Stop()
-		s.sched.ResetAfter(&s.phaseTimer, s.exp(off), s, evPhase)
+		s.Arrival.Stop()
+		s.sched.ResetAfter(&s.Phase, s.exp(off), s, evPhase)
 	}
 }
 
@@ -441,27 +450,27 @@ func (s *Source) phaseFlip() {
 // (its queue keeps draining); a fresh session restarts the arrival
 // process, in the ON phase for OnOff flows.
 func (s *Source) churnFlip() {
-	s.up = !s.up
-	if s.up {
-		s.stat.Sessions++
-		s.sched.ResetAfter(&s.churnTimer, s.exp(s.spec.UpMean), s, evChurn)
+	s.Up = !s.Up
+	if s.Up {
+		s.Stat.Sessions++
+		s.sched.ResetAfter(&s.Churn, s.exp(s.spec.UpMean), s, evChurn)
 		if s.spec.Kind == OnOff {
-			s.on = true
-			s.phaseTimer.Stop()
+			s.On = true
+			s.Phase.Stop()
 			on, _ := s.spec.onOffMeans()
-			s.sched.ResetAfter(&s.phaseTimer, s.exp(on), s, evPhase)
+			s.sched.ResetAfter(&s.Phase, s.exp(on), s, evPhase)
 		}
 		s.armArrival()
 	} else {
-		s.arrivalTimer.Stop()
-		s.phaseTimer.Stop()
-		s.sched.ResetAfter(&s.churnTimer, s.exp(s.spec.DownMean), s, evChurn)
+		s.Arrival.Stop()
+		s.Phase.Stop()
+		s.sched.ResetAfter(&s.Churn, s.exp(s.spec.DownMean), s, evChurn)
 	}
 }
 
 // exp draws an exponential duration with the given mean (≥ 1 ns).
 func (s *Source) exp(mean sim.Time) sim.Time {
-	d := sim.Time(s.rng.ExpFloat64() * float64(mean))
+	d := sim.Time(s.RNG.ExpFloat64() * float64(mean))
 	if d < 1 {
 		d = 1
 	}
