@@ -22,8 +22,10 @@
 #                   interference path against its one-tier reference,
 #                   the shadowing screen against Loss, the mobility
 #                   spec parser, every layer's RestoreState through
-#                   damaged re-stamped checkpoints, the -arm/-arms
-#                   parser) beyond their seed corpora
+#                   damaged re-stamped checkpoints, the arm spec
+#                   parser and the -arms list parser, frame decoding)
+#                   beyond their seed corpora
+#   make loc        non-test Go lines outside bench/, the size ROADMAP tracks
 #   make conformance  the shared MAC conformance suite (every registered
 #                   arm: allocation, determinism, worker-equivalence and
 #                   conservation contracts) under the race detector
@@ -84,7 +86,7 @@ MAC_COVER_FLOOR ?= 85
 # shadowing branches silently skew every mobile figure.
 MOBILITY_COVER_FLOOR ?= 85
 
-.PHONY: build test test-full race bench check vet golden alloc-check bench-json profile bench-smoke docs-check fuzz-smoke conformance shard-conformance checkpoint-conformance mobility-conformance bench-guard cover ci
+.PHONY: build test test-full race bench check vet golden alloc-check bench-json profile bench-smoke docs-check fuzz-smoke loc conformance shard-conformance checkpoint-conformance mobility-conformance bench-guard cover ci
 
 build:
 	$(GO) build ./...
@@ -149,6 +151,12 @@ fuzz-smoke:
 	$(GO) test -timeout $(TEST_TIMEOUT) -run='^$$' -fuzz=FuzzParseSpec -fuzztime=5s ./internal/mobility
 	$(GO) test -timeout $(TEST_TIMEOUT) -run='^$$' -fuzz=FuzzRestoreState -fuzztime=5s ./internal/experiments
 	$(GO) test -timeout $(TEST_TIMEOUT) -run='^$$' -fuzz=FuzzParseArms -fuzztime=5s ./internal/experiments
+	$(GO) test -timeout $(TEST_TIMEOUT) -run='^$$' -fuzz=FuzzLookup -fuzztime=5s ./internal/mac
+	$(GO) test -timeout $(TEST_TIMEOUT) -run='^$$' -fuzz=FuzzFrameUnmarshal -fuzztime=5s ./internal/frame
+
+# Non-test Go lines outside bench/: the code-size number ROADMAP tracks.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.*' | xargs cat | wc -l
 
 # The shared MAC conformance suite under the race detector: every
 # registered arm's allocation (skipped under race), determinism,

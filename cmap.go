@@ -32,7 +32,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/csma"
 	"repro/internal/frame"
 	"repro/internal/geo"
@@ -125,17 +124,18 @@ func (nw *Network) RxPowerDBm(from, to int) float64 { return nw.med.RxPowerDBm(f
 // the testbed's topology-sampling helpers.
 func (nw *Network) Rand(label uint64) *sim.RNG { return nw.rng.Stream(label) }
 
-// Option configures a station at attach time.
+// Option configures a station at attach time. Options that do not apply
+// to the station's protocol are ignored; out-of-range values panic with
+// a *mac.SpecError.
 type Option func(*stationConfig)
 
+// stationConfig is a station's registry spec under construction: one
+// slot per family key in canonical order ("" keeps the default), plus
+// the cross-arm rate and payload.
 type stationConfig struct {
-	rate         phy.RateID
-	payload      int
-	carrierSense bool
-	linkACKs     bool
-	nvpkt        int
-	nwindow      int
-	perDest      bool
+	opt  mac.Options
+	cmap [3]string // win=N, vpkt=N, pdq
+	csma [2]string // nocs, noack
 }
 
 // WithRate selects the data bit-rate in Mb/s (6, 9, 12, 18, 24, 36, 48 or
@@ -144,7 +144,7 @@ func WithRate(mbps float64) Option {
 	return func(c *stationConfig) {
 		for _, r := range phy.Rates() {
 			if r.Mbps == mbps {
-				c.rate = r.ID
+				c.opt.Rate = r.ID
 				return
 			}
 		}
@@ -152,31 +152,37 @@ func WithRate(mbps float64) Option {
 	}
 }
 
-// WithPayload sets the application payload per packet in bytes.
+// WithPayload sets the application payload per packet in bytes (1 to
+// 65535).
 func WithPayload(bytes int) Option {
-	return func(c *stationConfig) { c.payload = bytes }
+	return func(c *stationConfig) {
+		if err := mac.CheckPayload(bytes); err != nil {
+			panic(err)
+		}
+		c.opt.Payload = bytes
+	}
 }
 
 // WithCarrierSense toggles physical carrier sense (DCF stations only).
 func WithCarrierSense(on bool) Option {
-	return func(c *stationConfig) { c.carrierSense = on }
+	return func(c *stationConfig) { c.csma[0] = flag("nocs", !on) }
 }
 
 // WithLinkACKs toggles link-layer ACKs and retransmission (DCF stations
 // only).
 func WithLinkACKs(on bool) Option {
-	return func(c *stationConfig) { c.linkACKs = on }
+	return func(c *stationConfig) { c.csma[1] = flag("noack", !on) }
 }
 
 // WithVirtualPacket sets CMAP's data packets per virtual packet (§4.1,
 // default 32).
 func WithVirtualPacket(n int) Option {
-	return func(c *stationConfig) { c.nvpkt = n }
+	return func(c *stationConfig) { c.cmap[1] = fmt.Sprintf("vpkt=%d", n) }
 }
 
 // WithWindow sets CMAP's send window in virtual packets (§3.3, default 8).
 func WithWindow(n int) Option {
-	return func(c *stationConfig) { c.nwindow = n }
+	return func(c *stationConfig) { c.cmap[0] = fmt.Sprintf("win=%d", n) }
 }
 
 // WithPerDestQueues enables the §3.2 optimisation on a CMAP station:
@@ -184,68 +190,65 @@ func WithWindow(n int) Option {
 // destination does not head-of-line block the others. Send may then be
 // called with multiple destinations.
 func WithPerDestQueues() Option {
-	return func(c *stationConfig) { c.perDest = true }
+	return func(c *stationConfig) { c.cmap[2] = "pdq" }
+}
+
+// flag spells a spec flag that is set, or nothing.
+func flag(key string, set bool) string {
+	if set {
+		return key
+	}
+	return ""
 }
 
 // Station is one attached node speaking either CMAP or 802.11 DCF,
-// driven through the arm-independent mac.Node surface. cm is the same
-// station as a CMAP node when it is one — needed only for the §3.6
-// targeted broadcast, which has no DCF counterpart.
+// driven through the arm-independent mac.Node surface; a CMAP station's
+// node is also a mac.Broadcaster, for the §3.6 targeted broadcast.
 type Station struct {
 	nw    *Network
 	id    int
 	node  mac.Node
-	cm    *core.Node
 	meter *stats.Meter
 }
 
-// configure checks that id is a free node of the network and applies
-// opts over the evaluation defaults.
-func (nw *Network) configure(id int, opts []Option) stationConfig {
+// attach checks that id is a free node of the network, applies opts
+// over the evaluation defaults and builds the station that family's
+// spec names through the registry.
+func (nw *Network) attach(id int, family string, opts []Option) *Station {
 	if id < 0 || id >= nw.med.NodeCount() {
 		panic(fmt.Sprintf("cmap: node %d outside network of %d nodes", id, nw.med.NodeCount()))
 	}
 	if _, dup := nw.stations[id]; dup {
 		panic(fmt.Sprintf("cmap: node %d already has a station", id))
 	}
-	c := stationConfig{rate: phy.Rate6Mbps, payload: 1400, carrierSense: true, linkACKs: true}
+	c := stationConfig{opt: mac.Options{Rate: phy.Rate6Mbps}}
 	for _, o := range opts {
 		o(&c)
 	}
-	return c
+	keys := c.csma[:]
+	if family == "cmap" {
+		keys = c.cmap[:]
+	}
+	spec := family
+	for _, k := range keys {
+		if k != "" {
+			spec += ":" + k
+		}
+	}
+	arm, err := mac.Lookup(spec)
+	if err != nil {
+		panic(err)
+	}
+	st := &Station{nw: nw, id: id, node: arm.New(id, nw.med, nw.rng.Stream(uint64(0xA000+id)), c.opt)}
+	nw.stations[id] = st
+	return st
 }
 
 // AddCMAP attaches a CMAP station to node id.
-func (nw *Network) AddCMAP(id int, opts ...Option) *Station {
-	c := nw.configure(id, opts)
-	cfg := core.DefaultConfig()
-	cfg.Rate = c.rate
-	cfg.PayloadBytes = c.payload
-	if c.nvpkt > 0 {
-		cfg.Nvpkt = c.nvpkt
-	}
-	if c.nwindow > 0 {
-		cfg.Nwindow = c.nwindow
-	}
-	cfg.PerDestQueues = c.perDest
-	cm := core.New(id, cfg, nw.med, nw.rng.Stream(uint64(0xA000+id)))
-	st := &Station{nw: nw, id: id, node: cm, cm: cm}
-	nw.stations[id] = st
-	return st
-}
+func (nw *Network) AddCMAP(id int, opts ...Option) *Station { return nw.attach(id, "cmap", opts) }
 
 // AddDCF attaches an 802.11 DCF baseline station to node id.
-func (nw *Network) AddDCF(id int, opts ...Option) *Station {
-	c := nw.configure(id, opts)
-	cfg := csma.DefaultConfig()
-	cfg.Rate = c.rate
-	cfg.PayloadBytes = c.payload
-	cfg.CarrierSense = c.carrierSense
-	cfg.LinkACKs = c.linkACKs
-	st := &Station{nw: nw, id: id, node: csma.New(id, cfg, nw.med, nw.rng.Stream(uint64(0xA000+id)))}
-	nw.stations[id] = st
-	return st
-}
+func (nw *Network) AddDCF(id int, opts ...Option) *Station { return nw.attach(id, "csma", opts) }
 
 // Station returns the station attached to id, or nil.
 func (nw *Network) Station(id int) *Station { return nw.stations[id] }
@@ -256,8 +259,8 @@ func (s *Station) ID() int { return s.id }
 // Saturate makes the station a backlogged source towards dst (or
 // Broadcast for a CMAP/DCF broadcast flow to everyone in range).
 func (s *Station) Saturate(dst int) {
-	if s.cm != nil && dst == Broadcast {
-		s.cm.SetBroadcast(s.broadcastTargets(), true, 0)
+	if b, ok := s.node.(mac.Broadcaster); ok && dst == Broadcast {
+		b.SetBroadcast(s.broadcastTargets(), true, 0)
 		return
 	}
 	s.node.SetSaturated(dst)
@@ -267,8 +270,8 @@ func (s *Station) Saturate(dst int) {
 // broadcast mode (after BroadcastTo), Send(Broadcast, n) queues the next
 // dissemination batch.
 func (s *Station) Send(dst int, count int) {
-	if s.cm != nil && dst == Broadcast {
-		s.cm.EnqueueBroadcast(count)
+	if b, ok := s.node.(mac.Broadcaster); ok && dst == Broadcast {
+		b.EnqueueBroadcast(count)
 		return
 	}
 	s.node.Enqueue(dst, count)
@@ -278,10 +281,11 @@ func (s *Station) Send(dst int, count int) {
 // (§3.6): count queued packets, or a saturated flow when saturated is
 // true. DCF stations broadcast with Saturate(Broadcast)/Send(Broadcast,n).
 func (s *Station) BroadcastTo(targets []int, saturated bool, count int) {
-	if s.cm == nil {
+	b, ok := s.node.(mac.Broadcaster)
+	if !ok {
 		panic("cmap: BroadcastTo requires a CMAP station")
 	}
-	s.cm.SetBroadcast(targets, saturated, count)
+	b.SetBroadcast(targets, saturated, count)
 }
 
 // broadcastTargets defaults to every other attached station.
@@ -320,29 +324,13 @@ func (s *Station) OnDeliver(fn func(src int, seq uint32, at time.Duration)) {
 // unacknowledged traffic (always false for saturated senders).
 func (s *Station) Idle() bool { return s.node.Idle() }
 
-// Stats is the protocol-agnostic subset of station counters.
-type Stats struct {
-	Delivered  uint64 // non-duplicate packets received for this station
-	Duplicates uint64
-	// CMAP-only counters (zero on DCF stations).
-	VirtualPacketsSent uint64
-	Defers             uint64 // conflict-map deferrals
-	DeferTableEntries  int
-	InterfererEntries  int
-}
+// Stats is the one per-station counter view every protocol exposes,
+// zero where a protocol has no such concept (DCF stations send no
+// virtual packets and keep no conflict map).
+type Stats = mac.Counters
 
 // Stats snapshots the station's counters.
-func (s *Station) Stats() Stats {
-	c := s.node.Counters()
-	return Stats{
-		Delivered:          c.Delivered,
-		Duplicates:         c.Duplicates,
-		VirtualPacketsSent: c.VpktsSent,
-		Defers:             c.Defers,
-		DeferTableEntries:  int(c.DeferEntries),
-		InterfererEntries:  int(c.InterfererEntries),
-	}
-}
+func (s *Station) Stats() Stats { return s.node.Counters() }
 
 // Addr returns the station's link-layer address.
 func (s *Station) Addr() frame.Addr { return frame.AddrFromID(s.id) }

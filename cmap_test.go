@@ -3,6 +3,8 @@ package cmap
 import (
 	"testing"
 	"time"
+
+	"repro/internal/mac"
 )
 
 // exposedLoss is the canonical Figure 1 exposed-terminal loss matrix:
@@ -70,6 +72,33 @@ func TestPublicAPIOptions(t *testing.T) {
 		}
 	}()
 	nw.AddCMAP(2, WithRate(7))
+}
+
+// TestPublicAPIOptionBounds pins one row per setting the façade once
+// accepted: payloads of −5 and 70000 bytes ran through a wrapped uint16
+// length field, a window of −1 and a virtual packet of 0 silently ran
+// the defaults, and 70000 packets per virtual packet wrapped Data.Index.
+// Each must now panic with the registry's typed error.
+func TestPublicAPIOptionBounds(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opt  Option
+	}{
+		{"payload=-5", WithPayload(-5)},
+		{"payload=70000", WithPayload(70000)},
+		{"win=-1", WithWindow(-1)},
+		{"vpkt=0", WithVirtualPacket(0)},
+		{"vpkt=70000", WithVirtualPacket(70000)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if _, ok := recover().(*mac.SpecError); !ok {
+					t.Error("did not panic with a *mac.SpecError")
+				}
+			}()
+			NewLossNetwork([][]float64{{0, 70}, {70, 0}}, 1).AddCMAP(0, tc.opt)
+		})
+	}
 }
 
 func TestPublicAPIFiniteTrafficAndDelivery(t *testing.T) {

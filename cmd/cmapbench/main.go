@@ -17,9 +17,12 @@
 // "mid" is the EXPERIMENTS.md scale (30 s runs); "quick" is CI-sized.
 //
 // -arms overrides the arm set of every protocol-comparison figure with
-// a comma-separated list of internal/mac registry names — any
+// a comma-separated list of internal/mac registry names and specs — any
 // registered arm qualifies, including cs@<dBm> carrier-sense-threshold
-// family members; `-arms list` prints every name. Figures keep their
+// members and cmap/csma specs, so `-arms csma,cmap:win=1,cmap:win=2,cmap`
+// is Figure 12's window sweep (a spec whose canonical form is a fixed
+// name runs as that arm: cmap:win=1 is cmap1). `-arms list` prints the
+// fixed names and the three family syntaxes. Figures keep their
 // paper-default arms when the flag is unset. The cssweep section (its
 // own figure, beyond the paper) sweeps the cs@<dBm> family across
 // exposed and hidden pairs and flags the threshold knee.
@@ -312,7 +315,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	seed := fl.Uint64("seed", 1, "master seed (same seed → identical numbers)")
 	scale := fl.String("scale", "mid", "quick | mid | paper")
 	only := fl.String("only", "", "comma-separated subset: "+strings.Join(keys, ","))
-	armList := fl.String("arms", "", "override figure arm sets with registry names (e.g. csma,cmap,rtscts,cs@-82); \"list\" prints all arms")
+	armList := fl.String("arms", "", "override figure arm sets with registry names or specs (e.g. csma,cmap,rtscts,cs@-82,cmap:win=2); \"list\" prints all arms")
 	trafficKind := fl.String("traffic", "", "arrival model for every figure: saturated | cbr | poisson | onoff (default saturated)")
 	loadList := fl.String("load", "0.5,1,2,4,8", "per-flow offered loads in Mb/s: the sweep uses the list, other figures the first value")
 	parallel := fl.Int("parallel", 0, "worker goroutines per experiment (0 = all CPUs, 1 = serial)")
@@ -550,24 +553,16 @@ func runAnalyticScreen(w io.Writer, opt experiments.Options, loads []float64, ve
 	if err != nil {
 		return err
 	}
-	type cell struct {
-		pred func(p experiments.ScreenPoint) float64
-		arm  experiments.Protocol
-	}
-	cells := []cell{
-		{func(p experiments.ScreenPoint) float64 { return p.PredCSMA }, experiments.CSMAOn},
-		{func(p experiments.ScreenPoint) float64 { return p.PredCMAP }, experiments.CMAP},
-	}
 	var flaggedErr, clearErr, worst float64
 	var flaggedN, clearN int
 	var worstAt string
 	for _, p := range screen.Points {
-		for _, c := range cells {
-			sim := simulated[p.Scenario][p.LoadMbps][c.arm]
+		for _, arm := range []experiments.Protocol{experiments.CSMAOn, experiments.CMAP} {
+			sim := simulated[p.Scenario][p.LoadMbps][arm]
 			if sim <= 0 {
 				continue
 			}
-			rel := math.Abs(c.pred(p)-sim) / sim
+			rel := math.Abs(p.Preds[arm]-sim) / sim
 			if p.Simulate {
 				flaggedErr += rel
 				flaggedN++
@@ -577,7 +572,7 @@ func runAnalyticScreen(w io.Writer, opt experiments.Options, loads []float64, ve
 			}
 			if rel > worst {
 				worst = rel
-				worstAt = fmt.Sprintf("%s load=%.2g %v", p.Scenario, p.LoadMbps, c.arm)
+				worstAt = fmt.Sprintf("%s load=%.2g %v", p.Scenario, p.LoadMbps, arm)
 			}
 		}
 	}

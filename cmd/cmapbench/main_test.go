@@ -36,11 +36,11 @@ func TestResolveArmsEmpty(t *testing.T) {
 }
 
 func TestResolveArmsKeepsOrder(t *testing.T) {
-	arms, err := experiments.ParseArms("rtscts, csma ,cs@-82")
+	arms, err := experiments.ParseArms("rtscts, csma ,cs@-82,cmap:win=1,cmap:vpkt=16:win=2")
 	if err != nil {
 		t.Fatalf("ParseArms: %v", err)
 	}
-	want := []experiments.Protocol{"rtscts", "csma", "cs@-82"}
+	want := []experiments.Protocol{"rtscts", "csma", "cs@-82", experiments.CMAPWin1, "cmap:win=2:vpkt=16"}
 	if len(arms) != len(want) {
 		t.Fatalf("ParseArms returned %v, want %v", arms, want)
 	}
@@ -72,7 +72,9 @@ func TestRunReports(t *testing.T) {
 		args []string
 		want []string // substrings of stdout
 	}{
-		{"arms list", []string{"-arms", "list"}, []string{"cmap\n", "rtscts\n", "cs@<dBm>\n"}},
+		{"arms list", []string{"-arms", "list"}, []string{"cmap\n", "rtscts\n", "cmap:<win=N|vpkt=N|pdq>...\n", "csma:<nocs|noack|rts>...\n", "cs@<dBm>\n"}},
+		{"window sweep", []string{"-scale", "quick", "-trials", "1", "-arms", "csma,cmap:win=1,cmap:win=2,cmap", "-only", "fig12"},
+			[]string{"\nCMAP, win=1 ", "\ncmap:win=2 ", "CMAP win=1 / CS = "}},
 		{"census and calibration", []string{"-scale", "quick", "-only", "census,calibration"},
 			[]string{"seed=1 scale=quick", "== §5.1 testbed census ==\nconnected ordered pairs: ", "== §4.2 single-link calibration ==\nCMAP "}},
 		{"fig16 alone", []string{"-scale", "quick", "-trials", "1", "-arms", "cmap", "-only", "fig16"},
@@ -119,6 +121,7 @@ func TestRunUsageErrors(t *testing.T) {
 		{"bad traffic", []string{"-traffic", "pigeon"}, "pigeon"},
 		{"unknown arm", []string{"-arms", "csma,bogus"}, "bogus"},
 		{"NaN cs threshold", []string{"-arms", "csma,cs@NaN"}, `cs@ arm "cs@NaN": threshold must be in`},
+		{"zero window", []string{"-arms", "csma,cmap:win=0"}, `mac: cmap:win=0: win: "0" is not an integer in [1, 262140]`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			code, stdout, stderr := cmapbench(tc.args...)

@@ -4,25 +4,28 @@
 //
 // Usage:
 //
-//	cmapsim [-seed N] [-topology exposed|inrange|hidden] [-arm cmap|cmap1|csma|rtscts|cs@-82|...]
+//	cmapsim [-seed N] [-topology exposed|inrange|hidden] [-arm cmap|cmap1|csma|rtscts|cs@-82|cmap:win=2|...]
 //	        [-duration 30s] [-index 0] [-trace N] [-trials 1] [-parallel 0]
 //	        [-traffic cbr|poisson|onoff] [-load 2.0] [-churn 500ms] [-predict] [-shards N]
 //	        [-mobility waypoint@3|walk@1.5|vehicular@20]
 //	        [-checkpoint FILE [-checkpoint-every 5s]] [-resume FILE]
 //	cmapsim -scenario gridcity|clusters|disk|highway [-nodes 200] ...
 //
-// -arm picks the stations' MAC from the internal/mac registry by name
-// (default cmap) — including family members like cs@-82 (CSMA with a
-// −82 dBm carrier-sense threshold); `-arm list` prints every registered
-// name. Whatever the arm, the run is wired by experiments.NewFlowSim —
-// the construction every figure uses — and the per-flow report prints
-// the same mac.Counters line. When -arm is not given and the -scenario
-// suggests arms, the first suggestion runs.
+// -arm picks the stations' MAC from the internal/mac registry (default
+// cmap): a fixed name, a cs@<dBm> member such as cs@-82 (CSMA with a
+// −82 dBm carrier-sense threshold), or a cmap/csma spec such as
+// cmap:win=2:vpkt=16 or csma:nocs:rts, which runs under its canonical
+// name (cmap:win=1 is cmap1). `-arm list` prints the fixed names and
+// the three family syntaxes. Whatever the arm, the run is wired by
+// experiments.NewFlowSim — the construction every figure uses — and the
+// per-flow report prints the same mac.Counters line. When -arm is not
+// given and the -scenario suggests arms, the first suggestion runs.
 //
 // -predict prints the analytic oracle's per-flow saturated-goodput
 // prediction (internal/analytic: conflict-graph extraction plus the
 // mean-field fixed point) next to the simulated numbers, for the arms
-// the oracle models (cmap, cmap1, csma, cs@<dBm>).
+// the oracle models: every cmap spec, window included, and csma with
+// carrier sense and ACKs at any cs@<dBm> threshold.
 //
 // -trace N prints the last N link-layer events at the first flow's two
 // endpoints, for any arm (single trial on the serial engine).
@@ -250,7 +253,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fl.SetOutput(stderr)
 	seed := fl.Uint64("seed", 1, "master seed")
 	topology := fl.String("topology", "exposed", "exposed | inrange | hidden")
-	armFlag := fl.String("arm", "cmap", "registry MAC arm name (e.g. cmap, csma, rtscts, cs@-82); \"list\" prints all arms")
+	armFlag := fl.String("arm", "cmap", "registry MAC arm name or spec (e.g. cmap, csma, rtscts, cs@-82, cmap:win=2); \"list\" prints all arms")
 	duration := fl.Duration("duration", 30*time.Second, "virtual run time")
 	index := fl.Int("index", 0, "which sampled topology to run")
 	traceN := fl.Int("trace", 0, "print the last N link-layer events of the first flow's endpoints (single trial, serial engine)")
@@ -286,9 +289,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 0
 	}
-	if _, err := mac.Lookup(*armFlag); err != nil {
+	arm, err := mac.Lookup(*armFlag)
+	if err != nil {
 		return usage("%v", err)
 	}
+	*armFlag = arm.Name()
 	switch {
 	case *index < 0:
 		return usage("-index %d: want a non-negative topology index", *index)

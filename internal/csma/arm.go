@@ -1,13 +1,16 @@
 package csma
 
 // Registration of the CSMA-derived protocol arms with the internal/mac
-// registry: the four carrier-sense/ACK baseline variants the paper
-// tables, the RTS/CTS handshake arm, and the cs@<dBm> carrier-sense-
-// threshold family swept by the threshold figure. Seed salts are pinned
-// to the legacy experiments.Protocol integer values so every golden
-// trace recorded before the registry existed stays bit-identical.
+// registry: the csma spec family over the carrier-sense, ACK and RTS/CTS
+// switches (whose aliases are the four baseline variants the paper
+// tables and the RTS/CTS handshake arm), and the cs@<dBm>
+// carrier-sense-threshold family swept by the threshold figure. The
+// aliases' seed salts are pinned to the legacy experiments.Protocol
+// integer values so every golden trace recorded before the registry
+// existed stays bit-identical.
 
 import (
+	"cmp"
 	"fmt"
 	"strconv"
 	"strings"
@@ -38,25 +41,21 @@ func (n *Node) Counters() mac.Counters {
 	}
 }
 
-// arm adapts a Config recipe to the mac.Arm interface.
-type arm struct {
-	name      string
-	label     string
-	salt      uint64
-	configure func(*Config)
+// newStation builds a station from an arm's Config and the cross-arm
+// options.
+func newStation(id int, c Config, m mac.Network, rng *sim.RNG, opt mac.Options) mac.Node {
+	c.Rate = opt.Rate
+	c.PayloadBytes = cmp.Or(opt.Payload, c.PayloadBytes)
+	return New(id, c, m, rng)
 }
 
-func (a arm) Name() string     { return a.name }
-func (a arm) Label() string    { return a.label }
-func (a arm) SeedSalt() uint64 { return a.salt }
-
-func (a arm) New(id int, m mac.Network, rng *sim.RNG, opt mac.Options) mac.Node {
-	cfg := DefaultConfig()
-	cfg.Rate = opt.Rate
-	if a.configure != nil {
-		a.configure(&cfg)
-	}
-	return New(id, cfg, m, rng)
+// specConfig maps a csma spec's flags (nocs, noack, rts) onto Config.
+func specConfig(v []int) (Config, *mac.SpecError) {
+	c := DefaultConfig()
+	c.CarrierSense = v[0] == 0
+	c.LinkACKs = v[1] == 0
+	c.RTSCTS = v[2] == 1
+	return c, nil
 }
 
 // csSaltBase offsets the cs@<dBm> family's seed salts far above the
@@ -75,25 +74,21 @@ func parseCSArm(name string) (mac.Arm, error) {
 	if !(thr < 0 && thr >= -120) {
 		return nil, fmt.Errorf("cs@ arm %q: threshold must be in (-120, 0) dBm", name)
 	}
-	return arm{
-		name:  name,
-		label: fmt.Sprintf("CS @ %g dBm", thr),
-		salt:  csSaltBase + uint64(int64(-thr*100)),
-		configure: func(c *Config) {
-			c.CSThresholdDBm = thr
-		},
-	}, nil
+	c := DefaultConfig()
+	c.CSThresholdDBm = thr
+	return mac.NewArm(name, fmt.Sprintf("CS @ %g dBm", thr), csSaltBase+uint64(int64(-thr*100)), c, newStation), nil
 }
 
 func init() {
-	mac.Register(arm{name: "csma", label: "CS, acks", salt: 0})
-	mac.Register(arm{name: "csma-noack", label: "CS, no acks", salt: 1,
-		configure: func(c *Config) { c.LinkACKs = false }})
-	mac.Register(arm{name: "csma-nocs", label: "CS off, acks", salt: 2,
-		configure: func(c *Config) { c.CarrierSense = false }})
-	mac.Register(arm{name: "csma-nocs-noack", label: "CS off, no acks", salt: 3,
-		configure: func(c *Config) { c.CarrierSense = false; c.LinkACKs = false }})
-	mac.Register(arm{name: "rtscts", label: "RTS/CTS", salt: 6,
-		configure: func(c *Config) { c.RTSCTS = true }})
+	mac.RegisterSpecFamily("csma",
+		[]mac.Key{{Name: "nocs"}, {Name: "noack"}, {Name: "rts"}},
+		[]mac.Alias{
+			{Name: "csma", Spec: "csma", Label: "CS, acks", Salt: 0},
+			{Name: "csma-noack", Spec: "csma:noack", Label: "CS, no acks", Salt: 1},
+			{Name: "csma-nocs", Spec: "csma:nocs", Label: "CS off, acks", Salt: 2},
+			{Name: "csma-nocs-noack", Spec: "csma:nocs:noack", Label: "CS off, no acks", Salt: 3},
+			{Name: "rtscts", Spec: "csma:rts", Label: "RTS/CTS", Salt: 6},
+		},
+		specConfig, newStation)
 	mac.RegisterFamily("cs@", "cs@<dBm>", parseCSArm)
 }

@@ -12,11 +12,6 @@ import (
 	"repro/internal/stats"
 	"repro/internal/topo"
 	"repro/internal/traffic"
-
-	// The protocol packages register their arms with internal/mac from
-	// init; experiments resolves them by name only.
-	_ "repro/internal/core"
-	_ "repro/internal/csma"
 )
 
 // Protocol names one arm from the internal/mac registry. Its value IS
@@ -60,8 +55,10 @@ func (p Protocol) seedSalt() uint64 {
 	return mac.MustLookup(string(p)).SeedSalt()
 }
 
-// ParseArms resolves a comma-separated list of registry arm names
-// (e.g. "csma,cmap,rtscts,cs@-82") against the MAC registry.
+// ParseArms resolves a comma-separated list of registry arm names and
+// specs (e.g. "csma,cmap:win=2,rtscts,cs@-82") against the MAC registry
+// and returns their canonical names, so "cmap:win=1" comes back as
+// CMAPWin1.
 func ParseArms(s string) ([]Protocol, error) {
 	var out []Protocol
 	for _, name := range strings.Split(s, ",") {
@@ -69,10 +66,11 @@ func ParseArms(s string) ([]Protocol, error) {
 		if name == "" {
 			continue
 		}
-		if _, err := mac.Lookup(name); err != nil {
+		a, err := mac.Lookup(name)
+		if err != nil {
 			return nil, err
 		}
-		out = append(out, Protocol(name))
+		out = append(out, Protocol(a.Name()))
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("experiments: no arms in %q", s)

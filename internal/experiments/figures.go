@@ -464,13 +464,6 @@ func Mesh(tb *topo.Testbed, opt Options) *MeshResult {
 // meshBatch is the dissemination batch size in data packets.
 const meshBatch = 320
 
-// broadcaster is the §3.6 dissemination surface of CMAP-family stations:
-// broadcast virtual packets addressed to an explicit target set.
-type broadcaster interface {
-	SetBroadcast(targets []int, saturated bool, count int)
-	EnqueueBroadcast(count int)
-}
-
 // runMesh runs one mesh topology under arm and returns the summed leaf
 // throughput. Stations are built through the registry on stream labels
 // 100 (source), 200+i (relays) and 300+i (leaves); the arms differ only
@@ -509,7 +502,7 @@ func runMesh(arm mac.Arm, tb *topo.Testbed, msh topo.Mesh, opt Options, seed uin
 		})
 	}
 	batch := func() { src.Enqueue(csma.BroadcastDst, meshBatch) }
-	if b, ok := src.(broadcaster); ok {
+	if b, ok := src.(mac.Broadcaster); ok {
 		b.SetBroadcast(msh.Relays, false, 0)
 		batch = func() { b.EnqueueBroadcast(meshBatch) }
 	}

@@ -1,21 +1,22 @@
 package experiments
 
 import (
-	"math"
-	"strconv"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/mac"
 )
 
-// FuzzParseArms: any -arm/-arms string either errors or yields arms that
-// all resolve through the registry, every cs@ member with a finite
-// threshold — cs@NaN once ran as a 10 Mb/s arm labelled "CS @ NaN dBm"
-// under the seed salt of uint64(int64(NaN)) — and parsing never panics.
+// FuzzParseArms: any -arms string either errors or yields canonical
+// arm names — each the Name of the arm it resolves to, so "cmap:win=1"
+// comes back as cmap1 — and parsing that output again gives it back
+// unchanged. What a single spelling may resolve to is internal/mac's
+// FuzzLookup.
 func FuzzParseArms(f *testing.F) {
 	for _, s := range []string{"csma,cmap", "rtscts, csma ,cs@-82", "cs@NaN", "cs@-Inf", "cs@+Inf", "cs@-1e400",
-		"cs@-120", "cs@0", "cs@-0", "cs@-0x1p6", "cs@", ",,", "cmap1,cs@-82.5"} {
+		"cs@-120", "cs@0", "cs@-0", "cs@-0x1p6", "cs@", ",,", "cmap1,cs@-82.5",
+		"cmap:win=1,csma:rts:nocs", "cmap:vpkt=16:win=2, cmap:win=8"} {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, s string) {
@@ -23,15 +24,15 @@ func FuzzParseArms(f *testing.F) {
 		if err != nil {
 			return
 		}
-		for _, a := range arms {
-			if _, err := mac.Lookup(string(a)); err != nil {
-				t.Fatalf("ParseArms(%q) accepted %q, which the registry refuses: %v", s, a, err)
+		names := make([]string, len(arms))
+		for i, a := range arms {
+			if got := mac.MustLookup(string(a)).Name(); got != string(a) {
+				t.Fatalf("ParseArms(%q) returned %q, whose arm is named %q", s, a, got)
 			}
-			if spec, ok := strings.CutPrefix(string(a), "cs@"); ok {
-				if thr, err := strconv.ParseFloat(spec, 64); err != nil || math.IsNaN(thr) || math.IsInf(thr, 0) {
-					t.Fatalf("ParseArms(%q) accepted %q, whose threshold is not a finite number", s, a)
-				}
-			}
+			names[i] = string(a)
+		}
+		if again, err := ParseArms(strings.Join(names, ",")); err != nil || !slices.Equal(again, arms) {
+			t.Fatalf("ParseArms(%q) = %v does not re-parse to itself: %v, %v", s, arms, again, err)
 		}
 	})
 }

@@ -3,11 +3,13 @@ package experiments
 import (
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
 	"repro/internal/analytic"
+	"repro/internal/core"
+	"repro/internal/csma"
+	"repro/internal/mac"
 	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -15,37 +17,27 @@ import (
 	"repro/internal/traffic"
 )
 
-// csThreshold extracts the carrier-sense threshold from a cs@<dBm>
-// family arm name.
-func csThreshold(p Protocol) (float64, bool) {
-	s := string(p)
-	if !strings.HasPrefix(s, "cs@") {
-		return 0, false
-	}
-	thr, err := strconv.ParseFloat(strings.TrimPrefix(s, "cs@"), 64)
+// analyticModel reads the oracle's model of arm p off its registry
+// entry: every cmap spec is modelled with its own Config, window and
+// virtual-packet size included; a csma arm with carrier sense and ACKs
+// on and no RTS/CTS (cs@<dBm> members included) is modelled with its
+// Config, its carrier-sense threshold shifting the extracted sensing
+// graph. The other ablations have no analytic counterpart.
+func analyticModel(p Protocol) (analytic.Options, analytic.ExtractConfig, bool) {
+	a, err := mac.Lookup(string(p))
 	if err != nil {
-		return 0, false
+		return analytic.Options{}, analytic.ExtractConfig{}, false
 	}
-	return thr, true
-}
-
-// analyticArm maps a protocol arm onto the oracle's model, when one
-// exists. The cs@<dBm> family is CSMA with a shifted sensing graph
-// (the threshold enters through ExtractConfig); the no-carrier-sense,
-// no-ACK and RTS/CTS ablations have no analytic counterpart.
-func analyticArm(p Protocol) (analytic.Arm, bool) {
-	switch p {
-	case CSMAOn:
-		return analytic.ArmCSMA, true
-	case CMAP, CMAPWin1:
-		// Saturated senders refill the window continuously, so the
-		// window size drops out of the renewal cycle.
-		return analytic.ArmCMAP, true
+	switch a := a.(type) {
+	case interface{ Config() core.Config }:
+		return analytic.Options{Arm: analytic.ArmCMAP, CMAP: a.Config()}, analytic.ExtractConfig{}, true
+	case interface{ Config() csma.Config }:
+		c := a.Config()
+		if c.CarrierSense && c.LinkACKs && !c.RTSCTS {
+			return analytic.Options{Arm: analytic.ArmCSMA, CSMA: c}, analytic.ExtractConfig{CSThresholdDBm: c.CSThresholdDBm}, true
+		}
 	}
-	if _, ok := csThreshold(p); ok {
-		return analytic.ArmCSMA, true
-	}
-	return 0, false
+	return analytic.Options{}, analytic.ExtractConfig{}, false
 }
 
 // PredictFlows is the oracle counterpart of runFlows: it extracts the
@@ -53,20 +45,17 @@ func analyticArm(p Protocol) (analytic.Arm, bool) {
 // medium (read-only — no simulation runs) and solves the fixed point for
 // saturated per-flow goodput under the given arm.
 func PredictFlows(tb *topo.Testbed, flows []topo.Link, p Protocol, opt Options) (*analytic.Result, error) {
-	arm, ok := analyticArm(p)
+	model, ec, ok := analyticModel(p)
 	if !ok {
 		return nil, fmt.Errorf("experiments: no analytic model for arm %q", string(p))
 	}
 	m := tb.Build(sim.NewScheduler(), sim.NewRNG(opt.Seed).Stream(1))
-	ec := analytic.ExtractConfig{Rate: opt.Rate}
-	if thr, ok := csThreshold(p); ok {
-		ec.CSThresholdDBm = thr
-	}
+	ec.Rate = opt.Rate
 	g, err := analytic.Extract(m, flows, ec)
 	if err != nil {
 		return nil, err
 	}
-	return analytic.Solve(g, analytic.Options{Arm: arm}), nil
+	return analytic.Solve(g, model), nil
 }
 
 // PredictPairExperiment is the oracle counterpart of runPairExperiment:
@@ -138,14 +127,8 @@ type ScreenPoint struct {
 	Flows    int
 	// Caps and Preds hold, per screened arm, the solved saturated
 	// aggregate capacity and the predicted delivered aggregate at this
-	// load (min(offered, capacity)).
+	// load (min(offered, capacity)); an arm not screened reads zero.
 	Caps, Preds map[Protocol]float64
-	// CSMACap and CMAPCap are the solved saturated aggregate capacities
-	// of the two default arms (zero when an arm is not screened).
-	CSMACap, CMAPCap float64
-	// PredCSMA and PredCMAP are the predicted delivered aggregates at
-	// this load: min(offered, capacity).
-	PredCSMA, PredCMAP float64
 	// Utilization is offered aggregate over the smaller arm capacity.
 	Utilization float64
 	// Simulate marks points the closed form cannot already decide;
@@ -184,7 +167,7 @@ func (r *ScreenResult) Format() string {
 			tag = p.Reason
 		}
 		fmt.Fprintf(&b, "%-16s %8.2f %6d %9.2f %9.2f %9.2f %9.2f %6.2f %s\n",
-			p.Scenario, p.LoadMbps, p.Flows, p.CSMACap, p.CMAPCap, p.PredCSMA, p.PredCMAP, p.Utilization, tag)
+			p.Scenario, p.LoadMbps, p.Flows, p.Caps[CSMAOn], p.Caps[CMAP], p.Preds[CSMAOn], p.Preds[CMAP], p.Utilization, tag)
 	}
 	fmt.Fprintf(&b, "%d points screened in %v; %d flagged for simulation\n",
 		len(r.Points), r.Elapsed.Round(time.Millisecond), r.Flagged())
@@ -236,8 +219,6 @@ func AnalyticScreen(scens []ScreenScenario, loads []float64, opt Options) (*Scre
 				p.Caps[arm] = caps[arm]
 				p.Preds[arm] = min(offered, caps[arm])
 			}
-			p.CSMACap, p.PredCSMA = p.Caps[CSMAOn], p.Preds[CSMAOn]
-			p.CMAPCap, p.PredCMAP = p.Caps[CMAP], p.Preds[CMAP]
 			if minCap > 0 {
 				p.Utilization = offered / minCap
 			}
@@ -275,7 +256,7 @@ func AnalyticScreen(scens []ScreenScenario, loads []float64, opt Options) (*Scre
 func screenArms(opt Options) ([]Protocol, error) {
 	var arms []Protocol
 	for _, a := range opt.armsOr([]Protocol{CSMAOn, CMAP}) {
-		if _, ok := analyticArm(a); ok {
+		if _, _, ok := analyticModel(a); ok {
 			arms = append(arms, a)
 		}
 	}

@@ -2,6 +2,7 @@ package conformance
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/experiments"
@@ -13,8 +14,9 @@ import (
 
 // conformanceArms is every arm kind the suite certifies: the four
 // carrier-sense/ACK baselines, both CMAP window settings, the RTS/CTS
-// handshake, and one cs@<dBm> family member. CI runs each as its own
-// matrix entry via -run 'TestConformance/<arm>$'.
+// handshake, one cs@<dBm> family member, and one spec of each family
+// that is no alias. CI runs each as its own matrix entry via
+// -run 'TestConformance/<arm>$'.
 var conformanceArms = []string{
 	"csma",
 	"csma-noack",
@@ -24,6 +26,8 @@ var conformanceArms = []string{
 	"cmap1",
 	"rtscts",
 	"cs@-82",
+	"cmap:win=2:vpkt=16",
+	"csma:nocs:rts",
 }
 
 // TestConformance is the shared MAC conformance suite: every registered
@@ -199,7 +203,7 @@ func TestRegistryRoundTrip(t *testing.T) {
 	}
 	tried := 0
 	for _, name := range append(names, "cs@-82") {
-		if name == "cs@<dBm>" {
+		if strings.Contains(name, "<") {
 			continue // family syntax hint, not a constructible name
 		}
 		if _, err := mac.Lookup(name); err != nil {

@@ -39,6 +39,17 @@ type Options struct {
 	// Rate is the data bit-rate every arm must honour. Callers set it
 	// explicitly; there is no usable zero value.
 	Rate phy.RateID
+	// Payload is the application payload per data packet in bytes,
+	// bounded by CheckPayload; zero keeps the arms' 1400.
+	Payload int
+}
+
+// Broadcaster is the optional §3.6 surface of CMAP-family stations:
+// broadcast virtual packets addressed to an explicit target set, either
+// saturated or count packets at a time.
+type Broadcaster interface {
+	SetBroadcast(targets []int, saturated bool, count int)
+	EnqueueBroadcast(count int)
 }
 
 // Node is the station-side contract every registered MAC arm satisfies.
@@ -175,7 +186,9 @@ func RegisterFamily(prefix, hint string, parse func(name string) (Arm, error)) {
 }
 
 // Lookup resolves an arm name — a fixed name or a family instance like
-// "cs@-82" — or returns an error naming every registered choice.
+// "cs@-82" or "cmap:win=2" — or returns an error naming every registered
+// choice. Spellings of one canonical spec resolve to one Arm value, and
+// a spelling already seen resolves without allocating.
 func Lookup(name string) (Arm, error) {
 	regMu.RLock()
 	if a, ok := concrete[name]; ok {
@@ -197,6 +210,11 @@ func Lookup(name string) (Arm, error) {
 			return nil, err
 		}
 		regMu.Lock()
+		if prev, ok := cache[a.Name()]; ok {
+			a = prev
+		} else {
+			cache[a.Name()] = a
+		}
 		cache[name] = a
 		regMu.Unlock()
 		return a, nil

@@ -11,8 +11,8 @@
 // traced without touching their code:
 //
 //	tracer := trace.New(512)
-//	node := core.New(3, cfg, m, rng)
-//	m.Radio(3).SetHandler(tracer.Wrap(3, node, m.Scheduler()))
+//	node := mac.MustLookup("cmap").New(3, m, rng, mac.Options{Rate: phy.Rate6Mbps})
+//	m.Radio(3).SetHandler(tracer.Wrap(3, node.(phy.Handler), m.Scheduler()))
 //
 // experiments.FlowSim.Trace does this for flow 0's endpoints under any
 // registered arm, and cmd/cmapsim's -trace flag is its CLI. The tracer

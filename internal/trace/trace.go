@@ -72,8 +72,6 @@ type Tracer struct {
 	events []Event
 	next   int
 	full   bool
-	// Filter, when set, drops events for which it returns false.
-	Filter func(Event) bool
 }
 
 // New creates a tracer holding the most recent capacity events.
@@ -86,9 +84,6 @@ func New(capacity int) *Tracer {
 
 // add appends an event, evicting the oldest when full.
 func (t *Tracer) add(e Event) {
-	if t.Filter != nil && !t.Filter(e) {
-		return
-	}
 	if len(t.events) < cap(t.events) {
 		t.events = append(t.events, e)
 		return
@@ -120,18 +115,6 @@ func (t *Tracer) Dump() string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-// Count returns how many retained events match op (and node, unless
-// node < 0).
-func (t *Tracer) Count(op Op, node int) int {
-	c := 0
-	for _, e := range t.Events() {
-		if e.Op == op && (node < 0 || e.Node == node) {
-			c++
-		}
-	}
-	return c
 }
 
 // detail extracts the interesting fields of a frame for the timeline.
