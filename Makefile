@@ -109,7 +109,7 @@ vet:
 	$(GO) vet ./...
 
 golden:
-	$(GO) test -timeout $(TEST_TIMEOUT) -run 'TestGolden|TestSparseDense' ./internal/experiments
+	$(GO) test -timeout $(TEST_TIMEOUT) -run 'TestGolden|TestSparseDense|TestSharedTestbed' ./internal/experiments
 
 alloc-check:
 	$(GO) test -timeout $(TEST_TIMEOUT) -count=1 -run 'ZeroAllocs' -v ./internal/medium ./internal/traffic

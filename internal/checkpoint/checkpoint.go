@@ -21,10 +21,13 @@ import (
 // has every radio in range holding each in-flight signal, and the ones
 // nobody listens on would never be departed. Version 4: every layer's
 // live state struct is its stored form, so field names, map encodings
-// and the payload's component table all changed shape.
+// and the payload's component table all changed shape. Version 5: an
+// in-flight frame stores only the delivery entries it reached; a
+// version-4 frame stores its sender's whole row, and resuming it would
+// depart radios it never arrived at.
 const (
 	Magic   = "cmapckpt"
-	Version = 4
+	Version = 5
 )
 
 // The typed failure modes of Load. Callers branch with errors.Is; every

@@ -108,6 +108,9 @@ func TestLoadFailureModes(t *testing.T) {
 		// Version 3 kept hand-copied mirrors of every layer's state; its
 		// field names and map encodings are not the live structs'.
 		{"version 3 envelope", func() []byte { return reversion("3") }, hash, ErrVersionMismatch},
+		// Version 4 stored each in-flight frame's whole delivery row;
+		// this binary would depart radios the frame never arrived at.
+		{"version 4 envelope", func() []byte { return reversion("4") }, hash, ErrVersionMismatch},
 		{"config mismatch", func() []byte { return good }, ConfigHash("config-B"), ErrConfigMismatch},
 	}
 	for _, tc := range cases {

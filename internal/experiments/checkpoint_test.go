@@ -200,9 +200,9 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 	})
 	// A cut inside the frames CMAP's saturated senders put on the air
 	// while the run is being wired. Those are marked All and are the only
-	// frames a radio without a station ever hears; the mark has to
-	// survive the cut, or the resumed run never departs them from the
-	// bystanders and the end-of-run checkpoints differ.
+	// frames a radio without a station ever hears; the receivers they
+	// reached have to survive the cut, or the resumed run never departs
+	// them from the bystanders and the end-of-run checkpoints differ.
 	t.Run("exposed/cmap/all-on-air", func(t *testing.T) {
 		t.Parallel()
 		tp := goldenTopologies(tb, seed)[0]

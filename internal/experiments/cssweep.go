@@ -72,6 +72,7 @@ func CSThresholdSweep(tb *topo.Testbed, opt Options, thresholds []float64) *CSSw
 	if len(thresholds) == 0 {
 		thresholds = DefaultCSThresholds
 	}
+	tb = tb.Shared()
 	// The same pair samples Figures 12 and 15 use, so the sweep's curves
 	// are directly comparable with the protocol-arm figures.
 	exposed := tb.ExposedPairs(sim.NewRNG(opt.Seed^0xf16), opt.Pairs)

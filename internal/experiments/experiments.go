@@ -255,11 +255,13 @@ type PairExperiment struct {
 }
 
 // runPairExperiment measures every pair under every arm. The (pair, arm)
-// trials are independent — each builds its own medium and derives all
-// randomness from a seed fixed here — so they fan out across the worker
-// pool; results fold back in the serial iteration order, keeping the
-// output identical at every worker count.
+// trials are independent — each builds its own medium, over the one set
+// of delivery rows the shared testbed builds, and derives all randomness
+// from a seed fixed here — so they fan out across the worker pool;
+// results fold back in the serial iteration order, keeping the output
+// identical at every worker count.
 func runPairExperiment(name string, tb *topo.Testbed, pairs []topo.LinkPair, arms []Protocol, opt Options) *PairExperiment {
+	tb = tb.Shared()
 	ex := &PairExperiment{
 		Name:  name,
 		Arms:  arms,

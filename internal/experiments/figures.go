@@ -36,6 +36,7 @@ func RunCalibration(tb *topo.Testbed, opt Options) Calibration {
 		return Calibration{}
 	}
 	flows := []topo.Link{best}
+	tb = tb.Shared()
 	cm := runFlows(tb, flows, CMAP, opt, opt.Seed+11)
 	dt := runFlows(tb, flows, CSMAOn, opt, opt.Seed+13)
 	return Calibration{CMAPMbps: cm[0].Mbps, Dot11Mbps: dt[0].Mbps}
@@ -102,6 +103,7 @@ type HiddenInterfererResult struct {
 // per-triple measurements are independent and fan out across the worker
 // pool; aggregation folds over them in triple order.
 func HiddenInterferers(tb *topo.Testbed, opt Options) *HiddenInterfererResult {
+	tb = tb.Shared()
 	rng := sim.NewRNG(opt.Seed ^ 0xf14)
 	triples := tb.HiddenInterfererTriples(rng, opt.Triples)
 	type measurement struct {
@@ -207,6 +209,7 @@ type APResult struct {
 // cells with one saturated flow each (random client, random direction),
 // ten client draws per N, under CS-on, CS-off, and CMAP.
 func AccessPoint(tb *topo.Testbed, opt Options) *APResult {
+	tb = tb.Shared()
 	arms := opt.armsOr([]Protocol{CSMAOn, CSMAOffAcks, CMAP})
 	res := &APResult{
 		Ns:        []int{3, 4, 5, 6},
@@ -319,6 +322,7 @@ type SenderSweepPoint struct {
 // reception fraction at receivers as the number of concurrent saturated
 // flows grows from 2 to 7.
 func HeaderTrailerVsSenders(tb *topo.Testbed, opt Options) []SenderSweepPoint {
+	tb = tb.Shared()
 	rng := sim.NewRNG(opt.Seed ^ 0xf19)
 	links := allPotentialLinks(tb)
 	// Sample every sweep position's flow sets serially (rng order is part
@@ -405,6 +409,7 @@ type RateSeries struct {
 // at the 6, 12 and 18 Mb/s rates under CS-on and CMAP. Control traffic
 // stays at 6 Mb/s, as in §5.8.
 func VariableBitRates(tb *topo.Testbed, opt Options) []RateSeries {
+	tb = tb.Shared() // one row set for all three rates
 	rng := sim.NewRNG(opt.Seed ^ 0xf20)
 	pairs := tb.ExposedPairs(rng, opt.Pairs)
 	var out []RateSeries
@@ -441,6 +446,7 @@ func (m *MeshResult) Gain() float64 {
 // drain, the source broadcasts the next batch. A leaf's throughput is
 // the minimum of its two hop rates; a run's score is the sum over leaves.
 func Mesh(tb *topo.Testbed, opt Options) *MeshResult {
+	tb = tb.Shared()
 	rng := sim.NewRNG(opt.Seed ^ 0xf57)
 	meshes := tb.MeshTopologies(rng, opt.Meshes, 3)
 	res := &MeshResult{CMAP: &stats.Dist{}, CSMA: &stats.Dist{}}

@@ -78,6 +78,7 @@ func OfferedLoadCampaign(tb *topo.Testbed, topology string, loads []float64, opt
 	if kind == traffic.Saturated {
 		kind = traffic.Poisson
 	}
+	tb = tb.Shared()
 	rng := sim.NewRNG(opt.Seed ^ 0xf10ad)
 	var pairs []topo.LinkPair
 	switch topology {

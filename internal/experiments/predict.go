@@ -62,6 +62,7 @@ func PredictFlows(tb *topo.Testbed, flows []topo.Link, p Protocol, opt Options) 
 // the same result shape (per-arm aggregate distributions and per-flow
 // results), with every number predicted instead of simulated.
 func PredictPairExperiment(name string, tb *topo.Testbed, pairs []topo.LinkPair, arms []Protocol, opt Options) (*PairExperiment, error) {
+	tb = tb.Shared()
 	ex := &PairExperiment{
 		Name:  name,
 		Arms:  arms,
@@ -189,8 +190,9 @@ func AnalyticScreen(scens []ScreenScenario, loads []float64, opt Options) (*Scre
 	out := &ScreenResult{}
 	for _, sc := range scens {
 		caps := map[Protocol]float64{}
+		tb := sc.TB.Shared()
 		for _, arm := range arms {
-			res, err := PredictFlows(sc.TB, sc.Flows, arm, opt)
+			res, err := PredictFlows(tb, sc.Flows, arm, opt)
 			if err != nil {
 				return nil, err
 			}
@@ -283,7 +285,9 @@ func SimulateScreenGrid(scens []ScreenScenario, loads []float64, opt Options) (m
 		arm  Protocol
 	}
 	var trials []trial
-	for sci := range scens {
+	tbs := make([]*topo.Testbed, len(scens))
+	for sci, sc := range scens {
+		tbs[sci] = sc.TB.Shared()
 		for _, load := range loads {
 			for _, arm := range arms {
 				trials = append(trials, trial{sc: sci, load: load, arm: arm})
@@ -294,7 +298,7 @@ func SimulateScreenGrid(scens []ScreenScenario, loads []float64, opt Options) (m
 		tr := trials[i]
 		o := opt
 		o.Traffic = traffic.Spec{Kind: traffic.Poisson}.WithOfferedMbps(tr.load, 1400)
-		return runFlows(scens[tr.sc].TB, scens[tr.sc].Flows, tr.arm, o,
+		return runFlows(tbs[tr.sc], scens[tr.sc].Flows, tr.arm, o,
 			opt.Seed+uint64(tr.sc)*7919+uint64(tr.load*1000)*13+tr.arm.seedSalt()*104729)
 	})
 	out := map[string]map[float64]map[Protocol]float64{}

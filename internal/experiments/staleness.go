@@ -69,6 +69,9 @@ func StalenessSweep(tb *topo.Testbed, opt Options, speeds []float64) *StalenessR
 	if len(speeds) == 0 {
 		speeds = DefaultStalenessSpeeds
 	}
+	// Only the static trials reuse its rows: a moving run re-draws
+	// shadowing through a model of its own.
+	tb = tb.Shared()
 	arms := opt.armsOr([]Protocol{CMAP, CSMAOn, RTSCTS})
 	// Exposed pairs by Figure 12's selection rule but from this figure's
 	// own stream (Figure 12 draws from opt.Seed^0xf16), so the zero-speed

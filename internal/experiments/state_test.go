@@ -109,7 +109,8 @@ func TestStateComplete(t *testing.T) {
 		{"phy", phy.Radio{}, false, []string{"Radio.id", "Radio.params", "Radio.sched", "Radio.channel", "Radio.handler",
 			"Radio.noiseMW", "Radio.sensitivityMW", "Radio.ebn0K", "Radio.lockK", "Radio.captureK", "Radio.exact"}},
 		{"medium", medium.Medium{}, false, []string{"Medium.sched", "Medium.params", "Medium.model", "Medium.positions", "Medium.radios",
-			"Medium.deliveries", "Medium.floor", "Medium.screen", "Medium.gridBacked", "Medium.since", "Medium.attachAt", "Medium.txFree", "Medium.mv"}},
+			"Medium.deliveries", "Medium.floor", "Medium.screen", "Medium.gridBacked", "Medium.attended", "Medium.attachAt", "Medium.heard", "Medium.heardVer", "Medium.ver", "Medium.arena",
+			"Medium.txFree", "Medium.mv"}},
 		{"shard", shard.Shard{}, false, []string{"Shard.eng", "Shard.idx", "Shard.sched", "Shard.nodes", "Shard.local", "Shard.inFrom",
 			"Shard.outTo", "Shard.attachAt", "Shard.outbox", "Shard.txFree", "Shard.rtFree"}},
 		{"shard-engine", shard.Engine{}, false, []string{"Engine.params", "Engine.shards", "Engine.assign", "Engine.radios", "Engine.attended",

@@ -32,17 +32,21 @@ func (h *liveHandler) OnCarrier(bool)                  { h.check("OnCarrier") }
 // it replaces one non-nil handler with another, which is not an attach.
 type rewrap struct{ phy.Handler }
 
-// FuzzAttachOrder interleaves station attaches, transmissions and clock
-// advances in any order — attaches at t=0 before and after frames of the
-// same instant, attaches mid-run with frames on the air, SetHandler(nil)
-// after an attach, a handler re-wrapped in place — and checks what the
-// "who hears a frame" rule promises whatever the order: every Arrive is
-// paired with a Depart (after the agenda drains no radio hears a signal,
-// holds a lock or has a picowatt left in totalMW), a detached handler is
-// never upcalled, and a radio no station ever attached to has counted
-// nothing unless a frame marked All reached it. The All rule is
-// re-derived here from the sequence of operations, not read back from
-// the medium.
+// FuzzAttachOrder interleaves station attaches, transmissions, clock
+// advances and node moves in any order — attaches at t=0 before and
+// after frames of the same instant, attaches mid-run with frames on the
+// air, SetHandler(nil) after an attach, a handler re-wrapped in place, a
+// node's links re-drawn and the rows patched copy-on-write between a
+// frame's start and its end — and checks what the "who hears a frame"
+// rule promises whatever the order: each frame arrives at exactly the
+// radios on its sender's row that a station attached to before it
+// started (all of them, for a frame marked All), every Arrive is paired
+// with a Depart (after the agenda drains no radio hears a signal, holds
+// a lock or has a picowatt left in totalMW), a detached handler is never
+// upcalled, and a radio no station ever attached to has counted nothing
+// unless a frame marked All reached it. Who is attended and the All rule
+// are re-derived here from the sequence of operations, not read back
+// from the medium.
 //
 // Each step is an op byte and a node byte; see the switch.
 func FuzzAttachOrder(f *testing.F) {
@@ -62,6 +66,8 @@ func FuzzAttachOrder(f *testing.F) {
 	// and re-attach with a frame on the air must not move since.
 	f.Add([]byte("0020908100200"))
 	f.Add([]byte("attach-order-seed: everybody talks, somebody listens"))
+	// Moves (ops >= 240) with frames on the air and around attaches.
+	f.Add([]byte{2, 17, 0, 0, 0, 1, 1, 0, 245, 1, 1, 1, 240, 0, 2, 3, 0, 2, 1, 2, 250, 2, 1, 0, 2, 90})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
 			return
@@ -101,11 +107,17 @@ func FuzzAttachOrder(f *testing.F) {
 		attended := make([]bool, n)   // a station attached at some point
 		reachedAll := make([]bool, n) // a frame marked All was delivered here
 		attachAt := sim.Time(-1)
+		onRow := make([]bool, n)
+		signals := make([]int, n) // each radio's signal count before a frame
 
 		for len(data) >= 2 {
 			op, i := next(), int(next())%n
 			r := m.Radio(i)
-			switch op % 5 {
+			kind := op % 5
+			if op >= 240 {
+				kind = 5
+			}
+			switch kind {
 			case 0: // attach (or re-attach after a detach)
 				if !attended[i] {
 					attended[i] = true
@@ -117,10 +129,25 @@ func FuzzAttachOrder(f *testing.F) {
 				if r.Transmitting() {
 					continue
 				}
-				if sched.Now() == attachAt {
-					m.ForEachNeighbor(i, func(dst int, _ float64) { reachedAll[dst] = true })
+				all := sched.Now() == attachAt
+				clear(onRow)
+				m.ForEachNeighbor(i, func(dst int, _ float64) { onRow[dst] = true })
+				for j := range signals {
+					signals[j] = m.Radio(j).ActiveSignals()
 				}
 				r.Transmit(&frame.Dot11Data{Src: frame.AddrFromID(i), Dst: frame.AddrFromID((i + 1) % n), PayloadLen: 20 + 10*uint16(op)}, rate)
+				// Every Arrive adds one signal at its radio.
+				for j := 0; j < n; j++ {
+					want := 0
+					if onRow[j] && (all || attended[j]) {
+						want = 1
+						reachedAll[j] = reachedAll[j] || all
+					}
+					if got := m.Radio(j).ActiveSignals() - signals[j]; got != want {
+						t.Fatalf("frame from %d: radio %d gained %d signals, want %d (on the row %v, attended %v, All %v)",
+							i, j, got, want, onRow[j], attended[j], all)
+					}
+				}
 			case 2: // let time pass: up to ~2.5 ms, frames last 0.1–3.5 ms
 				sched.Run(sched.Now() + sim.Time(i+1)*sim.Time(op)*sim.Microsecond*2)
 			case 3: // detach: upcalls stop, the radio keeps hearing
@@ -130,6 +157,16 @@ func FuzzAttachOrder(f *testing.F) {
 				if handlers[i].live {
 					r.SetHandler(rewrap{handlers[i]})
 				}
+			case 5: // the node moves: its links are re-drawn, the rows patched
+				for j := 0; j < n; j++ {
+					if j != i {
+						mix = sim.HashPair(mix, uint64(op))
+						loss[i][j] = palette[mix%uint64(len(palette))]
+						mix = sim.HashPair(mix, uint64(j))
+						loss[j][i] = palette[mix%uint64(len(palette))]
+					}
+				}
+				m.MoveNodes([]int{i}, []geo.Point{{X: float64(op)}})
 			}
 		}
 		sched.RunAll()

@@ -40,10 +40,11 @@
 //
 // A delivery list says who could hear a sender; a frame is delivered to
 // the entries a station listens on. Radio.SetHandler tells the medium
-// about a radio's first handler (Attend), the medium notes the TxID
-// from which that radio listens, and both fan-outs — Arrive at the
-// start of a frame, Depart at its end — skip a receiver whose first
-// TxID lies beyond the frame's. The paper's experiments, and every run
+// about a radio's first handler (Attend). Each frame carries the
+// positions on its sender's list of the radios attended when it started
+// (Transmission.Heard, derived once per sender until the next attach or
+// move), and both fan-outs — Arrive at the start of a frame, Depart at
+// its end — walk exactly those entries. The paper's experiments, and every run
 // here, put stations on a handful of a testbed's nodes; a radio nobody
 // attached to transmits nothing, draws from a private RNG stream and
 // has nobody to tell, so skipping it changes no result. One exception:

@@ -38,7 +38,9 @@ import (
 // Patches are copy-on-write: a patched list is a fresh slice, never a
 // mutation of the old backing array, because in-flight transmissions
 // hold transmit-time snapshots of the lists they fanned out over (see
-// Transmit / finishTransmission).
+// Transmit / finishTransmission), and because other media may share the
+// rows (NewFromRows). Every batch retires the heard rows, which hold
+// positions in the lists it replaced.
 
 // Per-node progress of the batch in flight; every entry is unmoved
 // between MoveNodes calls.
@@ -124,6 +126,7 @@ func (m *Medium) MoveNodes(ids []int, pts []geo.Point) {
 	for _, i := range ids {
 		mv.state[i] = unmoved
 	}
+	m.staleHeard()
 }
 
 // audible evaluates the model from a to b at their current positions:
@@ -245,4 +248,5 @@ func (m *Medium) patchEntry(j, i int, g float64, audible bool) {
 // and benchmarks — the oracle the incremental path is measured against.
 func (m *Medium) RebuildDeliveries() {
 	m.deliveries, m.gridBacked = BuildDeliveries(m.params, m.model, m.positions, 1)
+	m.staleHeard()
 }

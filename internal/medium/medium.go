@@ -3,7 +3,6 @@ package medium
 import (
 	"cmp"
 	"fmt"
-	"math"
 	"slices"
 
 	"repro/internal/frame"
@@ -28,22 +27,31 @@ type Medium struct {
 	// hears a above the delivery floor and the power it receives. The
 	// ascending order is load-bearing: Transmit touches receivers in
 	// list order, so list order is part of the deterministic event
-	// sequence that golden traces pin down.
+	// sequence that golden traces pin down. Rows may be shared with
+	// other media (NewFromRows) and are never written through.
 	deliveries [][]Delivery
 	floor      floor
 	screen     screen
 	gridBacked bool
 
-	// since[i] is the TxID from which radio i is delivered to: the next
-	// one to be issued when a station attached to it, MaxUint64 until
-	// then. It is written once per radio, and a frame's TxID never
-	// changes, so "TxID >= since[dst]" answers the same for a given
-	// (radio, frame) at the frame's start and at its end — whatever
-	// attaches in between — which is what keeps Arrive and Depart
-	// paired. attachAt is the instant of the latest attach; a frame that
-	// starts in that instant is marked All (see Transmit).
-	since    []uint64
+	// attended[i] reports whether a station listens on radio i; a
+	// radio's first attach sets it for good. attachAt is the instant of
+	// the latest attach; a frame that starts in that instant is marked
+	// All (see Transmit).
+	attended []bool
 	attachAt sim.Time
+
+	// heard[s] is what a frame from s carries as Transmission.Heard: the
+	// positions in deliveries[s] of the attended receivers, current
+	// while heardVer[s] == ver. An attach, a MoveNodes batch and a
+	// RebuildDeliveries bump ver, and each sender's next frame derives
+	// its row again (heardRow). Rows are appended to arena and never
+	// written after — frames on the air hold them — so a new version
+	// appends past the old rows, never over them.
+	heard    [][]int32
+	heardVer []uint64
+	ver      uint64
+	arena    []int32
 
 	// txFree recycles Transmission objects: a transmission returns to
 	// the list when its end fan-out completes, so steady-state traffic
@@ -76,6 +84,19 @@ func NewWithWorkers(sched *sim.Scheduler, params phy.Params, model radio.Model, 
 	return m
 }
 
+// NewFromRows builds a medium over delivery rows already built for the
+// same params, model and positions — BuildDeliveries' output and the
+// grid flag it returned — so it is the medium New would build, without
+// the build. Any number of media, on any goroutines, may share one row
+// set: each takes its own copy of the outer slice only, and nothing
+// writes into a row (MoveNodes replaces the rows it patches), so no run
+// changes what another reads. topo.Testbed.Shared is the caller.
+func NewFromRows(sched *sim.Scheduler, params phy.Params, model radio.Model, positions []geo.Point, rng *sim.RNG, rows [][]Delivery, gridBacked bool) *Medium {
+	m := newMedium(sched, params, model, positions, rng)
+	m.deliveries, m.gridBacked = slices.Clone(rows), gridBacked
+	return m
+}
+
 // NewDense builds an identical medium through the reference O(n²)
 // construction that considers every ordered pair. It exists so tests can
 // prove the grid-pruned construction loses nothing; simulations behave
@@ -94,27 +115,62 @@ func newMedium(sched *sim.Scheduler, params phy.Params, model radio.Model, posit
 		positions: append([]geo.Point(nil), positions...),
 		floor:     newFloor(params),
 		attachAt:  -1,
+		ver:       1,
 	}
 	m.screen = newScreen(m.floor, model)
 	n := len(positions)
 	m.radios = make([]*phy.Radio, n)
-	m.since = make([]uint64, n)
+	m.attended = make([]bool, n)
+	m.heard = make([][]int32, n)
+	m.heardVer = make([]uint64, n)
 	for i := 0; i < n; i++ {
 		m.radios[i] = phy.NewRadio(i, params, sched, rng.Stream(uint64(0x5ad10+i)), m)
-		m.since[i] = math.MaxUint64
 	}
 	return m
 }
 
-// Attend implements phy.Channel: a station now listens on r, so r hears
-// every frame from the next TxID on.
+// Attend implements phy.Channel: a station now listens on r, so every
+// frame that starts from here on reaches it.
 func (m *Medium) Attend(r *phy.Radio) {
 	id := r.ID()
-	if m.since[id] != math.MaxUint64 {
-		return // already listening; a re-attach must not move since
+	if m.attended[id] {
+		return // already listening
 	}
-	m.since[id] = m.NextTxID + 1
+	m.attended[id] = true
 	m.attachAt = m.sched.Now()
+	m.staleHeard()
+}
+
+// staleHeard retires every sender's heard row: its next frame derives
+// the row again. The retired rows stay valid for the frames on the air
+// that carry them.
+func (m *Medium) staleHeard() {
+	m.ver++
+	m.arena = m.arena[len(m.arena):]
+}
+
+// heardRow returns the positions in src's delivery row of the receivers
+// a station listens on, deriving them on src's first frame since the
+// rows went stale. The row is nil only when src's delivery row is empty,
+// where "every entry" and "none" agree.
+func (m *Medium) heardRow(src int) []int32 {
+	if m.heardVer[src] == m.ver {
+		return m.heard[src]
+	}
+	list := m.deliveries[src]
+	if cap(m.arena)-len(m.arena) < len(list) {
+		m.arena = make([]int32, 0, max(4*len(list), 256))
+	}
+	lo := len(m.arena)
+	for k, d := range list {
+		if m.attended[d.Dst] {
+			m.arena = append(m.arena, int32(k))
+		}
+	}
+	// Capped at its end, so nothing appended later can reach into it.
+	row := m.arena[lo:len(m.arena):len(m.arena)]
+	m.heard[src], m.heardVer[src] = row, m.ver
+	return row
 }
 
 // gain returns the received power in mW at b when a transmits.
@@ -235,29 +291,37 @@ func (m *Medium) HandleEvent(arg any) {
 }
 
 // finishTransmission delivers Depart to every receiver Transmit
-// delivered Arrive to, in the same ascending order and with the same
-// power, then recycles tx. The walk is over the transmit-time snapshot,
-// not the live list:
+// delivered Arrive to — the entries tx.Heard names, in the same
+// ascending order and with the same power — then recycles tx. The walk
+// is over the transmit-time snapshot, not the live list:
 // MoveNodes patches lists copy-on-write, so the snapshot keeps Arrive
 // and Depart pinned to one receiver set — and one power per receiver,
 // which is what keeps a signal on the same side of the radio's
 // sensitivity test both times — even while nodes move mid-frame.
 func (m *Medium) finishTransmission(tx *phy.Transmission) {
-	for _, d := range tx.Deliveries {
-		if tx.All || tx.TxID >= m.since[d.Dst] {
+	if tx.Heard == nil {
+		for _, d := range tx.Deliveries {
+			m.radios[d.Dst].Depart(tx, d.GainMW)
+		}
+	} else {
+		for _, k := range tx.Heard {
+			d := tx.Deliveries[k]
 			m.radios[d.Dst].Depart(tx, d.GainMW)
 		}
 	}
 	tx.Frame = nil      // do not retain the MAC's frame past the air interval
 	tx.Deliveries = nil // nor the delivery snapshot
+	tx.Heard = nil
 	m.txFree = append(m.txFree, tx)
 }
 
 // Transmit implements phy.Channel. It fans the frame out to the radios
-// on the sender's delivery list that a station listens on and posts one
-// signal-end fan-out event plus the transmitter-done event — two
-// heap-stored events per transmission, regardless of receiver count,
-// and zero allocations in steady state.
+// on the sender's delivery list that a station listens on — the frame
+// carries their positions on the list (Transmission.Heard), so its end
+// fan-out walks the same ones — and posts one signal-end fan-out event
+// plus the transmitter-done event: two heap-stored events per
+// transmission, regardless of receiver count, and zero allocations in
+// steady state.
 //
 // A frame that starts in an instant in which a station has attached goes
 // to every radio on the list (All). CMAP's SetSaturated transmits at t=0
@@ -291,8 +355,14 @@ func (m *Medium) Transmit(from *phy.Radio, f frame.Frame, r phy.Rate) sim.Time {
 		Deliveries: m.deliveries[src],
 		All:        now == m.attachAt,
 	}
-	for _, d := range tx.Deliveries {
-		if tx.All || tx.TxID >= m.since[d.Dst] {
+	if tx.All {
+		for _, d := range tx.Deliveries {
+			m.radios[d.Dst].Arrive(tx, d.GainMW)
+		}
+	} else {
+		tx.Heard = m.heardRow(src)
+		for _, k := range tx.Heard {
+			d := tx.Deliveries[k]
 			m.radios[d.Dst].Arrive(tx, d.GainMW)
 		}
 	}

@@ -42,23 +42,33 @@ type TxState struct {
 	Rate  RateID    `json:"rate"`
 	Start sim.Time  `json:"start"`
 	End   sim.Time  `json:"end"`
-	// Deliveries is the transmit-time delivery snapshot. It travels in
-	// the checkpoint so a resume under mobility fans Depart out to
-	// the same receiver set the interrupted run's Arrive reached,
-	// even if delivery lists were patched after the frame went on air.
+	// Deliveries is the part of the transmit-time delivery snapshot the
+	// frame reached. It travels in the checkpoint so a resume fans
+	// Depart out to exactly the radios the interrupted run's Arrive
+	// reached, even if delivery lists were patched after the frame went
+	// on air.
 	Deliveries []Delivery `json:"deliveries,omitempty"`
-	// All is Transmission.All: the end fan-out of a restored frame must
-	// reach the radios its start fan-out did.
+	// All is Transmission.All, which the sharded engine's fan-outs test
+	// at both ends of a frame.
 	All bool `json:"all,omitempty"`
 }
 
-// ExportTransmission captures one in-flight transmission.
+// ExportTransmission captures one in-flight transmission, its delivery
+// snapshot cut down to the entries Heard names.
 func ExportTransmission(tx *Transmission) TxState {
-	return TxState{TxID: tx.TxID, From: tx.From, Frame: frame.Any{Frame: tx.Frame}, Rate: tx.Rate.ID, Start: tx.Start, End: tx.End, Deliveries: tx.Deliveries, All: tx.All}
+	reached := tx.Deliveries
+	if tx.Heard != nil {
+		reached = make([]Delivery, len(tx.Heard))
+		for i, k := range tx.Heard {
+			reached[i] = tx.Deliveries[k]
+		}
+	}
+	return TxState{TxID: tx.TxID, From: tx.From, Frame: frame.Any{Frame: tx.Frame}, Rate: tx.Rate.ID, Start: tx.Start, End: tx.End, Deliveries: reached, All: tx.All}
 }
 
 // Restore fills tx from the checkpointed record; nodes is the network's
-// size, which every node the record names must be inside.
+// size, which every node the record names must be inside. The restored
+// frame carries no Heard: its Deliveries are the receivers it reached.
 func (st TxState) Restore(tx *Transmission, nodes int) error {
 	if int(st.Rate) >= len(rateTable) {
 		return fmt.Errorf("phy: transmission %d names invalid rate id %d", st.TxID, st.Rate)

@@ -34,6 +34,13 @@ type Transmission struct {
 	// while the frame is on the air. Under static scenarios it aliases
 	// the live list and behaviour is unchanged.
 	Deliveries []Delivery
+	// Heard lists, in ascending order, the positions in Deliveries of
+	// the receivers the frame reaches: those a station listened on when
+	// it started. Nil means every entry, which is what an All frame and
+	// a restored frame (whose Deliveries hold only the receivers it
+	// reached) carry. Fixed at transmit time, so both fan-outs of the
+	// frame walk the same receivers.
+	Heard []int32
 	// All marks a frame that goes to every radio on Deliveries whether
 	// or not a station listens there: one that started in an instant in
 	// which a station attached (see Channel.Attend). Fixed at transmit
@@ -524,10 +531,16 @@ func (r *Radio) finishReception(tx *Transmission, now sim.Time) {
 		End:     now,
 	}
 	r.LockedMW = 0
-	pSuccess := math.Exp(r.LockLogSucc)
+	logSucc := r.LockLogSucc
 	r.LockLogSucc = 0
 	if r.handler == nil {
 		return
+	}
+	// A reception no segment degraded ends with exactly 0, and
+	// math.Exp(0) is exactly 1: skip the transcendental, keep the draw.
+	pSuccess := 1.0
+	if logSucc != 0 {
+		pSuccess = math.Exp(logSucc)
 	}
 	if r.RNG.Float64() < pSuccess {
 		r.Stat.Decoded++

@@ -123,11 +123,11 @@ func (s *Shard) acquireRT() *remoteTx {
 }
 
 // Attend implements phy.Channel: a station now listens on r. Stations
-// attach while the engine is being wired, before the first Run. TxIDs
-// interleave across shards, so the serial medium's "listening since
-// this TxID" cannot order an attach against the frames on the air here,
-// and the attended set is read by every shard goroutine; an attach on a
-// running engine is therefore a wiring bug. Frames sent while wiring
+// attach while the engine is being wired, before the first Run. A frame
+// here carries no receiver list of its own, as the serial medium's do:
+// both of its fan-outs test the attended set as it stands, and every
+// shard goroutine reads it, so an attach on a running engine is a
+// wiring bug. Frames sent while wiring
 // all start in an attach instant of their own shard and are marked All,
 // so Arrive and Depart pair up as on the serial medium.
 func (s *Shard) Attend(r *phy.Radio) {

@@ -2,6 +2,7 @@ package topo
 
 import (
 	"sort"
+	"sync"
 
 	"repro/internal/geo"
 	"repro/internal/medium"
@@ -40,6 +41,19 @@ type Testbed struct {
 	// rssP10 and rssP90 are the network-wide signal-strength percentiles
 	// over connected links, used by the §5.1 link definitions.
 	rssP10, rssP90 float64
+
+	// shared, set on a Shared copy, holds the one row set its builds
+	// reuse.
+	shared *sharedRows
+}
+
+// sharedRows is one build of a testbed's delivery rows, made by the
+// first Build that needs it. It hangs off a pointer so that a Testbed
+// stays copyable by value.
+type sharedRows struct {
+	once       sync.Once
+	rows       [][]medium.Delivery
+	gridBacked bool
 }
 
 // DefaultBounds is the floor plan of the generated testbed: one office
@@ -136,10 +150,32 @@ func (tb *Testbed) Build(sched *sim.Scheduler, rng *sim.RNG) *medium.Medium {
 // re-draw wrapper (mobility.Channel) around the testbed's model. The
 // DenseMedium switch is honoured the same way.
 func (tb *Testbed) BuildWith(sched *sim.Scheduler, rng *sim.RNG, model radio.Model) *medium.Medium {
-	if tb.DenseMedium {
+	switch s := tb.shared; {
+	case tb.DenseMedium:
 		return medium.NewDense(sched, tb.Params, model, tb.Pos, rng)
+	case s != nil && model == tb.Model:
+		s.once.Do(func() { s.rows, s.gridBacked = medium.BuildDeliveries(tb.Params, tb.Model, tb.Pos, 0) })
+		return medium.NewFromRows(sched, tb.Params, model, tb.Pos, rng, s.rows, s.gridBacked)
 	}
 	return medium.New(sched, tb.Params, model, tb.Pos, rng)
+}
+
+// Shared returns a shallow copy of tb whose Build and BuildWith build
+// the delivery rows once, on first use, and hand every medium the same
+// rows (medium.NewFromRows). The rows are a pure function of the
+// testbed's params, model and positions, so each medium is the one a
+// fresh build makes, and none can change what another reads. A
+// BuildWith over any other model (the mobility.Channel of a run that
+// re-draws shadowing) and DenseMedium build afresh, as before. Take one
+// copy per fan-out of trials and let it go with them — the rows live as
+// long as the copy does. Shared on a copy that already shares returns it.
+func (tb *Testbed) Shared() *Testbed {
+	if tb.shared != nil {
+		return tb
+	}
+	c := *tb
+	c.shared = new(sharedRows)
+	return &c
 }
 
 // SignalP10 returns the network-wide 10th-percentile signal strength.
