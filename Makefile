@@ -15,7 +15,7 @@
 #   make bench-smoke  one-iteration steady-state benchmark (compile-level perf canary)
 #   make docs-check documentation gate: gofmt diff, package-comment
 #                   guard over internal/, markdown link check
-#   make fuzz-smoke short randomized pass of the checked-in fuzzers
+#   make fuzz-smoke 5 s of each fuzzer in FUZZERS beyond its seed corpus
 #                   (scheduler agenda, CMAP defer table, grid
 #                   re-bucketing, delivery-list patching, station attach
 #                   order against the medium's fan-out, the radio's
@@ -23,8 +23,8 @@
 #                   the shadowing screen against Loss, the mobility
 #                   spec parser, every layer's RestoreState through
 #                   damaged re-stamped checkpoints, the arm spec
-#                   parser and the -arms list parser, frame decoding)
-#                   beyond their seed corpora
+#                   parser and the -arms list parser, frame decoding,
+#                   the checkpoint envelope loader)
 #   make loc        non-test Go lines outside bench/, the size ROADMAP tracks
 #   make conformance  the shared MAC conformance suite (every registered
 #                   arm: allocation, determinism, worker-equivalence and
@@ -140,19 +140,19 @@ docs-check:
 # Short randomized fuzzing beyond the seed corpora: a few seconds per
 # fuzzer is enough to catch a freshly introduced ordering or expiry bug
 # without turning CI into a fuzzing farm.
+FUZZERS = internal/sim:FuzzScheduler internal/core:FuzzDeferTable \
+	internal/geo:FuzzGridRebucket internal/medium:FuzzDeliveryPatch \
+	internal/medium:FuzzAttachOrder internal/phy:FuzzInterferencePath \
+	internal/radio:FuzzScreenNeverRefusesAudible internal/mobility:FuzzParseSpec \
+	internal/experiments:FuzzRestoreState internal/experiments:FuzzParseArms \
+	internal/mac:FuzzLookup internal/frame:FuzzFrameUnmarshal \
+	internal/checkpoint:FuzzLoad
+
 fuzz-smoke:
-	$(GO) test -timeout $(TEST_TIMEOUT) -run='^$$' -fuzz=FuzzScheduler -fuzztime=5s ./internal/sim
-	$(GO) test -timeout $(TEST_TIMEOUT) -run='^$$' -fuzz=FuzzDeferTable -fuzztime=5s ./internal/core
-	$(GO) test -timeout $(TEST_TIMEOUT) -run='^$$' -fuzz=FuzzGridRebucket -fuzztime=5s ./internal/geo
-	$(GO) test -timeout $(TEST_TIMEOUT) -run='^$$' -fuzz=FuzzDeliveryPatch -fuzztime=5s ./internal/medium
-	$(GO) test -timeout $(TEST_TIMEOUT) -run='^$$' -fuzz=FuzzAttachOrder -fuzztime=5s ./internal/medium
-	$(GO) test -timeout $(TEST_TIMEOUT) -run='^$$' -fuzz=FuzzInterferencePath -fuzztime=5s ./internal/phy
-	$(GO) test -timeout $(TEST_TIMEOUT) -run='^$$' -fuzz=FuzzScreenNeverRefusesAudible -fuzztime=5s ./internal/radio
-	$(GO) test -timeout $(TEST_TIMEOUT) -run='^$$' -fuzz=FuzzParseSpec -fuzztime=5s ./internal/mobility
-	$(GO) test -timeout $(TEST_TIMEOUT) -run='^$$' -fuzz=FuzzRestoreState -fuzztime=5s ./internal/experiments
-	$(GO) test -timeout $(TEST_TIMEOUT) -run='^$$' -fuzz=FuzzParseArms -fuzztime=5s ./internal/experiments
-	$(GO) test -timeout $(TEST_TIMEOUT) -run='^$$' -fuzz=FuzzLookup -fuzztime=5s ./internal/mac
-	$(GO) test -timeout $(TEST_TIMEOUT) -run='^$$' -fuzz=FuzzFrameUnmarshal -fuzztime=5s ./internal/frame
+	@for f in $(FUZZERS); do \
+		echo "fuzz $$f"; \
+		$(GO) test -timeout $(TEST_TIMEOUT) -run='^$$' -fuzz="$${f##*:}" -fuzztime=5s "./$${f%%:*}" || exit 1; \
+	done
 
 # Non-test Go lines outside bench/: the code-size number ROADMAP tracks.
 loc:
@@ -211,12 +211,12 @@ mobility-conformance:
 # scenario × every registered MAC arm × shards 1/2/4, and the lazily
 # derived config hash / owner index must not depend on when they are
 # first read; every layer's completeness and export → restore → export
-# round-trip tests, and slot-table damage through Resume. The second line
+# round-trip tests, and seq damage through Resume. The second line
 # is the envelope damage table (truncation/corruption/version/config
 # typed errors) and the Map/Set codecs, the third the scheduler, timer
-# and RNG round-trip and slot-table damage unit tier.
+# and RNG round-trip and seq damage unit tier.
 checkpoint-conformance:
-	$(GO) test -timeout $(TEST_TIMEOUT) -count=1 -run 'TestCheckpointResumeBitIdentical|TestCheckpointConfigHashGuard|TestState|TestResumeRejectsBadSlots' ./internal/experiments
+	$(GO) test -timeout $(TEST_TIMEOUT) -count=1 -run 'TestCheckpointResumeBitIdentical|TestCheckpointConfigHashGuard|TestState|TestResumeRejectsBadSeqs' ./internal/experiments
 	$(GO) test -timeout $(TEST_TIMEOUT) -count=1 ./internal/checkpoint
 	$(GO) test -timeout $(TEST_TIMEOUT) -count=1 -run 'TestScheduler|TestRNGState|TestTimer' ./internal/sim
 

@@ -301,6 +301,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return usage("-duration %v: want a positive virtual run time", *duration)
 	case *traceN < 0:
 		return usage("-trace %d: want a non-negative event count", *traceN)
+	case *trials < 0:
+		return usage("-trials %d: want a non-negative count", *trials)
+	case *parallel < 0:
+		return usage("-parallel %d: want a non-negative worker count (0 = all CPUs)", *parallel)
+	case *nodes < 0:
+		return usage("-nodes %d: want a non-negative node count (0 = the scenario's default)", *nodes)
 	case *traceN > 0 && *trials > 1:
 		return usage("-trace records one run; it cannot be combined with -trials %d", *trials)
 	case *traceN > 0 && *shards > 1:

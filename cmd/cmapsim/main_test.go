@@ -106,6 +106,9 @@ func TestRunUsageErrors(t *testing.T) {
 		{"trace with trials", []string{"-trace", "5", "-trials", "3"}, "-trials 3"},
 		{"trace on shards", []string{"-trace", "5", "-shards", "2"}, "-shards 2"},
 		{"negative trace", []string{"-trace", "-5"}, "-trace -5"},
+		{"negative trials", []string{"-trials", "-3"}, "-trials -3"},
+		{"negative parallel", []string{"-parallel", "-4", "-trials", "2"}, "-parallel -4"},
+		{"negative nodes", []string{"-scenario", "disk", "-nodes", "-7"}, "-nodes -7"},
 		{"checkpoint with trials", []string{"-checkpoint", "x.json", "-trials", "2"}, "-checkpoint/-resume"},
 		{"checkpoint interval", []string{"-checkpoint", "x.json", "-checkpoint-every", "0"}, "-checkpoint-every 0s"},
 		{"bad mobility", []string{"-mobility", "teleport@3"}, "teleport"},

@@ -24,10 +24,13 @@ import (
 // and the payload's component table all changed shape. Version 5: an
 // in-flight frame stores only the delivery entries it reached; a
 // version-4 frame stores its sender's whole row, and resuming it would
-// depart radios it never arrived at.
+// depart radios it never arrived at. Version 6: a timer is stored as the
+// seq of its event and the scheduler carries no cancellation-slot table;
+// a version-5 timer is a [slot, gen, at] triple this binary cannot name
+// an event by.
 const (
 	Magic   = "cmapckpt"
-	Version = 5
+	Version = 6
 )
 
 // The typed failure modes of Load. Callers branch with errors.Is; every

@@ -111,6 +111,9 @@ func TestLoadFailureModes(t *testing.T) {
 		// Version 4 stored each in-flight frame's whole delivery row;
 		// this binary would depart radios the frame never arrived at.
 		{"version 4 envelope", func() []byte { return reversion("4") }, hash, ErrVersionMismatch},
+		// Version 5 stored timers as [slot, gen, at] against a slot table
+		// this binary no longer keeps.
+		{"version 5 envelope", func() []byte { return reversion("5") }, hash, ErrVersionMismatch},
 		{"config mismatch", func() []byte { return good }, ConfigHash("config-B"), ErrConfigMismatch},
 	}
 	for _, tc := range cases {

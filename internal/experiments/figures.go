@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"repro/internal/csma"
@@ -513,38 +514,45 @@ func runMesh(arm mac.Arm, tb *topo.Testbed, msh topo.Mesh, opt Options, seed uin
 		batch = func() { b.EnqueueBroadcast(meshBatch) }
 	}
 	batch()
-	// Phase controller: source batch → relay forwarding → next batch.
-	srcPhase := true
-	var tick func()
-	tick = func() {
-		if srcPhase && src.Idle() {
-			srcPhase = false
-			for i := range relays {
-				if pending[i] > 0 {
-					relays[i].Enqueue(msh.Leaves[i], pending[i])
-					pending[i] = 0
-				}
-			}
-		} else if !srcPhase {
-			done := true
-			for _, r := range relays {
-				if !r.Idle() {
-					done = false
-					break
-				}
-			}
-			if done {
-				srcPhase = true
-				batch()
-			}
-		}
-		sched.After(20*sim.Millisecond, tick)
-	}
-	sched.After(20*sim.Millisecond, tick)
+	sched.PostAfter(meshTick, &meshPhase{sched: sched, src: src, relays: relays, leaves: msh.Leaves, pending: pending, batch: batch, srcPhase: true}, nil)
 	sched.Run(opt.Duration)
 	var agg float64
 	for i := range msh.Relays {
 		agg += math.Min(hop1[i].Mbps(), hop2[i].Mbps())
 	}
 	return agg
+}
+
+// meshTick is how often runMesh's phase controller looks at the stations.
+const meshTick = 20 * sim.Millisecond
+
+// meshPhase is runMesh's phase controller, an event that re-posts itself
+// every meshTick: once the source has drained its batch, each relay
+// forwards what it received (pending) to its leaf; once every relay has
+// drained too, the source issues the next batch.
+type meshPhase struct {
+	sched    *sim.Scheduler
+	src      mac.Node
+	relays   []mac.Node
+	leaves   []int
+	pending  []int
+	batch    func()
+	srcPhase bool
+}
+
+func (p *meshPhase) HandleEvent(any) {
+	switch {
+	case p.srcPhase && p.src.Idle():
+		p.srcPhase = false
+		for i, r := range p.relays {
+			if p.pending[i] > 0 {
+				r.Enqueue(p.leaves[i], p.pending[i])
+				p.pending[i] = 0
+			}
+		}
+	case !p.srcPhase && !slices.ContainsFunc(p.relays, func(r mac.Node) bool { return !r.Idle() }):
+		p.srcPhase = true
+		p.batch()
+	}
+	p.sched.PostAfter(meshTick, p, nil)
 }

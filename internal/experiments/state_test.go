@@ -280,25 +280,34 @@ func resumeEdited(t testing.TB, cfg FlowSimConfig, payload, ops []byte) error {
 	return nil
 }
 
-// TestResumeRejectsBadSlots: the two slot-table defects a hand-edited
-// checkpoint could carry past Resume — a free slot beyond the table, and
-// a timer naming a slot beyond it — come back as sim.ErrSlotRange, on the
-// serial engine and on two shards.
-func TestResumeRejectsBadSlots(t *testing.T) {
+// TestResumeRejectsBadSeqs: the seq defects a hand-edited checkpoint
+// could carry past Resume — an event seq listed twice, an event seq and
+// a timer seq the scheduler has not issued — come back as sim.ErrSeq, on
+// the serial engine and on two shards; a timer naming a seq that already
+// fired is inactive, and the resumed run goes on.
+func TestResumeRejectsBadSeqs(t *testing.T) {
 	for _, tc := range stateCases() {
 		if tc.layer != "core" && tc.layer != "shard" {
 			continue
 		}
 		payload := cutPayload(t, tc.cfg)
-		for _, ops := range [][]byte{
-			{opSetKey, keyFreeSlots, 0, litSlot99},
-			{opSetKey, keyAckTimer, 0, litFarTimer},
-		} {
-			if err := resumeEdited(t, tc.cfg, payload, ops); !errors.Is(err, sim.ErrSlotRange) {
-				t.Errorf("%s: resume of a payload edited by %v: %v, want %v", tc.layer, ops, err, sim.ErrSlotRange)
+		for _, ops := range seqDamage {
+			if err := resumeEdited(t, tc.cfg, payload, ops); !errors.Is(err, sim.ErrSeq) {
+				t.Errorf("%s: resume of a payload edited by %v: %v, want %v", tc.layer, ops, err, sim.ErrSeq)
 			}
 		}
+		if err := resumeEdited(t, tc.cfg, payload, []byte{opSetKey, keyAckTimer, 0, litZero}); err != nil {
+			t.Errorf("%s: resume with a timer naming a fired seq: %v", tc.layer, err)
+		}
 	}
+}
+
+// seqDamage are the edits that must give sim.ErrSeq: two events given
+// one seq, an event seq beyond next_seq, a timer seq beyond it.
+var seqDamage = [][]byte{
+	{opSetKey, keySeq, 0, litSeven, opSetKey, keySeq, 1, litSeven},
+	{opSetKey, keySeq, 0, litFarSeq},
+	{opSetKey, keyAckTimer, 0, litFarSeq},
 }
 
 // TestResumeRejectsNullEntries: a CMAP node's observation table and loss
@@ -323,8 +332,8 @@ func TestResumeRejectsNullEntries(t *testing.T) {
 // values, re-stamps the digest and configuration hash, and requires
 // Resume to return (an error or nil) without panicking or hanging, and a
 // resumed simulation to run on without panicking. The in-code seeds
-// include the slot-table defects TestResumeRejectsBadSlots pins and the
-// null table entries TestResumeRejectsNullEntries pins.
+// include the seq defects TestResumeRejectsBadSeqs pins and the null
+// table entries TestResumeRejectsNullEntries pins.
 func FuzzRestoreState(f *testing.F) {
 	cases := stateCases()
 	payloads := make([][]byte, len(cases))
@@ -332,9 +341,9 @@ func FuzzRestoreState(f *testing.F) {
 		payloads[i] = cutPayload(f, tc.cfg)
 	}
 	for i := range cases {
-		f.Add(uint8(i), []byte{opSetKey, keyFreeSlots, 0, litSlot99})
-		f.Add(uint8(i), []byte{opSetKey, keyAckTimer, 0, litFarTimer})
-		f.Add(uint8(i), []byte{opSetKey, keyFreeSlots, 0, litTwice, opSetKey, keySlotGens, 0, litOne})
+		for _, ops := range seqDamage {
+			f.Add(uint8(i), ops)
+		}
 	}
 	f.Add(uint8(0), []byte{opNumber, 0, 40, 3, opSwapArrays, 2, 9, 0})
 	f.Add(uint8(1), []byte{opFlip, 1, 200, 7})
@@ -364,17 +373,16 @@ const (
 
 var (
 	numLits   = []string{"0", "-1", "1", "7", "99", "4294967296", "-9223372036854775808", "18446744073709551615", "1e300", "0.5"}
-	keys      = []string{"free_slots", "slot_gens", "events", "slot", "ack_timer", "fin_timer", "arrival", "active", "locked_tx_id", "rx", "flows", "cur", "obs", "nodes", "pos", "times", "mask", "weak_n", "total_mw", "shards", "radios", "comps", "deliveries", "from", "rate", "frame", "kind", "owner", "arg", "at", "now", "seqs", "got", "retx", "unacked", "sack", "interf_stats", "defer_tab", "entries", "queue", "last_seq", "assign", "window", "shadow"}
-	valueLits = []string{"null", "[]", "{}", "0", "-1", "[99]", "[0,0]", "7", "[99999,0,0]", `"x"`, "true", "[{}]", "[null]", "1e300", "[0]",
+	keys      = []string{"next_seq", "seq", "events", "fired", "ack_timer", "fin_timer", "arrival", "active", "locked_tx_id", "rx", "flows", "cur", "obs", "nodes", "pos", "times", "mask", "weak_n", "total_mw", "shards", "radios", "comps", "deliveries", "from", "rate", "frame", "kind", "owner", "arg", "at", "now", "seqs", "got", "retx", "unacked", "sack", "interf_stats", "defer_tab", "entries", "queue", "last_seq", "assign", "window", "shadow"}
+	valueLits = []string{"null", "[]", "{}", "0", "-1", "[99]", "[0,0]", "7", "999999999999", `"x"`, "true", "[{}]", "[null]", "1e300", "[0]",
 		`{"entries":[null]}`, `{},"interf_stats":[{"k":{},"v":null}]`}
 )
 
 // Indices into the tables above that the seeds name.
 const (
-	keyFreeSlots, keySlotGens, keyAckTimer, keyTimes, keyPos, keyActive = 0, 1, 4, 15, 14, 7
-	keyObs                                                              = 12
-	litNull, litEmptyArray, litSlot99, litTwice, litFarTimer, litOne    = 0, 1, 5, 6, 8, 14
-	litNullList, litNullObs, litNullStat                                = 12, 15, 16
+	keySeq, keyAckTimer, keyTimes, keyPos, keyActive, keyObs = 1, 4, 15, 14, 7, 12
+	litNull, litEmptyArray, litZero, litSeven, litFarSeq     = 0, 1, 3, 7, 8
+	litNullList, litNullObs, litNullStat                     = 12, 15, 16
 )
 
 // editJSON applies ops to a copy of doc.

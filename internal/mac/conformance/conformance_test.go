@@ -142,6 +142,15 @@ func testConservation(t *testing.T, armName string) {
 	conservation(t, armName, CleanLink())
 }
 
+// arrival is one pre-drawn packet arrival: firing it enqueues a packet
+// for dst at the sender.
+type arrival struct {
+	sender mac.Node
+	dst    int
+}
+
+func (a arrival) HandleEvent(any) { a.sender.Enqueue(a.dst, 1) }
+
 // conservation is the body shared by the static and mobile conservation
 // contracts. It also pins the Counters view against what the delivery
 // observer saw, and returns the fixture for topology-specific checks.
@@ -162,7 +171,7 @@ func conservation(t *testing.T, armName string, tp Topology) *Fixture {
 		t.Fatalf("only %d Poisson arrivals drawn — fixture too sparse to mean anything", len(arrivals))
 	}
 	for _, at := range arrivals {
-		f.Sched.At(at, func() { sender.Enqueue(dst, 1) })
+		f.Sched.Post(at, arrival{sender, dst}, nil)
 	}
 	enqueued := uint64(len(arrivals))
 

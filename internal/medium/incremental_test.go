@@ -81,7 +81,8 @@ func TestIncrementalMatchesRebuild(t *testing.T) {
 					pts := scatter(60, arena, rng.Stream(7))
 					ch := mobility.NewChannel(inner, len(pts))
 					sched := sim.NewScheduler()
-					m := NewWithWorkers(sched, params, ch, pts, rng.Stream(1), 1)
+					rows, grid := BuildDeliveries(params, ch, pts, 1)
+					m := NewFromRows(sched, params, ch, pts, rng.Stream(1), rows, grid)
 					mg := mobility.New(spec, arena, m, rng.Stream(mobility.StreamLabel), ch)
 					mg.Start()
 					for epoch := 0; epoch < 30; epoch++ {
@@ -224,8 +225,9 @@ func TestPartialBatchMatchesRebuild(t *testing.T) {
 						if dense {
 							model = unbounded{ch}
 						}
-						m := NewWithWorkers(sim.NewScheduler(), params, model, pts, rng.Stream(1), 1)
-						twin := NewWithWorkers(sim.NewScheduler(), params, model, pts, rng.Stream(1), 1)
+						rows, grid := BuildDeliveries(params, model, pts, 1)
+						m := NewFromRows(sim.NewScheduler(), params, model, pts, rng.Stream(1), rows, grid)
+						twin := NewFromRows(sim.NewScheduler(), params, model, pts, rng.Stream(1), rows, grid)
 						if m.GridBacked() == dense {
 							t.Fatalf("grid-backed = %v on the %s", m.GridBacked(), name)
 						}

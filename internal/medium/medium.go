@@ -72,15 +72,8 @@ type Medium struct {
 // range (fanned across GOMAXPROCS workers — bit-identical to the serial
 // build, see BuildDeliveries), and by exhaustive pairing otherwise.
 func New(sched *sim.Scheduler, params phy.Params, model radio.Model, positions []geo.Point, rng *sim.RNG) *Medium {
-	return NewWithWorkers(sched, params, model, positions, rng, 0)
-}
-
-// NewWithWorkers is New with an explicit construction worker count
-// (<= 0 means GOMAXPROCS). The built medium is bit-identical at any
-// worker count; the knob exists for benchmarks and equivalence tests.
-func NewWithWorkers(sched *sim.Scheduler, params phy.Params, model radio.Model, positions []geo.Point, rng *sim.RNG, workers int) *Medium {
 	m := newMedium(sched, params, model, positions, rng)
-	m.deliveries, m.gridBacked = BuildDeliveries(params, model, positions, workers)
+	m.deliveries, m.gridBacked = BuildDeliveries(params, model, positions, 0)
 	return m
 }
 

@@ -59,6 +59,12 @@ func dataFrame(src, dst int) *frame.Dot11Data {
 	return &frame.Dot11Data{Src: frame.AddrFromID(src), Dst: frame.AddrFromID(dst), PayloadLen: 1400}
 }
 
+// call is the tests' one-off event handler: the function it holds runs
+// when the event fires.
+type call func()
+
+func (c call) HandleEvent(any) { c() }
+
 func TestCleanDelivery(t *testing.T) {
 	// A(0) → B(1): loss 70 dB → rx -60 dBm, SNR 29 dB effective: certain decode.
 	m, recs, sched := testMedium(t, sym([][]float64{
@@ -141,9 +147,9 @@ func TestCaptureStrongFirstFrame(t *testing.T) {
 		{offAir, 95, 0},
 	}))
 	m.Radio(0).Transmit(dataFrame(0, 1), phy.RateByID(phy.Rate6Mbps))
-	sched.After(50*sim.Microsecond, func() {
+	sched.PostAfter(50*sim.Microsecond, call(func() {
 		m.Radio(2).Transmit(dataFrame(2, 1), phy.RateByID(phy.Rate6Mbps))
-	})
+	}), nil)
 	sched.RunAll()
 	if len(recs[1].frames) != 1 {
 		t.Fatalf("B decoded %d frames, want 1 (capture)", len(recs[1].frames))
@@ -163,9 +169,9 @@ func TestLateStrongFrameCapturesLocked(t *testing.T) {
 		{offAir, 90, 0},
 	}))
 	m.Radio(2).Transmit(dataFrame(2, 1), phy.RateByID(phy.Rate6Mbps))
-	sched.After(200*sim.Microsecond, func() {
+	sched.PostAfter(200*sim.Microsecond, call(func() {
 		m.Radio(0).Transmit(dataFrame(0, 1), phy.RateByID(phy.Rate6Mbps))
-	})
+	}), nil)
 	sched.RunAll()
 	if len(recs[1].frames) != 1 || recs[1].infos[0].From != 0 {
 		t.Errorf("B decoded %d frames (want 1, captured from node 0)", len(recs[1].frames))
@@ -186,9 +192,9 @@ func TestNoCaptureBetweenComparableFrames(t *testing.T) {
 		{offAir, 68, 0},
 	}))
 	m.Radio(2).Transmit(dataFrame(2, 1), phy.RateByID(phy.Rate6Mbps))
-	sched.After(200*sim.Microsecond, func() {
+	sched.PostAfter(200*sim.Microsecond, call(func() {
 		m.Radio(0).Transmit(dataFrame(0, 1), phy.RateByID(phy.Rate6Mbps))
-	})
+	}), nil)
 	sched.RunAll()
 	if m.Radio(1).Stats().Captures != 0 {
 		t.Errorf("Captures = %d, want 0 for a 3 dB difference", m.Radio(1).Stats().Captures)
@@ -257,9 +263,9 @@ func TestHalfDuplexTxAbortsRx(t *testing.T) {
 	}))
 	m.Radio(0).Transmit(dataFrame(0, 1), phy.RateByID(phy.Rate6Mbps))
 	// Mid-reception, B transmits: its reception of A's frame must abort.
-	sched.After(100*sim.Microsecond, func() {
+	sched.PostAfter(100*sim.Microsecond, call(func() {
 		m.Radio(1).Transmit(dataFrame(1, 0), phy.RateByID(phy.Rate6Mbps))
-	})
+	}), nil)
 	sched.RunAll()
 	if len(recs[1].frames) != 0 {
 		t.Error("B decoded a frame while transmitting over it (half-duplex violated)")
@@ -316,9 +322,9 @@ func TestHiddenTerminalCollision(t *testing.T) {
 		}
 	}
 	m.Radio(0).Transmit(dataFrame(0, 1), rate)
-	sched.After(300*sim.Microsecond, func() {
+	sched.PostAfter(300*sim.Microsecond, call(func() {
 		m.Radio(2).Transmit(dataFrame(2, 1), rate)
-	})
+	}), nil)
 	sched.RunAll()
 	if got := len(recs[1].frames); got > 3 {
 		t.Errorf("B decoded %d of 40 overlapping frames, want near-total loss", got)
@@ -394,9 +400,9 @@ func TestMarginalLinkLossy(t *testing.T) {
 		count++
 		if count < n {
 			// Small gap so each frame is an independent reception.
-			sched.After(10*sim.Microsecond, func() {
+			sched.PostAfter(10*sim.Microsecond, call(func() {
 				m.Radio(0).Transmit(dataFrame(0, 1), r)
-			})
+			}), nil)
 		}
 	}
 	m.Radio(0).Transmit(dataFrame(0, 1), r)

@@ -55,8 +55,9 @@ func FuzzDeliveryPatch(f *testing.F) {
 		for i := range pts {
 			pts[i] = geo.Point{X: float64(next()), Y: float64(next())}
 		}
-		m := NewWithWorkers(sim.NewScheduler(), params, model, pts, sim.NewRNG(1), 1)
-		twin := NewWithWorkers(sim.NewScheduler(), params, model, pts, sim.NewRNG(1), 1)
+		rows, grid := BuildDeliveries(params, model, pts, 1)
+		m := NewFromRows(sim.NewScheduler(), params, model, pts, sim.NewRNG(1), rows, grid)
+		twin := NewFromRows(sim.NewScheduler(), params, model, pts, sim.NewRNG(1), rows, grid)
 		verify := func() {
 			sparse, _ := BuildDeliveries(params, model, m.positions, 1)
 			requireListsEqual(t, "sparse oracle", m.deliveries, sparse)

@@ -51,7 +51,8 @@ func (c *countingModel) Inaudible(s *radio.Screen, a int, pa geo.Point, b int, p
 func TestScreenRefusesMost(t *testing.T) {
 	s := topo.UniformDisk(1000, 200, 1)
 	model := &countingModel{inner: s.Model.(gridModel)}
-	m := medium.NewWithWorkers(sim.NewScheduler(), s.Params, model, s.Pos, sim.NewRNG(1), 1)
+	rows, grid := medium.BuildDeliveries(s.Params, model, s.Pos, 1)
+	m := medium.NewFromRows(sim.NewScheduler(), s.Params, model, s.Pos, sim.NewRNG(1), rows, grid)
 	kept := 0
 	for i := 0; i < m.NodeCount(); i++ {
 		kept += m.NeighborCount(i)

@@ -35,9 +35,9 @@ func partialOverlapSetup(t *testing.T, overlapFrac float64, seed uint64) (decode
 		// Interferer transmits so that its frame covers the LAST
 		// overlapFrac of A's frame (and beyond).
 		start := sim.Time(float64(air) * (1 - overlapFrac))
-		sched.At(start, func() {
+		sched.Post(start, call(func() {
 			m.Radio(2).Transmit(dataFrame(2, 1), rate)
-		})
+		}), nil)
 	}
 	sched.RunAll()
 	return len(recs[1].frames) == 1
@@ -116,7 +116,7 @@ func TestFigure5HeaderTrailerSalvage(t *testing.T) {
 	}
 	burst := func(src int, at sim.Time, seq uint32) {
 		// header → data → trailer back-to-back via chained scheduling.
-		sched.At(at, func() {
+		sched.Post(at, call(func() {
 			r := m.Radio(src)
 			rec := recs[src]
 			rec.hookTx = func(f frame.Frame) {
@@ -132,7 +132,7 @@ func TestFigure5HeaderTrailerSalvage(t *testing.T) {
 				}
 			}
 			r.Transmit(hdr(src, seq, false), rate)
-		})
+		}), nil)
 	}
 	headerA, trailerB := 0, 0
 	const rounds = 30

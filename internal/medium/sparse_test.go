@@ -161,12 +161,12 @@ func TestWeakCountsInterferenceEdgeTraffic(t *testing.T) {
 			return
 		}
 		end := m.Radio(src).Transmit(dataFrame(src, src), rate)
-		sched.At(end+sim.Microsecond, func() { send(src, left-1) })
+		sched.Post(end+sim.Microsecond, call(func() { send(src, left-1) }), nil)
 	}
 	rng := sim.NewRNG(2)
 	for i := range pts {
 		src, frames := i, 1+i%4
-		sched.At(rng.DurationIn(0, 5*sim.Millisecond), func() { send(src, frames) })
+		sched.Post(rng.DurationIn(0, 5*sim.Millisecond), call(func() { send(src, frames) }), nil)
 	}
 	sched.RunAll()
 

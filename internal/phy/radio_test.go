@@ -57,6 +57,22 @@ func testTx(id uint64, from int) *Transmission {
 	return &Transmission{TxID: id, From: from, Frame: testFrame(from), Rate: RateByID(Rate6Mbps)}
 }
 
+// edge is a scripted signal edge, posted on the agenda: firing it starts
+// tx at r with power mw, or ends tx when mw is zero.
+type edge struct {
+	r  *Radio
+	tx *Transmission
+	mw float64
+}
+
+func (e edge) HandleEvent(any) {
+	if e.mw > 0 {
+		e.r.SignalStart(e.tx, e.mw)
+	} else {
+		e.r.SignalEnd(e.tx)
+	}
+}
+
 // TestTransmitReturnsChannelEndTime is the regression test for
 // Radio.Transmit returning 0 instead of the end time the channel
 // reported, contradicting its own doc comment.
@@ -80,10 +96,10 @@ func TestCaptureStatAccounting(t *testing.T) {
 	weakMW := radio.DBmToMW(-70)   // SINR 19 dB alone: certain lock
 	strongMW := radio.DBmToMW(-40) // 30 dB above weak: certain capture
 
-	sched.At(0, func() { r.SignalStart(weak, weakMW) })
-	sched.At(100*sim.Microsecond, func() { r.SignalStart(strong, strongMW) })
-	sched.At(2000*sim.Microsecond, func() { r.SignalEnd(weak) })
-	sched.At(2100*sim.Microsecond, func() { r.SignalEnd(strong) })
+	sched.Post(0, edge{r, weak, weakMW}, nil)
+	sched.Post(100*sim.Microsecond, edge{r, strong, strongMW}, nil)
+	sched.Post(2000*sim.Microsecond, edge{r: r, tx: weak}, nil)
+	sched.Post(2100*sim.Microsecond, edge{r: r, tx: strong}, nil)
 	sched.Run(150 * sim.Microsecond)
 
 	st := r.Stats()
@@ -125,8 +141,8 @@ func TestCaptureDisabled(t *testing.T) {
 	r, h, _, sched := testRadio(t, p)
 	weak, strong := testTx(1, 1), testTx(2, 2)
 
-	sched.At(0, func() { r.SignalStart(weak, radio.DBmToMW(-70)) })
-	sched.At(100*sim.Microsecond, func() { r.SignalStart(strong, radio.DBmToMW(-40)) })
+	sched.Post(0, edge{r, weak, radio.DBmToMW(-70)}, nil)
+	sched.Post(100*sim.Microsecond, edge{r, strong, radio.DBmToMW(-40)}, nil)
 	sched.Run(150 * sim.Microsecond)
 	if st := r.Stats(); st.Captures != 0 || st.Corrupted != 0 {
 		t.Fatalf("capture-disabled radio captured: %+v", st)
@@ -137,8 +153,8 @@ func TestCaptureDisabled(t *testing.T) {
 
 	// The weak frame stays locked; with -40 dBm interference over most
 	// of its airtime its decode must fail, not be silently dropped.
-	sched.At(2000*sim.Microsecond, func() { r.SignalEnd(strong) })
-	sched.At(2100*sim.Microsecond, func() { r.SignalEnd(weak) })
+	sched.Post(2000*sim.Microsecond, edge{r: r, tx: strong}, nil)
+	sched.Post(2100*sim.Microsecond, edge{r: r, tx: weak}, nil)
 	sched.RunAll()
 	if st := r.Stats(); st.Decoded != 0 || st.Corrupted != 1 {
 		t.Errorf("overpowered locked frame: stats %+v, want 0 decoded / 1 corrupted", st)
@@ -165,12 +181,10 @@ func TestBelowSensitivityArrivals(t *testing.T) {
 
 	// Now while locked: the faint arrival must not perturb the lock.
 	good, faint2 := testTx(2, 2), testTx(3, 3)
-	sched.At(0, func() {
-		r.SignalStart(good, radio.DBmToMW(-70))
-		r.SignalStart(faint2, radio.DBmToMW(-100))
-	})
-	sched.At(1000*sim.Microsecond, func() { r.SignalEnd(faint2) })
-	sched.At(1100*sim.Microsecond, func() { r.SignalEnd(good) })
+	sched.Post(0, edge{r, good, radio.DBmToMW(-70)}, nil)
+	sched.Post(0, edge{r, faint2, radio.DBmToMW(-100)}, nil)
+	sched.Post(1000*sim.Microsecond, edge{r: r, tx: faint2}, nil)
+	sched.Post(1100*sim.Microsecond, edge{r: r, tx: good}, nil)
 	sched.Run(10 * sim.Microsecond)
 	if st := r.Stats(); st.Captures != 0 || st.Corrupted != 0 || st.Missed != 1 {
 		t.Fatalf("locked radio below-sensitivity arrival changed stats: %+v", st)

@@ -277,6 +277,11 @@ func TestPartitionCoShardsFlows(t *testing.T) {
 	}
 }
 
+// boom is an agenda event that panics when it fires.
+type boom struct{}
+
+func (boom) HandleEvent(any) { panic("boom from a shard event") }
+
 // TestEnginePanicPropagation proves a panic on one shard goroutine
 // aborts the whole run and resurfaces in Run with the original message
 // — not a deadlock at the barrier, not a silent partial run.
@@ -284,9 +289,7 @@ func TestEnginePanicPropagation(t *testing.T) {
 	tb := topo.NewTestbed(50, 3)
 	rng := sim.NewRNG(1)
 	eng := NewEngine(tb.Params, tb.Model, tb.Pos, rng.Stream(1), Config{Shards: 3})
-	eng.SchedulerOf(0).After(1*sim.Millisecond, func() {
-		panic("boom from a shard event")
-	})
+	eng.SchedulerOf(0).PostAfter(1*sim.Millisecond, boom{}, nil)
 	defer func() {
 		r := recover()
 		if r == nil {

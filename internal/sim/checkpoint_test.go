@@ -13,7 +13,7 @@ import (
 // fresh scheduler whose skeleton posted different events, and the
 // restored agenda must pop in exactly the captured order with the same
 // sequence numbers, and outstanding timers must keep working against
-// the restored slot table.
+// the restored agenda.
 
 // recHandler records every event it handles, tagged with the clock.
 type recHandler struct {
@@ -65,22 +65,23 @@ func TestSchedulerExportRestoreRoundTrip(t *testing.T) {
 	ha := newRec(a, &logA, "x", "y")
 	encA, _ := codec(ha)
 
-	// Interleave plain posts and slot-backed timer posts, run partway so
-	// the clock, fired counter and seq counters are all non-trivial.
+	// Interleave plain posts and timer-backed events, run partway so the
+	// clock, fired counter and seq counters are all non-trivial.
 	for i := 0; i < 8; i++ {
 		a.Post(Time(10*(i+1)), ha["x"], i)
 	}
-	tm := a.AtHandler(Time(95), ha["y"], 100)
-	a.ResetAt(tm, Time(55), ha["y"], 101) // same slot, bumped gen
-	stopped := a.AtHandler(Time(42), ha["y"], 200)
-	stopped.Stop() // frees a slot → FreeSlots must round-trip
+	var tm, stopped Timer
+	a.ResetAt(&tm, Time(95), ha["y"], 100)
+	a.ResetAt(&tm, Time(55), ha["y"], 101) // re-armed while active: 95 stays on the agenda, orphaned
+	a.ResetAt(&stopped, Time(42), ha["y"], 200)
+	stopped.Stop() // frees a slab entry the restored agenda does not have
 	a.Run(Time(30))
 
 	st, err := a.ExportState(encA)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tmJSON := marshalTimer(t, tm)
+	tmJSON := marshalTimer(t, &tm)
 	preLen := len(logA) // events A already fired before the cut
 
 	// The restore target has its own junk agenda that must vanish.
@@ -89,7 +90,7 @@ func TestSchedulerExportRestoreRoundTrip(t *testing.T) {
 	hb := newRec(b, &logB, "x", "y")
 	_, decB := codec(hb)
 	b.Post(Time(5), hb["x"], 999)
-	b.AfterHandler(Time(7), hb["y"], 998)
+	b.PostAfter(Time(7), hb["y"], 998)
 
 	if err := b.RestoreState(st, decB); err != nil {
 		t.Fatal(err)
@@ -105,8 +106,8 @@ func TestSchedulerExportRestoreRoundTrip(t *testing.T) {
 	if b.Fired() != a.Fired() {
 		t.Fatalf("fired %d vs %d", b.Fired(), a.Fired())
 	}
-	if !tm2.Active() || tm2.When() != Time(55) {
-		t.Fatalf("restored timer: active=%v when=%v, want active at 55", tm2.Active(), tm2.When())
+	if !tm2.Active() {
+		t.Fatal("restored timer is inactive; its event is on the restored agenda")
 	}
 
 	a.RunAll()
@@ -120,18 +121,19 @@ func TestSchedulerExportRestoreRoundTrip(t *testing.T) {
 }
 
 // TestSchedulerRestoreTimerStop: a restored timer handle must still
-// cancel its event (slot generations line up after restore).
+// cancel its event (Attach finds it by seq on the restored agenda).
 func TestSchedulerRestoreTimerStop(t *testing.T) {
 	var log []string
 	a := NewScheduler()
 	ha := newRec(a, &log, "x")
 	enc, _ := codec(ha)
-	tm := a.AtHandler(Time(50), ha["x"], 1)
+	var tm Timer
+	a.ResetAt(&tm, Time(50), ha["x"], 1)
 	st, err := a.ExportState(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tmJSON := marshalTimer(t, tm)
+	tmJSON := marshalTimer(t, &tm)
 
 	b := NewScheduler()
 	hb := newRec(b, &log, "x")
@@ -146,18 +148,6 @@ func TestSchedulerRestoreTimerStop(t *testing.T) {
 	b.RunAll()
 	if len(log) != 0 {
 		t.Fatalf("cancelled event fired anyway: %v", log)
-	}
-}
-
-// TestSchedulerExportClosureEvent: closure events (At/After) are not
-// checkpointable and must fail the export with a clear error rather
-// than a corrupt checkpoint.
-func TestSchedulerExportClosureEvent(t *testing.T) {
-	s := NewScheduler()
-	s.At(Time(10), func() {})
-	enc := func(EventHandler, any) (string, json.RawMessage, error) { return "", nil, nil }
-	if _, err := s.ExportState(enc); err == nil {
-		t.Fatal("export of a closure event succeeded; want error")
 	}
 }
 
@@ -252,8 +242,9 @@ func attachTimer(t *testing.T, s *Scheduler, b []byte) *Timer {
 // — and a never-set handle stays zero through the whole cycle.
 func TestTimerDetachedUntilAttached(t *testing.T) {
 	s := NewScheduler()
-	tm := s.AfterHandler(Time(9), funcRunner{}, func() {})
-	orig := marshalTimer(t, tm)
+	var tm Timer
+	s.ResetAfter(&tm, Time(9), &orderRecorder{}, uint64(0))
+	orig := marshalTimer(t, &tm)
 	var dec Timer
 	if err := json.Unmarshal(orig, &dec); err != nil {
 		t.Fatal(err)
@@ -273,45 +264,63 @@ func TestTimerDetachedUntilAttached(t *testing.T) {
 	}
 }
 
-// TestSchedulerRestoreRejectsBadSlots is the slot-table damage table: a
-// checkpoint that lists a free slot out of range, twice, or while an
-// event holds it, an event holding a slot beyond the table or one
-// another event holds, and a timer naming a slot the restored table does
-// not have all fail with their typed error instead of panicking on the
-// first ResetAfter or Stop after the resume.
-func TestSchedulerRestoreRejectsBadSlots(t *testing.T) {
+// TestSchedulerRestoreRejectsBadSeqs is the seq damage table: a
+// checkpoint whose agenda lists an event seq twice, or an event or
+// timer seq the scheduler has not issued yet, fails with ErrSeq instead
+// of letting a later event share a seq with a restored one. A timer
+// naming a seq that already fired is no damage: it attaches inactive.
+func TestSchedulerRestoreRejectsBadSeqs(t *testing.T) {
 	h := &recHandler{name: "x", log: new([]string)}
 	dec := func(string, json.RawMessage) (EventHandler, any, error) { return h, 0, nil }
-	ev := func(slot int32) EventRecord { return EventRecord{At: 5, Seq: uint64(slot + 2), Slot: slot, Owner: "x"} }
+	ev := func(seq uint64) EventRecord { return EventRecord{At: 5, Seq: seq, Owner: "x"} }
 	for _, tc := range []struct {
 		name string
 		st   SchedulerState
-		want error
 	}{
-		{"free slot beyond a one-entry table", SchedulerState{SlotGens: []uint32{0}, FreeSlots: []int32{99}}, ErrSlotRange},
-		{"negative free slot", SchedulerState{SlotGens: []uint32{0}, FreeSlots: []int32{-1}}, ErrSlotRange},
-		{"free slot listed twice", SchedulerState{SlotGens: []uint32{0, 0}, FreeSlots: []int32{1, 1}}, ErrSlotTwice},
-		{"free slot held by an event", SchedulerState{SlotGens: []uint32{0}, FreeSlots: []int32{0}, Events: []EventRecord{ev(0)}}, ErrSlotLive},
-		{"event slot beyond the table", SchedulerState{SlotGens: []uint32{0}, Events: []EventRecord{ev(3)}}, ErrSlotRange},
-		{"slot held by two events", SchedulerState{SlotGens: []uint32{0}, Events: []EventRecord{ev(0), ev(0)}}, ErrSlotTwice},
+		{"event seq listed twice", SchedulerState{NextSeq: 5, Events: []EventRecord{ev(2), ev(2)}}},
+		{"event seq not yet issued", SchedulerState{NextSeq: 2, Events: []EventRecord{ev(1), ev(2)}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			if err := NewScheduler().RestoreState(tc.st, dec); !errors.Is(err, tc.want) {
-				t.Fatalf("RestoreState = %v, want %v", err, tc.want)
+			if err := NewScheduler().RestoreState(tc.st, dec); !errors.Is(err, ErrSeq) {
+				t.Fatalf("RestoreState = %v, want %v", err, ErrSeq)
 			}
 		})
 	}
-	t.Run("timer slot beyond an empty table", func(t *testing.T) {
-		var tm Timer
-		if err := json.Unmarshal([]byte(`[7,0,0]`), &tm); err != nil {
-			t.Fatal(err)
-		}
+	restored := func(t *testing.T) *Scheduler {
 		s := NewScheduler()
-		if err := s.RestoreState(SchedulerState{}, dec); err != nil {
+		if err := s.RestoreState(SchedulerState{NextSeq: 3, Events: []EventRecord{ev(1)}}, dec); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Attach(&tm); !errors.Is(err, ErrSlotRange) {
-			t.Fatalf("Attach = %v, want %v", err, ErrSlotRange)
+		h.s = s
+		return s
+	}
+	decode := func(t *testing.T, b string) *Timer {
+		tm := new(Timer)
+		if err := json.Unmarshal([]byte(b), tm); err != nil {
+			t.Fatal(err)
+		}
+		return tm
+	}
+	t.Run("timer seq not yet issued", func(t *testing.T) {
+		if err := restored(t).Attach(decode(t, "3")); !errors.Is(err, ErrSeq) {
+			t.Fatalf("Attach = %v, want %v", err, ErrSeq)
+		}
+	})
+	t.Run("timer seq already fired", func(t *testing.T) {
+		s := restored(t)
+		gone, live := decode(t, "0"), decode(t, "1")
+		if err := s.Attach(gone, live); err != nil {
+			t.Fatal(err)
+		}
+		if gone.Active() || gone.Stop() {
+			t.Fatal("a timer naming a seq no longer on the agenda is active")
+		}
+		if !live.Active() {
+			t.Fatal("a timer naming a seq on the agenda is inactive")
+		}
+		s.RunAll()
+		if len(*h.log) != 1 {
+			t.Fatalf("restored run fired %v, want the one restored event", *h.log)
 		}
 	})
 }

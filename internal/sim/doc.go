@@ -26,13 +26,16 @@
 // whatever the layout — see the comment above Scheduler in sim.go for
 // the window invariant that guarantees it.
 //
-// Post/PostAfter is the fire-and-forget path used by per-frame traffic;
-// AtHandler/AfterHandler add cancellation handles backed by a recycled
-// slot table; ResetAt/ResetAfter re-arm caller-owned Timer values so
-// per-frame timers (DIFS, backoff, ACK wait, traffic arrivals) allocate
-// nothing in steady state. Events dispatch through the EventHandler
-// interface with a pointer-shaped arg instead of closures; together
-// these make the schedule→fire cycle allocation-free, the property the
-// transmit (internal/medium) and arrival (internal/traffic) hot paths
-// are gated on.
+// Scheduling is four calls. Post/PostAfter is the fire-and-forget path
+// used by per-frame traffic; ResetAt/ResetAfter arm a caller-owned
+// Timer, which names its event by slab index and sequence number.
+// Sequence numbers are never reused, so a handle whose event fired or
+// was stopped never reaches the event that reuses its slab entry, and
+// no cancellation table is kept. Components embed their Timer values,
+// so per-frame timers (DIFS, backoff, ACK wait, traffic arrivals)
+// allocate nothing in steady state. Events dispatch through the
+// EventHandler interface with a pointer-shaped arg instead of closures;
+// together these make the schedule→fire cycle allocation-free, the
+// property the transmit (internal/medium) and arrival (internal/traffic)
+// hot paths are gated on, and make every event checkpointable.
 package sim

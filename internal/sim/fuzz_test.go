@@ -211,9 +211,6 @@ func FuzzScheduler(f *testing.F) {
 				if !timers[ti].Active() {
 					t.Fatalf("timer %d inactive immediately after ResetAt", ti)
 				}
-				if timers[ti].When() != at {
-					t.Fatalf("timer %d deadline %v, want %v", ti, timers[ti].When(), at)
-				}
 				timerEvent[ti] = id
 			case stop:
 				ti := int(sel) % len(timers)

@@ -27,10 +27,9 @@ func TestPropertyEqualDeadlineFIFO(t *testing.T) {
 		scheduled := make([]key, n)
 		var fired []key
 		for i := 0; i < n; i++ {
-			i := i
 			at := Time(rng.Intn(16)) // 16 slots for 400 events: many ties
 			scheduled[i] = key{at, i}
-			s.At(at, func() { fired = append(fired, key{s.Now(), i}) })
+			s.Post(at, call(func() { fired = append(fired, key{s.Now(), i}) }), nil)
 		}
 		s.RunAll()
 		if len(fired) != n {
@@ -55,14 +54,15 @@ func TestPropertyStopContract(t *testing.T) {
 		rng := NewRNG(uint64(trial) + 100)
 		s := NewScheduler()
 		const n = 300
-		timers := make([]*Timer, n)
+		timers := make([]Timer, n)
+		deadlines := make([]Time, n)
 		firedAt := make([]Time, n)
 		for i := range firedAt {
 			firedAt[i] = -1
 		}
 		for i := 0; i < n; i++ {
-			i := i
-			timers[i] = s.At(Time(rng.Intn(50)), func() { firedAt[i] = s.Now() })
+			deadlines[i] = Time(rng.Intn(50))
+			s.ResetAt(&timers[i], deadlines[i], call(func() { firedAt[i] = s.Now() }), nil)
 		}
 		stopped := map[int]bool{}
 		for i := 0; i < n; i++ {
@@ -86,8 +86,8 @@ func TestPropertyStopContract(t *testing.T) {
 				t.Fatalf("trial %d: stopped timer %d fired at %v", trial, i, firedAt[i])
 			case !stopped[i] && firedAt[i] == -1:
 				t.Fatalf("trial %d: live timer %d never fired", trial, i)
-			case !stopped[i] && firedAt[i] != timers[i].When():
-				t.Fatalf("trial %d: timer %d fired at %v, deadline %v", trial, i, firedAt[i], timers[i].When())
+			case !stopped[i] && firedAt[i] != deadlines[i]:
+				t.Fatalf("trial %d: timer %d fired at %v, deadline %v", trial, i, firedAt[i], deadlines[i])
 			}
 			if !stopped[i] && timers[i].Stop() {
 				t.Fatalf("trial %d: Stop after firing returned true for timer %d", trial, i)
@@ -103,9 +103,9 @@ func TestPropertyStopContract(t *testing.T) {
 // currently-executing event must be a harmless no-op.
 func TestStopAfterPopSameDeadline(t *testing.T) {
 	s := NewScheduler()
-	var t1, t2 *Timer
+	var t1, t2 Timer
 	fired1, fired2 := false, false
-	t1 = s.At(5, func() {
+	s.ResetAt(&t1, 5, call(func() {
 		fired1 = true
 		if t1.Stop() {
 			t.Error("Stop on the currently-executing (popped) event returned true")
@@ -113,17 +113,14 @@ func TestStopAfterPopSameDeadline(t *testing.T) {
 		if !t2.Stop() {
 			t.Error("Stop on a same-deadline pending event returned false")
 		}
-	})
-	t2 = s.At(5, func() { fired2 = true })
+	}), nil)
+	s.ResetAt(&t2, 5, call(func() { fired2 = true }), nil)
 	s.RunAll()
 	if !fired1 {
 		t.Fatal("first event did not fire")
 	}
 	if fired2 {
 		t.Fatal("event stopped after its deadline was reached still fired")
-	}
-	if t2.When() != 5 {
-		t.Errorf("When() after stop = %v, want the original deadline 5", t2.When())
 	}
 }
 
@@ -140,12 +137,11 @@ func TestPropertyRunClockBoundary(t *testing.T) {
 		firedAt := make([]Time, n)
 		fireSeen := make([]bool, n)
 		for i := 0; i < n; i++ {
-			i := i
 			deadlines[i] = Time(rng.Intn(1000))
-			s.At(deadlines[i], func() {
+			s.Post(deadlines[i], call(func() {
 				firedAt[i] = s.Now()
 				fireSeen[i] = true
-			})
+			}), nil)
 		}
 		prev := Time(0)
 		for _, until := range []Time{0, 137, 137, 450, 999, 1500} {
@@ -191,11 +187,11 @@ func TestPropertyNestedSchedulingKeepsOrder(t *testing.T) {
 			}
 			kids := rng.Intn(3)
 			for k := 0; k < kids; k++ {
-				s.After(Time(rng.Intn(40)), func() { spawn(depth + 1) })
+				s.PostAfter(Time(rng.Intn(40)), call(func() { spawn(depth + 1) }), nil)
 			}
 		}
 		for i := 0; i < 30; i++ {
-			s.At(Time(rng.Intn(100)), func() { spawn(0) })
+			s.Post(Time(rng.Intn(100)), call(func() { spawn(0) }), nil)
 		}
 		s.RunAll()
 		for i := 1; i < len(fired); i++ {

@@ -40,9 +40,8 @@ type EventHandler interface {
 // insert to fire and is never moved: the ring and the far heap order
 // slab indices, not events. Events with equal deadlines fire in
 // scheduling order (seq breaks ties), so (at, seq) is a total order and
-// the pop sequence is independent of how the agenda is laid out. slot
-// indexes the cancellation table for timer-backed events; -1 marks the
-// uncancellable fire-and-forget events of the hot path.
+// the pop sequence is independent of how the agenda is laid out. A seq
+// is never reused, which is also what lets a Timer name its event.
 //
 // next and prev chain the event into its ring bucket (or, next alone,
 // into the slab's free list). Every slab index the agenda stores is
@@ -54,7 +53,6 @@ type event struct {
 	seq        uint64
 	target     EventHandler
 	arg        any
-	slot       int32
 	next, prev int32
 	pos        int32
 }
@@ -64,61 +62,36 @@ const (
 	posFree = -2 // the slab entry is on the free list
 )
 
-// slotEntry tracks one cancellable event's slab index. gen
-// disambiguates recycled slots: a Timer holds the generation it was
-// issued with and goes stale when the slot is freed and reissued.
-type slotEntry struct {
-	ev  int32 // -1 once fired or stopped
-	gen uint32
-}
-
-// funcRunner adapts func() callbacks to the EventHandler path; At and
-// After wrap through it so closure-based callers keep compiling.
-type funcRunner struct{}
-
-func (funcRunner) HandleEvent(arg any) { arg.(func())() }
-
-// Timer is a handle to a scheduled event; it can be stopped before
-// firing. The zero value is not a valid timer.
+// Timer is a caller-owned handle to a scheduled event, which it names by
+// slab index and seq; it can be stopped before firing. Once the event
+// fires or is stopped its slab entry is freed and may be reused, but
+// never under the same seq, so a stale handle cannot reach a later
+// event. ev is -1 for a handle whose event is known to be gone. The zero
+// value is an unset timer.
 type Timer struct {
-	s    *Scheduler
-	slot int32
-	gen  uint32
-	at   Time
+	s   *Scheduler
+	ev  int32
+	seq uint64
 }
 
 // Stop cancels the timer. It reports whether the timer was still pending
 // (false if it already fired or was previously stopped). Stopping a nil
 // timer is a no-op that returns false.
 func (t *Timer) Stop() bool {
-	if t == nil || t.s == nil {
+	if !t.Active() {
 		return false
 	}
-	sl := &t.s.slots[t.slot]
-	if sl.gen != t.gen || sl.ev < 0 {
-		return false
-	}
-	t.s.remove(sl.ev)
-	t.s.freeSlot(t.slot)
+	t.s.remove(t.ev)
 	return true
 }
 
 // Active reports whether the timer is still pending.
 func (t *Timer) Active() bool {
-	if t == nil || t.s == nil {
+	if t == nil || t.s == nil || t.ev < 0 {
 		return false
 	}
-	sl := &t.s.slots[t.slot]
-	return sl.gen == t.gen && sl.ev >= 0
-}
-
-// When returns the deadline of the timer. It is valid even after the
-// timer fired or was stopped.
-func (t *Timer) When() Time {
-	if t == nil {
-		return 0
-	}
-	return t.at
+	ev := &t.s.events[t.ev]
+	return ev.pos != posFree && ev.seq == t.seq
 }
 
 // The agenda. Almost every event a wireless simulation schedules is a
@@ -177,10 +150,9 @@ type Scheduler struct {
 	heads    [ringSize]int32       // bucket chains, as index+1
 	far      []int32               // binary min-heap of slab indices
 
-	// Cancellation table for timer-backed events, with a free-list so
-	// fired events recycle their slots instead of growing the table.
-	slots     []slotEntry
-	freeSlots []int32
+	// restored maps the seq of every event RestoreState filed to its
+	// slab index, for Attach; nil on a scheduler never restored.
+	restored map[uint64]int32
 
 	nextSeq uint64
 	fired   uint64
@@ -198,87 +170,46 @@ func (s *Scheduler) Pending() int { return s.ringN + len(s.far) }
 // Fired returns the total number of events executed so far.
 func (s *Scheduler) Fired() uint64 { return s.fired }
 
-func (s *Scheduler) checkNotPast(t Time) {
-	if t < s.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, s.now))
-	}
-}
-
 // Post schedules h.HandleEvent(arg) at absolute virtual time t with no
 // cancellation handle. This is the zero-allocation path: the event lives
 // by value in the agenda's slab, so steady-state traffic (which posts and
 // fires at the same rate) touches no allocator. Scheduling in the past
-// panics, as with At.
+// panics: a MAC state machine that rewinds time is a bug, not a request.
 func (s *Scheduler) Post(t Time, h EventHandler, arg any) {
-	s.checkNotPast(t)
-	s.add(event{at: t, seq: s.nextSeq, target: h, arg: arg, slot: -1})
-	s.nextSeq++
+	s.schedule(t, h, arg)
 }
 
 // PostAfter schedules h.HandleEvent(arg) d after the current time with
-// no cancellation handle.
+// no cancellation handle. A negative d is taken as zero.
 func (s *Scheduler) PostAfter(d Time, h EventHandler, arg any) {
-	if d < 0 {
-		d = 0
-	}
-	s.Post(s.now+d, h, arg)
-}
-
-// AtHandler schedules h.HandleEvent(arg) at absolute virtual time t and
-// returns a cancellation handle. Only the Timer itself is allocated; the
-// event is stored by value and its cancellation slot is recycled.
-func (s *Scheduler) AtHandler(t Time, h EventHandler, arg any) *Timer {
-	tm := new(Timer)
-	s.ResetAt(tm, t, h, arg)
-	return tm
+	s.schedule(s.now+max(d, 0), h, arg)
 }
 
 // ResetAt re-arms the caller-owned timer tm to run h.HandleEvent(arg) at
-// absolute virtual time t. It is the allocation-free form of AtHandler:
-// components that re-arm a fixed timer per frame (DIFS, backoff, ACK
-// wait) embed a Timer value and pass its address here, so steady-state
-// re-arming touches no allocator. tm must not be active; a previously
-// fired, stopped, or zero-valued Timer is ready for reuse.
+// absolute virtual time t. Components that re-arm a fixed timer per
+// frame (DIFS, backoff, ACK wait) embed a Timer value and pass its
+// address here, so steady-state re-arming touches no allocator. tm must
+// not be active; a previously fired, stopped, or zero-valued Timer is
+// ready for reuse.
 func (s *Scheduler) ResetAt(tm *Timer, t Time, h EventHandler, arg any) {
-	s.checkNotPast(t)
-	slot := s.allocSlot()
-	*tm = Timer{s: s, slot: slot, gen: s.slots[slot].gen, at: t}
-	s.slots[slot].ev = s.add(event{at: t, seq: s.nextSeq, target: h, arg: arg, slot: slot})
-	s.nextSeq++
+	seq := s.nextSeq
+	*tm = Timer{s: s, ev: s.schedule(t, h, arg), seq: seq}
 }
 
 // ResetAfter re-arms the caller-owned timer tm to run h.HandleEvent(arg)
-// d after the current time.
+// d after the current time. A negative d is taken as zero.
 func (s *Scheduler) ResetAfter(tm *Timer, d Time, h EventHandler, arg any) {
-	if d < 0 {
-		d = 0
-	}
-	s.ResetAt(tm, s.now+d, h, arg)
+	s.ResetAt(tm, s.now+max(d, 0), h, arg)
 }
 
-// AfterHandler schedules h.HandleEvent(arg) d after the current time and
-// returns a cancellation handle.
-func (s *Scheduler) AfterHandler(d Time, h EventHandler, arg any) *Timer {
-	if d < 0 {
-		d = 0
+// schedule files h.HandleEvent(arg) at t under the next seq and returns
+// its slab index.
+func (s *Scheduler) schedule(t Time, h EventHandler, arg any) int32 {
+	if t < s.now {
+		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, s.now))
 	}
-	return s.AtHandler(s.now+d, h, arg)
-}
-
-// At schedules fn to run at absolute virtual time t. Scheduling in the
-// past panics: a MAC state machine that rewinds time is a bug, not a
-// request. At is a thin wrapper over the handler path; prefer Post for
-// per-frame events on hot paths.
-func (s *Scheduler) At(t Time, fn func()) *Timer {
-	return s.AtHandler(t, funcRunner{}, fn)
-}
-
-// After schedules fn to run d after the current time.
-func (s *Scheduler) After(d Time, fn func()) *Timer {
-	if d < 0 {
-		d = 0
-	}
-	return s.At(s.now+d, fn)
+	s.nextSeq++
+	return s.add(event{at: t, seq: s.nextSeq - 1, target: h, arg: arg})
 }
 
 // Step executes the next event, advancing the clock to its deadline.
@@ -339,16 +270,12 @@ func (s *Scheduler) peek() int32 {
 }
 
 // fire removes event i from the agenda, advances the clock and the
-// window to it, and runs it.
+// window to it, and runs it. The slab entry is freed before the handler
+// runs, so a Stop from inside it reports false for the event executing.
 func (s *Scheduler) fire(i int32) {
 	ev := &s.events[i]
-	at, target, arg, slot := ev.at, ev.target, ev.arg, ev.slot
+	at, target, arg := ev.at, ev.target, ev.arg
 	s.remove(i)
-	if slot >= 0 {
-		// Free before firing so Stop from inside the callback reports
-		// false for the event already executing.
-		s.freeSlot(slot)
-	}
 	s.now = at
 	if t := tickOf(at); t != s.base {
 		s.base = t
@@ -356,25 +283,6 @@ func (s *Scheduler) fire(i int32) {
 	}
 	s.fired++
 	target.HandleEvent(arg)
-}
-
-// ---------------------------------------------------------------------------
-// Cancellation slots.
-
-func (s *Scheduler) allocSlot() int32 {
-	if n := len(s.freeSlots); n > 0 {
-		slot := s.freeSlots[n-1]
-		s.freeSlots = s.freeSlots[:n-1]
-		return slot
-	}
-	s.slots = append(s.slots, slotEntry{ev: -1})
-	return int32(len(s.slots) - 1)
-}
-
-func (s *Scheduler) freeSlot(slot int32) {
-	s.slots[slot].ev = -1
-	s.slots[slot].gen++ // invalidate outstanding Timers
-	s.freeSlots = append(s.freeSlots, slot)
 }
 
 // ---------------------------------------------------------------------------

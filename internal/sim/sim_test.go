@@ -6,12 +6,18 @@ import (
 	"time"
 )
 
+// call is the tests' one-off event handler: the function it holds runs
+// when the event fires.
+type call func()
+
+func (c call) HandleEvent(any) { c() }
+
 func TestSchedulerOrdering(t *testing.T) {
 	s := NewScheduler()
 	var got []int
-	s.At(30*Microsecond, func() { got = append(got, 3) })
-	s.At(10*Microsecond, func() { got = append(got, 1) })
-	s.At(20*Microsecond, func() { got = append(got, 2) })
+	s.Post(30*Microsecond, call(func() { got = append(got, 3) }), nil)
+	s.Post(10*Microsecond, call(func() { got = append(got, 1) }), nil)
+	s.Post(20*Microsecond, call(func() { got = append(got, 2) }), nil)
 	s.RunAll()
 	want := []int{1, 2, 3}
 	for i := range want {
@@ -28,8 +34,7 @@ func TestSchedulerFIFOTieBreak(t *testing.T) {
 	s := NewScheduler()
 	var got []int
 	for i := 0; i < 100; i++ {
-		i := i
-		s.At(5*Millisecond, func() { got = append(got, i) })
+		s.Post(5*Millisecond, call(func() { got = append(got, i) }), nil)
 	}
 	s.RunAll()
 	for i, v := range got {
@@ -42,9 +47,9 @@ func TestSchedulerFIFOTieBreak(t *testing.T) {
 func TestSchedulerRunUntil(t *testing.T) {
 	s := NewScheduler()
 	fired := 0
-	s.At(1*Second, func() { fired++ })
-	s.At(2*Second, func() { fired++ })
-	s.At(3*Second, func() { fired++ })
+	s.Post(1*Second, call(func() { fired++ }), nil)
+	s.Post(2*Second, call(func() { fired++ }), nil)
+	s.Post(3*Second, call(func() { fired++ }), nil)
 	s.Run(2 * Second)
 	if fired != 2 {
 		t.Errorf("fired = %d, want 2", fired)
@@ -68,7 +73,8 @@ func TestSchedulerClockAdvancesToUntil(t *testing.T) {
 func TestTimerStop(t *testing.T) {
 	s := NewScheduler()
 	fired := false
-	tm := s.At(1*Second, func() { fired = true })
+	var tm Timer
+	s.ResetAt(&tm, 1*Second, call(func() { fired = true }), nil)
 	if !tm.Active() {
 		t.Fatal("timer should be active before firing")
 	}
@@ -86,7 +92,8 @@ func TestTimerStop(t *testing.T) {
 
 func TestTimerStopAfterFire(t *testing.T) {
 	s := NewScheduler()
-	tm := s.At(1*Microsecond, func() {})
+	var tm Timer
+	s.ResetAt(&tm, 1*Microsecond, call(func() {}), nil)
 	s.RunAll()
 	if tm.Active() {
 		t.Error("timer still active after firing")
@@ -96,13 +103,44 @@ func TestTimerStopAfterFire(t *testing.T) {
 	}
 }
 
+// TestStaleTimerNeverCancelsReusedEntry: a handle whose event was
+// stopped, or fired, names a slab entry the next event reuses. Only the
+// seq tells the two apart, so the old handle must stay inactive and
+// unable to cancel the new event.
+func TestStaleTimerNeverCancelsReusedEntry(t *testing.T) {
+	for _, fire := range []bool{false, true} {
+		s := NewScheduler()
+		rec := &orderRecorder{}
+		var old, fresh Timer
+		s.ResetAfter(&old, 10, rec, uint64(1))
+		if fire {
+			s.RunAll()
+		} else if !old.Stop() {
+			t.Fatal("Stop on a pending timer returned false")
+		}
+		s.ResetAfter(&fresh, 10, rec, uint64(2))
+		if fresh.ev != old.ev {
+			t.Fatalf("fired=%v: the new event took slab entry %d, not the freed %d; the test proves nothing", fire, fresh.ev, old.ev)
+		}
+		if old.Active() || old.Stop() {
+			t.Fatalf("fired=%v: a stale handle reports its reused slab entry as its own", fire)
+		}
+		if !fresh.Active() {
+			t.Fatalf("fired=%v: the new event's handle is inactive", fire)
+		}
+		s.RunAll()
+		if n := len(rec.ids); n == 0 || rec.ids[n-1] != 2 {
+			t.Fatalf("fired=%v: the new event did not fire (fired %v)", fire, rec.ids)
+		}
+	}
+}
+
 func TestTimerStopMiddleOfHeap(t *testing.T) {
 	s := NewScheduler()
 	var got []int
-	timers := make([]*Timer, 10)
+	timers := make([]Timer, 10)
 	for i := 0; i < 10; i++ {
-		i := i
-		timers[i] = s.At(Time(i+1)*Millisecond, func() { got = append(got, i) })
+		s.ResetAt(&timers[i], Time(i+1)*Millisecond, call(func() { got = append(got, i) }), nil)
 	}
 	timers[3].Stop()
 	timers[7].Stop()
@@ -119,34 +157,34 @@ func TestTimerStopMiddleOfHeap(t *testing.T) {
 
 func TestSchedulePastPanics(t *testing.T) {
 	s := NewScheduler()
-	s.At(1*Second, func() {})
+	s.Post(1*Second, call(func() {}), nil)
 	s.RunAll()
 	defer func() {
 		if recover() == nil {
 			t.Error("scheduling in the past did not panic")
 		}
 	}()
-	s.At(500*Millisecond, func() {})
+	s.Post(500*Millisecond, call(func() {}), nil)
 }
 
 func TestAfterNegativeClamps(t *testing.T) {
 	s := NewScheduler()
 	fired := false
-	s.After(-5, func() { fired = true })
+	s.PostAfter(-5, call(func() { fired = true }), nil)
 	s.RunAll()
 	if !fired {
-		t.Error("After with negative duration should fire immediately")
+		t.Error("PostAfter with negative duration should fire immediately")
 	}
 }
 
 func TestNestedScheduling(t *testing.T) {
 	s := NewScheduler()
 	var order []string
-	s.At(1*Millisecond, func() {
+	s.Post(1*Millisecond, call(func() {
 		order = append(order, "a")
-		s.After(1*Millisecond, func() { order = append(order, "c") })
-	})
-	s.At(1500*Microsecond, func() { order = append(order, "b") })
+		s.PostAfter(1*Millisecond, call(func() { order = append(order, "c") }), nil)
+	}), nil)
+	s.Post(1500*Microsecond, call(func() { order = append(order, "b") }), nil)
 	s.RunAll()
 	want := []string{"a", "b", "c"}
 	for i := range want {
@@ -293,7 +331,7 @@ func TestHashPairSymmetricUse(t *testing.T) {
 func TestSchedulerFiredCount(t *testing.T) {
 	s := NewScheduler()
 	for i := 0; i < 25; i++ {
-		s.At(Time(i)*Microsecond, func() {})
+		s.Post(Time(i)*Microsecond, call(func() {}), nil)
 	}
 	s.RunAll()
 	if s.Fired() != 25 {
@@ -303,15 +341,15 @@ func TestSchedulerFiredCount(t *testing.T) {
 
 func BenchmarkSchedulerThroughput(b *testing.B) {
 	s := NewScheduler()
-	var tick func()
+	var tick call
 	n := 0
 	tick = func() {
 		n++
 		if n < b.N {
-			s.After(1*Microsecond, tick)
+			s.PostAfter(1*Microsecond, tick, nil)
 		}
 	}
-	s.After(1*Microsecond, tick)
+	s.PostAfter(1*Microsecond, tick, nil)
 	b.ResetTimer()
 	s.RunAll()
 }

@@ -9,7 +9,8 @@ import (
 
 // queue is a toy Enqueuer standing in for a link-layer node: it serves
 // one packet per millisecond, so a fast-enough arrival process fills
-// its finite backlog and sees tail drops.
+// its finite backlog and sees tail drops. Its service tick is its own
+// agenda event.
 type queue struct {
 	sched   *sim.Scheduler
 	backlog int
@@ -18,12 +19,12 @@ type queue struct {
 
 func (q *queue) Enqueue(dst, count int) { q.backlog += count }
 func (q *queue) Backlog(dst int) int    { return q.backlog }
-func (q *queue) serve() {
+func (q *queue) HandleEvent(any) {
 	if q.backlog > 0 {
 		q.backlog--
 		q.served++
 	}
-	q.sched.After(sim.Millisecond, q.serve)
+	q.sched.PostAfter(sim.Millisecond, q, nil)
 }
 
 // Example drives a bursty ON/OFF workload into a rate-limited queue for
@@ -34,7 +35,7 @@ func (q *queue) serve() {
 func Example() {
 	sched := sim.NewScheduler()
 	q := &queue{sched: sched}
-	q.serve()
+	q.HandleEvent(nil)
 
 	spec := traffic.OnOffAt(2000, 50*sim.Millisecond, 150*sim.Millisecond)
 	spec.QueueCap = 64
