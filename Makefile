@@ -8,7 +8,8 @@
 #   make check      build + test, the tier-1 gate
 #   make vet        static analysis
 #   make golden     golden-trace regression tier (bit-exact behaviour pin)
-#   make alloc-check  allocation-regression gate (0 allocs/frame in steady state)
+#   make alloc-check  allocation-regression gate (0 allocs/frame in steady state,
+#                   one per replaced delivery list per movement epoch)
 #   make bench-json machine-readable scaling benchmarks, five runs each
 #                   (median ns/op + quartiles) → BENCH_<sha>.json
 #   make profile    CPU+heap pprof of the scaling benchmarks → cpu.pprof/mem.pprof
@@ -195,14 +196,15 @@ bench-guard:
 # incremental-vs-rebuild delivery-list equivalence (every node per
 # epoch, and partial batches against both oracles and the
 # one-move-at-a-time path) with the other invariant — the guard-banded
-# audibility predicate against its literal form — the mobile golden
+# audibility predicate against its literal form — the batch's
+# one-meeting-per-pair contract, the mobile golden
 # traces, the staleness-sweep figure properties, the
 # churn × mobility interplay, and the mobile checkpoint/resume
 # bit-identity cases.
 mobility-conformance:
 	$(GO) test -timeout $(TEST_TIMEOUT) -count=1 ./internal/mobility
 	$(GO) test -timeout $(TEST_TIMEOUT) -race -count=1 -run 'TestConformance/.*/Mobile' ./internal/mac/conformance
-	$(GO) test -timeout $(TEST_TIMEOUT) -count=1 -run 'TestIncrementalMatchesRebuild|TestPartialBatchMatchesRebuild|TestFloorMatchesLiteral|TestScreenRefusesMost' ./internal/medium
+	$(GO) test -timeout $(TEST_TIMEOUT) -count=1 -run 'TestIncrementalMatchesRebuild|TestPartialBatchMatchesRebuild|TestFloorMatchesLiteral|TestScreenRefusesMost|TestMoveNodesMeetsEachPairOnce' ./internal/medium
 	$(GO) test -timeout $(TEST_TIMEOUT) -count=1 -run 'TestGoldenMobileTraces|TestStalenessSweep|TestMobilityChurnInterplay|TestCheckpointResumeBitIdentical/.*mobile' ./internal/experiments
 
 # Checkpoint/resume bit-identity: checkpoint-at-midpoint-then-resume

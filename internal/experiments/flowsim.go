@@ -453,9 +453,9 @@ func (fs *FlowSim) exportState() (*flowSimState, error) {
 // in-flight transmission set and the receive-flow objects), then the
 // medium and radios resolved against it, then every component in
 // construction order (mobility repositions nodes before any station;
-// stations and sources attach their timers to the restored slot table),
-// then the recorders, which stations and sources share by pointer and
-// so are overwritten in place.
+// stations and sources resolve their timers through the scheduler's
+// seq → slab-index lookup), then the recorders, which stations and
+// sources share by pointer and so are overwritten in place.
 func (fs *FlowSim) restoreState(st *flowSimState) error {
 	if err := fs.index(); err != nil {
 		return err

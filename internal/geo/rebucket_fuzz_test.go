@@ -9,7 +9,8 @@ import (
 // FuzzGridRebucket drives random move sequences — zero-length moves,
 // cell-boundary crossings, and far out-of-bounds jumps that exercise
 // the edge-cell clamp — against a flat brute-force reference, checking
-// Within after every move from several query points and radii.
+// Near, narrowed by the distance test its callers apply, after
+// every move from several query points and radii.
 func FuzzGridRebucket(f *testing.F) {
 	f.Add([]byte{5, 2, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100, 1, 0, 0, 2, 127, 127, 3, 5, 5})
 	f.Add([]byte("grid-rebucket-seed: crossings and clamps"))
@@ -37,7 +38,13 @@ func FuzzGridRebucket(f *testing.F) {
 		g := NewGrid(pts, cell) // g owns pts; ref is the flat model
 		check := func(i int, radius float64) {
 			var got []int
-			g.Within(i, radius, func(j int) { got = append(got, j) })
+			g.Near(i, radius, func(cell []int) {
+				for _, j := range cell {
+					if j != i && g.At(i).Dist(g.At(j)) <= radius {
+						got = append(got, j)
+					}
+				}
+			})
 			slices.Sort(got)
 			var want []int
 			for j := range ref {
@@ -46,7 +53,7 @@ func FuzzGridRebucket(f *testing.F) {
 				}
 			}
 			if !slices.Equal(got, want) {
-				t.Fatalf("Within(%d, %g) = %v, flat reference %v (points %v)", i, radius, got, want, ref)
+				t.Fatalf("point %d, radius %g: grid %v, flat reference %v (points %v)", i, radius, got, want, ref)
 			}
 		}
 		for len(data) >= 3 {

@@ -143,12 +143,15 @@ func BuildDeliveries(params phy.Params, model radio.Model, positions []geo.Point
 		for a := lo; a < hi; a++ {
 			row = row[:0]
 			pa := positions[a]
-			grid.Within(a, maxRange, func(b int) {
-				if scr.refuses(a, pa, b, positions[b]) {
-					return
-				}
-				if g, ok := fl.gain(model.Loss(a, pa, b, positions[b])); ok {
-					row = append(row, Delivery{Dst: b, GainMW: g})
+			grid.Near(a, maxRange, func(cell []int) {
+				for _, b := range cell {
+					pb := positions[b]
+					if b == a || !(pa.Dist(pb) <= maxRange) || scr.refuses(a, pa, b, pb) {
+						continue
+					}
+					if g, ok := fl.gain(model.Loss(a, pa, b, pb)); ok {
+						row = append(row, Delivery{Dst: b, GainMW: g})
+					}
 				}
 			})
 			lists[a] = sortedCopy(row)

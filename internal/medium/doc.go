@@ -28,13 +28,15 @@
 // so nineteen grid candidates in twenty are out of earshot at the draw
 // they actually got — 706 candidates per node for 37 kept at 200
 // nodes/km². Where the model offers a radio.Screener the grid paths
-// (BuildDeliveries, and MoveNodes' patch including its read-back of
-// rows already rebuilt) put every candidate to it first, and evaluate
-// the model only on the tenth that survives. The screen is one-sided —
-// it refuses only pairs the floor would have rejected — so kept sets
-// and stored gains are the same bits with or without it; the dense
-// reference paths never consult it, and the equivalence tests hold the
-// screened paths to them.
+// (BuildDeliveries, and MoveNodes' patch) put every candidate within
+// range to it first, and evaluate the model only on the tenth that
+// survives. MoveNodes meets each moved pair once: the endpoint rebuilt
+// first screens and evaluates it and hands an audible gain to the
+// other, which skips the pair without testing it again. The screen is
+// one-sided — it refuses only pairs the floor would have rejected — so
+// kept sets and stored gains are the same bits with or without it; the
+// dense reference paths never consult it, and the equivalence tests
+// hold the screened paths to them.
 //
 // # Who hears a frame
 //

@@ -11,29 +11,31 @@ import (
 
 // Incremental delivery-list maintenance for mobile nodes. MoveNodes
 // relocates a set of nodes — one movement epoch's worth — and patches
-// only the lists the moves can change, evaluating the model at most
-// once per affected unordered pair (not at all for a pair the model's
-// shadowing screen refuses), while staying bit-identical to
-// BuildDeliveries over the final positions: every kept entry is the
-// same pure float computation (floor.gain of model.Loss), membership
-// uses the same predicate, and lists stay in ascending receiver order
-// with the same nil-when-empty convention.
+// only the lists the moves can change, meeting each affected unordered
+// pair once: one distance test, one screen test and at most one model
+// evaluation (none for a pair the model's shadowing screen refuses),
+// while staying bit-identical to BuildDeliveries over the final
+// positions: every kept entry is the same pure float computation
+// (floor.gain of model.Loss), membership uses the same predicate, and
+// lists stay in ascending receiver order with the same nil-when-empty
+// convention.
 //
 // Three invariants carry the grid path. Reciprocity: a range-bounded
 // model's Loss(a,pa,b,pb) and Loss(b,pb,a,pa) have equal bits
 // (geo.Point.Dist squares the coordinate differences, the shadowing
 // hash is keyed on (lo,hi), mobility.Channel mixes epochs in id order;
-// pinned by TestLossReciprocityBits in internal/mobility), so one
-// evaluation serves both endpoints' lists. The guard band: floor.gain
-// skips the Pow only where the literal comparison could not have kept
-// the link (TestFloorMatchesLiteral). The screen: it refuses a pair
-// only when floor.gain would have, and answers alike in both directions
-// (TestScreenReciprocityBits, FuzzScreenNeverRefusesAudible), so a
-// refused candidate belongs in neither endpoint's row — including a
-// row already rebuilt in this batch, which spares the read-back its
-// binary search. TestIncrementalMatchesRebuild,
-// TestPartialBatchMatchesRebuild and FuzzDeliveryPatch pin the
-// equivalence against both the sparse and the dense oracle.
+// pinned by TestLossReciprocityBits in internal/mobility), so the gain
+// the first endpoint of a moved pair computes is the one the second
+// endpoint's row would hold, and is handed to it rather than computed
+// again. The guard band: floor.gain skips the Pow only where the
+// literal comparison could not have kept the link
+// (TestFloorMatchesLiteral). The screen: it refuses a pair only when
+// floor.gain would have, and answers alike in both directions
+// (TestScreenReciprocityBits, FuzzScreenNeverRefusesAudible), so a pair
+// refused from one end belongs in neither endpoint's row.
+// TestIncrementalMatchesRebuild, TestPartialBatchMatchesRebuild and
+// FuzzDeliveryPatch pin the equivalence against both the sparse and the
+// dense oracle; TestMoveNodesMeetsEachPairOnce pins the once.
 //
 // Patches are copy-on-write: a patched list is a fresh slice, never a
 // mutation of the old backing array, because in-flight transmissions
@@ -50,6 +52,24 @@ const (
 	rowFinal       // in the batch, row rebuilt over the final positions
 )
 
+// handoff is one audible gain a batch endpoint computed for a pair
+// whose other endpoint is still pending: an entry for that endpoint's
+// row, waiting in the mover's chain for it.
+type handoff struct {
+	next int32   // next entry in the same chain, or none
+	dst  int32   // the endpoint that computed the gain
+	gain float64 // floor.gain of the pair's loss, in mW
+}
+
+// none ends a handoff chain.
+const none int32 = -1
+
+// handoffChunk is the handoff arena's unit of growth, in entries. The
+// arena grows by whole chunks and never copies, so what it allocates is
+// its peak occupancy rounded up to a chunk — at the mobile_churn
+// layout, processed in cell order, a few thousand entries.
+const handoffChunk = 512
+
 // mover is the lazily-built incremental-update state.
 type mover struct {
 	// grid tracks current positions when the model bounds its range;
@@ -58,13 +78,24 @@ type mover struct {
 	maxRange float64
 	state    []uint8    // batch progress per node
 	row      []Delivery // scratch kept row, reused across moves
+
+	// Handoffs waiting for their pending endpoint: head[j] starts node
+	// j's chain. Entries live in fixed-size chunks, addressed by index,
+	// and a drained entry goes on the free list; every chain is drained
+	// by the end of the batch that filled it, so live is then zero.
+	head   []int32
+	chunks []*[handoffChunk]handoff
+	used   int32 // entries ever taken from the chunks
+	free   int32 // first recycled entry, or none
+	live   int   // entries pushed and not yet drained
 }
 
 func (m *Medium) ensureMover() *mover {
 	if m.mv != nil {
 		return m.mv
 	}
-	mv := &mover{maxRange: math.Inf(1), state: make([]uint8, len(m.positions))}
+	n := len(m.positions)
+	mv := &mover{maxRange: math.Inf(1), state: make([]uint8, n), free: none}
 	if rb, ok := m.model.(radio.RangeBounder); ok {
 		mv.maxRange = rb.MaxRange(m.params.TxPowerDBm - m.params.DeliveryFloorDBm)
 	}
@@ -74,12 +105,53 @@ func (m *Medium) ensureMover() *mover {
 		// The grid gets its own copy of the positions: Move mutates the
 		// stored slice, and m.positions stays authoritative.
 		mv.grid = geo.NewGrid(append([]geo.Point(nil), m.positions...), mv.maxRange)
+		mv.head = make([]int32, n)
+		for j := range mv.head {
+			mv.head[j] = none
+		}
 	} else {
 		mv.maxRange = math.Inf(1)
 		mv.grid = nil
 	}
 	m.mv = mv
 	return mv
+}
+
+// entry returns handoff k.
+func (mv *mover) entry(k int32) *handoff {
+	return &mv.chunks[k/handoffChunk][k%handoffChunk]
+}
+
+// push hands node j the gain of its pair with src.
+func (mv *mover) push(j, src int, g float64) {
+	k := mv.free
+	if k != none {
+		mv.free = mv.entry(k).next
+	} else {
+		if int(mv.used) == len(mv.chunks)*handoffChunk {
+			mv.chunks = append(mv.chunks, new([handoffChunk]handoff))
+		}
+		k = mv.used
+		mv.used++
+	}
+	*mv.entry(k) = handoff{next: mv.head[j], dst: int32(src), gain: g}
+	mv.head[j] = k
+	mv.live++
+}
+
+// drain appends node j's handoffs to row and recycles them.
+func (mv *mover) drain(j int, row []Delivery) []Delivery {
+	for k := mv.head[j]; k != none; {
+		e := mv.entry(k)
+		row = append(row, Delivery{Dst: int(e.dst), GainMW: e.gain})
+		next := e.next
+		e.next = mv.free
+		mv.free = k
+		mv.live--
+		k = next
+	}
+	mv.head[j] = none
+	return row
 }
 
 // MoveNode relocates one node: the one-element case of MoveNodes.
@@ -99,7 +171,10 @@ func (m *Medium) MoveNode(i int, p geo.Point) {
 //
 // All positions and grid buckets are updated first, so every gain is
 // computed over final geometry; then each listed node's row is rebuilt
-// and its unmoved neighbours are patched from it.
+// and its unmoved neighbours are patched from it. A batch of more than
+// one node is rebuilt in grid-cell order, so a handoff waits only for
+// the next band of cells and the handoff arena stays small; the order
+// changes no list.
 func (m *Medium) MoveNodes(ids []int, pts []geo.Point) {
 	if len(ids) != len(pts) {
 		panic(fmt.Sprintf("medium: MoveNodes got %d ids and %d points", len(ids), len(pts)))
@@ -112,16 +187,22 @@ func (m *Medium) MoveNodes(ids []int, pts []geo.Point) {
 		}
 		mv.state[i] = pending
 	}
-	for _, i := range ids {
-		if mv.state[i] == rowFinal {
-			continue // listed twice
+	switch {
+	case mv.grid == nil:
+		for _, i := range ids {
+			if mv.state[i] == pending { // else listed twice
+				m.moveDensePatch(i)
+				mv.state[i] = rowFinal
+			}
 		}
-		if mv.grid != nil {
-			m.moveGridPatch(mv, i)
-		} else {
-			m.moveDensePatch(i)
-		}
-		mv.state[i] = rowFinal
+	case len(ids) == 1:
+		m.moveGridPatch(mv, ids[0])
+	default:
+		mv.grid.Each(func(i int) {
+			if mv.state[i] == pending {
+				m.moveGridPatch(mv, i)
+			}
+		})
 	}
 	for _, i := range ids {
 		mv.state[i] = unmoved
@@ -135,33 +216,38 @@ func (m *Medium) audible(a, b int) (float64, bool) {
 	return m.floor.gain(m.model.Loss(a, m.positions[a], b, m.positions[b]))
 }
 
-// moveGridPatch rebuilds node i's row from its grid candidates and
-// patches the unmoved nodes whose entry for i could have changed: the
-// receivers of i's old row (reciprocity: exactly the nodes that heard
-// i before) and of its new one. Other nodes of the batch are skipped —
-// their rows are rebuilt whole — and a candidate whose row is already
-// final is read back from that row instead of evaluated again, so each
-// moved pair costs at most one model evaluation per batch, and none
-// when the screen refuses it.
+// moveGridPatch rebuilds node i's row and patches the unmoved nodes
+// whose entry for i could have changed: the receivers of i's old row
+// (reciprocity: exactly the nodes that heard i before) and of its new
+// one. The row starts from the handoffs left by batch nodes rebuilt
+// earlier; those nodes are skipped before the distance test, their pair
+// with i having been met from their end. Every other grid candidate
+// within range is put to the screen, and a survivor is evaluated — and,
+// when audible and itself still pending, handed its entry for i. Moved
+// neighbours are not patched: their rows are rebuilt whole.
 func (m *Medium) moveGridPatch(mv *mover, i int) {
 	old := m.deliveries[i]
-	row := mv.row[:0]
+	row := mv.drain(i, mv.row[:0])
 	pi := m.positions[i]
-	mv.grid.Within(i, mv.maxRange, func(b int) {
-		// A refused pair is in neither endpoint's row, so the screen
-		// also spares the read-back its binary search.
-		if m.screen.refuses(i, pi, b, m.positions[b]) {
-			return
-		}
-		var g float64
-		var ok bool
-		if mv.state[b] == rowFinal {
-			g, ok = m.lookupGain(b, i)
-		} else {
-			g, ok = m.audible(i, b)
-		}
-		if ok {
+	// Final before the walk, so the skip below covers i itself too.
+	mv.state[i] = rowFinal
+	mv.grid.Near(i, mv.maxRange, func(cell []int) {
+		for _, b := range cell {
+			if mv.state[b] == rowFinal {
+				continue // met from b's end: a handoff if audible
+			}
+			pb := m.positions[b]
+			if !(pi.Dist(pb) <= mv.maxRange) || m.screen.refuses(i, pi, b, pb) {
+				continue
+			}
+			g, ok := m.floor.gain(m.model.Loss(i, pi, b, pb))
+			if !ok {
+				continue
+			}
 			row = append(row, Delivery{Dst: b, GainMW: g})
+			if mv.state[b] == pending {
+				mv.push(b, i, g)
+			}
 		}
 	})
 	mv.row = row

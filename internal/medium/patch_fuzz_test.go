@@ -1,6 +1,7 @@
 package medium
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/geo"
@@ -16,7 +17,7 @@ import (
 // after every batch that the patched delivery lists are bit-identical
 // to the sparse grid build and the dense O(n²) reference over the
 // current positions, and to a twin medium that took the same moves one
-// MoveNode at a time.
+// MoveNode at a time — and that the batch left no handoff undelivered.
 //
 // Each step is a node byte, an op byte and up to two coordinate bytes.
 // Op bits 0–1 pick the move kind; bit 6 bumps the node's shadow epoch
@@ -34,6 +35,16 @@ func FuzzDeliveryPatch(f *testing.F) {
 		0, 0x82, 8, 8, 1, 0x80, 2, 0x01, 200, 3,
 		3, 0xc2, 250, 4, 4, 0x42, 6, 250,
 		5, 0x83, 20, 20, 5, 0x02, 40, 40})
+	// The whole medium in one batch, in reverse id order, with node 6
+	// listed twice: every pair is moved at both ends.
+	whole := []byte{9} // 13 nodes
+	for i := 0; i < 13; i++ {
+		whole = append(whole, byte(17*i), byte(29*i%200))
+	}
+	for i := 12; i >= 0; i-- {
+		whole = append(whole, byte(i), 0x82, byte(3*i), byte(250-5*i))
+	}
+	f.Add(append(whole, 6, 0x02, 40, 40))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 4 {
 			return
@@ -74,6 +85,9 @@ func FuzzDeliveryPatch(f *testing.F) {
 			}
 			ids, to = ids[:0], to[:0]
 			verify()
+			if mv := m.mv; mv.live != 0 || slices.ContainsFunc(mv.head, func(k int32) bool { return k != none }) {
+				t.Fatalf("the batch left %d handoffs undelivered (heads %v)", mv.live, mv.head)
+			}
 		}
 		for len(data) >= 3 {
 			i := int(next()) % n

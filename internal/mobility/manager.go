@@ -25,8 +25,9 @@ type Mover interface {
 }
 
 // batchMover is the epoch-at-once surface a Mover may also offer (the
-// real medium does): one call per epoch lets it evaluate each moved
-// pair once instead of once per endpoint per direction.
+// real medium does): one call per epoch lets it meet each moved pair
+// once — one screen test, at most one evaluation, the gain handed to
+// the other endpoint — instead of once per endpoint per direction.
 type batchMover interface {
 	MoveNodes(ids []int, pts []geo.Point)
 }
