@@ -25,7 +25,8 @@
 #                   spec parser, every layer's RestoreState through
 #                   damaged re-stamped checkpoints, the arm spec
 #                   parser and the -arms list parser, frame decoding,
-#                   the checkpoint envelope loader)
+#                   the checkpoint envelope loader, the traffic spec
+#                   parser and rate bounds)
 #   make loc        non-test Go lines outside bench/, the size ROADMAP tracks
 #   make conformance  the shared MAC conformance suite (every registered
 #                   arm: allocation, determinism, worker-equivalence and
@@ -147,7 +148,7 @@ FUZZERS = internal/sim:FuzzScheduler internal/core:FuzzDeferTable \
 	internal/radio:FuzzScreenNeverRefusesAudible internal/mobility:FuzzParseSpec \
 	internal/experiments:FuzzRestoreState internal/experiments:FuzzParseArms \
 	internal/mac:FuzzLookup internal/frame:FuzzFrameUnmarshal \
-	internal/checkpoint:FuzzLoad
+	internal/checkpoint:FuzzLoad internal/traffic:FuzzTrafficSpec
 
 fuzz-smoke:
 	@for f in $(FUZZERS); do \

@@ -69,10 +69,7 @@ func NewNetwork(positions []Point, seed uint64) *Network {
 	for i, p := range positions {
 		pts[i] = geo.Point{X: p.X, Y: p.Y}
 	}
-	sched := sim.NewScheduler()
-	rng := sim.NewRNG(seed)
-	med := medium.New(sched, phy.DefaultParams(), radio.DefaultIndoor5GHz(seed), pts, rng.Stream(1))
-	return &Network{sched: sched, med: med, rng: rng, stations: map[int]*Station{}}
+	return newNetwork(&topo.Testbed{N: len(pts), Pos: pts, Params: phy.DefaultParams(), Model: radio.DefaultIndoor5GHz(seed)}, seed)
 }
 
 // NewTestbedNetwork generates the paper-calibrated n-node office testbed
@@ -80,26 +77,25 @@ func NewNetwork(positions []Point, seed uint64) *Network {
 // available through Testbed.
 func NewTestbedNetwork(n int, seed uint64) *Network {
 	tb := topo.NewTestbed(n, seed)
-	sched := sim.NewScheduler()
-	rng := sim.NewRNG(seed)
-	return &Network{
-		sched:    sched,
-		med:      tb.Build(sched, rng.Stream(1)),
-		rng:      rng,
-		tb:       tb,
-		stations: map[int]*Station{},
-	}
+	nw := newNetwork(tb, seed)
+	nw.tb = tb
+	return nw
 }
 
 // NewLossNetwork builds a network from an explicit pairwise path-loss
 // matrix in dB — exact control over who hears whom, for controlled
 // experiments (the Figure 1 style topologies).
 func NewLossNetwork(lossDB [][]float64, seed uint64) *Network {
+	n := len(lossDB)
+	return newNetwork(&topo.Testbed{N: n, Pos: make([]geo.Point, n), Params: phy.DefaultParams(), Model: &radio.Matrix{LossDB: lossDB}}, seed)
+}
+
+// newNetwork builds tb's medium on a fresh scheduler, drawing decode
+// randomness from stream 1 of the network seed.
+func newNetwork(tb *topo.Testbed, seed uint64) *Network {
 	sched := sim.NewScheduler()
 	rng := sim.NewRNG(seed)
-	med := medium.New(sched, phy.DefaultParams(), &radio.Matrix{LossDB: lossDB},
-		make([]geo.Point, len(lossDB)), rng.Stream(1))
-	return &Network{sched: sched, med: med, rng: rng, stations: map[int]*Station{}}
+	return &Network{sched: sched, med: tb.Build(sched, rng.Stream(1)), rng: rng, stations: map[int]*Station{}}
 }
 
 // NodeCount returns the number of radio positions in the network.

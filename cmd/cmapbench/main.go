@@ -103,14 +103,22 @@ import (
 	"repro/internal/traffic"
 )
 
-// parseLoads parses the comma-separated -load list of Mb/s values.
-func parseLoads(s string) ([]float64, error) {
+// parseLoads parses the comma-separated -load list of Mb/s values. Each
+// must give kind's arrival process (the load sweep's Poisson when kind
+// is Saturated) a rate the 1 ns clock can run.
+func parseLoads(s string, kind traffic.Kind) ([]float64, error) {
+	if kind == traffic.Saturated {
+		kind = traffic.Poisson
+	}
 	var out []float64
 	for _, part := range strings.Split(s, ",") {
 		v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-		// !(v > 0) also rejects NaN, which v <= 0 would let through.
-		if err != nil || !(v > 0) || math.IsInf(v, 0) {
-			return nil, fmt.Errorf("bad -load entry %q (want positive finite Mb/s values)", part)
+		if err == nil {
+			// Validate also rejects NaN, ±Inf and non-positive loads.
+			err = traffic.Spec{Kind: kind}.WithOfferedMbps(v, 1400).Validate()
+		}
+		if err != nil {
+			return nil, fmt.Errorf("bad -load entry %q: %v", part, err)
 		}
 		out = append(out, v)
 	}
@@ -459,22 +467,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 		opt.Arms = arms
 	}
 
-	loads, err := parseLoads(*loadList)
+	kind, err := traffic.ParseKind(*trafficKind)
 	if err != nil {
 		return usage("%v", err)
 	}
-	if *trafficKind != "" {
-		kind, err := traffic.ParseKind(*trafficKind)
-		if err != nil {
-			return usage("%v", err)
-		}
-		if kind != traffic.Saturated {
-			// 1400-byte payloads: both MAC defaults. WithOfferedMbps makes
-			// -load mean long-run offered load for duty-cycled kinds too.
-			opt.Traffic = traffic.Spec{Kind: kind}.WithOfferedMbps(loads[0], 1400)
-			fmt.Fprintf(stdout, "traffic: %v arrivals at %.2f Mb/s offered per flow\n",
-				kind, opt.Traffic.OfferedMbps(1400))
-		}
+	loads, err := parseLoads(*loadList, kind)
+	if err != nil {
+		return usage("%v", err)
+	}
+	if kind != traffic.Saturated {
+		// 1400-byte payloads: both MAC defaults. WithOfferedMbps makes
+		// -load mean long-run offered load for duty-cycled kinds too.
+		opt.Traffic = traffic.Spec{Kind: kind}.WithOfferedMbps(loads[0], 1400)
+		fmt.Fprintf(stdout, "traffic: %v arrivals at %.2f Mb/s offered per flow\n",
+			kind, opt.Traffic.OfferedMbps(1400))
 	}
 
 	if *analyticScreen {

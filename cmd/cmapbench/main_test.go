@@ -116,6 +116,10 @@ func TestRunUsageErrors(t *testing.T) {
 		{"retired flag", []string{"-shards", "2"}, "not defined: -shards"},
 		{"unknown scale", []string{"-scale", "bogus"}, `unknown scale "bogus"`},
 		{"bad load", []string{"-load", "1,-2"}, `bad -load entry "-2"`},
+		{"load past the clock tick", []string{"-only", "calibration", "-traffic", "poisson", "-load", "1e300"}, `bad -load entry "1e300": traffic: poisson spec at`},
+		{"sweep load past the clock tick", []string{"-only", "loadsweep", "-load", "1,1e300"}, `bad -load entry "1e300": traffic: poisson spec at`},
+		{"onoff load past the clock tick", []string{"-only", "loadsweep", "-traffic", "onoff", "-load", "1,8e6"}, `bad -load entry "8e6": traffic: onoff spec at`},
+		{"vanishing load", []string{"-load", "1e-300"}, "outside [1, 2^56] ns"},
 		{"bad mobility", []string{"-mobility", "teleport@3"}, "teleport"},
 		{"NaN mobility speed", []string{"-mobility", "waypoint@NaN"}, `bad speed "NaN"`},
 		{"bad traffic", []string{"-traffic", "pigeon"}, "pigeon"},

@@ -360,6 +360,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if set["load"] || spec.PacketsPerSec <= 0 {
 			spec = spec.WithOfferedMbps(*load, 1400)
 		}
+		if err := spec.Validate(); err != nil {
+			return usage("-load %v: %v", *load, err)
+		}
 		fmt.Fprintf(stdout, "traffic: %v at %.2f Mb/s offered per flow (%.0f pkt/s peak)\n",
 			spec.Kind, spec.OfferedMbps(1400), spec.PacketsPerSec)
 	}

@@ -119,6 +119,7 @@ func TestRunUsageErrors(t *testing.T) {
 		{"infinite roam radius", []string{"-mobility", "waypoint@3@+Inf"}, `bad roam radius "+Inf"`},
 		{"bad traffic", []string{"-traffic", "pigeon"}, "pigeon"},
 		{"bad load", []string{"-traffic", "cbr", "-load", "-1"}, "-load -1"},
+		{"vanishing load", []string{"-traffic", "cbr", "-load", "1e-300"}, "outside [1, 2^56] ns"},
 		{"bad topology", []string{"-topology", "star"}, "star"},
 		{"bad scenario", []string{"-scenario", "moon"}, "moon"},
 	} {

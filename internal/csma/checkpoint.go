@@ -15,8 +15,8 @@ import (
 func (n *Node) ExportState() (json.RawMessage, error) { return json.Marshal(&n.state) }
 
 // RestoreState implements mac.Checkpointer. It must run after the
-// scheduler's RestoreState so the timers attach to the restored slot
-// table.
+// scheduler's RestoreState so the timers' seqs resolve through the
+// scheduler's seq → slab-index lookup.
 func (n *Node) RestoreState(enc json.RawMessage) error {
 	st := newState(n.cfg)
 	if err := json.Unmarshal(enc, &st); err != nil {

@@ -24,8 +24,10 @@ import (
 // FlowSim is one flow experiment held open, and the only place a flow
 // simulation is wired: scheduler or sharded engine, medium, mobility
 // manager, MAC stations, meters and traffic sources. Every figure,
-// sweep, golden trace and CLI run goes through NewFlowSim, so arms
-// compare over identical wiring. Every component reference is retained,
+// sweep, golden trace, CLI run and conformance contract goes through
+// NewFlowSim, so arms compare over identical wiring; the one exception
+// is the §5.7 mesh (runMesh), whose relays forward batches no source
+// drives. Every component reference is retained,
 // so the simulation can be stopped at any virtual time, its complete
 // state captured through Save, and a fresh process's skeleton
 // overwritten back to that exact state through Resume.
@@ -355,6 +357,18 @@ func (fs *FlowSim) Trace(t *trace.Tracer) error {
 
 // Sender returns flow i's sending station.
 func (fs *FlowSim) Sender(i int) mac.Node { return fs.senders[i] }
+
+// Receiver returns flow i's receiving station.
+func (fs *FlowSim) Receiver(i int) mac.Node { return fs.receivers[i] }
+
+// Epochs counts the position epochs the mobility manager has applied;
+// zero for a static run.
+func (fs *FlowSim) Epochs() uint64 {
+	if fs.mg == nil {
+		return 0
+	}
+	return fs.mg.Epochs
+}
 
 // Results extracts the per-flow outcomes: goodput, CMAP visibility
 // counters, and under an arrival process the drop counters and the

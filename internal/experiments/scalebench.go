@@ -240,7 +240,8 @@ func BenchEpochUpdate(n int) func(b *testing.B) {
 		sched := sim.NewScheduler()
 		rng := sim.NewRNG(1)
 		ch := mobility.NewChannel(s.Model, s.N())
-		m := medium.New(sched, s.Params, ch, s.Pos, rng.Stream(1))
+		tb := &topo.Testbed{N: s.N(), Bounds: s.Bounds, Pos: s.Pos, Params: s.Params, Model: s.Model}
+		m := tb.BuildWith(sched, rng.Stream(1), ch)
 		if !m.GridBacked() {
 			b.Fatal("scale scenario is not grid-backed — the incremental path under test is not engaged")
 		}

@@ -1,41 +1,38 @@
 // Package conformance is the shared MAC test harness every registered
-// arm must pass. It builds small hand-crafted topologies (a clean link,
-// an exposed pair, a hidden pair, and a carrier-sense-protective pair
-// directly from loss matrices; a clean link and an exposed pair over
-// real geometry with every node roaming), constructs stations through
-// the internal/mac registry by name only, and exposes one Fixture the
-// conformance suite drives each arm through: steady-state allocation
-// gates, determinism and worker-equivalence checks, backlog
-// conservation under Poisson arrivals, and topology sanity bounds
-// (RTS/CTS rescuing hidden terminals, carrier-sense thresholds trading
-// exposed concurrency against hidden-style collisions).
+// arm must pass. It lays out small hand-crafted topologies (a clean
+// link, an exposed pair, a hidden pair, and a carrier-sense-protective
+// pair directly from loss matrices; a clean link and an exposed pair
+// over real geometry with every node roaming) as bare topo.Testbeds
+// with their flows, and runs each one under an arm through
+// experiments.NewFlowSim — the wiring every figure runs — so what the
+// suite certifies holds for the figures too. The conformance suite
+// drives each arm through steady-state allocation gates, determinism
+// and worker-equivalence checks, backlog conservation under Poisson
+// arrivals, and topology sanity bounds (RTS/CTS rescuing hidden
+// terminals, carrier-sense thresholds trading exposed concurrency
+// against hidden-style collisions).
 package conformance
 
 import (
-	"math"
-
+	"repro/internal/experiments"
 	"repro/internal/geo"
-	"repro/internal/mac"
-	"repro/internal/medium"
 	"repro/internal/mobility"
 	"repro/internal/phy"
 	"repro/internal/radio"
 	"repro/internal/sim"
-	"repro/internal/stats"
-
-	// The protocol packages register their arms from init.
-	_ "repro/internal/core"
-	_ "repro/internal/csma"
+	"repro/internal/topo"
+	"repro/internal/traffic"
 )
 
-// Topology is one fixture layout: a channel model over node positions,
-// the flows under test, and — for the mobile arenas — the roam bounds
-// and movement spec (the zero Spec is a static run).
+// Topology is one fixture layout: what a bare topo.Testbed holds (node
+// positions, roam bounds and a channel model), the flows under test,
+// and for the mobile arenas the movement spec (the zero Spec is a static
+// run). Every node is a flow endpoint.
 type Topology struct {
 	Name     string
 	Pos      []geo.Point
 	Bounds   geo.Rect
-	Flows    [][2]int // {src, dst} per flow
+	Flows    []topo.Link
 	Mobility mobility.Spec
 	// model builds the channel for one run; only the mobile arenas'
 	// shadowing depends on the seed.
@@ -54,7 +51,7 @@ type Topology struct {
 // is running. A cs@-95 station senses −91 dBm and serialises; a
 // cs@-85 station is blind to it and transmits concurrently. Positions
 // are meaningless under a matrix and stay at the origin.
-func matrixTopology(name string, lossDB [][]float64, flows [][2]int) Topology {
+func matrixTopology(name string, lossDB [][]float64, flows []topo.Link) Topology {
 	return Topology{
 		Name:  name,
 		Pos:   make([]geo.Point, len(lossDB)),
@@ -70,7 +67,7 @@ func CleanLink() Topology {
 	return matrixTopology("clean", [][]float64{
 		{0, 65},
 		{65, 0},
-	}, [][2]int{{0, 1}})
+	}, []topo.Link{{Src: 0, Dst: 1}})
 }
 
 // ExposedPair is the paper's exposed-terminal geometry: senders 0 and 2
@@ -83,7 +80,7 @@ func ExposedPair() Topology {
 		{65, 0, 105, 105},
 		{101, 105, 0, 65},
 		{105, 105, 65, 0},
-	}, [][2]int{{0, 1}, {2, 3}})
+	}, []topo.Link{{Src: 0, Dst: 1}, {Src: 2, Dst: 3}})
 }
 
 // HiddenPair is the hidden-terminal geometry: senders 0 and 2 cannot
@@ -97,7 +94,7 @@ func HiddenPair() Topology {
 		{65, 0, 55, 105},
 		{115, 55, 0, 65},
 		{55, 105, 65, 0},
-	}, [][2]int{{0, 1}, {2, 3}})
+	}, []topo.Link{{Src: 0, Dst: 1}, {Src: 2, Dst: 3}})
 }
 
 // ProtectedPair is the geometry where carrier sense is load-bearing,
@@ -115,7 +112,7 @@ func ProtectedPair() Topology {
 		{65, 0, 105, 105},
 		{101, 55, 0, 65},
 		{105, 105, 65, 0},
-	}, [][2]int{{0, 1}, {2, 3}})
+	}, []topo.Link{{Src: 0, Dst: 1}, {Src: 2, Dst: 3}})
 }
 
 // mobileModel is the mobile arenas' channel. The matrix fixtures carry
@@ -144,7 +141,7 @@ func MobileCleanLink(spec mobility.Spec) Topology {
 			{X: 25, Y: 20},
 			{X: 35, Y: 20},
 		},
-		Flows:    [][2]int{{0, 1}},
+		Flows:    []topo.Link{{Src: 0, Dst: 1}},
 		Mobility: spec,
 		model:    mobileModel,
 	}
@@ -165,86 +162,44 @@ func MobileExposedPair(spec mobility.Spec) Topology {
 			{X: 70, Y: 40},
 			{X: 78, Y: 40},
 		},
-		Flows:    [][2]int{{0, 1}, {2, 3}},
+		Flows:    []topo.Link{{Src: 0, Dst: 1}, {Src: 2, Dst: 3}},
 		Mobility: spec,
 		model:    mobileModel,
 	}
 }
 
-// Fixture is one built instance of a Topology under one arm: a
-// scheduler, a medium, a station per node, a goodput meter per flow and,
-// when the topology moves, its mobility manager (nil otherwise).
-type Fixture struct {
-	Topo    Topology
-	Sched   *sim.Scheduler
-	M       *medium.Medium
-	Manager *mobility.Manager
-	Nodes   []mac.Node     // indexed by medium node id
-	Meters  []*stats.Meter // indexed by flow
+// NewSim builds the topology under armName through experiments.NewFlowSim
+// over a bare testbed (no link measurements, which FlowSim never reads)
+// at 6 Mb/s, with each flow's meter measuring [warmup, dur] and the
+// given workload on every flow (the zero Spec saturates the senders).
+func NewSim(armName string, tp Topology, seed uint64, warmup, dur sim.Time, tr traffic.Spec) *experiments.FlowSim {
+	tb := &topo.Testbed{N: len(tp.Pos), Bounds: tp.Bounds, Pos: tp.Pos, Params: phy.DefaultParams(), Model: tp.model(seed)}
+	fs, err := experiments.NewFlowSim(tb, experiments.FlowSimConfig{
+		Arm:      experiments.Protocol(armName),
+		Flows:    tp.Flows,
+		Duration: dur,
+		Warmup:   warmup,
+		Rate:     phy.Rate6Mbps,
+		Traffic:  tr,
+		Mobility: tp.Mobility,
+		Seed:     seed,
+	})
+	if err != nil {
+		panic(err)
+	}
+	return fs
 }
 
-// NewFixture builds the topology's medium, manager and one station per
-// node through the registry. It is a construction site of its own
-// because it attaches a station to every node, flows or not, over
-// channel models no testbed carries. Seed derivation mirrors the
-// experiment harness — the medium draws from stream 1, the manager from
-// mobility.StreamLabel (started before any station exists) and node id
-// from stream 1000+id — so a fixture run is bit-comparable with an
-// experiments run of the same topology. Meters measure [warmup, dur].
-func NewFixture(armName string, tp Topology, seed uint64, warmup, dur sim.Time) *Fixture {
-	arm := mac.MustLookup(armName)
-	sched := sim.NewScheduler()
-	rng := sim.NewRNG(seed)
-	model := tp.model(seed)
-	var ch *mobility.Channel
-	if tp.Mobility.Active() && tp.Mobility.DecorrM > 0 {
-		ch = mobility.NewChannel(model, len(tp.Pos))
-		model = ch
-	}
-	m := medium.New(sched, phy.DefaultParams(), model, tp.Pos, rng.Stream(1))
-	f := &Fixture{Topo: tp, Sched: sched, M: m}
-	if tp.Mobility.Active() {
-		f.Manager = mobility.New(tp.Mobility, tp.Bounds, m, rng.Stream(mobility.StreamLabel), ch)
-		f.Manager.Start()
-	}
-	f.Nodes = make([]mac.Node, len(tp.Pos))
-	for id := range tp.Pos {
-		f.Nodes[id] = arm.New(id, m, rng.Stream(uint64(1000+id)), mac.Options{Rate: phy.Rate6Mbps})
-	}
-	for _, fl := range tp.Flows {
-		mt := &stats.Meter{Start: warmup, End: dur}
-		f.Nodes[fl[1]].SetMeter(mt)
-		f.Meters = append(f.Meters, mt)
-	}
-	return f
-}
-
-// Saturate makes every flow's sender fully backlogged.
-func (f *Fixture) Saturate() {
-	for _, fl := range f.Topo.Flows {
-		f.Nodes[fl[0]].SetSaturated(fl[1])
-	}
-}
-
-// Run advances the fixture's virtual clock to the absolute time until.
-func (f *Fixture) Run(until sim.Time) { f.Sched.Run(until) }
-
-// Goodputs returns each flow's measured goodput in Mb/s.
-func (f *Fixture) Goodputs() []float64 {
-	out := make([]float64, len(f.Meters))
-	for i, m := range f.Meters {
-		out[i] = m.Mbps()
+// RunSaturated is the one-call happy path: build with every sender
+// backlogged, run to dur, and return per-flow goodputs in Mb/s.
+func RunSaturated(armName string, tp Topology, seed uint64, warmup, dur sim.Time) []float64 {
+	fs := NewSim(armName, tp, seed, warmup, dur, traffic.Spec{})
+	fs.Run(dur)
+	var out []float64
+	for _, r := range fs.Results() {
+		out = append(out, r.Mbps)
 	}
 	return out
-}
-
-// RunSaturated is the one-call happy path: build, saturate, run, and
-// return per-flow goodputs.
-func RunSaturated(armName string, tp Topology, seed uint64, warmup, dur sim.Time) []float64 {
-	f := NewFixture(armName, tp, seed, warmup, dur)
-	f.Saturate()
-	f.Run(dur)
-	return f.Goodputs()
 }
 
 // SumMbps totals a goodput slice.
@@ -254,25 +209,4 @@ func SumMbps(g []float64) float64 {
 		s += v
 	}
 	return s
-}
-
-// PoissonArrivals pre-draws packetsPerSec exponential inter-arrival
-// times on [0, horizon) from its own RNG stream — decoupled from the
-// stations' randomness so the arrival pattern is identical across arms.
-func PoissonArrivals(seed uint64, packetsPerSec float64, horizon sim.Time) []sim.Time {
-	rng := sim.NewRNG(seed ^ 0xa441)
-	var out []sim.Time
-	t := sim.Time(0)
-	for {
-		u := rng.Float64()
-		if u <= 0 {
-			u = math.SmallestNonzeroFloat64
-		}
-		gap := sim.Time(-math.Log(u) / packetsPerSec * float64(sim.Second))
-		t += gap
-		if t >= horizon {
-			return out
-		}
-		out = append(out, t)
-	}
 }

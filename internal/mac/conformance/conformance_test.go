@@ -10,6 +10,7 @@ import (
 	"repro/internal/phy"
 	"repro/internal/sim"
 	"repro/internal/topo"
+	"repro/internal/traffic"
 )
 
 // conformanceArms is every arm kind the suite certifies: the four
@@ -56,12 +57,11 @@ func testZeroAllocs(t *testing.T, armName string) {
 	if raceEnabled {
 		t.Skip("race instrumentation perturbs allocation counts")
 	}
-	f := NewFixture(armName, CleanLink(), 1, 0, 1<<62)
-	f.Saturate()
+	fs := NewSim(armName, CleanLink(), 1, 0, 1<<62, traffic.Spec{})
 	deadline := sim.Time(0)
 	cycle := func() {
 		deadline += 20 * sim.Millisecond
-		f.Run(deadline)
+		fs.Run(deadline)
 	}
 	for i := 0; i < 64; i++ {
 		cycle() // warm up every pool and reusable buffer
@@ -69,7 +69,7 @@ func testZeroAllocs(t *testing.T, armName string) {
 	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
 		t.Fatalf("steady state allocates %.2f objects per 20ms slice, want 0", allocs)
 	}
-	if got := f.Goodputs()[0]; got <= 0 {
+	if got := fs.Results()[0].Mbps; got <= 0 {
 		t.Fatalf("allocation fixture moved no traffic (%.2f Mb/s) — the gate tested nothing", got)
 	}
 }
@@ -134,7 +134,7 @@ func testWorkerEquivalence(t *testing.T, armName string) {
 	}
 }
 
-// testConservation enqueues a pre-drawn Poisson arrival pattern on a
+// testConservation runs Poisson arrivals into an unbounded queue on a
 // clean link, drains the sender, and requires exact backlog accounting:
 // every accepted packet is delivered, abandoned by the MAC, or still
 // queued.
@@ -142,64 +142,45 @@ func testConservation(t *testing.T, armName string) {
 	conservation(t, armName, CleanLink())
 }
 
-// arrival is one pre-drawn packet arrival: firing it enqueues a packet
-// for dst at the sender.
-type arrival struct {
-	sender mac.Node
-	dst    int
-}
-
-func (a arrival) HandleEvent(any) { a.sender.Enqueue(a.dst, 1) }
-
 // conservation is the body shared by the static and mobile conservation
-// contracts. It also pins the Counters view against what the delivery
-// observer saw, and returns the fixture for topology-specific checks.
-func conservation(t *testing.T, armName string, tp Topology) *Fixture {
+// contracts. It also pins the Counters views against what the flow's
+// meter saw, and returns the run for topology-specific checks. The
+// source keeps arriving past the horizon, so the run steps on in 1 ms
+// increments until the sender is idle and reads every count there.
+func conservation(t *testing.T, armName string, tp Topology) *experiments.FlowSim {
 	const horizon = 2 * sim.Second
-	f := NewFixture(armName, tp, 3, 0, 1<<62)
-	src, dst := f.Topo.Flows[0][0], f.Topo.Flows[0][1]
-	sender, receiver := f.Nodes[src], f.Nodes[dst]
+	fs := NewSim(armName, tp, 3, 0, 1<<62, traffic.Spec{Kind: traffic.Poisson, PacketsPerSec: 150, QueueCap: -1})
+	sender, receiver := fs.Sender(0), fs.Receiver(0)
 
-	var delivered uint64
-	receiver.SetOnDeliver(func(from int, seq uint32, now sim.Time) {
-		if from == src {
-			delivered++
-		}
-	})
-	arrivals := PoissonArrivals(3, 150, horizon)
-	if len(arrivals) < 100 {
-		t.Fatalf("only %d Poisson arrivals drawn — fixture too sparse to mean anything", len(arrivals))
+	fs.Run(horizon)
+	if acc := fs.Results()[0].AcceptedPkts; acc < 100 {
+		t.Fatalf("only %d Poisson arrivals by %v — fixture too sparse to mean anything", acc, horizon)
 	}
-	for _, at := range arrivals {
-		f.Sched.Post(at, arrival{sender, dst}, nil)
-	}
-	enqueued := uint64(len(arrivals))
-
-	f.Run(horizon)
 	deadline := horizon
-	for i := 0; i < 400 && !sender.Idle(); i++ {
-		deadline += 50 * sim.Millisecond
-		f.Run(deadline)
+	for !sender.Idle() && deadline < horizon+20*sim.Second {
+		deadline += sim.Millisecond
+		fs.Run(deadline)
 	}
 	if !sender.Idle() {
-		t.Fatalf("sender failed to drain %d arrivals within %v", enqueued, deadline)
+		t.Fatalf("sender failed to drain by %v", deadline)
 	}
-	dropped := sender.Counters().Dropped
-	got := delivered + dropped + uint64(sender.Backlog(dst))
-	if got != enqueued {
-		t.Fatalf("conservation violated: enqueued %d != delivered %d + dropped %d + queued %d",
-			enqueued, delivered, dropped, sender.Backlog(dst))
+	r := fs.Results()[0]
+	accepted, delivered := r.AcceptedPkts, r.DeliveredPkts
+	dropped, queued := sender.Counters().Dropped, uint64(sender.Backlog(tp.Flows[0].Dst))
+	if accepted != delivered+dropped+queued {
+		t.Fatalf("conservation violated: accepted %d != delivered %d + dropped %d + queued %d",
+			accepted, delivered, dropped, queued)
 	}
 	if delivered == 0 {
 		t.Fatal("nothing delivered — conservation held vacuously")
 	}
 	if c := receiver.Counters(); c.Delivered != delivered {
-		t.Fatalf("receiver Counters().Delivered = %d, delivery observer saw %d", c.Delivered, delivered)
+		t.Fatalf("receiver Counters().Delivered = %d, the flow's meter saw %d", c.Delivered, delivered)
 	}
 	if c := sender.Counters(); c.Sent < delivered {
 		t.Fatalf("sender Counters().Sent = %d < %d delivered", c.Sent, delivered)
 	}
-	return f
+	return fs
 }
 
 // TestRegistryRoundTrip certifies the registry seam end to end: every

@@ -9,6 +9,7 @@ import (
 	"repro/internal/phy"
 	"repro/internal/sim"
 	"repro/internal/topo"
+	"repro/internal/traffic"
 )
 
 // mobileSpecs is the movement matrix mobility conformance runs each arm
@@ -27,20 +28,19 @@ var mobileSpecs = []mobility.Spec{
 func testMobileDeterminism(t *testing.T, armName string) {
 	for _, spec := range mobileSpecs {
 		a := MobileExposedPair(spec)
-		fa := NewFixture(armName, a, 7, 500*sim.Millisecond, 1500*sim.Millisecond)
-		fa.Saturate()
+		fa := NewSim(armName, a, 7, 500*sim.Millisecond, 1500*sim.Millisecond, traffic.Spec{})
 		fa.Run(1500 * sim.Millisecond)
-		ga := fa.Goodputs()
-		if fa.Manager.Epochs == 0 {
+		if fa.Epochs() == 0 {
 			t.Fatalf("%s/%s: manager applied no position epochs — the fixture tested a static run", a.Name, spec)
 		}
+		ga := fa.Results()
 		gb := RunSaturated(armName, a, 7, 500*sim.Millisecond, 1500*sim.Millisecond)
-		for i := range ga {
-			if math.Float64bits(ga[i]) != math.Float64bits(gb[i]) {
-				t.Fatalf("%s/%s flow %d: same seed diverged: %.4f vs %.4f", a.Name, spec, i, ga[i], gb[i])
+		for i := range gb {
+			if math.Float64bits(ga[i].Mbps) != math.Float64bits(gb[i]) {
+				t.Fatalf("%s/%s flow %d: same seed diverged: %.4f vs %.4f", a.Name, spec, i, ga[i].Mbps, gb[i])
 			}
 		}
-		if SumMbps(ga) <= 0 {
+		if SumMbps(gb) <= 0 {
 			t.Fatalf("%s/%s: determinism fixture moved no traffic", a.Name, spec)
 		}
 	}
@@ -87,8 +87,8 @@ func testMobileWorkerEquivalence(t *testing.T, armName string) {
 // delivered, abandoned, or still queued — motion may cost retries but
 // never packets.
 func testMobileConservation(t *testing.T, armName string) {
-	f := conservation(t, armName, MobileCleanLink(mobileSpecs[0]))
-	if f.Manager.Epochs == 0 {
+	fs := conservation(t, armName, MobileCleanLink(mobileSpecs[0]))
+	if fs.Epochs() == 0 {
 		t.Fatal("manager applied no position epochs — conservation ran statically")
 	}
 }

@@ -50,18 +50,6 @@ type Scenario struct {
 	Mobility mobility.Spec
 }
 
-// Mobile returns a copy of the scenario carrying the given motion
-// suggestion — the cheap way to derive a mobile variant of any static
-// layout.
-func (s *Scenario) Mobile(spec mobility.Spec) *Scenario {
-	c := *s
-	c.Mobility = spec
-	if c.Mobility.Kind != mobility.None {
-		c.Name = s.Name + "+" + c.Mobility.String()
-	}
-	return &c
-}
-
 // N returns the node count.
 func (s *Scenario) N() int { return len(s.Pos) }
 

@@ -14,9 +14,9 @@ import (
 func (s *Source) ExportState() (json.RawMessage, error) { return json.Marshal(&s.state) }
 
 // RestoreState replaces the source's state. It must run after the
-// scheduler's RestoreState so the timers attach to the restored slot
-// table. An arrival ring whose length is not Mask+1 is refused: arrive
-// would index past it.
+// scheduler's RestoreState so the timers' seqs resolve through the
+// scheduler's seq → slab-index lookup. An arrival ring whose length is
+// not Mask+1 is refused: arrive would index past it.
 func (s *Source) RestoreState(enc json.RawMessage) error {
 	var st state
 	if err := json.Unmarshal(enc, &st); err != nil {

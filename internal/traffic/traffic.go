@@ -199,16 +199,30 @@ func (s Spec) queueCap() int {
 // churns reports whether flow churn is configured.
 func (s Spec) churns() bool { return s.UpMean > 0 && s.DownMean > 0 }
 
-// Validate reports whether the spec is runnable.
+// maxMeanGapNs bounds the mean time between arrival events at 2^56 ns
+// (about 2.3 years): an exponential draw is at most ~37 means, so every
+// gap a source arms still fits the int64 nanosecond clock.
+const maxMeanGapNs = 1 << 56
+
+// Validate reports whether the spec is runnable: its mean gap between
+// arrival events (Burst / PacketsPerSec) must lie in [1 ns,
+// maxMeanGapNs]. A shorter gap rounds up to one clock tick, and a far
+// longer one overflows the clock and wraps to one tick too; either way
+// the source would post an event every nanosecond. The range also
+// refuses NaN, infinite and non-positive rates.
 func (s Spec) Validate() error {
 	if s.Kind == Saturated {
 		return nil
 	}
-	if s.PacketsPerSec <= 0 {
-		return fmt.Errorf("traffic: %v spec needs PacketsPerSec > 0", s.Kind)
+	if gap := s.meanGapNs(); !(gap >= 1 && gap <= maxMeanGapNs) {
+		return fmt.Errorf("traffic: %v spec at %g packets/s in bursts of %d has a mean gap of %.3g ns, outside [1, 2^56] ns",
+			s.Kind, s.PacketsPerSec, s.burst(), gap)
 	}
 	return nil
 }
+
+// meanGapNs is the mean time between arrival events in ns.
+func (s Spec) meanGapNs() float64 { return float64(s.burst()) / s.PacketsPerSec * 1e9 }
 
 // An Enqueuer is the transmit-queue face of a link-layer node: both
 // core.Node (CMAP) and csma.Node (DCF) satisfy it. Enqueue adds packets
@@ -304,7 +318,7 @@ func NewSource(sched *sim.Scheduler, rng *sim.RNG, spec Spec, q Enqueuer, dst in
 		dst:       dst,
 		burst:     b,
 		cap:       spec.queueCap(),
-		meanGapNs: float64(b) / spec.PacketsPerSec * 1e9,
+		meanGapNs: spec.meanGapNs(),
 	}
 }
 
