@@ -4,7 +4,7 @@ package cmap
 // paper's evaluation (run with -benchtime=1x: each iteration is one full
 // experiment at a reduced scale) and reports the figure's headline
 // numbers as custom metrics. cmd/cmapbench runs the same experiments at
-// paper scale; EXPERIMENTS.md records a frozen comparison.
+// its mid scale (30 s runs) or at paper scale.
 
 import (
 	"testing"

@@ -1,6 +1,6 @@
 // Command cmapbench regenerates every table and figure of the paper's
 // evaluation (§4.2, §5.2–§5.8) and prints paper-expected versus measured
-// values. It is the source of EXPERIMENTS.md.
+// values.
 //
 // Usage:
 //
@@ -14,7 +14,8 @@
 // networks a hundred times larger; cmapsim -shards is the way in).
 //
 // "paper" runs the full 100-second, 50-topology methodology (slow);
-// "mid" is the EXPERIMENTS.md scale (30 s runs); "quick" is CI-sized.
+// "mid", the default, runs 30 s over 30 topologies per figure and is
+// the scale ROADMAP quotes; "quick" is CI-sized.
 //
 // -arms overrides the arm set of every protocol-comparison figure with
 // a comma-separated list of internal/mac registry names and specs — any

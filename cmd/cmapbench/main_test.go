@@ -126,6 +126,7 @@ func TestRunUsageErrors(t *testing.T) {
 		{"unknown arm", []string{"-arms", "csma,bogus"}, "bogus"},
 		{"NaN cs threshold", []string{"-arms", "csma,cs@NaN"}, `cs@ arm "cs@NaN": threshold must be in`},
 		{"zero window", []string{"-arms", "csma,cmap:win=0"}, `mac: cmap:win=0: win: "0" is not an integer in [1, 262140]`},
+		{"repeated arm", []string{"-arms", "csma,cmap:win=1,cmap1"}, `arm cmap1 given twice (the second time as "cmap1")`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			code, stdout, stderr := cmapbench(tc.args...)

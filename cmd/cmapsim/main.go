@@ -360,8 +360,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if set["load"] || spec.PacketsPerSec <= 0 {
 			spec = spec.WithOfferedMbps(*load, 1400)
 		}
-		if err := spec.Validate(); err != nil {
+		// A spec that passes without its session means fails on -churn.
+		bare := spec
+		bare.UpMean, bare.DownMean = 0, 0
+		if err := bare.Validate(); err != nil {
 			return usage("-load %v: %v", *load, err)
+		} else if err := spec.Validate(); err != nil {
+			return usage("-churn %v: %v", *churn, err)
 		}
 		fmt.Fprintf(stdout, "traffic: %v at %.2f Mb/s offered per flow (%.0f pkt/s peak)\n",
 			spec.Kind, spec.OfferedMbps(1400), spec.PacketsPerSec)

@@ -120,6 +120,7 @@ func TestRunUsageErrors(t *testing.T) {
 		{"bad traffic", []string{"-traffic", "pigeon"}, "pigeon"},
 		{"bad load", []string{"-traffic", "cbr", "-load", "-1"}, "-load -1"},
 		{"vanishing load", []string{"-traffic", "cbr", "-load", "1e-300"}, "outside [1, 2^56] ns"},
+		{"endless churn", []string{"-traffic", "poisson", "-churn", "1000000h"}, "-churn 1000000h0m0s: traffic: UpMean"},
 		{"bad topology", []string{"-topology", "star"}, "star"},
 		{"bad scenario", []string{"-scenario", "moon"}, "moon"},
 	} {

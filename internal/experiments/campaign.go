@@ -7,22 +7,23 @@ import (
 	"repro/internal/runner"
 )
 
-// resumableMap runs the trial function for every key not yet recorded
-// in the campaign, returning the full result slice in key order. Trials
-// whose seeds are pure functions of their key make this safe: the
-// missing subset of a killed sweep runs with exactly the randomness it
-// would have had in a full run, so the resumed figure is bit-identical.
-// The manifest stores each trial's []FlowResult as encoding/json writes
-// it: Mbps round-trips exactly (shortest-representation floats) and the
-// latency recorder marshals its full checkpoint state. A nil campaign
-// degrades to a plain runner.Map. Recorded results that fail to decode
+// resumableMap runs the trial function for every trial t in [0, n)
+// whose key(t) the campaign has not yet recorded, returning the full
+// result slice in trial order. Trials whose seeds are pure functions of
+// their key make this safe: the missing subset of a killed sweep runs
+// with exactly the randomness it would have had in a full run, so the
+// resumed figure is bit-identical. The manifest stores each trial's
+// []FlowResult as encoding/json writes it: Mbps round-trips exactly
+// (shortest-representation floats) and the latency recorder marshals
+// its full checkpoint state. A nil campaign degrades to a plain
+// runner.Map and never calls key. Recorded results that fail to decode
 // are re-run rather than trusted.
-func resumableMap(camp *checkpoint.Campaign, pool runner.Config, keys []string, run func(t int) []FlowResult) ([][]FlowResult, error) {
-	trials := make([][]FlowResult, len(keys))
+func resumableMap(camp *checkpoint.Campaign, pool runner.Config, n int, key func(t int) string, run func(t int) []FlowResult) ([][]FlowResult, error) {
+	trials := make([][]FlowResult, n)
 	var missing []int
-	for t, key := range keys {
+	for t := range trials {
 		if camp != nil {
-			if raw, ok := camp.Done(key); ok && json.Unmarshal(raw, &trials[t]) == nil {
+			if raw, ok := camp.Done(key(t)); ok && json.Unmarshal(raw, &trials[t]) == nil {
 				continue
 			}
 		}
@@ -35,7 +36,7 @@ func resumableMap(camp *checkpoint.Campaign, pool runner.Config, keys []string, 
 	ran := runner.Map(pool, len(missing), func(j int) []FlowResult {
 		rs := run(missing[j])
 		if camp != nil {
-			errs[j] = camp.Complete(keys[missing[j]], rs)
+			errs[j] = camp.Complete(key(missing[j]), rs)
 		}
 		return rs
 	})

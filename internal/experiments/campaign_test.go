@@ -172,7 +172,8 @@ func TestCampaignReplaysRecordedResults(t *testing.T) {
 		t.Fatal(err)
 	}
 	pool := runner.Config{Workers: 1}
-	first, err := resumableMap(camp, pool, keys, func(i int) []FlowResult { return want[i] })
+	key := func(i int) string { return keys[i] }
+	first, err := resumableMap(camp, pool, len(keys), key, func(i int) []FlowResult { return want[i] })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +182,7 @@ func TestCampaignReplaysRecordedResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	replayed, err := resumableMap(camp, pool, keys, func(i int) []FlowResult {
+	replayed, err := resumableMap(camp, pool, len(keys), key, func(i int) []FlowResult {
 		t.Errorf("trial %d re-ran although the campaign recorded it", i)
 		return nil
 	})

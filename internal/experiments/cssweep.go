@@ -2,10 +2,9 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
-	"repro/internal/runner"
-	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/topo"
 )
@@ -63,51 +62,38 @@ func (r *CSSweepResult) Knee() CSSweepPoint {
 	return CSSweepPoint{}
 }
 
-// CSThresholdSweep measures every threshold arm over one exposed and one
-// hidden pair sample. All (pair, threshold) trials are independent and
-// fan out across the worker pool; each threshold's arm carries its own
-// seed salt, so trials are decorrelated across sweep positions exactly
-// like protocol arms are in the pair experiments.
+// CSThresholdSweep measures every threshold arm over the exposed pairs
+// of Figure 12 and the hidden pairs of Figure 15, so the sweep's curves
+// are directly comparable with the protocol-arm figures. It is one pair
+// experiment over both samples, the exposed pairs first: each
+// threshold's arm carries its own seed salt, so trials are decorrelated
+// across sweep positions exactly like protocol arms are in the pair
+// experiments. A repeated threshold is measured once.
 func CSThresholdSweep(tb *topo.Testbed, opt Options, thresholds []float64) *CSSweepResult {
 	if len(thresholds) == 0 {
 		thresholds = DefaultCSThresholds
 	}
-	tb = tb.Shared()
-	// The same pair samples Figures 12 and 15 use, so the sweep's curves
-	// are directly comparable with the protocol-arm figures.
-	exposed := tb.ExposedPairs(sim.NewRNG(opt.Seed^0xf16), opt.Pairs)
-	hidden := tb.HiddenPairs(sim.NewRNG(opt.Seed^0xf15), opt.Pairs)
-	pairs := append(append([]topo.LinkPair{}, exposed...), hidden...)
-
-	arms := make([]Protocol, len(thresholds))
-	for i, thr := range thresholds {
-		arms[i] = CSAt(thr)
-	}
-	trials := runner.Map(opt.pool(), len(pairs)*len(arms), func(t int) float64 {
-		i, arm := t/len(arms), arms[t%len(arms)]
-		flows := []topo.Link{pairs[i].A, pairs[i].B}
-		rs := runFlows(tb, flows, arm, opt, opt.Seed+uint64(i)*7919+arm.seedSalt()*104729)
-		return aggregate(rs)
-	})
-
+	exposed := pairDraws["exposed"].pairs(tb, opt)
+	pairs := append(exposed, pairDraws["hidden"].pairs(tb, opt)...)
 	res := &CSSweepResult{}
-	best := -1.0
-	for j, thr := range thresholds {
-		p := CSSweepPoint{
-			ThresholdDBm: thr,
-			Arm:          arms[j],
-			Exposed:      &stats.Dist{},
-			Hidden:       &stats.Dist{},
+	var arms []Protocol
+	for _, thr := range thresholds {
+		if arm := CSAt(thr); !slices.Contains(arms, arm) {
+			arms = append(arms, arm)
+			res.Points = append(res.Points, CSSweepPoint{
+				ThresholdDBm: thr, Arm: arm, Exposed: &stats.Dist{}, Hidden: &stats.Dist{}})
 		}
-		for i := range pairs {
-			agg := trials[i*len(arms)+j]
+	}
+	ex := runPairExperiment("", tb, pairs, arms, opt)
+	best := -1.0
+	for _, p := range res.Points {
+		for i, rs := range ex.Flows[p.Arm] {
 			if i < len(exposed) {
-				p.Exposed.Add(agg)
+				p.Exposed.Add(aggregate(rs))
 			} else {
-				p.Hidden.Add(agg)
+				p.Hidden.Add(aggregate(rs))
 			}
 		}
-		res.Points = append(res.Points, p)
 		if c := p.Combined(); c > best {
 			best = c
 		}

@@ -51,7 +51,8 @@ func TestCSThresholdSweepEndpoints(t *testing.T) {
 }
 
 // TestCSThresholdSweepDefaults checks the zero-config path: a nil
-// threshold list falls back to the default 3 dB grid.
+// threshold list falls back to the default 3 dB grid. A list that
+// repeats thresholds of that grid sweeps each of them once.
 func TestCSThresholdSweepDefaults(t *testing.T) {
 	if testing.Short() {
 		t.Skip("covered at full scale by TestCSThresholdSweepEndpoints")
@@ -65,16 +66,19 @@ func TestCSThresholdSweepDefaults(t *testing.T) {
 		Rate:     phy.Rate6Mbps,
 	}
 	tb := topo.NewTestbed(opt.Nodes, opt.Seed)
-	res := CSThresholdSweep(tb, opt, nil)
-	if len(res.Points) != len(DefaultCSThresholds) {
-		t.Fatalf("default sweep returned %d points, want %d", len(res.Points), len(DefaultCSThresholds))
-	}
-	for i, p := range res.Points {
-		if p.ThresholdDBm != DefaultCSThresholds[i] {
-			t.Errorf("point %d at %g dBm, want %g", i, p.ThresholdDBm, DefaultCSThresholds[i])
+	repeated := append(append([]float64{}, DefaultCSThresholds...), -90, DefaultCSThresholds[0])
+	for _, thresholds := range [][]float64{nil, repeated} {
+		res := CSThresholdSweep(tb, opt, thresholds)
+		if len(res.Points) != len(DefaultCSThresholds) {
+			t.Fatalf("sweep over %v returned %d points, want %d", thresholds, len(res.Points), len(DefaultCSThresholds))
 		}
-		if p.Arm != CSAt(p.ThresholdDBm) {
-			t.Errorf("point %d arm %q does not match CSAt(%g)", i, p.Arm, p.ThresholdDBm)
+		for i, p := range res.Points {
+			if p.ThresholdDBm != DefaultCSThresholds[i] {
+				t.Errorf("point %d at %g dBm, want %g", i, p.ThresholdDBm, DefaultCSThresholds[i])
+			}
+			if p.Arm != CSAt(p.ThresholdDBm) {
+				t.Errorf("point %d arm %q does not match CSAt(%g)", i, p.Arm, p.ThresholdDBm)
+			}
 		}
 	}
 }

@@ -26,10 +26,13 @@
 // Jain fairness and tail drops for CMAP versus carrier sense on exposed
 // and hidden pairs — the unsaturated regimes the follow-on literature
 // analyses. ScaleBenchmarks and the 50/200/1000-node suites track the
-// performance trajectory (BENCH_<sha>.json). All experiments fan their
-// trials across internal/runner with seeds fixed before dispatch, so
-// results are bit-identical at every worker count; the golden-trace
-// tier pins the whole stack's behaviour at the bit level.
+// performance trajectory (BENCH_<sha>.json). Every experiment over link
+// pairs — Figures 12, 13, 15 and 20 and the CS-threshold, staleness and
+// load sweeps — is one pair sweep: its (point, pair, arm) trials fan
+// out once and fold into one PairExperiment per point. All experiments
+// fan their trials across internal/runner with seeds fixed before
+// dispatch, so results are bit-identical at every worker count; the
+// golden-trace tier pins the whole stack's behaviour at the bit level.
 //
 // # One construction path
 //

@@ -2,8 +2,10 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
+	"repro/internal/checkpoint"
 	"repro/internal/mac"
 	"repro/internal/mobility"
 	"repro/internal/phy"
@@ -58,7 +60,8 @@ func (p Protocol) seedSalt() uint64 {
 // ParseArms resolves a comma-separated list of registry arm names and
 // specs (e.g. "csma,cmap:win=2,rtscts,cs@-82") against the MAC registry
 // and returns their canonical names, so "cmap:win=1" comes back as
-// CMAPWin1.
+// CMAPWin1. Two spellings of one arm ("cmap:win=1,cmap1") are an
+// error: a figure would run that arm twice.
 func ParseArms(s string) ([]Protocol, error) {
 	var out []Protocol
 	for _, name := range strings.Split(s, ",") {
@@ -69,6 +72,9 @@ func ParseArms(s string) ([]Protocol, error) {
 		a, err := mac.Lookup(name)
 		if err != nil {
 			return nil, err
+		}
+		if slices.Contains(out, Protocol(a.Name())) {
+			return nil, fmt.Errorf("experiments: arm %s given twice (the second time as %q)", a.Name(), name)
 		}
 		out = append(out, Protocol(a.Name()))
 	}
@@ -108,7 +114,8 @@ type Options struct {
 	// campaign's config hash (the JSON of these Options) leaves it out.
 	Workers int `json:"-"`
 	// Progress, when non-nil, is called after each completed trial of
-	// an experiment with (done, total) counts; unhashed like Workers.
+	// an experiment or sweep (Figure 20's three rates are one count)
+	// with (done, total) counts; unhashed like Workers.
 	Progress func(done, total int) `json:"-"`
 	// Traffic selects the arrival model experiment flows are driven by.
 	// The zero value is the saturated (always-backlogged) workload of
@@ -254,14 +261,10 @@ type PairExperiment struct {
 	Flows map[Protocol][][]FlowResult
 }
 
-// runPairExperiment measures every pair under every arm. The (pair, arm)
-// trials are independent — each builds its own medium, over the one set
-// of delivery rows the shared testbed builds, and derives all randomness
-// from a seed fixed here — so they fan out across the worker pool;
-// results fold back in the serial iteration order, keeping the output
-// identical at every worker count.
-func runPairExperiment(name string, tb *topo.Testbed, pairs []topo.LinkPair, arms []Protocol, opt Options) *PairExperiment {
-	tb = tb.Shared()
+// newPairExperiment returns an empty experiment over arms. A repeated
+// arm would fold two runs of every pair into one distribution, so it
+// panics: ParseArms refuses one on the way in.
+func newPairExperiment(name string, arms []Protocol) *PairExperiment {
 	ex := &PairExperiment{
 		Name:  name,
 		Arms:  arms,
@@ -269,21 +272,58 @@ func runPairExperiment(name string, tb *topo.Testbed, pairs []topo.LinkPair, arm
 		Flows: map[Protocol][][]FlowResult{},
 	}
 	for _, arm := range arms {
+		if ex.Dists[arm] != nil {
+			panic(fmt.Sprintf("experiments: arm %s repeated", arm))
+		}
 		ex.Dists[arm] = &stats.Dist{}
 	}
-	trials := runner.Map(opt.pool(), len(pairs)*len(arms), func(t int) []FlowResult {
-		i, arm := t/len(arms), arms[t%len(arms)]
-		flows := []topo.Link{pairs[i].A, pairs[i].B}
-		return runFlows(tb, flows, arm, opt, opt.Seed+uint64(i)*7919+arm.seedSalt()*104729)
-	})
-	for i := range pairs {
-		for j, arm := range arms {
-			rs := trials[i*len(arms)+j]
-			ex.Dists[arm].Add(aggregate(rs))
-			ex.Flows[arm] = append(ex.Flows[arm], rs)
-		}
-	}
 	return ex
+}
+
+// add folds one run of a pair under arm into the experiment.
+func (ex *PairExperiment) add(arm Protocol, rs []FlowResult) {
+	ex.Dists[arm].Add(aggregate(rs))
+	ex.Flows[arm] = append(ex.Flows[arm], rs)
+}
+
+// sweepPairs measures every pair under every arm at every point of a
+// sweep (its Options: rate, traffic, motion, seed) into one
+// PairExperiment per point. The trials are independent — each builds
+// its own medium over the shared testbed's rows and seeds all its
+// randomness here — so they fan out across points[0]'s worker pool and
+// fold back in serial order, identical at every worker count. key names
+// trial (p, i, arm) in camp's manifest; a nil camp cannot fail.
+func sweepPairs(tb *topo.Testbed, pairs []topo.LinkPair, arms []Protocol, points []Options, camp *checkpoint.Campaign, key func(p, i int, arm Protocol) string) ([]*PairExperiment, error) {
+	if len(points) == 0 {
+		return nil, nil
+	}
+	tb = tb.Shared()
+	out := make([]*PairExperiment, len(points))
+	for p := range points {
+		out[p] = newPairExperiment("", arms)
+	}
+	per := len(pairs) * len(arms)
+	at := func(t int) (p, i int, arm Protocol) { return t / per, t % per / len(arms), arms[t%len(arms)] }
+	trials, err := resumableMap(camp, points[0].pool(), len(points)*per, func(t int) string { return key(at(t)) }, func(t int) []FlowResult {
+		p, i, arm := at(t)
+		flows := []topo.Link{pairs[i].A, pairs[i].B}
+		return runFlows(tb, flows, arm, points[p], points[p].Seed+uint64(i)*7919+arm.seedSalt()*104729)
+	})
+	if err != nil {
+		return nil, err
+	}
+	for t, rs := range trials {
+		out[t/per].add(arms[t%len(arms)], rs)
+	}
+	return out, nil
+}
+
+// runPairExperiment measures every pair under every arm: the one-point
+// sweep.
+func runPairExperiment(name string, tb *topo.Testbed, pairs []topo.LinkPair, arms []Protocol, opt Options) *PairExperiment {
+	exs, _ := sweepPairs(tb, pairs, arms, []Options{opt}, nil, nil)
+	exs[0].Name = name
+	return exs[0]
 }
 
 // Median returns the median aggregate throughput of one arm, or zero

@@ -290,3 +290,16 @@ func TestDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// TestRepeatedArmPanics: a pair sweep keys its results by arm, so an
+// arm listed twice is a programming error, refused before any trial
+// runs rather than folding two runs of every pair into one
+// distribution.
+func TestRepeatedArmPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a repeated arm did not panic")
+		}
+	}()
+	runPairExperiment("repeat", testbed(t, 1), nil, []Protocol{CSMAOn, CMAP, CSMAOn}, Quick(1))
+}

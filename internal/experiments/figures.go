@@ -43,15 +43,40 @@ func RunCalibration(tb *topo.Testbed, opt Options) Calibration {
 	return Calibration{CMAPMbps: cm[0].Mbps, Dot11Mbps: dt[0].Mbps}
 }
 
+// pairDraw is how one of the paper's pair figures samples its link
+// pairs, from its own stream of the seed, and which arms it compares
+// unless Options.Arms overrides them.
+type pairDraw struct {
+	title  string
+	salt   uint64
+	sample func(tb *topo.Testbed, rng *sim.RNG, n int) []topo.LinkPair
+	arms   []Protocol
+}
+
+// pairDraws holds Figures 12, 13 and 15 under PredictFigure's names;
+// the figures, their predictions and the carrier-sense sweep read them.
+var pairDraws = map[string]pairDraw{
+	"exposed": {"Figure 12: exposed terminals", 0xf16, (*topo.Testbed).ExposedPairs, []Protocol{CSMAOn, CSMAOffNoAcks, CMAP, CMAPWin1}},
+	"inrange": {"Figure 13: senders in range", 0xf13, (*topo.Testbed).InRangePairs, []Protocol{CSMAOn, CSMAOffAcks, CSMAOffNoAcks, CMAP}},
+	"hidden":  {"Figure 15: hidden terminals", 0xf15, (*topo.Testbed).HiddenPairs, []Protocol{CSMAOn, CSMAOffAcks, CMAP}},
+}
+
+// pairs draws the figure's opt.Pairs link pairs.
+func (d pairDraw) pairs(tb *topo.Testbed, opt Options) []topo.LinkPair {
+	return d.sample(tb, sim.NewRNG(opt.Seed^d.salt), opt.Pairs)
+}
+
+// run measures the figure: its pairs under its arms.
+func (d pairDraw) run(tb *topo.Testbed, opt Options) *PairExperiment {
+	return runPairExperiment(d.title, tb, d.pairs(tb, opt), opt.armsOr(d.arms), opt)
+}
+
 // ExposedTerminals reproduces Figure 12: 50 exposed-terminal
 // configurations (§5.2 constraints) under CS+acks, CS-off+no-acks, CMAP,
 // and CMAP with window 1. The paper's headline: CMAP ≈2× the status quo;
 // window 1 only ≈1.5×.
 func ExposedTerminals(tb *topo.Testbed, opt Options) *PairExperiment {
-	rng := sim.NewRNG(opt.Seed ^ 0xf16)
-	pairs := tb.ExposedPairs(rng, opt.Pairs)
-	return runPairExperiment("Figure 12: exposed terminals", tb, pairs,
-		opt.armsOr([]Protocol{CSMAOn, CSMAOffNoAcks, CMAP, CMAPWin1}), opt)
+	return pairDraws["exposed"].run(tb, opt)
 }
 
 // InRangeSenders reproduces Figure 13: 50 pairs with in-range senders and
@@ -59,20 +84,14 @@ func ExposedTerminals(tb *topo.Testbed, opt Options) *PairExperiment {
 // CS-off+no-acks, and CMAP. CMAP should track the better of deferring and
 // concurrency on every pair.
 func InRangeSenders(tb *topo.Testbed, opt Options) *PairExperiment {
-	rng := sim.NewRNG(opt.Seed ^ 0xf13)
-	pairs := tb.InRangePairs(rng, opt.Pairs)
-	return runPairExperiment("Figure 13: senders in range", tb, pairs,
-		opt.armsOr([]Protocol{CSMAOn, CSMAOffAcks, CSMAOffNoAcks, CMAP}), opt)
+	return pairDraws["inrange"].run(tb, opt)
 }
 
 // HiddenTerminals reproduces Figure 15: receivers reachable by both
 // senders, senders out of range (§5.5), under CS+acks, CS-off+acks, and
 // CMAP. CMAP's loss-driven backoff must keep it comparable to 802.11.
 func HiddenTerminals(tb *topo.Testbed, opt Options) *PairExperiment {
-	rng := sim.NewRNG(opt.Seed ^ 0xf15)
-	pairs := tb.HiddenPairs(rng, opt.Pairs)
-	return runPairExperiment("Figure 15: hidden terminals", tb, pairs,
-		opt.armsOr([]Protocol{CSMAOn, CSMAOffAcks, CMAP}), opt)
+	return pairDraws["hidden"].run(tb, opt)
 }
 
 // InterfererPoint is one Figure 14 scatter point.
@@ -408,18 +427,21 @@ type RateSeries struct {
 
 // VariableBitRates reproduces Figure 20: the exposed-terminal experiment
 // at the 6, 12 and 18 Mb/s rates under CS-on and CMAP. Control traffic
-// stays at 6 Mb/s, as in §5.8.
+// stays at 6 Mb/s, as in §5.8. The rates are the points of one sweep
+// over the same pairs and seeds.
 func VariableBitRates(tb *topo.Testbed, opt Options) []RateSeries {
-	tb = tb.Shared() // one row set for all three rates
-	rng := sim.NewRNG(opt.Seed ^ 0xf20)
-	pairs := tb.ExposedPairs(rng, opt.Pairs)
-	var out []RateSeries
-	for _, rate := range []phy.RateID{phy.Rate6Mbps, phy.Rate12Mbps, phy.Rate18Mbps} {
-		o := opt
-		o.Rate = rate
-		name := fmt.Sprintf("Figure 20: exposed terminals @ %g Mb/s", phy.RateByID(rate).Mbps)
-		ex := runPairExperiment(name, tb, pairs, opt.armsOr([]Protocol{CSMAOn, CMAP}), o)
-		out = append(out, RateSeries{Rate: rate, Ex: ex})
+	pairs := tb.ExposedPairs(sim.NewRNG(opt.Seed^0xf20), opt.Pairs)
+	rates := []phy.RateID{phy.Rate6Mbps, phy.Rate12Mbps, phy.Rate18Mbps}
+	points := make([]Options, len(rates))
+	for k, rate := range rates {
+		points[k] = opt
+		points[k].Rate = rate
+	}
+	exs, _ := sweepPairs(tb, pairs, opt.armsOr([]Protocol{CSMAOn, CMAP}), points, nil, nil)
+	out := make([]RateSeries, len(rates))
+	for k, rate := range rates {
+		exs[k].Name = fmt.Sprintf("Figure 20: exposed terminals @ %g Mb/s", phy.RateByID(rate).Mbps)
+		out[k] = RateSeries{Rate: rate, Ex: exs[k]}
 	}
 	return out
 }

@@ -74,11 +74,9 @@ func OfferedLoad(tb *topo.Testbed, topology string, loads []float64, opt Options
 // instead of the simulator. camp may be nil (no recording). The figure
 // is bit-identical to OfferedLoad in every case.
 func OfferedLoadCampaign(tb *topo.Testbed, topology string, loads []float64, opt Options, camp *checkpoint.Campaign) (*LoadSweep, error) {
-	kind := opt.Traffic.Kind
-	if kind == traffic.Saturated {
-		kind = traffic.Poisson
+	if opt.Traffic.Kind == traffic.Saturated {
+		opt.Traffic.Kind = traffic.Poisson
 	}
-	tb = tb.Shared()
 	rng := sim.NewRNG(opt.Seed ^ 0xf10ad)
 	var pairs []topo.LinkPair
 	switch topology {
@@ -90,70 +88,51 @@ func OfferedLoadCampaign(tb *topo.Testbed, topology string, loads []float64, opt
 	}
 	arms := opt.armsOr([]Protocol{CSMAOn, CMAP})
 	sweep := &LoadSweep{
-		Name:     fmt.Sprintf("Load sweep: %s pairs, %v arrivals", topology, kind),
+		Name:     fmt.Sprintf("Load sweep: %s pairs, %v arrivals", topology, opt.Traffic.Kind),
 		Topology: topology,
-		Kind:     kind,
+		Kind:     opt.Traffic.Kind,
 		Arms:     arms,
 	}
-	type trialKey struct {
-		li, pi int
-		arm    Protocol
-	}
-	var keys []trialKey
-	var pointKeys []string
-	for li := range loads {
-		for pi := range pairs {
-			for _, arm := range arms {
-				keys = append(keys, trialKey{li: li, pi: pi, arm: arm})
-				pointKeys = append(pointKeys,
-					fmt.Sprintf("loadsweep/%s/%s/load%g/pair%d", topology, arm, loads[li], pi))
-			}
-		}
+	points := make([]Options, len(loads))
+	for li, load := range loads {
+		points[li] = opt
+		// The axis means long-run offered load: duty-cycled kinds get
+		// their peak rate scaled so the mean lands on the sweep value.
+		points[li].Traffic = points[li].Traffic.WithOfferedMbps(load, sweepPayloadBytes)
+		points[li].Seed += uint64(li) * 15485863
 	}
 	// Each trial's seed is a pure function of its key, so the campaign
 	// can skip completed trials without perturbing the rest.
-	trials, err := resumableMap(camp, opt.pool(), pointKeys, func(t int) []FlowResult {
-		k := keys[t]
-		o := opt
-		o.Traffic.Kind = kind
-		// The axis means long-run offered load: duty-cycled kinds get
-		// their peak rate scaled so the mean lands on the sweep value.
-		o.Traffic = o.Traffic.WithOfferedMbps(loads[k.li], sweepPayloadBytes)
-		flows := []topo.Link{pairs[k.pi].A, pairs[k.pi].B}
-		seed := opt.Seed + uint64(k.li)*15485863 + uint64(k.pi)*7919 + k.arm.seedSalt()*104729
-		return runFlows(tb, flows, k.arm, o, seed)
+	exs, err := sweepPairs(tb, pairs, arms, points, camp, func(li, pi int, arm Protocol) string {
+		return fmt.Sprintf("loadsweep/%s/%s/load%g/pair%d", topology, arm, loads[li], pi)
 	})
 	if err != nil {
 		return nil, err
 	}
-	for _, load := range loads {
+	for li, load := range loads {
 		pt := LoadPoint{
 			PerFlowMbps: load,
-			Aggregate:   map[Protocol]*stats.Dist{},
+			Aggregate:   exs[li].Dists,
 			Latency:     map[Protocol]*stats.Latency{},
 			Fairness:    map[Protocol]*stats.Dist{},
 			Offered:     map[Protocol]uint64{},
 			Dropped:     map[Protocol]uint64{},
 		}
 		for _, arm := range arms {
-			pt.Aggregate[arm] = &stats.Dist{}
 			pt.Latency[arm] = &stats.Latency{}
 			pt.Fairness[arm] = &stats.Dist{}
+			for _, rs := range exs[li].Flows[arm] {
+				var mbps []float64
+				for _, fr := range rs {
+					mbps = append(mbps, fr.Mbps)
+					pt.Latency[arm].Merge(fr.Lat)
+					pt.Offered[arm] += fr.OfferedPkts
+					pt.Dropped[arm] += fr.DroppedPkts
+				}
+				pt.Fairness[arm].Add(stats.Jain(mbps))
+			}
 		}
 		sweep.Points = append(sweep.Points, pt)
-	}
-	for t, k := range keys {
-		rs := trials[t]
-		pt := &sweep.Points[k.li]
-		var mbps []float64
-		for _, fr := range rs {
-			mbps = append(mbps, fr.Mbps)
-			pt.Latency[k.arm].Merge(fr.Lat)
-			pt.Offered[k.arm] += fr.OfferedPkts
-			pt.Dropped[k.arm] += fr.DroppedPkts
-		}
-		pt.Aggregate[k.arm].Add(aggregate(rs))
-		pt.Fairness[k.arm].Add(stats.Jain(mbps))
 	}
 	return sweep, nil
 }

@@ -12,7 +12,6 @@ import (
 	"repro/internal/mac"
 	"repro/internal/runner"
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/topo"
 	"repro/internal/traffic"
 )
@@ -63,15 +62,7 @@ func PredictFlows(tb *topo.Testbed, flows []topo.Link, p Protocol, opt Options) 
 // results), with every number predicted instead of simulated.
 func PredictPairExperiment(name string, tb *topo.Testbed, pairs []topo.LinkPair, arms []Protocol, opt Options) (*PairExperiment, error) {
 	tb = tb.Shared()
-	ex := &PairExperiment{
-		Name:  name,
-		Arms:  arms,
-		Dists: map[Protocol]*stats.Dist{},
-		Flows: map[Protocol][][]FlowResult{},
-	}
-	for _, arm := range arms {
-		ex.Dists[arm] = &stats.Dist{}
-	}
+	ex := newPairExperiment(name, arms)
 	for _, pair := range pairs {
 		flows := []topo.Link{pair.A, pair.B}
 		for _, arm := range arms {
@@ -79,12 +70,7 @@ func PredictPairExperiment(name string, tb *topo.Testbed, pairs []topo.LinkPair,
 			if err != nil {
 				return nil, err
 			}
-			rs := make([]FlowResult, len(flows))
-			for i, f := range flows {
-				rs[i] = FlowResult{Link: f, Mbps: res.FlowMbps[i]}
-			}
-			ex.Dists[arm].Add(res.AggregateMbps())
-			ex.Flows[arm] = append(ex.Flows[arm], rs)
+			ex.add(arm, []FlowResult{{Link: pair.A, Mbps: res.FlowMbps[0]}, {Link: pair.B, Mbps: res.FlowMbps[1]}})
 		}
 	}
 	return ex, nil
@@ -92,25 +78,15 @@ func PredictPairExperiment(name string, tb *topo.Testbed, pairs []topo.LinkPair,
 
 // PredictFigure predicts one of the paper's pair figures by name —
 // "exposed" (Figure 12), "inrange" (Figure 13) or "hidden" (Figure 15)
-// — over the same topology draws the simulated figure uses (identical
-// seed streams), restricted to the arms the oracle models.
+// — over the pairs the simulated figure draws, restricted to the arms
+// the oracle models.
 func PredictFigure(name string, tb *topo.Testbed, opt Options) (*PairExperiment, error) {
-	var pairs []topo.LinkPair
-	var title string
-	switch name {
-	case "exposed":
-		pairs = tb.ExposedPairs(sim.NewRNG(opt.Seed^0xf16), opt.Pairs)
-		title = "Figure 12 (predicted): exposed terminals"
-	case "inrange":
-		pairs = tb.InRangePairs(sim.NewRNG(opt.Seed^0xf13), opt.Pairs)
-		title = "Figure 13 (predicted): senders in range"
-	case "hidden":
-		pairs = tb.HiddenPairs(sim.NewRNG(opt.Seed^0xf15), opt.Pairs)
-		title = "Figure 15 (predicted): hidden terminals"
-	default:
+	d, ok := pairDraws[name]
+	if !ok {
 		return nil, fmt.Errorf("experiments: unknown figure %q (want exposed, inrange or hidden)", name)
 	}
-	return PredictPairExperiment(title, tb, pairs, []Protocol{CSMAOn, CMAP}, opt)
+	title := strings.Replace(d.title, ":", " (predicted):", 1)
+	return PredictPairExperiment(title, tb, d.pairs(tb, opt), []Protocol{CSMAOn, CMAP}, opt)
 }
 
 // ScreenScenario is one named topology entering the analytic screen.

@@ -5,9 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/mobility"
-	"repro/internal/runner"
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/topo"
 )
 
@@ -36,21 +34,11 @@ const StalenessRangeM = 12
 // learned map rots.
 const StalenessDecorrM = 10
 
-// StalenessPoint is one node speed: the aggregate-goodput distribution
-// of the same exposed-pair sample per arm.
+// StalenessPoint is one node speed: the pair experiment over the same
+// exposed-pair sample at that speed.
 type StalenessPoint struct {
 	SpeedMps float64
-	Dists    map[Protocol]*stats.Dist
-}
-
-// Advantage returns the ratio of arm a's median to arm b's at this
-// speed (0 when b's median is 0).
-func (p StalenessPoint) Advantage(a, b Protocol) float64 {
-	den := p.Dists[b].Median()
-	if den == 0 {
-		return 0
-	}
-	return p.Dists[a].Median() / den
+	*PairExperiment
 }
 
 // StalenessResult is the full sweep.
@@ -59,49 +47,28 @@ type StalenessResult struct {
 	Points []StalenessPoint
 }
 
-// StalenessSweep measures every (pair, speed, arm) trial independently
-// across the worker pool: goodput versus node speed under random
+// StalenessSweep measures goodput versus node speed under random
 // waypoint mobility for the given arms (default CMAP vs csma vs
-// rtscts) over its own draw of exposed pairs. Results are
-// bit-identical at any worker count — each trial's randomness, its
-// trajectories included, derives from a seed fixed before dispatch.
+// rtscts) over its own draw of exposed pairs: one pair sweep whose
+// points are the speeds, each trial's trajectories seeded with it.
 func StalenessSweep(tb *topo.Testbed, opt Options, speeds []float64) *StalenessResult {
 	if len(speeds) == 0 {
 		speeds = DefaultStalenessSpeeds
 	}
-	// Only the static trials reuse its rows: a moving run re-draws
-	// shadowing through a model of its own.
-	tb = tb.Shared()
 	arms := opt.armsOr([]Protocol{CMAP, CSMAOn, RTSCTS})
-	// Exposed pairs by Figure 12's selection rule but from this figure's
-	// own stream (Figure 12 draws from opt.Seed^0xf16), so the zero-speed
-	// column is a static exposed-terminal run, not Figure 12's numbers.
+	// Figure 12's selection rule from this figure's own stream: the
+	// zero-speed column is a static exposed-terminal run, not Figure 12.
 	pairs := tb.ExposedPairs(sim.NewRNG(opt.Seed^0x57a1e), opt.Pairs)
-
-	res := &StalenessResult{Arms: arms}
-	trials := runner.Map(opt.pool(), len(pairs)*len(speeds)*len(arms), func(t int) float64 {
-		i := t / (len(speeds) * len(arms))
-		s := t / len(arms) % len(speeds)
-		arm := arms[t%len(arms)]
-		ropt := opt
-		ropt.Mobility = StalenessSpec(speeds[s])
-		flows := []topo.Link{pairs[i].A, pairs[i].B}
-		// The speed index joins the trial seed the same way pair and arm
-		// salts do, decorrelating sweep positions from one another.
-		rs := runFlows(tb, flows, arm, ropt, opt.Seed+uint64(i)*7919+arm.seedSalt()*104729+uint64(s)*15485863)
-		return aggregate(rs)
-	})
+	points := make([]Options, len(speeds))
 	for s, v := range speeds {
-		p := StalenessPoint{SpeedMps: v, Dists: map[Protocol]*stats.Dist{}}
-		for _, arm := range arms {
-			p.Dists[arm] = &stats.Dist{}
-		}
-		for i := range pairs {
-			for j, arm := range arms {
-				p.Dists[arm].Add(trials[i*len(speeds)*len(arms)+s*len(arms)+j])
-			}
-		}
-		res.Points = append(res.Points, p)
+		points[s] = opt
+		points[s].Mobility = StalenessSpec(v)
+		points[s].Seed += uint64(s) * 15485863 // decorrelates the speeds
+	}
+	exs, _ := sweepPairs(tb, pairs, arms, points, nil, nil)
+	res := &StalenessResult{Arms: arms}
+	for s, v := range speeds {
+		res.Points = append(res.Points, StalenessPoint{SpeedMps: v, PairExperiment: exs[s]})
 	}
 	return res
 }
@@ -131,40 +98,25 @@ func (r *StalenessResult) Format() string {
 	for _, a := range r.Arms {
 		fmt.Fprintf(&b, "%12s", a.String())
 	}
-	if r.has(CMAP, CSMAOn) {
+	gain := len(r.Points) > 0 && r.Points[0].Ran(CMAP, CSMAOn)
+	if gain {
 		fmt.Fprintf(&b, "%14s", "cmap/csma")
 	}
 	b.WriteString("\n")
 	for _, p := range r.Points {
 		fmt.Fprintf(&b, "%-10g", p.SpeedMps)
 		for _, a := range r.Arms {
-			fmt.Fprintf(&b, "%12.2f", p.Dists[a].Median())
+			fmt.Fprintf(&b, "%12.2f", p.Median(a))
 		}
-		if r.has(CMAP, CSMAOn) {
-			fmt.Fprintf(&b, "%13.2fx", p.Advantage(CMAP, CSMAOn))
+		if gain {
+			fmt.Fprintf(&b, "%13.2fx", p.Gain(CMAP, CSMAOn))
 		}
 		b.WriteString("\n")
 	}
-	if r.has(CMAP, CSMAOn) && len(r.Points) > 1 {
+	if gain && len(r.Points) > 1 {
 		first, last := r.Points[0], r.Points[len(r.Points)-1]
 		fmt.Fprintf(&b, "CMAP's exposed-pair advantage over carrier sense: %.2fx static -> %.2fx at %g m/s — conflict maps go stale as fast as the geometry they memorised\n",
-			first.Advantage(CMAP, CSMAOn), last.Advantage(CMAP, CSMAOn), last.SpeedMps)
+			first.Gain(CMAP, CSMAOn), last.Gain(CMAP, CSMAOn), last.SpeedMps)
 	}
 	return b.String()
-}
-
-func (r *StalenessResult) has(arms ...Protocol) bool {
-	for _, want := range arms {
-		found := false
-		for _, a := range r.Arms {
-			if a == want {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return false
-		}
-	}
-	return true
 }

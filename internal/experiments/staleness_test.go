@@ -34,7 +34,7 @@ func TestStalenessSweepAdvantageShrinks(t *testing.T) {
 
 	adv := make([]float64, len(res.Points))
 	for i, p := range res.Points {
-		adv[i] = p.Advantage(CMAP, CSMAOn)
+		adv[i] = p.Gain(CMAP, CSMAOn)
 		if p.Dists[CSMAOn].Median() <= 0 {
 			t.Fatalf("speed %g: csma median is zero — pairs disconnected, sweep is degenerate", p.SpeedMps)
 		}

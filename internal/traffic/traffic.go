@@ -199,20 +199,27 @@ func (s Spec) queueCap() int {
 // churns reports whether flow churn is configured.
 func (s Spec) churns() bool { return s.UpMean > 0 && s.DownMean > 0 }
 
-// maxMeanGapNs bounds the mean time between arrival events at 2^56 ns
-// (about 2.3 years): an exponential draw is at most ~37 means, so every
-// gap a source arms still fits the int64 nanosecond clock.
+// maxMeanGapNs bounds the mean time between arrival events, and each
+// ON/OFF and churn mean, at 2^56 ns (about 2.3 years): an exponential
+// draw is at most ~37 means, so every gap a source arms still fits the
+// int64 nanosecond clock.
 const maxMeanGapNs = 1 << 56
 
 // Validate reports whether the spec is runnable: its mean gap between
 // arrival events (Burst / PacketsPerSec) must lie in [1 ns,
-// maxMeanGapNs]. A shorter gap rounds up to one clock tick, and a far
-// longer one overflows the clock and wraps to one tick too; either way
-// the source would post an event every nanosecond. The range also
-// refuses NaN, infinite and non-positive rates.
+// maxMeanGapNs], and none of OnMean, OffMean, UpMean and DownMean may
+// exceed maxMeanGapNs. A shorter gap rounds up to one clock tick, and a
+// far longer gap or mean overflows the clock and wraps to one tick too;
+// either way the source would post an event every nanosecond. The
+// range also refuses NaN, infinite and non-positive rates.
 func (s Spec) Validate() error {
 	if s.Kind == Saturated {
 		return nil
+	}
+	for i, mean := range [...]sim.Time{s.OnMean, s.OffMean, s.UpMean, s.DownMean} {
+		if mean > maxMeanGapNs {
+			return fmt.Errorf("traffic: %s of %.3g ns is over 2^56 ns", [...]string{"OnMean", "OffMean", "UpMean", "DownMean"}[i], float64(mean))
+		}
 	}
 	if gap := s.meanGapNs(); !(gap >= 1 && gap <= maxMeanGapNs) {
 		return fmt.Errorf("traffic: %v spec at %g packets/s in bursts of %d has a mean gap of %.3g ns, outside [1, 2^56] ns",
