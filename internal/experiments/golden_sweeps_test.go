@@ -127,7 +127,13 @@ func TestGoldenPairSweeps(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden tier runs via make golden, not the -short tier")
 	}
-	got := captureSweeps()
+	checkGoldenSeries(t, goldenSweepsPath, captureSweeps())
+}
+
+// checkGoldenSeries compares got with the series file at path, or
+// rewrites the file under -update.
+func checkGoldenSeries(t *testing.T, path string, got sweepRecorder) {
+	t.Helper()
 	if *updateGolden {
 		// One series a line keeps the file small and its diffs readable.
 		data := []byte("[\n")
@@ -142,19 +148,19 @@ func TestGoldenPairSweeps(t *testing.T) {
 			data = append(data, line...)
 		}
 		data = append(data, "\n]\n"...)
-		if err := os.WriteFile(goldenSweepsPath, data, 0o644); err != nil {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("rewrote %s (%d series)", goldenSweepsPath, len(got))
+		t.Logf("rewrote %s (%d series)", path, len(got))
 		return
 	}
-	data, err := os.ReadFile(goldenSweepsPath)
+	data, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("no pair-sweep golden (%v); run with -update to create it", err)
+		t.Fatalf("no golden series file (%v); run with -update to create it", err)
 	}
 	var want sweepRecorder
 	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatalf("corrupt golden file %s: %v", goldenSweepsPath, err)
+		t.Fatalf("corrupt golden file %s: %v", path, err)
 	}
 	if len(got) != len(want) {
 		t.Fatalf("captured %d series, golden file has %d", len(got), len(want))
