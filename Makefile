@@ -9,7 +9,9 @@
 #   make vet        static analysis
 #   make golden     golden-trace regression tier (bit-exact behaviour pin)
 #   make alloc-check  allocation-regression gate (0 allocs/frame in steady state,
-#                   one per replaced delivery list per movement epoch)
+#                   one per replaced delivery list per movement epoch,
+#                   0 allocs over a steady-state window for every
+#                   conformance arm)
 #   make bench-json machine-readable scaling benchmarks, five runs each
 #                   (median ns/op + quartiles) → BENCH_<sha>.json
 #   make profile    CPU+heap pprof of the scaling benchmarks → cpu.pprof/mem.pprof
@@ -115,6 +117,7 @@ golden:
 
 alloc-check:
 	$(GO) test -timeout $(TEST_TIMEOUT) -count=1 -run 'ZeroAllocs' -v ./internal/medium ./internal/traffic
+	$(GO) test -timeout $(TEST_TIMEOUT) -count=1 -run 'TestConformance/.*/ZeroAllocs' -v ./internal/mac/conformance
 
 bench-json:
 	$(GO) run ./cmd/cmapbench -benchjson

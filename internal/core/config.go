@@ -131,6 +131,17 @@ func (c Config) vpktAirtime(n int) sim.Time {
 	return controls*c.controlAirtime() + sim.Time(n)*c.dataAirtime()
 }
 
+// finGrace is how long past a virtual packet's expected end a receiver
+// waits for its trailer before finalising it without one. With trailers
+// disabled (ablation) the timer is also the ACK trigger, so it fires
+// after the software turnaround alone.
+func (c Config) finGrace() sim.Time {
+	if c.DisableTrailers {
+		return c.Turnaround
+	}
+	return c.TackWait
+}
+
 // tauBounds returns the retransmission timeout bounds, deriving the
 // paper's defaults when unset.
 func (c Config) tauBounds() (sim.Time, sim.Time) {

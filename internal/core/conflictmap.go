@@ -77,9 +77,20 @@ func (t *deferTable) prune(now sim.Time) {
 	}
 }
 
-// size returns the number of live entries (including any not yet pruned
-// but unexpired).
+// size returns the number of stored entries: the live ones and any
+// expired ones not yet pruned.
 func (t *deferTable) size() int { return len(t.Entries) }
+
+// live returns the number of entries that have not expired at now.
+func (t *deferTable) live(now sim.Time) int {
+	c := 0
+	for _, exp := range t.Entries {
+		if exp > now {
+			c++
+		}
+	}
+	return c
+}
 
 // pairKey identifies a (source, interferer) pair in a receiver's
 // interference statistics and interferer list.

@@ -178,14 +178,15 @@ func TestObservationsMerge(t *testing.T) {
 	src, dst := addr(1), addr(2)
 	k := obsKey{Src: src, VSeq: 7}
 
+	// Heard at 101 ms, then (a frame processed out of order) at 96 ms.
 	o.upsert(k, dst, 0, 100*sim.Millisecond, 120*sim.Millisecond, 101*sim.Millisecond)
 	o.upsert(k, dst, 0, 95*sim.Millisecond, 118*sim.Millisecond, 96*sim.Millisecond)
 	e := o.find(k)
 	if e.EstStart != 95*sim.Millisecond || e.EstEnd != 120*sim.Millisecond {
 		t.Errorf("merged interval [%v,%v], want [95ms,120ms]", e.EstStart, e.EstEnd)
 	}
-	if e.VisibleAt != 96*sim.Millisecond {
-		t.Errorf("VisibleAt = %v, want 96ms", e.VisibleAt)
+	if want := 96*sim.Millisecond + cfg.Turnaround; e.VisibleAt != want {
+		t.Errorf("VisibleAt = %v, want %v (earliest hearing plus turnaround)", e.VisibleAt, want)
 	}
 }
 
@@ -193,7 +194,7 @@ func TestObservationsOngoingAndVisibility(t *testing.T) {
 	cfg := DefaultConfig()
 	o := newObservations(cfg)
 	k := obsKey{Src: addr(1), VSeq: 1}
-	o.upsert(k, addr(2), 0, 0, 50*sim.Millisecond, 10*sim.Millisecond)
+	o.upsert(k, addr(2), 0, 0, 50*sim.Millisecond, 10*sim.Millisecond-cfg.Turnaround) // visible at 10 ms
 
 	count := func(now sim.Time) int {
 		c := 0

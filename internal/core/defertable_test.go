@@ -36,6 +36,25 @@ func TestDeferExpiryBoundaryExact(t *testing.T) {
 	}
 }
 
+func TestDeferTableSizeCountsLiveEntries(t *testing.T) {
+	// A node with no flows never reaches trySend, the defer table's
+	// prune site, so an expired entry stays stored; it must not count.
+	m, sched, rng := matrixMedium([][]float64{{0, 70}, {70, 0}}, 5)
+	n := New(0, DefaultConfig(), m, rng.Stream(10))
+	n.DeferTab.add(deferKey{OurDst: anyAddr, Src: addr(1), TheirDst: addr(2)}, 10*sim.Millisecond)
+	n.DeferTab.add(deferKey{OurDst: anyAddr, Src: addr(1), TheirDst: addr(3)}, sim.Second)
+	if got := n.DeferTableSize(); got != 2 {
+		t.Fatalf("DeferTableSize = %d with both entries live, want 2", got)
+	}
+	sched.Run(10 * sim.Millisecond)
+	if got, stored := n.DeferTableSize(), n.DeferTab.size(); got != 1 || stored != 2 {
+		t.Errorf("at the first entry's expiry: DeferTableSize = %d over %d stored, want 1 over 2", got, stored)
+	}
+	if got := n.Counters().DeferEntries; got != 1 {
+		t.Errorf("Counters().DeferEntries = %d, want 1", got)
+	}
+}
+
 func TestDeferAddNeverShrinksExpiry(t *testing.T) {
 	tab := newDeferTable()
 	k := deferKey{OurDst: addr(1), Src: addr(2), TheirDst: anyAddr, Rate: 0}

@@ -226,7 +226,7 @@ func (n *Node) Addr() frame.Addr { return n.addr }
 func (n *Node) Stats() Stats { return n.Stat }
 
 // DeferTableSize returns the number of live defer-table entries.
-func (n *Node) DeferTableSize() int { return n.DeferTab.size() }
+func (n *Node) DeferTableSize() int { return n.DeferTab.live(n.sched.Now()) }
 
 // InterfererListLen returns the number of live interferer-list entries.
 func (n *Node) InterfererListLen() int {
@@ -416,7 +416,6 @@ func (n *Node) HandleEvent(arg any) {
 // decodable frame.
 func (n *Node) OnFrame(f frame.Frame, info phy.RxInfo) {
 	now := n.sched.Now()
-	visible := now + n.cfg.Turnaround
 	switch ff := f.(type) {
 	case *frame.Control:
 		if ff.Src == n.addr {
@@ -424,14 +423,14 @@ func (n *Node) OnFrame(f frame.Frame, info phy.RxInfo) {
 		}
 		if ff.Trailer {
 			n.Stat.TrailersHeard++
-			n.Obs.noteTrailer(ff, info, visible)
+			n.Obs.noteTrailer(ff, info, now)
 			n.Obs.markEnded(ff.Src, ff.Seq, info.End)
 			if ff.Dst == n.addr {
 				n.rxTrailer(ff, info)
 			}
 		} else {
 			n.Stat.HeadersHeard++
-			n.Obs.noteHeader(ff, info, visible)
+			n.Obs.noteHeader(ff, info, now)
 			if ff.Dst == n.addr {
 				n.rxHeader(ff, info)
 			}
@@ -440,7 +439,7 @@ func (n *Node) OnFrame(f frame.Frame, info phy.RxInfo) {
 		if ff.Src == n.addr {
 			return
 		}
-		n.Obs.noteData(ff, info, visible)
+		n.Obs.noteData(ff, info, now)
 		if ff.Dst == n.addr || ff.Dst.IsBroadcast() {
 			n.rxData(ff, info)
 		}

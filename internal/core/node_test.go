@@ -90,6 +90,60 @@ func TestExposedTerminalsConcurrent(t *testing.T) {
 	_ = s2
 }
 
+func TestObservationTableStaysBounded(t *testing.T) {
+	// A saturated exposed pair plus a station that overhears both
+	// senders and never sends. After every event (so at every
+	// finalizeVpkt) every node's table must hold only what its last
+	// prune kept: entries that ended within a retention of the newest
+	// entry's arrival. That caps each heard sender at the virtual
+	// packets that start within a retention plus an airtime of it.
+	m, sched, rng := matrixMedium([][]float64{
+		// S1(0) R1(1) S2(2) R2(3) O(4)
+		{0, 68, 75, 108, 70},
+		{68, 0, 108, offAir, 95},
+		{75, 108, 0, 68, 82},
+		{108, offAir, 68, 0, 95},
+		{70, 95, 82, 95, 0},
+	}, 29)
+	cfg := DefaultConfig()
+	var nodes []*Node
+	for id := range 5 {
+		nodes = append(nodes, New(id, cfg, m, rng.Stream(uint64(10+id))))
+	}
+	nodes[0].SetSaturated(1)
+	nodes[2].SetSaturated(3)
+	ret := nodes[0].Obs.retention()
+	// Two senders. A sender's virtual packets are disjoint on the air,
+	// and none is shorter than vpktAirtime(1).
+	perSender := int((ret+cfg.vpktAirtime(cfg.Nvpkt))/cfg.vpktAirtime(1)) + 1
+	bound := 2 * perSender
+	peak := make([]int, len(nodes))
+	for sched.Now() < 8*sim.Second && sched.Step() {
+		for i, n := range nodes {
+			es := n.Obs.Entries
+			if len(es) == 0 {
+				continue
+			}
+			peak[i] = max(peak[i], len(es))
+			if len(es) > bound {
+				t.Fatalf("node %d at %v: %d overheard transmissions, bound %d", i, sched.Now(), len(es), bound)
+			}
+			// The newest entry was added at the last prune, heard then.
+			horizon := es[len(es)-1].VisibleAt - cfg.Turnaround - ret
+			for _, e := range es {
+				if e.EstEnd < horizon {
+					t.Fatalf("node %d at %v: entry %v/%d ended at %v, before the horizon %v of the last prune",
+						i, sched.Now(), e.Src, e.VSeq, e.EstEnd, horizon)
+				}
+			}
+		}
+	}
+	if s := nodes[4].Stats(); s.HeadersHeard < 100 {
+		t.Fatalf("the overhearing station heard only %d headers; the run tested nothing", s.HeadersHeard)
+	}
+	t.Logf("peak table sizes %v (bound %d)", peak, bound)
+}
+
 func TestConflictingFlowsLearnToDefer(t *testing.T) {
 	// Two flows whose cross links are strong: concurrent transmissions
 	// destroy each other at the receivers. CMAP must learn the conflict,

@@ -34,20 +34,24 @@ type obsEntry struct {
 }
 
 // observations is the per-node table of overheard transmissions.
-// Pruned entries park on a free list for reuse, so the steady-state
-// observation flow (one entry per overheard virtual packet) does not
-// touch the allocator.
+// Every node keeps it to the last retention() of history: upsert, the
+// one place the table grows, prunes it before it adds an entry, so a
+// node that never sends is bounded exactly like one that does. Over a
+// retention a node hears at most a few virtual packets per neighbouring
+// sender, so the table holds a handful of entries. Pruned entries park
+// on a free list that the next added entry takes from, so the
+// steady-state observation flow (one entry per overheard virtual
+// packet) does not touch the allocator.
 //
-// The table is a slice searched linearly: it holds two virtual-packet
-// airtimes of history, a handful of entries, and finalizeVpkt walks it
-// once per expected packet. Its order is arrival order perturbed by
-// prune and means nothing. Every walker is order-independent by
-// construction: ongoing's caller keeps a minimum, and overlapping's
-// caller does decay(now) (idempotent at one now), Expected++ and Lost++
-// on a per-(source, interferer, rate) stat, so visiting the same set of
-// entries in any order leaves the same state. Entries is stored in its
-// live order, so a resumed node walks them exactly as the original did;
-// cfg points at the node's Config and free is a pool, both re-linked.
+// The table is a slice searched linearly. Its order is arrival order
+// perturbed by prune and means nothing. Every walker is
+// order-independent by construction: ongoing's caller keeps a minimum,
+// and overlapping's caller does decay(now) (idempotent at one now),
+// Expected++ and Lost++ on a per-(source, interferer, rate) stat, so
+// visiting the same set of entries in any order leaves the same state.
+// Entries is stored in its live order, so a resumed node walks them
+// exactly as the original did; cfg points at the node's Config and free
+// is a pool, both re-linked.
 type observations struct {
 	Entries []*obsEntry `json:"entries,omitempty"`
 	cfg     *Config
@@ -65,15 +69,37 @@ func (o *observations) find(k obsKey) *obsEntry {
 }
 
 // retention is how long a finished transmission stays in the table for
-// loss attribution before pruning.
+// loss attribution before pruning: two virtual-packet airtimes, or one
+// airtime plus the finalisation grace if that is longer (virtual
+// packets of one or two data packets, whose airtime is shorter than
+// TackWait). Pruning an entry that ended more than a retention ago
+// changes no outcome:
+//
+//   - A receiver finalises a virtual packet by its trailer, by FinTimer
+//     or by the next vseq's first frame, and all three come no later
+//     than FinTimer: the packet's vpktAirtime plus finGrace after its
+//     start, and vpktAirtime(Nvpkt) bounds that airtime. So every slot
+//     midpoint an open or later finalizeVpkt reads lies at or after
+//     now − retention, and an entry with EstEnd < now − retention
+//     covers none of them.
+//   - ongoing reads only entries with EstEnd > now.
+//   - A (Src, VSeq) pair is never reused, so no later frame looks up a
+//     pruned key.
+//
+// Under the default config (61 ms virtual packets, 5 ms TackWait) the
+// retention is two airtimes, 122 ms.
 func (o *observations) retention() sim.Time {
-	return 2 * o.cfg.vpktAirtime(o.cfg.Nvpkt)
+	air := o.cfg.vpktAirtime(o.cfg.Nvpkt)
+	return max(2*air, air+o.cfg.finGrace())
 }
 
-// upsert merges an interval estimate for (src, vseq).
-func (o *observations) upsert(k obsKey, dst frame.Addr, rate uint8, start, end, visible sim.Time) *obsEntry {
+// upsert merges an interval estimate for (src, vseq), heard at now.
+// Before it adds an entry it prunes, which bounds the table.
+func (o *observations) upsert(k obsKey, dst frame.Addr, rate uint8, start, end, now sim.Time) *obsEntry {
+	visible := now + o.cfg.Turnaround
 	e := o.find(k)
 	if e == nil {
+		o.prune(now)
 		if f := len(o.free); f > 0 {
 			e = o.free[f-1]
 			o.free = o.free[:f-1]
@@ -98,24 +124,24 @@ func (o *observations) upsert(k obsKey, dst frame.Addr, rate uint8, start, end, 
 }
 
 // noteHeader records an overheard virtual-packet header.
-func (o *observations) noteHeader(c *frame.Control, info phy.RxInfo, visible sim.Time) {
+func (o *observations) noteHeader(c *frame.Control, info phy.RxInfo, now sim.Time) {
 	end := info.Start + sim.Time(c.TxTimeMicros)*sim.Microsecond
-	o.upsert(obsKey{Src: c.Src, VSeq: c.Seq}, c.Dst, c.Rate, info.Start, end, visible)
+	o.upsert(obsKey{Src: c.Src, VSeq: c.Seq}, c.Dst, c.Rate, info.Start, end, now)
 }
 
 // noteTrailer records an overheard virtual-packet trailer, back-dating
 // the interval by the announced transmission time.
-func (o *observations) noteTrailer(c *frame.Control, info phy.RxInfo, visible sim.Time) {
+func (o *observations) noteTrailer(c *frame.Control, info phy.RxInfo, now sim.Time) {
 	start := info.End - sim.Time(c.TxTimeMicros)*sim.Microsecond
-	o.upsert(obsKey{Src: c.Src, VSeq: c.Seq}, c.Dst, c.Rate, start, info.End, visible)
+	o.upsert(obsKey{Src: c.Src, VSeq: c.Seq}, c.Dst, c.Rate, start, info.End, now)
 }
 
 // noteData records an overheard data packet, locating the whole virtual
 // packet from the packet's index.
-func (o *observations) noteData(d *frame.Data, info phy.RxInfo, visible sim.Time) {
+func (o *observations) noteData(d *frame.Data, info phy.RxInfo, now sim.Time) {
 	start := info.Start - o.cfg.controlAirtime() - sim.Time(d.Index)*o.cfg.dataAirtime()
 	end := start + o.cfg.vpktAirtime(o.cfg.Nvpkt)
-	o.upsert(obsKey{Src: d.Src, VSeq: d.VSeq}, d.Dst, uint8(o.cfg.Rate), start, end, visible)
+	o.upsert(obsKey{Src: d.Src, VSeq: d.VSeq}, d.Dst, uint8(o.cfg.Rate), start, end, now)
 }
 
 // markEnded clamps an entry's end time (a trailer was heard, so the

@@ -63,16 +63,10 @@ func (n *Node) beginVpkt(f *rxFlow, vseq uint32, start sim.Time, expected int, r
 		}
 		f.Cur = &f.curBuf
 		// Finalise even if the trailer never arrives (lost or sender
-		// aborted): a grace period after the expected end. With trailers
-		// disabled (ablation) this timer is also the ACK trigger, so it
-		// fires promptly.
+		// aborted): the finalisation grace after the expected end.
 		end := start + n.cfg.vpktAirtime(expected)
-		grace := n.cfg.TackWait
-		if n.cfg.DisableTrailers {
-			grace = n.cfg.Turnaround
-		}
 		f.FinVseq = vseq
-		n.sched.ResetAt(&f.FinTimer, end+grace, n, f)
+		n.sched.ResetAt(&f.FinTimer, end+n.cfg.finGrace(), n, f)
 	}
 	return f.Cur
 }

@@ -28,7 +28,6 @@ func (n *Node) trySend() {
 		return
 	}
 	now := n.sched.Now()
-	n.Obs.prune(now)
 	n.DeferTab.prune(now)
 
 	var earliestEnd sim.Time
@@ -310,9 +309,18 @@ func (n *Node) startBackoff() {
 func (n *Node) onAck(a *frame.Ack) {
 	n.Stat.AcksReceived++
 	if f, ok := n.flowByDst[a.Src]; ok {
-		for s := range f.Unacked {
-			if s < a.CumSeq || a.BitmapGet(int(s-a.CumSeq)) {
-				delete(f.Unacked, s)
+		if a.CumSeq >= f.NextPktSeq {
+			// Everything sent is acknowledged. Clearing the set, rather
+			// than deleting its members one by one, also drops the
+			// deleted-slot markers a Go map keeps, which would otherwise
+			// pile up until the map regrows: an allocation in the
+			// steady state.
+			clear(f.Unacked)
+		} else {
+			for s := range f.Unacked {
+				if s < a.CumSeq || a.BitmapGet(int(s-a.CumSeq)) {
+					delete(f.Unacked, s)
+				}
 			}
 		}
 	}

@@ -66,8 +66,15 @@ func testZeroAllocs(t *testing.T, armName string) {
 	for i := 0; i < 64; i++ {
 		cycle() // warm up every pool and reusable buffer
 	}
-	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
-		t.Fatalf("steady state allocates %.2f objects per 20ms slice, want 0", allocs)
+	// The whole window is one run: AllocsPerRun divides by its run
+	// count in integers, so a leak of under one object per slice would
+	// read 0 if each slice were a run.
+	if allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < 100; i++ {
+			cycle()
+		}
+	}); allocs != 0 {
+		t.Fatalf("steady state allocates %.0f objects over 100 20ms slices, want 0", allocs)
 	}
 	if got := fs.Results()[0].Mbps; got <= 0 {
 		t.Fatalf("allocation fixture moved no traffic (%.2f Mb/s) — the gate tested nothing", got)

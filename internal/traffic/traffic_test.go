@@ -249,8 +249,15 @@ func TestArrivalPathZeroAllocs(t *testing.T) {
 			for i := 0; i < 256; i++ {
 				sched.Step() // warm the agenda, slots and ring
 			}
-			if allocs := testing.AllocsPerRun(400, func() { sched.Step() }); allocs != 0 {
-				t.Fatalf("steady-state arrival allocates %.2f objects/op, want 0", allocs)
+			// The whole window is one run: AllocsPerRun divides by its
+			// run count in integers, so a leak of under one object per
+			// arrival would read 0 if each arrival were a run.
+			if allocs := testing.AllocsPerRun(1, func() {
+				for i := 0; i < 400; i++ {
+					sched.Step()
+				}
+			}); allocs != 0 {
+				t.Fatalf("steady-state arrivals allocate %.0f objects over 400 arrivals, want 0", allocs)
 			}
 		})
 	}
