@@ -9,9 +9,9 @@
 #   make vet        static analysis
 #   make golden     golden-trace regression tier (bit-exact behaviour pin)
 #   make alloc-check  allocation-regression gate (0 allocs/frame in steady state,
-#                   one per replaced delivery list per movement epoch,
-#                   0 allocs over a steady-state window for every
-#                   conformance arm)
+#                   0 allocs per movement epoch, at most one list per
+#                   stale delivery row read after it, 0 allocs over a
+#                   steady-state window for every conformance arm)
 #   make bench-json machine-readable scaling benchmarks, five runs each
 #                   (median ns/op + quartiles) → BENCH_<sha>.json
 #   make profile    CPU+heap pprof of the scaling benchmarks → cpu.pprof/mem.pprof
@@ -45,10 +45,10 @@
 #                   accepts a deliberate one)
 #   make mobility-conformance  the mobility tier: mobility unit tests,
 #                   every arm's mobile determinism/worker-equivalence/
-#                   conservation contracts, the incremental-vs-rebuild
+#                   conservation contracts, the lazy-row-vs-rebuild
 #                   medium equivalence (whole epochs and partial
-#                   batches) with the reciprocity and audibility-
-#                   predicate properties it leans on, the mobile
+#                   batches) with the audibility-predicate property it
+#                   leans on, the lazy-row contract, the mobile
 #                   golden traces, the staleness-sweep properties and
 #                   the mobile checkpoint/resume bit-identity cases
 #   make checkpoint-conformance  the checkpoint/resume bit-identity
@@ -193,22 +193,22 @@ bench-guard:
 
 # The mobility tier: the mobility package's own unit tests (models,
 # channel, checkpoint codec, and bitwise Loss reciprocity of every
-# range-bounded model — one of the two invariants the batch patch leans
-# on — and the same for the shadowing screen), every registered arm's
-# mobile determinism / worker-equivalence /
+# range-bounded model and of the shadowing screen), every registered
+# arm's mobile determinism / worker-equivalence /
 # conservation contracts under the race detector, the
-# incremental-vs-rebuild delivery-list equivalence (every node per
+# lazy-row-vs-rebuild delivery-list equivalence (every row per
 # epoch, and partial batches against both oracles and the
-# one-move-at-a-time path) with the other invariant — the guard-banded
-# audibility predicate against its literal form — the batch's
-# one-meeting-per-pair contract, the mobile golden
+# one-move-at-a-time path) with the invariant it leans on — the
+# guard-banded audibility predicate against its literal form — the
+# lazy-row contract (a batch evaluates nothing, a row is built on its
+# first read and only then, an empty batch is a no-op), the mobile golden
 # traces, the staleness-sweep figure properties, the
 # churn × mobility interplay, and the mobile checkpoint/resume
 # bit-identity cases.
 mobility-conformance:
 	$(GO) test -timeout $(TEST_TIMEOUT) -count=1 ./internal/mobility
 	$(GO) test -timeout $(TEST_TIMEOUT) -race -count=1 -run 'TestConformance/.*/Mobile' ./internal/mac/conformance
-	$(GO) test -timeout $(TEST_TIMEOUT) -count=1 -run 'TestIncrementalMatchesRebuild|TestPartialBatchMatchesRebuild|TestFloorMatchesLiteral|TestScreenRefusesMost|TestMoveNodesMeetsEachPairOnce' ./internal/medium
+	$(GO) test -timeout $(TEST_TIMEOUT) -count=1 -run 'TestIncrementalMatchesRebuild|TestPartialBatchMatchesRebuild|TestFloorMatchesLiteral|TestScreenRefusesMost|TestLazyRows|TestEmptyBatchIsNoOp' ./internal/medium
 	$(GO) test -timeout $(TEST_TIMEOUT) -count=1 -run 'TestGoldenMobileTraces|TestStalenessSweep|TestMobilityChurnInterplay|TestCheckpointResumeBitIdentical/.*mobile' ./internal/experiments
 
 # Checkpoint/resume bit-identity: checkpoint-at-midpoint-then-resume

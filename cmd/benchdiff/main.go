@@ -242,7 +242,7 @@ func diff(w io.Writer, oldF, newF benchFile, guard string, threshold float64) ve
 }
 
 // defaultGuard lists the benchmark families whose regressions fail the
-// gate: the saturated transmit path and the two mobility patch costs
+// gate: the saturated transmit path and the two mobility batch costs
 // (one move, one whole epoch).
 const defaultGuard = "SaturatedSteadyState,IncrementalUpdate,EpochUpdate"
 

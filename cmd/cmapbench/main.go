@@ -30,8 +30,8 @@
 //
 // -mobility moves every flow figure's nodes with the given motion
 // model ("<model>@<speed m/s>[@roamM]", models waypoint | walk |
-// vehicular); the medium patches per-node delivery lists incrementally
-// as nodes move. The staleness section (-only staleness, its own figure
+// vehicular); the medium rebuilds a node's delivery list when it is
+// next read after nodes move. The staleness section (-only staleness, its own figure
 // beyond the paper) ignores the flag and sweeps waypoint speed itself:
 // goodput versus node speed for CMAP against csma and rtscts on the
 // exposed pairs, showing conflict-map staleness erode CMAP's advantage.

@@ -46,8 +46,8 @@
 // -mobility moves the nodes while the flows run: "<model>@<speed m/s>"
 // with an optional roam radius third field ("waypoint@3@15"), models
 // waypoint | walk | vehicular (serial engine only — it is incompatible
-// with -shards). The medium patches per-node delivery lists
-// incrementally as nodes move. Left empty, the scenario's suggested
+// with -shards). The medium rebuilds a node's delivery list when it is
+// next read after nodes move. Left empty, the scenario's suggested
 // motion applies (static for every built-in layout except highway,
 // which streams vehicles at 20 m/s).
 //

@@ -127,9 +127,9 @@ type Options struct {
 	// that compares protocols (pair figures, the offered-load sweep, the
 	// analytic screen). Empty keeps each figure's paper-default arms.
 	Arms []Protocol
-	// Mobility moves nodes during each run (internal/mobility),
-	// patching the medium's delivery lists incrementally per position
-	// epoch. The zero value keeps every scenario static — the
+	// Mobility moves nodes during each run (internal/mobility); each
+	// position epoch marks the medium's delivery lists stale, and a list
+	// is rebuilt when the run next reads it. The zero value keeps every scenario static — the
 	// golden-trace path.
 	Mobility mobility.Spec
 }

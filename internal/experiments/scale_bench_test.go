@@ -139,10 +139,8 @@ func BenchmarkModel(b *testing.B) {
 	b.Run(fmt.Sprintf("Screen/n=1000@%d", ChurnDensity), BenchModelScreen(1000, ChurnDensity))
 }
 
-// BenchmarkIncrementalUpdate measures one MoveNode through the
-// incremental patch path at each scale size: one screen test per grid
-// candidate and a model evaluation per survivor, so ns/op tracks the
-// candidate set, not n.
+// BenchmarkIncrementalUpdate measures one MoveNode at each scale size:
+// a grid move and the rows marked stale, no link evaluated.
 func BenchmarkIncrementalUpdate(b *testing.B) {
 	for _, n := range ScaleSizes {
 		b.Run(fmt.Sprintf("n=%d", n), BenchIncrementalUpdate(n))
@@ -157,9 +155,15 @@ func BenchmarkEpochUpdate(b *testing.B) {
 	}
 }
 
-// BenchmarkDeliveryRebuild prices the from-scratch rebuild the
-// incremental path replaces; the ratio against IncrementalUpdate at the
-// same n is the speedup mobility rides on.
+// BenchmarkEpochRead measures one movement epoch plus the rebuild of
+// every fifth node's stale row on first read.
+func BenchmarkEpochRead(b *testing.B) {
+	b.Run("n=1000", BenchEpochRead(1000))
+}
+
+// BenchmarkDeliveryRebuild prices the from-scratch rebuild the lazy
+// rows replace; the ratio against EpochRead at n=1000 is the speedup
+// mobility rides on.
 func BenchmarkDeliveryRebuild(b *testing.B) {
 	for _, n := range ScaleSizes {
 		b.Run(fmt.Sprintf("n=%d", n), BenchDeliveryRebuild(n))

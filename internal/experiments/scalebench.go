@@ -196,13 +196,9 @@ func BenchSaturatedSteadyState(n int, density float64, shards int) func(b *testi
 }
 
 // BenchIncrementalUpdate measures one MoveNode — a one-node batch —
-// through the incremental patch path: re-bucket the moved node in the
-// grid, rebuild its own delivery list from the candidate set, and patch
-// every affected neighbour list copy-on-write. The cost tracks the
-// grid candidate set C (every node within the ±6σ range bound: one
-// screen test each, one model evaluation per survivor), not the much
-// smaller audible neighbourhood; at fixed density C stops growing once
-// the layout outgrows the bound.
+// and nothing after it: re-bucket the moved node in the grid and mark
+// the delivery rows stale. It evaluates no link, so the cost is flat in
+// n; the rows the move leaves stale are priced by EpochRead.
 func BenchIncrementalUpdate(n int) func(b *testing.B) {
 	s := topo.UniformDisk(n, ScaleDensity, 1)
 	return func(b *testing.B) {
@@ -225,15 +221,24 @@ func BenchIncrementalUpdate(n int) func(b *testing.B) {
 
 // BenchEpochUpdate measures one full movement epoch — every node of a
 // waypoint 3 m/s, DecorrM 10 m run advanced, shadow epochs bumped, and
-// the whole batch pushed through Medium.MoveNodes — the unit of medium
-// update a mobile simulation actually pays per 100 ms of virtual time.
-// The batch meets each unordered candidate pair once — the first
-// endpoint rebuilt tests the distance, asks the screen and evaluates a
-// survivor, and hands an audible gain to the other endpoint, which
-// skips the pair before the distance test — so the cost is n·C/2
-// screen tests plus ≤ n·S/2 model evaluations (S ≈ C/10 survivors)
-// against the 2·n·C evaluations of n separate unscreened moves.
-func BenchEpochUpdate(n int) func(b *testing.B) {
+// the whole batch handed to Medium.MoveNodes — and nothing after it.
+// The batch re-buckets the moved nodes and marks the delivery rows
+// stale without evaluating a link, so the cost is the manager's walk
+// plus n grid moves; the rebuilds it defers are priced by EpochRead.
+func BenchEpochUpdate(n int) func(b *testing.B) { return benchEpoch(n, 0) }
+
+// BenchEpochRead measures one movement epoch as EpochUpdate does plus
+// the first read of every fifth node's delivery row — about the share
+// of rows a mobile run reads between two epochs. Each read rebuilds a
+// stale row: one grid walk over the candidate set C (every node within
+// the ±6σ range bound), a screen test per candidate and a model
+// evaluation per survivor, so the cost is about n/5 · C screen tests.
+func BenchEpochRead(n int) func(b *testing.B) { return benchEpoch(n, 5) }
+
+// benchEpoch times one movement epoch on the n-node scale layout,
+// followed, when every is positive, by a read of every every-th node's
+// delivery row.
+func benchEpoch(n, every int) func(b *testing.B) {
 	s := topo.UniformDisk(n, ScaleDensity, 1)
 	spec := mobility.Spec{Kind: mobility.Waypoint, SpeedMps: 3, DecorrM: 10}
 	return func(b *testing.B) {
@@ -248,21 +253,24 @@ func BenchEpochUpdate(n int) func(b *testing.B) {
 		mg := mobility.New(spec, s.Bounds, m, rng.Stream(mobility.StreamLabel), ch)
 		mg.Start()
 		// The agenda holds nothing but the manager's epoch tick, so one
-		// Step is one epoch; the first builds the lazy patch state.
+		// Step is one epoch; the first builds the lazy motion state.
 		sched.Step()
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			sched.Step()
+			for j := 0; every > 0 && j < n; j += every {
+				m.NeighborCount(j)
+			}
 		}
 	}
 }
 
-// BenchDeliveryRebuild prices the alternative the incremental path
-// replaces: a from-scratch BuildDeliveries over the current positions,
-// what a non-incremental medium would pay on every movement epoch. Read
-// against IncrementalUpdate at the same n, the ratio is the speedup the
-// mobility tier rides on.
+// BenchDeliveryRebuild prices the alternative the lazy rows replace: a
+// from-scratch BuildDeliveries over the current positions, what an
+// eager medium would pay on every movement epoch. Read against
+// EpochRead at n=1000, the ratio is the speedup the mobility tier rides
+// on.
 func BenchDeliveryRebuild(n int) func(b *testing.B) {
 	s := topo.UniformDisk(n, ScaleDensity, 1)
 	return func(b *testing.B) {
@@ -451,6 +459,7 @@ func ScaleBenchmarks() []ScaleBenchmark {
 			Run:  BenchEpochUpdate(n),
 		})
 	}
+	out = append(out, ScaleBenchmark{Name: "EpochRead/n=1000", Run: BenchEpochRead(1000)})
 	for _, n := range ScaleSizes {
 		out = append(out, ScaleBenchmark{
 			Name: fmt.Sprintf("DeliveryRebuild/n=%d", n),

@@ -132,17 +132,6 @@ func (g *Grid) Near(i int, radius float64, visit func(cell []int)) {
 	}
 }
 
-// Each calls visit(j) for every point, cell by cell in row-major cell
-// order and ascending within a cell, so points visited close together
-// in time are close together in space.
-func (g *Grid) Each(visit func(j int)) {
-	for c := 0; c < g.cols*g.rows; c++ {
-		for _, j := range g.bucket(c) {
-			visit(j)
-		}
-	}
-}
-
 // bucket returns cell c's point indices, ascending, from whichever
 // representation is live.
 func (g *Grid) bucket(c int) []int {

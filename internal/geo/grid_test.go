@@ -135,39 +135,3 @@ func TestGridDegenerateInputs(t *testing.T) {
 		t.Fatalf("lone point has neighbours: %v", got)
 	}
 }
-
-// TestGridEach checks that Each visits every point exactly once, cell
-// by cell, before and after points are re-bucketed.
-func TestGridEach(t *testing.T) {
-	pts := randomPoints(300, 100, 60, 11)
-	g := NewGrid(pts, 10)
-	check := func(label string) {
-		t.Helper()
-		seen := make([]bool, len(pts))
-		last := -1
-		g.Each(func(j int) {
-			if seen[j] {
-				t.Fatalf("%s: point %d visited twice", label, j)
-			}
-			seen[j] = true
-			if c := g.cellIndex(g.At(j)); c < last {
-				t.Fatalf("%s: point %d in cell %d visited after cell %d", label, j, c, last)
-			} else {
-				last = c
-			}
-		})
-		for j, ok := range seen {
-			if !ok {
-				t.Fatalf("%s: point %d never visited", label, j)
-			}
-		}
-	}
-	check("construction")
-	rng := splitmix(5)
-	for i := range pts {
-		if i%3 == 0 {
-			g.Move(i, Point{X: rng.next()*140 - 20, Y: rng.next()*100 - 20})
-		}
-	}
-	check("after moves")
-}

@@ -29,7 +29,7 @@ type Delivery = phy.Delivery
 const floorGuardDB = 1e-6
 
 // floor is the audibility predicate every delivery list is built with,
-// at construction and on the incremental patch path alike. A link is
+// at construction and on a row rebuilt after a move alike. A link is
 // audible exactly when DBmToMW(TxPowerDBm − loss) >= floorMW — the
 // literal test denseDeliveries spells out — but most grid candidates
 // sit decibels below the floor, so the dBm comparison rejects them
@@ -116,11 +116,8 @@ func sortedCopy(row []Delivery) []Delivery {
 // O(n²) reference scan runs serially. The second result reports whether
 // the grid path was taken.
 func BuildDeliveries(params phy.Params, model radio.Model, positions []geo.Point, workers int) ([][]Delivery, bool) {
-	var maxRange float64 = math.Inf(1)
-	if rb, ok := model.(radio.RangeBounder); ok {
-		maxRange = rb.MaxRange(params.TxPowerDBm - params.DeliveryFloorDBm)
-	}
-	if !(maxRange > 0) || math.IsInf(maxRange, 1) || math.IsNaN(maxRange) {
+	maxRange, ok := reach(params, model)
+	if !ok {
 		return denseDeliveries(params, model, positions), false
 	}
 
@@ -141,19 +138,7 @@ func BuildDeliveries(params phy.Params, model radio.Model, positions []geo.Point
 	fill := func(lo, hi int) {
 		row := make([]Delivery, 0, 64) // scratch, reused across this worker's nodes
 		for a := lo; a < hi; a++ {
-			row = row[:0]
-			pa := positions[a]
-			grid.Near(a, maxRange, func(cell []int) {
-				for _, b := range cell {
-					pb := positions[b]
-					if b == a || !(pa.Dist(pb) <= maxRange) || scr.refuses(a, pa, b, pb) {
-						continue
-					}
-					if g, ok := fl.gain(model.Loss(a, pa, b, pb)); ok {
-						row = append(row, Delivery{Dst: b, GainMW: g})
-					}
-				}
-			})
+			row = gridRow(row[:0], a, positions, grid, maxRange, fl, scr, model)
 			lists[a] = sortedCopy(row)
 		}
 	}
@@ -175,6 +160,40 @@ func BuildDeliveries(params phy.Params, model radio.Model, positions []geo.Point
 	}
 	wg.Wait()
 	return lists, true
+}
+
+// reach returns the model's range bound at the delivery floor, and
+// whether a grid can use it: a model without one, or with a
+// non-positive or non-finite one, must have every pair considered.
+func reach(params phy.Params, model radio.Model) (float64, bool) {
+	rb, ok := model.(radio.RangeBounder)
+	if !ok {
+		return 0, false
+	}
+	r := rb.MaxRange(params.TxPowerDBm - params.DeliveryFloorDBm)
+	return r, r > 0 && !math.IsInf(r, 1) && !math.IsNaN(r)
+}
+
+// gridRow appends node a's audible receivers to row in grid visit
+// order: every grid candidate within maxRange that the screen passes
+// and that clears the floor, with its gain. It is the one per-row
+// computation of the grid path, at construction (BuildDeliveries) and
+// after a move (Medium.row) alike; sortedCopy turns its output into the
+// stored row.
+func gridRow(row []Delivery, a int, positions []geo.Point, grid *geo.Grid, maxRange float64, fl floor, scr screen, model radio.Model) []Delivery {
+	pa := positions[a]
+	grid.Near(a, maxRange, func(cell []int) {
+		for _, b := range cell {
+			pb := positions[b]
+			if b == a || !(pa.Dist(pb) <= maxRange) || scr.refuses(a, pa, b, pb) {
+				continue
+			}
+			if g, ok := fl.gain(model.Loss(a, pa, b, pb)); ok {
+				row = append(row, Delivery{Dst: b, GainMW: g})
+			}
+		}
+	})
+	return row
 }
 
 // denseDeliveries is the reference O(n²) construction over every

@@ -27,16 +27,25 @@
 // is (+6σ: 6.3× the unshadowed range at the urban model's constants),
 // so nineteen grid candidates in twenty are out of earshot at the draw
 // they actually got — 706 candidates per node for 37 kept at 200
-// nodes/km². Where the model offers a radio.Screener the grid paths
-// (BuildDeliveries, and MoveNodes' patch) put every candidate within
-// range to it first, and evaluate the model only on the tenth that
-// survives. MoveNodes meets each moved pair once: the endpoint rebuilt
-// first screens and evaluates it and hands an audible gain to the
-// other, which skips the pair without testing it again. The screen is
-// one-sided — it refuses only pairs the floor would have rejected — so
-// kept sets and stored gains are the same bits with or without it; the
-// dense reference paths never consult it, and the equivalence tests
+// nodes/km². Where the model offers a radio.Screener the grid's row
+// computation (gridRow) puts every candidate within range to it first,
+// and evaluates the model only on the tenth that survives. The screen
+// is one-sided — it refuses only pairs the floor would have rejected —
+// so kept sets and stored gains are the same bits with or without it;
+// the dense reference paths never consult it, and the equivalence tests
 // hold the screened paths to them.
+//
+// # Rows under motion
+//
+// MoveNodes evaluates no pair. It moves the nodes in the grid and marks
+// every row stale; a stale row is rebuilt by the same row computation
+// on its next read, over the positions and model state of that read.
+// Every reader — Transmit, NeighborCount, ForEachNeighbor, GainMW,
+// RxPowerDBm — goes through one accessor, so a mobile run pays for the
+// rows it reads between two epochs, a small share of the network, and a
+// static run never takes the path. Construction stays eager. See
+// incremental.go and ARCHITECTURE.md, "Mobility and the incremental
+// medium".
 //
 // # Who hears a frame
 //

@@ -2,7 +2,6 @@ package medium_test
 
 import (
 	"testing"
-	"unsafe"
 
 	"repro/internal/medium"
 	"repro/internal/mobility"
@@ -10,18 +9,11 @@ import (
 	"repro/internal/topo"
 )
 
-// TestEpochPatchZeroAllocsBeyondRows is the allocation gate for the
-// movement epoch: on the mobile_churn layout (1000 nodes at 200/km²,
-// waypoint mobility at 3 m/s), once one epoch has built the mover and
-// grown its scratch, an epoch allocates at most one slice per delivery
-// list it replaces — the fresh exact-length rows copy-on-write needs —
-// and nothing for the grid walk, the handoffs or the manager. Like the
-// other ZeroAllocs gates it averages over runs, which absorbs the
-// runtime's own occasional allocations but not one per epoch.
-func TestEpochPatchZeroAllocsBeyondRows(t *testing.T) {
-	if medium.RaceEnabled {
-		t.Skip("race instrumentation perturbs allocation counts")
-	}
+// churnMedium builds the mobile_churn layout (1000 nodes at 200/km²,
+// waypoint mobility at 3 m/s) and runs one epoch, which builds the
+// motion state and grows the manager's batch. The agenda then holds
+// nothing but the manager's epoch tick, so one Step is one epoch.
+func churnMedium() (*medium.Medium, *sim.Scheduler) {
 	s := topo.UniformDisk(1000, 200, 1)
 	sched := sim.NewScheduler()
 	rng := sim.NewRNG(1)
@@ -30,28 +22,51 @@ func TestEpochPatchZeroAllocsBeyondRows(t *testing.T) {
 	mg := mobility.New(mobility.Spec{Kind: mobility.Waypoint, SpeedMps: 3, DecorrM: 10},
 		s.Bounds, m, rng.Stream(mobility.StreamLabel), ch)
 	mg.Start()
-	// The agenda holds nothing but the manager's epoch tick, so one
-	// Step is one epoch.
 	sched.Step()
-	before := make([][]medium.Delivery, s.N())
-	epochs, replaced := 0, 0
-	epoch := func() {
-		copy(before, m.Rows())
+	return m, sched
+}
+
+// TestEpochZeroAllocs is the allocation gate for the movement epoch: a
+// batch re-buckets the moved nodes and marks the rows stale, and
+// allocates nothing for that, nor for the manager. Like the other
+// ZeroAllocs gates it averages over runs, which absorbs the runtime's
+// own occasional allocations but not one per epoch.
+func TestEpochZeroAllocs(t *testing.T) {
+	if medium.RaceEnabled {
+		t.Skip("race instrumentation perturbs allocation counts")
+	}
+	_, sched := churnMedium()
+	if allocs := testing.AllocsPerRun(20, func() { sched.Step() }); allocs != 0 {
+		t.Fatalf("an epoch allocates %.0f objects", allocs)
+	}
+}
+
+// TestStaleRowReadsZeroAllocsBeyondLists is the allocation gate for the
+// rows an epoch leaves stale: reading k of them after an epoch — every
+// fifth node's, about what a run reads — allocates at most one slice
+// per non-empty row, the fresh exact-length row copy-on-write needs,
+// and nothing for the grid walk or the scratch row.
+func TestStaleRowReadsZeroAllocsBeyondLists(t *testing.T) {
+	if medium.RaceEnabled {
+		t.Skip("race instrumentation perturbs allocation counts")
+	}
+	m, sched := churnMedium()
+	runs, lists := 0, 0
+	allocs := testing.AllocsPerRun(20, func() {
 		sched.Step()
-		epochs++
-		for i, row := range m.Rows() {
-			if row != nil && unsafe.SliceData(row) != unsafe.SliceData(before[i]) {
-				replaced++
+		runs++
+		for i := 0; i < m.NodeCount(); i += 5 {
+			if m.NeighborCount(i) > 0 {
+				lists++
 			}
 		}
-	}
-	allocs := testing.AllocsPerRun(20, epoch)
-	perEpoch := float64(replaced) / float64(epochs)
-	t.Logf("%.0f allocations per epoch, %.1f delivery lists replaced", allocs, perEpoch)
+	})
+	perEpoch := float64(lists) / float64(runs)
+	t.Logf("%.0f allocations per epoch and read, %.1f non-empty rows read", allocs, perEpoch)
 	if perEpoch == 0 {
-		t.Fatal("the epochs replaced no delivery list")
+		t.Fatal("the rows read were all empty")
 	}
 	if allocs > perEpoch {
-		t.Fatalf("an epoch allocates %.0f objects for %.1f replaced delivery lists", allocs, perEpoch)
+		t.Fatalf("reading %.1f stale non-empty rows allocates %.0f objects", perEpoch, allocs)
 	}
 }

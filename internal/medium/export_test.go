@@ -5,5 +5,11 @@ package medium
 // RaceEnabled reports whether the race detector instruments this build.
 const RaceEnabled = raceEnabled
 
-// Rows returns the live delivery lists, one per node.
-func (m *Medium) Rows() [][]Delivery { return m.deliveries }
+// Rows returns the live delivery lists, one per node, rebuilding every
+// row a move left stale.
+func (m *Medium) Rows() [][]Delivery {
+	for i := range m.deliveries {
+		m.row(i)
+	}
+	return m.deliveries
+}

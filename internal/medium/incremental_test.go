@@ -4,6 +4,7 @@ import (
 	"math"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"repro/internal/geo"
 	"repro/internal/mobility"
@@ -25,27 +26,34 @@ func scatter(n int, arena geo.Rect, rng *sim.RNG) []geo.Point {
 }
 
 // requireListsEqual asserts every delivery list matches the oracle
-// bit-exactly: same membership, same order, same IEEE-754 gain bits,
-// same nil-when-empty convention.
+// bit-exactly (requireRowEqual).
 func requireListsEqual(t *testing.T, label string, got, want [][]Delivery) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d lists vs oracle %d", label, len(got), len(want))
 	}
 	for i := range want {
-		if (got[i] == nil) != (want[i] == nil) {
-			t.Fatalf("%s: node %d nil-ness %v vs oracle %v (len %d vs %d)",
-				label, i, got[i] == nil, want[i] == nil, len(got[i]), len(want[i]))
-		}
-		if len(got[i]) != len(want[i]) {
-			t.Fatalf("%s: node %d has %d deliveries, oracle %d", label, i, len(got[i]), len(want[i]))
-		}
-		for k := range want[i] {
-			g, w := got[i][k], want[i][k]
-			if g.Dst != w.Dst || math.Float64bits(g.GainMW) != math.Float64bits(w.GainMW) {
-				t.Fatalf("%s: node %d entry %d = {%d, %x}, oracle {%d, %x}",
-					label, i, k, g.Dst, math.Float64bits(g.GainMW), w.Dst, math.Float64bits(w.GainMW))
-			}
+		requireRowEqual(t, label, i, got[i], want[i])
+	}
+}
+
+// requireRowEqual asserts node i's delivery list matches the oracle's
+// bit-exactly: same membership, same order, same IEEE-754 gain bits,
+// same nil-when-empty convention.
+func requireRowEqual(t *testing.T, label string, i int, got, want []Delivery) {
+	t.Helper()
+	if (got == nil) != (want == nil) {
+		t.Fatalf("%s: node %d nil-ness %v vs oracle %v (len %d vs %d)",
+			label, i, got == nil, want == nil, len(got), len(want))
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%s: node %d has %d deliveries, oracle %d", label, i, len(got), len(want))
+	}
+	for k := range want {
+		g, w := got[k], want[k]
+		if g.Dst != w.Dst || math.Float64bits(g.GainMW) != math.Float64bits(w.GainMW) {
+			t.Fatalf("%s: node %d entry %d = {%d, %x}, oracle {%d, %x}",
+				label, i, k, g.Dst, math.Float64bits(g.GainMW), w.Dst, math.Float64bits(w.GainMW))
 		}
 	}
 }
@@ -62,9 +70,10 @@ var arenas = map[string]geo.Rect{
 
 // TestIncrementalMatchesRebuild drives each mobility model over a
 // log-distance testbed (with shadowing re-draws) and proves, after
-// every movement epoch, that the incrementally patched delivery lists
-// are bit-identical to a from-scratch sparse build AND to the dense
-// O(n²) reference over the same final positions and shadowing epochs.
+// every movement epoch, that the delivery lists read through the
+// refreshing accessor are bit-identical to a from-scratch sparse build
+// AND to the dense O(n²) reference over the same final positions and
+// shadowing epochs.
 func TestIncrementalMatchesRebuild(t *testing.T) {
 	specs := []mobility.Spec{
 		{Kind: mobility.Waypoint, SpeedMps: 12, DecorrM: 15},
@@ -93,8 +102,8 @@ func TestIncrementalMatchesRebuild(t *testing.T) {
 						if !gridBacked {
 							t.Fatal("expected the grid construction path")
 						}
-						requireListsEqual(t, "sparse oracle", m.deliveries, sparse)
-						requireListsEqual(t, "dense oracle", m.deliveries, denseDeliveries(params, ch, m.positions))
+						requireListsEqual(t, "sparse oracle", m.Rows(), sparse)
+						requireListsEqual(t, "dense oracle", m.Rows(), denseDeliveries(params, ch, m.positions))
 					}
 					if mg.Epochs != 30 {
 						t.Fatalf("manager applied %d epochs, want 30", mg.Epochs)
@@ -122,9 +131,10 @@ type unbounded struct{ radio.Model }
 
 // TestPartialBatchMatchesRebuild moves subsets of the nodes in one
 // MoveNodes call — TestIncrementalMatchesRebuild only ever moves all of
-// them — and proves after every batch that the lists equal the sparse
-// and dense oracles over the final positions and shadow epochs, and
-// equal a twin medium that took the same moves one MoveNode at a time.
+// them — and proves after every batch that the lists, read through the
+// refreshing accessor, equal the sparse and dense oracles over the
+// final positions and shadow epochs, and equal a twin medium that took
+// the same moves one MoveNode at a time.
 // Every case runs on the grid path and on the dense fallback.
 func TestPartialBatchMatchesRebuild(t *testing.T) {
 	const n = 60
@@ -248,9 +258,9 @@ func TestPartialBatchMatchesRebuild(t *testing.T) {
 								}
 							}
 							sparse, _ := BuildDeliveries(params, ch, m.positions, 1)
-							requireListsEqual(t, "sparse oracle", m.deliveries, sparse)
-							requireListsEqual(t, "dense oracle", m.deliveries, denseDeliveries(params, ch, m.positions))
-							requireListsEqual(t, "one MoveNode at a time", m.deliveries, twin.deliveries)
+							requireListsEqual(t, "sparse oracle", m.Rows(), sparse)
+							requireListsEqual(t, "dense oracle", m.Rows(), denseDeliveries(params, ch, m.positions))
+							requireListsEqual(t, "one MoveNode at a time", m.Rows(), twin.Rows())
 						}
 					})
 				}
@@ -260,9 +270,9 @@ func TestPartialBatchMatchesRebuild(t *testing.T) {
 }
 
 // TestIncrementalDensePath covers the unbounded-model fallback: a loss
-// matrix has no range bound, so MoveNode must patch by full-row scan —
-// here movement cannot change gains (the matrix ignores positions), so
-// the patch must leave the lists exactly as built.
+// matrix has no range bound, so a row read after MoveNode is rebuilt by
+// a full scan — here movement cannot change gains (the matrix ignores
+// positions), so the rebuilt rows must equal the rows as built.
 func TestIncrementalDensePath(t *testing.T) {
 	params := phy.DefaultParams()
 	n := 6
@@ -286,9 +296,9 @@ func TestIncrementalDensePath(t *testing.T) {
 		m.MoveNode(i, geo.Point{X: float64(i), Y: 2})
 	}
 	if m.mv.grid != nil {
-		t.Fatal("matrix model must take the dense patch path")
+		t.Fatal("matrix model must take the dense row path")
 	}
-	requireListsEqual(t, "dense patch", m.deliveries, want)
+	requireListsEqual(t, "dense rows", m.Rows(), want)
 }
 
 // TestMoveNodePreservesInFlightFanout pins the snapshot invariant: a
@@ -309,12 +319,70 @@ func TestMoveNodePreservesInFlightFanout(t *testing.T) {
 	*tx = phy.Transmission{TxID: 1, From: 0, Deliveries: m.deliveries[0]}
 	// Move the receiver far out of range: the live list empties...
 	m.MoveNode(1, geo.Point{X: 1e6, Y: 0})
-	if len(m.deliveries[0]) != 0 {
-		t.Fatalf("live list should be empty after the move, has %d", len(m.deliveries[0]))
+	if k := m.NeighborCount(0); k != 0 {
+		t.Fatalf("live list should be empty after the move, has %d", k)
 	}
 	// ...but the snapshot still names the original receiver set.
 	if len(tx.Deliveries) != 1 || tx.Deliveries[0].Dst != snapshot[0].Dst ||
 		math.Float64bits(tx.Deliveries[0].GainMW) != math.Float64bits(snapshot[0].GainMW) {
 		t.Fatal("transmit-time snapshot was disturbed by MoveNode")
+	}
+}
+
+// TestEmptyBatchIsNoOp pins that a batch with no node in it — the
+// mobility manager hands one over when every node is paused at a
+// waypoint — changes nothing: no delivery row goes stale, and every
+// sender keeps its heard row and the arena it lives in.
+func TestEmptyBatchIsNoOp(t *testing.T) {
+	pts := []geo.Point{{X: 0}, {X: 10}, {X: 20}, {X: 30}}
+	m := New(sim.NewScheduler(), phy.DefaultParams(), &radio.LogDistance{RefLossDB: 50, Exponent: 3.0}, pts, sim.NewRNG(1))
+	for i := range pts {
+		m.Radio(i).SetHandler(&recorder{})
+	}
+	m.MoveNode(0, pts[0]) // builds the motion state and stales every row
+	heard := make([][]int32, len(pts))
+	for i := range pts {
+		heard[i] = m.heardRow(i)
+	}
+	arena, ver, rowVer := m.arena, m.ver, m.mv.ver
+	m.MoveNodes(nil, nil)
+	if unsafe.SliceData(m.arena) != unsafe.SliceData(arena) || len(m.arena) != len(arena) || cap(m.arena) != cap(arena) {
+		t.Fatal("an empty batch retired the heard-row arena")
+	}
+	if m.ver != ver || m.mv.ver != rowVer {
+		t.Fatalf("an empty batch bumped the heard version %d→%d or the row version %d→%d", ver, m.ver, rowVer, m.mv.ver)
+	}
+	for i := range pts {
+		if got := m.heardRow(i); unsafe.SliceData(got) != unsafe.SliceData(heard[i]) || len(got) != len(heard[i]) {
+			t.Fatalf("node %d re-derived its heard row after an empty batch", i)
+		}
+	}
+}
+
+// TestAllFrameAfterMoveFansOutOverMovedGeometry pins the All branch of
+// Transmit to the refreshing accessor: a frame that starts in an attach
+// instant right after MoveNodes reaches the receivers of the moved
+// geometry, not those of the row as it was built.
+func TestAllFrameAfterMoveFansOutOverMovedGeometry(t *testing.T) {
+	pts := []geo.Point{{X: 0}, {X: 10}, {X: 1e6}}
+	sched := sim.NewScheduler()
+	m := New(sched, phy.DefaultParams(), &radio.LogDistance{RefLossDB: 50, Exponent: 3.0}, pts, sim.NewRNG(1))
+	if m.NeighborCount(0) != 1 {
+		t.Fatalf("node 0 has %d receivers as built, want node 1 alone", m.NeighborCount(0))
+	}
+	for i := range pts {
+		m.Radio(i).SetHandler(&recorder{})
+	}
+	// Nodes 1 and 2 trade places, in the instant the stations attached.
+	m.MoveNodes([]int{1, 2}, []geo.Point{pts[2], pts[1]})
+	m.Radio(0).Transmit(dataFrame(0, 2), phy.RateByID(phy.Rate6Mbps))
+	if got := [2]int{m.Radio(1).ActiveSignals(), m.Radio(2).ActiveSignals()}; got != [2]int{0, 1} {
+		t.Fatalf("the All frame reached nodes 1 and 2 with %v signals, want [0 1]", got)
+	}
+	sched.RunAll()
+	for i := range pts {
+		if r := m.Radio(i); r.ActiveSignals() != 0 || r.TotalMW != 0 {
+			t.Fatalf("radio %d after the frame: %d signals, totalMW %v — an Arrive without its Depart", i, r.ActiveSignals(), r.TotalMW)
+		}
 	}
 }

@@ -28,7 +28,9 @@ type Medium struct {
 	// ascending order is load-bearing: Transmit touches receivers in
 	// list order, so list order is part of the deterministic event
 	// sequence that golden traces pin down. Rows may be shared with
-	// other media (NewFromRows) and are never written through.
+	// other media (NewFromRows) and are never written through. After a
+	// MoveNodes batch a row is stale until its next read rebuilds it, so
+	// every reader goes through row (incremental.go).
 	deliveries [][]Delivery
 	floor      floor
 	screen     screen
@@ -43,11 +45,11 @@ type Medium struct {
 
 	// heard[s] is what a frame from s carries as Transmission.Heard: the
 	// positions in deliveries[s] of the attended receivers, current
-	// while heardVer[s] == ver. An attach, a MoveNodes batch and a
-	// RebuildDeliveries bump ver, and each sender's next frame derives
-	// its row again (heardRow). Rows are appended to arena and never
-	// written after — frames on the air hold them — so a new version
-	// appends past the old rows, never over them.
+	// while heardVer[s] == ver. An attach, a non-empty MoveNodes batch
+	// and a RebuildDeliveries bump ver, and each sender's next frame
+	// derives its row again (heardRow). Rows are appended to arena and
+	// never written after — frames on the air hold them — so a new
+	// version appends past the old rows, never over them.
 	heard    [][]int32
 	heardVer []uint64
 	ver      uint64
@@ -60,8 +62,8 @@ type Medium struct {
 
 	State
 
-	// mv holds the incremental-update machinery (spatial grid, scratch
-	// buffers); built lazily on the first MoveNodes so static runs pay
+	// mv holds the motion state (spatial grid, row versions, scratch
+	// row); built lazily on the first MoveNodes so static runs pay
 	// nothing for it.
 	mv *mover
 }
@@ -82,8 +84,8 @@ func New(sched *sim.Scheduler, params phy.Params, model radio.Model, positions [
 // grid flag it returned — so it is the medium New would build, without
 // the build. Any number of media, on any goroutines, may share one row
 // set: each takes its own copy of the outer slice only, and nothing
-// writes into a row (MoveNodes replaces the rows it patches), so no run
-// changes what another reads. topo.Testbed.Shared is the caller.
+// writes into a row (a row rebuilt after a move is a fresh slice), so
+// no run changes what another reads. topo.Testbed.Shared is the caller.
 func NewFromRows(sched *sim.Scheduler, params phy.Params, model radio.Model, positions []geo.Point, rng *sim.RNG, rows [][]Delivery, gridBacked bool) *Medium {
 	m := newMedium(sched, params, model, positions, rng)
 	m.deliveries, m.gridBacked = slices.Clone(rows), gridBacked
@@ -144,13 +146,16 @@ func (m *Medium) staleHeard() {
 
 // heardRow returns the positions in src's delivery row of the receivers
 // a station listens on, deriving them on src's first frame since the
-// rows went stale. The row is nil only when src's delivery row is empty,
-// where "every entry" and "none" agree.
+// rows went stale, over src's delivery row as row returns it — rebuilt
+// first if a batch left it stale. The staleness check lives on this
+// miss path, which every batch forces, so a frame whose heard row is
+// current never makes it. The row is nil only when src's delivery row
+// is empty, where "every entry" and "none" agree.
 func (m *Medium) heardRow(src int) []int32 {
 	if m.heardVer[src] == m.ver {
 		return m.heard[src]
 	}
-	list := m.deliveries[src]
+	list := m.row(src)
 	if cap(m.arena)-len(m.arena) < len(list) {
 		m.arena = make([]int32, 0, max(4*len(list), 256))
 	}
@@ -193,13 +198,13 @@ func (m *Medium) GridBacked() bool { return m.gridBacked }
 
 // NeighborCount returns how many receivers hear node i above the
 // delivery floor.
-func (m *Medium) NeighborCount(i int) int { return len(m.deliveries[i]) }
+func (m *Medium) NeighborCount(i int) int { return len(m.row(i)) }
 
 // ForEachNeighbor calls fn for every receiver that hears node i above
 // the delivery floor, in ascending receiver order, with the power it
 // receives in mW.
 func (m *Medium) ForEachNeighbor(i int, fn func(dst int, gainMW float64)) {
-	for _, d := range m.deliveries[i] {
+	for _, d := range m.row(i) {
 		fn(d.Dst, d.GainMW)
 	}
 }
@@ -210,7 +215,7 @@ func byDst(d Delivery, dst int) int { return cmp.Compare(d.Dst, dst) }
 
 // lookupGain finds the stored delivery gain from→to, if to is audible.
 func (m *Medium) lookupGain(from, to int) (float64, bool) {
-	list := m.deliveries[from]
+	list := m.row(from)
 	k, ok := slices.BinarySearchFunc(list, to, byDst)
 	if ok {
 		return list[k].GainMW, true
@@ -286,9 +291,9 @@ func (m *Medium) HandleEvent(arg any) {
 // finishTransmission delivers Depart to every receiver Transmit
 // delivered Arrive to — the entries tx.Heard names, in the same
 // ascending order and with the same power — then recycles tx. The walk
-// is over the transmit-time snapshot, not the live list:
-// MoveNodes patches lists copy-on-write, so the snapshot keeps Arrive
-// and Depart pinned to one receiver set — and one power per receiver,
+// is over the transmit-time snapshot, not the live list: a row rebuilt
+// after a move is a fresh slice, so the snapshot keeps Arrive and
+// Depart pinned to one receiver set — and one power per receiver,
 // which is what keeps a signal on the same side of the radio's
 // sensitivity test both times — even while nodes move mid-frame.
 func (m *Medium) finishTransmission(tx *phy.Transmission) {
@@ -342,18 +347,20 @@ func (m *Medium) Transmit(from *phy.Radio, f frame.Frame, r phy.Rate) sim.Time {
 		Rate:  r,
 		Start: now,
 		End:   end,
-		// Snapshot the delivery list (a slice header copy, no
-		// allocation): the end fan-out must reach exactly this set even
-		// if MoveNode patches the live list mid-frame.
-		Deliveries: m.deliveries[src],
-		All:        now == m.attachAt,
+		All:   now == m.attachAt,
 	}
+	// Snapshot the delivery list (a slice header copy, no allocation):
+	// the end fan-out must reach exactly this set even if a move
+	// replaces the live row mid-frame. heardRow rebuilds a stale row on
+	// its miss path, which every move forces.
 	if tx.All {
+		tx.Deliveries = m.row(src)
 		for _, d := range tx.Deliveries {
 			m.radios[d.Dst].Arrive(tx, d.GainMW)
 		}
 	} else {
 		tx.Heard = m.heardRow(src)
+		tx.Deliveries = m.deliveries[src]
 		for _, k := range tx.Heard {
 			d := tx.Deliveries[k]
 			m.radios[d.Dst].Arrive(tx, d.GainMW)

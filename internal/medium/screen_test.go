@@ -1,6 +1,7 @@
 package medium_test
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/geo"
@@ -18,35 +19,16 @@ type gridModel interface {
 }
 
 // countingModel forwards a gridModel and counts the askings; when
-// pairs is non-nil it also tallies them per unordered pair.
+// screened is non-nil it also lists, per sender, the candidates put to
+// the screen.
 type countingModel struct {
 	inner                     gridModel
 	asked, refused, evaluated int
-	pairs                     map[[2]int]*pairTally
-}
-
-// pairTally counts how often one unordered pair was put to the screen
-// and evaluated.
-type pairTally struct{ screened, evaluated int }
-
-func (c *countingModel) tally(a, b int) *pairTally {
-	if c.pairs == nil {
-		return nil
-	}
-	key := [2]int{min(a, b), max(a, b)}
-	t := c.pairs[key]
-	if t == nil {
-		t = &pairTally{}
-		c.pairs[key] = t
-	}
-	return t
+	screened                  [][]int
 }
 
 func (c *countingModel) Loss(a int, pa geo.Point, b int, pb geo.Point) float64 {
 	c.evaluated++
-	if t := c.tally(a, b); t != nil {
-		t.evaluated++
-	}
 	return c.inner.Loss(a, pa, b, pb)
 }
 
@@ -56,8 +38,8 @@ func (c *countingModel) Screen(maxLossDB float64) *radio.Screen { return c.inner
 
 func (c *countingModel) Inaudible(s *radio.Screen, a int, pa geo.Point, b int, pb geo.Point) bool {
 	c.asked++
-	if t := c.tally(a, b); t != nil {
-		t.screened++
+	if c.screened != nil {
+		c.screened[a] = append(c.screened[a], b)
 	}
 	out := c.inner.Inaudible(s, a, pa, b, pb)
 	if out {
@@ -68,93 +50,94 @@ func (c *countingModel) Inaudible(s *radio.Screen, a int, pa geo.Point, b int, p
 
 // TestScreenRefusesMost keeps the optimisation from silently
 // disappearing: on the mobile_churn layout (1000 nodes at 200/km², ~700
-// grid candidates per node of which ~37 are audible) construction and a
-// whole-network MoveNodes batch must each put every candidate pair to
-// the screen — construction every ordered pair, the batch every
-// unordered pair once, so exactly half as often — have it refuse at
-// least 85 % of them, and evaluate the model on at most 2.5× the
-// entries they keep (construction evaluates ordered pairs; the batch
-// evaluates each unordered pair once, hence half).
+// grid candidates per node of which ~37 are audible) construction must
+// put every candidate pair to the screen, have it refuse at least 85 %
+// of them, and evaluate the model on at most 2.5× the entries it keeps.
+// A row rebuilt after a move runs the same computation (TestLazyRows).
 func TestScreenRefusesMost(t *testing.T) {
 	s := topo.UniformDisk(1000, 200, 1)
 	model := &countingModel{inner: s.Model.(gridModel)}
-	rows, grid := medium.BuildDeliveries(s.Params, model, s.Pos, 1)
-	m := medium.NewFromRows(sim.NewScheduler(), s.Params, model, s.Pos, sim.NewRNG(1), rows, grid)
+	rows, _ := medium.BuildDeliveries(s.Params, model, s.Pos, 1)
 	kept := 0
-	for i := 0; i < m.NodeCount(); i++ {
-		kept += m.NeighborCount(i)
+	for _, row := range rows {
+		kept += len(row)
 	}
-	check := func(phase string, perKept float64) {
-		t.Helper()
-		t.Logf("%s: %d candidates, %d refused, %d evaluated, %d kept", phase, model.asked, model.refused, model.evaluated, kept)
-		if 100*model.refused < 85*model.asked {
-			t.Fatalf("%s: the screen refused %d of %d candidates, under 85 %%", phase, model.refused, model.asked)
-		}
-		if float64(model.evaluated) > perKept*float64(kept) {
-			t.Fatalf("%s: %d model evaluations for %d kept entries, over %.2f×", phase, model.evaluated, kept, perKept)
-		}
+	t.Logf("construction: %d candidates, %d refused, %d evaluated, %d kept", model.asked, model.refused, model.evaluated, kept)
+	if 100*model.refused < 85*model.asked {
+		t.Fatalf("the screen refused %d of %d candidates, under 85 %%", model.refused, model.asked)
 	}
-	check("construction", 2.5)
-	built := model.asked
-	if built < 500*m.NodeCount() {
-		t.Fatalf("construction: only %d candidates were put to the screen", built)
+	if float64(model.evaluated) > 2.5*float64(kept) {
+		t.Fatalf("%d model evaluations for %d kept entries, over 2.5×", model.evaluated, kept)
 	}
-	*model = countingModel{inner: model.inner}
-
-	ids := make([]int, m.NodeCount())
-	for i := range ids {
-		ids[i] = i
-	}
-	m.MoveNodes(ids, s.Pos)
-	check("whole-network batch", 1.25)
-	if 2*model.asked != built {
-		t.Fatalf("whole-network batch: %d candidates put to the screen, want exactly half of construction's %d", model.asked, built)
+	if model.asked < 500*len(rows) {
+		t.Fatalf("only %d candidates were put to the screen", model.asked)
 	}
 }
 
-// TestMoveNodesMeetsEachPairOnce pins the batch's unit of work: within
-// one MoveNodes call no unordered pair is put to the screen more than
-// once, nor evaluated more than once — for a whole-network batch, where
-// every pair is moved at both ends, and for a half-network batch that
-// lists one id twice, where moved pairs meet unmoved ones.
-func TestMoveNodesMeetsEachPairOnce(t *testing.T) {
-	s := topo.UniformDisk(400, 200, 3)
-	model := &countingModel{inner: s.Model.(gridModel)}
+// TestLazyRows pins the lazy contract of a delivery row under motion on
+// the mobile_churn layout: a MoveNodes batch evaluates no pair; the
+// first read of a row after a batch puts to the screen exactly the
+// candidates construction put for that row; a second read before the
+// next batch evaluates nothing; and a row nobody reads is never built.
+// The batch moves every node by zero metres, so the geometry — and with
+// it each row's candidate set — is the one construction saw.
+func TestLazyRows(t *testing.T) {
+	s := topo.UniformDisk(1000, 200, 1)
+	n := s.N()
+	model := &countingModel{inner: s.Model.(gridModel), screened: make([][]int, n)}
 	rows, grid := medium.BuildDeliveries(s.Params, model, s.Pos, 1)
+	built := model.screened
 	m := medium.NewFromRows(sim.NewScheduler(), s.Params, model, s.Pos, sim.NewRNG(1), rows, grid)
-	rng := sim.NewRNG(5)
-	jitter := func(i int) geo.Point {
-		p := m.Position(i)
-		return geo.Point{X: p.X + 30*(rng.Float64()-0.5), Y: p.Y + 30*(rng.Float64()-0.5)}
-	}
-	whole := make([]int, m.NodeCount())
-	var half []int
-	for i := range whole {
-		whole[i] = i
-		if i%2 == 1 {
-			half = append(half, i)
+	reset := func() { *model = countingModel{inner: model.inner, screened: make([][]int, n)} }
+	quiet := func(what string) {
+		t.Helper()
+		if model.asked != 0 || model.evaluated != 0 {
+			t.Fatalf("%s put %d candidates to the screen and evaluated %d", what, model.asked, model.evaluated)
 		}
 	}
-	half = append(half, half[len(half)/2])
-	for _, bt := range []struct {
-		name string
-		ids  []int
-	}{{"whole network", whole}, {"half network, one id twice", half}} {
-		name, ids := bt.name, bt.ids
-		pts := make([]geo.Point, len(ids))
-		for k, i := range ids {
-			pts[k] = jitter(i)
-		}
-		*model = countingModel{inner: model.inner, pairs: map[[2]int]*pairTally{}}
-		m.MoveNodes(ids, pts)
-		if len(model.pairs) == 0 {
-			t.Fatalf("%s: the batch put no pair to the model", name)
-		}
-		for pair, n := range model.pairs {
-			if n.screened > 1 || n.evaluated > 1 {
-				t.Fatalf("%s: pair %v screened %d times and evaluated %d times in one batch", name, pair, n.screened, n.evaluated)
-			}
-		}
-		t.Logf("%s: %d pairs screened, %d evaluated", name, model.asked, model.evaluated)
+
+	ids := make([]int, n)
+	for i := range ids {
+		ids[i] = i
 	}
+	reset()
+	m.MoveNodes(ids, s.Pos)
+	quiet("a whole-network batch")
+
+	// Read every fifth row, through each accessor in turn.
+	read := func(i int) int {
+		switch i % 3 {
+		case 0:
+			return m.NeighborCount(i)
+		case 1:
+			k := 0
+			m.ForEachNeighbor(i, func(int, float64) { k++ })
+			return k
+		default:
+			m.GainMW(i, (i+1)%n)
+			return m.NeighborCount(i)
+		}
+	}
+	for i := 0; i < n; i += 5 {
+		if k := read(i); k != len(rows[i]) {
+			t.Fatalf("row %d has %d receivers after a zero-length batch, %d as built", i, k, len(rows[i]))
+		}
+	}
+	for i := 0; i < n; i++ {
+		got, want := model.screened[i], built[i]
+		slices.Sort(got)
+		slices.Sort(want)
+		switch {
+		case i%5 != 0 && len(got) != 0:
+			t.Fatalf("row %d was built though nobody read it: %d candidates screened", i, len(got))
+		case i%5 == 0 && !slices.Equal(got, want):
+			t.Fatalf("row %d's first read screened %d candidates, construction %d (or a different set)", i, len(got), len(want))
+		}
+	}
+
+	reset()
+	for i := 0; i < n; i += 5 {
+		read(i)
+	}
+	quiet("a second read before the next batch")
 }

@@ -23,9 +23,9 @@ import (
 // pair.
 //
 // A Channel belongs to one run: the Manager bumps epochs only inside an
-// epoch step, before repatching the moved nodes' delivery lists in the
-// same step, which keeps the lists and the model consistent at every
-// event.
+// epoch step, before the same step's batch marks the delivery rows
+// stale, so a row rebuilt at any event reads the model as that epoch
+// left it.
 type Channel struct {
 	inner radio.Model
 	// shadowed is inner when it is a LogDistance with shadowing to

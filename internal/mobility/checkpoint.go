@@ -12,10 +12,10 @@ import (
 // state the manager drives but does not hold: node positions (the
 // medium's) and shadowing epochs (the channel's). Everything derivable
 // from the Spec and arena is rebuilt by New. Restoring replays every
-// node's checkpointed position through the medium's patch path, which
-// reproduces the delivery lists exactly (they are a pure function of
-// final positions and shadowing epochs), so a resumed run is
-// bit-identical to an uninterrupted one.
+// node's checkpointed position to the medium as one batch, after which
+// every delivery row read is rebuilt exactly (rows are a pure function
+// of positions and shadowing epochs), so a resumed run is bit-identical
+// to an uninterrupted one.
 
 // snapshot is the manager in checkpoint form.
 type snapshot struct {
@@ -39,9 +39,9 @@ func (mg *Manager) ExportState() (json.RawMessage, error) {
 
 // RestoreState replaces the manager's state and repositions every node
 // through the medium so the delivery lists match the checkpointed
-// positions exactly. Shadowing epochs are restored first — the patch
-// recomputes gains from the live model, so the model must be in its
-// checkpointed state before it runs.
+// positions exactly. Shadowing epochs are restored first — a row
+// rebuilt after the batch reads gains from the live model, so the model
+// must be in its checkpointed state before any row is read.
 func (mg *Manager) RestoreState(enc json.RawMessage) error {
 	var s snapshot
 	if err := json.Unmarshal(enc, &s); err != nil {

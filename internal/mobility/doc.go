@@ -2,7 +2,8 @@
 // one of three movement models — random waypoint, random walk, and a
 // vehicular lane flow — from per-node RNG streams derived off the run's
 // seed discipline, applying each position epoch to the medium as one
-// batch through its incremental MoveNodes patch path. A Channel wraps a radio model to
+// MoveNodes batch, which marks the medium's delivery rows stale; a row
+// is rebuilt when the run next reads it. A Channel wraps a radio model to
 // slowly re-draw per-pair log-normal shadowing as nodes travel past the
 // decorrelation distance, so the channel decorrelates in time the way
 // measured testbeds do rather than staying frozen at its first draw.

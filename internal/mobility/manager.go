@@ -16,7 +16,7 @@ import (
 const StreamLabel = 0x6d0b
 
 // Mover is the medium surface the manager drives: current positions in,
-// position epochs out through the incremental patch path.
+// position epochs out.
 type Mover interface {
 	NodeCount() int
 	Position(i int) geo.Point
@@ -25,9 +25,8 @@ type Mover interface {
 }
 
 // batchMover is the epoch-at-once surface a Mover may also offer (the
-// real medium does): one call per epoch lets it meet each moved pair
-// once — one screen test, at most one evaluation, the gain handed to
-// the other endpoint — instead of once per endpoint per direction.
+// real medium does): one call per epoch marks its delivery rows stale
+// once, where node-by-node moves would mark them once per node.
 type batchMover interface {
 	MoveNodes(ids []int, pts []geo.Point)
 }
@@ -45,7 +44,7 @@ type nodeState struct {
 }
 
 // Manager owns the movement state of every node and applies one
-// position epoch per Spec.Epoch through the medium's patch path. It is a
+// position epoch per Spec.Epoch to the medium. It is a
 // sim.EventHandler; Start posts the first epoch and each epoch re-posts
 // the next.
 type Manager struct {
@@ -121,11 +120,13 @@ func (mg *Manager) HandleEvent(arg any) {
 
 // step advances every node by one epoch, in node order, bumping shadow
 // epochs as travel odometers cross the decorrelation distance, then
-// pushes the changed positions through the medium's incremental patch
-// as one batch. No event fires inside step, so applying every bump
-// before the first patch leaves the lists where patching node by node
-// would: equal to a full build over the epoch's final positions and
-// shadow epochs.
+// hands the changed positions to the medium as one batch. The batch
+// evaluates no link: it marks the medium's delivery rows stale, and a
+// row is rebuilt when the run next reads it, over the positions and
+// shadow epochs of that read. Every bump is applied before the batch
+// and no event fires inside step, so those are the epoch's final ones:
+// a row read at any time before the next epoch equals a full build over
+// them.
 func (mg *Manager) step() {
 	mg.Epochs++
 	now := mg.med.Scheduler().Now()
@@ -151,7 +152,9 @@ func (mg *Manager) step() {
 }
 
 // apply hands the collected moves to the medium — as one batch when it
-// takes one, else node by node — and empties the collection.
+// takes one, else node by node — and empties the collection. An epoch
+// in which no node moved (every node paused at a waypoint) hands over
+// an empty batch, which the medium ignores.
 func (mg *Manager) apply() {
 	if bm, ok := mg.med.(batchMover); ok {
 		bm.MoveNodes(mg.ids, mg.pts)

@@ -45,7 +45,7 @@ type TxState struct {
 	// Deliveries is the part of the transmit-time delivery snapshot the
 	// frame reached. It travels in the checkpoint so a resume fans
 	// Depart out to exactly the radios the interrupted run's Arrive
-	// reached, even if delivery lists were patched after the frame went
+	// reached, even if delivery lists were rebuilt after the frame went
 	// on air.
 	Deliveries []Delivery `json:"deliveries,omitempty"`
 	// All is Transmission.All, which the sharded engine's fan-outs test

@@ -30,7 +30,7 @@ type Transmission struct {
 	// Deliveries is the sender's delivery list captured at transmit
 	// time. The end-of-signal fan-out walks this snapshot rather than
 	// the medium's live list, so Arrive and Depart reach exactly
-	// the same receiver set even if node movement patches the live lists
+	// the same receiver set even if node movement replaces the live list
 	// while the frame is on the air. Under static scenarios it aliases
 	// the live list and behaviour is unchanged.
 	Deliveries []Delivery
@@ -50,7 +50,7 @@ type Transmission struct {
 
 // Delivery is one audible receiver of a node's transmissions: the
 // receiver index and the power it hears, in mW, at the common transmit
-// power. The medium builds and patches delivery lists (see
+// power. The medium builds and rebuilds delivery lists (see
 // internal/medium); the type lives here so an in-flight Transmission
 // can carry its snapshot without an import cycle.
 type Delivery struct {
