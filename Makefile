@@ -30,6 +30,7 @@
 #                   the checkpoint envelope loader, the traffic spec
 #                   parser and rate bounds)
 #   make loc        non-test Go lines outside bench/, the size ROADMAP tracks
+#   make loc-pkgs   the same lines per package directory, largest first
 #   make conformance  the shared MAC conformance suite (every registered
 #                   arm: allocation, determinism, worker-equivalence and
 #                   conservation contracts) under the race detector
@@ -90,7 +91,7 @@ MAC_COVER_FLOOR ?= 85
 # shadowing branches silently skew every mobile figure.
 MOBILITY_COVER_FLOOR ?= 85
 
-.PHONY: build test test-full race bench check vet golden alloc-check bench-json profile bench-smoke docs-check fuzz-smoke loc conformance shard-conformance checkpoint-conformance mobility-conformance bench-guard cover ci
+.PHONY: build test test-full race bench check vet golden alloc-check bench-json profile bench-smoke docs-check fuzz-smoke loc loc-pkgs conformance shard-conformance checkpoint-conformance mobility-conformance bench-guard cover ci
 
 build:
 	$(GO) build ./...
@@ -162,6 +163,13 @@ fuzz-smoke:
 # Non-test Go lines outside bench/: the code-size number ROADMAP tracks.
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.*' | xargs cat | wc -l
+
+# The same lines per package directory, largest first: the breakdown a
+# ROADMAP re-anchor quotes next to the total.
+loc-pkgs:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.*' -exec wc -l {} + | \
+		awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); sub("^\\./", "", d); n[d] += $$1 } \
+		END { for (d in n) print n[d], d }' | sort -k1,1nr -k2
 
 # The shared MAC conformance suite under the race detector: every
 # registered arm's allocation (skipped under race), determinism,

@@ -116,7 +116,7 @@ func parseLoads(s string, kind traffic.Kind) ([]float64, error) {
 		v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
 		if err == nil {
 			// Validate also rejects NaN, ±Inf and non-positive loads.
-			err = traffic.Spec{Kind: kind}.WithOfferedMbps(v, 1400).Validate()
+			err = traffic.Spec{Kind: kind}.WithOfferedMbps(v, mac.DefaultPayload).Validate()
 		}
 		if err != nil {
 			return nil, fmt.Errorf("bad -load entry %q: %v", part, err)
@@ -477,11 +477,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return usage("%v", err)
 	}
 	if kind != traffic.Saturated {
-		// 1400-byte payloads: both MAC defaults. WithOfferedMbps makes
+		// Both MAC defaults send mac.DefaultPayload. WithOfferedMbps makes
 		// -load mean long-run offered load for duty-cycled kinds too.
-		opt.Traffic = traffic.Spec{Kind: kind}.WithOfferedMbps(loads[0], 1400)
+		opt.Traffic = traffic.Spec{Kind: kind}.WithOfferedMbps(loads[0], mac.DefaultPayload)
 		fmt.Fprintf(stdout, "traffic: %v arrivals at %.2f Mb/s offered per flow\n",
-			kind, opt.Traffic.OfferedMbps(1400))
+			kind, opt.Traffic.OfferedMbps(mac.DefaultPayload))
 	}
 
 	if *analyticScreen {

@@ -358,7 +358,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		// unless the scenario suggested a workload with its own rate and
 		// the user did not override it.
 		if set["load"] || spec.PacketsPerSec <= 0 {
-			spec = spec.WithOfferedMbps(*load, 1400)
+			spec = spec.WithOfferedMbps(*load, mac.DefaultPayload)
 		}
 		// A spec that passes without its session means fails on -churn.
 		bare := spec
@@ -369,7 +369,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return usage("-churn %v: %v", *churn, err)
 		}
 		fmt.Fprintf(stdout, "traffic: %v at %.2f Mb/s offered per flow (%.0f pkt/s peak)\n",
-			spec.Kind, spec.OfferedMbps(1400), spec.PacketsPerSec)
+			spec.Kind, spec.OfferedMbps(mac.DefaultPayload), spec.PacketsPerSec)
 	}
 	rng := sim.NewRNG(*seed * 31)
 	var pairs []topo.LinkPair

@@ -75,7 +75,7 @@ func main() {
 		total += degrees[i]
 	}
 	sort.Ints(degrees)
-	construction := "exhaustive pairs"
+	construction := "spatial grid without a range bound (every pair)"
 	if m.GridBacked() {
 		construction = "spatial grid"
 	}

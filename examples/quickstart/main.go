@@ -44,7 +44,7 @@ func run(name string, attach func(nw *cmap.Network, id int) *cmap.Station) float
 }
 
 func main() {
-	fmt.Println("Exposed terminals (Figure 1), saturated 1400-byte flows at 6 Mb/s:")
+	fmt.Println("Exposed terminals (Figure 1), saturated flows of the default payload at 6 Mb/s:")
 	dcf := run("802.11 (CS, acks)", func(nw *cmap.Network, id int) *cmap.Station {
 		return nw.AddDCF(id)
 	})

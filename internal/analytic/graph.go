@@ -5,7 +5,9 @@ import (
 	"math"
 	"sort"
 
+	"repro/internal/core"
 	"repro/internal/frame"
+	"repro/internal/mac"
 	"repro/internal/medium"
 	"repro/internal/phy"
 	"repro/internal/radio"
@@ -196,31 +198,16 @@ func (g *Graph) HarmEdges() int {
 	return n
 }
 
-// ExtractConfig parameterises conflict-graph extraction.
+// ExtractConfig parameterises conflict-graph extraction. PRR is
+// evaluated over mac.DefaultPayload-byte data frames, and harm is
+// classified at CMAP's own l_interf (core.DefaultConfig().LossInterf).
 type ExtractConfig struct {
 	// Rate is the data bit-rate edges are classified at.
 	Rate phy.RateID
-	// PayloadBytes sizes the data frame PRR is evaluated over
-	// (default 1400, the evaluation's payload).
-	PayloadBytes int
-	// HarmLossFrac is the conditional loss fraction above which a
-	// concurrent sender counts as an interferer — the paper's l_interf
-	// (default 0.5, §3.1).
-	HarmLossFrac float64
 	// CSThresholdDBm, when non-zero, overrides the medium's carrier-sense
 	// threshold in the sensing-edge classification — the analytic
 	// counterpart of the cs@<dBm> arm family's per-node override.
 	CSThresholdDBm float64
-}
-
-func (c ExtractConfig) withDefaults() ExtractConfig {
-	if c.PayloadBytes == 0 {
-		c.PayloadBytes = 1400
-	}
-	if c.HarmLossFrac == 0 {
-		c.HarmLossFrac = 0.5
-	}
-	return c
 }
 
 // conditionalPRR is the reception ratio of a link received at sigMW
@@ -303,16 +290,16 @@ func orderedRatios(p phy.Params, r phy.Rate, sigMW, intfMW float64, wireBytes in
 //     carrier-sense threshold, or the flows share a node (one radio
 //     cannot serve two flows at once).
 //   - harm j→i: with src_j transmitting concurrently, flow i's PRR
-//     falls below (1 − HarmLossFrac) of its isolation PRR — the same
-//     l_interf classification CMAP's receivers apply (§3.1).
+//     falls below (1 − l_interf) of its isolation PRR — the
+//     classification CMAP's receivers apply (§3.1).
 //
 // Gains below the medium's delivery floor are treated as zero, exactly
 // as the simulator treats them.
 func Extract(m *medium.Medium, flows []topo.Link, cfg ExtractConfig) (*Graph, error) {
-	cfg = cfg.withDefaults()
 	rate := phy.RateByID(cfg.Rate)
+	lossInterf := core.DefaultConfig().LossInterf
 	params := m.Params()
-	wire := (&frame.Dot11Data{PayloadLen: uint16(cfg.PayloadBytes)}).WireSize()
+	wire := (&frame.Dot11Data{PayloadLen: mac.DefaultPayload}).WireSize()
 	ctrlWire := (&frame.Control{}).WireSize()
 	csDBm := params.CSThresholdDBm
 	if cfg.CSThresholdDBm != 0 {
@@ -367,7 +354,7 @@ func Extract(m *medium.Medium, flows []topo.Link, cfg ExtractConfig) (*Graph, er
 					// measurement: loss observed while both senders run
 					// saturated, i.e. with the interferer virtually always
 					// already on air — the interferer-first composite.
-					if c.saturated() < 1-cfg.HarmLossFrac {
+					if c.saturated() < 1-lossInterf {
 						g.classifyHarm(i, j)
 					}
 				}

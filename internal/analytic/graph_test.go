@@ -216,15 +216,3 @@ func TestExtractRatioBounds(t *testing.T) {
 		}
 	}
 }
-
-// TestExtractConfigDefaults: the zero config must behave identically to
-// the spelled-out defaults.
-func TestExtractConfigDefaults(t *testing.T) {
-	c := ExtractConfig{}.withDefaults()
-	if c.PayloadBytes != 1400 {
-		t.Fatalf("default PayloadBytes = %d, want 1400", c.PayloadBytes)
-	}
-	if c.HarmLossFrac != 0.5 {
-		t.Fatalf("default HarmLossFrac = %v, want 0.5", c.HarmLossFrac)
-	}
-}

@@ -33,24 +33,28 @@ func (a Arm) String() string {
 
 // Options parameterises Solve. The zero value of each field selects a
 // default: the protocol configurations fall back to the simulator's own
-// DefaultConfig values, so oracle and simulator model the same MAC
-// constants unless a test overrides them.
+// DefaultConfig values, and the MAC constants no Config carries are
+// read from core and csma, so oracle and simulator model one copy of
+// each.
 type Options struct {
 	// Arm picks the link layer being modelled.
 	Arm Arm
-	// CSMA supplies DCF constants for ArmCSMA (zero → csma.DefaultConfig).
+	// CSMA supplies DCF settings for ArmCSMA (zero → csma.DefaultConfig).
 	CSMA csma.Config
-	// CMAP supplies CMAP constants for ArmCMAP (zero → core.DefaultConfig).
+	// CMAP supplies CMAP settings for ArmCMAP (zero → core.DefaultConfig).
 	CMAP core.Config
 	// MaxIter bounds the fixed-point iteration (default 4000).
 	MaxIter int
-	// Tol is the convergence threshold on the max-norm residual of the
-	// occupancy update (default 1e-9).
-	Tol float64
-	// Damping is the step fraction applied per iteration (default 0.5);
-	// values in (0, 1] trade speed against stability.
-	Damping float64
 }
+
+const (
+	// tol is the convergence threshold on the max-norm residual of the
+	// occupancy update.
+	tol = 1e-9
+	// damping is the step fraction applied per iteration; values in
+	// (0, 1] trade speed against stability.
+	damping = 0.5
+)
 
 func (o Options) withDefaults() Options {
 	if o.Arm == ArmCSMA && o.CSMA == (csma.Config{}) {
@@ -61,12 +65,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxIter == 0 {
 		o.MaxIter = 4000
-	}
-	if o.Tol == 0 {
-		o.Tol = 1e-9
-	}
-	if o.Damping == 0 {
-		o.Damping = 0.5
 	}
 	return o
 }
@@ -143,11 +141,11 @@ func dcfTiming(g *Graph, cfg csma.Config) macTiming {
 	}
 	// Contention-window ladder: cw doubles per failed attempt up to
 	// CWMax, for at most RetryLimit retries.
-	cws := make([]float64, 0, cfg.RetryLimit+1)
-	cw := cfg.CWMin
-	for k := 0; k <= cfg.RetryLimit; k++ {
+	cws := make([]float64, 0, csma.RetryLimit+1)
+	cw := csma.CWMin
+	for k := 0; k <= csma.RetryLimit; k++ {
 		cws = append(cws, float64(cw))
-		cw = min(2*cw+1, cfg.CWMax)
+		cw = min(2*cw+1, csma.CWMax)
 	}
 	slot := phy.SlotTime.Seconds()
 	difs := phy.DIFS.Seconds()
@@ -172,9 +170,9 @@ func dcfTiming(g *Graph, cfg csma.Config) macTiming {
 func cmapTiming(g *Graph, cfg core.Config) macTiming {
 	n := g.N()
 	t := macTiming{hold: make([]float64, n), bits: make([]float64, n), pkt: make([]float64, n), ctrl: make([]float64, n), lockUnit: float64(cfg.Nvpkt), abortive: true}
-	ctrlAir := phy.Airtime(phy.RateByID(cfg.ControlRate), (&frame.Control{}).WireSize()).Seconds()
+	ctrlAir := phy.Airtime(phy.RateByID(core.ControlRate), (&frame.Control{}).WireSize()).Seconds()
 	ackWire := (&frame.Ack{Bitmap: make([]byte, (cfg.Nvpkt+7)/8)}).WireSize()
-	ackAir := phy.Airtime(phy.RateByID(cfg.ControlRate), ackWire).Seconds()
+	ackAir := phy.Airtime(phy.RateByID(core.ControlRate), ackWire).Seconds()
 	dataWire := (&frame.Data{PayloadLen: uint16(cfg.PayloadBytes)}).WireSize()
 	controls := 2.0
 	if cfg.DisableTrailers {
@@ -190,18 +188,18 @@ func cmapTiming(g *Graph, cfg core.Config) macTiming {
 	// The §4.1 software turnaround distribution (90% uniform in
 	// [T/2, 2T], 10% in [2T, 5T]) has mean 1.475 T; a successful cycle
 	// pays it twice (receiver before the ACK, sender after it).
-	meanTA := 1.475 * cfg.Turnaround.Seconds()
+	meanTA := 1.475 * core.Turnaround.Seconds()
 	// Loss-driven ladder: CW doubles from CWStart to CWMax while
 	// reported loss stays above l_backoff; backoff draws uniform [0, cw].
 	cws := []float64{}
-	for cw := cfg.CWStart.Seconds(); ; cw *= 2 {
-		if cwMax := cfg.CWMax.Seconds(); cw >= cwMax {
+	for cw := core.CWStart.Seconds(); ; cw *= 2 {
+		if cwMax := core.CWMax.Seconds(); cw >= cwMax {
 			cws = append(cws, cwMax)
 			break
 		}
 		cws = append(cws, cw)
 	}
-	tack := cfg.TackWait.Seconds()
+	tack := core.TackWait.Seconds()
 	t.gap = func(_ int, p float64) float64 {
 		num, den, w := 0.0, 1.0, 1.0 // level 0: no contention window
 		for _, c := range cws {
@@ -448,7 +446,7 @@ func Solve(g *Graph, opt Options) *Result {
 	hold := make([]float64, n)
 	var sums []float64
 	res := &Result{Arm: opt.Arm, FlowMbps: make([]float64, n), Occupancy: x, Success: s}
-	damp, prevResid := opt.Damping, math.Inf(1)
+	damp, prevResid := damping, math.Inf(1)
 	for it := 1; it <= opt.MaxIter; it++ {
 		res.Iterations = it
 		res.Residual = 0
@@ -500,14 +498,14 @@ func Solve(g *Graph, opt Options) *Result {
 			res.Converged = false
 			break
 		}
-		if res.Residual <= opt.Tol {
+		if res.Residual <= tol {
 			res.Converged = true
 			break
 		}
 		if res.Residual > prevResid {
 			damp = math.Max(damp/2, 1.0/64)
 		} else {
-			damp = math.Min(damp*1.1, opt.Damping)
+			damp = math.Min(damp*1.1, damping)
 		}
 		prevResid = res.Residual
 		for i := 0; i < n; i++ {

@@ -2,39 +2,53 @@ package core
 
 import (
 	"repro/internal/frame"
+	"repro/internal/mac"
 	"repro/internal/phy"
 	"repro/internal/sim"
 )
 
-// Config holds CMAP's protocol constants. DefaultConfig returns the
-// values of §4.2.
+// CMAP's implementation constants (§4.2). No arm varies them, and the
+// analytic oracle reads these same values.
+const (
+	// ControlRate carries headers, trailers, ACKs and interferer lists
+	// (always the lowest rate, §5.8).
+	ControlRate = phy.Rate6Mbps
+	// TackWait is how long a sender waits for an ACK after a virtual
+	// packet; TdeferWait is the settle time after a conflicting
+	// transmission ends before re-checking the defer table (§4.2).
+	TackWait   = 5 * sim.Millisecond
+	TdeferWait = 5 * sim.Millisecond
+	// Turnaround models the software-MAC-to-PHY latency of the prototype
+	// (§4.1): receivers ACK this long after a trailer, and overheard
+	// frames become visible to the access decision this long after
+	// decode.
+	Turnaround = 1 * sim.Millisecond
+	// CWStart and CWMax bound the loss-based contention window (§3.4).
+	CWStart = 5 * sim.Millisecond
+	CWMax   = 320 * sim.Millisecond
+	// LossBackoff is l_backoff: ACK-reported loss above it grows CW.
+	LossBackoff = 0.5
+	// DeferTimeout expires defer-table entries; InterfTimeout expires
+	// interferer-list entries; StatsHalfLife decays the loss counters so
+	// the map adapts to changing conditions.
+	DeferTimeout  = 3 * sim.Second
+	InterfTimeout = 10 * sim.Second
+	StatsHalfLife = 5 * sim.Second
+)
+
+// Config holds the CMAP settings that a spec key, an option or an
+// ablation varies. DefaultConfig returns the values of §4.2.
 type Config struct {
-	// Rate is the data bit-rate; ControlRate carries headers, trailers,
-	// ACKs and interferer lists (always the lowest rate, §5.8).
-	Rate        phy.RateID
-	ControlRate phy.RateID
+	// Rate is the data bit-rate (ControlRate carries the rest).
+	Rate phy.RateID
 	// PayloadBytes is the application payload per data packet.
 	PayloadBytes int
 	// Nvpkt is the number of data packets per virtual packet (§4.1).
 	Nvpkt int
 	// Nwindow is the send window in virtual packets (§3.3).
 	Nwindow int
-	// TackWait is how long a sender waits for an ACK after a virtual
-	// packet; TdeferWait is the settle time after a conflicting
-	// transmission ends before re-checking the defer table (§4.2).
-	TackWait   sim.Time
-	TdeferWait sim.Time
-	// Turnaround models the software-MAC-to-PHY latency of the prototype
-	// (§4.1): receivers ACK this long after a trailer, and overheard
-	// frames become visible to the access decision this long after
-	// decode.
-	Turnaround sim.Time
-	// CWStart and CWMax bound the loss-based contention window (§3.4).
-	CWStart, CWMax sim.Time
-	// LossBackoff is l_backoff: ACK-reported loss above it grows CW.
-	LossBackoff float64
 	// LossInterf is l_interf: concurrent loss above it marks an
-	// interferer (§3.1 argues both must be 0.5).
+	// interferer (§3.1 argues both it and LossBackoff must be 0.5).
 	LossInterf float64
 	// MinInterfSamples is how many attributed packet observations a
 	// (source, interferer) pair needs before it can enter the interferer
@@ -42,16 +56,6 @@ type Config struct {
 	MinInterfSamples int
 	// BroadcastPeriod is the interferer-list broadcast interval.
 	BroadcastPeriod sim.Time
-	// DeferTimeout expires defer-table entries; InterfTimeout expires
-	// interferer-list entries; StatsHalfLife decays the loss counters so
-	// the map adapts to changing conditions.
-	DeferTimeout  sim.Time
-	InterfTimeout sim.Time
-	StatsHalfLife sim.Time
-	// TauMin and TauMax bound the window-full retransmission timeout.
-	// Zero values derive the paper's choice: TauMax = the airtime of a
-	// full window, TauMin = TauMax/2 (§3.3).
-	TauMin, TauMax sim.Time
 
 	// PerDestQueues enables the §3.2 optimisation: per-destination
 	// queues with independent windows and sequence spaces, letting the
@@ -79,28 +83,17 @@ type Config struct {
 	BackoffOnMissingAck bool
 }
 
-// DefaultConfig returns the constants of the paper's implementation
-// (§4.2): Nvpkt=32, Nwindow=8, tackwait=tdeferwait=5 ms, CWstart=5 ms,
-// CWmax=320 ms, both loss thresholds 0.5.
+// DefaultConfig returns the settings of the paper's implementation
+// (§4.2): Nvpkt=32, Nwindow=8, l_interf 0.5.
 func DefaultConfig() Config {
 	return Config{
 		Rate:             phy.Rate6Mbps,
-		ControlRate:      phy.Rate6Mbps,
-		PayloadBytes:     1400,
+		PayloadBytes:     mac.DefaultPayload,
 		Nvpkt:            32,
 		Nwindow:          8,
-		TackWait:         5 * sim.Millisecond,
-		TdeferWait:       5 * sim.Millisecond,
-		Turnaround:       1 * sim.Millisecond,
-		CWStart:          5 * sim.Millisecond,
-		CWMax:            320 * sim.Millisecond,
-		LossBackoff:      0.5,
 		LossInterf:       0.5,
 		MinInterfSamples: 16,
 		BroadcastPeriod:  500 * sim.Millisecond,
-		DeferTimeout:     3 * sim.Second,
-		InterfTimeout:    10 * sim.Second,
-		StatsHalfLife:    5 * sim.Second,
 	}
 }
 
@@ -117,7 +110,7 @@ func (c Config) dataAirtime() sim.Time {
 
 // controlAirtime returns the airtime of a header or trailer packet.
 func (c Config) controlAirtime() sim.Time {
-	return phy.Airtime(phy.RateByID(c.ControlRate), (&frame.Control{}).WireSize())
+	return phy.Airtime(phy.RateByID(ControlRate), (&frame.Control{}).WireSize())
 }
 
 // vpktAirtime returns the total airtime of a virtual packet carrying n
@@ -137,23 +130,16 @@ func (c Config) vpktAirtime(n int) sim.Time {
 // after the software turnaround alone.
 func (c Config) finGrace() sim.Time {
 	if c.DisableTrailers {
-		return c.Turnaround
+		return Turnaround
 	}
-	return c.TackWait
+	return TackWait
 }
 
-// tauBounds returns the retransmission timeout bounds, deriving the
-// paper's defaults when unset.
+// tauBounds returns the paper's retransmission timeout bounds (§3.3):
+// τmax is the airtime of a full window and τmin = τmax/2.
 func (c Config) tauBounds() (sim.Time, sim.Time) {
-	tauMax := c.TauMax
-	if tauMax == 0 {
-		tauMax = sim.Time(c.Nwindow) * c.vpktAirtime(c.Nvpkt)
-	}
-	tauMin := c.TauMin
-	if tauMin == 0 {
-		tauMin = tauMax / 2
-	}
-	return tauMin, tauMax
+	tauMax := sim.Time(c.Nwindow) * c.vpktAirtime(c.Nvpkt)
+	return tauMax / 2, tauMax
 }
 
 // windowPackets is the send window in data packets.

@@ -185,7 +185,7 @@ func TestObservationsMerge(t *testing.T) {
 	if e.EstStart != 95*sim.Millisecond || e.EstEnd != 120*sim.Millisecond {
 		t.Errorf("merged interval [%v,%v], want [95ms,120ms]", e.EstStart, e.EstEnd)
 	}
-	if want := 96*sim.Millisecond + cfg.Turnaround; e.VisibleAt != want {
+	if want := 96*sim.Millisecond + Turnaround; e.VisibleAt != want {
 		t.Errorf("VisibleAt = %v, want %v (earliest hearing plus turnaround)", e.VisibleAt, want)
 	}
 }
@@ -194,7 +194,7 @@ func TestObservationsOngoingAndVisibility(t *testing.T) {
 	cfg := DefaultConfig()
 	o := newObservations(cfg)
 	k := obsKey{Src: addr(1), VSeq: 1}
-	o.upsert(k, addr(2), 0, 0, 50*sim.Millisecond, 10*sim.Millisecond-cfg.Turnaround) // visible at 10 ms
+	o.upsert(k, addr(2), 0, 0, 50*sim.Millisecond, 10*sim.Millisecond-Turnaround) // visible at 10 ms
 
 	count := func(now sim.Time) int {
 		c := 0
@@ -250,12 +250,6 @@ func TestConfigDerivedValues(t *testing.T) {
 	}
 	if cfg.windowPackets() != 256 {
 		t.Errorf("window = %d data packets, want 256", cfg.windowPackets())
-	}
-	// Explicit overrides are respected.
-	cfg.TauMin, cfg.TauMax = sim.Millisecond, 2*sim.Millisecond
-	a, b := cfg.tauBounds()
-	if a != sim.Millisecond || b != 2*sim.Millisecond {
-		t.Error("explicit tau bounds ignored")
 	}
 }
 

@@ -449,7 +449,7 @@ func (n *Node) OnFrame(f frame.Frame, info phy.RxInfo) {
 		}
 	case *frame.InterfererList:
 		n.Stat.ListsHeard++
-		n.DeferTab.applyRules(n.addr, ff, now+n.cfg.DeferTimeout)
+		n.DeferTab.applyRules(n.addr, ff, now+DeferTimeout)
 		n.maybeRelayList(ff, now)
 	}
 }

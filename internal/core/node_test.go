@@ -129,7 +129,7 @@ func TestObservationTableStaysBounded(t *testing.T) {
 				t.Fatalf("node %d at %v: %d overheard transmissions, bound %d", i, sched.Now(), len(es), bound)
 			}
 			// The newest entry was added at the last prune, heard then.
-			horizon := es[len(es)-1].VisibleAt - cfg.Turnaround - ret
+			horizon := es[len(es)-1].VisibleAt - Turnaround - ret
 			for _, e := range es {
 				if e.EstEnd < horizon {
 					t.Fatalf("node %d at %v: entry %v/%d ended at %v, before the horizon %v of the last prune",

@@ -96,7 +96,7 @@ func (o *observations) retention() sim.Time {
 // upsert merges an interval estimate for (src, vseq), heard at now.
 // Before it adds an entry it prunes, which bounds the table.
 func (o *observations) upsert(k obsKey, dst frame.Addr, rate uint8, start, end, now sim.Time) *obsEntry {
-	visible := now + o.cfg.Turnaround
+	visible := now + Turnaround
 	e := o.find(k)
 	if e == nil {
 		o.prune(now)

@@ -196,7 +196,7 @@ func (n *Node) finalizeVpkt(f *rxFlow) {
 				st = &interfStat{LastDecay: now}
 				n.InterfStats[k] = st
 			}
-			st.decay(now, n.cfg.StatsHalfLife)
+			st.decay(now, StatsHalfLife)
 			st.Expected++
 			if !hit {
 				st.Lost++
@@ -206,12 +206,17 @@ func (n *Node) finalizeVpkt(f *rxFlow) {
 	// Promote pairs over the loss threshold immediately so senders learn
 	// at the next broadcast.
 	for k, st := range n.InterfStats {
-		if k.Source != f.SrcAddr {
-			continue
+		if k.Source == f.SrcAddr {
+			n.promote(k, st, now)
 		}
-		if st.Expected >= float64(n.cfg.MinInterfSamples) && st.lossRate() > n.cfg.LossInterf {
-			n.Interferers[k] = now + n.cfg.InterfTimeout
-		}
+	}
+}
+
+// promote lists pair k as an interferer until now + InterfTimeout once
+// its loss counters hold enough samples and exceed l_interf (§3.1).
+func (n *Node) promote(k pairKey, st *interfStat, now sim.Time) {
+	if st.Expected >= float64(n.cfg.MinInterfSamples) && st.lossRate() > n.cfg.LossInterf {
+		n.Interferers[k] = now + InterfTimeout
 	}
 }
 
@@ -275,7 +280,7 @@ func (n *Node) runAckAttempt(aa *ackAttempt) {
 	}
 	n.Stat.AcksSent++
 	n.InflightAck = aa
-	n.radio.Transmit(&aa.Ack, phy.RateByID(n.cfg.ControlRate))
+	n.radio.Transmit(&aa.Ack, phy.RateByID(ControlRate))
 }
 
 // turnaroundDelay draws the software-MAC-to-PHY latency with the
@@ -284,12 +289,8 @@ func (n *Node) runAckAttempt(aa *ackAttempt) {
 // bearing — it is what lets a deferring sender occasionally win the
 // channel from the current holder, as on the real testbed.
 func (n *Node) turnaroundDelay() sim.Time {
-	t := n.cfg.Turnaround
-	if t <= 0 {
-		return 0
-	}
 	if n.RNG.Float64() < 0.9 {
-		return n.RNG.DurationIn(t/2, 2*t)
+		return n.RNG.DurationIn(Turnaround/2, 2*Turnaround)
 	}
-	return n.RNG.DurationIn(2*t, 5*t)
+	return n.RNG.DurationIn(2*Turnaround, 5*Turnaround)
 }

@@ -66,9 +66,9 @@ func (n *Node) trySend() {
 		// again. The re-check carries the software MAC's scheduling slop
 		// (§4.1).
 		n.Stat.Defers++
-		wait := earliestEnd + n.cfg.TdeferWait + n.RNG.DurationIn(0, n.cfg.Turnaround)
+		wait := earliestEnd + TdeferWait + n.RNG.DurationIn(0, Turnaround)
 		if wait <= now {
-			wait = now + n.cfg.TdeferWait
+			wait = now + TdeferWait
 		}
 		n.sched.ResetAt(&n.DeferTimer, wait, n, evDefer)
 	case !sendable && totalUnacked > 0 && !n.RetxTimer.Active():
@@ -218,7 +218,7 @@ func (n *Node) startVpkt(f *txFlow, seqs []uint32, isRetx bool) {
 		Seq:          vseq,
 		Rate:         uint8(n.cfg.Rate),
 	}
-	n.radio.Transmit(&n.hdrBuf, phy.RateByID(n.cfg.ControlRate))
+	n.radio.Transmit(&n.hdrBuf, phy.RateByID(ControlRate))
 }
 
 // continueVpkt transmits the next frame of the in-progress virtual packet
@@ -251,7 +251,7 @@ func (n *Node) continueVpkt() {
 			Seq:          c.VSeq,
 			Rate:         uint8(n.cfg.Rate),
 		}
-		n.radio.Transmit(&n.trlBuf, phy.RateByID(n.cfg.ControlRate))
+		n.radio.Transmit(&n.trlBuf, phy.RateByID(ControlRate))
 	default:
 		f := c.flow
 		n.Cur = nil
@@ -267,7 +267,7 @@ func (n *Node) finishVpkt(f *txFlow) {
 		return
 	}
 	n.WaitAck = true
-	n.sched.ResetAfter(&n.AckTimer, n.cfg.TackWait, n, evAckWait)
+	n.sched.ResetAfter(&n.AckTimer, TackWait, n, evAckWait)
 }
 
 // ackWaitExpired fires when tackwait passes with no ACK.
@@ -276,16 +276,15 @@ func (n *Node) ackWaitExpired() {
 	n.Stat.AckWaitExpired++
 	if n.cfg.BackoffOnMissingAck {
 		// Ablation: 802.11-style growth on every missing ACK.
-		if n.CW == 0 {
-			n.CW = n.cfg.CWStart
-		} else if n.CW < n.cfg.CWMax {
-			n.CW *= 2
-			if n.CW > n.cfg.CWMax {
-				n.CW = n.cfg.CWMax
-			}
-		}
+		n.growCW()
 	}
 	n.startBackoff()
+}
+
+// growCW doubles the contention window, starting at CWStart and capped
+// at CWMax (§3.4). CW is only ever 0 or in [CWStart, CWMax].
+func (n *Node) growCW() {
+	n.CW = min(max(2*n.CW, CWStart), CWMax)
 }
 
 // startBackoff waits a uniform duration in [0, CW] before the next
@@ -329,15 +328,8 @@ func (n *Node) onAck(a *frame.Ack) {
 	// ACKs. (Under the 802.11-style ablation, any ACK resets it.)
 	if n.cfg.BackoffOnMissingAck {
 		n.CW = 0
-	} else if a.LossRate > n.cfg.LossBackoff {
-		if n.CW == 0 {
-			n.CW = n.cfg.CWStart
-		} else if n.CW < n.cfg.CWMax {
-			n.CW *= 2
-			if n.CW > n.cfg.CWMax {
-				n.CW = n.cfg.CWMax
-			}
-		}
+	} else if a.LossRate > LossBackoff {
+		n.growCW()
 	} else {
 		n.CW = 0
 	}
@@ -378,10 +370,8 @@ func (n *Node) broadcastTick() {
 
 	// Refresh the interferer list from current statistics.
 	for k, st := range n.InterfStats {
-		st.decay(now, n.cfg.StatsHalfLife)
-		if st.Expected >= float64(n.cfg.MinInterfSamples) && st.lossRate() > n.cfg.LossInterf {
-			n.Interferers[k] = now + n.cfg.InterfTimeout
-		}
+		st.decay(now, StatsHalfLife)
+		n.promote(k, st, now)
 		if st.Expected < 1 {
 			delete(n.InterfStats, k)
 		}
@@ -431,5 +421,5 @@ func (n *Node) sendListWithRetries(list *frame.InterfererList, budget int) {
 		return
 	}
 	n.Stat.ListsSent++
-	n.radio.Transmit(list, phy.RateByID(n.cfg.ControlRate))
+	n.radio.Transmit(list, phy.RateByID(ControlRate))
 }

@@ -18,7 +18,7 @@ func (n *Node) ExportState() (json.RawMessage, error) { return json.Marshal(&n.s
 // scheduler's RestoreState so the timers' seqs resolve through the
 // scheduler's seq → slab-index lookup.
 func (n *Node) RestoreState(enc json.RawMessage) error {
-	st := newState(n.cfg)
+	st := newState()
 	if err := json.Unmarshal(enc, &st); err != nil {
 		return fmt.Errorf("csma: node %d state: %w", n.id, err)
 	}

@@ -8,6 +8,16 @@ import (
 	"repro/internal/stats"
 )
 
+// 802.11a's DCF constants. No arm varies them, and the analytic oracle
+// reads these same values.
+const (
+	// CWMin and CWMax bound the contention window in slots.
+	CWMin = 15
+	CWMax = 1023
+	// RetryLimit caps retransmissions of one packet.
+	RetryLimit = 7
+)
+
 // Config selects the baseline's behaviour.
 type Config struct {
 	// CarrierSense enables physical carrier sense ("CS on"). When false
@@ -24,11 +34,6 @@ type Config struct {
 	ControlRate phy.RateID
 	// PayloadBytes is the application payload per packet.
 	PayloadBytes int
-	// CWMin and CWMax bound the contention window in slots (802.11a:
-	// 15 and 1023).
-	CWMin, CWMax int
-	// RetryLimit caps retransmissions of one packet.
-	RetryLimit int
 	// CSThresholdDBm, when non-zero, overrides this node's carrier-sense
 	// threshold away from the medium-wide default — the knob the
 	// cs@<dBm> arm family sweeps to trade exposed-terminal concurrency
@@ -45,17 +50,14 @@ type Config struct {
 }
 
 // DefaultConfig returns the 802.11a defaults used throughout the
-// evaluation: carrier sense on, ACKs on, 6 Mb/s, 1400-byte payloads.
+// evaluation: carrier sense on, ACKs on, 6 Mb/s, mac.DefaultPayload.
 func DefaultConfig() Config {
 	return Config{
 		CarrierSense: true,
 		LinkACKs:     true,
 		Rate:         phy.Rate6Mbps,
 		ControlRate:  phy.Rate6Mbps,
-		PayloadBytes: 1400,
-		CWMin:        15,
-		CWMax:        1023,
-		RetryLimit:   7,
+		PayloadBytes: mac.DefaultPayload,
 	}
 }
 
@@ -139,8 +141,8 @@ type state struct {
 
 // newState is the state a station starts from, and what a checkpoint
 // decodes into.
-func newState(cfg Config) state {
-	return state{CW: cfg.CWMin, LastSeq: make(map[int]uint16), GotAny: make(map[int]bool)}
+func newState() state {
+	return state{CW: CWMin, LastSeq: make(map[int]uint16), GotAny: make(map[int]bool)}
 }
 
 // Stats counts protocol events at one node.
@@ -164,7 +166,7 @@ func New(id int, cfg Config, m mac.Network, rng *sim.RNG) *Node {
 		radio: m.Radio(id),
 		sched: m.Scheduler(),
 		addr:  frame.AddrFromID(id),
-		state: newState(cfg),
+		state: newState(),
 	}
 	n.RNG = *rng
 	n.radio.SetHandler(n)
@@ -416,7 +418,7 @@ func (n *Node) OnTxDone(f frame.Frame) {
 		}
 		// Broadcast or fire-and-forget: next packet immediately.
 		n.Pending = false
-		n.CW = n.cfg.CWMin
+		n.CW = CWMin
 		if n.makeNext() {
 			n.drawBackoff()
 			n.beginAccess()
@@ -435,23 +437,29 @@ func (n *Node) OnTxDone(f frame.Frame) {
 func (n *Node) ackTimedOut() {
 	n.WaitAck = false
 	n.Stat.AckTimeout++
+	// Marking the staged frame is harmless if it is then dropped:
+	// makeNext rewrites DataBuf before the next packet goes out.
+	n.DataBuf.Retry = true
+	n.retryOrDrop()
+}
+
+// retryOrDrop ends a failed attempt (a missing ACK or CTS): at the
+// retry limit drop the packet and stage the next, else grow the window
+// and contend again.
+func (n *Node) retryOrDrop() {
 	n.Retries++
-	if n.Retries > n.cfg.RetryLimit {
+	if n.Retries > RetryLimit {
 		n.Stat.Dropped++
 		n.Pending = false
-		n.CW = n.cfg.CWMin
+		n.CW = CWMin
 		if n.makeNext() {
 			n.drawBackoff()
 			n.beginAccess()
 		}
 		return
 	}
-	n.DataBuf.Retry = true
-	if n.CW < n.cfg.CWMax {
-		n.CW = 2*n.CW + 1
-		if n.CW > n.cfg.CWMax {
-			n.CW = n.cfg.CWMax
-		}
+	if n.CW < CWMax {
+		n.CW = min(2*n.CW+1, CWMax)
 	}
 	n.drawBackoff()
 	n.beginAccess()
@@ -493,7 +501,7 @@ func (n *Node) OnFrame(f frame.Frame, info phy.RxInfo) {
 		n.WaitAck = false
 		n.Pending = false
 		n.Retries = 0
-		n.CW = n.cfg.CWMin
+		n.CW = CWMin
 		if n.makeNext() {
 			n.drawBackoff()
 			n.beginAccess()

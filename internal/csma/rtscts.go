@@ -94,25 +94,7 @@ func (n *Node) rtsSent() {
 func (n *Node) ctsTimedOut() {
 	n.WaitCts = false
 	n.Stat.CtsTimeout++
-	n.Retries++
-	if n.Retries > n.cfg.RetryLimit {
-		n.Stat.Dropped++
-		n.Pending = false
-		n.CW = n.cfg.CWMin
-		if n.makeNext() {
-			n.drawBackoff()
-			n.beginAccess()
-		}
-		return
-	}
-	if n.CW < n.cfg.CWMax {
-		n.CW = 2*n.CW + 1
-		if n.CW > n.cfg.CWMax {
-			n.CW = n.cfg.CWMax
-		}
-	}
-	n.drawBackoff()
-	n.beginAccess()
+	n.retryOrDrop()
 }
 
 // onRTS handles a decoded RTS: answer with a CTS if it is for us and

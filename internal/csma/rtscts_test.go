@@ -163,3 +163,30 @@ func TestRTSCTSCleanLink(t *testing.T) {
 		t.Errorf("RTS/CTS goodput = %.2f Mb/s, want ≈4.8–5.2 (plain DCF minus handshake tax)", got)
 	}
 }
+
+// TestRTSRetryLimitDrops pins the CTS side of the retry path: an
+// addressee that never answers costs RetryLimit+1 CTS timeouts, after
+// which the packet is dropped and the window is back at CWMin.
+func TestRTSRetryLimitDrops(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.RTSCTS = true
+	m, sched, rng := build([][]float64{
+		{0, 70},
+		{70, 0},
+	}, 7)
+	// No station attaches to node 1, so no RTS is ever answered.
+	tx := New(0, cfg, m, rng.Stream(10))
+	tx.Enqueue(1, 1)
+	sched.Run(2 * sim.Second)
+
+	st := tx.Stats()
+	if st.CtsTimeout != RetryLimit+1 || st.RtsSent != RetryLimit+1 {
+		t.Errorf("%d CTS timeouts over %d RTS, want %d of each", st.CtsTimeout, st.RtsSent, RetryLimit+1)
+	}
+	if st.Dropped != 1 || st.Sent != 0 {
+		t.Errorf("dropped %d and sent %d data frames, want 1 and 0", st.Dropped, st.Sent)
+	}
+	if tx.Pending || tx.CW != CWMin {
+		t.Errorf("after the drop: pending %v, CW %d, want false and %d", tx.Pending, tx.CW, CWMin)
+	}
+}

@@ -521,12 +521,12 @@ func runMesh(arm mac.Arm, tb *topo.Testbed, msh topo.Mesh, opt Options, seed uin
 			if from != msh.Source {
 				return
 			}
-			hop1[i].Record(now, sweepPayloadBytes)
+			hop1[i].Record(now, mac.DefaultPayload)
 			pending[i]++
 		})
 		leaf.SetOnDeliver(func(from int, _ uint32, now sim.Time) {
 			if from == relay {
-				hop2[i].Record(now, sweepPayloadBytes)
+				hop2[i].Record(now, mac.DefaultPayload)
 			}
 		})
 	}

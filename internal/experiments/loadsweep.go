@@ -5,15 +5,12 @@ import (
 	"strings"
 
 	"repro/internal/checkpoint"
+	"repro/internal/mac"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/topo"
 	"repro/internal/traffic"
 )
-
-// sweepPayloadBytes is the application payload both MAC defaults use;
-// the sweep's Mb/s axis converts through it.
-const sweepPayloadBytes = 1400
 
 // LoadPoint aggregates one offered-load position of the sweep across
 // all sampled pairs.
@@ -98,7 +95,7 @@ func OfferedLoadCampaign(tb *topo.Testbed, topology string, loads []float64, opt
 		points[li] = opt
 		// The axis means long-run offered load: duty-cycled kinds get
 		// their peak rate scaled so the mean lands on the sweep value.
-		points[li].Traffic = points[li].Traffic.WithOfferedMbps(load, sweepPayloadBytes)
+		points[li].Traffic = points[li].Traffic.WithOfferedMbps(load, mac.DefaultPayload)
 		points[li].Seed += uint64(li) * 15485863
 	}
 	// Each trial's seed is a pure function of its key, so the campaign

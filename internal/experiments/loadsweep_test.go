@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/mac"
 	"repro/internal/sim"
 	"repro/internal/topo"
 	"repro/internal/traffic"
@@ -30,7 +31,7 @@ func sweepTestOptions(t *testing.T, seed uint64) Options {
 // delivered nearly in full by both protocols, with measured latency.
 func TestTrafficModeDeliversOfferedLoad(t *testing.T) {
 	opt := sweepTestOptions(t, 1)
-	opt.Traffic = traffic.PoissonAt(traffic.PacketsPerSecFor(1.0, sweepPayloadBytes))
+	opt.Traffic = traffic.PoissonAt(traffic.PacketsPerSecFor(1.0, mac.DefaultPayload))
 	tb := topo.NewTestbed(opt.Nodes, opt.Seed)
 	pairs := tb.ExposedPairs(sim.NewRNG(opt.Seed^0xf10ad), 1)
 	if len(pairs) == 0 {
@@ -115,7 +116,7 @@ func TestLoadSweepWorkerEquivalence(t *testing.T) {
 // stack: sessions alternate, packets still arrive and deliver.
 func TestChurnedFlowsRun(t *testing.T) {
 	opt := sweepTestOptions(t, 5)
-	opt.Traffic = traffic.PoissonAt(traffic.PacketsPerSecFor(2.0, sweepPayloadBytes))
+	opt.Traffic = traffic.PoissonAt(traffic.PacketsPerSecFor(2.0, mac.DefaultPayload))
 	opt.Traffic.UpMean = 500 * sim.Millisecond
 	opt.Traffic.DownMean = 500 * sim.Millisecond
 	tb := topo.NewTestbed(opt.Nodes, opt.Seed)

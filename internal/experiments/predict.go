@@ -273,7 +273,7 @@ func SimulateScreenGrid(scens []ScreenScenario, loads []float64, opt Options) (m
 	results := runner.Map(opt.pool(), len(trials), func(i int) []FlowResult {
 		tr := trials[i]
 		o := opt
-		o.Traffic = traffic.Spec{Kind: traffic.Poisson}.WithOfferedMbps(tr.load, 1400)
+		o.Traffic = traffic.Spec{Kind: traffic.Poisson}.WithOfferedMbps(tr.load, mac.DefaultPayload)
 		return runFlows(tbs[tr.sc], scens[tr.sc].Flows, tr.arm, o,
 			opt.Seed+uint64(tr.sc)*7919+uint64(tr.load*1000)*13+tr.arm.seedSalt()*104729)
 	})

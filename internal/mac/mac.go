@@ -31,6 +31,11 @@ type Network interface {
 // and the delivery time.
 type DeliverFunc func(src int, seq uint32, now sim.Time)
 
+// DefaultPayload is the application payload per data packet in bytes
+// that every arm sends unless Options.Payload says otherwise, the
+// evaluation's packet size.
+const DefaultPayload = 1400
+
 // Options carries the cross-arm knobs an experiment hands to Arm.New.
 // Arm-specific configuration (window sizes, thresholds, RTS policy)
 // lives in the arm's registered identity instead, so a registry name
@@ -40,7 +45,7 @@ type Options struct {
 	// explicitly; there is no usable zero value.
 	Rate phy.RateID
 	// Payload is the application payload per data packet in bytes,
-	// bounded by CheckPayload; zero keeps the arms' 1400.
+	// bounded by CheckPayload; zero keeps DefaultPayload.
 	Payload int
 }
 

@@ -102,25 +102,21 @@ func sortedCopy(row []Delivery) []Delivery {
 
 // BuildDeliveries computes, for every node, the receivers that hear it
 // above the delivery floor, in ascending receiver order, with the power
-// each receives. When the model bounds its range the candidate set is
-// enumerated through a spatial grid — each candidate put to the model's
-// screen, the survivors evaluated in grid visit order, the kept entries
-// sorted — and the per-node computation fans out across workers
+// each receives. The candidate set is enumerated through a spatial grid
+// queried at the model's range bound (+Inf when it has none, so every
+// pair is a candidate) — each candidate put to the model's screen, the
+// survivors evaluated in grid visit order, the kept entries sorted —
+// and the per-node computation fans out across workers
 // goroutines (workers <= 0 means GOMAXPROCS); the output is
 // bit-identical at any worker count because each node's list is an
 // independent pure computation written to a disjoint slot, and every
 // model in internal/radio is a pure function of its arguments
 // (deterministic per-pair shadowing, no state but a memoised screen
 // table read through an atomic), which makes concurrent Loss and
-// Inaudible calls safe. Without a range bound the exhaustive
-// O(n²) reference scan runs serially. The second result reports whether
-// the grid path was taken.
+// Inaudible calls safe. The second result reports whether the model
+// bounds its range, so that the grid prunes candidates.
 func BuildDeliveries(params phy.Params, model radio.Model, positions []geo.Point, workers int) ([][]Delivery, bool) {
-	maxRange, ok := reach(params, model)
-	if !ok {
-		return denseDeliveries(params, model, positions), false
-	}
-
+	maxRange, bounded := reach(params, model)
 	n := len(positions)
 	lists := make([][]Delivery, n)
 	fl := newFloor(params)
@@ -144,7 +140,7 @@ func BuildDeliveries(params phy.Params, model radio.Model, positions []geo.Point
 	}
 	if workers == 1 {
 		fill(0, n)
-		return lists, true
+		return lists, bounded
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -159,19 +155,21 @@ func BuildDeliveries(params phy.Params, model radio.Model, positions []geo.Point
 		}()
 	}
 	wg.Wait()
-	return lists, true
+	return lists, bounded
 }
 
 // reach returns the model's range bound at the delivery floor, and
-// whether a grid can use it: a model without one, or with a
-// non-positive or non-finite one, must have every pair considered.
+// whether it is a usable one. A model without one, or with a
+// non-positive or non-finite one, reaches +Inf: a grid query of that
+// radius visits every cell, so every pair is a candidate.
 func reach(params phy.Params, model radio.Model) (float64, bool) {
-	rb, ok := model.(radio.RangeBounder)
-	if !ok {
-		return 0, false
+	if rb, ok := model.(radio.RangeBounder); ok {
+		r := rb.MaxRange(params.TxPowerDBm - params.DeliveryFloorDBm)
+		if r > 0 && !math.IsInf(r, 1) && !math.IsNaN(r) {
+			return r, true
+		}
 	}
-	r := rb.MaxRange(params.TxPowerDBm - params.DeliveryFloorDBm)
-	return r, r > 0 && !math.IsInf(r, 1) && !math.IsNaN(r)
+	return math.Inf(1), false
 }
 
 // gridRow appends node a's audible receivers to row in grid visit
@@ -197,9 +195,9 @@ func gridRow(row []Delivery, a int, positions []geo.Point, grid *geo.Grid, maxRa
 }
 
 // denseDeliveries is the reference O(n²) construction over every
-// ordered pair. It stays serial and obviously correct; the grid path is
-// proven against it by TestSparseDenseFlowEquivalence and the
-// worker-count equivalence test.
+// ordered pair, behind NewDense. It stays serial and obviously correct;
+// the grid path is proven against it by TestSparseDenseFlowEquivalence
+// and the worker-count equivalence test.
 func denseDeliveries(params phy.Params, model radio.Model, positions []geo.Point) [][]Delivery {
 	n := len(positions)
 	lists := make([][]Delivery, n)

@@ -34,8 +34,8 @@ import (
 
 // mover is the lazily-built motion state.
 type mover struct {
-	// grid tracks current positions when the model bounds its range;
-	// nil means the model is unbounded and a row scans all nodes.
+	// grid tracks current positions; maxRange is +Inf when the model
+	// does not bound its range, so a query visits every node.
 	grid     *geo.Grid
 	maxRange float64
 	ver      uint64     // bumped by every non-empty batch
@@ -47,11 +47,13 @@ func (m *Medium) ensureMover() *mover {
 	if m.mv != nil {
 		return m.mv
 	}
-	mv := &mover{rowVer: make([]uint64, len(m.positions))}
-	if r, ok := reach(m.params, m.model); ok {
-		// The grid gets its own copy of the positions: Move mutates the
-		// stored slice, and m.positions stays authoritative.
-		mv.grid, mv.maxRange = geo.NewGrid(append([]geo.Point(nil), m.positions...), r), r
+	r, _ := reach(m.params, m.model)
+	// The grid gets its own copy of the positions: Move mutates the
+	// stored slice, and m.positions stays authoritative.
+	mv := &mover{
+		grid:     geo.NewGrid(append([]geo.Point(nil), m.positions...), r),
+		maxRange: r,
+		rowVer:   make([]uint64, len(m.positions)),
 	}
 	m.mv = mv
 	return mv
@@ -66,24 +68,10 @@ func (m *Medium) row(i int) []Delivery {
 	return m.deliveries[i]
 }
 
-// rebuildRow builds node a's row over the current positions: through
-// the grid exactly as BuildDeliveries does, or, for an unbounded model,
-// by evaluating every other node.
+// rebuildRow builds node a's row over the current positions through
+// the grid, exactly as BuildDeliveries does.
 func (m *Medium) rebuildRow(mv *mover, a int) {
-	row := mv.row[:0]
-	if mv.grid != nil {
-		row = gridRow(row, a, m.positions, mv.grid, mv.maxRange, m.floor, m.screen, m.model)
-	} else {
-		pa := m.positions[a]
-		for b, pb := range m.positions {
-			if b == a {
-				continue
-			}
-			if g, ok := m.floor.gain(m.model.Loss(a, pa, b, pb)); ok {
-				row = append(row, Delivery{Dst: b, GainMW: g})
-			}
-		}
-	}
+	row := gridRow(mv.row[:0], a, m.positions, mv.grid, mv.maxRange, m.floor, m.screen, m.model)
 	mv.row = row
 	m.deliveries[a] = sortedCopy(row)
 	mv.rowVer[a] = mv.ver
@@ -112,9 +100,7 @@ func (m *Medium) MoveNodes(ids []int, pts []geo.Point) {
 	mv := m.ensureMover()
 	for k, i := range ids {
 		m.positions[i] = pts[k]
-		if mv.grid != nil {
-			mv.grid.Move(i, pts[k])
-		}
+		mv.grid.Move(i, pts[k])
 	}
 	mv.ver++
 	m.staleHeard()

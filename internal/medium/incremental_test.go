@@ -269,10 +269,10 @@ func TestPartialBatchMatchesRebuild(t *testing.T) {
 	}
 }
 
-// TestIncrementalDensePath covers the unbounded-model fallback: a loss
-// matrix has no range bound, so a row read after MoveNode is rebuilt by
-// a full scan — here movement cannot change gains (the matrix ignores
-// positions), so the rebuilt rows must equal the rows as built.
+// TestIncrementalDensePath covers an unbounded model: a loss matrix has
+// no range bound, so a row read after MoveNode considers every node —
+// here movement cannot change gains (the matrix ignores positions), so
+// the rebuilt rows must equal the dense oracle.
 func TestIncrementalDensePath(t *testing.T) {
 	params := phy.DefaultParams()
 	n := 6
@@ -295,8 +295,8 @@ func TestIncrementalDensePath(t *testing.T) {
 	for i := 0; i < n; i++ {
 		m.MoveNode(i, geo.Point{X: float64(i), Y: 2})
 	}
-	if m.mv.grid != nil {
-		t.Fatal("matrix model must take the dense row path")
+	if m.GridBacked() || !math.IsInf(m.mv.maxRange, 1) {
+		t.Fatal("a matrix model has no range bound: its grid must span every node")
 	}
 	requireListsEqual(t, "dense rows", m.Rows(), want)
 }

@@ -70,9 +70,9 @@ type Medium struct {
 
 // New builds a medium over the given node positions. Each node gets a
 // radio whose decode randomness comes from a stream of rng. Delivery
-// lists are built through a spatial grid whenever the model bounds its
-// range (fanned across GOMAXPROCS workers — bit-identical to the serial
-// build, see BuildDeliveries), and by exhaustive pairing otherwise.
+// lists are built through a spatial grid (every pair a candidate when
+// the model does not bound its range), fanned across GOMAXPROCS workers
+// — bit-identical to the serial build, see BuildDeliveries.
 func New(sched *sim.Scheduler, params phy.Params, model radio.Model, positions []geo.Point, rng *sim.RNG) *Medium {
 	m := newMedium(sched, params, model, positions, rng)
 	m.deliveries, m.gridBacked = BuildDeliveries(params, model, positions, 0)
@@ -192,8 +192,8 @@ func (m *Medium) Scheduler() *sim.Scheduler { return m.sched }
 // Params returns the PHY constants shared by all radios.
 func (m *Medium) Params() phy.Params { return m.params }
 
-// GridBacked reports whether the delivery lists were built through the
-// spatial grid (as opposed to the exhaustive pair scan).
+// GridBacked reports whether the model bounds its range, so that the
+// spatial grid prunes candidates (without one every pair is a candidate).
 func (m *Medium) GridBacked() bool { return m.gridBacked }
 
 // NeighborCount returns how many receivers hear node i above the

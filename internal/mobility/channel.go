@@ -100,7 +100,7 @@ func (c *Channel) Inaudible(s *radio.Screen, a int, pa geo.Point, b int, pb geo.
 // MaxRange implements radio.RangeBounder by forwarding to the inner
 // model; re-drawn shadowing has the same truncated distribution, so the
 // inner headroom bound still holds. An inner model without a bound
-// yields +Inf, which sends the medium down the dense path — exactly the
+// yields +Inf, so the medium's grid queries span every node — exactly the
 // treatment the unwrapped model would get.
 func (c *Channel) MaxRange(maxLossDB float64) float64 {
 	if rb, ok := c.inner.(radio.RangeBounder); ok {

@@ -12,8 +12,8 @@ import (
 	"repro/internal/stats"
 )
 
-// DataWireBytes is the wire size of the 1400-byte data packets used for
-// all link measurements, matching the experiments.
+// DataWireBytes is the wire size of the data packets used for all link
+// measurements, matching the experiments' mac.DefaultPayload.
 const DataWireBytes = 1433
 
 // Testbed is a reproducible node layout plus its channel realisation.
@@ -34,7 +34,7 @@ type Testbed struct {
 
 	// RSS[a][b] is the isolation received power at b from a in dBm;
 	// PRR[a][b] the analytic isolation packet reception ratio for
-	// 1400-byte data frames at 6 Mb/s (§5.1's measurement pass).
+	// DataWireBytes-byte data frames at 6 Mb/s (§5.1's measurement pass).
 	RSS [][]float64
 	PRR [][]float64
 
