@@ -7,7 +7,10 @@
 #   make bench      benchmark trajectory, one iteration per benchmark
 #   make check      build + test, the tier-1 gate
 #   make vet        static analysis
-#   make golden     golden-trace regression tier (bit-exact behaviour pin)
+#   make golden     golden-trace regression tier (bit-exact behaviour pin:
+#                   the flow traces, the pair sweeps and predicted pair
+#                   figures, the calibration, Figures 14 and 17-19 and
+#                   the screen grid, and shared rows against fresh builds)
 #   make alloc-check  allocation-regression gate (0 allocs/frame in steady state,
 #                   0 allocs per movement epoch, at most one list per
 #                   stale delivery row read after it, 0 allocs over a

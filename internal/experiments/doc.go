@@ -26,20 +26,26 @@
 // Jain fairness and tail drops for CMAP versus carrier sense on exposed
 // and hidden pairs — the unsaturated regimes the follow-on literature
 // analyses. ScaleBenchmarks and the 50/200/1000-node suites track the
-// performance trajectory (BENCH_<sha>.json). Every experiment over link
-// pairs — Figures 12, 13, 15 and 20 and the CS-threshold, staleness and
-// load sweeps — is one pair sweep: its (point, pair, arm) trials fan
-// out once and fold into one PairExperiment per point. All experiments
-// fan their trials across internal/runner with seeds fixed before
-// dispatch, so results are bit-identical at every worker count; the
-// golden-trace tier pins the whole stack's behaviour at the bit level.
+// performance trajectory (BENCH_<sha>.json).
 //
 // # One construction path
+//
+// Every simulated flow figure is a list of trials, each a testbed, its
+// flows, an arm, an Options point and a seed fixed by the figure's own
+// formula, run by one fan-out across internal/runner and folded in list
+// order: the calibration, every pair figure and sweep (Figures 12, 13,
+// 15 and 20 and the CS-threshold, staleness and load sweeps, one
+// PairExperiment per sweep point), Figures 14 and 17–19 and the screen
+// grid. PredictFigure folds the simulated figure's (pair, arm) list
+// through the oracle instead. Results are bit-identical at every worker
+// count; the golden-trace tier pins the whole stack's behaviour at the
+// bit level.
 //
 // Every flow run — each figure and sweep trial, the golden traces, the
 // scale fixtures and cmapsim's registry-arm microscope — is wired by
 // NewFlowSim and nowhere else, so arms, motion (Options.Mobility) and
 // engines (FlowSimConfig.Shards; the figures always run serial) compare
-// over identical wiring. The two-hop mesh runners of §5.7 are the one
-// other place this package attaches stations to a medium.
+// over identical wiring. The two-hop mesh runners of §5.7, whose relays
+// are not flows, are the one other place this package fans out trials
+// or attaches stations to a medium.
 package experiments

@@ -114,8 +114,11 @@ type Options struct {
 	// campaign's config hash (the JSON of these Options) leaves it out.
 	Workers int `json:"-"`
 	// Progress, when non-nil, is called after each completed trial of
-	// an experiment or sweep (Figure 20's three rates are one count)
-	// with (done, total) counts; unhashed like Workers.
+	// an experiment or sweep with (done, total) counts; unhashed like
+	// Workers. A pair figure or sweep counts one trial per (point, pair,
+	// arm), so Figure 20's three rates are one count; Figure 14 counts
+	// two per triple (S→R alone and with the interferer) and the
+	// calibration two.
 	Progress func(done, total int) `json:"-"`
 	// Traffic selects the arrival model experiment flows are driven by.
 	// The zero value is the saturated (always-backlogged) workload of
@@ -286,34 +289,72 @@ func (ex *PairExperiment) add(arm Protocol, rs []FlowResult) {
 	ex.Flows[arm] = append(ex.Flows[arm], rs)
 }
 
+// trial is one simulated run of a flow figure: its flows over a testbed
+// under one arm, at one Options point (rate, traffic, motion) and a seed
+// fixed by the figure's own formula.
+type trial struct {
+	tb    *topo.Testbed
+	flows []topo.Link
+	arm   Protocol
+	opt   *Options
+	seed  uint64
+}
+
+// runTrials runs every trial on the worker pool and returns their
+// results in list order, identical at every worker count: each trial
+// builds its own medium and draws all its randomness from its seed.
+// keys[t] names trial t in camp's manifest; a nil camp needs no keys
+// and cannot fail.
+func runTrials(pool runner.Config, trials []trial, camp *checkpoint.Campaign, keys []string) ([][]FlowResult, error) {
+	return resumableMap(camp, pool, len(trials), func(t int) string { return keys[t] }, func(t int) []FlowResult {
+		tr := trials[t]
+		return runFlows(tr.tb, tr.flows, tr.arm, *tr.opt, tr.seed)
+	})
+}
+
+// pairTrials appends one point of a pair figure to trials: every pair
+// under every arm, pair-major.
+func pairTrials(trials []trial, tb *topo.Testbed, pairs []topo.LinkPair, arms []Protocol, opt *Options) []trial {
+	for i, pair := range pairs {
+		flows := []topo.Link{pair.A, pair.B}
+		for _, arm := range arms {
+			trials = append(trials, trial{tb, flows, arm, opt, opt.Seed + uint64(i)*7919 + arm.seedSalt()*104729})
+		}
+	}
+	return trials
+}
+
 // sweepPairs measures every pair under every arm at every point of a
 // sweep (its Options: rate, traffic, motion, seed) into one
-// PairExperiment per point. The trials are independent — each builds
-// its own medium over the shared testbed's rows and seeds all its
-// randomness here — so they fan out across points[0]'s worker pool and
-// fold back in serial order, identical at every worker count. key names
-// trial (p, i, arm) in camp's manifest; a nil camp cannot fail.
+// PairExperiment per point. The trials of all points fan out once, on
+// points[0]'s worker pool. key names trial (p, i, arm) in camp's
+// manifest; a nil camp cannot fail.
 func sweepPairs(tb *topo.Testbed, pairs []topo.LinkPair, arms []Protocol, points []Options, camp *checkpoint.Campaign, key func(p, i int, arm Protocol) string) ([]*PairExperiment, error) {
 	if len(points) == 0 {
 		return nil, nil
 	}
 	tb = tb.Shared()
-	out := make([]*PairExperiment, len(points))
+	trials := make([]trial, 0, len(points)*len(pairs)*len(arms))
+	var keys []string
 	for p := range points {
-		out[p] = newPairExperiment("", arms)
+		trials = pairTrials(trials, tb, pairs, arms, &points[p])
+		for i := 0; camp != nil && i < len(pairs); i++ {
+			for _, arm := range arms {
+				keys = append(keys, key(p, i, arm))
+			}
+		}
 	}
-	per := len(pairs) * len(arms)
-	at := func(t int) (p, i int, arm Protocol) { return t / per, t % per / len(arms), arms[t%len(arms)] }
-	trials, err := resumableMap(camp, points[0].pool(), len(points)*per, func(t int) string { return key(at(t)) }, func(t int) []FlowResult {
-		p, i, arm := at(t)
-		flows := []topo.Link{pairs[i].A, pairs[i].B}
-		return runFlows(tb, flows, arm, points[p], points[p].Seed+uint64(i)*7919+arm.seedSalt()*104729)
-	})
+	results, err := runTrials(points[0].pool(), trials, camp, keys)
 	if err != nil {
 		return nil, err
 	}
-	for t, rs := range trials {
-		out[t/per].add(arms[t%len(arms)], rs)
+	out := make([]*PairExperiment, len(points))
+	per := len(pairs) * len(arms)
+	for p := range out {
+		out[p] = newPairExperiment("", arms)
+		for t := p * per; t < (p+1)*per; t++ {
+			out[p].add(trials[t].arm, results[t])
+		}
 	}
 	return out, nil
 }

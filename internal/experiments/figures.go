@@ -23,24 +23,23 @@ type Calibration struct {
 
 // RunCalibration measures both protocols on the strongest potential link.
 func RunCalibration(tb *topo.Testbed, opt Options) Calibration {
-	best := topo.Link{Src: -1}
-	bestRSS := math.Inf(-1)
-	for a := 0; a < tb.N; a++ {
-		for b := 0; b < tb.N; b++ {
-			if tb.PotentialLink(a, b) && tb.RSS[a][b] > bestRSS {
-				bestRSS = tb.RSS[a][b]
-				best = topo.Link{Src: a, Dst: b}
-			}
-		}
-	}
-	if best.Src == -1 {
+	links := tb.PotentialLinks()
+	if len(links) == 0 {
 		return Calibration{}
 	}
-	flows := []topo.Link{best}
+	best := links[0]
+	for _, l := range links[1:] {
+		if tb.RSS[l.Src][l.Dst] > tb.RSS[best.Src][best.Dst] {
+			best = l
+		}
+	}
 	tb = tb.Shared()
-	cm := runFlows(tb, flows, CMAP, opt, opt.Seed+11)
-	dt := runFlows(tb, flows, CSMAOn, opt, opt.Seed+13)
-	return Calibration{CMAPMbps: cm[0].Mbps, Dot11Mbps: dt[0].Mbps}
+	flows := []topo.Link{best}
+	rs, _ := runTrials(opt.pool(), []trial{
+		{tb, flows, CMAP, &opt, opt.Seed + 11},
+		{tb, flows, CSMAOn, &opt, opt.Seed + 13},
+	}, nil, nil)
+	return Calibration{CMAPMbps: rs[0][0].Mbps, Dot11Mbps: rs[1][0].Mbps}
 }
 
 // pairDraw is how one of the paper's pair figures samples its link
@@ -119,55 +118,48 @@ type HiddenInterfererResult struct {
 }
 
 // HiddenInterferers runs the §5.4 measurement: for each (S, R, I) triple,
-// S→R throughput alone and with I saturating, CS and ACKs disabled. The
-// per-triple measurements are independent and fan out across the worker
-// pool; aggregation folds over them in triple order.
+// S→R throughput alone and with I saturating, CS and ACKs disabled —
+// two trials per triple, folded in triple order.
 func HiddenInterferers(tb *topo.Testbed, opt Options) *HiddenInterfererResult {
 	tb = tb.Shared()
 	rng := sim.NewRNG(opt.Seed ^ 0xf14)
-	triples := tb.HiddenInterfererTriples(rng, opt.Triples)
-	type measurement struct {
-		ok    bool
-		point InterfererPoint
-	}
-	measured := runner.Map(opt.pool(), len(triples), func(i int) measurement {
-		tr := triples[i]
-		seed := opt.Seed + uint64(i)*6551
-		alone := runFlows(tb, []topo.Link{{Src: tr.Src, Dst: tr.Dst}}, CSMAOffNoAcks, opt, seed)
-		// The interferer saturates towards a sink that is neither S nor R
-		// (its traffic's destination is irrelevant with ACKs disabled).
+	drawn := tb.HiddenInterfererTriples(rng, opt.Triples)
+	triples := make([]topo.Triple, 0, len(drawn))
+	trials := make([]trial, 0, 2*len(drawn))
+	for i, tr := range drawn {
+		// The interferer saturates towards a fourth node, a sink that is
+		// neither S nor R (its traffic's destination is irrelevant with
+		// ACKs disabled); a three-node testbed has none.
 		sink := 0
 		for sink == tr.Src || sink == tr.Dst || sink == tr.Interferer {
 			sink++
 		}
-		both := runFlows(tb, []topo.Link{
-			{Src: tr.Src, Dst: tr.Dst},
-			{Src: tr.Interferer, Dst: sink},
-		}, CSMAOffNoAcks, opt, seed+1)
-		if alone[0].Mbps <= 0 {
-			return measurement{}
+		if sink >= tb.N {
+			continue
 		}
-		norm := both[0].Mbps / alone[0].Mbps
-		if norm > 1 {
-			norm = 1
-		}
-		minPRR := math.Min(tb.PRR[tr.Interferer][tr.Dst], tb.PRR[tr.Interferer][tr.Src])
-		return measurement{ok: true, point: InterfererPoint{Triple: tr, MinPRR: minPRR, NormThroughput: norm}}
-	})
+		seed := opt.Seed + uint64(i)*6551
+		sr := topo.Link{Src: tr.Src, Dst: tr.Dst}
+		triples = append(triples, tr)
+		trials = append(trials,
+			trial{tb, []topo.Link{sr}, CSMAOffNoAcks, &opt, seed},
+			trial{tb, []topo.Link{sr, {Src: tr.Interferer, Dst: sink}}, CSMAOffNoAcks, &opt, seed + 1})
+	}
+	rs, _ := runTrials(opt.pool(), trials, nil, nil)
 	res := &HiddenInterfererResult{}
 	var sumExpected float64
 	hidden := 0
-	for _, m := range measured {
-		if !m.ok {
+	for j, tr := range triples {
+		alone, both := rs[2*j][0].Mbps, rs[2*j+1][0].Mbps
+		if alone <= 0 {
 			continue
 		}
-		tr, norm := m.point.Triple, m.point.NormThroughput
-		res.Points = append(res.Points, m.point)
-		if norm < 0.5 && m.point.MinPRR < 0.5 {
+		norm := min(both/alone, 1)
+		pr, ps := tb.PRR[tr.Interferer][tr.Dst], tb.PRR[tr.Interferer][tr.Src]
+		minPRR := math.Min(pr, ps)
+		res.Points = append(res.Points, InterfererPoint{Triple: tr, MinPRR: minPRR, NormThroughput: norm})
+		if norm < 0.5 && minPRR < 0.5 {
 			hidden++
 		}
-		pr := tb.PRR[tr.Interferer][tr.Dst]
-		ps := tb.PRR[tr.Interferer][tr.Src]
 		p := math.Max(pr+ps-1, 0)
 		sumExpected += p*1 + (1-p)*norm
 	}
@@ -244,20 +236,13 @@ func AccessPoint(tb *topo.Testbed, opt Options) *APResult {
 		res.PerSender[a] = &stats.Dist{}
 	}
 	cells := tb.APRegions()
+	ns := slices.DeleteFunc(slices.Clone(res.Ns), func(n int) bool { return n > len(cells) })
 	rng := sim.NewRNG(opt.Seed ^ 0xf17)
 	// Draw every run's client/direction choices serially first — the rng
 	// consumption order is part of the experiment's definition — then fan
-	// the (n, run, arm) simulations out across the worker pool.
-	type apTrial struct {
-		n, run int
-		arm    Protocol
-		flows  []topo.Link
-	}
-	var trials []apTrial
-	for _, n := range res.Ns {
-		if n > len(cells) {
-			continue
-		}
+	// the (n, run, arm) trials out across the worker pool.
+	var trials []trial
+	for _, n := range ns {
 		for run := 0; run < opt.APRuns; run++ {
 			// Adjacent regions when fewer than all cells are used.
 			flows := make([]topo.Link, 0, n)
@@ -270,32 +255,27 @@ func AccessPoint(tb *topo.Testbed, opt Options) *APResult {
 				}
 			}
 			for _, arm := range arms {
-				trials = append(trials, apTrial{n: n, run: run, arm: arm, flows: flows})
+				trials = append(trials, trial{tb, flows, arm, &opt, opt.Seed + uint64(n*1000+run)*31 + arm.seedSalt()})
 			}
 		}
 	}
-	outcomes := runner.Map(opt.pool(), len(trials), func(i int) []FlowResult {
-		t := trials[i]
-		return runFlows(tb, t.flows, t.arm, opt, opt.Seed+uint64(t.n*1000+t.run)*31+t.arm.seedSalt())
-	})
-	aggs := map[int]map[Protocol]*stats.Dist{}
-	for i, t := range trials {
-		if aggs[t.n] == nil {
-			aggs[t.n] = map[Protocol]*stats.Dist{}
-			for _, a := range arms {
-				aggs[t.n][a] = &stats.Dist{}
-			}
+	rs, _ := runTrials(opt.pool(), trials, nil, nil)
+	// Each N's runs fold into one experiment; Figure 18 pools every
+	// sender of every N.
+	per := opt.APRuns * len(arms)
+	for k, n := range ns {
+		ex := newPairExperiment("", arms)
+		for t := k * per; t < (k+1)*per; t++ {
+			ex.add(trials[t].arm, rs[t])
 		}
-		rs := outcomes[i]
-		aggs[t.n][t.arm].Add(aggregate(rs))
-		for _, fr := range rs {
-			res.PerSender[t.arm].Add(fr.Mbps)
-		}
-	}
-	for n, perArm := range aggs {
 		for _, arm := range arms {
-			res.Mean[arm][n] = perArm[arm].Mean()
-			res.Std[arm][n] = perArm[arm].Std()
+			res.Mean[arm][n] = ex.Dists[arm].Mean()
+			res.Std[arm][n] = ex.Dists[arm].Std()
+			for _, run := range ex.Flows[arm] {
+				for _, fr := range run {
+					res.PerSender[arm].Add(fr.Mbps)
+				}
+			}
 		}
 	}
 	return res
@@ -344,44 +324,32 @@ type SenderSweepPoint struct {
 func HeaderTrailerVsSenders(tb *topo.Testbed, opt Options) []SenderSweepPoint {
 	tb = tb.Shared()
 	rng := sim.NewRNG(opt.Seed ^ 0xf19)
-	links := allPotentialLinks(tb)
+	links := tb.PotentialLinks()
 	// Sample every sweep position's flow sets serially (rng order is part
-	// of the experiment), then run all (k, run) simulations on the pool.
-	type sweepTrial struct {
-		k     int
-		seed  uint64
-		flows []topo.Link
-	}
-	var trials []sweepTrial
+	// of the experiment), then run all (k, run) trials on the pool.
+	var trials []trial
 	for k := 2; k <= 7; k++ {
 		for run := 0; run < opt.APRuns; run++ {
 			flows := pickDisjointFlows(rng, links, k)
 			if len(flows) < k {
 				continue
 			}
-			trials = append(trials, sweepTrial{k: k, seed: opt.Seed + uint64(k*100+run)*131, flows: flows})
+			trials = append(trials, trial{tb, flows, CMAP, &opt, opt.Seed + uint64(k*100+run)*131})
 		}
 	}
-	outcomes := runner.Map(opt.pool(), len(trials), func(i int) []FlowResult {
-		return runFlows(tb, trials[i].flows, CMAP, opt, trials[i].seed)
-	})
-	dists := map[int]*stats.Dist{}
-	for i, t := range trials {
-		if dists[t.k] == nil {
-			dists[t.k] = &stats.Dist{}
-		}
-		for _, fr := range outcomes[i] {
+	rs, _ := runTrials(opt.pool(), trials, nil, nil)
+	// A trial at k senders runs exactly k flows.
+	var dists [8]stats.Dist
+	for t, tr := range trials {
+		for _, fr := range rs[t] {
 			if fr.VpktsSent > 0 {
-				dists[t.k].Add(fr.HdrOrTrailFrac())
+				dists[len(tr.flows)].Add(fr.HdrOrTrailFrac())
 			}
 		}
 	}
 	var out []SenderSweepPoint
 	for k := 2; k <= 7; k++ {
-		d := dists[k]
-		if d == nil {
-			d = &stats.Dist{}
-		}
+		d := &dists[k]
 		out = append(out, SenderSweepPoint{
 			Senders: k, Mean: d.Mean(), Median: d.Median(),
 			P10: d.Percentile(10), P25: d.Percentile(25),
@@ -392,23 +360,12 @@ func HeaderTrailerVsSenders(tb *topo.Testbed, opt Options) []SenderSweepPoint {
 	return out
 }
 
-func allPotentialLinks(tb *topo.Testbed) []topo.Link {
-	var out []topo.Link
-	for a := 0; a < tb.N; a++ {
-		for b := 0; b < tb.N; b++ {
-			if tb.PotentialLink(a, b) {
-				out = append(out, topo.Link{Src: a, Dst: b})
-			}
-		}
-	}
-	return out
-}
-
-// pickDisjointFlows samples k node-disjoint potential links.
+// pickDisjointFlows samples k node-disjoint potential links; with no
+// link to sample it draws nothing.
 func pickDisjointFlows(rng *sim.RNG, links []topo.Link, k int) []topo.Link {
 	used := map[int]bool{}
 	var flows []topo.Link
-	for attempts := 0; attempts < 20000 && len(flows) < k; attempts++ {
+	for attempts := 0; attempts < 20000 && len(flows) < k && len(links) > 0; attempts++ {
 		l := links[rng.Intn(len(links))]
 		if used[l.Src] || used[l.Dst] {
 			continue

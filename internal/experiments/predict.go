@@ -10,7 +10,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/csma"
 	"repro/internal/mac"
-	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/topo"
 	"repro/internal/traffic"
@@ -57,36 +56,30 @@ func PredictFlows(tb *topo.Testbed, flows []topo.Link, p Protocol, opt Options) 
 	return analytic.Solve(g, model), nil
 }
 
-// PredictPairExperiment is the oracle counterpart of runPairExperiment:
-// the same result shape (per-arm aggregate distributions and per-flow
-// results), with every number predicted instead of simulated.
-func PredictPairExperiment(name string, tb *topo.Testbed, pairs []topo.LinkPair, arms []Protocol, opt Options) (*PairExperiment, error) {
-	tb = tb.Shared()
-	ex := newPairExperiment(name, arms)
-	for _, pair := range pairs {
-		flows := []topo.Link{pair.A, pair.B}
-		for _, arm := range arms {
-			res, err := PredictFlows(tb, flows, arm, opt)
-			if err != nil {
-				return nil, err
-			}
-			ex.add(arm, []FlowResult{{Link: pair.A, Mbps: res.FlowMbps[0]}, {Link: pair.B, Mbps: res.FlowMbps[1]}})
-		}
-	}
-	return ex, nil
-}
-
 // PredictFigure predicts one of the paper's pair figures by name —
 // "exposed" (Figure 12), "inrange" (Figure 13) or "hidden" (Figure 15)
-// — over the pairs the simulated figure draws, restricted to the arms
-// the oracle models.
+// — restricted to the arms the oracle models: the simulated figure's
+// (pair, arm) trials, each folded through PredictFlows instead of the
+// simulator into the same result shape.
 func PredictFigure(name string, tb *topo.Testbed, opt Options) (*PairExperiment, error) {
 	d, ok := pairDraws[name]
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown figure %q (want exposed, inrange or hidden)", name)
 	}
-	title := strings.Replace(d.title, ":", " (predicted):", 1)
-	return PredictPairExperiment(title, tb, d.pairs(tb, opt), []Protocol{CSMAOn, CMAP}, opt)
+	tb = tb.Shared()
+	ex := newPairExperiment(strings.Replace(d.title, ":", " (predicted):", 1), []Protocol{CSMAOn, CMAP})
+	for _, tr := range pairTrials(nil, tb, d.pairs(tb, opt), ex.Arms, &opt) {
+		res, err := PredictFlows(tr.tb, tr.flows, tr.arm, *tr.opt)
+		if err != nil {
+			return nil, err
+		}
+		rs := make([]FlowResult, len(tr.flows))
+		for i, l := range tr.flows {
+			rs[i] = FlowResult{Link: l, Mbps: res.FlowMbps[i]}
+		}
+		ex.add(tr.arm, rs)
+	}
+	return ex, nil
 }
 
 // ScreenScenario is one named topology entering the analytic screen.
@@ -255,38 +248,34 @@ func SimulateScreenGrid(scens []ScreenScenario, loads []float64, opt Options) (m
 	if err != nil {
 		return nil, 0, err
 	}
-	type trial struct {
-		sc   int
-		load float64
-		arm  Protocol
-	}
-	var trials []trial
-	tbs := make([]*topo.Testbed, len(scens))
+	trials := make([]trial, 0, len(scens)*len(loads)*len(arms))
 	for sci, sc := range scens {
-		tbs[sci] = sc.TB.Shared()
+		tb := sc.TB.Shared()
 		for _, load := range loads {
+			o := opt
+			o.Traffic = traffic.Spec{Kind: traffic.Poisson}.WithOfferedMbps(load, mac.DefaultPayload)
 			for _, arm := range arms {
-				trials = append(trials, trial{sc: sci, load: load, arm: arm})
+				trials = append(trials, trial{tb, sc.Flows, arm, &o,
+					opt.Seed + uint64(sci)*7919 + uint64(load*1000)*13 + arm.seedSalt()*104729})
 			}
 		}
 	}
-	results := runner.Map(opt.pool(), len(trials), func(i int) []FlowResult {
-		tr := trials[i]
-		o := opt
-		o.Traffic = traffic.Spec{Kind: traffic.Poisson}.WithOfferedMbps(tr.load, mac.DefaultPayload)
-		return runFlows(tbs[tr.sc], scens[tr.sc].Flows, tr.arm, o,
-			opt.Seed+uint64(tr.sc)*7919+uint64(tr.load*1000)*13+tr.arm.seedSalt()*104729)
-	})
+	rs, _ := runTrials(opt.pool(), trials, nil, nil)
 	out := map[string]map[float64]map[Protocol]float64{}
-	for i, tr := range trials {
-		name := scens[tr.sc].Name
-		if out[name] == nil {
-			out[name] = map[float64]map[Protocol]float64{}
+	t := 0
+	for _, sc := range scens {
+		if out[sc.Name] == nil {
+			out[sc.Name] = map[float64]map[Protocol]float64{}
 		}
-		if out[name][tr.load] == nil {
-			out[name][tr.load] = map[Protocol]float64{}
+		for _, load := range loads {
+			if out[sc.Name][load] == nil {
+				out[sc.Name][load] = map[Protocol]float64{}
+			}
+			for _, arm := range arms {
+				out[sc.Name][load][arm] = aggregate(rs[t])
+				t++
+			}
 		}
-		out[name][tr.load][tr.arm] = aggregate(results[i])
 	}
 	return out, time.Since(start), nil
 }

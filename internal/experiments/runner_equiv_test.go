@@ -84,16 +84,26 @@ func TestSerialParallelEquivalence(t *testing.T) {
 }
 
 // TestProgressCoversAllTrials checks the runner's progress plumbing
-// through an experiment: the final callback reports (total, total).
+// through experiments: the final callback reports (total, total), where
+// a pair figure counts one trial per (pair, arm), Figure 14 two per
+// triple and the calibration two.
 func TestProgressCoversAllTrials(t *testing.T) {
 	t.Parallel()
+	tb := testbed(t, 4)
 	opt := equivOptions(4)
 	opt.Workers = 4
 	var lastDone, lastTotal int
 	opt.Progress = func(done, total int) { lastDone, lastTotal = done, total }
-	ex := ExposedTerminals(testbed(t, 4), opt)
-	wantTrials := len(ex.Flows[CMAP]) * len(ex.Arms)
-	if lastTotal != wantTrials || lastDone != wantTrials {
-		t.Errorf("final progress = (%d, %d), want (%d, %d)", lastDone, lastTotal, wantTrials, wantTrials)
+	check := func(name string, want int) {
+		t.Helper()
+		if lastTotal != want || lastDone != want {
+			t.Errorf("%s: final progress = (%d, %d), want (%d, %d)", name, lastDone, lastTotal, want, want)
+		}
 	}
+	ex := ExposedTerminals(tb, opt)
+	check("Figure 12", len(ex.Flows[CMAP])*len(ex.Arms))
+	HiddenInterferers(tb, opt)
+	check("Figure 14", 2*len(tb.HiddenInterfererTriples(sim.NewRNG(opt.Seed^0xf14), opt.Triples)))
+	RunCalibration(tb, opt)
+	check("calibration", 2)
 }

@@ -79,7 +79,7 @@ func TestStalenessSweepDeterministic(t *testing.T) {
 	b := StalenessSweep(tb, parallel, speeds)
 	for i := range a.Points {
 		for _, arm := range a.Arms {
-			x, y := a.Points[i].Dists[arm].Sorted(), b.Points[i].Dists[arm].Sorted()
+			x, y := a.Points[i].Dists[arm].Values(), b.Points[i].Dists[arm].Values()
 			if len(x) != len(y) {
 				t.Fatalf("point %d arm %s: %d vs %d samples", i, arm, len(x), len(y))
 			}

@@ -91,12 +91,6 @@ func (d *Dist) Percentile(p float64) float64 {
 	return d.Xs[lo]*(1-frac) + d.Xs[hi]*frac
 }
 
-// Sorted returns a copy of the samples in ascending order.
-func (d *Dist) Sorted() []float64 {
-	d.sort()
-	return append([]float64(nil), d.Xs...)
-}
-
 // Median returns the 50th percentile.
 func (d *Dist) Median() float64 { return d.Percentile(50) }
 
@@ -105,33 +99,6 @@ func (d *Dist) Min() float64 { return d.Percentile(0) }
 
 // Max returns the largest sample.
 func (d *Dist) Max() float64 { return d.Percentile(100) }
-
-// FractionBelow returns the empirical CDF value at x: the fraction of
-// samples ≤ x.
-func (d *Dist) FractionBelow(x float64) float64 {
-	if len(d.Xs) == 0 {
-		return 0
-	}
-	d.sort()
-	i := sort.SearchFloat64s(d.Xs, math.Nextafter(x, math.Inf(1)))
-	return float64(i) / float64(len(d.Xs))
-}
-
-// CDFPoint is one (value, cumulative fraction) pair.
-type CDFPoint struct {
-	X float64 // sample value
-	P float64 // fraction of samples ≤ X
-}
-
-// CDF returns the full empirical CDF, one point per sample.
-func (d *Dist) CDF() []CDFPoint {
-	d.sort()
-	out := make([]CDFPoint, len(d.Xs))
-	for i, v := range d.Xs {
-		out[i] = CDFPoint{X: v, P: float64(i+1) / float64(len(d.Xs))}
-	}
-	return out
-}
 
 // Values returns a copy of the samples in sorted order.
 func (d *Dist) Values() []float64 {
@@ -255,27 +222,6 @@ func (m *Meter) Mbps() float64 {
 		return 0
 	}
 	return float64(m.Bytes) * 8 / window / 1e6
-}
-
-// Ratio is a convenience counter for success fractions.
-type Ratio struct {
-	Hits, Total uint64
-}
-
-// Observe counts one trial, hit or miss.
-func (r *Ratio) Observe(hit bool) {
-	r.Total++
-	if hit {
-		r.Hits++
-	}
-}
-
-// Value returns hits/total, or 0 when empty.
-func (r *Ratio) Value() float64 {
-	if r.Total == 0 {
-		return 0
-	}
-	return float64(r.Hits) / float64(r.Total)
 }
 
 // FormatCDFs renders several named distributions as aligned columns of

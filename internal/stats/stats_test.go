@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math"
-	"sort"
 	"testing"
 	"testing/quick"
 
@@ -33,11 +32,8 @@ func TestDistBasics(t *testing.T) {
 
 func TestDistEmpty(t *testing.T) {
 	var d Dist
-	if d.Mean() != 0 || d.Median() != 0 || d.Std() != 0 || d.FractionBelow(1) != 0 {
+	if d.Mean() != 0 || d.Median() != 0 || d.Std() != 0 {
 		t.Error("empty dist should return zeros")
-	}
-	if len(d.CDF()) != 0 {
-		t.Error("empty dist CDF should be empty")
 	}
 }
 
@@ -77,44 +73,6 @@ func TestPercentileMonotonic(t *testing.T) {
 	}
 }
 
-func TestCDFProperties(t *testing.T) {
-	var d Dist
-	d.AddAll([]float64{3, 1, 2, 2, 5})
-	cdf := d.CDF()
-	if len(cdf) != 5 {
-		t.Fatalf("CDF has %d points", len(cdf))
-	}
-	if !sort.SliceIsSorted(cdf, func(i, j int) bool { return cdf[i].X < cdf[j].X }) {
-		// equal Xs allowed; check non-decreasing
-		for i := 1; i < len(cdf); i++ {
-			if cdf[i].X < cdf[i-1].X {
-				t.Fatal("CDF X values decrease")
-			}
-		}
-	}
-	if cdf[len(cdf)-1].P != 1 {
-		t.Errorf("final CDF P = %v, want 1", cdf[len(cdf)-1].P)
-	}
-	for i := 1; i < len(cdf); i++ {
-		if cdf[i].P <= cdf[i-1].P {
-			t.Fatal("CDF P values must strictly increase per sample")
-		}
-	}
-}
-
-func TestFractionBelow(t *testing.T) {
-	var d Dist
-	d.AddAll([]float64{1, 2, 3, 4})
-	cases := []struct{ x, want float64 }{
-		{0.5, 0}, {1, 0.25}, {2.5, 0.5}, {4, 1}, {9, 1},
-	}
-	for _, c := range cases {
-		if got := d.FractionBelow(c.x); got != c.want {
-			t.Errorf("FractionBelow(%v) = %v, want %v", c.x, got, c.want)
-		}
-	}
-}
-
 func TestMeterWindow(t *testing.T) {
 	m := Meter{Start: 40 * sim.Second, End: 100 * sim.Second}
 	m.Record(10*sim.Second, 1400)  // before window: ignored
@@ -135,19 +93,6 @@ func TestMeterDegenerate(t *testing.T) {
 	m.Record(5*sim.Second, 100)
 	if m.Mbps() != 0 {
 		t.Error("zero-width window should report 0 Mbps")
-	}
-}
-
-func TestRatio(t *testing.T) {
-	var r Ratio
-	if r.Value() != 0 {
-		t.Error("empty ratio should be 0")
-	}
-	r.Observe(true)
-	r.Observe(true)
-	r.Observe(false)
-	if math.Abs(r.Value()-2.0/3.0) > 1e-12 {
-		t.Errorf("Value = %v", r.Value())
 	}
 }
 

@@ -284,8 +284,9 @@ func distinct(ids ...int) bool {
 	return true
 }
 
-// potentialLinks enumerates all ordered potential transmission links.
-func (tb *Testbed) potentialLinks() []Link {
+// PotentialLinks enumerates all ordered potential transmission links,
+// source-major.
+func (tb *Testbed) PotentialLinks() []Link {
 	var out []Link
 	for a := 0; a < tb.N; a++ {
 		for b := 0; b < tb.N; b++ {
@@ -300,7 +301,7 @@ func (tb *Testbed) potentialLinks() []Link {
 // samplePairs draws up to count link pairs accepted by ok, rejecting
 // duplicates, with a bounded number of attempts.
 func (tb *Testbed) samplePairs(rng *sim.RNG, count int, ok func(a, b Link) bool) []LinkPair {
-	links := tb.potentialLinks()
+	links := tb.PotentialLinks()
 	if len(links) < 2 {
 		return nil
 	}
@@ -373,7 +374,7 @@ type Triple struct {
 // HiddenInterfererTriples draws (S, R, I) triples: S→R a potential
 // transmission link, I uniform over all other nodes.
 func (tb *Testbed) HiddenInterfererTriples(rng *sim.RNG, count int) []Triple {
-	links := tb.potentialLinks()
+	links := tb.PotentialLinks()
 	if len(links) == 0 || tb.N < 3 {
 		return nil
 	}
