@@ -42,6 +42,12 @@
 #                   (internal/shard), determinism and figure-level
 #                   equivalence at 2–4 shards, the latter also
 #                   end-to-end through experiments
+#   make bench-pair PARENT=<rev> [WORKLOAD=scale_sparse] [ROUNDS=5]
+#                   paired runs of bash bench/run.sh on PARENT (exported
+#                   into .bench_pair/) and the working tree, alternating
+#                   which side runs first; prints each round side by
+#                   side, then each end-to-end metric's parent quartiles,
+#                   new median and median ratio
 #   make bench-guard  compare the two newest checked-in BENCH_*.json and
 #                   fail on >20% ns/op regression in SaturatedSteadyState,
 #                   IncrementalUpdate or EpochUpdate whose quartiles
@@ -94,7 +100,7 @@ MAC_COVER_FLOOR ?= 85
 # shadowing branches silently skew every mobile figure.
 MOBILITY_COVER_FLOOR ?= 85
 
-.PHONY: build test test-full race bench check vet golden alloc-check bench-json profile bench-smoke docs-check fuzz-smoke loc loc-pkgs conformance shard-conformance checkpoint-conformance mobility-conformance bench-guard cover ci
+.PHONY: build test test-full race bench check vet golden alloc-check bench-json profile bench-smoke docs-check fuzz-smoke loc loc-pkgs conformance shard-conformance checkpoint-conformance mobility-conformance bench-guard bench-pair cover ci
 
 build:
 	$(GO) build ./...
@@ -201,6 +207,15 @@ shard-conformance:
 # (say why in the PR).
 bench-guard:
 	$(GO) run ./cmd/benchdiff -auto
+
+# Paired end-to-end runs against a parent revision (cmd/benchpair):
+# round i runs seed i in both trees, the parent first in odd rounds.
+# It is the measurement behind a speed claim; nothing in ci runs it.
+WORKLOAD ?= scale_sparse
+ROUNDS ?= 5
+bench-pair:
+	@test -n "$(PARENT)" || { echo "usage: make bench-pair PARENT=<rev> [WORKLOAD=name] [ROUNDS=n]"; exit 2; }
+	$(GO) run ./cmd/benchpair -parent $(PARENT) -workload $(WORKLOAD) -rounds $(ROUNDS)
 
 # The mobility tier: the mobility package's own unit tests (models,
 # channel, checkpoint codec, and bitwise Loss reciprocity of every

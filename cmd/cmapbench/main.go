@@ -47,7 +47,9 @@
 // Trials fan out across -parallel worker goroutines (default: all CPUs);
 // the numbers are bit-identical at every worker count, so -parallel only
 // changes wall-clock time. -trials overrides every per-experiment
-// topology/run count (Pairs, Triples, APRuns, Meshes) for custom sweeps.
+// topology/run count (Pairs, Triples, APRuns — the runs per AP count of
+// Figures 17/18 and per sender count of Figure 19 — and Meshes) for
+// custom sweeps.
 //
 // -resume DIR records each finished section (and each load-sweep trial)
 // in a campaign directory; a killed run restarted with the same flags
@@ -328,7 +330,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	trafficKind := fl.String("traffic", "", "arrival model for every figure: saturated | cbr | poisson | onoff (default saturated)")
 	loadList := fl.String("load", "0.5,1,2,4,8", "per-flow offered loads in Mb/s: the sweep uses the list, other figures the first value")
 	parallel := fl.Int("parallel", 0, "worker goroutines per experiment (0 = all CPUs, 1 = serial)")
-	trials := fl.Int("trials", 0, "override per-experiment trial counts (Pairs/Triples/APRuns/Meshes); 0 keeps the scale's defaults")
+	trials := fl.Int("trials", 0, "override per-experiment trial counts (Pairs/Triples/Meshes, and APRuns: runs per AP count in Figures 17-18 and per sender count in Figure 19); 0 keeps the scale's defaults")
 	progress := fl.Bool("progress", false, "report per-experiment trial progress on stderr")
 	analyticScreen := fl.Bool("analytic", false, "screen the standard (scenario × load) grid through the analytic oracle and exit")
 	analyticVerify := fl.Bool("analytic-verify", false, "with -analytic: also simulate the full grid and report agreement and speedup")

@@ -27,10 +27,13 @@ import (
 // depart radios it never arrived at. Version 6: a timer is stored as the
 // seq of its event and the scheduler carries no cancellation-slot table;
 // a version-5 timer is a [slot, gen, at] triple this binary cannot name
-// an event by.
+// an event by. Version 7: the end-of-signal fan-out also ends the
+// sender's transmission, so a frame is one agenda event; a version-6
+// agenda holds a separate tx-done event per frame, which this binary
+// refuses as an unknown shape.
 const (
 	Magic   = "cmapckpt"
-	Version = 6
+	Version = 7
 )
 
 // The typed failure modes of Load. Callers branch with errors.Is; every

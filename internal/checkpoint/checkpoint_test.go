@@ -114,6 +114,9 @@ func TestLoadFailureModes(t *testing.T) {
 		// Version 5 stored timers as [slot, gen, at] against a slot table
 		// this binary no longer keeps.
 		{"version 5 envelope", func() []byte { return reversion("5") }, hash, ErrVersionMismatch},
+		// Version 6 held a separate tx-done event per frame on the agenda,
+		// an event shape this binary no longer decodes.
+		{"version 6 envelope", func() []byte { return reversion("6") }, hash, ErrVersionMismatch},
 		{"config mismatch", func() []byte { return good }, ConfigHash("config-B"), ErrConfigMismatch},
 	}
 	for _, tc := range cases {

@@ -97,11 +97,14 @@ type Options struct {
 	// last 60 s.
 	Duration, Warmup sim.Time
 	// Pairs is the number of topologies per experiment (the paper uses 50
-	// link pairs, 500 interferer triples, 10 AP runs per N, 10 meshes).
+	// link pairs, 500 interferer triples, 10 runs per AP or sender
+	// count, 10 meshes).
 	Pairs int
 	// Triples is the §5.4 sample count.
 	Triples int
-	// APRuns is the number of runs per access-point count.
+	// APRuns is the number of runs at each x-position of Figures 17–19:
+	// per access-point count in Figures 17 and 18, and per concurrent
+	// sender count in Figure 19.
 	APRuns int
 	// Meshes is the number of §5.7 topologies.
 	Meshes int

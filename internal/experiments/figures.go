@@ -311,11 +311,10 @@ func (r *APResult) Format() string {
 // SenderSweepPoint is one Figure 19 x-position: visibility statistics at
 // a given number of concurrent senders.
 type SenderSweepPoint struct {
-	Senders                  int
-	Mean, Median             float64
-	P10, P25, P75, P90       float64
-	FlowsMeasured            int
-	MedianMinusTenthPercntle float64
+	Senders            int
+	Mean, Median       float64
+	P10, P25, P75, P90 float64
+	FlowsMeasured      int
 }
 
 // HeaderTrailerVsSenders reproduces Figure 19: CMAP header-or-trailer

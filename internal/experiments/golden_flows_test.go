@@ -53,7 +53,7 @@ func captureFlowFigures(workers int) sweepRecorder {
 	for _, p := range HeaderTrailerVsSenders(tb, opt) {
 		r.counts(fmt.Sprintf("fig19/%d/senders,flows", p.Senders), uint64(p.Senders), uint64(p.FlowsMeasured))
 		r.floats(fmt.Sprintf("fig19/%d/stats", p.Senders),
-			p.Mean, p.Median, p.P10, p.P25, p.P75, p.P90, p.MedianMinusTenthPercntle)
+			p.Mean, p.Median, p.P10, p.P25, p.P75, p.P90)
 	}
 
 	scens := StandardScreenScenarios(opt.Seed)

@@ -10,9 +10,11 @@ import (
 // Checkpoint surface of the medium. Delivery lists, radios and gains are
 // structural (rebuilt by New from the same inputs), so the medium's own
 // state is two counters. The interesting work is the event codec: the
-// end-of-signal fan-outs (*phy.Transmission) are exactly the in-flight
-// transmissions, so decoding them materialises the set every radio's
-// signals resolve against; the other shape is the tx-done (*phy.Radio).
+// medium's one event shape, the end-of-signal fan-out
+// (*phy.Transmission), is exactly the in-flight transmissions, so
+// decoding them materialises the set every radio's signals resolve
+// against. The fan-out also ends the sender's transmission, so no
+// tx-done event exists to encode.
 
 // State is the medium's mutable state and its checkpoint form. The
 // transmission free list is deliberately not part of it: pool contents
@@ -23,25 +25,19 @@ type State struct {
 	Transmissions uint64 `json:"transmissions"`
 }
 
-// mediumArg is the encoded form of a medium-owned event argument:
-// exactly one of the fields is set.
+// mediumArg is the encoded form of a medium-owned event argument.
 type mediumArg struct {
-	Tx    *phy.TxState `json:"tx,omitempty"`
-	Radio *int         `json:"radio,omitempty"`
+	Tx *phy.TxState `json:"tx,omitempty"`
 }
 
 // EncodeEventArg encodes one medium-owned agenda event argument.
 func (m *Medium) EncodeEventArg(arg any) (json.RawMessage, error) {
-	switch v := arg.(type) {
-	case *phy.Transmission:
-		ts := phy.ExportTransmission(v)
-		return json.Marshal(mediumArg{Tx: &ts})
-	case *phy.Radio:
-		id := v.ID()
-		return json.Marshal(mediumArg{Radio: &id})
-	default:
+	tx, ok := arg.(*phy.Transmission)
+	if !ok {
 		return nil, fmt.Errorf("medium: unencodable event arg %T", arg)
 	}
+	ts := phy.ExportTransmission(tx)
+	return json.Marshal(mediumArg{Tx: &ts})
 }
 
 // DecodeEventArg inverts EncodeEventArg. Decoded transmissions are
@@ -53,20 +49,13 @@ func (m *Medium) DecodeEventArg(enc json.RawMessage, txs map[uint64]*phy.Transmi
 	if err := json.Unmarshal(enc, &a); err != nil {
 		return nil, fmt.Errorf("medium: bad event arg: %w", err)
 	}
-	switch {
-	case a.Tx != nil:
-		tx := new(phy.Transmission)
-		if err := a.Tx.Restore(tx, len(m.radios)); err != nil {
-			return nil, err
-		}
-		txs[tx.TxID] = tx
-		return tx, nil
-	case a.Radio != nil:
-		if *a.Radio < 0 || *a.Radio >= len(m.radios) {
-			return nil, fmt.Errorf("medium: event names unknown radio %d", *a.Radio)
-		}
-		return m.radios[*a.Radio], nil
-	default:
-		return nil, fmt.Errorf("medium: event arg encodes neither tx nor radio")
+	if a.Tx == nil {
+		return nil, fmt.Errorf("medium: event arg encodes no known shape")
 	}
+	tx := new(phy.Transmission)
+	if err := a.Tx.Restore(tx, len(m.radios)); err != nil {
+		return nil, err
+	}
+	txs[tx.TxID] = tx
+	return tx, nil
 }

@@ -271,31 +271,26 @@ func (m *Medium) acquireTx() *phy.Transmission {
 	return new(phy.Transmission)
 }
 
-// HandleEvent implements sim.EventHandler: the medium's two per-frame
-// events arrive here. A *phy.Transmission is the end-of-signal fan-out
-// for that transmission; a *phy.Radio is that sender's tx-done upcall.
-// Transmit posts them in that order at the same deadline, so receivers
-// resolve their decodes before the sender's MAC reacts (equal-deadline
-// events fire in scheduling order).
+// HandleEvent implements sim.EventHandler: the medium's one per-frame
+// event arrives here, a *phy.Transmission whose signal has ended.
 func (m *Medium) HandleEvent(arg any) {
-	switch v := arg.(type) {
-	case *phy.Transmission:
-		m.finishTransmission(v)
-	case *phy.Radio:
-		v.TxDone()
-	default:
+	tx, ok := arg.(*phy.Transmission)
+	if !ok {
 		panic(fmt.Sprintf("medium: unexpected event arg %T", arg))
 	}
+	m.finishTransmission(tx)
 }
 
 // finishTransmission delivers Depart to every receiver Transmit
 // delivered Arrive to — the entries tx.Heard names, in the same
-// ascending order and with the same power — then recycles tx. The walk
-// is over the transmit-time snapshot, not the live list: a row rebuilt
-// after a move is a fresh slice, so the snapshot keeps Arrive and
-// Depart pinned to one receiver set — and one power per receiver,
-// which is what keeps a signal on the same side of the radio's
-// sensitivity test both times — even while nodes move mid-frame.
+// ascending order and with the same power — recycles tx, and then ends
+// the sender's transmission: receivers resolve their decodes before the
+// sender's MAC reacts. The walk is over the transmit-time snapshot, not
+// the live list: a row rebuilt after a move is a fresh slice, so the
+// snapshot keeps Arrive and Depart pinned to one receiver set — and one
+// power per receiver, which is what keeps a signal on the same side of
+// the radio's sensitivity test both times — even while nodes move
+// mid-frame.
 func (m *Medium) finishTransmission(tx *phy.Transmission) {
 	if tx.Heard == nil {
 		for _, d := range tx.Deliveries {
@@ -307,19 +302,21 @@ func (m *Medium) finishTransmission(tx *phy.Transmission) {
 			m.radios[d.Dst].Depart(tx, d.GainMW)
 		}
 	}
+	from := m.radios[tx.From]
 	tx.Frame = nil      // do not retain the MAC's frame past the air interval
 	tx.Deliveries = nil // nor the delivery snapshot
 	tx.Heard = nil
 	m.txFree = append(m.txFree, tx)
+	from.TxDone()
 }
 
 // Transmit implements phy.Channel. It fans the frame out to the radios
 // on the sender's delivery list that a station listens on — the frame
 // carries their positions on the list (Transmission.Heard), so its end
-// fan-out walks the same ones — and posts one signal-end fan-out event
-// plus the transmitter-done event: two heap-stored events per
-// transmission, regardless of receiver count, and zero allocations in
-// steady state.
+// fan-out walks the same ones — and posts one event, the signal-end
+// fan-out, which also ends the sender's transmission: one agenda event
+// per transmission, regardless of receiver count, and zero allocations
+// in steady state.
 //
 // A frame that starts in an instant in which a station has attached goes
 // to every radio on the list (All). CMAP's SetSaturated transmits at t=0
@@ -339,22 +336,17 @@ func (m *Medium) Transmit(from *phy.Radio, f frame.Frame, r phy.Rate) sim.Time {
 	m.Transmissions++
 	now := m.sched.Now()
 	end := now + phy.Airtime(r, f.WireSize())
+	// A recycled tx is written field by field, every field on every
+	// frame: a composite literal would be built aside and block-copied.
 	tx := m.acquireTx()
-	*tx = phy.Transmission{
-		TxID:  m.NextTxID,
-		From:  src,
-		Frame: f,
-		Rate:  r,
-		Start: now,
-		End:   end,
-		All:   now == m.attachAt,
-	}
+	tx.TxID, tx.From, tx.Frame, tx.Rate = m.NextTxID, src, f, r
+	tx.Start, tx.End, tx.All = now, end, now == m.attachAt
 	// Snapshot the delivery list (a slice header copy, no allocation):
 	// the end fan-out must reach exactly this set even if a move
 	// replaces the live row mid-frame. heardRow rebuilds a stale row on
 	// its miss path, which every move forces.
 	if tx.All {
-		tx.Deliveries = m.row(src)
+		tx.Deliveries, tx.Heard = m.row(src), nil
 		for _, d := range tx.Deliveries {
 			m.radios[d.Dst].Arrive(tx, d.GainMW)
 		}
@@ -366,10 +358,6 @@ func (m *Medium) Transmit(from *phy.Radio, f frame.Frame, r phy.Rate) sim.Time {
 			m.radios[d.Dst].Arrive(tx, d.GainMW)
 		}
 	}
-	// Signal-end fan-out first, then the sender's tx-done: at equal
-	// deadlines, receivers resolve their decodes before the sender's
-	// MAC reacts.
 	m.sched.Post(end, m, tx)
-	m.sched.Post(end, m, from)
 	return end
 }

@@ -1,7 +1,10 @@
 package medium
 
 import (
+	"encoding/json"
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/frame"
@@ -422,5 +425,94 @@ func TestTransmissionsCounter(t *testing.T) {
 	}
 	if m.NodeCount() != 2 {
 		t.Errorf("NodeCount = %d, want 2", m.NodeCount())
+	}
+}
+
+// seqHandler is a phy.Handler that appends each upcall of its node to a
+// log the whole medium shares; onFrame, if set, runs after a decode is
+// logged.
+type seqHandler struct {
+	node    int
+	log     *[]string
+	onFrame func()
+}
+
+func (h *seqHandler) add(s string) { *h.log = append(*h.log, fmt.Sprintf("%d %s", h.node, s)) }
+func (h *seqHandler) OnFrame(frame.Frame, phy.RxInfo) {
+	h.add("frame")
+	if h.onFrame != nil {
+		h.onFrame()
+	}
+}
+func (h *seqHandler) OnCorrupt(phy.RxInfo) { h.add("corrupt") }
+func (h *seqHandler) OnTxDone(frame.Frame) { h.add("txdone") }
+func (h *seqHandler) OnCarrier(busy bool)  { h.add(fmt.Sprintf("carrier %v", busy)) }
+
+// TestTxDoneFollowsReceiversPrecedesTheirEvents pins the order at a
+// frame's end: every receiver's upcalls for the frame, then the sender's
+// OnTxDone, then an event a receiver posted for that instant. The one
+// end-of-signal event does the first two, so this is the order a
+// separate tx-done event posted right after the fan-out would give.
+func TestTxDoneFollowsReceiversPrecedesTheirEvents(t *testing.T) {
+	sched := sim.NewScheduler()
+	m := New(sched, phy.DefaultParams(), &radio.Matrix{LossDB: [][]float64{
+		{0, 70, 72},
+		{70, 0, 74},
+		{72, 74, 0},
+	}}, make([]geo.Point, 3), sim.NewRNG(1))
+	var log []string
+	for i := 0; i < 3; i++ {
+		h := &seqHandler{node: i, log: &log}
+		if i == 1 {
+			h.onFrame = func() {
+				sched.Post(sched.Now(), call(func() { log = append(log, "posted") }), nil)
+			}
+		}
+		m.Radio(i).SetHandler(h)
+	}
+	m.Radio(0).Transmit(dataFrame(0, 1), phy.RateByID(phy.Rate6Mbps))
+	sched.RunAll()
+	n := len(log)
+	if n < 2 || log[n-2] != "0 txdone" || log[n-1] != "posted" {
+		t.Fatalf("log ends %q, want the sender's tx-done and then the posted event", log)
+	}
+	for _, want := range []string{"1 frame", "2 frame"} {
+		if !slices.Contains(log[:n-2], want) {
+			t.Errorf("%q missing before the tx-done in %q", want, log)
+		}
+	}
+}
+
+// TestFrameIsOneAgendaEvent counts the agenda events of isolated frames
+// sent with no MAC: exactly one each, so a second per-frame event (a
+// separate tx-done) fails here.
+func TestFrameIsOneAgendaEvent(t *testing.T) {
+	m, recs, sched := testMedium(t, sym([][]float64{
+		{0, 70, 72},
+		{70, 0, 74},
+		{72, 74, 0},
+	}))
+	const frames = 5
+	for i := 0; i < frames; i++ {
+		m.Radio(0).Transmit(dataFrame(0, 1), phy.RateByID(phy.Rate6Mbps))
+		sched.RunAll()
+	}
+	if got := sched.Fired(); got != frames {
+		t.Errorf("%d frames fired %d agenda events, want %d", frames, got, frames)
+	}
+	if len(recs[0].txDone) != frames || len(recs[1].frames) != frames {
+		t.Errorf("sender saw %d tx-dones, receiver %d frames, want %d each", len(recs[0].txDone), len(recs[1].frames), frames)
+	}
+}
+
+// TestDecodeRefusesTxDoneArg: a frame is one agenda event, so the
+// separate tx-done shape ({"radio":id}) an older agenda held is an
+// unknown shape, refused with an error rather than a panic.
+func TestDecodeRefusesTxDoneArg(t *testing.T) {
+	m, _, _ := testMedium(t, sym([][]float64{{0, 70}, {70, 0}}))
+	for _, enc := range []string{`{"radio":0}`, `{}`} {
+		if arg, err := m.DecodeEventArg(json.RawMessage(enc), map[uint64]*phy.Transmission{}); err == nil {
+			t.Errorf("DecodeEventArg(%s) = %v, want an error", enc, arg)
+		}
 	}
 }

@@ -26,13 +26,12 @@ import (
 // TxID → object registry and its radios resolve against only that.
 
 // shardArg is the encoded form of a shard-owned agenda event argument:
-// exactly one of Tx, Radio and Remote is set. A cross-shard signal is its
+// exactly one of Tx and Remote is set. A cross-shard signal is its
 // receiver-frame (already W-shifted) transmission and whether its start
 // edge fired; its walk list is structural (inFrom[From]) and rebuilt on
 // decode.
 type shardArg struct {
 	Tx      *phy.TxState `json:"tx,omitempty"`
-	Radio   *int         `json:"radio,omitempty"`
 	Remote  *phy.TxState `json:"remote,omitempty"`
 	Started bool         `json:"started,omitempty"`
 }
@@ -55,15 +54,12 @@ type EngineState struct {
 	Radios []phy.RadioState `json:"radios"`
 }
 
-// encodeShardArg encodes the three shard-owned event shapes.
+// encodeShardArg encodes the two shard-owned event shapes.
 func (s *Shard) encodeShardArg(arg any) (json.RawMessage, error) {
 	switch v := arg.(type) {
 	case *phy.Transmission:
 		ts := phy.ExportTransmission(v)
 		return json.Marshal(shardArg{Tx: &ts})
-	case *phy.Radio:
-		id := v.ID()
-		return json.Marshal(shardArg{Radio: &id})
 	case *remoteTx:
 		ts := phy.ExportTransmission(&v.tx)
 		return json.Marshal(shardArg{Remote: &ts, Started: v.started})
@@ -92,11 +88,6 @@ func (s *Shard) decodeShardArg(enc json.RawMessage, txs map[uint64]*phy.Transmis
 		}
 		txs[tx.TxID] = tx
 		return tx, nil
-	case a.Radio != nil:
-		if *a.Radio < 0 || *a.Radio >= n {
-			return nil, fmt.Errorf("shard %d: event names unknown radio %d", s.idx, *a.Radio)
-		}
-		return s.eng.radios[*a.Radio], nil
 	case a.Remote != nil:
 		rt := new(remoteTx)
 		if err := a.Remote.Restore(&rt.tx, n); err != nil {

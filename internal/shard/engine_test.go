@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"encoding/json"
 	"fmt"
 	"strings"
 	"testing"
@@ -356,6 +357,19 @@ func TestEngineResumeMidWindow(t *testing.T) {
 	for i := range meters {
 		if meters[i].Mbps() != meters2[i].Mbps() {
 			t.Fatalf("flow %d: chopped %.9f Mb/s vs uninterrupted %.9f", i, meters[i].Mbps(), meters2[i].Mbps())
+		}
+	}
+}
+
+// TestShardDecodeRefusesTxDoneArg: a local frame is one agenda event, so
+// the separate tx-done shape ({"radio":id}) an older agenda held is an
+// unknown shape, refused with an error rather than a panic.
+func TestShardDecodeRefusesTxDoneArg(t *testing.T) {
+	tb := topo.NewTestbed(50, 3)
+	eng := NewEngine(tb.Params, tb.Model, tb.Pos, sim.NewRNG(1), Config{Shards: 2})
+	for _, enc := range []string{`{"radio":0}`, `{}`} {
+		if arg, err := eng.shards[0].decodeShardArg(json.RawMessage(enc), map[uint64]*phy.Transmission{}); err == nil {
+			t.Errorf("decodeShardArg(%s) = %v, want an error", enc, arg)
 		}
 	}
 }

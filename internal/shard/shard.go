@@ -163,10 +163,10 @@ func (s *Shard) hears(tx *phy.Transmission, dst int) bool {
 
 // Transmit implements phy.Channel for this shard's radios: fan out to
 // same-shard receivers synchronously (the serial engine's exact event
-// shape — one signal-end fan-out plus one tx-done, posted in that
-// order), and enqueue one handoff per foreign shard with a receiver the
-// frame is delivered to — a shard where nobody listens costs neither a
-// handoff nor the frame's marshalling.
+// shape — one signal-end fan-out that also ends the sender's
+// transmission), and enqueue one handoff per foreign shard with a
+// receiver the frame is delivered to — a shard where nobody listens
+// costs neither a handoff nor the frame's marshalling.
 //
 // TxID = localSeq·S + shardIndex + 1 interleaves the shards' ID spaces:
 // unique network-wide without coordination, monotone per shard (radios
@@ -181,16 +181,13 @@ func (s *Shard) Transmit(from *phy.Radio, f frame.Frame, r phy.Rate) sim.Time {
 	s.Transmissions++
 	now := s.sched.Now()
 	end := now + phy.Airtime(r, f.WireSize())
+	// Written field by field, as on the serial medium; a shard's frames
+	// carry no delivery snapshot or heard list.
 	tx := s.acquireTx()
-	*tx = phy.Transmission{
-		TxID:  (s.TxSeq-1)*uint64(len(s.eng.shards)) + uint64(s.idx) + 1,
-		From:  src,
-		Frame: f,
-		Rate:  r,
-		Start: now,
-		End:   end,
-		All:   now == s.attachAt,
-	}
+	tx.TxID = (s.TxSeq-1)*uint64(len(s.eng.shards)) + uint64(s.idx) + 1
+	tx.From, tx.Frame, tx.Rate = src, f, r
+	tx.Start, tx.End, tx.All = now, end, now == s.attachAt
+	tx.Deliveries, tx.Heard = nil, nil
 	for _, d := range s.local[src] {
 		if s.hears(tx, d.Dst) {
 			s.eng.radios[d.Dst].Arrive(tx, d.GainMW)
@@ -209,17 +206,15 @@ func (s *Shard) Transmit(from *phy.Radio, f frame.Frame, r phy.Rate) sim.Time {
 			txID: tx.TxID, from: src, rate: r, start: now, end: end, all: tx.All, payload: payload,
 		})
 	}
-	// Signal-end fan-out first, then the sender's tx-done: at equal
-	// deadlines, receivers resolve their decodes before the sender's
-	// MAC reacts — the serial medium's exact ordering.
 	s.sched.Post(end, s, tx)
-	s.sched.Post(end, s, from)
 	return end
 }
 
 // HandleEvent implements sim.EventHandler. A *phy.Transmission is a
-// local signal-end fan-out, a *phy.Radio a tx-done upcall (both exactly
-// as in the serial medium), and a *remoteTx a cross-shard signal edge.
+// local signal-end fan-out, which then ends the sender's transmission
+// (exactly as in the serial medium: receivers resolve their decodes
+// before the sender's MAC reacts), and a *remoteTx a cross-shard signal
+// edge.
 func (s *Shard) HandleEvent(arg any) {
 	switch v := arg.(type) {
 	case *phy.Transmission:
@@ -228,10 +223,10 @@ func (s *Shard) HandleEvent(arg any) {
 				s.eng.radios[d.Dst].Depart(v, d.GainMW)
 			}
 		}
+		from := s.eng.radios[v.From]
 		v.Frame = nil // do not retain the MAC's frame past the air interval
 		s.txFree = append(s.txFree, v)
-	case *phy.Radio:
-		v.TxDone()
+		from.TxDone()
 	case *remoteTx:
 		s.handleRemote(v)
 	default:

@@ -178,7 +178,7 @@ func (s *Scheduler) RestoreState(st SchedulerState, decode DecodeFunc) error {
 		fired:    st.Fired,
 	}
 	for _, ev := range events {
-		restored[ev.seq] = s.add(ev)
+		restored[ev.seq] = s.add(ev.at, ev.seq, ev.target, ev.arg)
 	}
 	return nil
 }

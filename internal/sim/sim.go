@@ -99,7 +99,8 @@ func (t *Timer) Active() bool {
 // indexed by time instead of searched for by comparison:
 //
 //   - Events live once in a slab with an intrusive free list. An event is
-//     written on insert and read on fire; nothing in between copies it.
+//     written field by field into its slab entry on insert and read on
+//     fire; no event value is built, and nothing in between copies it.
 //   - The near horizon is a ring of ringSize buckets, each one tick
 //     (1<<tickShift ns) wide, covering ticks [base, base+ringSize) where
 //     base is the tick of the last fired event. A bucket is a circular
@@ -209,7 +210,7 @@ func (s *Scheduler) schedule(t Time, h EventHandler, arg any) int32 {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, s.now))
 	}
 	s.nextSeq++
-	return s.add(event{at: t, seq: s.nextSeq - 1, target: h, arg: arg})
+	return s.add(t, s.nextSeq-1, h, arg)
 }
 
 // Step executes the next event, advancing the clock to its deadline.
@@ -288,9 +289,11 @@ func (s *Scheduler) fire(i int32) {
 // ---------------------------------------------------------------------------
 // Slab.
 
-// add stores ev in the slab, files it in the ring or the far heap by
-// its deadline, and returns its slab index.
-func (s *Scheduler) add(ev event) int32 {
+// add writes an event into a free slab entry field by field — no
+// event value is built and copied in — files it in the ring or the far
+// heap by its deadline, and returns its slab index. link and farPush
+// set the entry's links and pos.
+func (s *Scheduler) add(at Time, seq uint64, target EventHandler, arg any) int32 {
 	var i int32
 	if s.free != 0 {
 		i = s.free - 1
@@ -299,8 +302,9 @@ func (s *Scheduler) add(ev event) int32 {
 		s.events = append(s.events, event{})
 		i = int32(len(s.events) - 1)
 	}
-	s.events[i] = ev
-	if uint64(tickOf(ev.at)-s.base) < ringSize {
+	ev := &s.events[i]
+	ev.at, ev.seq, ev.target, ev.arg = at, seq, target, arg
+	if uint64(tickOf(at)-s.base) < ringSize {
 		s.link(i)
 	} else {
 		s.farPush(i)
