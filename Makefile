@@ -20,7 +20,9 @@
 #   make profile    CPU+heap pprof of the scaling benchmarks → cpu.pprof/mem.pprof
 #   make bench-smoke  one-iteration steady-state benchmark (compile-level perf canary)
 #   make docs-check documentation gate: gofmt diff, package-comment
-#                   guard over internal/, markdown link check
+#                   guard over internal/, markdown link check, and no
+#                   backticked identifier in README/ARCHITECTURE that
+#                   no .go file contains
 #   make fuzz-smoke 5 s of each fuzzer in FUZZERS beyond its seed corpus
 #                   (scheduler agenda, CMAP defer table, grid
 #                   re-bucketing, delivery-list patching, station attach
@@ -144,8 +146,9 @@ bench-smoke:
 	$(GO) test -timeout $(TEST_TIMEOUT) -run XXX -bench 'SaturatedSteadyState' -benchtime 1x ./internal/experiments
 
 # Documentation gate: formatting drift, a package comment on every
-# internal/ package (doc.go), and no dead relative links in the
-# top-level markdown. (Static analysis is `make vet`, which `make ci`
+# internal/ package (doc.go), no dead relative links in the top-level
+# markdown, and no backticked identifier in README.md or
+# ARCHITECTURE.md that no .go file contains. (Static analysis is `make vet`, which `make ci`
 # runs first.)
 docs-check:
 	@fmtdiff="$$(gofmt -l .)"; if [ -n "$$fmtdiff" ]; then \

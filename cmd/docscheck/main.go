@@ -1,7 +1,7 @@
 // Command docscheck is the documentation gate behind `make docs-check`:
 // it fails the build when the docs drift from the code.
 //
-// Two checks run:
+// Three checks run:
 //
 //   - Package comments: every package under internal/ (and the root
 //     package) must carry a Go package comment — the godoc contract
@@ -10,6 +10,9 @@
 //     files must exist on disk, so README/ARCHITECTURE/ROADMAP cannot
 //     reference files that were renamed or deleted. External http(s)
 //     links are not fetched (CI must not depend on the network).
+//   - Identifiers: every backticked Go identifier in README.md and
+//     ARCHITECTURE.md (`name` or `name()`) must appear as a whole word
+//     in some .go file, so the docs cannot keep a name the code renamed.
 //
 // Usage:
 //
@@ -41,10 +44,11 @@ func main() {
 	for _, md := range flag.Args() {
 		checkMarkdownLinks(*root, md, report)
 	}
+	checkIdentifiers(*root, report)
 	if fail {
 		os.Exit(1)
 	}
-	fmt.Printf("docscheck: package comments and markdown links OK\n")
+	fmt.Printf("docscheck: package comments, markdown links and identifiers OK\n")
 }
 
 // checkPackageComments walks internal/ and the repo root and requires a
@@ -120,6 +124,50 @@ func checkMarkdownLinks(root, md string, report func(string, ...any)) {
 		resolved := filepath.Join(root, filepath.Dir(md), target)
 		if _, err := os.Stat(resolved); err != nil {
 			report("docscheck: %s links to %q which does not exist", md, m[1])
+		}
+	}
+}
+
+var (
+	goWord  = regexp.MustCompile(`[A-Za-z_][A-Za-z0-9_]*`)
+	mdIdent = regexp.MustCompile("`([A-Za-z_][A-Za-z0-9_]*)(?:\\(\\))?`")
+	// Two Makefile variables, and the method mac.Counters replaced.
+	identAllow = map[string]bool{"FUZZERS": true, "TEST_TIMEOUT": true, "MacDropped": true}
+)
+
+// checkIdentifiers reports every backticked identifier in README.md and
+// ARCHITECTURE.md that is a whole word of no .go file under root (dot
+// directories skipped) and is not on identAllow.
+func checkIdentifiers(root string, report func(string, ...any)) {
+	words := map[string]bool{}
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != root && strings.HasPrefix(d.Name(), ".") {
+			return filepath.SkipDir
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		for _, w := range goWord.FindAllString(string(src), -1) {
+			words[w] = true
+		}
+		return err
+	})
+	if err != nil {
+		report("docscheck: %v", err)
+	}
+	for _, md := range []string{"README.md", "ARCHITECTURE.md"} {
+		data, err := os.ReadFile(filepath.Join(root, md))
+		if err != nil {
+			report("docscheck: %v", err)
+		}
+		for _, m := range mdIdent.FindAllStringSubmatch(string(data), -1) {
+			if !words[m[1]] && !identAllow[m[1]] {
+				report("docscheck: %s names `%s`, which no .go file contains", md, m[1])
+			}
 		}
 	}
 }

@@ -213,15 +213,17 @@ type ExtractConfig struct {
 // conditionalPRR is the reception ratio of a link received at sigMW
 // under intfMW of concurrent interference power, with the same
 // lock-probability × packet-error-rate composition phy.IsolationPRR
-// uses (it reduces to IsolationPRR exactly at intfMW = 0).
-func conditionalPRR(p phy.Params, r phy.Rate, sigMW, intfMW float64, wireBytes int) float64 {
+// uses. At intfMW = 0 it reduces to IsolationPRR to within rounding:
+// the noise floor takes a round trip through mW, and MWToDBm(DBmToMW(x))
+// need not return x's last bit.
+func conditionalPRR(r phy.Rate, sigMW, intfMW float64, wireBytes int) float64 {
 	sigDBm := radio.MWToDBm(sigMW)
-	if sigDBm < p.SensitivityDBm {
+	if sigDBm < phy.SensitivityDBm {
 		return 0
 	}
-	noiseMW := radio.DBmToMW(p.NoiseFloorDBm)
-	sinrDB := sigDBm - radio.MWToDBm(noiseMW+intfMW) - p.ImplementationLossDB
-	return phy.LockProbability(sinrDB, p.PreambleOffsetDB) * (1 - phy.PacketErrorRate(r, sinrDB, wireBytes))
+	noiseMW := radio.DBmToMW(phy.NoiseFloorDBm)
+	sinrDB := sigDBm - radio.MWToDBm(noiseMW+intfMW) - phy.ImplementationLossDB
+	return phy.LockProbability(sinrDB) * (1 - phy.PacketErrorRate(r, sinrDB, wireBytes))
 }
 
 func clamp01(v float64) float64 {
@@ -255,27 +257,27 @@ func clamp01(v float64) float64 {
 // and the victim receiver's own idle probability.
 func orderedRatios(p phy.Params, r phy.Rate, sigMW, intfMW float64, wireBytes int) channelRatios {
 	sigDBm := radio.MWToDBm(sigMW)
-	if sigDBm < p.SensitivityDBm {
+	if sigDBm < phy.SensitivityDBm {
 		return channelRatios{}
 	}
-	noiseMW := radio.DBmToMW(p.NoiseFloorDBm)
-	sinrIso := sigDBm - p.NoiseFloorDBm - p.ImplementationLossDB
-	sinrBoth := sigDBm - radio.MWToDBm(noiseMW+intfMW) - p.ImplementationLossDB
+	noiseMW := radio.DBmToMW(phy.NoiseFloorDBm)
+	sinrIso := sigDBm - phy.NoiseFloorDBm - phy.ImplementationLossDB
+	sinrBoth := sigDBm - radio.MWToDBm(noiseMW+intfMW) - phy.ImplementationLossDB
 	perIso := phy.PacketErrorRate(r, sinrIso, wireBytes)
 	perBoth := phy.PacketErrorRate(r, sinrBoth, wireBytes)
-	lockIso := phy.LockProbability(sinrIso, p.PreambleOffsetDB)
+	lockIso := phy.LockProbability(sinrIso)
 	if lockIso <= 0 || perIso >= 1 {
 		return channelRatios{}
 	}
 	isoOK := lockIso * (1 - perIso)
-	lockBoth := phy.LockProbability(sinrBoth, p.PreambleOffsetDB)
+	lockBoth := phy.LockProbability(sinrBoth)
 
 	var c channelRatios
 	c.vf = clamp01((1 - perBoth) / (1 - perIso))
 	c.ii = clamp01(lockBoth * (1 - perBoth) / isoOK)
-	if p.CaptureMarginDB > 0 && radio.MWToDBm(intfMW) >= p.SensitivityDBm {
-		c.lockJ = phy.LockProbability(radio.MWToDBm(intfMW)-p.NoiseFloorDBm-p.ImplementationLossDB, p.PreambleOffsetDB)
-		capture := phy.LockProbability(sinrBoth-p.CaptureMarginDB, p.PreambleOffsetDB)
+	if p.CaptureMarginDB > 0 && radio.MWToDBm(intfMW) >= phy.SensitivityDBm {
+		c.lockJ = phy.LockProbability(radio.MWToDBm(intfMW) - phy.NoiseFloorDBm - phy.ImplementationLossDB)
+		capture := phy.LockProbability(sinrBoth - p.CaptureMarginDB)
 		c.cap = clamp01(capture * (1 - perBoth) / isoOK)
 	}
 	return c
@@ -301,7 +303,7 @@ func Extract(m *medium.Medium, flows []topo.Link, cfg ExtractConfig) (*Graph, er
 	params := m.Params()
 	wire := (&frame.Dot11Data{PayloadLen: mac.DefaultPayload}).WireSize()
 	ctrlWire := (&frame.Control{}).WireSize()
-	csDBm := params.CSThresholdDBm
+	csDBm := phy.CSThresholdDBm
 	if cfg.CSThresholdDBm != 0 {
 		csDBm = cfg.CSThresholdDBm
 	}
@@ -323,7 +325,7 @@ func Extract(m *medium.Medium, flows []topo.Link, cfg ExtractConfig) (*Graph, er
 		}
 		g.Rates[i] = rate
 		sig[i], _ = m.GainMW(f.Src, f.Dst)
-		g.IsoPRR[i] = conditionalPRR(params, rate, sig[i], 0, wire)
+		g.IsoPRR[i] = conditionalPRR(rate, sig[i], 0, wire)
 	}
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
@@ -366,7 +368,7 @@ func Extract(m *medium.Medium, flows []topo.Link, cfg ExtractConfig) (*Graph, er
 			// even when it leaves the forward data path untouched.
 			if rsig, ok := m.GainMW(a.Dst, a.Src); ok {
 				if rintf, ok2 := m.GainMW(b.Src, a.Src); ok2 {
-					if conditionalPRR(params, rate, rsig, 0, ctrlWire) > 0 {
+					if conditionalPRR(rate, rsig, 0, ctrlWire) > 0 {
 						g.inter[i][j].rev = orderedRatios(params, rate, rsig, rintf, ctrlWire)
 					}
 				}

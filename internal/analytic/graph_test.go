@@ -1,11 +1,36 @@
 package analytic
 
 import (
+	"math"
 	"testing"
 
+	"repro/internal/frame"
+	"repro/internal/mac"
+	"repro/internal/phy"
+	"repro/internal/radio"
 	"repro/internal/sim"
 	"repro/internal/topo"
 )
+
+// TestConditionalPRRMatchesIsolation holds the oracle's interference-free
+// reception ratio to the one the testbed classifies links by, across
+// every rate from sensitivity to -60 dBm in 0.013 dB steps. The two are
+// not bit-equal: conditionalPRR takes the noise floor through mW and
+// back, and MWToDBm(DBmToMW(x)) need not return x's last bit.
+func TestConditionalPRRMatchesIsolation(t *testing.T) {
+	wire := (&frame.Dot11Data{PayloadLen: mac.DefaultPayload}).WireSize()
+	for id := phy.Rate6Mbps; id <= phy.Rate54Mbps; id++ {
+		r := phy.RateByID(id)
+		for i := 0; i <= 2461; i++ {
+			dbm := phy.SensitivityDBm + float64(i)*0.013
+			got := conditionalPRR(r, radio.DBmToMW(dbm), 0, wire)
+			want := phy.IsolationPRR(r, dbm, wire)
+			if d := math.Abs(got - want); d > 1e-12 {
+				t.Fatalf("%v at %.3f dBm: conditionalPRR %v, IsolationPRR %v (Δ %.3g > 1e-12)", r, dbm, got, want, d)
+			}
+		}
+	}
+}
 
 // TestSyntheticEdgeAPI pins the hand-built graph surface: sense edges
 // are symmetric and idempotent, harm edges directed, self-edges

@@ -30,10 +30,12 @@ import (
 // an event by. Version 7: the end-of-signal fan-out also ends the
 // sender's transmission, so a frame is one agenda event; a version-6
 // agenda holds a separate tx-done event per frame, which this binary
-// refuses as an unknown shape.
+// refuses as an unknown shape. Version 8: both MACs keep their counters
+// as mac.Counters, whose keys are not the old per-arm names, and the
+// phy.Params a config hash covers lost its five receiver constants.
 const (
 	Magic   = "cmapckpt"
-	Version = 7
+	Version = 8
 )
 
 // The typed failure modes of Load. Callers branch with errors.Is; every

@@ -117,6 +117,9 @@ func TestLoadFailureModes(t *testing.T) {
 		// Version 6 held a separate tx-done event per frame on the agenda,
 		// an event shape this binary no longer decodes.
 		{"version 6 envelope", func() []byte { return reversion("6") }, hash, ErrVersionMismatch},
+		// Version 7 stored each station's counters under its arm's own
+		// field names, not mac.Counters'.
+		{"version 7 envelope", func() []byte { return reversion("7") }, hash, ErrVersionMismatch},
 		{"config mismatch", func() []byte { return good }, ConfigHash("config-B"), ErrConfigMismatch},
 	}
 	for _, tc := range cases {

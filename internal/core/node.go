@@ -11,26 +11,6 @@ import (
 	"repro/internal/stats"
 )
 
-// Stats counts protocol events at one CMAP node.
-type Stats struct {
-	VpktsSent      uint64 // virtual packets transmitted (incl. retx rounds)
-	DataSent       uint64 // data packets transmitted
-	Delivered      uint64 // non-duplicate data packets received for us
-	Duplicates     uint64
-	AcksSent       uint64
-	AcksReceived   uint64
-	AckWaitExpired uint64 // tackwait expiries (ACK missing/late)
-	RetxTimeouts   uint64 // window-full timeouts (§3.3)
-	Defers         uint64 // virtual packets deferred by the conflict map
-	Backoffs       uint64 // nonzero backoff waits taken
-	HeadersHeard   uint64 // overheard headers (any destination)
-	TrailersHeard  uint64
-	ListsSent      uint64 // interferer-list broadcasts transmitted
-	ListsHeard     uint64
-	ListsRelayed   uint64 // two-hop relays of other receivers' lists (§3.1)
-	Corrupt        uint64 // PHY-corrupted frames observed
-}
-
 // vpktTx tracks the in-progress transmission of one virtual packet.
 // flow is the sender flow it serves, re-linked by Dst on restore.
 type vpktTx struct {
@@ -181,8 +161,8 @@ type state struct {
 	// tx-done.
 	InflightAck *ackAttempt `json:"inflight_ack,omitempty"`
 
-	Stat Stats   `json:"stat"`
-	RNG  sim.RNG `json:"rng"`
+	Stat mac.Counters `json:"stat"`
+	RNG  sim.RNG      `json:"rng"`
 }
 
 // newState is the state a node starts from, and what a checkpoint
@@ -221,9 +201,6 @@ func (n *Node) ID() int { return n.id }
 
 // Addr returns the node's link-layer address.
 func (n *Node) Addr() frame.Addr { return n.addr }
-
-// Stats returns a copy of the node's counters.
-func (n *Node) Stats() Stats { return n.Stat }
 
 // DeferTableSize returns the number of live defer-table entries.
 func (n *Node) DeferTableSize() int { return n.DeferTab.live(n.sched.Now()) }
@@ -485,8 +462,9 @@ type listSend struct {
 }
 
 // OnCorrupt implements phy.Handler. CMAP infers collisions from sequence
-// gaps, not from PHY corruption events, but counts them for diagnostics.
-func (n *Node) OnCorrupt(phy.RxInfo) { n.Stat.Corrupt++ }
+// gaps, not from PHY corruption events; the radio's RadioStats.Corrupted
+// counts them.
+func (n *Node) OnCorrupt(phy.RxInfo) {}
 
 // OnCarrier implements phy.Handler. CMAP does not carrier sense.
 func (n *Node) OnCarrier(bool) {}

@@ -49,11 +49,11 @@ func TestSingleLinkCalibration(t *testing.T) {
 	if got < 4.6 || got > 5.9 {
 		t.Errorf("CMAP single-link goodput = %.2f Mb/s, want ≈5.0–5.6", got)
 	}
-	if rx.Stats().Duplicates > rx.Stats().Delivered/100 {
-		t.Errorf("clean link produced %d duplicates of %d", rx.Stats().Duplicates, rx.Stats().Delivered)
+	if rx.Counters().Duplicates > rx.Counters().Delivered/100 {
+		t.Errorf("clean link produced %d duplicates of %d", rx.Counters().Duplicates, rx.Counters().Delivered)
 	}
-	if tx.Stats().Defers != 0 {
-		t.Errorf("single flow deferred %d times with an empty conflict map", tx.Stats().Defers)
+	if tx.Counters().Defers != 0 {
+		t.Errorf("single flow deferred %d times with an empty conflict map", tx.Counters().Defers)
 	}
 }
 
@@ -138,7 +138,7 @@ func TestObservationTableStaysBounded(t *testing.T) {
 			}
 		}
 	}
-	if s := nodes[4].Stats(); s.HeadersHeard < 100 {
+	if s := nodes[4].Counters(); s.HeadersHeard < 100 {
 		t.Fatalf("the overhearing station heard only %d headers; the run tested nothing", s.HeadersHeard)
 	}
 	t.Logf("peak table sizes %v (bound %d)", peak, bound)
@@ -176,7 +176,7 @@ func TestConflictingFlowsLearnToDefer(t *testing.T) {
 		t.Errorf("conflicting aggregate = %.2f Mb/s (%.2f + %.2f), want near single link ≈5",
 			agg, t1, t2)
 	}
-	if s1.Stats().Defers == 0 && s2.Stats().Defers == 0 {
+	if s1.Counters().Defers == 0 && s2.Counters().Defers == 0 {
 		t.Error("neither sender ever deferred; conflict map did not engage")
 	}
 	if s1.DeferTableSize() == 0 && s2.DeferTableSize() == 0 {
@@ -216,7 +216,7 @@ func TestHiddenTerminalsBackoffPreventsCollapse(t *testing.T) {
 	if agg < 2.0 {
 		t.Errorf("hidden-terminal aggregate = %.2f Mb/s, want ≥2 (backoff engaged)", agg)
 	}
-	if s1.Stats().Backoffs == 0 && s2.Stats().Backoffs == 0 {
+	if s1.Counters().Backoffs == 0 && s2.Counters().Backoffs == 0 {
 		t.Error("no backoffs under heavy loss")
 	}
 }
@@ -264,10 +264,10 @@ func TestRetransmissionDeliversEverything(t *testing.T) {
 	// the windowed protocol must deliver every packet of a finite backlog.
 	p := phy.DefaultParams()
 	r6 := phy.RateByID(phy.Rate6Mbps)
-	lo, hi := p.SensitivityDBm, -60.0
+	lo, hi := phy.SensitivityDBm, -60.0
 	for i := 0; i < 50; i++ {
 		mid := (lo + hi) / 2
-		if phy.IsolationPRR(p, r6, mid, 1433) < 0.7 {
+		if phy.IsolationPRR(r6, mid, 1433) < 0.7 {
 			lo = mid
 		} else {
 			hi = mid
@@ -287,10 +287,10 @@ func TestRetransmissionDeliversEverything(t *testing.T) {
 	if got := rx.ReceivedFrom(0); got != count {
 		t.Errorf("delivered %d of %d on a lossy link with retransmission", got, count)
 	}
-	if tx.Stats().RetxTimeouts == 0 {
+	if tx.Counters().RetxTimeouts == 0 {
 		t.Error("expected window-full retransmission timeouts on a lossy link")
 	}
-	if rx.Stats().Duplicates == 0 {
+	if rx.Counters().Duplicates == 0 {
 		t.Log("note: no duplicates observed (possible but unusual on a lossy link)")
 	}
 }
@@ -314,10 +314,10 @@ func TestBroadcastMode(t *testing.T) {
 	if a.Meter.Mbps() < 4.0 || b.Meter.Mbps() < 4.0 {
 		t.Errorf("broadcast goodput a=%.2f b=%.2f Mb/s, want ≈5", a.Meter.Mbps(), b.Meter.Mbps())
 	}
-	if src.Stats().AcksReceived != 0 {
+	if src.Counters().AcksReceived != 0 {
 		t.Error("broadcast flow received ACKs")
 	}
-	if a.Stats().AcksSent != 0 || b.Stats().AcksSent != 0 {
+	if a.Counters().AcksSent != 0 || b.Counters().AcksSent != 0 {
 		t.Error("broadcast receivers sent ACKs")
 	}
 }
@@ -339,7 +339,7 @@ func TestHeaderTrailerCountersOnCleanLink(t *testing.T) {
 	if hdr < seen*98/100 || hot < seen*99/100 {
 		t.Errorf("clean link header/trailer visibility low: seen=%d hdr=%d hdrOrTrl=%d", seen, hdr, hot)
 	}
-	sent := tx.Stats().VpktsSent
+	sent := tx.Counters().VpktsSent
 	if seen < sent*95/100 || seen > sent {
 		t.Errorf("receiver saw %d vpkts of %d sent", seen, sent)
 	}
@@ -384,11 +384,11 @@ func TestDeferToOngoingTowardOwnReceiver(t *testing.T) {
 		}
 	}
 	s1.Enqueue(1, 8)
-	before := s1.Stats().VpktsSent
-	if s1.Stats().VpktsSent != before {
+	before := s1.Counters().VpktsSent
+	if s1.Counters().VpktsSent != before {
 		t.Error("s1 transmitted instantly while its receiver was mid-reception")
 	}
-	if s1.Stats().Defers == 0 {
+	if s1.Counters().Defers == 0 {
 		t.Error("s1 never recorded a defer")
 	}
 	sched.Run(sched.Now() + 2*sim.Second)
@@ -415,10 +415,10 @@ func TestAblationDisableTrailers(t *testing.T) {
 	if got := rx.Meter.Mbps(); got < 4.5 {
 		t.Errorf("trailer-less clean-link goodput = %.2f Mb/s", got)
 	}
-	if rx.Stats().TrailersHeard != 0 {
+	if rx.Counters().TrailersHeard != 0 {
 		t.Error("trailers transmitted despite DisableTrailers")
 	}
-	if rx.Stats().AcksSent == 0 {
+	if rx.Counters().AcksSent == 0 {
 		t.Error("no ACKs without trailers — the timer fallback is broken")
 	}
 }
@@ -448,7 +448,7 @@ func TestAblationBackoffOnMissingAck(t *testing.T) {
 		s.SetSaturated(1)
 		i.SetSaturated(3)
 		sched.Run(dur)
-		return r.Meter.Mbps(), s.Stats().Backoffs
+		return r.Meter.Mbps(), s.Counters().Backoffs
 	}
 	lossBased, lossBackoffs := run(false)
 	ackBased, ackBackoffs := run(true)
@@ -488,7 +488,7 @@ func TestTwoHopListPropagation(t *testing.T) {
 	r.Interferers[pairKey{Source: addr(0), Interferer: addr(2)}] = 100 * sim.Second
 	sched.Run(3 * sim.Second)
 
-	if relay.Stats().ListsRelayed == 0 {
+	if relay.Counters().ListsRelayed == 0 {
 		t.Fatal("relay never re-broadcast R's interferer list")
 	}
 	// X must now hold the Rule-2 entry (∗ : S→R).
@@ -636,7 +636,7 @@ func TestPerDestQueuesSkipConflictedDestination(t *testing.T) {
 	if bDone >= aDone {
 		t.Errorf("B (unconflicted) finished at %v, after A (conflicted) at %v — optimisation inactive", bDone, aDone)
 	}
-	if s.Stats().Defers == 0 {
+	if s.Counters().Defers == 0 {
 		t.Error("sender never deferred for A despite the seeded conflict")
 	}
 }

@@ -26,21 +26,14 @@ func (n *Node) SetOnDeliver(fn mac.DeliverFunc) { n.OnDeliver = fn }
 // Nvpkt data packets each can be in flight at once.
 func (n *Node) LatencyWindow() int { return n.cfg.windowPackets() }
 
-// Counters implements mac.Node. CMAP has no MAC-level retry limit —
-// packets persist until acknowledged — so Dropped stays zero.
+// Counters implements mac.Node: the station's own counts, with the
+// conflict map's two live sizes filled in. CMAP has no MAC-level retry
+// limit — packets persist until acknowledged — so Dropped stays zero.
 func (n *Node) Counters() mac.Counters {
-	return mac.Counters{
-		Sent:              n.Stat.DataSent,
-		Delivered:         n.Stat.Delivered,
-		Duplicates:        n.Stat.Duplicates,
-		AckTimeouts:       n.Stat.AckWaitExpired,
-		VpktsSent:         n.Stat.VpktsSent,
-		Defers:            n.Stat.Defers,
-		Backoffs:          n.Stat.Backoffs,
-		RetxTimeouts:      n.Stat.RetxTimeouts,
-		DeferEntries:      uint64(n.DeferTableSize()),
-		InterfererEntries: uint64(n.InterfererListLen()),
-	}
+	c := n.Stat
+	c.DeferEntries = uint64(n.DeferTableSize())
+	c.InterfererEntries = uint64(n.InterfererListLen())
+	return c
 }
 
 // maxWindowPackets bounds the send window in data packets: a receiver

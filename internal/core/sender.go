@@ -239,7 +239,7 @@ func (n *Node) continueVpkt() {
 			Index:      uint16(i),
 			PayloadLen: uint16(n.cfg.PayloadBytes),
 		}
-		n.Stat.DataSent++
+		n.Stat.Sent++
 		n.radio.Transmit(&n.dataBuf, phy.RateByID(n.cfg.Rate))
 	case !c.TrailerSent && !n.cfg.DisableTrailers:
 		c.TrailerSent = true
@@ -273,7 +273,7 @@ func (n *Node) finishVpkt(f *txFlow) {
 // ackWaitExpired fires when tackwait passes with no ACK.
 func (n *Node) ackWaitExpired() {
 	n.WaitAck = false
-	n.Stat.AckWaitExpired++
+	n.Stat.AckTimeouts++
 	if n.cfg.BackoffOnMissingAck {
 		// Ablation: 802.11-style growth on every missing ACK.
 		n.growCW()

@@ -31,15 +31,7 @@ func (n *Node) SetOnDeliver(fn mac.DeliverFunc) { n.OnDeliver = fn }
 func (n *Node) LatencyWindow() int { return 16 }
 
 // Counters implements mac.Node.
-func (n *Node) Counters() mac.Counters {
-	return mac.Counters{
-		Sent:        n.Stat.Sent,
-		Delivered:   n.Stat.Delivered,
-		Duplicates:  n.Stat.Duplicates,
-		Dropped:     n.Stat.Dropped,
-		AckTimeouts: n.Stat.AckTimeout,
-	}
-}
+func (n *Node) Counters() mac.Counters { return n.Stat }
 
 // newStation builds a station from an arm's Config and the cross-arm
 // options.

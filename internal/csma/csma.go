@@ -135,27 +135,14 @@ type state struct {
 	LastSeq map[int]uint16 `json:"last_seq"`
 	GotAny  map[int]bool   `json:"got_any"`
 
-	Stat Stats   `json:"stat"`
-	RNG  sim.RNG `json:"rng"`
+	Stat mac.Counters `json:"stat"`
+	RNG  sim.RNG      `json:"rng"`
 }
 
 // newState is the state a station starts from, and what a checkpoint
 // decodes into.
 func newState() state {
 	return state{CW: CWMin, LastSeq: make(map[int]uint16), GotAny: make(map[int]bool)}
-}
-
-// Stats counts protocol events at one node.
-type Stats struct {
-	Sent       uint64 // data transmissions put on air (incl. retries)
-	Delivered  uint64 // non-duplicate data packets received for us
-	Duplicates uint64
-	AcksSent   uint64
-	AckTimeout uint64
-	Dropped    uint64 // packets abandoned after RetryLimit
-	RtsSent    uint64 // RTS handshakes initiated
-	CtsSent    uint64 // CTS responses put on air
-	CtsTimeout uint64 // RTS attempts that drew no CTS
 }
 
 // New creates a DCF node on network node id.
@@ -178,9 +165,6 @@ func New(id int, cfg Config, m mac.Network, rng *sim.RNG) *Node {
 
 // ID returns the node's medium index.
 func (n *Node) ID() int { return n.id }
-
-// Stats returns a copy of the node's counters.
-func (n *Node) Stats() Stats { return n.Stat }
 
 // BroadcastDst is the pseudo-destination for 802.11 broadcast frames:
 // they carry the broadcast address and are never ACKed or retried.
@@ -436,7 +420,7 @@ func (n *Node) OnTxDone(f frame.Frame) {
 
 func (n *Node) ackTimedOut() {
 	n.WaitAck = false
-	n.Stat.AckTimeout++
+	n.Stat.AckTimeouts++
 	// Marking the staged frame is harmless if it is then dropped:
 	// makeNext rewrites DataBuf before the next packet goes out.
 	n.DataBuf.Retry = true

@@ -46,11 +46,11 @@ func TestSingleLinkThroughputWithACKs(t *testing.T) {
 	if got < 4.5 || got > 5.8 {
 		t.Errorf("single-link goodput = %.2f Mb/s, want ≈5.0–5.5", got)
 	}
-	if rx.Stats().Duplicates > rx.Stats().Delivered/50 {
-		t.Errorf("too many duplicates on a clean link: %+v", rx.Stats())
+	if rx.Counters().Duplicates > rx.Counters().Delivered/50 {
+		t.Errorf("too many duplicates on a clean link: %+v", rx.Counters())
 	}
-	if tx.Stats().Dropped != 0 {
-		t.Errorf("clean link dropped %d packets", tx.Stats().Dropped)
+	if tx.Counters().Dropped != 0 {
+		t.Errorf("clean link dropped %d packets", tx.Counters().Dropped)
 	}
 }
 
@@ -85,7 +85,7 @@ func TestTwoContendingSendersShareChannel(t *testing.T) {
 	if agg < 4.0 || agg > 5.8 {
 		t.Errorf("aggregate of two contenders = %.2f Mb/s, want ≈ single link", agg)
 	}
-	sa, sb := a.Stats().Sent, b.Stats().Sent
+	sa, sb := a.Counters().Sent, b.Counters().Sent
 	ratio := float64(sa) / float64(sa+sb)
 	if ratio < 0.3 || ratio > 0.7 {
 		t.Errorf("unfair sharing: a sent %d, b sent %d", sa, sb)
@@ -175,10 +175,10 @@ func TestRetransmissionRecoversLoss(t *testing.T) {
 	// well above one-shot PRR.
 	p := phy.DefaultParams()
 	r := phy.RateByID(phy.Rate6Mbps)
-	lo, hi := p.SensitivityDBm, -60.0
+	lo, hi := phy.SensitivityDBm, -60.0
 	for i := 0; i < 50; i++ {
 		mid := (lo + hi) / 2
-		if phy.IsolationPRR(p, r, mid, 1429) < 0.7 {
+		if phy.IsolationPRR(r, mid, 1429) < 0.7 {
 			lo = mid
 		} else {
 			hi = mid
@@ -194,11 +194,11 @@ func TestRetransmissionRecoversLoss(t *testing.T) {
 	rx := New(1, cfg, m, rng.Stream(11))
 	tx.Enqueue(1, 200)
 	sched.Run(30 * sim.Second)
-	delivered := rx.Stats().Delivered
+	delivered := rx.Counters().Delivered
 	if delivered < 190 {
 		t.Errorf("delivered %d of 200 on a PRR≈0.7 link with retries, want ≥190", delivered)
 	}
-	if tx.Stats().AckTimeout == 0 {
+	if tx.Counters().AckTimeouts == 0 {
 		t.Error("expected some ACK timeouts on a lossy link")
 	}
 }
@@ -224,15 +224,15 @@ func TestDedupOnRetries(t *testing.T) {
 	rx := New(1, rxCfg, m, rng.Stream(11))
 	tx.Enqueue(1, 5)
 	sched.Run(5 * sim.Second)
-	st := rx.Stats()
+	st := rx.Counters()
 	if st.Delivered != 5 {
 		t.Errorf("delivered = %d, want exactly 5 unique", st.Delivered)
 	}
 	if st.Duplicates == 0 {
 		t.Error("expected duplicate receptions when ACKs never arrive")
 	}
-	if tx.Stats().Dropped != 5 {
-		t.Errorf("tx dropped = %d, want 5 (retry limit exhausted)", tx.Stats().Dropped)
+	if tx.Counters().Dropped != 5 {
+		t.Errorf("tx dropped = %d, want 5 (retry limit exhausted)", tx.Counters().Dropped)
 	}
 }
 
@@ -246,14 +246,14 @@ func TestEnqueueAfterIdleRestarts(t *testing.T) {
 	rx := New(1, cfg, m, rng.Stream(11))
 	tx.Enqueue(1, 2)
 	sched.Run(1 * sim.Second)
-	if rx.Stats().Delivered != 2 {
-		t.Fatalf("first batch delivered %d, want 2", rx.Stats().Delivered)
+	if rx.Counters().Delivered != 2 {
+		t.Fatalf("first batch delivered %d, want 2", rx.Counters().Delivered)
 	}
 	// Node is now idle; a later enqueue must restart access.
 	tx.Enqueue(1, 3)
 	sched.Run(2 * sim.Second)
-	if rx.Stats().Delivered != 5 {
-		t.Errorf("after second batch delivered %d, want 5", rx.Stats().Delivered)
+	if rx.Counters().Delivered != 5 {
+		t.Errorf("after second batch delivered %d, want 5", rx.Counters().Delivered)
 	}
 	if tx.QueueLen() != 0 {
 		t.Errorf("queue not drained: %d", tx.QueueLen())
@@ -277,9 +277,9 @@ func TestCarrierSenseDefersDuringForeignTransmission(t *testing.T) {
 	a.Enqueue(1, 20)
 	sched.Run(3 * sim.Second)
 	// All of a's packets delivered despite b's saturation.
-	delivered := rx.Stats().Delivered
-	if a.QueueLen() != 0 || a.Stats().Dropped > 2 {
-		t.Errorf("a: queue=%d dropped=%d, expected near-complete delivery", a.QueueLen(), a.Stats().Dropped)
+	delivered := rx.Counters().Delivered
+	if a.QueueLen() != 0 || a.Counters().Dropped > 2 {
+		t.Errorf("a: queue=%d dropped=%d, expected near-complete delivery", a.QueueLen(), a.Counters().Dropped)
 	}
 	if delivered == 0 {
 		t.Error("receiver got nothing")

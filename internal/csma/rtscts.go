@@ -93,7 +93,7 @@ func (n *Node) rtsSent() {
 // the attempt, grow the window, and retry or drop at the limit.
 func (n *Node) ctsTimedOut() {
 	n.WaitCts = false
-	n.Stat.CtsTimeout++
+	n.Stat.CtsTimeouts++
 	n.retryOrDrop()
 }
 

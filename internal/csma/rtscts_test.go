@@ -3,6 +3,7 @@ package csma
 import (
 	"testing"
 
+	"repro/internal/mac"
 	"repro/internal/phy"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -99,12 +100,12 @@ func TestCTSTimeout(t *testing.T) {
 // RTSThreshold handshake, smaller ones follow plain DCF — and both
 // still deliver.
 func TestRTSThresholdBypass(t *testing.T) {
-	run := func(threshold int) (float64, Stats) {
+	run := func(threshold int) (float64, mac.Counters) {
 		cfg := DefaultConfig()
 		cfg.RTSCTS = true
 		cfg.RTSThreshold = threshold
 		got, tx, _ := runFlow(t, cfg, 2*sim.Second)
-		return got, tx.Stats()
+		return got, tx.Counters()
 	}
 
 	t.Run("handshakes at or above threshold", func(t *testing.T) {
@@ -148,15 +149,15 @@ func TestRTSCTSCleanLink(t *testing.T) {
 	tx.SetSaturated(1)
 	sched.Run(dur)
 
-	st, rst := tx.Stats(), rx.Stats()
+	st, rst := tx.Counters(), rx.Counters()
 	if st.RtsSent == 0 || rst.CtsSent == 0 {
 		t.Fatalf("handshake inert: %d RTS, %d CTS", st.RtsSent, rst.CtsSent)
 	}
 	if st.RtsSent != rst.CtsSent {
 		t.Errorf("clean link: %d RTS vs %d CTS — every RTS should be answered", st.RtsSent, rst.CtsSent)
 	}
-	if st.CtsTimeout != 0 || st.Dropped != 0 {
-		t.Errorf("clean link saw %d CTS timeouts, %d drops", st.CtsTimeout, st.Dropped)
+	if st.CtsTimeouts != 0 || st.Dropped != 0 {
+		t.Errorf("clean link saw %d CTS timeouts, %d drops", st.CtsTimeouts, st.Dropped)
 	}
 	got := rx.Meter.Mbps()
 	if got < 4.5 || got > 5.5 {
@@ -179,9 +180,9 @@ func TestRTSRetryLimitDrops(t *testing.T) {
 	tx.Enqueue(1, 1)
 	sched.Run(2 * sim.Second)
 
-	st := tx.Stats()
-	if st.CtsTimeout != RetryLimit+1 || st.RtsSent != RetryLimit+1 {
-		t.Errorf("%d CTS timeouts over %d RTS, want %d of each", st.CtsTimeout, st.RtsSent, RetryLimit+1)
+	st := tx.Counters()
+	if st.CtsTimeouts != RetryLimit+1 || st.RtsSent != RetryLimit+1 {
+		t.Errorf("%d CTS timeouts over %d RTS, want %d of each", st.CtsTimeouts, st.RtsSent, RetryLimit+1)
 	}
 	if st.Dropped != 1 || st.Sent != 0 {
 		t.Errorf("dropped %d and sent %d data frames, want 1 and 0", st.Dropped, st.Sent)

@@ -84,9 +84,9 @@ func captureSmallVpkt() sweepRecorder {
 		name := fmt.Sprintf("notrailers/vpkt=%d", nvpkt)
 		r.floats(name+"/mbps", meters[0].Mbps(), meters[1].Mbps())
 		for _, id := range p.Nodes() {
-			s := nodes[id].Stats()
+			s := nodes[id].Counters()
 			r.counts(fmt.Sprintf("%s/node%d", name, id), s.VpktsSent, s.Delivered, s.AcksSent,
-				s.AckWaitExpired, s.RetxTimeouts, s.Defers, s.Backoffs, s.HeadersHeard)
+				s.AckTimeouts, s.RetxTimeouts, s.Defers, s.Backoffs, s.HeadersHeard)
 		}
 	}
 	return r

@@ -107,7 +107,7 @@ func TestStateComplete(t *testing.T) {
 		{"csma", csma.Node{}, false, []string{"Node.id", "Node.cfg", "Node.radio", "Node.sched", "Node.addr", "Node.Meter", "Node.OnDeliver",
 			"Node.ackFree", "Node.ctsFree"}},
 		{"phy", phy.Radio{}, false, []string{"Radio.id", "Radio.params", "Radio.sched", "Radio.channel", "Radio.handler",
-			"Radio.noiseMW", "Radio.sensitivityMW", "Radio.ebn0K", "Radio.lockK", "Radio.captureK", "Radio.exact"}},
+			"Radio.captureK", "Radio.exact"}},
 		{"medium", medium.Medium{}, false, []string{"Medium.sched", "Medium.params", "Medium.model", "Medium.positions", "Medium.radios",
 			"Medium.deliveries", "Medium.floor", "Medium.screen", "Medium.gridBacked", "Medium.attended", "Medium.attachAt", "Medium.heard", "Medium.heardVer", "Medium.ver", "Medium.arena",
 			"Medium.txFree", "Medium.mv"}},

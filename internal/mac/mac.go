@@ -88,7 +88,8 @@ type Node interface {
 	Counters() Counters
 }
 
-// Counters is the one per-station counter view every arm exposes: plain
+// Counters is every arm's one per-station counter struct: each station
+// counts straight into its own, and Node.Counters returns a copy. Plain
 // event counts since construction, zero where an arm has no such
 // concept (a DCF station sends no virtual packets, CMAP has no retry
 // limit to drop at). Sender-side and receiver-side counts share the
@@ -100,16 +101,26 @@ type Counters struct {
 	// Dropped counts packets the MAC abandoned (e.g. at a retry limit);
 	// the backlog-conservation invariant is
 	// accepted = delivered + Dropped + Backlog once the sender drains.
-	Dropped      uint64
-	AckTimeouts  uint64 // ACK waits that expired
-	VpktsSent    uint64 // virtual packets put on the air, retransmission rounds included
-	Defers       uint64 // virtual packets deferred by the conflict map
-	Backoffs     uint64 // nonzero loss-driven backoff waits taken
-	RetxTimeouts uint64 // window-full retransmission timeouts (§3.3)
+	Dropped       uint64
+	AckTimeouts   uint64 // ACK waits that expired
+	AcksSent      uint64
+	AcksReceived  uint64
+	VpktsSent     uint64 // virtual packets put on the air, retransmission rounds included
+	Defers        uint64 // virtual packets deferred by the conflict map
+	Backoffs      uint64 // nonzero loss-driven backoff waits taken
+	RetxTimeouts  uint64 // window-full retransmission timeouts (§3.3)
+	HeadersHeard  uint64 // overheard headers, any destination
+	TrailersHeard uint64
+	ListsSent     uint64 // interferer-list broadcasts put on the air (§3.1)
+	ListsHeard    uint64
+	ListsRelayed  uint64 // two-hop relays of other receivers' lists (§3.1)
+	RtsSent       uint64 // RTS handshakes initiated
+	CtsSent       uint64 // CTS responses put on the air
+	CtsTimeouts   uint64 // RTS attempts that drew no CTS
 	// DeferEntries and InterfererEntries are the live sizes of the
-	// conflict map's two tables at the time of the call.
-	DeferEntries      uint64
-	InterfererEntries uint64
+	// conflict map's two tables, filled in by Node.Counters.
+	DeferEntries      uint64 `json:",omitempty"`
+	InterfererEntries uint64 `json:",omitempty"`
 }
 
 // Checkpointer is the checkpoint surface of a MAC station: the

@@ -256,7 +256,7 @@ func (m *Medium) IsolationPRR(from, to int, r phy.Rate, wireBytes int) float64 {
 	if from == to {
 		return 0
 	}
-	return phy.IsolationPRR(m.params, r, m.RxPowerDBm(from, to), wireBytes)
+	return phy.IsolationPRR(r, m.RxPowerDBm(from, to), wireBytes)
 }
 
 // acquireTx borrows a Transmission from the free list, allocating only

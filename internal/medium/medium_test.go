@@ -368,7 +368,7 @@ func TestRxPowerAndIsolationPRR(t *testing.T) {
 	if !math.IsInf(m.RxPowerDBm(0, 0), -1) {
 		t.Error("self rx power should be -inf")
 	}
-	want := phy.IsolationPRR(m.Params(), phy.RateByID(phy.Rate6Mbps), -60, 1424)
+	want := phy.IsolationPRR(phy.RateByID(phy.Rate6Mbps), -60, 1424)
 	if got := m.IsolationPRR(0, 1, phy.RateByID(phy.Rate6Mbps), 1424); got != want {
 		t.Errorf("IsolationPRR = %v, want %v", got, want)
 	}
@@ -382,10 +382,10 @@ func TestMarginalLinkLossy(t *testing.T) {
 	p := phy.DefaultParams()
 	r := phy.RateByID(phy.Rate6Mbps)
 	// Find a power with isolation PRR ≈ 0.5.
-	lo, hi := p.SensitivityDBm, -60.0
+	lo, hi := phy.SensitivityDBm, -60.0
 	for i := 0; i < 50; i++ {
 		mid := (lo + hi) / 2
-		if phy.IsolationPRR(p, r, mid, 1424) < 0.5 {
+		if phy.IsolationPRR(r, mid, 1424) < 0.5 {
 			lo = mid
 		} else {
 			hi = mid

@@ -170,7 +170,7 @@ func TestWeakCountsInterferenceEdgeTraffic(t *testing.T) {
 	}
 	sched.RunAll()
 
-	sensitivityMW := radio.DBmToMW(params.SensitivityDBm)
+	sensitivityMW := radio.DBmToMW(phy.SensitivityDBm)
 	var weak, want, strongEdges uint64
 	for i := range pts {
 		st := m.Radio(i).Stats()

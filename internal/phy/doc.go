@@ -20,11 +20,11 @@
 //
 // # The fast reception path
 //
-// The hot path never touches the dB domain or a transcendental: all
-// per-(radio, rate) constants are folded into linear multipliers at
-// construction (deriveLinear), and the Erfc-based BER/lock curves are
-// replaced by monotone piecewise-linear tables over bit-pattern
-// quantized linear Eb/N0 (tables.go). The exact formulas remain
+// The hot path never touches the dB domain or a transcendental: the
+// receiver constants are folded into package-level linear multipliers
+// once (the capture margin into one per radio), and the Erfc-based
+// BER/lock curves are replaced by monotone piecewise-linear tables over
+// bit-pattern quantized linear Eb/N0 (tables.go). The exact formulas remain
 // exported as the reference; Params.ExactReceptionMath routes radios
 // through them for A/B validation, and property tests bound the table
 // error. See ARCHITECTURE.md, "The reception compute path".

@@ -158,8 +158,8 @@ func FuzzInterferencePath(f *testing.F) {
 				tx := testTx(nextID, int(nextID))
 				tx.Rate = RateByID(RateID(b % uint8(len(rateTable))))
 				tx.Start = sched.Now()
-				p := fuzzPowerMW(a, ref.sensitivityMW)
-				if p < ref.sensitivityMW {
+				p := fuzzPowerMW(a, sensitivityMW)
+				if p < sensitivityMW {
 					weak++
 				}
 				air = append(air, onAir{tx, p})

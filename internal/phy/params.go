@@ -1,31 +1,33 @@
 package phy
 
-// Params collects the transceiver constants shared by every radio in a
-// simulation. DefaultParams matches a commodity 5 GHz 802.11a card of the
-// testbed era (Atheros AR5212 class).
-type Params struct {
-	// TxPowerDBm is the common transmit power (the paper assumes one
-	// power level network-wide, footnote 2).
-	TxPowerDBm float64
+// The receiver constants of the one kind of card the testbed uses
+// everywhere (§4–5): a commodity 5 GHz 802.11a card of the testbed era
+// (Atheros AR5212 class). Every radio and the analytic oracle read the
+// same values.
+const (
 	// NoiseFloorDBm is thermal noise plus receiver noise figure over the
 	// 20 MHz channel.
-	NoiseFloorDBm float64
+	NoiseFloorDBm = -94.0
 	// SensitivityDBm is the minimum received power at which a preamble
 	// can be detected at all.
-	SensitivityDBm float64
-	// PreambleOffsetDB shifts the preamble-acquisition waterfall relative
-	// to its default position (a short BPSK block a few dB more robust
-	// than 6 Mb/s data). Positive values make locking harder.
-	PreambleOffsetDB float64
+	SensitivityDBm = -92.0
 	// CSThresholdDBm is the carrier-sense threshold: the channel appears
 	// busy when total received power exceeds it. Most 802.11 chipsets use
 	// preamble detection for carrier sense (the paper's footnote 1),
 	// which tracks receiver sensitivity — any decodable same-technology
 	// signal shows the channel busy.
-	CSThresholdDBm float64
+	CSThresholdDBm = -90.0
 	// ImplementationLossDB derates the analytic BER curves to hardware
 	// reality (filter mismatch, phase noise, channel estimation error).
-	ImplementationLossDB float64
+	ImplementationLossDB = 5.0
+)
+
+// Params collects the transceiver settings shared by every radio in a
+// simulation. DefaultParams holds the calibrated values.
+type Params struct {
+	// TxPowerDBm is the common transmit power (the paper assumes one
+	// power level network-wide, footnote 2).
+	TxPowerDBm float64
 	// CaptureMarginDB is the extra SINR a newly arriving frame needs —
 	// beyond ordinary preamble acquisition — to capture the receiver away
 	// from an already-locked weaker frame (OFDM sync restart, the
@@ -45,18 +47,13 @@ type Params struct {
 	ExactReceptionMath bool
 }
 
-// DefaultParams returns the calibrated transceiver constants used for the
+// DefaultParams returns the calibrated transceiver settings used for the
 // reproduction testbed.
 func DefaultParams() Params {
 	return Params{
-		TxPowerDBm:           10,
-		NoiseFloorDBm:        -94,
-		SensitivityDBm:       -92,
-		PreambleOffsetDB:     0,
-		CSThresholdDBm:       -90,
-		ImplementationLossDB: 5,
-		CaptureMarginDB:      10,
-		DeliveryFloorDBm:     -108,
+		TxPowerDBm:       10,
+		CaptureMarginDB:  10,
+		DeliveryFloorDBm: -108,
 	}
 }
 
@@ -64,10 +61,10 @@ func DefaultParams() Params {
 // wireBytes at rate r received at rxPowerDBm with no interference. It is
 // the quantity the paper measures "transmitting in isolation" (§5.1) to
 // classify links.
-func IsolationPRR(p Params, r Rate, rxPowerDBm float64, wireBytes int) float64 {
-	if rxPowerDBm < p.SensitivityDBm {
+func IsolationPRR(r Rate, rxPowerDBm float64, wireBytes int) float64 {
+	if rxPowerDBm < SensitivityDBm {
 		return 0
 	}
-	sinr := rxPowerDBm - p.NoiseFloorDBm - p.ImplementationLossDB
-	return LockProbability(sinr, p.PreambleOffsetDB) * (1 - PacketErrorRate(r, sinr, wireBytes))
+	sinr := rxPowerDBm - NoiseFloorDBm - ImplementationLossDB
+	return LockProbability(sinr) * (1 - PacketErrorRate(r, sinr, wireBytes))
 }

@@ -17,7 +17,7 @@ func qfunc(x float64) float64 { return 0.5 * math.Erfc(x/math.Sqrt2) }
 // given SINR (dB) for rate r. The model is the textbook AWGN chain:
 // SINR → Eb/N0 (bandwidth/bit-rate conversion), an effective Viterbi
 // coding gain per code rate, and the Gray-coded modulation BER formula.
-// Implementation loss is applied by the caller via Params.
+// Implementation loss (ImplementationLossDB) is applied by the caller.
 //
 // This is the exact (Erfc-based) reference path. Radios on the hot path
 // use the precomputed tables of tables.go instead, which are built from
@@ -88,8 +88,8 @@ const preambleEquivalentBytes = 32
 
 // LockProbability returns the probability that the preamble correlator
 // acquires a frame arriving at the given effective SINR in dB
-// (implementation loss already applied, offsetDB from Params added).
-// The preamble is always BPSK-coded regardless of the data rate.
-func LockProbability(sinrDB, offsetDB float64) float64 {
-	return 1 - PacketErrorRate(rateTable[Rate6Mbps], sinrDB-offsetDB, preambleEquivalentBytes)
+// (implementation loss already applied). The preamble is always
+// BPSK-coded regardless of the data rate.
+func LockProbability(sinrDB float64) float64 {
+	return 1 - PacketErrorRate(rateTable[Rate6Mbps], sinrDB, preambleEquivalentBytes)
 }

@@ -122,24 +122,36 @@ type Radio struct {
 	channel Channel
 	handler Handler
 
-	noiseMW float64
-
-	// Linear-domain reception constants, folded once at construction so
-	// the per-segment hot path is a multiply-divide plus a table lookup
-	// with no dB round trip (see tables.go). sensitivityMW mirrors
-	// SensitivityDBm; ebn0K[rate] converts the locked frame's linear
-	// SINR to the rate's effective Eb/N0 (bandwidth-per-bit-rate ×
-	// coding gain ÷ implementation loss); lockK does the same for the
-	// BPSK preamble block with the preamble offset folded in, and
-	// captureK additionally derates by the capture margin.
-	sensitivityMW float64
-	ebn0K         [len(rateTable)]float64
-	lockK         float64
-	captureK      float64
-	exact         bool
+	// The two reception constants that depend on Params: captureK is
+	// lockK further derated by the capture margin, and exact mirrors
+	// ExactReceptionMath.
+	captureK float64
+	exact    bool
 
 	RadioState
 }
+
+// Linear-domain reception constants, folded once so the per-segment
+// hot path is a multiply-divide plus a table lookup with no dB round
+// trip (see tables.go). With SINR already linear,
+//
+//	Eb/N0 = SINR · (BW/bitrate) · 10^((codingGain − implLoss)/10)
+//
+// so ebn0K[rate] is the exact path's MWToDBm → +offsets → FromDB chain
+// as one constant per rate, and lockK the same for the BPSK preamble.
+var (
+	noiseMW       = radio.DBmToMW(NoiseFloorDBm)
+	sensitivityMW = radio.DBmToMW(SensitivityDBm)
+	ebn0K         = func() (k [len(rateTable)]float64) {
+		for _, rt := range rateTable {
+			k[rt.ID] = channelBandwidthMHz / rt.Mbps *
+				radio.FromDB(rt.codingGainDB-ImplementationLossDB)
+		}
+		return k
+	}()
+	lockK = channelBandwidthMHz / rateTable[Rate6Mbps].Mbps *
+		radio.FromDB(rateTable[Rate6Mbps].codingGainDB-ImplementationLossDB)
+)
 
 // RadioState is the mutable half of a Radio and its checkpoint form;
 // everything else is rebuilt from Params by NewRadio. The fields are
@@ -191,16 +203,15 @@ type RadioStats struct {
 // NewRadio creates a radio for node id. handler must be set with
 // SetHandler before any traffic flows; channel is the medium.
 func NewRadio(id int, params Params, sched *sim.Scheduler, rng *sim.RNG, channel Channel) *Radio {
-	r := &Radio{
+	return &Radio{
 		id:         id,
 		params:     params,
 		sched:      sched,
 		channel:    channel,
-		noiseMW:    radio.DBmToMW(params.NoiseFloorDBm),
-		RadioState: RadioState{CSMW: radio.DBmToMW(params.CSThresholdDBm), RNG: *rng},
+		captureK:   lockK * radio.FromDB(-params.CaptureMarginDB),
+		exact:      params.ExactReceptionMath,
+		RadioState: RadioState{CSMW: radio.DBmToMW(CSThresholdDBm), RNG: *rng},
 	}
-	r.deriveLinear()
-	return r
 }
 
 // SetCSThresholdDBm overrides this radio's carrier-sense threshold,
@@ -209,27 +220,6 @@ func NewRadio(id int, params Params, sched *sim.Scheduler, rng *sim.RNG, channel
 // node; it only affects CarrierBusy, never reception outcomes.
 func (r *Radio) SetCSThresholdDBm(dbm float64) {
 	r.CSMW = radio.DBmToMW(dbm)
-}
-
-// deriveLinear folds every dB-domain reception constant into the linear
-// multipliers the hot path uses. The algebra: with SINR already linear,
-//
-//	Eb/N0 = SINR · (BW/bitrate) · 10^((codingGain − implLoss)/10)
-//
-// so the whole chain MWToDBm → +offsets → FromDB that the exact path
-// performs per segment collapses to one constant per (radio, rate).
-func (r *Radio) deriveLinear() {
-	p := r.params
-	r.sensitivityMW = radio.DBmToMW(p.SensitivityDBm)
-	for _, rt := range rateTable {
-		r.ebn0K[rt.ID] = channelBandwidthMHz / rt.Mbps *
-			radio.FromDB(rt.codingGainDB-p.ImplementationLossDB)
-	}
-	pre := rateTable[Rate6Mbps]
-	r.lockK = channelBandwidthMHz / pre.Mbps *
-		radio.FromDB(pre.codingGainDB-p.ImplementationLossDB-p.PreambleOffsetDB)
-	r.captureK = r.lockK * radio.FromDB(-p.CaptureMarginDB)
-	r.exact = p.ExactReceptionMath
 }
 
 // ID returns the node ID this radio belongs to.
@@ -249,9 +239,6 @@ func (r *Radio) SetHandler(h Handler) {
 
 // Stats returns a copy of the radio's counters.
 func (r *Radio) Stats() RadioStats { return r.Stat }
-
-// Params returns the transceiver constants.
-func (r *Radio) Params() Params { return r.params }
 
 // Transmitting reports whether the radio is currently sending.
 func (r *Radio) Transmitting() bool { return r.Sending }
@@ -326,7 +313,7 @@ func (r *Radio) findActive(txID uint64) (int, bool) {
 // entry nothing would ever read. Depart must be handed the same power,
 // which is what classifies the signal the same way on the way out.
 func (r *Radio) Arrive(tx *Transmission, powerMW float64) {
-	if powerMW < r.sensitivityMW {
+	if powerMW < sensitivityMW {
 		if r.Locked != nil {
 			r.closeSegment(r.sched.Now())
 		}
@@ -348,7 +335,7 @@ func (r *Radio) Arrive(tx *Transmission, powerMW float64) {
 // back the power it delivered (the medium is walking the transmit-time
 // delivery snapshot anyway), so a weak departure needs no lookup.
 func (r *Radio) Depart(tx *Transmission, powerMW float64) {
-	if powerMW < r.sensitivityMW {
+	if powerMW < sensitivityMW {
 		if r.Locked != nil {
 			r.closeSegment(r.sched.Now())
 		}
@@ -413,7 +400,7 @@ func (r *Radio) tryCapture(tx *Transmission, powerMW float64, now sim.Time) {
 	if r.params.CaptureMarginDB <= 0 {
 		return // capture disabled
 	}
-	if powerMW < r.sensitivityMW {
+	if powerMW < sensitivityMW {
 		return
 	}
 	interf := r.TotalMW - powerMW
@@ -422,10 +409,10 @@ func (r *Radio) tryCapture(tx *Transmission, powerMW float64, now sim.Time) {
 	}
 	var pCapture float64
 	if r.exact {
-		sinr := radio.SINR(powerMW, r.noiseMW, interf) - r.params.ImplementationLossDB
-		pCapture = LockProbability(sinr-r.params.CaptureMarginDB, r.params.PreambleOffsetDB)
+		sinr := radio.SINR(powerMW, noiseMW, interf) - ImplementationLossDB
+		pCapture = LockProbability(sinr - r.params.CaptureMarginDB)
 	} else {
-		pCapture = lockProbLinear(powerMW / (r.noiseMW + interf) * r.captureK)
+		pCapture = lockProbLinear(powerMW / (noiseMW + interf) * r.captureK)
 	}
 	if r.RNG.Float64() >= pCapture {
 		return
@@ -471,7 +458,7 @@ func (r *Radio) SignalEnd(tx *Transmission) {
 // tryLock attempts preamble acquisition on tx. Acquisition is
 // probabilistic: a short BPSK block must decode at the instantaneous SINR.
 func (r *Radio) tryLock(tx *Transmission, powerMW float64, now sim.Time) {
-	if powerMW < r.sensitivityMW {
+	if powerMW < sensitivityMW {
 		r.Stat.Missed++
 		return
 	}
@@ -481,10 +468,10 @@ func (r *Radio) tryLock(tx *Transmission, powerMW float64, now sim.Time) {
 	}
 	var pLock float64
 	if r.exact {
-		sinr := radio.SINR(powerMW, r.noiseMW, interf) - r.params.ImplementationLossDB
-		pLock = LockProbability(sinr, r.params.PreambleOffsetDB)
+		sinr := radio.SINR(powerMW, noiseMW, interf) - ImplementationLossDB
+		pLock = LockProbability(sinr)
 	} else {
-		pLock = lockProbLinear(powerMW / (r.noiseMW + interf) * r.lockK)
+		pLock = lockProbLinear(powerMW / (noiseMW + interf) * lockK)
 	}
 	if r.RNG.Float64() >= pLock {
 		r.Stat.Missed++
@@ -512,11 +499,11 @@ func (r *Radio) closeSegment(now sim.Time) {
 	}
 	bits := float64(dur) * r.Locked.Rate.Mbps / 1000 // ns × Mb/s = 1e-3 bits
 	if r.exact {
-		sinr := radio.SINR(r.LockedMW, r.noiseMW, interf) - r.params.ImplementationLossDB
+		sinr := radio.SINR(r.LockedMW, noiseMW, interf) - ImplementationLossDB
 		r.LockLogSucc += logSuccess(BitErrorRate(r.Locked.Rate, sinr), bits)
 		return
 	}
-	g := r.LockedMW / (r.noiseMW + interf) * r.ebn0K[r.Locked.Rate.ID]
+	g := r.LockedMW / (noiseMW + interf) * ebn0K[r.Locked.Rate.ID]
 	r.LockLogSucc += bits * lnBitSuccess(r.Locked.Rate.Mod, g)
 }
 

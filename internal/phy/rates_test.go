@@ -134,12 +134,11 @@ func TestPERRealisticThresholds(t *testing.T) {
 	// Calibration: with the default implementation loss applied (as radios
 	// apply it), 6 Mb/s should decode long frames around 2–8 dB SINR
 	// (commodity hardware needs ≈4–6 dB), and 54 Mb/s around 18–28 dB.
-	loss := DefaultParams().ImplementationLossDB
-	th6 := perThreshold(RateByID(Rate6Mbps), 1424) + loss
+	th6 := perThreshold(RateByID(Rate6Mbps), 1424) + ImplementationLossDB
 	if th6 < 2 || th6 > 8 {
 		t.Errorf("6 Mb/s effective PER threshold = %v dB, want in [2,8]", th6)
 	}
-	th54 := perThreshold(RateByID(Rate54Mbps), 1424) + loss
+	th54 := perThreshold(RateByID(Rate54Mbps), 1424) + ImplementationLossDB
 	if th54 < 18 || th54 > 28 {
 		t.Errorf("54 Mb/s effective PER threshold = %v dB, want in [18,28]", th54)
 	}
@@ -170,20 +169,19 @@ func TestPEREdgeCases(t *testing.T) {
 }
 
 func TestIsolationPRR(t *testing.T) {
-	p := DefaultParams()
 	r := RateByID(Rate6Mbps)
 	// Strong link: PRR ≈ 1.
-	if prr := IsolationPRR(p, r, -60, 1424); prr < 0.999 {
+	if prr := IsolationPRR(r, -60, 1424); prr < 0.999 {
 		t.Errorf("PRR at -60 dBm = %v, want ≈1", prr)
 	}
 	// Below sensitivity: 0.
-	if prr := IsolationPRR(p, r, -93, 1424); prr != 0 {
+	if prr := IsolationPRR(r, -93, 1424); prr != 0 {
 		t.Errorf("PRR below sensitivity = %v, want 0", prr)
 	}
 	// Monotone in power.
 	prev := -1.0
 	for dbm := -95.0; dbm <= -50; dbm += 0.5 {
-		prr := IsolationPRR(p, r, dbm, 1424)
+		prr := IsolationPRR(r, dbm, 1424)
 		if prr < prev-1e-12 {
 			t.Fatalf("PRR not monotone at %v dBm", dbm)
 		}

@@ -26,9 +26,9 @@ import "math"
 // log-BER flattens to a straight line in the high-SNR tail.
 //
 // Tables are indexed by effective Eb/N0 with every dB-domain constant
-// (implementation loss, bandwidth-per-bit-rate conversion, coding gain,
-// preamble offset, capture margin) folded into per-radio linear
-// multipliers at construction; see Radio.deriveLinear.
+// (implementation loss, bandwidth-per-bit-rate conversion, coding gain)
+// folded into package-level linear multipliers, and the capture margin
+// into one per radio; see ebn0K and lockK in radio.go.
 
 const (
 	// tableMinExp/tableMaxExp bound the tables' linear Eb/N0 domain at

@@ -65,7 +65,7 @@ func TestTableLockProbMatchesExact(t *testing.T) {
 	pre := RateByID(Rate6Mbps)
 	k := channelBandwidthMHz / pre.Mbps * radio.FromDB(pre.codingGainDB)
 	for sinrDB := -45.0; sinrDB <= 40.0; sinrDB += 0.05 {
-		exact := LockProbability(sinrDB, 0)
+		exact := LockProbability(sinrDB)
 		got := lockProbLinear(radio.FromDB(sinrDB) * k)
 		if d := math.Abs(got - exact); d > 1e-3 {
 			t.Fatalf("lock probability at %.2f dB = %g, exact %g (Δ %.3g > 1e-3)",
@@ -192,7 +192,7 @@ func BenchmarkLockProbability(b *testing.B) {
 	b.Run("exact", func(b *testing.B) {
 		sink := 0.0
 		for i := 0; i < b.N; i++ {
-			sink += LockProbability(float64(i%40), 0)
+			sink += LockProbability(float64(i % 40))
 		}
 		benchSink = sink
 	})

@@ -125,7 +125,7 @@ func (tb *Testbed) measure() {
 			loss := tb.Model.Loss(a, tb.Pos[a], b, tb.Pos[b])
 			rss := tb.Params.TxPowerDBm - loss
 			tb.RSS[a][b] = rss
-			tb.PRR[a][b] = phy.IsolationPRR(tb.Params, rate, rss, DataWireBytes)
+			tb.PRR[a][b] = phy.IsolationPRR(rate, rss, DataWireBytes)
 			if tb.PRR[a][b] > 0 {
 				measurable = append(measurable, rss)
 			}

@@ -79,7 +79,7 @@ func TestWrappedCMAPNodeTimeline(t *testing.T) {
 	}
 	// The wrapped handler must not change protocol behaviour: goodput
 	// flows (receiver delivered packets).
-	if rx.Stats().Delivered == 0 {
+	if rx.Counters().Delivered == 0 {
 		t.Error("wrapping the handler broke delivery")
 	}
 	// Events are time-ordered.
