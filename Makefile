@@ -74,9 +74,10 @@
 #                   internal/mac and internal/mobility, read from that one run
 #   make ci         the full gate: vet + one race short pass over the module
 #                   that also writes coverage.out and feeds the coverage
-#                   floors + alloc gate + golden tier
-#                   + conformance + shard conformance + checkpoint conformance
-#                   + mobility conformance + bench guard + bench smoke
+#                   floors + alloc gate + golden tier + the experiments
+#                   lines of shard, checkpoint and mobility conformance
+#                   (the race pass already ran the rest of them and all
+#                   of make conformance) + bench guard + bench smoke
 #                   + docs check + fuzz smoke; the module is tested once,
 #                   and no command in it runs twice for the same purpose
 
@@ -143,7 +144,7 @@ profile:
 # table construction leaking onto it) without paying for a full
 # benchmark run.
 bench-smoke:
-	$(GO) test -timeout $(TEST_TIMEOUT) -run XXX -bench 'SaturatedSteadyState' -benchtime 1x ./internal/experiments
+	$(GO) test -timeout $(TEST_TIMEOUT) -run XXX -bench '^BenchmarkScale$$/^SaturatedSteadyState$$' -benchtime 1x ./internal/experiments
 
 # Documentation gate: formatting drift, a package comment on every
 # internal/ package (doc.go), no dead relative links in the top-level
@@ -195,9 +196,10 @@ conformance:
 # and Poisson sources), determinism at fixed shard counts, figure-level
 # equivalence at 2 and 4 shards, plus the multi-shard contracts through
 # experiments.FlowSimConfig.Shards (where 0 and 1 are the serial engine).
+SHARD_EXPERIMENTS = $(GO) test -timeout $(TEST_TIMEOUT) -race -count=1 -run 'TestSharded' ./internal/experiments
 shard-conformance:
 	$(GO) test -timeout $(TEST_TIMEOUT) -race -count=1 -run 'TestShard|TestPartition|TestEngine' ./internal/shard ./internal/geo
-	$(GO) test -timeout $(TEST_TIMEOUT) -race -count=1 -run 'TestSharded' ./internal/experiments
+	$(SHARD_EXPERIMENTS)
 
 # Bench regression guard: the two most recently committed BENCH_*.json
 # are diffed; >20% median ns/op growth in SaturatedSteadyState,
@@ -234,11 +236,12 @@ bench-pair:
 # traces, the staleness-sweep figure properties, the
 # churn × mobility interplay, and the mobile checkpoint/resume
 # bit-identity cases.
+MOBILITY_EXPERIMENTS = $(GO) test -timeout $(TEST_TIMEOUT) -count=1 -run 'TestGoldenMobileTraces|TestStalenessSweep|TestMobilityChurnInterplay|TestCheckpointResumeBitIdentical/.*mobile' ./internal/experiments
 mobility-conformance:
 	$(GO) test -timeout $(TEST_TIMEOUT) -count=1 ./internal/mobility
 	$(GO) test -timeout $(TEST_TIMEOUT) -race -count=1 -run 'TestConformance/.*/Mobile' ./internal/mac/conformance
 	$(GO) test -timeout $(TEST_TIMEOUT) -count=1 -run 'TestIncrementalMatchesRebuild|TestPartialBatchMatchesRebuild|TestFloorMatchesLiteral|TestScreenRefusesMost|TestLazyRows|TestEmptyBatchIsNoOp' ./internal/medium
-	$(GO) test -timeout $(TEST_TIMEOUT) -count=1 -run 'TestGoldenMobileTraces|TestStalenessSweep|TestMobilityChurnInterplay|TestCheckpointResumeBitIdentical/.*mobile' ./internal/experiments
+	$(MOBILITY_EXPERIMENTS)
 
 # Checkpoint/resume bit-identity: checkpoint-at-midpoint-then-resume
 # must match an uninterrupted run in both FlowResults (IEEE-754 bit
@@ -250,8 +253,9 @@ mobility-conformance:
 # is the envelope damage table (truncation/corruption/version/config
 # typed errors) and the Map/Set codecs, the third the scheduler, timer
 # and RNG round-trip and seq damage unit tier.
+CHECKPOINT_EXPERIMENTS = $(GO) test -timeout $(TEST_TIMEOUT) -count=1 -run 'TestCheckpointResumeBitIdentical|TestCheckpointConfigHashGuard|TestState|TestResumeRejectsBadSeqs' ./internal/experiments
 checkpoint-conformance:
-	$(GO) test -timeout $(TEST_TIMEOUT) -count=1 -run 'TestCheckpointResumeBitIdentical|TestCheckpointConfigHashGuard|TestState|TestResumeRejectsBadSeqs' ./internal/experiments
+	$(CHECKPOINT_EXPERIMENTS)
 	$(GO) test -timeout $(TEST_TIMEOUT) -count=1 ./internal/checkpoint
 	$(GO) test -timeout $(TEST_TIMEOUT) -count=1 -run 'TestScheduler|TestRNGState|TestTimer' ./internal/sim
 
@@ -279,15 +283,18 @@ cover:
 
 # The module is tested once here: the race short pass is also the
 # coverage run the floors read. (The ZeroAllocs tests skip under -race;
-# alloc-check runs them.)
+# alloc-check runs them.) Of the conformance targets ci runs only the
+# experiments lines: internal/mac/conformance, internal/shard,
+# internal/geo, internal/mobility, internal/medium, internal/checkpoint
+# and internal/sim never call testing.Short, so the race short pass
+# already ran every test their other lines select, under -race.
 ci: build vet
 	$(call test-with-cover-floors,-race)
 	$(MAKE) alloc-check
 	$(MAKE) golden
-	$(MAKE) conformance
-	$(MAKE) shard-conformance
-	$(MAKE) checkpoint-conformance
-	$(MAKE) mobility-conformance
+	$(SHARD_EXPERIMENTS)
+	$(CHECKPOINT_EXPERIMENTS)
+	$(MOBILITY_EXPERIMENTS)
 	$(MAKE) bench-guard
 	$(MAKE) bench-smoke
 	$(MAKE) docs-check

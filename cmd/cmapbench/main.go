@@ -248,6 +248,9 @@ var sections = []section{
 			// rather than mislabel saturated numbers as unsaturated.
 			fmt.Fprintln(w, "(note: -traffic does not apply to the §5.7 batch workload; mesh runs saturated batches)")
 		}
+		if s.opt.Mobility.Active() {
+			fmt.Fprintln(w, "(note: -mobility does not apply to the §5.7 batch workload; mesh nodes stay put)")
+		}
 		meshOpt := s.opt
 		meshOpt.Traffic = traffic.Saturate()
 		res := experiments.Mesh(s.tb, meshOpt)

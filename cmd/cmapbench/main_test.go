@@ -83,6 +83,8 @@ func TestRunReports(t *testing.T) {
 			[]string{"(fig16 skipped: needs the cmap arm"}},
 		{"unsaturated", []string{"-scale", "quick", "-trials", "1", "-arms", "cmap", "-traffic", "poisson", "-load", "2", "-only", "fig12"},
 			[]string{"traffic: poisson arrivals at 2.00 Mb/s offered per flow\ncmapbench — ", "== Figure 12 — exposed terminals =="}},
+		{"mesh ignores mobility", []string{"-scale", "quick", "-trials", "1", "-mobility", "waypoint@3", "-only", "mesh"},
+			[]string{"(note: -mobility does not apply to the §5.7 batch workload; mesh nodes stay put)\nCMAP "}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			code, stdout, stderr := cmapbench(tc.args...)

@@ -255,7 +255,7 @@ func clamp01(v float64) float64 {
 // All ratios are relative to the link's isolation PRR, clamped to
 // [0, 1]. The solver weighs the paths by the interferer's duty cycle
 // and the victim receiver's own idle probability.
-func orderedRatios(p phy.Params, r phy.Rate, sigMW, intfMW float64, wireBytes int) channelRatios {
+func orderedRatios(r phy.Rate, sigMW, intfMW float64, wireBytes int) channelRatios {
 	sigDBm := radio.MWToDBm(sigMW)
 	if sigDBm < phy.SensitivityDBm {
 		return channelRatios{}
@@ -275,9 +275,9 @@ func orderedRatios(p phy.Params, r phy.Rate, sigMW, intfMW float64, wireBytes in
 	var c channelRatios
 	c.vf = clamp01((1 - perBoth) / (1 - perIso))
 	c.ii = clamp01(lockBoth * (1 - perBoth) / isoOK)
-	if p.CaptureMarginDB > 0 && radio.MWToDBm(intfMW) >= phy.SensitivityDBm {
+	if radio.MWToDBm(intfMW) >= phy.SensitivityDBm {
 		c.lockJ = phy.LockProbability(radio.MWToDBm(intfMW) - phy.NoiseFloorDBm - phy.ImplementationLossDB)
-		capture := phy.LockProbability(sinrBoth - p.CaptureMarginDB)
+		capture := phy.LockProbability(sinrBoth - phy.CaptureMarginDB)
 		c.cap = clamp01(capture * (1 - perBoth) / isoOK)
 	}
 	return c
@@ -298,9 +298,11 @@ func orderedRatios(p phy.Params, r phy.Rate, sigMW, intfMW float64, wireBytes in
 // Gains below the medium's delivery floor are treated as zero, exactly
 // as the simulator treats them.
 func Extract(m *medium.Medium, flows []topo.Link, cfg ExtractConfig) (*Graph, error) {
+	if err := topo.CheckFlows(m.NodeCount(), flows); err != nil {
+		return nil, fmt.Errorf("analytic: %w", err)
+	}
 	rate := phy.RateByID(cfg.Rate)
 	lossInterf := core.DefaultConfig().LossInterf
-	params := m.Params()
 	wire := (&frame.Dot11Data{PayloadLen: mac.DefaultPayload}).WireSize()
 	ctrlWire := (&frame.Control{}).WireSize()
 	csDBm := phy.CSThresholdDBm
@@ -320,9 +322,6 @@ func Extract(m *medium.Medium, flows []topo.Link, cfg ExtractConfig) (*Graph, er
 	}
 	sig := make([]float64, n) // received power of each flow's own signal, mW
 	for i, f := range flows {
-		if f.Src == f.Dst || f.Src < 0 || f.Dst < 0 || f.Src >= m.NodeCount() || f.Dst >= m.NodeCount() {
-			return nil, fmt.Errorf("analytic: flow %d (%d→%d) is not a valid unicast link", i, f.Src, f.Dst)
-		}
 		g.Rates[i] = rate
 		sig[i], _ = m.GainMW(f.Src, f.Dst)
 		g.IsoPRR[i] = conditionalPRR(rate, sig[i], 0, wire)
@@ -350,7 +349,7 @@ func Extract(m *medium.Medium, flows []topo.Link, cfg ExtractConfig) (*Graph, er
 			}
 			if g.IsoPRR[i] > 0 {
 				if intf, ok := m.GainMW(b.Src, a.Dst); ok {
-					c := orderedRatios(params, rate, sig[i], intf, wire)
+					c := orderedRatios(rate, sig[i], intf, wire)
 					g.inter[i][j].data = c
 					// The harm classification is the paper's l_interf
 					// measurement: loss observed while both senders run
@@ -369,7 +368,7 @@ func Extract(m *medium.Medium, flows []topo.Link, cfg ExtractConfig) (*Graph, er
 			if rsig, ok := m.GainMW(a.Dst, a.Src); ok {
 				if rintf, ok2 := m.GainMW(b.Src, a.Src); ok2 {
 					if conditionalPRR(rate, rsig, 0, ctrlWire) > 0 {
-						g.inter[i][j].rev = orderedRatios(params, rate, rsig, rintf, ctrlWire)
+						g.inter[i][j].rev = orderedRatios(rate, rsig, rintf, ctrlWire)
 					}
 				}
 			}

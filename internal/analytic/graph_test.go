@@ -180,18 +180,21 @@ func TestExtractSharedNode(t *testing.T) {
 	}
 }
 
-// TestExtractRejectsInvalidFlows: self-loops and out-of-range node IDs
-// must error rather than index out of bounds or solve garbage.
+// TestExtractRejectsInvalidFlows: self-loops, out-of-range node IDs and
+// a node that sends or receives two flows are refused with an error
+// (topo.CheckFlows), never a panic.
 func TestExtractRejectsInvalidFlows(t *testing.T) {
 	tb := topo.NewTestbed(50, 42)
 	m := tb.Build(sim.NewScheduler(), sim.NewRNG(42).Stream(1))
-	for _, bad := range []topo.Link{
-		{Src: 3, Dst: 3},
-		{Src: -1, Dst: 2},
-		{Src: 0, Dst: 50},
+	for _, bad := range [][]topo.Link{
+		{{Src: 3, Dst: 3}},
+		{{Src: -1, Dst: 2}},
+		{{Src: 0, Dst: 50}},
+		{{Src: 0, Dst: 1}, {Src: 0, Dst: 2}},
+		{{Src: 0, Dst: 2}, {Src: 1, Dst: 2}},
 	} {
-		if _, err := Extract(m, []topo.Link{bad}, ExtractConfig{}); err == nil {
-			t.Errorf("Extract accepted invalid flow %v", bad)
+		if _, err := Extract(m, bad, ExtractConfig{}); err == nil {
+			t.Errorf("Extract accepted invalid flows %v", bad)
 		}
 	}
 }
@@ -203,12 +206,15 @@ func TestExtractRatioBounds(t *testing.T) {
 	tb := topo.NewTestbed(50, 42)
 	m := tb.Build(sim.NewScheduler(), sim.NewRNG(42).Stream(1))
 	rng := sim.NewRNG(42 ^ 0xbb)
+	// Independently drawn pairs can share a sender or a receiver; keep
+	// each flow only while the set stays valid.
 	var flows []topo.Link
-	for _, p := range tb.InRangePairs(rng, 3) {
-		flows = append(flows, p.A, p.B)
-	}
-	for _, p := range tb.HiddenPairs(rng, 2) {
-		flows = append(flows, p.A, p.B)
+	for _, p := range append(tb.InRangePairs(rng, 3), tb.HiddenPairs(rng, 2)...) {
+		for _, f := range [...]topo.Link{p.A, p.B} {
+			if topo.CheckFlows(tb.N, append(flows[:len(flows):len(flows)], f)) == nil {
+				flows = append(flows, f)
+			}
+		}
 	}
 	if len(flows) < 4 {
 		t.Skip("not enough flows on this seed")

@@ -130,7 +130,7 @@ type macTiming struct {
 func dcfTiming(g *Graph, cfg csma.Config) macTiming {
 	n := g.N()
 	t := macTiming{hold: make([]float64, n), bits: make([]float64, n), pkt: make([]float64, n), ctrl: make([]float64, n), lockUnit: 1}
-	ackAir := phy.Airtime(phy.RateByID(cfg.ControlRate), (&frame.Dot11Ack{}).WireSize()).Seconds()
+	ackAir := phy.Airtime(phy.RateByID(csma.ControlRate), (&frame.Dot11Ack{}).WireSize()).Seconds()
 	wire := (&frame.Dot11Data{PayloadLen: uint16(cfg.PayloadBytes)}).WireSize()
 	for i := 0; i < n; i++ {
 		dataAir := phy.Airtime(g.Rates[i], wire).Seconds()

@@ -16,6 +16,9 @@ const (
 	CWMax = 1023
 	// RetryLimit caps retransmissions of one packet.
 	RetryLimit = 7
+	// ControlRate carries ACK, RTS and CTS frames (802.11 sends them at
+	// a basic rate).
+	ControlRate = phy.Rate6Mbps
 )
 
 // Config selects the baseline's behaviour.
@@ -29,9 +32,6 @@ type Config struct {
 	LinkACKs bool
 	// Rate is the data bit-rate.
 	Rate phy.RateID
-	// ControlRate is the rate for ACK frames (802.11 sends ACKs at a
-	// basic rate).
-	ControlRate phy.RateID
 	// PayloadBytes is the application payload per packet.
 	PayloadBytes int
 	// CSThresholdDBm, when non-zero, overrides this node's carrier-sense
@@ -40,13 +40,9 @@ type Config struct {
 	// against hidden-terminal collisions.
 	CSThresholdDBm float64
 	// RTSCTS enables the RTS/CTS handshake with NAV-based virtual
-	// carrier sense for unicast data whose payload is at least
-	// RTSThreshold bytes; smaller frames (and broadcasts) bypass the
-	// handshake and follow plain DCF.
+	// carrier sense before every unicast data frame; broadcasts bypass
+	// the handshake and follow plain DCF.
 	RTSCTS bool
-	// RTSThreshold is the RTS payload-size cutoff in bytes (0 = RTS for
-	// every unicast frame when RTSCTS is on).
-	RTSThreshold int
 }
 
 // DefaultConfig returns the 802.11a defaults used throughout the
@@ -56,7 +52,6 @@ func DefaultConfig() Config {
 		CarrierSense: true,
 		LinkACKs:     true,
 		Rate:         phy.Rate6Mbps,
-		ControlRate:  phy.Rate6Mbps,
 		PayloadBytes: mac.DefaultPayload,
 	}
 }
@@ -387,7 +382,7 @@ func (n *Node) transmitData() {
 
 // ackTimeout is how long a sender waits for the stop-and-wait ACK.
 func (n *Node) ackTimeout() sim.Time {
-	ackAir := phy.Airtime(phy.RateByID(n.cfg.ControlRate), (&frame.Dot11Ack{}).WireSize())
+	ackAir := phy.Airtime(phy.RateByID(ControlRate), (&frame.Dot11Ack{}).WireSize())
 	return phy.SIFS + ackAir + 2*phy.SlotTime
 }
 
@@ -506,7 +501,7 @@ func (n *Node) sendAck(ack *frame.Dot11Ack) {
 		return
 	}
 	n.Stat.AcksSent++
-	n.radio.Transmit(ack, phy.RateByID(n.cfg.ControlRate))
+	n.radio.Transmit(ack, phy.RateByID(ControlRate))
 }
 
 // getAck pops a recycled ACK buffer (refilled at OnTxDone).

@@ -2,11 +2,11 @@ package csma
 
 // RTS/CTS handshaking with NAV-based virtual carrier sense — the
 // classic 802.11 hidden-terminal countermeasure, registered as the
-// "rtscts" arm. A sender whose staged unicast payload reaches
-// Config.RTSThreshold first transmits a 20-byte RTS; the addressee
-// answers with a 14-byte CTS after SIFS unless its own NAV says the
-// medium is reserved; the data frame follows the CTS after SIFS and the
-// normal stop-and-wait ACK closes the exchange. Every station that
+// "rtscts" arm. A sender with a staged unicast data frame first
+// transmits a 20-byte RTS; the addressee answers with a 14-byte CTS
+// after SIFS unless its own NAV says the medium is reserved; the data
+// frame follows the CTS after SIFS and the normal stop-and-wait ACK
+// closes the exchange. Every station that
 // overhears an RTS or CTS *not* addressed to it charges its network
 // allocation vector (NAV) with the frame's duration field, freezing
 // channel access until the reservation expires — which is exactly what
@@ -34,8 +34,8 @@ func clampUS(us sim.Time) uint16 {
 }
 
 // ctsAirtime is the CTS frame's airtime at the control rate.
-func (c Config) ctsAirtime() sim.Time {
-	return phy.Airtime(phy.RateByID(c.ControlRate), (&frame.Dot11CTS{}).WireSize())
+func ctsAirtime() sim.Time {
+	return phy.Airtime(phy.RateByID(ControlRate), (&frame.Dot11CTS{}).WireSize())
 }
 
 // RTSNavUS returns the duration field a sender advertises in an RTS
@@ -44,15 +44,15 @@ func (c Config) ctsAirtime() sim.Time {
 func (c Config) RTSNavUS(payloadBytes int) uint16 {
 	dataAir := phy.Airtime(phy.RateByID(c.Rate),
 		(&frame.Dot11Data{PayloadLen: uint16(payloadBytes)}).WireSize())
-	ackAir := phy.Airtime(phy.RateByID(c.ControlRate), (&frame.Dot11Ack{}).WireSize())
-	return clampUS(usCeil(3*phy.SIFS + c.ctsAirtime() + dataAir + ackAir))
+	ackAir := phy.Airtime(phy.RateByID(ControlRate), (&frame.Dot11Ack{}).WireSize())
+	return clampUS(usCeil(3*phy.SIFS + ctsAirtime() + dataAir + ackAir))
 }
 
 // CTSNavUS derives a CTS duration field from the RTS it answers: the
 // advertised reservation minus the SIFS gap and the CTS's own airtime
 // already spent by the time the CTS ends.
-func (c Config) CTSNavUS(rtsNavUS uint16) uint16 {
-	spent := usCeil(phy.SIFS + c.ctsAirtime())
+func CTSNavUS(rtsNavUS uint16) uint16 {
+	spent := usCeil(phy.SIFS + ctsAirtime())
 	if sim.Time(rtsNavUS) <= spent {
 		return 0
 	}
@@ -62,14 +62,13 @@ func (c Config) CTSNavUS(rtsNavUS uint16) uint16 {
 // CTSTimeout is how long an RTS sender waits for the answering CTS
 // before backing off, mirroring the data frame's ACK timeout shape:
 // the SIFS turnaround, the CTS airtime, and two slots of slack.
-func (c Config) CTSTimeout() sim.Time {
-	return phy.SIFS + c.ctsAirtime() + 2*phy.SlotTime
+func CTSTimeout() sim.Time {
+	return phy.SIFS + ctsAirtime() + 2*phy.SlotTime
 }
 
 // useRTS reports whether the staged frame goes through the handshake.
 func (n *Node) useRTS() bool {
-	return n.cfg.RTSCTS && !n.DataBuf.Dst.IsBroadcast() &&
-		int(n.DataBuf.PayloadLen) >= n.cfg.RTSThreshold
+	return n.cfg.RTSCTS && !n.DataBuf.Dst.IsBroadcast()
 }
 
 // transmitRTS opens the handshake for the staged data frame.
@@ -80,13 +79,13 @@ func (n *Node) transmitRTS() {
 		DurationUS: n.cfg.RTSNavUS(int(n.DataBuf.PayloadLen)),
 	}
 	n.Stat.RtsSent++
-	n.radio.Transmit(&n.RtsBuf, phy.RateByID(n.cfg.ControlRate))
+	n.radio.Transmit(&n.RtsBuf, phy.RateByID(ControlRate))
 }
 
 // rtsSent (tx-done of our RTS) arms the CTS timeout.
 func (n *Node) rtsSent() {
 	n.WaitCts = true
-	n.sched.ResetAfter(&n.CtsTimer, n.cfg.CTSTimeout(), n, evCtsTimeout)
+	n.sched.ResetAfter(&n.CtsTimer, CTSTimeout(), n, evCtsTimeout)
 }
 
 // ctsTimedOut handles a missing CTS exactly like a missing ACK: count
@@ -108,7 +107,7 @@ func (n *Node) onRTS(r *frame.Dot11RTS) {
 		return // a reserved medium: stay silent, the sender retries
 	}
 	cts := n.getCts()
-	cts.Dst, cts.DurationUS = r.Src, n.cfg.CTSNavUS(r.DurationUS)
+	cts.Dst, cts.DurationUS = r.Src, CTSNavUS(r.DurationUS)
 	n.sched.PostAfter(phy.SIFS, n, cts)
 }
 
@@ -150,7 +149,7 @@ func (n *Node) sendCts(cts *frame.Dot11CTS) {
 		return
 	}
 	n.Stat.CtsSent++
-	n.radio.Transmit(cts, phy.RateByID(n.cfg.ControlRate))
+	n.radio.Transmit(cts, phy.RateByID(ControlRate))
 }
 
 // getCts pops a recycled CTS buffer (refilled at OnTxDone).

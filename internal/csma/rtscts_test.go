@@ -3,7 +3,6 @@ package csma
 import (
 	"testing"
 
-	"repro/internal/mac"
 	"repro/internal/phy"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -12,32 +11,29 @@ import (
 // The hand-computed timing table below uses the 802.11a constants the
 // phy package pins: SIFS 16 µs, slot 9 µs, and at the 6 Mb/s base rate
 // a 14-byte CTS/ACK flies for 44 µs, a 20-byte RTS for 52 µs, and a
-// 1400-byte data frame for 1924 µs (at 12 Mb/s: 972 µs; at 24 Mb/s a
-// control frame takes 28 µs). An RTS reservation covers
-// 3·SIFS + CTS + DATA + ACK.
+// 1400-byte data frame for 1924 µs (at 12 Mb/s: 972 µs). An RTS
+// reservation covers 3·SIFS + CTS + DATA + ACK.
 
 func TestRTSNavDurations(t *testing.T) {
 	cases := []struct {
 		name         string
-		rate, ctrl   phy.RateID
+		rate         phy.RateID
 		payloadBytes int
 		want         uint16
 	}{
 		// 3·16 + 44 + 1924 + 44 = 2060 µs
-		{"default 1400B", phy.Rate6Mbps, phy.Rate6Mbps, 1400, 2060},
+		{"default 1400B", phy.Rate6Mbps, 1400, 2060},
 		// 48 + 44 + 400 + 44 = 536 µs
-		{"small 256B", phy.Rate6Mbps, phy.Rate6Mbps, 256, 536},
+		{"small 256B", phy.Rate6Mbps, 256, 536},
 		// 48 + 44 + 972 + 44 = 1108 µs (data at 12 Mb/s, controls at 6)
-		{"data at 12Mbps", phy.Rate12Mbps, phy.Rate6Mbps, 1400, 1108},
-		// 48 + 28 + 1924 + 28 = 2028 µs (controls at 24 Mb/s)
-		{"controls at 24Mbps", phy.Rate6Mbps, phy.Rate24Mbps, 1400, 2028},
+		{"data at 12Mbps", phy.Rate12Mbps, 1400, 1108},
 		// 48 + 44 + 80056 + 44 = 80192 µs: beyond the 16-bit field, clamped
-		{"clamped at 16 bits", phy.Rate6Mbps, phy.Rate6Mbps, 60000, 65535},
+		{"clamped at 16 bits", phy.Rate6Mbps, 60000, 65535},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := DefaultConfig()
-			cfg.Rate, cfg.ControlRate = tc.rate, tc.ctrl
+			cfg.Rate = tc.rate
 			if got := cfg.RTSNavUS(tc.payloadBytes); got != tc.want {
 				t.Errorf("RTSNavUS(%d) = %d µs, want %d", tc.payloadBytes, got, tc.want)
 			}
@@ -48,85 +44,32 @@ func TestRTSNavDurations(t *testing.T) {
 func TestCTSNavDerivation(t *testing.T) {
 	cases := []struct {
 		name     string
-		ctrl     phy.RateID
 		rtsNavUS uint16
 		want     uint16
 	}{
 		// The CTS answering a default 1400-byte reservation: by CTS end,
 		// SIFS + CTS airtime = 60 µs of the 2060 are spent.
-		{"default 1400B", phy.Rate6Mbps, 2060, 2000},
-		{"small 256B", phy.Rate6Mbps, 536, 476},
-		// 16 + 28 = 44 µs spent with 24 Mb/s controls.
-		{"controls at 24Mbps", phy.Rate24Mbps, 2028, 1984},
+		{"default 1400B", 2060, 2000},
+		{"small 256B", 536, 476},
 		// A reservation that expires during the CTS itself floors at 0
 		// rather than wrapping the unsigned field.
-		{"floors at zero", phy.Rate6Mbps, 60, 0},
-		{"tiny remainder", phy.Rate6Mbps, 61, 1},
+		{"floors at zero", 60, 0},
+		{"tiny remainder", 61, 1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := DefaultConfig()
-			cfg.ControlRate = tc.ctrl
-			if got := cfg.CTSNavUS(tc.rtsNavUS); got != tc.want {
+			if got := CTSNavUS(tc.rtsNavUS); got != tc.want {
 				t.Errorf("CTSNavUS(%d) = %d µs, want %d", tc.rtsNavUS, got, tc.want)
 			}
 		})
 	}
 }
 
+// TestCTSTimeout pins SIFS + CTS + 2 slots = 16 + 44 + 18 = 78 µs.
 func TestCTSTimeout(t *testing.T) {
-	cases := []struct {
-		name string
-		ctrl phy.RateID
-		want sim.Time
-	}{
-		// SIFS + CTS + 2 slots = 16 + 44 + 18 = 78 µs.
-		{"controls at 6Mbps", phy.Rate6Mbps, 78 * sim.Microsecond},
-		// 16 + 28 + 18 = 62 µs.
-		{"controls at 24Mbps", phy.Rate24Mbps, 62 * sim.Microsecond},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			cfg := DefaultConfig()
-			cfg.ControlRate = tc.ctrl
-			if got := cfg.CTSTimeout(); got != tc.want {
-				t.Errorf("CTSTimeout() = %v, want %v", got, tc.want)
-			}
-		})
-	}
-}
-
-// TestRTSThresholdBypass pins the threshold cutoff: frames at or above
-// RTSThreshold handshake, smaller ones follow plain DCF — and both
-// still deliver.
-func TestRTSThresholdBypass(t *testing.T) {
-	run := func(threshold int) (float64, mac.Counters) {
-		cfg := DefaultConfig()
-		cfg.RTSCTS = true
-		cfg.RTSThreshold = threshold
-		got, tx, _ := runFlow(t, cfg, 2*sim.Second)
-		return got, tx.Counters()
-	}
-
-	t.Run("handshakes at or above threshold", func(t *testing.T) {
-		got, st := run(1400) // == PayloadBytes: every frame handshakes
-		if st.RtsSent == 0 {
-			t.Error("no RTS sent although payload meets the threshold")
-		}
-		if got < 4.0 {
-			t.Errorf("goodput %.2f Mb/s too low for a clean link", got)
-		}
-	})
-	t.Run("bypasses below threshold", func(t *testing.T) {
-		got, st := run(1401) // just above PayloadBytes: plain DCF
-		if st.RtsSent != 0 {
-			t.Errorf("%d RTS sent although every payload is below the threshold", st.RtsSent)
-		}
-		if st.Dropped != 0 {
-			t.Errorf("clean link dropped %d frames in bypass mode", st.Dropped)
-		}
-		if got < 4.5 {
-			t.Errorf("goodput %.2f Mb/s too low for a clean link", got)
+	t.Run("controls at 6Mbps", func(t *testing.T) {
+		if got, want := CTSTimeout(), 78*sim.Microsecond; got != want {
+			t.Errorf("CTSTimeout() = %v, want %v", got, want)
 		}
 	})
 }

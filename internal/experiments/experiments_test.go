@@ -303,3 +303,42 @@ func TestRepeatedArmPanics(t *testing.T) {
 	}()
 	runPairExperiment("repeat", testbed(t, 1), nil, []Protocol{CSMAOn, CMAP, CSMAOn}, Quick(1))
 }
+
+// TestNewFlowSimRejectsInvalidFlows: a flow set topo.CheckFlows refuses
+// is an error from NewFlowSim under every arm — before the check, two
+// flows from one CMAP sender panicked in the station, and two flows
+// into one receiver silently metered both on the second flow.
+func TestNewFlowSimRejectsInvalidFlows(t *testing.T) {
+	tb := testbed(t, 1)
+	for _, arm := range []Protocol{CMAP, CSMAOn} {
+		for _, flows := range [][]topo.Link{
+			{{Src: 4, Dst: 4}},
+			{{Src: 0, Dst: tb.N}},
+			{{Src: 0, Dst: 1}, {Src: 0, Dst: 2}},
+			{{Src: 0, Dst: 2}, {Src: 1, Dst: 2}},
+		} {
+			cfg := FlowSimConfig{Arm: arm, Flows: flows, Duration: sim.Second, Seed: 1}
+			if _, err := NewFlowSim(tb, cfg); err == nil {
+				t.Errorf("%s: NewFlowSim accepted flows %v", arm, flows)
+			}
+		}
+	}
+}
+
+// TestScreenScenariosAreValidFlowSets: every screen scenario the seeds
+// draw passes topo.CheckFlows and builds a FlowSim, although gridcity
+// and uniformdisk join independently drawn pairs.
+func TestScreenScenariosAreValidFlowSets(t *testing.T) {
+	t.Parallel()
+	for seed := uint64(1); seed <= 30; seed++ {
+		for _, sc := range StandardScreenScenarios(seed) {
+			if err := topo.CheckFlows(sc.TB.N, sc.Flows); err != nil {
+				t.Fatalf("seed %d %s: %v", seed, sc.Name, err)
+			}
+			cfg := FlowSimConfig{Arm: CMAP, Flows: sc.Flows, Duration: sim.Second, Seed: seed}
+			if _, err := NewFlowSim(sc.TB, cfg); err != nil {
+				t.Fatalf("seed %d %s: %v", seed, sc.Name, err)
+			}
+		}
+	}
+}

@@ -424,6 +424,8 @@ func (m *MeshResult) Gain() float64 {
 // is where CMAP finds exposed-terminal opportunities); when all relays
 // drain, the source broadcasts the next batch. A leaf's throughput is
 // the minimum of its two hop rates; a run's score is the sum over leaves.
+// The batch workload runs on a static layout: it ignores opt.Mobility
+// (and opt.Traffic).
 func Mesh(tb *topo.Testbed, opt Options) *MeshResult {
 	tb = tb.Shared()
 	rng := sim.NewRNG(opt.Seed ^ 0xf57)

@@ -127,7 +127,8 @@ type flowSimState struct {
 // and starts before any MAC exists, each distinct node gets one station
 // on rng.Stream(1000+id) in flow order, and flow i's traffic source
 // draws rng.Stream(5000+i). It reads only N, Pos, Bounds, Params, Model
-// and DenseMedium from the testbed, never the link measurements.
+// and DenseMedium from the testbed, never the link measurements, and
+// returns an error for a flow set topo.CheckFlows refuses.
 func NewFlowSim(tb *topo.Testbed, cfg FlowSimConfig) (*FlowSim, error) {
 	return newFlowSim(tb, cfg, nil)
 }
@@ -141,6 +142,9 @@ func newFlowSim(tb *topo.Testbed, cfg FlowSimConfig, beforeStations func(*FlowSi
 	arm, err := mac.Lookup(string(cfg.Arm))
 	if err != nil {
 		return nil, err
+	}
+	if err := topo.CheckFlows(tb.N, cfg.Flows); err != nil {
+		return nil, fmt.Errorf("experiments: %w", err)
 	}
 	n := len(cfg.Flows)
 	fs := &FlowSim{

@@ -341,9 +341,7 @@ func StandardScreenScenarios(seed uint64) []ScreenScenario {
 	grid := topo.GridCity(2, 2, 4, 300, seed).Testbed()
 	var gflows []topo.Link
 	if ps := grid.InRangePairs(rng, 2); len(ps) > 0 {
-		for _, p := range ps {
-			gflows = append(gflows, p.A, p.B)
-		}
+		gflows = pairFlows(grid.N, ps)
 	} else {
 		// Dense street blocks rarely yield the paper's specific pair
 		// geometry; fall back to the strongest node-disjoint links so the
@@ -363,11 +361,22 @@ func StandardScreenScenarios(seed uint64) []ScreenScenario {
 	out = append(out, ScreenScenario{Name: "clusters", TB: ctb, Flows: cflows})
 	disk := topo.UniformDisk(30, 200, seed).Testbed()
 	if ps := disk.InRangePairs(rng, 2); len(ps) > 0 {
-		var flows []topo.Link
-		for _, p := range ps {
-			flows = append(flows, p.A, p.B)
-		}
-		out = append(out, ScreenScenario{Name: "uniformdisk", TB: disk, Flows: flows})
+		out = append(out, ScreenScenario{Name: "uniformdisk", TB: disk, Flows: pairFlows(disk.N, ps)})
 	}
 	return out
+}
+
+// pairFlows lists both flows of each pair over n nodes, keeping a flow
+// only if the set still passes topo.CheckFlows: independently drawn
+// pairs can share a sender or a receiver.
+func pairFlows(n int, pairs []topo.LinkPair) []topo.Link {
+	var flows []topo.Link
+	for _, p := range pairs {
+		for _, f := range [...]topo.Link{p.A, p.B} {
+			if topo.CheckFlows(n, append(flows[:len(flows):len(flows)], f)) == nil {
+				flows = append(flows, f)
+			}
+		}
+	}
+	return flows
 }

@@ -76,16 +76,9 @@ func TestShardedSaturatedNetworkCarriesTraffic(t *testing.T) {
 	}
 }
 
-// BenchmarkMediumConstruct measures channel construction across the
-// node-count sweep; allocations stay O(n·k), not O(n²).
-func BenchmarkMediumConstruct(b *testing.B) {
-	for _, n := range MediumConstructSizes {
-		b.Run(fmt.Sprintf("n=%d", n), BenchMediumConstruct(n))
-	}
-}
-
-// BenchmarkMediumConstructDense is the O(n²) reference; comparing the
-// two shows the asymptotic gap the grid buys.
+// BenchmarkMediumConstructDense is the O(n²) reference; comparing it
+// with BenchmarkScale's MediumConstruct rows shows the asymptotic gap
+// the grid buys.
 func BenchmarkMediumConstructDense(b *testing.B) {
 	for _, n := range ScaleSizes {
 		s := topo.UniformDisk(n, ScaleDensity, 1)
@@ -102,79 +95,11 @@ func BenchmarkMediumConstructDense(b *testing.B) {
 	}
 }
 
-// BenchmarkScaleTraffic runs saturated flows over each scenario size
-// with a fresh build per op (the PR 2 shape): per-op cost tracks how
-// construction plus Transmit fan-out scale with network size.
-func BenchmarkScaleTraffic(b *testing.B) {
-	for _, n := range ScaleSizes {
-		b.Run(fmt.Sprintf("n=%d", n), BenchScaleTraffic(n))
-	}
-}
-
-// BenchmarkSaturatedSteadyState measures 20 ms windows of saturated
-// traffic on a persistent network — construction excluded, the regime
-// the zero-allocation transmit path targets.
-func BenchmarkSaturatedSteadyState(b *testing.B) {
-	for _, n := range ScaleSizes {
-		b.Run(fmt.Sprintf("n=%d", n), BenchSaturatedSteadyState(n, ScaleDensity, 0))
-	}
-	b.Run("n=1000/dense", BenchSaturatedSteadyState(1000, DenseDensity, 0))
-}
-
-// BenchmarkAgenda measures the scheduler alone: the hold model at the
-// saturated network's depth and at a depth that crowds every bucket,
-// timer re-arming inside two or three buckets, and a same-instant burst.
-func BenchmarkAgenda(b *testing.B) {
-	b.Run("Hold/pending=256", BenchAgendaHold(256))
-	b.Run("Hold/pending=4096", BenchAgendaHold(4096))
-	b.Run("Rearm/pending=4096", BenchAgendaRearm(4096))
-	b.Run("Burst/n=10000", BenchAgendaBurst(10000))
-}
-
-// BenchmarkModel prices one grid candidate at mobile_churn's density:
-// the full Loss against the shadowing screen that spares most
-// candidates it.
-func BenchmarkModel(b *testing.B) {
-	b.Run(fmt.Sprintf("Loss/n=1000@%d", ChurnDensity), BenchModelLoss(1000, ChurnDensity))
-	b.Run(fmt.Sprintf("Screen/n=1000@%d", ChurnDensity), BenchModelScreen(1000, ChurnDensity))
-}
-
-// BenchmarkIncrementalUpdate measures one MoveNode at each scale size:
-// a grid move and the rows marked stale, no link evaluated.
-func BenchmarkIncrementalUpdate(b *testing.B) {
-	for _, n := range ScaleSizes {
-		b.Run(fmt.Sprintf("n=%d", n), BenchIncrementalUpdate(n))
-	}
-}
-
-// BenchmarkEpochUpdate measures one whole movement epoch — every node
-// moved in one MoveNodes batch — at each scale size.
-func BenchmarkEpochUpdate(b *testing.B) {
-	for _, n := range ScaleSizes {
-		b.Run(fmt.Sprintf("n=%d", n), BenchEpochUpdate(n))
-	}
-}
-
-// BenchmarkEpochRead measures one movement epoch plus the rebuild of
-// every fifth node's stale row on first read.
-func BenchmarkEpochRead(b *testing.B) {
-	b.Run("n=1000", BenchEpochRead(1000))
-}
-
-// BenchmarkDeliveryRebuild prices the from-scratch rebuild the lazy
-// rows replace; the ratio against EpochRead at n=1000 is the speedup
-// mobility rides on.
-func BenchmarkDeliveryRebuild(b *testing.B) {
-	for _, n := range ScaleSizes {
-		b.Run(fmt.Sprintf("n=%d", n), BenchDeliveryRebuild(n))
-	}
-}
-
-// BenchmarkShardedSteadyState is the go-test face of the sharded scaling
-// matrix at its smallest size; the full n × shards grid runs through
-// cmapbench -benchjson, which records it in the BENCH trajectory.
-func BenchmarkShardedSteadyState(b *testing.B) {
-	for _, k := range ShardCounts {
-		b.Run(fmt.Sprintf("n=1000/shards=%d", k), BenchSaturatedSteadyState(1000, ScaleDensity, k))
+// BenchmarkScale runs the scaling suite cmapbench -benchjson records,
+// under the same row names as the BENCH file (AgendaHold/pending=256,
+// SaturatedSteadyState/n=1000/dense, …): one kernel list, two runners.
+func BenchmarkScale(b *testing.B) {
+	for _, sb := range ScaleBenchmarks() {
+		b.Run(sb.Name, sb.Run)
 	}
 }

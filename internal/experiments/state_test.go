@@ -106,8 +106,7 @@ func TestStateComplete(t *testing.T) {
 			"observations.cfg", "observations.free", "rxFlow.curBuf", "rxFlow.gotBuf", "vpktTx.flow"}},
 		{"csma", csma.Node{}, false, []string{"Node.id", "Node.cfg", "Node.radio", "Node.sched", "Node.addr", "Node.Meter", "Node.OnDeliver",
 			"Node.ackFree", "Node.ctsFree"}},
-		{"phy", phy.Radio{}, false, []string{"Radio.id", "Radio.params", "Radio.sched", "Radio.channel", "Radio.handler",
-			"Radio.captureK", "Radio.exact"}},
+		{"phy", phy.Radio{}, false, []string{"Radio.id", "Radio.sched", "Radio.channel", "Radio.handler", "Radio.exact"}},
 		{"medium", medium.Medium{}, false, []string{"Medium.sched", "Medium.params", "Medium.model", "Medium.positions", "Medium.radios",
 			"Medium.deliveries", "Medium.floor", "Medium.screen", "Medium.gridBacked", "Medium.attended", "Medium.attachAt", "Medium.heard", "Medium.heardVer", "Medium.ver", "Medium.arena",
 			"Medium.txFree", "Medium.mv"}},
@@ -115,7 +114,7 @@ func TestStateComplete(t *testing.T) {
 			"Shard.outTo", "Shard.attachAt", "Shard.outbox", "Shard.txFree", "Shard.rtFree"}},
 		{"shard-engine", shard.Engine{}, false, []string{"Engine.params", "Engine.shards", "Engine.assign", "Engine.radios", "Engine.attended",
 			"Engine.bar", "Engine.failOnce", "Engine.failErr"}},
-		{"traffic", traffic.Source{}, false, []string{"Source.sched", "Source.spec", "Source.q", "Source.dst", "Source.meanGapNs", "Source.burst", "Source.cap"}},
+		{"traffic", traffic.Source{}, false, []string{"Source.sched", "Source.spec", "Source.q", "Source.dst", "Source.meanGapNs"}},
 		{"mobility", mobility.Manager{}, false, []string{"Manager.spec", "Manager.arena", "Manager.med", "Manager.ch", "Manager.epoch", "Manager.ids", "Manager.pts"}},
 		{"stats-meter", stats.Meter{}, true, nil},
 		{"stats-latency", stats.Latency{}, true, nil},

@@ -156,7 +156,7 @@ func testConservation(t *testing.T, armName string) {
 // increments until the sender is idle and reads every count there.
 func conservation(t *testing.T, armName string, tp Topology) *experiments.FlowSim {
 	const horizon = 2 * sim.Second
-	fs := NewSim(armName, tp, 3, 0, 1<<62, traffic.Spec{Kind: traffic.Poisson, PacketsPerSec: 150, QueueCap: -1})
+	fs := NewSim(armName, tp, 3, 0, 1<<62, traffic.PoissonAt(150))
 	sender, receiver := fs.Sender(0), fs.Receiver(0)
 
 	fs.Run(horizon)

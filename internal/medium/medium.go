@@ -189,9 +189,6 @@ func (m *Medium) Position(i int) geo.Point { return m.positions[i] }
 // Scheduler returns the virtual clock driving this medium.
 func (m *Medium) Scheduler() *sim.Scheduler { return m.sched }
 
-// Params returns the PHY constants shared by all radios.
-func (m *Medium) Params() phy.Params { return m.params }
-
 // GridBacked reports whether the model bounds its range, so that the
 // spatial grid prunes candidates (without one every pair is a candidate).
 func (m *Medium) GridBacked() bool { return m.gridBacked }

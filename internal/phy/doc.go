@@ -21,8 +21,8 @@
 // # The fast reception path
 //
 // The hot path never touches the dB domain or a transcendental: the
-// receiver constants are folded into package-level linear multipliers
-// once (the capture margin into one per radio), and the Erfc-based
+// receiver constants and the capture margin are folded into
+// package-level linear multipliers once, and the Erfc-based
 // BER/lock curves are replaced by monotone piecewise-linear tables over
 // bit-pattern quantized linear Eb/N0 (tables.go). The exact formulas remain
 // exported as the reference; Params.ExactReceptionMath routes radios

@@ -20,6 +20,12 @@ const (
 	// ImplementationLossDB derates the analytic BER curves to hardware
 	// reality (filter mismatch, phase noise, channel estimation error).
 	ImplementationLossDB = 5.0
+	// CaptureMarginDB is the extra SINR a newly arriving frame needs —
+	// beyond ordinary preamble acquisition — to capture the receiver away
+	// from an already-locked weaker frame (OFDM sync restart, the
+	// "capture effect" of the paper's refs [18, 20]). Commodity
+	// Atheros-class hardware restarts around 10 dB.
+	CaptureMarginDB = 10.0
 )
 
 // Params collects the transceiver settings shared by every radio in a
@@ -28,12 +34,6 @@ type Params struct {
 	// TxPowerDBm is the common transmit power (the paper assumes one
 	// power level network-wide, footnote 2).
 	TxPowerDBm float64
-	// CaptureMarginDB is the extra SINR a newly arriving frame needs —
-	// beyond ordinary preamble acquisition — to capture the receiver away
-	// from an already-locked weaker frame (OFDM sync restart, the
-	// "capture effect" of the paper's refs [18, 20]). Commodity
-	// Atheros-class hardware restarts around 10 dB.
-	CaptureMarginDB float64
 	// DeliveryFloorDBm bounds medium fan-out: signals arriving below this
 	// power are ignored entirely (they are far below noise).
 	DeliveryFloorDBm float64
@@ -52,7 +52,6 @@ type Params struct {
 func DefaultParams() Params {
 	return Params{
 		TxPowerDBm:       10,
-		CaptureMarginDB:  10,
 		DeliveryFloorDBm: -108,
 	}
 }

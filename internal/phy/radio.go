@@ -117,16 +117,10 @@ type Channel interface {
 // receiving, and answers carrier-sense queries.
 type Radio struct {
 	id      int
-	params  Params
 	sched   *sim.Scheduler
 	channel Channel
 	handler Handler
-
-	// The two reception constants that depend on Params: captureK is
-	// lockK further derated by the capture margin, and exact mirrors
-	// ExactReceptionMath.
-	captureK float64
-	exact    bool
+	exact   bool // Params.ExactReceptionMath
 
 	RadioState
 }
@@ -138,7 +132,8 @@ type Radio struct {
 //	Eb/N0 = SINR · (BW/bitrate) · 10^((codingGain − implLoss)/10)
 //
 // so ebn0K[rate] is the exact path's MWToDBm → +offsets → FromDB chain
-// as one constant per rate, and lockK the same for the BPSK preamble.
+// as one constant per rate, lockK the same for the BPSK preamble, and
+// captureK lockK further derated by the capture margin.
 var (
 	noiseMW       = radio.DBmToMW(NoiseFloorDBm)
 	sensitivityMW = radio.DBmToMW(SensitivityDBm)
@@ -151,6 +146,7 @@ var (
 	}()
 	lockK = channelBandwidthMHz / rateTable[Rate6Mbps].Mbps *
 		radio.FromDB(rateTable[Rate6Mbps].codingGainDB-ImplementationLossDB)
+	captureK = lockK * radio.FromDB(-CaptureMarginDB)
 )
 
 // RadioState is the mutable half of a Radio and its checkpoint form;
@@ -205,10 +201,8 @@ type RadioStats struct {
 func NewRadio(id int, params Params, sched *sim.Scheduler, rng *sim.RNG, channel Channel) *Radio {
 	return &Radio{
 		id:         id,
-		params:     params,
 		sched:      sched,
 		channel:    channel,
-		captureK:   lockK * radio.FromDB(-params.CaptureMarginDB),
 		exact:      params.ExactReceptionMath,
 		RadioState: RadioState{CSMW: radio.DBmToMW(CSThresholdDBm), RNG: *rng},
 	}
@@ -397,9 +391,6 @@ func (r *Radio) SignalStart(tx *Transmission, powerMW float64) {
 // currently locked (weaker) frame captures the receiver. The old frame is
 // abandoned and reported corrupted.
 func (r *Radio) tryCapture(tx *Transmission, powerMW float64, now sim.Time) {
-	if r.params.CaptureMarginDB <= 0 {
-		return // capture disabled
-	}
 	if powerMW < sensitivityMW {
 		return
 	}
@@ -410,9 +401,9 @@ func (r *Radio) tryCapture(tx *Transmission, powerMW float64, now sim.Time) {
 	var pCapture float64
 	if r.exact {
 		sinr := radio.SINR(powerMW, noiseMW, interf) - ImplementationLossDB
-		pCapture = LockProbability(sinr - r.params.CaptureMarginDB)
+		pCapture = LockProbability(sinr - CaptureMarginDB)
 	} else {
-		pCapture = lockProbLinear(powerMW / (noiseMW + interf) * r.captureK)
+		pCapture = lockProbLinear(powerMW / (noiseMW + interf) * captureK)
 	}
 	if r.RNG.Float64() >= pCapture {
 		return

@@ -132,26 +132,25 @@ func TestCaptureStatAccounting(t *testing.T) {
 	}
 }
 
-// TestCaptureDisabled pins the CaptureMarginDB <= 0 switch: even a
-// 30 dB stronger late arrival must not steal the lock — the locked
-// frame keeps the receiver and is destroyed by the interference instead.
-func TestCaptureDisabled(t *testing.T) {
-	p := DefaultParams()
-	p.CaptureMarginDB = 0
-	r, h, _, sched := testRadio(t, p)
+// TestCaptureBelowMargin pins the capture margin: a late arrival 5 dB
+// stronger than the locked frame is well short of CaptureMarginDB, so
+// it must not steal the lock — the locked frame keeps the receiver and
+// is destroyed by the interference instead.
+func TestCaptureBelowMargin(t *testing.T) {
+	r, h, _, sched := testRadio(t, DefaultParams())
 	weak, strong := testTx(1, 1), testTx(2, 2)
 
 	sched.Post(0, edge{r, weak, radio.DBmToMW(-70)}, nil)
-	sched.Post(100*sim.Microsecond, edge{r, strong, radio.DBmToMW(-40)}, nil)
+	sched.Post(100*sim.Microsecond, edge{r, strong, radio.DBmToMW(-65)}, nil)
 	sched.Run(150 * sim.Microsecond)
 	if st := r.Stats(); st.Captures != 0 || st.Corrupted != 0 {
-		t.Fatalf("capture-disabled radio captured: %+v", st)
+		t.Fatalf("arrival below the capture margin captured: %+v", st)
 	}
 	if len(h.corrupt) != 0 {
-		t.Fatalf("OnCorrupt fired with capture disabled: %+v", h.corrupt)
+		t.Fatalf("OnCorrupt fired below the capture margin: %+v", h.corrupt)
 	}
 
-	// The weak frame stays locked; with -40 dBm interference over most
+	// The weak frame stays locked; with -65 dBm interference over most
 	// of its airtime its decode must fail, not be silently dropped.
 	sched.Post(2000*sim.Microsecond, edge{r: r, tx: strong}, nil)
 	sched.Post(2100*sim.Microsecond, edge{r: r, tx: weak}, nil)

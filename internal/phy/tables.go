@@ -27,8 +27,8 @@ import "math"
 //
 // Tables are indexed by effective Eb/N0 with every dB-domain constant
 // (implementation loss, bandwidth-per-bit-rate conversion, coding gain)
-// folded into package-level linear multipliers, and the capture margin
-// into one per radio; see ebn0K and lockK in radio.go.
+// and the capture margin folded into package-level linear multipliers;
+// see ebn0K, lockK and captureK in radio.go.
 
 const (
 	// tableMinExp/tableMaxExp bound the tables' linear Eb/N0 domain at

@@ -1,6 +1,7 @@
 package topo
 
 import (
+	"fmt"
 	"sort"
 	"sync"
 
@@ -265,6 +266,29 @@ func (tb *Testbed) Census() Census {
 
 // Link is a directed sender→receiver pair.
 type Link struct{ Src, Dst int }
+
+// CheckFlows reports whether flows is a valid flow set over n nodes:
+// each flow links two distinct nodes in [0, n), no node sends two flows
+// and no node receives two. A node may send one flow and receive
+// another. The pairwise scan allocates nothing: a figure trial checks
+// two or three flows, and the largest scale fixture (n/10 flows at
+// n = 10 000) about half a million pairs once, before its run.
+func CheckFlows(n int, flows []Link) error {
+	for i, f := range flows {
+		if f.Src == f.Dst || f.Src < 0 || f.Dst < 0 || f.Src >= n || f.Dst >= n {
+			return fmt.Errorf("topo: flow %d (%d→%d) is not a link between two of %d nodes", i, f.Src, f.Dst, n)
+		}
+		for _, g := range flows[:i] {
+			if g.Src == f.Src {
+				return fmt.Errorf("topo: flow %d (%d→%d) is a second flow from node %d", i, f.Src, f.Dst, f.Src)
+			}
+			if g.Dst == f.Dst {
+				return fmt.Errorf("topo: flow %d (%d→%d) is a second flow into node %d", i, f.Src, f.Dst, f.Dst)
+			}
+		}
+	}
+	return nil
+}
 
 // LinkPair is one two-flow experiment topology.
 type LinkPair struct{ A, B Link }

@@ -234,3 +234,32 @@ func TestBuildMediumMatchesMeasurement(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckFlows pins what a valid flow set is: links between two
+// distinct nodes in range, at most one flow out of and one flow into
+// each node, while one node may send a flow and receive another.
+func TestCheckFlows(t *testing.T) {
+	cases := []struct {
+		name  string
+		flows []Link
+		ok    bool
+	}{
+		{"empty", nil, true},
+		{"disjoint pair", []Link{{0, 1}, {2, 3}}, true},
+		{"relay", []Link{{0, 1}, {1, 2}}, true},
+		{"swapped pair", []Link{{0, 1}, {1, 0}}, true},
+		{"self loop", []Link{{3, 3}}, false},
+		{"negative node", []Link{{-1, 2}}, false},
+		{"node past n", []Link{{0, 4}}, false},
+		{"two from one sender", []Link{{0, 1}, {0, 2}}, false},
+		{"two into one receiver", []Link{{0, 2}, {1, 2}}, false},
+		{"duplicate flow", []Link{{0, 1}, {0, 1}}, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := CheckFlows(4, tc.flows); (err == nil) != tc.ok {
+				t.Errorf("CheckFlows(4, %v) = %v, want ok=%v", tc.flows, err, tc.ok)
+			}
+		})
+	}
+}

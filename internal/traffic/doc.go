@@ -26,8 +26,8 @@
 // building block of many-user scenarios. A Source binds a Spec to the
 // transmit queue of a link-layer node (the Enqueuer interface, which
 // both core.Node and csma.Node satisfy), enforces a finite per-flow
-// backlog (QueueCap; tail drops are counted), and drives everything
-// from scheduler timers.
+// backlog (DefaultQueueCap; tail drops are counted), and drives
+// everything from scheduler timers.
 //
 // # Determinism and the zero-allocation arrival path
 //

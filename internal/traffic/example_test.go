@@ -29,16 +29,15 @@ func (q *queue) HandleEvent(any) {
 
 // Example drives a bursty ON/OFF workload into a rate-limited queue for
 // one virtual second. The source offers 2000 packets/s during ON bursts
-// (mean 50 ms, alternating with mean 150 ms of silence — a 500 pkt/s
+// (mean 100 ms, alternating with mean 100 ms of silence — a 1000 pkt/s
 // long-run rate); the queue serves only 1000 pkt/s, so long bursts
-// overflow the 64-packet cap and drop at the tail.
+// overflow the 256-packet cap and drop at the tail.
 func Example() {
 	sched := sim.NewScheduler()
 	q := &queue{sched: sched}
 	q.HandleEvent(nil)
 
-	spec := traffic.OnOffAt(2000, 50*sim.Millisecond, 150*sim.Millisecond)
-	spec.QueueCap = 64
+	spec := traffic.Spec{Kind: traffic.OnOff, PacketsPerSec: 2000}
 	src := traffic.NewSource(sched, sim.NewRNG(42), spec, q, 1)
 	src.Start()
 
@@ -49,6 +48,6 @@ func Example() {
 	fmt.Printf("long-run offered load at 1400-byte payloads: %.2f Mb/s\n",
 		spec.OfferedMbps(1400))
 	// Output:
-	// offered=873 accepted=696 dropped=177 served=633
-	// long-run offered load at 1400-byte payloads: 5.60 Mb/s
+	// offered=1344 accepted=1101 dropped=243 served=846
+	// long-run offered load at 1400-byte payloads: 11.20 Mb/s
 }

@@ -26,9 +26,9 @@ const (
 	// regime analysed by the unsaturated-CSMA literature).
 	Poisson
 	// OnOff is a bursty two-state source: exponentially distributed ON
-	// periods (mean OnMean) during which packets flow CBR-style at
-	// PacketsPerSec, alternating with silent OFF periods (mean OffMean).
-	// The long-run mean rate is PacketsPerSec·OnMean/(OnMean+OffMean).
+	// periods during which packets flow CBR-style at PacketsPerSec,
+	// alternating with silent OFF periods, both of mean OnOffMean. The
+	// long-run mean rate is PacketsPerSec/2.
 	OnOff
 )
 
@@ -64,10 +64,15 @@ func ParseKind(s string) (Kind, error) {
 	return Saturated, fmt.Errorf("traffic: unknown kind %q (want saturated|cbr|poisson|onoff)", s)
 }
 
-// DefaultQueueCap is the per-flow backlog bound used when Spec.QueueCap
-// is zero: arrivals beyond it are dropped at the queue tail, as a real
-// device's transmit queue would.
-const DefaultQueueCap = 256
+const (
+	// DefaultQueueCap is the per-flow backlog bound: arrivals beyond it
+	// are dropped at the queue tail, as a real device's transmit queue
+	// would.
+	DefaultQueueCap = 256
+	// OnOffMean is the mean duration of an OnOff source's ON and OFF
+	// periods (exponentially distributed).
+	OnOffMean = 100 * sim.Millisecond
+)
 
 // Spec describes one flow's workload. The zero value is the saturated
 // model, which is why adding this package changed no existing
@@ -80,18 +85,6 @@ type Spec struct {
 	// CBR, the mean for Poisson, and the within-burst (peak) rate for
 	// OnOff. Ignored by Saturated.
 	PacketsPerSec float64
-	// Burst is how many packets arrive per arrival event (a batch of
-	// frames from one application write). Zero means 1. The configured
-	// PacketsPerSec is preserved: arrival events fire Burst times less
-	// often.
-	Burst int
-	// QueueCap bounds the per-flow backlog; arrivals that would exceed
-	// it are dropped and counted. Zero means DefaultQueueCap; negative
-	// means unbounded.
-	QueueCap int
-	// OnMean and OffMean are the mean ON and OFF durations of the OnOff
-	// model (exponentially distributed). Zero values default to 100 ms.
-	OnMean, OffMean sim.Time
 	// UpMean and DownMean, when both positive, enable flow churn on any
 	// kind: the flow alternates between live sessions of mean duration
 	// UpMean, during which the arrival process runs, and gaps of mean
@@ -111,12 +104,6 @@ func CBRAt(pps float64) Spec { return Spec{Kind: CBR, PacketsPerSec: pps} }
 // PoissonAt returns a Poisson spec with mean rate pps packets per second.
 func PoissonAt(pps float64) Spec { return Spec{Kind: Poisson, PacketsPerSec: pps} }
 
-// OnOffAt returns a bursty spec emitting at peak packets per second
-// during exponential ON periods of mean on, silent for mean off.
-func OnOffAt(peak float64, on, off sim.Time) Spec {
-	return Spec{Kind: OnOff, PacketsPerSec: peak, OnMean: on, OffMean: off}
-}
-
 // PacketsPerSecFor converts an offered load in Mb/s of application
 // payload to packets per second at the given payload size.
 func PacketsPerSecFor(mbps float64, payloadBytes int) float64 {
@@ -135,8 +122,7 @@ func (s Spec) OfferedMbps(payloadBytes int) float64 {
 	case Saturated:
 		return 0
 	case OnOff:
-		on, off := s.onOffMeans()
-		pps *= float64(on) / float64(on+off)
+		pps *= 0.5 // ON and OFF periods of equal mean
 	}
 	if s.UpMean > 0 && s.DownMean > 0 {
 		pps *= float64(s.UpMean) / float64(s.UpMean+s.DownMean)
@@ -153,8 +139,7 @@ func (s Spec) OfferedMbps(payloadBytes int) float64 {
 func (s Spec) WithOfferedMbps(mbps float64, payloadBytes int) Spec {
 	pps := PacketsPerSecFor(mbps, payloadBytes)
 	if s.Kind == OnOff {
-		on, off := s.onOffMeans()
-		pps *= float64(on+off) / float64(on)
+		pps *= 2 // ON and OFF periods of equal mean
 	}
 	if s.churns() {
 		pps *= float64(s.UpMean+s.DownMean) / float64(s.UpMean)
@@ -163,78 +148,45 @@ func (s Spec) WithOfferedMbps(mbps float64, payloadBytes int) Spec {
 	return s
 }
 
-// onOffMeans returns the ON/OFF means with defaults applied.
-func (s Spec) onOffMeans() (on, off sim.Time) {
-	on, off = s.OnMean, s.OffMean
-	if on <= 0 {
-		on = 100 * sim.Millisecond
-	}
-	if off <= 0 {
-		off = 100 * sim.Millisecond
-	}
-	return on, off
-}
-
-// burst returns the batch size with the default applied.
-func (s Spec) burst() int {
-	if s.Burst <= 0 {
-		return 1
-	}
-	return s.Burst
-}
-
-// queueCap returns the backlog bound with the default applied
-// (negative = unbounded, reported as a very large cap).
-func (s Spec) queueCap() int {
-	switch {
-	case s.QueueCap == 0:
-		return DefaultQueueCap
-	case s.QueueCap < 0:
-		return int(^uint(0) >> 1) // unbounded
-	default:
-		return s.QueueCap
-	}
-}
-
 // churns reports whether flow churn is configured.
 func (s Spec) churns() bool { return s.UpMean > 0 && s.DownMean > 0 }
 
-// maxMeanGapNs bounds the mean time between arrival events, and each
-// ON/OFF and churn mean, at 2^56 ns (about 2.3 years): an exponential
-// draw is at most ~37 means, so every gap a source arms still fits the
-// int64 nanosecond clock.
+// maxMeanGapNs bounds the mean time between arrivals, and each churn
+// mean, at 2^56 ns (about 2.3 years): an exponential draw is at most
+// ~37 means, so every gap a source arms still fits the int64
+// nanosecond clock.
 const maxMeanGapNs = 1 << 56
 
 // Validate reports whether the spec is runnable: its mean gap between
-// arrival events (Burst / PacketsPerSec) must lie in [1 ns,
-// maxMeanGapNs], and none of OnMean, OffMean, UpMean and DownMean may
-// exceed maxMeanGapNs. A shorter gap rounds up to one clock tick, and a
-// far longer gap or mean overflows the clock and wraps to one tick too;
-// either way the source would post an event every nanosecond. The
-// range also refuses NaN, infinite and non-positive rates.
+// arrivals (1 / PacketsPerSec) must lie in [1 ns, maxMeanGapNs], and
+// neither UpMean nor DownMean may exceed maxMeanGapNs. A shorter gap
+// rounds up to one clock tick, and a far longer gap or mean overflows
+// the clock and wraps to one tick too; either way the source would
+// post an event every nanosecond. The range also refuses NaN, infinite
+// and non-positive rates.
 func (s Spec) Validate() error {
 	if s.Kind == Saturated {
 		return nil
 	}
-	for i, mean := range [...]sim.Time{s.OnMean, s.OffMean, s.UpMean, s.DownMean} {
+	for i, mean := range [...]sim.Time{s.UpMean, s.DownMean} {
 		if mean > maxMeanGapNs {
-			return fmt.Errorf("traffic: %s of %.3g ns is over 2^56 ns", [...]string{"OnMean", "OffMean", "UpMean", "DownMean"}[i], float64(mean))
+			return fmt.Errorf("traffic: %s of %.3g ns is over 2^56 ns", [...]string{"UpMean", "DownMean"}[i], float64(mean))
 		}
 	}
 	if gap := s.meanGapNs(); !(gap >= 1 && gap <= maxMeanGapNs) {
-		return fmt.Errorf("traffic: %v spec at %g packets/s in bursts of %d has a mean gap of %.3g ns, outside [1, 2^56] ns",
-			s.Kind, s.PacketsPerSec, s.burst(), gap)
+		return fmt.Errorf("traffic: %v spec at %g packets/s has a mean gap of %.3g ns, outside [1, 2^56] ns",
+			s.Kind, s.PacketsPerSec, gap)
 	}
 	return nil
 }
 
-// meanGapNs is the mean time between arrival events in ns.
-func (s Spec) meanGapNs() float64 { return float64(s.burst()) / s.PacketsPerSec * 1e9 }
+// meanGapNs is the mean time between arrivals in ns.
+func (s Spec) meanGapNs() float64 { return 1 / s.PacketsPerSec * 1e9 }
 
 // An Enqueuer is the transmit-queue face of a link-layer node: both
 // core.Node (CMAP) and csma.Node (DCF) satisfy it. Enqueue adds packets
 // towards dst; Backlog reports how many enqueued packets have not yet
-// been handed to the MAC, which is how a Source enforces QueueCap.
+// been handed to the MAC, which is how a Source enforces DefaultQueueCap.
 type Enqueuer interface {
 	Enqueue(dst int, count int)
 	Backlog(dst int) int
@@ -273,9 +225,7 @@ type Source struct {
 	q     Enqueuer
 	dst   int
 
-	meanGapNs float64 // mean event inter-arrival (Burst packets) in ns
-	burst     int
-	cap       int
+	meanGapNs float64 // mean inter-arrival in ns
 
 	state
 }
@@ -316,15 +266,12 @@ func NewSource(sched *sim.Scheduler, rng *sim.RNG, spec Spec, q Enqueuer, dst in
 	if err := spec.Validate(); err != nil {
 		panic(err)
 	}
-	b := spec.burst()
 	return &Source{
 		sched:     sched,
 		state:     state{RNG: *rng},
 		spec:      spec,
 		q:         q,
 		dst:       dst,
-		burst:     b,
-		cap:       spec.queueCap(),
 		meanGapNs: spec.meanGapNs(),
 	}
 }
@@ -333,14 +280,10 @@ func NewSource(sched *sim.Scheduler, rng *sim.RNG, spec Spec, q Enqueuer, dst in
 // answer per-packet delays. windowPackets is the link layer's maximum
 // number of accepted-but-undelivered packets beyond the queue cap (the
 // send window); the ring is sized to the next power of two covering
-// QueueCap + windowPackets so an in-flight packet's slot is never
-// overwritten before delivery. Call before Start.
+// DefaultQueueCap + windowPackets so an in-flight packet's slot is
+// never overwritten before delivery. Call before Start.
 func (s *Source) EnableLatency(windowPackets int) {
-	need := s.cap + windowPackets + 64
-	if s.spec.QueueCap < 0 {
-		// Unbounded queue: fall back to a generous fixed ring.
-		need = 1 << 16
-	}
+	need := DefaultQueueCap + windowPackets + 64
 	size := 1
 	for size < need {
 		size <<= 1
@@ -369,8 +312,7 @@ func (s *Source) Start() {
 		s.sched.ResetAfter(&s.Churn, s.exp(s.spec.UpMean), s, evChurn)
 	}
 	if s.spec.Kind == OnOff {
-		on, _ := s.spec.onOffMeans()
-		s.sched.ResetAfter(&s.Phase, s.exp(on), s, evPhase)
+		s.sched.ResetAfter(&s.Phase, s.exp(OnOffMean), s, evPhase)
 	}
 	s.armArrival()
 }
@@ -411,29 +353,23 @@ func (s *Source) HandleEvent(arg any) {
 	}
 }
 
-// arrive is the hot path: one batch of packets hits the queue and the
-// next arrival is drawn. No allocation happens anywhere on it.
+// arrive is the hot path: one packet hits the queue, or is dropped at
+// its tail, and the next arrival is drawn. No allocation happens
+// anywhere on it.
 func (s *Source) arrive() {
 	if !s.Up || !s.On {
 		return // stale fire across a transition; transitions stop the timer
 	}
-	s.Stat.Offered += uint64(s.burst)
-	k := s.burst
-	if room := s.cap - s.q.Backlog(s.dst); k > room {
-		k = room
-	}
-	if k > 0 {
+	s.Stat.Offered++
+	if s.q.Backlog(s.dst) < DefaultQueueCap {
 		if s.Times != nil {
-			for i := 0; i < k; i++ {
-				s.Times[uint32(s.Stat.Accepted+uint64(i))&s.Mask] = s.sched.Now()
-			}
+			s.Times[uint32(s.Stat.Accepted)&s.Mask] = s.sched.Now()
 		}
-		s.Stat.Accepted += uint64(k)
-		s.q.Enqueue(s.dst, k)
+		s.Stat.Accepted++
+		s.q.Enqueue(s.dst, 1)
 	} else {
-		k = 0
+		s.Stat.Dropped++
 	}
-	s.Stat.Dropped += uint64(s.burst - k)
 	s.armArrival()
 }
 
@@ -454,16 +390,13 @@ func (s *Source) armArrival() {
 
 // phaseFlip toggles the OnOff burst state.
 func (s *Source) phaseFlip() {
-	on, off := s.spec.onOffMeans()
 	s.On = !s.On
-	if s.On {
-		s.sched.ResetAfter(&s.Phase, s.exp(on), s, evPhase)
-		if s.Up {
-			s.armArrival()
-		}
-	} else {
+	if !s.On {
 		s.Arrival.Stop()
-		s.sched.ResetAfter(&s.Phase, s.exp(off), s, evPhase)
+	}
+	s.sched.ResetAfter(&s.Phase, s.exp(OnOffMean), s, evPhase)
+	if s.On && s.Up {
+		s.armArrival()
 	}
 }
 
@@ -478,8 +411,7 @@ func (s *Source) churnFlip() {
 		if s.spec.Kind == OnOff {
 			s.On = true
 			s.Phase.Stop()
-			on, _ := s.spec.onOffMeans()
-			s.sched.ResetAfter(&s.Phase, s.exp(on), s, evPhase)
+			s.sched.ResetAfter(&s.Phase, s.exp(OnOffMean), s, evPhase)
 		}
 		s.armArrival()
 	} else {

@@ -14,14 +14,10 @@ import (
 // arrival process alone.
 type sinkQueue struct {
 	enqueued uint64
-	calls    int
 }
 
-func (q *sinkQueue) Enqueue(dst, count int) {
-	q.enqueued += uint64(count)
-	q.calls++
-}
-func (q *sinkQueue) Backlog(dst int) int { return 0 }
+func (q *sinkQueue) Enqueue(dst, count int) { q.enqueued += uint64(count) }
+func (q *sinkQueue) Backlog(dst int) int    { return 0 }
 
 // stuckQueue models a dead server: the backlog it reports never drains.
 type stuckQueue struct {
@@ -76,26 +72,14 @@ func TestPoissonEmpiricalRate(t *testing.T) {
 	empiricalRate(t, src, q, d, pps, 0.05)
 }
 
-func TestPoissonBurstPreservesRate(t *testing.T) {
-	const pps = 1000.0
-	d := 20 * sim.Second
-	spec := PoissonAt(pps)
-	spec.Burst = 8
-	src, q := runSpec(t, spec, 7, d)
-	empiricalRate(t, src, q, d, pps, 0.05)
-	if q.calls*8 != int(q.enqueued) {
-		t.Fatalf("burst 8: %d calls delivered %d packets", q.calls, q.enqueued)
-	}
-}
-
 func TestOnOffEmpiricalRate(t *testing.T) {
 	const peak = 2000.0
-	on, off := 100*sim.Millisecond, 300*sim.Millisecond
-	d := 40 * sim.Second // ~100 ON/OFF cycles
-	src, q := runSpec(t, OnOffAt(peak, on, off), 11, d)
-	want := peak * float64(on) / float64(on+off)
+	spec := Spec{Kind: OnOff, PacketsPerSec: peak}
+	d := 40 * sim.Second // ~200 ON/OFF cycles
+	src, q := runSpec(t, spec, 11, d)
+	want := peak / 2 // equal ON and OFF means
 	empiricalRate(t, src, q, d, want, 0.15)
-	if got := OnOffAt(peak, on, off).OfferedMbps(1400); math.Abs(got-want*1400*8/1e6) > 1e-9 {
+	if got := spec.OfferedMbps(1400); math.Abs(got-want*1400*8/1e6) > 1e-9 {
 		t.Fatalf("OfferedMbps %.3f disagrees with the mean rate", got)
 	}
 }
@@ -115,18 +99,16 @@ func TestChurnPausesArrivals(t *testing.T) {
 }
 
 func TestQueueCapDropsAtTail(t *testing.T) {
-	spec := CBRAt(1000)
-	spec.QueueCap = 32
 	sched := sim.NewScheduler()
 	q := &stuckQueue{}
-	src := NewSource(sched, sim.NewRNG(1), spec, q, 1)
+	src := NewSource(sched, sim.NewRNG(1), CBRAt(1000), q, 1)
 	src.Start()
 	sched.Run(1 * sim.Second)
 	st := src.Stats()
-	if st.Accepted != 32 {
-		t.Fatalf("stuck queue accepted %d, want exactly the cap 32", st.Accepted)
+	if st.Accepted != DefaultQueueCap {
+		t.Fatalf("stuck queue accepted %d, want exactly the cap %d", st.Accepted, DefaultQueueCap)
 	}
-	if st.Dropped != st.Offered-32 {
+	if st.Dropped != st.Offered-DefaultQueueCap {
 		t.Fatalf("drops %d ≠ offered %d − cap", st.Dropped, st.Offered)
 	}
 	if st.Offered != 1000 { // arrivals at 1ms, 2ms, …, 1000ms inclusive
@@ -189,7 +171,7 @@ func TestWithOfferedMbpsRoundTrips(t *testing.T) {
 	specs := []Spec{
 		CBRAt(1),
 		PoissonAt(1),
-		OnOffAt(1, 100*sim.Millisecond, 300*sim.Millisecond),
+		{Kind: OnOff, PacketsPerSec: 1},
 	}
 	churned := PoissonAt(1)
 	churned.UpMean = 200 * sim.Millisecond
