@@ -232,15 +232,18 @@ bench-pair:
 # one-move-at-a-time path) with the invariant it leans on — the
 # guard-banded audibility predicate against its literal form — the
 # lazy-row contract (a batch evaluates nothing, a row is built on its
-# first read and only then, an empty batch is a no-op), the mobile golden
-# traces, the staleness-sweep figure properties, the
+# first read and only then, a frame builds only its attended part, an
+# empty batch is a no-op), every frame's receivers under random batches,
+# attaches and full reads against a from-scratch build, the mobile golden
+# traces and the churn-shaped mobile golden, the staleness-sweep figure
+# properties, the
 # churn × mobility interplay, and the mobile checkpoint/resume
 # bit-identity cases.
-MOBILITY_EXPERIMENTS = $(GO) test -timeout $(TEST_TIMEOUT) -count=1 -run 'TestGoldenMobileTraces|TestStalenessSweep|TestMobilityChurnInterplay|TestCheckpointResumeBitIdentical/.*mobile' ./internal/experiments
+MOBILITY_EXPERIMENTS = $(GO) test -timeout $(TEST_TIMEOUT) -count=1 -run 'TestGoldenMobileTraces|TestGoldenMobileChurn|TestStalenessSweep|TestMobilityChurnInterplay|TestCheckpointResumeBitIdentical/.*mobile' ./internal/experiments
 mobility-conformance:
 	$(GO) test -timeout $(TEST_TIMEOUT) -count=1 ./internal/mobility
 	$(GO) test -timeout $(TEST_TIMEOUT) -race -count=1 -run 'TestConformance/.*/Mobile' ./internal/mac/conformance
-	$(GO) test -timeout $(TEST_TIMEOUT) -count=1 -run 'TestIncrementalMatchesRebuild|TestPartialBatchMatchesRebuild|TestFloorMatchesLiteral|TestScreenRefusesMost|TestLazyRows|TestEmptyBatchIsNoOp' ./internal/medium
+	$(GO) test -timeout $(TEST_TIMEOUT) -count=1 -run 'TestIncrementalMatchesRebuild|TestPartialBatchMatchesRebuild|TestFloorMatchesLiteral|TestScreenRefusesMost|TestLazyRows|TestEmptyBatchIsNoOp|TestFanoutMatchesRebuildUnderMotion' ./internal/medium
 	$(MOBILITY_EXPERIMENTS)
 
 # Checkpoint/resume bit-identity: checkpoint-at-midpoint-then-resume

@@ -18,8 +18,11 @@
 // of bench/run.sh, and whether the two runs' result digests agree;
 // the summary gives each metric's medians, the median of the per-round
 // ratios (working tree / parent) and in how many rounds the working
-// tree was better. The exit status is 1 when a run fails, reports a
-// failed check or its digests differ from the other side's.
+// tree was better. It marks a metric whose median ratio is worse than
+// 1 ± the bound BENCHMARK.json gives it, in the direction it is better
+// in, and says where the new median falls against the parent's p25–p75.
+// The exit status is 1 when a run fails, reports a failed check or its
+// digests differ from the other side's.
 package main
 
 import (
@@ -47,10 +50,13 @@ type outcome struct {
 	digests []string
 }
 
-// metric is one end-to-end metric as BENCHMARK.json declares it.
+// metric is one end-to-end metric as BENCHMARK.json declares it: the
+// direction it is better in, and the fraction by which its median ratio
+// may be worse before the change is refused.
 type metric struct {
-	Name   string `json:"name"`
-	Better string `json:"better"`
+	Name   string  `json:"name"`
+	Better string  `json:"better"`
+	Bound  float64 `json:"bound"`
 }
 
 func main() {
@@ -128,10 +134,15 @@ func run(parent, workload string, rounds int, w io.Writer) error {
 		results = append(results, pair)
 	}
 	fmt.Fprintf(w, "\n%s, %d rounds: %s vs working tree\n", workload, rounds, sha)
-	fmt.Fprintf(w, "  %-18s %14s %14s %14s %14s %10s %8s\n", "metric", "parent p25", "parent p50", "parent p75", "new p50", "ratio p50", "better")
+	fmt.Fprintf(w, "  %-18s %14s %14s %14s %14s %10s %8s %6s  %s\n", "metric", "parent p25", "parent p50", "parent p75", "new p50", "ratio p50", "better", "bound", "new p50")
 	for _, m := range spec.EndToEnd {
 		s := summarize(results, m)
-		fmt.Fprintf(w, "  %-18s %14.6g %14.6g %14.6g %14.6g %10.4f %5d/%d\n", m.Name, s.old[0], s.old[1], s.old[2], s.new, s.ratio, s.better, rounds)
+		mark := ""
+		if s.breaks {
+			mark = "  BREAKS BOUND"
+		}
+		fmt.Fprintf(w, "  %-18s %14.6g %14.6g %14.6g %14.6g %10.4f %5d/%d %5.0f%%  %s%s\n",
+			m.Name, s.old[0], s.old[1], s.old[2], s.new, s.ratio, s.better, rounds, 100*m.Bound, s.place, mark)
 	}
 	if bad {
 		return fmt.Errorf("a run failed a check or the two sides' digests differ")
@@ -142,11 +153,15 @@ func run(parent, workload string, rounds int, w io.Writer) error {
 // summary is one metric over every round: the parent's quartiles (the
 // spread a gain must clear), the new side's median, the median of the
 // per-round ratios new/old, and the rounds in which the new side was
-// better.
+// better; whether that median ratio is worse than the metric's bound
+// allows, and where the new median falls against the parent's
+// quartiles ("below p25", "inside p25-p75" or "above p75").
 type summary struct {
 	old        [3]float64
 	new, ratio float64
 	better     int
+	breaks     bool
+	place      string
 }
 
 func summarize(results [][2]outcome, m metric) summary {
@@ -159,7 +174,17 @@ func summarize(results [][2]outcome, m metric) summary {
 			better++
 		}
 	}
-	return summary{quartiles(olds), quartiles(news)[1], quartiles(ratios)[1], better}
+	s := summary{old: quartiles(olds), new: quartiles(news)[1], ratio: quartiles(ratios)[1], better: better}
+	s.breaks = (m.Better == "lower" && s.ratio > 1+m.Bound) || (m.Better == "higher" && s.ratio < 1-m.Bound)
+	switch {
+	case s.new < s.old[0]:
+		s.place = "below p25"
+	case s.new > s.old[2]:
+		s.place = "above p75"
+	default:
+		s.place = "inside p25-p75"
+	}
+	return s
 }
 
 // quartiles returns the 25th, 50th and 75th percentiles of v,

@@ -321,6 +321,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return usage("%v", err)
 	}
+	if *shards > tb.N {
+		return usage("-shards %d: want at most one shard per node (%d nodes)", *shards, tb.N)
+	}
 	if *mobilityFlag != "" {
 		mob, err = mobility.ParseSpec(*mobilityFlag)
 		if err != nil {

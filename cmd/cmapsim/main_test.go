@@ -105,6 +105,9 @@ func TestRunUsageErrors(t *testing.T) {
 		{"mobility on shards", []string{"-mobility", "waypoint@3", "-shards", "2"}, "-mobility needs the serial engine"},
 		{"trace with trials", []string{"-trace", "5", "-trials", "3"}, "-trials 3"},
 		{"trace on shards", []string{"-trace", "5", "-shards", "2"}, "-shards 2"},
+		// Refused before any engine exists: a million shards would each
+		// allocate node-length tables and start a goroutine.
+		{"more shards than nodes", []string{"-shards", "1000000", "-duration", "1ms"}, "-shards 1000000: want at most one shard per node (50 nodes)"},
 		{"negative trace", []string{"-trace", "-5"}, "-trace -5"},
 		{"negative trials", []string{"-trials", "-3"}, "-trials -3"},
 		{"negative parallel", []string{"-parallel", "-4", "-trials", "2"}, "-parallel -4"},

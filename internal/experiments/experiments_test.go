@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/sim"
@@ -322,6 +323,25 @@ func TestNewFlowSimRejectsInvalidFlows(t *testing.T) {
 				t.Errorf("%s: NewFlowSim accepted flows %v", arm, flows)
 			}
 		}
+	}
+}
+
+// TestNewFlowSimRejectsMoreShardsThanNodes: a sharded engine with more
+// shards than nodes is ErrShards from NewFlowSim, returned before the
+// engine allocates its per-shard tables or starts a goroutine, and one
+// shard per node is still accepted.
+func TestNewFlowSimRejectsMoreShardsThanNodes(t *testing.T) {
+	tb := testbed(t, 1)
+	cfg := FlowSimConfig{Arm: CSMAOn, Flows: []topo.Link{{Src: 0, Dst: 1}}, Duration: sim.Millisecond, Seed: 1}
+	for _, shards := range []int{tb.N + 1, 1000000} {
+		cfg.Shards = shards
+		if _, err := NewFlowSim(tb, cfg); !errors.Is(err, ErrShards) {
+			t.Errorf("%d shards over %d nodes: err %v, want ErrShards", shards, tb.N, err)
+		}
+	}
+	cfg.Shards = tb.N
+	if _, err := NewFlowSim(tb, cfg); err != nil {
+		t.Errorf("one shard per node: %v", err)
 	}
 }
 

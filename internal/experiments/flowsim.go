@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -90,7 +91,8 @@ type FlowSimConfig struct {
 	Rate             phy.RateID
 	// Traffic selects the workload; the zero value is saturated.
 	Traffic traffic.Spec
-	// Shards > 1 runs the spatially sharded engine.
+	// Shards > 1 runs the spatially sharded engine; more shards than the
+	// testbed has nodes is ErrShards.
 	Shards int
 	// Mobility moves nodes during the run; requires the serial engine.
 	Mobility mobility.Spec
@@ -121,6 +123,12 @@ type flowSimState struct {
 	Lats   []stats.Latency            `json:"lats,omitempty"`
 }
 
+// ErrShards is NewFlowSim's failure for a FlowSimConfig with more
+// shards than the testbed has nodes. The sharded engine allocates
+// node-length tables and starts a goroutine per shard, so the check
+// comes before any of it.
+var ErrShards = errors.New("experiments: more shards than nodes")
+
 // NewFlowSim builds the simulation. The construction sequence is the
 // determinism contract the golden traces pin: the medium (or engine)
 // draws rng.Stream(1), the mobility manager its own StreamLabel stream
@@ -128,7 +136,8 @@ type flowSimState struct {
 // on rng.Stream(1000+id) in flow order, and flow i's traffic source
 // draws rng.Stream(5000+i). It reads only N, Pos, Bounds, Params, Model
 // and DenseMedium from the testbed, never the link measurements, and
-// returns an error for a flow set topo.CheckFlows refuses.
+// returns an error for a flow set topo.CheckFlows refuses, and
+// ErrShards.
 func NewFlowSim(tb *topo.Testbed, cfg FlowSimConfig) (*FlowSim, error) {
 	return newFlowSim(tb, cfg, nil)
 }
@@ -145,6 +154,9 @@ func newFlowSim(tb *topo.Testbed, cfg FlowSimConfig, beforeStations func(*FlowSi
 	}
 	if err := topo.CheckFlows(tb.N, cfg.Flows); err != nil {
 		return nil, fmt.Errorf("experiments: %w", err)
+	}
+	if cfg.Shards > tb.N {
+		return nil, fmt.Errorf("%w: %d shards over %d nodes", ErrShards, cfg.Shards, tb.N)
 	}
 	n := len(cfg.Flows)
 	fs := &FlowSim{

@@ -130,8 +130,13 @@ func FuzzAttachOrder(f *testing.F) {
 					continue
 				}
 				all := sched.Now() == attachAt
+				// From the reference build, not the medium: a full read
+				// here would spare the frame the attended-part row a
+				// move leaves it to build.
 				clear(onRow)
-				m.ForEachNeighbor(i, func(dst int, _ float64) { onRow[dst] = true })
+				for _, d := range denseDeliveries(m.params, m.model, m.positions)[i] {
+					onRow[d.Dst] = true
+				}
 				for j := range signals {
 					signals[j] = m.Radio(j).ActiveSignals()
 				}

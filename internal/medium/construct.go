@@ -134,7 +134,7 @@ func BuildDeliveries(params phy.Params, model radio.Model, positions []geo.Point
 	fill := func(lo, hi int) {
 		row := make([]Delivery, 0, 64) // scratch, reused across this worker's nodes
 		for a := lo; a < hi; a++ {
-			row = gridRow(row[:0], a, positions, grid, maxRange, fl, scr, model)
+			row = gridRow(row[:0], a, positions, grid, maxRange, fl, scr, model, nil)
 			lists[a] = sortedCopy(row)
 		}
 	}
@@ -174,16 +174,22 @@ func reach(params phy.Params, model radio.Model) (float64, bool) {
 
 // gridRow appends node a's audible receivers to row in grid visit
 // order: every grid candidate within maxRange that the screen passes
-// and that clears the floor, with its gain. It is the one per-row
-// computation of the grid path, at construction (BuildDeliveries) and
-// after a move (Medium.row) alike; sortedCopy turns its output into the
-// stored row.
-func gridRow(row []Delivery, a int, positions []geo.Point, grid *geo.Grid, maxRange float64, fl floor, scr screen, model radio.Model) []Delivery {
+// and that clears the floor, with its gain. A non-nil keep narrows the
+// candidates to the nodes it marks before any of them is looked at;
+// each one kept is decided exactly as without it. It is the one per-row
+// computation of the grid path, at construction (BuildDeliveries),
+// after a move (Medium.row) and for a frame's attended receivers
+// (Medium.heardRow) alike; sortedCopy turns its output into the stored
+// row.
+func gridRow(row []Delivery, a int, positions []geo.Point, grid *geo.Grid, maxRange float64, fl floor, scr screen, model radio.Model, keep []bool) []Delivery {
 	pa := positions[a]
 	grid.Near(a, maxRange, func(cell []int) {
 		for _, b := range cell {
+			if b == a || keep != nil && !keep[b] {
+				continue
+			}
 			pb := positions[b]
-			if b == a || !(pa.Dist(pb) <= maxRange) || scr.refuses(a, pa, b, pb) {
+			if !(pa.Dist(pb) <= maxRange) || scr.refuses(a, pa, b, pb) {
 				continue
 			}
 			if g, ok := fl.gain(model.Loss(a, pa, b, pb)); ok {

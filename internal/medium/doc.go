@@ -39,13 +39,18 @@
 //
 // MoveNodes evaluates no pair. It moves the nodes in the grid and marks
 // every row stale; a stale row is rebuilt by the same row computation
-// on its next read, over the positions and model state of that read.
-// Every reader — Transmit, NeighborCount, ForEachNeighbor, GainMW,
-// RxPowerDBm — goes through one accessor, so a mobile run pays for the
-// rows it reads between two epochs, a small share of the network, and a
-// static run never takes the path. Construction stays eager. See
-// incremental.go and ARCHITECTURE.md, "Mobility and the incremental
-// medium".
+// on its next full read, over the positions and model state of that
+// read. Every full reader — NeighborCount, ForEachNeighbor, GainMW,
+// RxPowerDBm, an All frame — goes through one accessor. An ordinary
+// frame over a stale row builds only the row's attended part, by the
+// same computation narrowed to the receivers a station listens on, and
+// leaves the full row to the next full read; it reaches exactly the
+// receivers, in the order and at the powers, the full row's attended
+// entries would give it. So a mobile run pays, between two epochs, for
+// the attended candidates of the nodes that transmit and the rows it
+// asks about, a small share of the network, and a static run never
+// takes the path. Construction stays eager. See incremental.go and
+// ARCHITECTURE.md, "Mobility and the incremental medium".
 //
 // # Who hears a frame
 //
@@ -54,7 +59,7 @@
 // about a radio's first handler (Attend). Each frame carries the
 // positions on its sender's list of the radios attended when it started
 // (Transmission.Heard, derived once per sender until the next attach or
-// move), and both fan-outs — Arrive at the start of a frame, Depart at
+// move; nil when the list itself holds only those), and both fan-outs — Arrive at the start of a frame, Depart at
 // its end — walk exactly those entries. The paper's experiments, and every run
 // here, put stations on a handful of a testbed's nodes; a radio nobody
 // attached to transmits nothing, draws from a private RNG stream and

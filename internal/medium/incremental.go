@@ -9,22 +9,29 @@ import (
 // Delivery rows under motion. MoveNodes relocates a set of nodes — one
 // movement epoch's worth — and evaluates no pair: it updates the
 // positions and the grid buckets and bumps the row version, which marks
-// every row stale at once. A stale row is rebuilt on its next read
+// every row stale at once. A stale row is rebuilt on its next full read
 // (row) by the per-row computation BuildDeliveries runs — gridRow, then
 // sortedCopy — over the positions and model state of that read, so it
-// is bit-identical to a from-scratch build over them. A run reads the
-// rows of the nodes that transmit and of the links it asks about, a
-// small share of the network per epoch, and pays only for those.
+// is bit-identical to a from-scratch build over them. A frame is not a
+// full read: a sender's first frame after a batch builds, in heardRow,
+// only the attended part of its stale row, by the same gridRow narrowed
+// to the receivers a station listens on. deliveries[a] is a's full row
+// only while rowVer[a] == ver; until then it is stale or that attended
+// part. A run reads the rows of the links it asks about and the
+// attended candidates of the nodes that transmit, a small share of the
+// network per epoch, and pays only for those.
 //
-// Every reader goes through row: Transmit (through heardRow's miss
-// path, which every batch forces by retiring the heard rows, and on its
-// All branch), NeighborCount, ForEachNeighbor and lookupGain. A model
-// whose Loss depends on per-node state that changes without a position
-// change (the mobility channel's shadowing epochs) must change it only
-// together with a batch: a row read later reads the live model.
+// Every full reader goes through row: Transmit's All branch,
+// NeighborCount, ForEachNeighbor and lookupGain; rebuildRow retires the
+// sender's heard row, which may index the attended part it replaces. A
+// model whose Loss depends on per-node state that changes without a
+// position change (the mobility channel's shadowing epochs) must change
+// it only together with a batch: a row read later reads the live model.
 // TestIncrementalMatchesRebuild, TestPartialBatchMatchesRebuild and
 // FuzzDeliveryPatch pin the rows read against the sparse and the dense
-// oracle; TestLazyRows pins that only the rows read are built.
+// oracle, TestFanoutMatchesRebuildUnderMotion every frame's receivers;
+// TestLazyRows pins that only the rows read and the attended candidates
+// of a frame are built.
 //
 // Rows are copy-on-write: a rebuilt row is a fresh slice, never a
 // mutation of the old backing array, because in-flight transmissions
@@ -39,7 +46,7 @@ type mover struct {
 	grid     *geo.Grid
 	maxRange float64
 	ver      uint64     // bumped by every non-empty batch
-	rowVer   []uint64   // row i is over the current geometry while rowVer[i] == ver
+	rowVer   []uint64   // deliveries[i] is i's full current row while rowVer[i] == ver
 	row      []Delivery // scratch kept row, reused across rebuilds
 }
 
@@ -59,8 +66,9 @@ func (m *Medium) ensureMover() *mover {
 	return mv
 }
 
-// row returns node i's delivery row, rebuilding it first when a batch
-// has moved nodes since it was built.
+// row returns node i's full delivery row, rebuilding it first when a
+// batch has moved nodes since it was built (deliveries[i] may then hold
+// the attended part a frame built, see heardRow).
 func (m *Medium) row(i int) []Delivery {
 	if mv := m.mv; mv != nil && mv.rowVer[i] != mv.ver {
 		m.rebuildRow(mv, i)
@@ -68,13 +76,22 @@ func (m *Medium) row(i int) []Delivery {
 	return m.deliveries[i]
 }
 
-// rebuildRow builds node a's row over the current positions through
-// the grid, exactly as BuildDeliveries does.
+// rebuildRow builds node a's full row over the current positions
+// through the grid, exactly as BuildDeliveries does. It retires a's
+// heard row: that row may be the attended part heardRow left in
+// deliveries[a], and a later frame of a carrying it as nil (every
+// entry) would reach every receiver on the full row.
 func (m *Medium) rebuildRow(mv *mover, a int) {
-	row := gridRow(mv.row[:0], a, m.positions, mv.grid, mv.maxRange, m.floor, m.screen, m.model)
-	mv.row = row
-	m.deliveries[a] = sortedCopy(row)
+	m.deliveries[a] = m.buildRow(mv, a, nil)
 	mv.rowVer[a] = mv.ver
+	m.heardVer[a] = 0
+}
+
+// buildRow builds node a's row over the current positions, narrowed to
+// the receivers keep marks when keep is non-nil, in the stored form.
+func (m *Medium) buildRow(mv *mover, a int, keep []bool) []Delivery {
+	mv.row = gridRow(mv.row[:0], a, m.positions, mv.grid, mv.maxRange, m.floor, m.screen, m.model, keep)
+	return sortedCopy(mv.row)
 }
 
 // MoveNode relocates one node: the one-element case of MoveNodes.

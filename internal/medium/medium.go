@@ -29,8 +29,9 @@ type Medium struct {
 	// list order, so list order is part of the deterministic event
 	// sequence that golden traces pin down. Rows may be shared with
 	// other media (NewFromRows) and are never written through. After a
-	// MoveNodes batch a row is stale until its next read rebuilds it, so
-	// every reader goes through row (incremental.go).
+	// MoveNodes batch a row is stale until its next full read rebuilds
+	// it, or holds only its attended receivers after a frame (heardRow),
+	// so every full reader goes through row (incremental.go).
 	deliveries [][]Delivery
 	floor      floor
 	screen     screen
@@ -44,12 +45,13 @@ type Medium struct {
 	attachAt sim.Time
 
 	// heard[s] is what a frame from s carries as Transmission.Heard: the
-	// positions in deliveries[s] of the attended receivers, current
-	// while heardVer[s] == ver. An attach, a non-empty MoveNodes batch
-	// and a RebuildDeliveries bump ver, and each sender's next frame
-	// derives its row again (heardRow). Rows are appended to arena and
-	// never written after — frames on the air hold them — so a new
-	// version appends past the old rows, never over them.
+	// positions in deliveries[s] of the attended receivers, or nil when
+	// deliveries[s] holds only those, current while heardVer[s] == ver.
+	// An attach, a non-empty MoveNodes batch and a RebuildDeliveries
+	// bump ver, and each sender's next frame derives its row again
+	// (heardRow). Rows are appended to arena and never written after —
+	// frames on the air hold them — so a new version appends past the
+	// old rows, never over them.
 	heard    [][]int32
 	heardVer []uint64
 	ver      uint64
@@ -146,16 +148,27 @@ func (m *Medium) staleHeard() {
 
 // heardRow returns the positions in src's delivery row of the receivers
 // a station listens on, deriving them on src's first frame since the
-// rows went stale, over src's delivery row as row returns it — rebuilt
-// first if a batch left it stale. The staleness check lives on this
-// miss path, which every batch forces, so a frame whose heard row is
-// current never makes it. The row is nil only when src's delivery row
-// is empty, where "every entry" and "none" agree.
+// heard rows went stale. Every batch forces that miss path, so the
+// staleness check of the delivery row lives on it, and a frame whose
+// heard row is current never makes it.
+//
+// When a batch left src's delivery row stale, the miss path builds only
+// its attended part, over the current positions, into deliveries[src]
+// and returns nil: every entry of that row is heard. rowVer[src] stays
+// stale, so the next full read (row) builds the whole row, and retires
+// this heard row as it does. Otherwise it returns indexes into the
+// current delivery row, nil only when that row is empty, where "every
+// entry" and "none" agree.
 func (m *Medium) heardRow(src int) []int32 {
 	if m.heardVer[src] == m.ver {
 		return m.heard[src]
 	}
-	list := m.row(src)
+	m.heardVer[src] = m.ver
+	if mv := m.mv; mv != nil && mv.rowVer[src] != mv.ver {
+		m.deliveries[src], m.heard[src] = m.buildRow(mv, src, m.attended), nil
+		return nil
+	}
+	list := m.deliveries[src] // current: the stale case returned above
 	if cap(m.arena)-len(m.arena) < len(list) {
 		m.arena = make([]int32, 0, max(4*len(list), 256))
 	}
@@ -167,7 +180,7 @@ func (m *Medium) heardRow(src int) []int32 {
 	}
 	// Capped at its end, so nothing appended later can reach into it.
 	row := m.arena[lo:len(m.arena):len(m.arena)]
-	m.heard[src], m.heardVer[src] = row, m.ver
+	m.heard[src] = row
 	return row
 }
 
@@ -309,8 +322,9 @@ func (m *Medium) finishTransmission(tx *phy.Transmission) {
 
 // Transmit implements phy.Channel. It fans the frame out to the radios
 // on the sender's delivery list that a station listens on — the frame
-// carries their positions on the list (Transmission.Heard), so its end
-// fan-out walks the same ones — and posts one event, the signal-end
+// carries their positions on the list (Transmission.Heard), or nil
+// when the list heardRow returned holds only them, so its end fan-out
+// walks the same ones — and posts one event, the signal-end
 // fan-out, which also ends the sender's transmission: one agenda event
 // per transmission, regardless of receiver count, and zero allocations
 // in steady state.
@@ -340,16 +354,19 @@ func (m *Medium) Transmit(from *phy.Radio, f frame.Frame, r phy.Rate) sim.Time {
 	tx.Start, tx.End, tx.All = now, end, now == m.attachAt
 	// Snapshot the delivery list (a slice header copy, no allocation):
 	// the end fan-out must reach exactly this set even if a move
-	// replaces the live row mid-frame. heardRow rebuilds a stale row on
-	// its miss path, which every move forces.
+	// replaces the live row mid-frame. heardRow builds the attended part
+	// of a stale row on its miss path, which every move forces.
 	if tx.All {
 		tx.Deliveries, tx.Heard = m.row(src), nil
+	} else {
+		tx.Heard = m.heardRow(src)
+		tx.Deliveries = m.deliveries[src]
+	}
+	if tx.Heard == nil {
 		for _, d := range tx.Deliveries {
 			m.radios[d.Dst].Arrive(tx, d.GainMW)
 		}
 	} else {
-		tx.Heard = m.heardRow(src)
-		tx.Deliveries = m.deliveries[src]
 		for _, k := range tx.Heard {
 			d := tx.Deliveries[k]
 			m.radios[d.Dst].Arrive(tx, d.GainMW)

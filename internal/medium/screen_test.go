@@ -4,8 +4,10 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/frame"
 	"repro/internal/geo"
 	"repro/internal/medium"
+	"repro/internal/phy"
 	"repro/internal/radio"
 	"repro/internal/sim"
 	"repro/internal/topo"
@@ -79,15 +81,20 @@ func TestScreenRefusesMost(t *testing.T) {
 // first read of a row after a batch puts to the screen exactly the
 // candidates construction put for that row; a second read before the
 // next batch evaluates nothing; and a row nobody reads is never built.
-// The batch moves every node by zero metres, so the geometry — and with
-// it each row's candidate set — is the one construction saw.
+// A frame after a batch pays only for its sender's attended candidates:
+// it puts to the screen exactly those of construction's candidates a
+// station listens on, and leaves the full row unbuilt, so a later full
+// read screens construction's whole candidate set.
+// The batches move every node by zero metres, so the geometry — and
+// with it each row's candidate set — is the one construction saw.
 func TestLazyRows(t *testing.T) {
 	s := topo.UniformDisk(1000, 200, 1)
 	n := s.N()
 	model := &countingModel{inner: s.Model.(gridModel), screened: make([][]int, n)}
 	rows, grid := medium.BuildDeliveries(s.Params, model, s.Pos, 1)
 	built := model.screened
-	m := medium.NewFromRows(sim.NewScheduler(), s.Params, model, s.Pos, sim.NewRNG(1), rows, grid)
+	sched := sim.NewScheduler()
+	m := medium.NewFromRows(sched, s.Params, model, s.Pos, sim.NewRNG(1), rows, grid)
 	reset := func() { *model = countingModel{inner: model.inner, screened: make([][]int, n)} }
 	quiet := func(what string) {
 		t.Helper()
@@ -140,4 +147,41 @@ func TestLazyRows(t *testing.T) {
 		read(i)
 	}
 	quiet("a second read before the next batch")
+
+	// Stations on every seventh node, then a frame from one of them in
+	// a later instant than the attaches, so it is not marked All.
+	const src = 7
+	for i := 0; i < n; i += 7 {
+		m.Radio(i).SetHandler(medium.NopHandler{})
+	}
+	sched.Run(sim.Microsecond)
+	m.MoveNodes(ids, s.Pos)
+	reset()
+	m.Radio(src).Transmit(&frame.Dot11Data{Src: frame.AddrFromID(src), Dst: frame.AddrFromID(0), PayloadLen: 1400}, phy.RateByID(phy.Rate6Mbps))
+	var attended []int // in ascending order, as built[src] is sorted above
+	for _, b := range built[src] {
+		if b%7 == 0 {
+			attended = append(attended, b)
+		}
+	}
+	got := model.screened[src]
+	slices.Sort(got)
+	if len(attended) == 0 || !slices.Equal(got, attended) {
+		t.Fatalf("a frame from %d screened %d candidates, want the %d attended of construction's %d", src, len(got), len(attended), len(built[src]))
+	}
+	for i := range model.screened {
+		if i != src && len(model.screened[i]) != 0 {
+			t.Fatalf("a frame from %d screened %d candidates of node %d's row", src, len(model.screened[i]), i)
+		}
+	}
+	reset()
+	if k := m.NeighborCount(src); k != len(rows[src]) {
+		t.Fatalf("row %d has %d receivers after a frame, %d as built", src, k, len(rows[src]))
+	}
+	got = model.screened[src]
+	slices.Sort(got)
+	if !slices.Equal(got, built[src]) {
+		t.Fatalf("the full read after a frame screened %d candidates, construction %d (or a different set)", len(got), len(built[src]))
+	}
+	sched.RunAll()
 }

@@ -36,10 +36,11 @@ type Transmission struct {
 	Deliveries []Delivery
 	// Heard lists, in ascending order, the positions in Deliveries of
 	// the receivers the frame reaches: those a station listened on when
-	// it started. Nil means every entry, which is what an All frame and
-	// a restored frame (whose Deliveries hold only the receivers it
-	// reached) carry. Fixed at transmit time, so both fan-outs of the
-	// frame walk the same receivers.
+	// it started. Nil means every entry, which is what an All frame, a
+	// restored frame and a frame whose sender's list the medium built
+	// for its attended receivers only carry (the Deliveries of the last
+	// two hold only the receivers the frame reached). Fixed at transmit
+	// time, so both fan-outs of the frame walk the same receivers.
 	Heard []int32
 	// All marks a frame that goes to every radio on Deliveries whether
 	// or not a station listens there: one that started in an instant in
