@@ -1,6 +1,7 @@
 package medium
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/frame"
@@ -46,7 +47,10 @@ type rewrap struct{ phy.Handler }
 // upcalled, and a radio no station ever attached to has counted nothing
 // unless a frame marked All reached it. Who is attended and the All rule
 // are re-derived here from the sequence of operations, not read back
-// from the medium.
+// from the medium, and a full read must return the reference build's
+// row. A full read after a move rebuilds the row a frame left holding
+// only its attended part, so a heard row that outlived that rebuild
+// would carry the next frame to radios nobody attached to.
 //
 // Each step is an op byte and a node byte; see the switch.
 func FuzzAttachOrder(f *testing.F) {
@@ -68,6 +72,10 @@ func FuzzAttachOrder(f *testing.F) {
 	f.Add([]byte("attach-order-seed: everybody talks, somebody listens"))
 	// Moves (ops >= 240) with frames on the air and around attaches.
 	f.Add([]byte{2, 17, 0, 0, 0, 1, 1, 0, 245, 1, 1, 1, 240, 0, 2, 3, 0, 2, 1, 2, 250, 2, 1, 0, 2, 90})
+	// Full reads (ops 220–239): a move, a frame over the stale row, a
+	// full read that rebuilds it, and another frame from the same node.
+	f.Add([]byte{2, 7, 0, 0, 2, 1, 240, 0, 1, 0, 217, 4, 217, 4, 220, 0, 1, 0, 217, 4})
+	f.Add([]byte{1, 3, 0, 1, 2, 0, 241, 1, 1, 1, 217, 2, 221, 1, 1, 1, 222, 1, 217, 2, 1, 1, 2, 9})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
 			return
@@ -114,8 +122,11 @@ func FuzzAttachOrder(f *testing.F) {
 			op, i := next(), int(next())%n
 			r := m.Radio(i)
 			kind := op % 5
-			if op >= 240 {
+			switch {
+			case op >= 240:
 				kind = 5
+			case op >= 220:
+				kind = 6
 			}
 			switch kind {
 			case 0: // attach (or re-attach after a detach)
@@ -172,6 +183,27 @@ func FuzzAttachOrder(f *testing.F) {
 					}
 				}
 				m.MoveNodes([]int{i}, []geo.Point{{X: float64(op)}})
+			case 6: // a full read of the node's row, against the reference build
+				want := denseDeliveries(m.params, m.model, m.positions)[i]
+				switch op % 3 {
+				case 0:
+					if got := m.NeighborCount(i); got != len(want) {
+						t.Fatalf("NeighborCount(%d) = %d, the reference row has %d", i, got, len(want))
+					}
+				case 1:
+					var got []Delivery
+					m.ForEachNeighbor(i, func(dst int, g float64) { got = append(got, Delivery{Dst: dst, GainMW: g}) })
+					if !slices.Equal(got, want) {
+						t.Fatalf("ForEachNeighbor(%d) visits %v, the reference row is %v", i, got, want)
+					}
+				default:
+					j := (i + 1) % n
+					k, audible := slices.BinarySearchFunc(want, j, byDst)
+					g, ok := m.GainMW(i, j)
+					if ok != audible || ok && g != want[k].GainMW {
+						t.Fatalf("GainMW(%d, %d) = %v, %v; the reference row %v", i, j, g, ok, want)
+					}
+				}
 			}
 		}
 		sched.RunAll()

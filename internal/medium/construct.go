@@ -106,15 +106,25 @@ func sortedCopy(row []Delivery) []Delivery {
 // queried at the model's range bound (+Inf when it has none, so every
 // pair is a candidate) — each candidate put to the model's screen, the
 // survivors evaluated in grid visit order, the kept entries sorted —
-// and the per-node computation fans out across workers
-// goroutines (workers <= 0 means GOMAXPROCS); the output is
-// bit-identical at any worker count because each node's list is an
-// independent pure computation written to a disjoint slot, and every
-// model in internal/radio is a pure function of its arguments
-// (deterministic per-pair shadowing, no state but a memoised screen
-// table read through an atomic), which makes concurrent Loss and
-// Inaudible calls safe. The second result reports whether the model
-// bounds its range, so that the grid prunes candidates.
+// and the work fans out across workers goroutines (workers <= 0 means
+// GOMAXPROCS), worker w taking the nodes a ≡ w (mod workers).
+//
+// A range-bounded model is reciprocal to the bit (radio.Model),
+// and so are the grid's distance test, the screen and the floor, so
+// each unordered pair is evaluated once: a node's worker keeps only its
+// upper half, the receivers b > a, and a serial mirror pass writes
+// every kept link into both rows (mirror). A model without a range
+// bound need not be reciprocal (radio.Matrix), and each of its rows is
+// built whole, per ordered pair.
+//
+// The output is bit-identical at any worker count: each row's upper
+// half (or whole row) is an independent pure computation written to a
+// disjoint slot, the mirror is serial, and every model in internal/radio
+// is a pure function of its arguments (deterministic per-pair
+// shadowing, no state but a memoised screen table read through an
+// atomic), which makes concurrent Loss and Inaudible calls safe. The
+// second result reports whether the model bounds its range, so that
+// the grid prunes candidates.
 func BuildDeliveries(params phy.Params, model radio.Model, positions []geo.Point, workers int) ([][]Delivery, bool) {
 	maxRange, bounded := reach(params, model)
 	n := len(positions)
@@ -125,37 +135,73 @@ func BuildDeliveries(params phy.Params, model radio.Model, positions []geo.Point
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > n {
-		workers = n
+	workers = max(1, min(workers, n))
+	// A bounded model's worker writes a's upper half into upper[a], the
+	// mirror's input; any other's writes a's whole row into lists[a].
+	upper := lists
+	if bounded {
+		upper = make([][]Delivery, n)
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	fill := func(lo, hi int) {
+	fill := func(w int) {
 		row := make([]Delivery, 0, 64) // scratch, reused across this worker's nodes
-		for a := lo; a < hi; a++ {
-			row = gridRow(row[:0], a, positions, grid, maxRange, fl, scr, model, nil)
-			lists[a] = sortedCopy(row)
+		for a := w; a < n; a += workers {
+			from := 0
+			if bounded {
+				from = a + 1
+			}
+			row = gridRow(row[:0], a, from, positions, grid, maxRange, fl, scr, model, nil)
+			upper[a] = sortedCopy(row)
 		}
 	}
 	if workers == 1 {
-		fill(0, n)
-		return lists, bounded
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := w*n/workers, (w+1)*n/workers
-		if lo == hi {
-			continue
+		fill(0)
+	} else {
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				fill(w)
+			}()
 		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			fill(lo, hi)
-		}()
+		wg.Wait()
 	}
-	wg.Wait()
+	if bounded {
+		mirror(lists, upper)
+	}
 	return lists, bounded
+}
+
+// mirror fills every row from the upper halves: row a is each earlier
+// node a′ whose upper half holds a, with the same gain — ascending,
+// because the rows are walked in order — followed by a's own upper
+// half. The rows are carved from one exact back array, each capped at
+// its own end so that no append can run into the next; an empty row
+// stays nil.
+func mirror(lists, upper [][]Delivery) {
+	deg := make([]int, len(lists))
+	total := 0
+	for a, up := range upper {
+		deg[a] += len(up)
+		for _, d := range up {
+			deg[d.Dst]++
+		}
+		total += 2 * len(up)
+	}
+	back := make([]Delivery, total)
+	off := 0
+	for a, k := range deg {
+		if k > 0 {
+			lists[a] = back[off : off : off+k]
+		}
+		off += k
+	}
+	for a, up := range upper {
+		for _, d := range up {
+			lists[d.Dst] = append(lists[d.Dst], Delivery{Dst: a, GainMW: d.GainMW})
+		}
+		lists[a] = append(lists[a], up...)
+	}
 }
 
 // reach returns the model's range bound at the delivery floor, and
@@ -172,19 +218,22 @@ func reach(params phy.Params, model radio.Model) (float64, bool) {
 	return math.Inf(1), false
 }
 
-// gridRow appends node a's audible receivers to row in grid visit
-// order: every grid candidate within maxRange that the screen passes
-// and that clears the floor, with its gain. A non-nil keep narrows the
-// candidates to the nodes it marks before any of them is looked at;
-// each one kept is decided exactly as without it. It is the one per-row
-// computation of the grid path, at construction (BuildDeliveries),
-// after a move (Medium.row) and for a frame's attended receivers
-// (Medium.heardRow) alike; sortedCopy turns its output into the stored
+// gridRow appends node a's audible receivers b >= from to row in grid
+// visit order: every grid candidate within maxRange that the screen
+// passes and that clears the floor, with its gain. A non-nil keep
+// narrows the candidates to the nodes it marks before any of them is
+// looked at; each one kept is decided exactly as without it. It is the
+// one per-row computation of the grid path: at construction
+// (BuildDeliveries) from a+1 for a range-bounded model, the upper half
+// the mirror pass completes, and from 0 otherwise; after a move
+// (Medium.row) and for a frame's attended receivers (Medium.heardRow)
+// from 0, the whole row. sortedCopy turns its output into the stored
 // row.
-func gridRow(row []Delivery, a int, positions []geo.Point, grid *geo.Grid, maxRange float64, fl floor, scr screen, model radio.Model, keep []bool) []Delivery {
+func gridRow(row []Delivery, a, from int, positions []geo.Point, grid *geo.Grid, maxRange float64, fl floor, scr screen, model radio.Model, keep []bool) []Delivery {
 	pa := positions[a]
 	grid.Near(a, maxRange, func(cell []int) {
-		for _, b := range cell {
+		k, _ := slices.BinarySearch(cell, from) // cells list their nodes ascending
+		for _, b := range cell[k:] {
 			if b == a || keep != nil && !keep[b] {
 				continue
 			}

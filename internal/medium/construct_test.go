@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/geo"
+	"repro/internal/mobility"
 	"repro/internal/phy"
 	"repro/internal/radio"
 	"repro/internal/sim"
@@ -22,9 +23,34 @@ func constructLayout(n int) []geo.Point {
 	return pts
 }
 
+// sameRows fails unless got holds want's rows bit for bit, with every
+// empty row nil, the form every delivery list is stored in.
+func sameRows(t *testing.T, got, want [][]Delivery) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("list count %d, want %d", len(got), len(want))
+	}
+	for a := range want {
+		if len(got[a]) != len(want[a]) {
+			t.Fatalf("node %d: %d deliveries, want %d", a, len(got[a]), len(want[a]))
+		}
+		if len(got[a]) == 0 && got[a] != nil {
+			t.Fatalf("node %d: an empty row that is not nil", a)
+		}
+		for k := range want[a] {
+			g, w := got[a][k], want[a][k]
+			if g.Dst != w.Dst || math.Float64bits(g.GainMW) != math.Float64bits(w.GainMW) {
+				t.Fatalf("node %d delivery %d: %+v, want %+v (must be bit-identical)", a, k, g, w)
+			}
+		}
+	}
+}
+
 // TestBuildDeliveriesWorkerEquivalence pins the parallel-construction
 // contract: the delivery lists are bit-identical at every worker count,
-// including counts far above the node count and the GOMAXPROCS default.
+// including counts far above the node count and the GOMAXPROCS default,
+// and at the edges of the interleaved partition — no node, one, and a
+// pair in earshot of each other, at one to three workers.
 func TestBuildDeliveriesWorkerEquivalence(t *testing.T) {
 	params := phy.DefaultParams()
 	model := radio.DefaultIndoor5GHz(7)
@@ -39,45 +65,53 @@ func TestBuildDeliveriesWorkerEquivalence(t *testing.T) {
 			if !grid {
 				t.Fatal("grid path not taken")
 			}
-			if len(got) != len(ref) {
-				t.Fatalf("list count %d, want %d", len(got), len(ref))
-			}
-			for a := range ref {
-				if len(got[a]) != len(ref[a]) {
-					t.Fatalf("node %d: %d deliveries, want %d", a, len(got[a]), len(ref[a]))
-				}
-				for k := range ref[a] {
-					if got[a][k] != ref[a][k] {
-						t.Fatalf("node %d delivery %d: %+v, want %+v (must be bit-identical)",
-							a, k, got[a][k], ref[a][k])
-					}
-				}
-			}
+			sameRows(t, got, ref)
 		})
+	}
+	pair := []geo.Point{{X: 0, Y: 0}, {X: 20, Y: 0}}
+	for n := 0; n <= len(pair); n++ {
+		want := denseDeliveries(params, model, pair[:n])
+		for workers := 1; workers <= 3; workers++ {
+			t.Run(fmt.Sprintf("n=%d/workers=%d", n, workers), func(t *testing.T) {
+				got, _ := BuildDeliveries(params, model, pair[:n], workers)
+				sameRows(t, got, want)
+				if n == 2 && len(got[0]) != 1 {
+					t.Fatalf("the pair is %v m apart and node 0 hears %d nodes", pair[0].Dist(pair[1]), len(got[0]))
+				}
+			})
+		}
 	}
 }
 
 // TestBuildDeliveriesMatchesDense proves the grid-pruned parallel
 // construction keeps exactly the pairs the exhaustive reference scan
-// keeps, with identical gains.
+// keeps, with identical gains, for every range-bounded model kind:
+// shadowed LogDistance, FreeSpace, and a mobility channel whose
+// shadowing epochs have been bumped apart, so most pairs draw under a
+// seed of their own.
 func TestBuildDeliveriesMatchesDense(t *testing.T) {
 	params := phy.DefaultParams()
-	model := radio.DefaultIndoor5GHz(3)
 	pts := constructLayout(150)
-	dense := denseDeliveries(params, model, pts)
-	sparse, grid := BuildDeliveries(params, model, pts, 4)
-	if !grid {
-		t.Fatal("grid path not taken")
+	ch := mobility.NewChannel(radio.DefaultIndoor5GHz(5), len(pts))
+	rng := sim.NewRNG(0xb0b)
+	for k := 0; k < 3*len(pts); k++ {
+		ch.Bump(rng.Intn(len(pts)))
 	}
-	for a := range dense {
-		if len(sparse[a]) != len(dense[a]) {
-			t.Fatalf("node %d: sparse %d deliveries, dense %d", a, len(sparse[a]), len(dense[a]))
-		}
-		for k := range dense[a] {
-			if sparse[a][k] != dense[a][k] {
-				t.Fatalf("node %d delivery %d: sparse %+v, dense %+v", a, k, sparse[a][k], dense[a][k])
+	for _, tc := range []struct {
+		name  string
+		model radio.Model
+	}{
+		{"LogDistance", radio.DefaultIndoor5GHz(3)},
+		{"FreeSpace", &radio.FreeSpace{RefLossDB: 46.8, Exponent: 3}},
+		{"Channel", ch},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sparse, grid := BuildDeliveries(params, tc.model, pts, 4)
+			if !grid {
+				t.Fatal("grid path not taken")
 			}
-		}
+			sameRows(t, sparse, denseDeliveries(params, tc.model, pts))
+		})
 	}
 }
 

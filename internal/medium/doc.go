@@ -33,7 +33,10 @@
 // is one-sided — it refuses only pairs the floor would have rejected —
 // so kept sets and stored gains are the same bits with or without it;
 // the dense reference paths never consult it, and the equivalence tests
-// hold the screened paths to them.
+// hold the screened paths to them. Such a model is reciprocal to the
+// bit, so construction puts each unordered pair to the screen and the
+// model once and writes a kept link into both rows (BuildDeliveries);
+// a model without a range bound is built per ordered pair.
 //
 // # Rows under motion
 //

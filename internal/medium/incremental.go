@@ -10,8 +10,10 @@ import (
 // movement epoch's worth — and evaluates no pair: it updates the
 // positions and the grid buckets and bumps the row version, which marks
 // every row stale at once. A stale row is rebuilt on its next full read
-// (row) by the per-row computation BuildDeliveries runs — gridRow, then
-// sortedCopy — over the positions and model state of that read, so it
+// (row) by gridRow over the whole row, then sortedCopy, over the
+// positions and model state of that read. Each pair goes through the
+// screen, Loss and floor that BuildDeliveries puts it to once for both
+// rows, and a range-bounded model is reciprocal to the bit, so the row
 // is bit-identical to a from-scratch build over them. A frame is not a
 // full read: a sender's first frame after a batch builds, in heardRow,
 // only the attended part of its stale row, by the same gridRow narrowed
@@ -77,7 +79,7 @@ func (m *Medium) row(i int) []Delivery {
 }
 
 // rebuildRow builds node a's full row over the current positions
-// through the grid, exactly as BuildDeliveries does. It retires a's
+// through the grid, the row BuildDeliveries would build. It retires a's
 // heard row: that row may be the attended part heardRow left in
 // deliveries[a], and a later frame of a carrying it as nil (every
 // entry) would reach every receiver on the full row.
@@ -90,7 +92,7 @@ func (m *Medium) rebuildRow(mv *mover, a int) {
 // buildRow builds node a's row over the current positions, narrowed to
 // the receivers keep marks when keep is non-nil, in the stored form.
 func (m *Medium) buildRow(mv *mover, a int, keep []bool) []Delivery {
-	mv.row = gridRow(mv.row[:0], a, m.positions, mv.grid, mv.maxRange, m.floor, m.screen, m.model, keep)
+	mv.row = gridRow(mv.row[:0], a, 0, m.positions, mv.grid, mv.maxRange, m.floor, m.screen, m.model, keep)
 	return sortedCopy(mv.row)
 }
 

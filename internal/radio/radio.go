@@ -37,7 +37,16 @@ func DB(ratio float64) float64 {
 func FromDB(db float64) float64 { return math.Pow(10, db/10) }
 
 // Model computes the path loss in dB between two placed nodes.
-// Implementations must be reciprocal: Loss(a, pa, b, pb) == Loss(b, pb, a, pa).
+//
+// A model with a range bound (RangeBounder, at a finite positive
+// distance) must be reciprocal to the bit: Loss(a, pa, b, pb) and
+// Loss(b, pb, a, pa) are the same float64, and if it is a Screener so
+// are the two directions' Inaudible answers. The medium relies on it:
+// construction evaluates each unordered pair of such a model once and
+// writes the link into both endpoints' rows. A model without one need
+// not be reciprocal — Matrix is a per-direction table, and asymmetric
+// fixtures are how the tests pin one-way sensing — and construction
+// evaluates its every ordered pair.
 type Model interface {
 	// Loss returns the propagation loss in dB from node a at pa to node b
 	// at pb. Node IDs participate only through the shadowing hash.
@@ -49,7 +58,8 @@ type Model interface {
 // node pair. The medium uses it to prune its delivery lists with a
 // spatial grid: a pair farther apart than MaxRange(budget) can never be
 // heard above the corresponding power floor, so the bound must be
-// conservative — never smaller than the true cutoff. Models without
+// conservative — never smaller than the true cutoff. Implementing it
+// also promises bitwise reciprocity (see Model). Models without
 // geometry (e.g. Matrix) simply do not implement it.
 type RangeBounder interface {
 	MaxRange(maxLossDB float64) float64
@@ -65,8 +75,8 @@ type RangeBounder interface {
 // Loss(a, pa, b, pb) > maxLossDB in the very floats Loss computes, and
 // false promises nothing — the caller then evaluates Loss as if there
 // were no screen, which is why screened and unscreened delivery lists
-// are the same bits. Like Loss it must be reciprocal. Models without
-// shadowing do not implement it.
+// are the same bits. Like the Loss of a range-bounded model it must be
+// reciprocal to the bit. Models without shadowing do not implement it.
 type Screener interface {
 	// Screen returns the table for a loss budget, or nil when this
 	// model has nothing to screen by (no shadowing, no range bound).
@@ -252,8 +262,10 @@ func (m *FreeSpace) MaxRange(maxLossDB float64) float64 {
 // experiments construct exact SINR relationships between a handful of
 // nodes without reverse-engineering geometry.
 type Matrix struct {
-	// LossDB[a][b] is the loss from a to b in dB. The matrix should be
-	// symmetric; Loss reads LossDB[a][b] directly.
+	// LossDB[a][b] is the loss from a to b in dB; Loss reads it
+	// directly. It may be asymmetric: a Matrix has no range bound, so
+	// the medium builds its rows per ordered pair, each direction from
+	// its own entry.
 	LossDB [][]float64
 }
 

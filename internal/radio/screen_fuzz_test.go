@@ -27,11 +27,15 @@ func into(x, lo, hi float64) float64 {
 	return lo + math.Mod(math.Abs(x), hi-lo)
 }
 
-// checkScreen asserts the screen's one-sided contract for the case, on
-// the bare model and through a mobility.Channel at the case's epochs:
-// whenever the pair is refused its Loss exceeds the budget, and both
-// directions of the pair get the same answer. It reports how many of
-// the two askings were refused.
+// checkScreen asserts reciprocity and the screen's one-sided contract
+// for the case, on the bare model and through a mobility.Channel whose
+// epochs the case's counts of Bump calls reached: Loss returns the same
+// bits in both directions of the pair — there and under a FreeSpace
+// model of the same constants — which is what lets construction
+// evaluate each pair of a range-bounded model once; whenever the pair
+// is refused its Loss exceeds the budget; and both directions of the
+// pair get the same answer. It reports how many of the two askings were
+// refused.
 func checkScreen(t *testing.T, c screenCase) (refused int) {
 	t.Helper()
 	model := &radio.LogDistance{
@@ -41,7 +45,26 @@ func checkScreen(t *testing.T, c screenCase) (refused int) {
 		MinDistance:   into(c.minDist, 0, 50),
 		Seed:          c.seed,
 	}
+	free := &radio.FreeSpace{RefLossDB: model.RefLossDB, Exponent: model.Exponent, MinDistance: model.MinDistance}
 	budget := into(c.budget, 60, 160)
+	a, b := int(c.a), int(c.b)
+	ch := mobility.NewChannel(model, max(a, b)+1)
+	for range c.ea {
+		ch.Bump(a)
+	}
+	for range c.eb {
+		ch.Bump(b)
+	}
+	d := into(c.frac, 0, 2) * model.MaxRange(budget)
+	theta := into(c.theta, 0, 7)
+	pa := geo.Point{X: 100, Y: -40}
+	pb := geo.Point{X: pa.X + d*math.Cos(theta), Y: pa.Y + d*math.Sin(theta)}
+	for name, m := range map[string]radio.Model{"model": model, "channel": ch, "free space": free} {
+		if ab, ba := m.Loss(a, pa, b, pb), m.Loss(b, pb, a, pa); math.Float64bits(ab) != math.Float64bits(ba) {
+			t.Fatalf("%s %+v epochs %d,%d: Loss %d→%d is %x, %d→%d is %x",
+				name, model, ch.Epoch(a), ch.Epoch(b), a, b, math.Float64bits(ab), b, a, math.Float64bits(ba))
+		}
+	}
 	tab := model.Screen(budget)
 	if tab == nil {
 		if model.ShadowSigmaDB > 0 {
@@ -49,18 +72,9 @@ func checkScreen(t *testing.T, c screenCase) (refused int) {
 		}
 		return 0
 	}
-	a, b := int(c.a), int(c.b)
-	ch := mobility.NewChannel(model, max(a, b)+1)
-	epochs := make([]uint32, max(a, b)+1)
-	epochs[a], epochs[b] = uint32(c.ea), uint32(c.eb)
-	ch.SetEpochs(epochs)
 	if ch.Screen(budget) != tab {
 		t.Fatal("the channel built a table of its own")
 	}
-	d := into(c.frac, 0, 2) * model.MaxRange(budget)
-	theta := into(c.theta, 0, 7)
-	pa := geo.Point{X: 100, Y: -40}
-	pb := geo.Point{X: pa.X + d*math.Cos(theta), Y: pa.Y + d*math.Sin(theta)}
 	for name, m := range map[string]interface {
 		radio.Model
 		radio.Screener
@@ -77,15 +91,16 @@ func checkScreen(t *testing.T, c screenCase) (refused int) {
 		}
 		if loss := m.Loss(a, pa, b, pb); !(loss > budget) {
 			t.Fatalf("%s %+v epochs %d,%d: %d→%d at %v m refused, but loss %v is within budget %v",
-				name, model, c.ea, c.eb, a, b, pa.Dist(pb), loss, budget)
+				name, model, ch.Epoch(a), ch.Epoch(b), a, b, pa.Dist(pb), loss, budget)
 		}
 	}
 	return refused
 }
 
-// FuzzScreenNeverRefusesAudible holds the screen to its contract over
-// fuzzed model constants, budgets, seeds, ids, epoch pairs and
-// separations from inside MinDistance to twice MaxRange.
+// FuzzScreenNeverRefusesAudible holds the screen to its contract, and
+// Loss and the screen to bitwise reciprocity, over fuzzed model
+// constants, budgets, seeds, ids, epoch bumps and separations from
+// inside MinDistance to twice MaxRange.
 func FuzzScreenNeverRefusesAudible(f *testing.F) {
 	urban := screenCase{ref: 47 - 20, exp: 3 - 1.5, sigma: 4, minDist: 1, budget: 112 - 60, seed: 1, a: 3, b: 900}
 	add := func(c screenCase) {
