@@ -231,9 +231,10 @@ bench-pair:
 # epoch, and partial batches against both oracles and the
 # one-move-at-a-time path) with the invariant it leans on — the
 # guard-banded audibility predicate against its literal form — the
-# lazy-row contract (a batch evaluates nothing, a row is built on its
-# first read and only then, a frame builds only its attended part, an
-# empty batch is a no-op), every frame's receivers under random batches,
+# lazy-row contract (New and a batch evaluate nothing, a row is built on
+# its first read and only then, a frame builds only its attended part,
+# carved rows are capped, an empty batch is a no-op), every frame's
+# receivers under random batches and on a medium that never moves,
 # attaches and full reads against a from-scratch build, the mobile golden
 # traces and the churn-shaped mobile golden, the staleness-sweep figure
 # properties, the
@@ -243,7 +244,7 @@ MOBILITY_EXPERIMENTS = $(GO) test -timeout $(TEST_TIMEOUT) -count=1 -run 'TestGo
 mobility-conformance:
 	$(GO) test -timeout $(TEST_TIMEOUT) -count=1 ./internal/mobility
 	$(GO) test -timeout $(TEST_TIMEOUT) -race -count=1 -run 'TestConformance/.*/Mobile' ./internal/mac/conformance
-	$(GO) test -timeout $(TEST_TIMEOUT) -count=1 -run 'TestIncrementalMatchesRebuild|TestPartialBatchMatchesRebuild|TestFloorMatchesLiteral|TestScreenRefusesMost|TestLazyRows|TestEmptyBatchIsNoOp|TestFanoutMatchesRebuildUnderMotion' ./internal/medium
+	$(GO) test -timeout $(TEST_TIMEOUT) -count=1 -run 'TestIncrementalMatchesRebuild|TestPartialBatchMatchesRebuild|TestFloorMatchesLiteral|TestScreenRefusesMost|TestLazyRows|TestEmptyBatchIsNoOp|TestCarvedRowsAreCapped|TestFanoutMatchesRebuildUnderMotion' ./internal/medium
 	$(MOBILITY_EXPERIMENTS)
 
 # Checkpoint/resume bit-identity: checkpoint-at-midpoint-then-resume

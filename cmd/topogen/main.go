@@ -21,6 +21,7 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/medium"
 	"repro/internal/sim"
 	"repro/internal/topo"
 )
@@ -64,19 +65,21 @@ func main() {
 		os.Exit(1)
 	}
 
+	// The eager build of every row, as topo.Testbed.Shared makes it: a
+	// medium.New medium builds each row on its first read instead.
 	start := time.Now()
-	m := s.Build(sim.NewScheduler(), sim.NewRNG(*seed))
+	rows, gridBacked := medium.BuildDeliveries(s.Params, s.Model, s.Pos, 0)
 	elapsed := time.Since(start)
 
 	degrees := make([]int, s.N())
 	total := 0
-	for i := range degrees {
-		degrees[i] = m.NeighborCount(i)
+	for i, row := range rows {
+		degrees[i] = len(row)
 		total += degrees[i]
 	}
 	sort.Ints(degrees)
 	construction := "spatial grid without a range bound (every pair)"
-	if m.GridBacked() {
+	if gridBacked {
 		construction = "spatial grid"
 	}
 	fmt.Printf("scenario %s: %d nodes on %.0f×%.0f m (seed %d)\n",

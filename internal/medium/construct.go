@@ -94,10 +94,15 @@ func sortedCopy(row []Delivery) []Delivery {
 	if len(row) == 0 {
 		return nil
 	}
-	slices.SortFunc(row, func(x, y Delivery) int { return cmp.Compare(x.Dst, y.Dst) })
+	sortByDst(row)
 	list := make([]Delivery, len(row))
 	copy(list, row)
 	return list
+}
+
+// sortByDst puts a scratch row in ascending receiver order.
+func sortByDst(row []Delivery) {
+	slices.SortFunc(row, func(x, y Delivery) int { return cmp.Compare(x.Dst, y.Dst) })
 }
 
 // BuildDeliveries computes, for every node, the receivers that hear it

@@ -16,7 +16,7 @@
 // The channel is stored sparsely: each node keeps a sorted delivery
 // list of only the receivers that hear it above the delivery floor.
 // Lists are built with a spatial grid when the propagation model can
-// bound its range (radio.RangeBounder), making construction O(n·k) at
+// bound its range (radio.RangeBounder), making a full build O(n·k) at
 // fixed node density and Transmit O(audible receivers) at most — the
 // representation that lets the testbed scale from the paper's 50 nodes
 // to thousands. NewDense retains the brute-force O(n²) construction as
@@ -34,26 +34,31 @@
 // so kept sets and stored gains are the same bits with or without it;
 // the dense reference paths never consult it, and the equivalence tests
 // hold the screened paths to them. Such a model is reciprocal to the
-// bit, so construction puts each unordered pair to the screen and the
-// model once and writes a kept link into both rows (BuildDeliveries);
-// a model without a range bound is built per ordered pair.
+// bit, so the eager build puts each unordered pair to the screen and
+// the model once and writes a kept link into both rows
+// (BuildDeliveries); a model without a range bound is built per ordered
+// pair. BuildDeliveries is what NewFromRows media (topo.Testbed.Shared),
+// the shard engine and RebuildDeliveries use; New builds no row.
 //
-// # Rows under motion
+// # Lazy rows
 //
-// MoveNodes evaluates no pair. It moves the nodes in the grid and marks
-// every row stale; a stale row is rebuilt by the same row computation
-// on its next full read, over the positions and model state of that
-// read. Every full reader — NeighborCount, ForEachNeighbor, GainMW,
-// RxPowerDBm, an All frame — goes through one accessor. An ordinary
-// frame over a stale row builds only the row's attended part, by the
-// same computation narrowed to the receivers a station listens on, and
-// leaves the full row to the next full read; it reaches exactly the
-// receivers, in the order and at the powers, the full row's attended
-// entries would give it. So a mobile run pays, between two epochs, for
-// the attended candidates of the nodes that transmit and the rows it
-// asks about, a small share of the network, and a static run never
-// takes the path. Construction stays eager. See incremental.go and
-// ARCHITECTURE.md, "Mobility and the incremental medium".
+// New evaluates no pair: every row of a New medium starts stale. Nor
+// does MoveNodes: it moves the nodes in the grid and marks every row
+// stale. A stale row is built by the per-row computation on its next
+// full read, over the positions and model state of that read. Every
+// full reader — NeighborCount, ForEachNeighbor, GainMW, RxPowerDBm, an
+// All frame — goes through one accessor. An ordinary frame over a
+// stale row builds only the row's attended part, by the same
+// computation narrowed to the receivers a station listens on, carved
+// from a chunked arena, and leaves the full row to the next full read;
+// it reaches exactly the receivers, in the order and at the powers, the
+// full row's attended entries would give it. So a mobile run pays,
+// between two epochs, for the attended candidates of the nodes that
+// transmit and the rows it asks about, a small share of the network,
+// and so does a static run from New on. A read writes rows, so a New medium serves one
+// goroutine; media that run concurrently over one layout share rows
+// built once (NewFromRows). See incremental.go and ARCHITECTURE.md,
+// "Mobility and the incremental medium".
 //
 // # Who hears a frame
 //

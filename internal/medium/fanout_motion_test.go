@@ -1,6 +1,7 @@
 package medium
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -24,6 +25,21 @@ func reached(tx *phy.Transmission) []Delivery {
 	return out
 }
 
+// requireReached fails unless the frame's start fan-out reached exactly
+// want's receivers, in order, at want's powers to the bit.
+func requireReached(t *testing.T, label string, tx *phy.Transmission, want []Delivery) {
+	t.Helper()
+	got := reached(tx)
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d receivers, want %d", label, len(got), len(want))
+	}
+	for k := range want {
+		if got[k].Dst != want[k].Dst || math.Float64bits(got[k].GainMW) != math.Float64bits(want[k].GainMW) {
+			t.Fatalf("%s: receiver %d = %+v, want %+v", label, k, got[k], want[k])
+		}
+	}
+}
+
 // TestFanoutMatchesRebuildUnderMotion interleaves, from a seeded
 // stream, random batches (partial, zero-length and out-of-arena moves),
 // shadow-epoch bumps, attaches, full row reads, frames and the passing
@@ -37,8 +53,9 @@ func reached(tx *phy.Transmission) []Delivery {
 // not carry a heard row derived over the attended part that the full
 // read replaced. Every case runs on the grid path and on the dense
 // fallback; after the last step the agenda drains and no radio may hold
-// a signal.
+// a signal. The static cases (staticFanout) run with no batch at all.
 func TestFanoutMatchesRebuildUnderMotion(t *testing.T) {
+	t.Run("static", staticFanout)
 	const n, steps, busy = 40, 600, 4
 	arena := arenas["field"]
 	rate := phy.RateByID(phy.Rate6Mbps)
@@ -140,15 +157,7 @@ func TestFanoutMatchesRebuildUnderMotion(t *testing.T) {
 							want = append(want, d)
 						}
 					}
-					got := reached(tx)
-					if len(got) != len(want) {
-						t.Fatalf("seed %d step %d src %d: %d receivers, want %d", seed, step, src, len(got), len(want))
-					}
-					for k := range want {
-						if got[k].Dst != want[k].Dst || math.Float64bits(got[k].GainMW) != math.Float64bits(want[k].GainMW) {
-							t.Fatalf("seed %d step %d src %d: receiver %d = %+v, want %+v", seed, step, src, k, got[k], want[k])
-						}
-					}
+					requireReached(t, fmt.Sprintf("seed %d step %d src %d", seed, step, src), tx, want)
 					frames++
 				}
 			}
@@ -161,6 +170,79 @@ func TestFanoutMatchesRebuildUnderMotion(t *testing.T) {
 			if frames < steps/4 {
 				t.Fatalf("seed %d: only %d frames went on the air", seed, frames)
 			}
+		}
+	}
+}
+
+// staticFanout holds a New medium that never moves to the same oracle,
+// over a shadowed LogDistance, a FreeSpace and an asymmetric Matrix:
+// every row starts stale, so frames from every third node, each sender
+// twice, come before any full read and must reach the attended part of
+// BuildDeliveries' row; a full read of every row, in shuffled order,
+// must then equal that row bit for bit, and a frame after it must still
+// reach the attended part.
+func staticFanout(t *testing.T) {
+	const n = 40
+	rate := phy.RateByID(phy.Rate6Mbps)
+	rng := sim.NewRNG(0x57a7)
+	mx := &radio.Matrix{LossDB: make([][]float64, n)}
+	for a := range mx.LossDB {
+		mx.LossDB[a] = make([]float64, n)
+		for b := range mx.LossDB[a] {
+			mx.LossDB[a][b] = 55 + 60*rng.Float64() // each direction its own draw
+		}
+	}
+	for _, tc := range []struct {
+		name  string
+		model radio.Model
+		arena geo.Rect
+	}{
+		{"LogDistance", &radio.LogDistance{RefLossDB: 50, Exponent: 3.0, ShadowSigmaDB: 4, Seed: 0x57a7}, arenas["field"]},
+		{"FreeSpace", &radio.FreeSpace{RefLossDB: 47, Exponent: 2.5}, arenas["field"]},
+		{"Matrix", mx, arenas["room"]},
+	} {
+		params := phy.DefaultParams()
+		sched := sim.NewScheduler()
+		m := New(sched, params, tc.model, scatter(n, tc.arena, rng.Stream(7)), rng.Stream(1))
+		want, _ := BuildDeliveries(params, tc.model, m.positions, 1)
+		attended := make([]bool, n)
+		for i := 0; i < n; i += 3 {
+			attended[i] = true
+			m.Radio(i).SetHandler(&recorder{})
+		}
+		sched.Run(sim.Microsecond) // past the attach instant: no frame is All
+		reachedAny := false
+		frames := func(when string) {
+			for src := 0; src < n; src += 3 {
+				tx := new(phy.Transmission)
+				m.txFree = append(m.txFree, tx) // the frame borrows this one
+				m.Radio(src).Transmit(dataFrame(src, (src+3)%n), rate)
+				var part []Delivery
+				for _, d := range want[src] {
+					if attended[d.Dst] {
+						part = append(part, d)
+					}
+				}
+				requireReached(t, fmt.Sprintf("%s: %s frame from %d", tc.name, when, src), tx, part)
+				reachedAny = reachedAny || len(part) > 0
+			}
+			sched.Run(sched.Now() + 10*sim.Millisecond) // every frame ends
+		}
+		frames("first")
+		frames("second")
+		for k, i := range rng.Perm(n) {
+			var got []Delivery
+			if k%2 == 0 {
+				m.NeighborCount(i)
+				got = m.deliveries[i]
+			} else {
+				m.ForEachNeighbor(i, func(dst int, g float64) { got = append(got, Delivery{Dst: dst, GainMW: g}) })
+			}
+			requireRowEqual(t, tc.name+": full read", i, got, want[i])
+		}
+		frames("post-read")
+		if !reachedAny {
+			t.Fatalf("%s: no frame reached a receiver", tc.name)
 		}
 	}
 }

@@ -311,12 +311,12 @@ func TestMoveNodePreservesInFlightFanout(t *testing.T) {
 	pts := []geo.Point{{X: 0, Y: 0}, {X: 10, Y: 0}}
 	sched := sim.NewScheduler()
 	m := New(sched, params, model, pts, sim.NewRNG(3))
-	if len(m.deliveries[0]) != 1 {
-		t.Fatalf("want an audible pair, got %d deliveries", len(m.deliveries[0]))
+	snapshot := m.row(0)
+	if len(snapshot) != 1 {
+		t.Fatalf("want an audible pair, got %d deliveries", len(snapshot))
 	}
-	snapshot := m.deliveries[0]
 	tx := m.acquireTx()
-	*tx = phy.Transmission{TxID: 1, From: 0, Deliveries: m.deliveries[0]}
+	*tx = phy.Transmission{TxID: 1, From: 0, Deliveries: m.row(0)}
 	// Move the receiver far out of range: the live list empties...
 	m.MoveNode(1, geo.Point{X: 1e6, Y: 0})
 	if k := m.NeighborCount(0); k != 0 {
@@ -384,5 +384,36 @@ func TestAllFrameAfterMoveFansOutOverMovedGeometry(t *testing.T) {
 		if r := m.Radio(i); r.ActiveSignals() != 0 || r.TotalMW != 0 {
 			t.Fatalf("radio %d after the frame: %d signals, totalMW %v — an Arrive without its Depart", i, r.ActiveSignals(), r.TotalMW)
 		}
+	}
+}
+
+// TestCarvedRowsAreCapped pins the attended-part arena: the parts two
+// senders' first frames build sit side by side in one chunk, each
+// capped at its end, so an append to one moves it elsewhere instead of
+// writing over the next.
+func TestCarvedRowsAreCapped(t *testing.T) {
+	pts := []geo.Point{{X: 0}, {X: 10}, {X: 20}, {X: 30}}
+	m := New(sim.NewScheduler(), phy.DefaultParams(), &radio.LogDistance{RefLossDB: 50, Exponent: 3.0}, pts, sim.NewRNG(1))
+	for i := range pts {
+		m.Radio(i).SetHandler(&recorder{})
+	}
+	if m.heardRow(0) != nil || m.heardRow(1) != nil {
+		t.Fatal("a stale row's first frame must carry every entry of its attended part (Heard nil)")
+	}
+	first, next := m.deliveries[0], m.deliveries[1]
+	if len(first) == 0 || len(next) == 0 {
+		t.Fatalf("want audible rows, got %d and %d entries", len(first), len(next))
+	}
+	if unsafe.Pointer(unsafe.SliceData(next)) != unsafe.Add(unsafe.Pointer(unsafe.SliceData(first)), len(first)*int(unsafe.Sizeof(Delivery{}))) {
+		t.Fatal("the two attended parts were not carved side by side from one chunk")
+	}
+	if cap(first) != len(first) {
+		t.Fatalf("a carved row has capacity %d past its %d entries", cap(first), len(first))
+	}
+	want := slices.Clone(next)
+	grown := append(first, Delivery{Dst: 3, GainMW: 1})
+	requireRowEqual(t, "the next carved row after an append", 1, m.deliveries[1], want)
+	if unsafe.SliceData(grown) == unsafe.SliceData(first) {
+		t.Fatal("an append to a carved row grew it in place")
 	}
 }

@@ -21,17 +21,18 @@ type Medium struct {
 	model  radio.Model
 
 	positions []geo.Point
-	radios    []*phy.Radio
+	radios    []phy.Radio
 
 	// deliveries[a] lists, in ascending receiver order, every node that
 	// hears a above the delivery floor and the power it receives. The
 	// ascending order is load-bearing: Transmit touches receivers in
 	// list order, so list order is part of the deterministic event
 	// sequence that golden traces pin down. Rows may be shared with
-	// other media (NewFromRows) and are never written through. After a
-	// MoveNodes batch a row is stale until its next full read rebuilds
-	// it, or holds only its attended receivers after a frame (heardRow),
-	// so every full reader goes through row (incremental.go).
+	// other media (NewFromRows) and are never written through. Every
+	// row of a New medium, and every row after a MoveNodes batch, is
+	// stale until its next full read builds it, or holds only its
+	// attended receivers after a frame (heardRow), so every full reader
+	// goes through row (incremental.go).
 	deliveries [][]Delivery
 	floor      floor
 	screen     screen
@@ -64,20 +65,29 @@ type Medium struct {
 
 	State
 
-	// mv holds the motion state (spatial grid, row versions, scratch
-	// row); built lazily on the first MoveNodes so static runs pay
-	// nothing for it.
+	// mv holds the lazy-row state (spatial grid, row versions, scratch
+	// row, attended-part arena): New builds it with every row stale; a
+	// medium built over finished rows (NewFromRows, NewDense,
+	// RebuildDeliveries) gets it on its first MoveNodes.
 	mv *mover
 }
 
 // New builds a medium over the given node positions. Each node gets a
-// radio whose decode randomness comes from a stream of rng. Delivery
-// lists are built through a spatial grid (every pair a candidate when
-// the model does not bound its range), fanned across GOMAXPROCS workers
-// — bit-identical to the serial build, see BuildDeliveries.
+// radio whose decode randomness comes from a stream of rng. It builds
+// no delivery row: every row starts stale and is built on its first
+// read, through a spatial grid (every pair a candidate when the model
+// does not bound its range), as a row is after a move (incremental.go)
+// — the row BuildDeliveries would build, bit for bit. A frame builds
+// only its sender's attended part, so a run pays for the rows it reads.
+//
+// A read writes rows, so a New medium serves one goroutine, as a moving
+// medium does. Media that run concurrently over one layout share rows
+// built once through topo.Testbed.Shared (NewFromRows) instead.
 func New(sched *sim.Scheduler, params phy.Params, model radio.Model, positions []geo.Point, rng *sim.RNG) *Medium {
 	m := newMedium(sched, params, model, positions, rng)
-	m.deliveries, m.gridBacked = BuildDeliveries(params, model, positions, 0)
+	m.deliveries = make([][]Delivery, len(positions))
+	_, m.gridBacked = reach(params, model)
+	m.ensureMover().ver++ // one past every row's version: all stale
 	return m
 }
 
@@ -116,13 +126,11 @@ func newMedium(sched *sim.Scheduler, params phy.Params, model radio.Model, posit
 	}
 	m.screen = newScreen(m.floor, model)
 	n := len(positions)
-	m.radios = make([]*phy.Radio, n)
+	m.radios = make([]phy.Radio, n)
 	m.attended = make([]bool, n)
 	m.heard = make([][]int32, n)
 	m.heardVer = make([]uint64, n)
-	for i := 0; i < n; i++ {
-		m.radios[i] = phy.NewRadio(i, params, sched, rng.Stream(uint64(0x5ad10+i)), m)
-	}
+	phy.InitRadios(m.radios, params, rng, func(int) (*sim.Scheduler, phy.Channel) { return sched, m })
 	return m
 }
 
@@ -148,17 +156,17 @@ func (m *Medium) staleHeard() {
 
 // heardRow returns the positions in src's delivery row of the receivers
 // a station listens on, deriving them on src's first frame since the
-// heard rows went stale. Every batch forces that miss path, so the
-// staleness check of the delivery row lives on it, and a frame whose
-// heard row is current never makes it.
+// heard rows went stale. A sender's first frame and every batch force
+// that miss path, so the staleness check of the delivery row lives on
+// it, and a frame whose heard row is current never makes it.
 //
-// When a batch left src's delivery row stale, the miss path builds only
-// its attended part, over the current positions, into deliveries[src]
-// and returns nil: every entry of that row is heard. rowVer[src] stays
-// stale, so the next full read (row) builds the whole row, and retires
-// this heard row as it does. Otherwise it returns indexes into the
-// current delivery row, nil only when that row is empty, where "every
-// entry" and "none" agree.
+// When src's delivery row is stale — never built since New, or moved
+// by a batch since — the miss path builds only its attended part, over
+// the current positions, into deliveries[src] and returns nil: every
+// entry of that row is heard. rowVer[src] stays stale, so the next full
+// read (row) builds the whole row, and retires this heard row as it
+// does. Otherwise it returns indexes into the current delivery row, nil
+// only when that row is empty, where "every entry" and "none" agree.
 func (m *Medium) heardRow(src int) []int32 {
 	if m.heardVer[src] == m.ver {
 		return m.heard[src]
@@ -194,7 +202,7 @@ func (m *Medium) gain(a, b int) float64 {
 func (m *Medium) NodeCount() int { return len(m.radios) }
 
 // Radio returns node i's transceiver.
-func (m *Medium) Radio(i int) *phy.Radio { return m.radios[i] }
+func (m *Medium) Radio(i int) *phy.Radio { return &m.radios[i] }
 
 // Position returns node i's location.
 func (m *Medium) Position(i int) geo.Point { return m.positions[i] }
@@ -312,7 +320,7 @@ func (m *Medium) finishTransmission(tx *phy.Transmission) {
 			m.radios[d.Dst].Depart(tx, d.GainMW)
 		}
 	}
-	from := m.radios[tx.From]
+	from := &m.radios[tx.From]
 	tx.Frame = nil      // do not retain the MAC's frame past the air interval
 	tx.Deliveries = nil // nor the delivery snapshot
 	tx.Heard = nil
@@ -340,7 +348,7 @@ func (m *Medium) finishTransmission(tx *phy.Transmission) {
 // station that attached in that instant itself.
 func (m *Medium) Transmit(from *phy.Radio, f frame.Frame, r phy.Rate) sim.Time {
 	src := from.ID()
-	if src < 0 || src >= len(m.radios) || m.radios[src] != from {
+	if src < 0 || src >= len(m.radios) || &m.radios[src] != from {
 		panic(fmt.Sprintf("medium: transmit from unknown radio %d", src))
 	}
 	m.NextTxID++

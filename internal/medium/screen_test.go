@@ -134,8 +134,10 @@ func TestScreenRefusesMost(t *testing.T) {
 	}
 }
 
-// TestLazyRows pins the lazy contract of a delivery row under motion on
-// the mobile_churn layout: a MoveNodes batch evaluates no pair; the
+// TestLazyRows pins the lazy contract of a delivery row on the
+// mobile_churn layout: New puts no pair to the screen and evaluates
+// none, and a first frame screens only its sender's attended
+// candidates; a MoveNodes batch evaluates no pair; the
 // first read of a row after a batch puts to the screen exactly the
 // candidates construction put for that row; a second read before the
 // next batch evaluates nothing; and a row nobody reads is never built.
@@ -160,6 +162,47 @@ func TestLazyRows(t *testing.T) {
 			t.Fatalf("%s put %d candidates to the screen and evaluated %d", what, model.asked, model.evaluated)
 		}
 	}
+
+	// Stations on every seventh node; a frame from one of them, in a
+	// later instant than the attaches so it is not marked All, must put
+	// to the screen exactly the attended ones of construction's
+	// candidates for its row, and nothing of any other row.
+	const src = 7
+	var attended []int // in ascending order, as built[src] is
+	for _, b := range built[src] {
+		if b%7 == 0 {
+			attended = append(attended, b)
+		}
+	}
+	attach := func(m *medium.Medium, sched *sim.Scheduler) {
+		for i := 0; i < n; i += 7 {
+			m.Radio(i).SetHandler(medium.NopHandler{})
+		}
+		sched.Run(sched.Now() + sim.Microsecond)
+	}
+	transmit := func(m *medium.Medium, what string) {
+		t.Helper()
+		m.Radio(src).Transmit(&frame.Dot11Data{Src: frame.AddrFromID(src), Dst: frame.AddrFromID(0), PayloadLen: 1400}, phy.RateByID(phy.Rate6Mbps))
+		got := model.screened[src]
+		slices.Sort(got)
+		if len(attended) == 0 || !slices.Equal(got, attended) {
+			t.Fatalf("%s: a frame from %d screened %d candidates, want the %d attended of construction's %d", what, src, len(got), len(attended), len(built[src]))
+		}
+		for i := range model.screened {
+			if i != src && len(model.screened[i]) != 0 {
+				t.Fatalf("%s: a frame from %d screened %d candidates of node %d's row", what, src, len(model.screened[i]), i)
+			}
+		}
+	}
+
+	// New builds no row; its first frame builds only an attended part.
+	reset()
+	lazySched := sim.NewScheduler()
+	lazy := medium.New(lazySched, s.Params, model, s.Pos, sim.NewRNG(1))
+	attach(lazy, lazySched)
+	quiet("New and the attaches")
+	transmit(lazy, "on a New medium")
+	lazySched.RunAll()
 
 	ids := make([]int, n)
 	for i := range ids {
@@ -205,37 +248,16 @@ func TestLazyRows(t *testing.T) {
 	}
 	quiet("a second read before the next batch")
 
-	// Stations on every seventh node, then a frame from one of them in
-	// a later instant than the attaches, so it is not marked All.
-	const src = 7
-	for i := 0; i < n; i += 7 {
-		m.Radio(i).SetHandler(medium.NopHandler{})
-	}
-	sched.Run(sim.Microsecond)
+	// The same frame after a batch, then a full read of its row.
+	attach(m, sched)
 	m.MoveNodes(ids, s.Pos)
 	reset()
-	m.Radio(src).Transmit(&frame.Dot11Data{Src: frame.AddrFromID(src), Dst: frame.AddrFromID(0), PayloadLen: 1400}, phy.RateByID(phy.Rate6Mbps))
-	var attended []int // in ascending order, as built[src] is
-	for _, b := range built[src] {
-		if b%7 == 0 {
-			attended = append(attended, b)
-		}
-	}
-	got := model.screened[src]
-	slices.Sort(got)
-	if len(attended) == 0 || !slices.Equal(got, attended) {
-		t.Fatalf("a frame from %d screened %d candidates, want the %d attended of construction's %d", src, len(got), len(attended), len(built[src]))
-	}
-	for i := range model.screened {
-		if i != src && len(model.screened[i]) != 0 {
-			t.Fatalf("a frame from %d screened %d candidates of node %d's row", src, len(model.screened[i]), i)
-		}
-	}
+	transmit(m, "after a batch")
 	reset()
 	if k := m.NeighborCount(src); k != len(rows[src]) {
 		t.Fatalf("row %d has %d receivers after a frame, %d as built", src, k, len(rows[src]))
 	}
-	got = model.screened[src]
+	got := model.screened[src]
 	slices.Sort(got)
 	if !slices.Equal(got, built[src]) {
 		t.Fatalf("the full read after a frame screened %d candidates, construction %d (or a different set)", len(got), len(built[src]))

@@ -46,7 +46,7 @@ func TestSparseMatchesDenseDeliveryLists(t *testing.T) {
 				t.Fatalf("%s: dense construction claims to be grid backed", name)
 			}
 			for a := range pts {
-				sl, dl := sparse.deliveries[a], dense.deliveries[a]
+				sl, dl := sparse.row(a), dense.row(a)
 				if len(sl) != len(dl) {
 					t.Fatalf("%s %T node %d: sparse %d deliveries, dense %d", name, model, a, len(sl), len(dl))
 				}

@@ -9,8 +9,8 @@ import (
 )
 
 // Checkpoint surface of the radio. RadioState is stored as it is, and
-// NewRadio rebuilds what it derives from Params. The one thing in it that
-// is not data is a shared *Transmission: active and locked signals are
+// InitRadios rebuilds what it derives from Params. The one thing in it
+// that is not data is a shared *Transmission: active and locked signals are
 // stored as TxIDs and resolved, on restore, against the transmissions the
 // medium (or shard) materialised from the agenda, so the identities the
 // reception path compares (Locked == tx in SignalEnd) hold again. Weak

@@ -151,8 +151,8 @@ var (
 )
 
 // RadioState is the mutable half of a Radio and its checkpoint form;
-// everything else is rebuilt from Params by NewRadio. The fields are
-// exported for encoding/json only.
+// everything else is rebuilt from Params by InitRadios (or NewRadio).
+// The fields are exported for encoding/json only.
 type RadioState struct {
 	Sending bool      `json:"transmitting,omitempty"`
 	TxFrame frame.Any `json:"tx_frame"`
@@ -200,12 +200,31 @@ type RadioStats struct {
 // NewRadio creates a radio for node id. handler must be set with
 // SetHandler before any traffic flows; channel is the medium.
 func NewRadio(id int, params Params, sched *sim.Scheduler, rng *sim.RNG, channel Channel) *Radio {
-	return &Radio{
+	r := new(Radio)
+	r.init(id, params, sched, *rng, channel)
+	return r
+}
+
+// InitRadios sets up a network's radios in place, radios[i] as node
+// i's, bound to the scheduler and channel at returns for i. Node i
+// draws its decode randomness from rng.Stream(0x5ad10+i): the serial
+// medium and the shard engine both label their radios' streams here,
+// so decode randomness does not depend on the engine or the shard
+// count.
+func InitRadios(radios []Radio, params Params, rng *sim.RNG, at func(id int) (*sim.Scheduler, Channel)) {
+	for i := range radios {
+		sched, channel := at(i)
+		radios[i].init(i, params, sched, *rng.Stream(uint64(0x5ad10 + i)), channel)
+	}
+}
+
+func (r *Radio) init(id int, params Params, sched *sim.Scheduler, rng sim.RNG, channel Channel) {
+	*r = Radio{
 		id:         id,
 		sched:      sched,
 		channel:    channel,
 		exact:      params.ExactReceptionMath,
-		RadioState: RadioState{CSMW: radio.DBmToMW(CSThresholdDBm), RNG: *rng},
+		RadioState: RadioState{CSMW: radio.DBmToMW(CSThresholdDBm), RNG: rng},
 	}
 }
 

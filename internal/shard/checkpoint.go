@@ -141,8 +141,8 @@ func (e *Engine) ExportState(encode sim.EncodeFunc) (EngineState, error) {
 		}
 		st.Shards[i] = ShardState{Sched: sched, shardState: sh.shardState}
 	}
-	for i, r := range e.radios {
-		st.Radios[i] = r.RadioState
+	for i := range e.radios {
+		st.Radios[i] = e.radios[i].RadioState
 	}
 	return st, nil
 }
@@ -194,8 +194,8 @@ func (e *Engine) RestoreState(st EngineState, decode sim.DecodeFunc) error {
 			}
 		}
 	}
-	for i, r := range e.radios {
-		if err := r.RestoreState(st.Radios[i], registries[e.assign[i]]); err != nil {
+	for i := range e.radios {
+		if err := e.radios[i].RestoreState(st.Radios[i], registries[e.assign[i]]); err != nil {
 			return fmt.Errorf("shard %d: %w", e.assign[i], err)
 		}
 	}

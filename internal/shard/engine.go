@@ -39,7 +39,7 @@ type Engine struct {
 	params phy.Params
 	shards []*Shard
 	assign []int
-	radios []*phy.Radio
+	radios []phy.Radio
 	// attended[i] reports whether a station listens on radio i: frames
 	// are delivered to those radios only (see Shard.Attend). Written
 	// while the engine is being wired, read by every shard during Run.
@@ -54,9 +54,9 @@ type Engine struct {
 
 // NewEngine builds a sharded engine over the given topology. rng must
 // be the same stream the serial medium would receive (the experiment
-// harness passes root.Stream(1)): each node's radio draws from
-// rng.Stream(0x5ad10+i) exactly as medium.New does, so decode
-// randomness is identical to the serial engine at every shard count.
+// harness passes root.Stream(1)): phy.InitRadios labels each node's
+// decode stream for both engines, so decode randomness is identical to
+// the serial engine at every shard count.
 func NewEngine(params phy.Params, model radio.Model, positions []geo.Point, rng *sim.RNG, cfg Config) *Engine {
 	k := cfg.Shards
 	if k < 1 {
@@ -71,7 +71,7 @@ func NewEngine(params phy.Params, model radio.Model, positions []geo.Point, rng 
 	e := &Engine{
 		params:   params,
 		assign:   assign,
-		radios:   make([]*phy.Radio, n),
+		radios:   make([]phy.Radio, n),
 		attended: make([]bool, n),
 	}
 	e.bar.n = int32(k)
@@ -91,12 +91,14 @@ func NewEngine(params phy.Params, model radio.Model, positions []geo.Point, rng 
 		}
 		e.shards[s] = sh
 	}
-	// Radios are created in ascending node order with the serial
-	// engine's RNG streams; only the owning scheduler differs.
-	for i := 0; i < n; i++ {
+	// Radios get the serial engine's RNG streams; only the owning
+	// scheduler differs.
+	phy.InitRadios(e.radios, params, rng, func(i int) (*sim.Scheduler, phy.Channel) {
 		sh := e.shards[assign[i]]
-		e.radios[i] = phy.NewRadio(i, params, sh.sched, rng.Stream(uint64(0x5ad10+i)), sh)
-		sh.nodes = append(sh.nodes, i)
+		return sh.sched, sh
+	})
+	for i, s := range assign {
+		e.shards[s].nodes = append(e.shards[s].nodes, i)
 	}
 	// Split each node's delivery list into the same-shard prefix walked
 	// synchronously and per-foreign-shard lists walked on handoff. Order

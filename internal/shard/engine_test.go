@@ -106,7 +106,7 @@ func runSharded(tb *topo.Testbed, flows []topo.Link, armName string, spec traffi
 	eng := NewEngine(tb.Params, tb.Model, tb.Pos, rng.Stream(1), Config{Shards: shards, Flows: pairs})
 	meters, sources := wireFlows(flows, armName, rng, spec, eng.Network, eng.SchedulerOf)
 	eng.Run(testDuration)
-	return outcome(eng.Transmissions(), meters, sources, eng.NodeCount(), func(i int) *phy.Radio { return eng.radios[i] })
+	return outcome(eng.Transmissions(), meters, sources, eng.NodeCount(), func(i int) *phy.Radio { return &eng.radios[i] })
 }
 
 // testFlows samples a few potential-link flows spread across the

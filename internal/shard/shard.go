@@ -94,7 +94,7 @@ func (s *Shard) Radio(id int) *phy.Radio {
 	if id < 0 || id >= len(s.eng.assign) || s.eng.assign[id] != s.idx {
 		panic(fmt.Sprintf("shard %d: Radio(%d) for a node it does not host", s.idx, id))
 	}
-	return s.eng.radios[id]
+	return &s.eng.radios[id]
 }
 
 // Scheduler returns this shard's event loop.
@@ -174,7 +174,7 @@ func (s *Shard) hears(tx *phy.Transmission, dst int) bool {
 // serial engine's 1,2,3,... at S=1.
 func (s *Shard) Transmit(from *phy.Radio, f frame.Frame, r phy.Rate) sim.Time {
 	src := from.ID()
-	if src < 0 || src >= len(s.eng.radios) || s.eng.radios[src] != from || s.eng.assign[src] != s.idx {
+	if src < 0 || src >= len(s.eng.radios) || &s.eng.radios[src] != from || s.eng.assign[src] != s.idx {
 		panic(fmt.Sprintf("shard %d: transmit from radio %d it does not host", s.idx, src))
 	}
 	s.TxSeq++
@@ -223,7 +223,7 @@ func (s *Shard) HandleEvent(arg any) {
 				s.eng.radios[d.Dst].Depart(v, d.GainMW)
 			}
 		}
-		from := s.eng.radios[v.From]
+		from := &s.eng.radios[v.From]
 		v.Frame = nil // do not retain the MAC's frame past the air interval
 		s.txFree = append(s.txFree, v)
 		from.TxDone()
