@@ -39,11 +39,6 @@
 #   make conformance  the shared MAC conformance suite (every registered
 #                   arm: allocation, determinism, worker-equivalence and
 #                   conservation contracts) under the race detector
-#   make shard-conformance  the sharded-engine matrix under the race
-#                   detector: one-shard engine bit-identity vs serial
-#                   (internal/shard), determinism and figure-level
-#                   equivalence at 2–4 shards, the latter also
-#                   end-to-end through experiments
 #   make bench-pair PARENT=<rev> [WORKLOAD=scale_sparse] [ROUNDS=5]
 #                   paired runs of bash bench/run.sh on PARENT (exported
 #                   into .bench_pair/) and the working tree, alternating
@@ -65,8 +60,8 @@
 #                   the mobile checkpoint/resume bit-identity cases
 #   make checkpoint-conformance  the checkpoint/resume bit-identity
 #                   matrix (every golden scenario × every registered MAC
-#                   arm × shards 1/2/4: resume-at-midpoint must equal an
-#                   uninterrupted run in results and checkpoint bytes)
+#                   arm: resume-at-midpoint must equal an uninterrupted
+#                   run in results and checkpoint bytes)
 #                   plus the envelope damage table and the scheduler
 #                   round-trip unit tier
 #   make cover      standalone coverage profile over every package
@@ -75,7 +70,7 @@
 #   make ci         the full gate: vet + one race short pass over the module
 #                   that also writes coverage.out and feeds the coverage
 #                   floors + alloc gate + golden tier + the experiments
-#                   lines of shard, checkpoint and mobility conformance
+#                   lines of checkpoint and mobility conformance
 #                   (the race pass already ran the rest of them and all
 #                   of make conformance) + bench guard + bench smoke
 #                   + docs check + fuzz smoke; the module is tested once,
@@ -103,7 +98,7 @@ MAC_COVER_FLOOR ?= 85
 # shadowing branches silently skew every mobile figure.
 MOBILITY_COVER_FLOOR ?= 85
 
-.PHONY: build test test-full race bench check vet golden alloc-check bench-json profile bench-smoke docs-check fuzz-smoke loc loc-pkgs conformance shard-conformance checkpoint-conformance mobility-conformance bench-guard bench-pair cover ci
+.PHONY: build test test-full race bench check vet golden alloc-check bench-json profile bench-smoke docs-check fuzz-smoke loc loc-pkgs conformance checkpoint-conformance mobility-conformance bench-guard bench-pair cover ci
 
 build:
 	$(GO) build ./...
@@ -191,16 +186,6 @@ loc-pkgs:
 conformance:
 	$(GO) test -timeout $(TEST_TIMEOUT) -race -count=1 ./internal/mac/conformance
 
-# The sharded engine's conformance matrix under the race detector:
-# the one-shard engine bit-identical to the serial engine (saturated
-# and Poisson sources), determinism at fixed shard counts, figure-level
-# equivalence at 2 and 4 shards, plus the multi-shard contracts through
-# experiments.FlowSimConfig.Shards (where 0 and 1 are the serial engine).
-SHARD_EXPERIMENTS = $(GO) test -timeout $(TEST_TIMEOUT) -race -count=1 -run 'TestSharded' ./internal/experiments
-shard-conformance:
-	$(GO) test -timeout $(TEST_TIMEOUT) -race -count=1 -run 'TestShard|TestPartition|TestEngine' ./internal/shard ./internal/geo
-	$(SHARD_EXPERIMENTS)
-
 # Bench regression guard: the two most recently committed BENCH_*.json
 # are diffed; >20% median ns/op growth in SaturatedSteadyState,
 # IncrementalUpdate or EpochUpdate fails the gate when the new lower
@@ -250,7 +235,7 @@ mobility-conformance:
 # Checkpoint/resume bit-identity: checkpoint-at-midpoint-then-resume
 # must match an uninterrupted run in both FlowResults (IEEE-754 bit
 # patterns) and end-of-run checkpoint bytes, across every golden
-# scenario × every registered MAC arm × shards 1/2/4, and the lazily
+# scenario × every registered MAC arm, and the lazily
 # derived config hash / owner index must not depend on when they are
 # first read; every layer's completeness and export → restore → export
 # round-trip tests, and seq damage through Resume. The second line
@@ -288,15 +273,14 @@ cover:
 # The module is tested once here: the race short pass is also the
 # coverage run the floors read. (The ZeroAllocs tests skip under -race;
 # alloc-check runs them.) Of the conformance targets ci runs only the
-# experiments lines: internal/mac/conformance, internal/shard,
-# internal/geo, internal/mobility, internal/medium, internal/checkpoint
-# and internal/sim never call testing.Short, so the race short pass
-# already ran every test their other lines select, under -race.
+# experiments lines: internal/mac/conformance, internal/mobility,
+# internal/medium, internal/checkpoint and internal/sim never call
+# testing.Short, so the race short pass already ran every test their
+# other lines select, under -race.
 ci: build vet
 	$(call test-with-cover-floors,-race)
 	$(MAKE) alloc-check
 	$(MAKE) golden
-	$(SHARD_EXPERIMENTS)
 	$(CHECKPOINT_EXPERIMENTS)
 	$(MOBILITY_EXPERIMENTS)
 	$(MAKE) bench-guard

@@ -10,8 +10,6 @@
 //	          [-analytic [-analytic-verify]] [-benchjson] [-cpuprofile FILE] [-memprofile FILE]
 //
 // The suite is the sections table below; -only picks its rows by key.
-// Every figure runs on the serial engine (the sharded one pays only on
-// networks a hundred times larger; cmapsim -shards is the way in).
 //
 // "paper" runs the full 100-second, 50-topology methodology (slow);
 // "mid", the default, runs 30 s over 30 topologies per figure and is

@@ -6,7 +6,7 @@
 //
 //	cmapsim [-seed N] [-topology exposed|inrange|hidden] [-arm cmap|cmap1|csma|rtscts|cs@-82|cmap:win=2|...]
 //	        [-duration 30s] [-index 0] [-trace N] [-trials 1] [-parallel 0]
-//	        [-traffic cbr|poisson|onoff] [-load 2.0] [-churn 500ms] [-predict] [-shards N]
+//	        [-traffic cbr|poisson|onoff] [-load 2.0] [-churn 500ms] [-predict]
 //	        [-mobility waypoint@3|walk@1.5|vehicular@20]
 //	        [-checkpoint FILE [-checkpoint-every 5s]] [-resume FILE]
 //	cmapsim -scenario gridcity|clusters|disk|highway [-nodes 200] ...
@@ -28,7 +28,7 @@
 // carrier sense and ACKs at any cs@<dBm> threshold.
 //
 // -trace N prints the last N link-layer events at the first flow's two
-// endpoints, for any arm (single trial on the serial engine).
+// endpoints, for any arm (single trial).
 //
 // With -trials above one, the same topology is replayed under
 // independently seeded channel/protocol randomness and the per-trial
@@ -45,22 +45,10 @@
 //
 // -mobility moves the nodes while the flows run: "<model>@<speed m/s>"
 // with an optional roam radius third field ("waypoint@3@15"), models
-// waypoint | walk | vehicular (serial engine only — it is incompatible
-// with -shards). The medium rebuilds a node's delivery list when it is
-// next read after nodes move. Left empty, the scenario's suggested
-// motion applies (static for every built-in layout except highway,
-// which streams vehicles at 20 m/s).
-//
-// -shards partitions the single simulation across N shard goroutines
-// (the internal/shard engine). Each flow's endpoints are co-sharded;
-// interference between the two flows crosses the shard border with the
-// engine's lookahead-window latency. -shards 1 is serial (bit-identical
-// numbers). Larger counts are deterministic, but note the microscope is
-// the engine's worst case: a pair chosen for strong cross-flow
-// carrier-sense coupling puts the whole interaction on the border, so
-// the deviation is far above what network-scale aggregates see — useful
-// for inspecting exactly what the window perturbs, not for quoting
-// goodput.
+// waypoint | walk | vehicular. The medium rebuilds a node's delivery
+// list when it is next read after nodes move. Left empty, the
+// scenario's suggested motion applies (static for every built-in layout
+// except highway, which streams vehicles at 20 m/s).
 //
 // -checkpoint writes the complete simulation state to a file every
 // -checkpoint-every of virtual time (atomically, so a kill -9 leaves at
@@ -149,9 +137,7 @@ func runTrial(tb *topo.Testbed, cfg experiments.FlowSimConfig, ck checkpointing,
 		fmt.Fprintf(notes, "resumed %s at t=%v\n", ck.resume, time.Duration(fs.Now()))
 	}
 	for ck.path != "" {
-		// Multi-shard engines checkpoint only at window edges; align
-		// each cut up to the next legal instant.
-		next := fs.AlignCheckpoint(fs.Now() + ck.every)
+		next := fs.Now() + ck.every
 		if next >= cfg.Duration {
 			break
 		}
@@ -256,7 +242,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	armFlag := fl.String("arm", "cmap", "registry MAC arm name or spec (e.g. cmap, csma, rtscts, cs@-82, cmap:win=2); \"list\" prints all arms")
 	duration := fl.Duration("duration", 30*time.Second, "virtual run time")
 	index := fl.Int("index", 0, "which sampled topology to run")
-	traceN := fl.Int("trace", 0, "print the last N link-layer events of the first flow's endpoints (single trial, serial engine)")
+	traceN := fl.Int("trace", 0, "print the last N link-layer events of the first flow's endpoints (single trial)")
 	trials := fl.Int("trials", 1, "independent replications of the scenario")
 	parallel := fl.Int("parallel", 0, "worker goroutines for -trials (0 = all CPUs, 1 = serial)")
 	scenario := fl.String("scenario", "testbed", "testbed | gridcity | clusters | disk | highway")
@@ -266,7 +252,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	churn := fl.Duration("churn", 0, "mean session up/down duration for flow churn (0 = no churn)")
 	mobilityFlag := fl.String("mobility", "", "node motion: <model>@<speed m/s>[@roamM] with model waypoint|walk|vehicular, or none (empty = scenario default)")
 	predict := fl.Bool("predict", false, "also print the analytic oracle's saturated per-flow prediction")
-	shards := fl.Int("shards", 0, "partition the simulation across N shard goroutines (<=1 = serial)")
 	ckptPath := fl.String("checkpoint", "", "write the full simulation state to this file every -checkpoint-every of virtual time (single trial)")
 	ckptEvery := fl.Duration("checkpoint-every", 5*time.Second, "virtual-time interval between auto-checkpoints")
 	resumePath := fl.String("resume", "", "resume a single-trial run from a checkpoint file written under identical flags")
@@ -309,8 +294,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return usage("-nodes %d: want a non-negative node count (0 = the scenario's default)", *nodes)
 	case *traceN > 0 && *trials > 1:
 		return usage("-trace records one run; it cannot be combined with -trials %d", *trials)
-	case *traceN > 0 && *shards > 1:
-		return usage("-trace needs the serial engine; it cannot be combined with -shards %d", *shards)
 	case (*ckptPath != "" || *resumePath != "") && *trials > 1:
 		return usage("-checkpoint/-resume apply to the single-trial microscope, not -trials replications")
 	case *ckptPath != "" && *ckptEvery <= 0:
@@ -321,17 +304,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return usage("%v", err)
 	}
-	if *shards > tb.N {
-		return usage("-shards %d: want at most one shard per node (%d nodes)", *shards, tb.N)
-	}
 	if *mobilityFlag != "" {
 		mob, err = mobility.ParseSpec(*mobilityFlag)
 		if err != nil {
 			return usage("%v", err)
 		}
-	}
-	if mob.Active() && *shards > 1 {
-		return usage("-mobility needs the serial engine; drop -shards")
 	}
 	// With -arm not chosen explicitly, a scenario that suggests arms picks
 	// the station type (mirroring how an unset -traffic falls back to the
@@ -414,7 +391,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Rate:     phy.Rate6Mbps,
 		Traffic:  spec,
 		Mobility: mob,
-		Shards:   *shards,
 	}
 	if *trials <= 1 {
 		// The single-run microscope: channel randomness comes from the

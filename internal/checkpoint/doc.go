@@ -4,7 +4,7 @@
 // whose applicability is guarded by a hash of the producing
 // configuration. The simulation state itself is opaque here — each
 // layer stores its live state struct as it is (internal/sim, phy,
-// medium, csma, core, traffic, mobility, shard, stats) and the
+// medium, csma, core, traffic, mobility, stats) and the
 // experiment harness stitches the pieces; this package guarantees that
 // a resumed process either gets back exactly the bytes that were saved,
 // for the same configuration, or a typed error saying precisely how the

@@ -6,6 +6,7 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/frame"
 	"repro/internal/mac"
+	"repro/internal/medium"
 	"repro/internal/phy"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -176,8 +177,8 @@ func newState() state {
 	}
 }
 
-// New creates a CMAP node on network node id.
-func New(id int, cfg Config, m mac.Network, rng *sim.RNG) *Node {
+// New creates a CMAP node on node id of the medium.
+func New(id int, cfg Config, m *medium.Medium, rng *sim.RNG) *Node {
 	n := &Node{
 		id:        id,
 		cfg:       cfg,

@@ -12,6 +12,7 @@ import (
 	"math"
 
 	"repro/internal/mac"
+	"repro/internal/medium"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -55,7 +56,7 @@ func specConfig(v []int) (Config, *mac.SpecError) {
 
 // newStation builds a station from a cmap spec's Config and the
 // cross-arm options.
-func newStation(id int, c Config, m mac.Network, rng *sim.RNG, opt mac.Options) mac.Node {
+func newStation(id int, c Config, m *medium.Medium, rng *sim.RNG, opt mac.Options) mac.Node {
 	c.Rate = opt.Rate
 	c.PayloadBytes = cmp.Or(opt.Payload, c.PayloadBytes)
 	return New(id, c, m, rng)

@@ -16,6 +16,7 @@ import (
 	"strings"
 
 	"repro/internal/mac"
+	"repro/internal/medium"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -35,7 +36,7 @@ func (n *Node) Counters() mac.Counters { return n.Stat }
 
 // newStation builds a station from an arm's Config and the cross-arm
 // options.
-func newStation(id int, c Config, m mac.Network, rng *sim.RNG, opt mac.Options) mac.Node {
+func newStation(id int, c Config, m *medium.Medium, rng *sim.RNG, opt mac.Options) mac.Node {
 	c.Rate = opt.Rate
 	c.PayloadBytes = cmp.Or(opt.Payload, c.PayloadBytes)
 	return New(id, c, m, rng)

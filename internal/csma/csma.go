@@ -3,6 +3,7 @@ package csma
 import (
 	"repro/internal/frame"
 	"repro/internal/mac"
+	"repro/internal/medium"
 	"repro/internal/phy"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -140,8 +141,8 @@ func newState() state {
 	return state{CW: CWMin, LastSeq: make(map[int]uint16), GotAny: make(map[int]bool)}
 }
 
-// New creates a DCF node on network node id.
-func New(id int, cfg Config, m mac.Network, rng *sim.RNG) *Node {
+// New creates a DCF node on node id of the medium.
+func New(id int, cfg Config, m *medium.Medium, rng *sim.RNG) *Node {
 	n := &Node{
 		id:    id,
 		cfg:   cfg,

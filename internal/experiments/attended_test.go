@@ -20,13 +20,8 @@ func (listener) OnCorrupt(phy.RxInfo)            {}
 func (listener) OnTxDone(frame.Frame)            {}
 func (listener) OnCarrier(bool)                  {}
 
-// radioOf returns node id's radio on whichever engine fs runs.
-func radioOf(fs *FlowSim, id int) *phy.Radio {
-	if fs.eng != nil {
-		return fs.eng.Network(id).Radio(id)
-	}
-	return fs.m.Radio(id)
-}
+// radioOf returns node id's radio.
+func radioOf(fs *FlowSim, id int) *phy.Radio { return fs.m.Radio(id) }
 
 // radioState is node id's radio state in its checkpoint form, the
 // bytes a checkpoint would store for it.
@@ -49,8 +44,8 @@ func radioState(t *testing.T, fs *FlowSim, id int) string {
 // every FlowResult bit for bit and on the complete state of every
 // station's radio — counters, the bits of totalMW, the signals on the
 // air, the lock, the RNG position. The matrix is every golden topology
-// × every registered arm, static on the serial engine and on two
-// shards, and under the walk and vehicular movement models.
+// × every registered arm, static and under the walk and vehicular
+// movement models.
 func TestAttendedFanoutEquivalence(t *testing.T) {
 	const seed = 1
 	opt := conformanceOptions(seed)
@@ -60,14 +55,12 @@ func TestAttendedFanoutEquivalence(t *testing.T) {
 		arms = []Protocol{CSMAOn, CMAP, "rtscts"}
 	}
 	variants := []struct {
-		name   string
-		shards int
-		mob    mobility.Spec
+		name string
+		mob  mobility.Spec
 	}{
-		{"static", 1, mobility.Spec{}},
-		{"shards2", 2, mobility.Spec{}},
-		{"walk", 1, mobility.Spec{Kind: mobility.RandomWalk, SpeedMps: 2, RangeM: 12, DecorrM: 10}},
-		{"vehicular", 1, mobility.Spec{Kind: mobility.Vehicular, SpeedMps: 15, DecorrM: 10}},
+		{"static", mobility.Spec{}},
+		{"walk", mobility.Spec{Kind: mobility.RandomWalk, SpeedMps: 2, RangeM: 12, DecorrM: 10}},
+		{"vehicular", mobility.Spec{Kind: mobility.Vehicular, SpeedMps: 15, DecorrM: 10}},
 	}
 	for ti, tp := range goldenTopologies(tb, seed) {
 		for _, arm := range arms {
@@ -76,7 +69,7 @@ func TestAttendedFanoutEquivalence(t *testing.T) {
 				t.Run(tp.name+"/"+string(arm)+"/"+v.name, func(t *testing.T) {
 					t.Parallel()
 					runSeed := seed + uint64(ti)*7919 + arm.seedSalt()*104729
-					cfg := flowSimConfig(string(arm), tp.flows, opt, v.shards, traffic.Saturate(), runSeed)
+					cfg := flowSimConfig(string(arm), tp.flows, opt, traffic.Saturate(), runSeed)
 					cfg.Mobility = v.mob
 					station := map[int]bool{}
 					for _, f := range tp.flows {
@@ -97,9 +90,8 @@ func TestAttendedFanoutEquivalence(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					end := built.AlignCheckpoint(opt.Duration)
-					built.Run(end)
-					everyone.Run(end)
+					built.Run(opt.Duration)
+					everyone.Run(opt.Duration)
 
 					requireSameResults(t, "attended only vs everyone attended", built.Results(), everyone.Results())
 					var skipped, heard uint64

@@ -22,8 +22,8 @@ import (
 // their IEEE-754 bit patterns, and the same checkpoint bytes when both
 // runs are captured again at the end (which audits every serialized
 // field of every component, not just the measured outputs). The matrix
-// covers every golden scenario × every registered MAC arm × shard
-// counts {1, 2, 4}, exactly the space the golden traces pin.
+// covers every golden scenario × every registered MAC arm, exactly the
+// space the golden traces pin.
 
 // conformanceArms is every runnable registered arm: the fixed names
 // plus one cs@<dBm> family member.
@@ -52,7 +52,7 @@ func conformanceOptions(seed uint64) Options {
 	}
 }
 
-func flowSimConfig(tp string, flows []topo.Link, opt Options, shards int, spec traffic.Spec, runSeed uint64) FlowSimConfig {
+func flowSimConfig(tp string, flows []topo.Link, opt Options, spec traffic.Spec, runSeed uint64) FlowSimConfig {
 	return FlowSimConfig{
 		Arm:      Protocol(tp),
 		Flows:    flows,
@@ -60,7 +60,6 @@ func flowSimConfig(tp string, flows []topo.Link, opt Options, shards int, spec t
 		Warmup:   opt.Warmup,
 		Rate:     opt.Rate,
 		Traffic:  spec,
-		Shards:   shards,
 		Seed:     runSeed,
 	}
 }
@@ -105,35 +104,31 @@ func requireSameResults(t *testing.T, label string, a, b []FlowResult) {
 // TestCheckpointResumeBitIdentical is the conformance matrix: run A
 // straight through; run B to a midpoint, checkpoint, rebuild a fresh
 // skeleton, resume, finish. Results and end-of-run checkpoint bytes
-// must match exactly.
+// must match exactly. The saturated cases and the traffic-churn case
+// carry a "/shards1" suffix: the subtest names stay fixed for -run
+// patterns and test listings.
 func TestCheckpointResumeBitIdentical(t *testing.T) {
 	const seed = 1
 	opt := conformanceOptions(seed)
 	tb := topo.NewTestbed(opt.Nodes, seed)
 	arms := conformanceArms()
-	shardCounts := []int{1, 2, 4}
 	if testing.Short() {
 		arms = []Protocol{CSMAOn, CMAP}
-		shardCounts = []int{1, 2}
 	}
 	for _, tp := range goldenTopologies(tb, seed) {
 		for _, arm := range arms {
-			for _, shards := range shardCounts {
-				tp, arm, shards := tp, arm, shards
-				name := tp.name + "/" + string(arm) + "/shards" + string(rune('0'+shards))
-				t.Run(name, func(t *testing.T) {
-					t.Parallel()
-					runSeed := seed + arm.seedSalt()*104729
-					cfg := flowSimConfig(string(arm), tp.flows, opt, shards, traffic.Saturate(), runSeed)
-					checkpointResumeCase(t, tb, cfg, opt.Duration/2, opt.Duration)
-				})
-			}
+			tp, arm := tp, arm
+			t.Run(tp.name+"/"+string(arm)+"/shards1", func(t *testing.T) {
+				t.Parallel()
+				runSeed := seed + arm.seedSalt()*104729
+				cfg := flowSimConfig(string(arm), tp.flows, opt, traffic.Saturate(), runSeed)
+				checkpointResumeCase(t, tb, cfg, opt.Duration/2, opt.Duration)
+			})
 		}
 	}
 	// Mobile spot checks: trajectories, movement RNG streams, shadow
 	// epochs and the incremental medium's patched delivery lists must
-	// survive the cut too, for every movement model. Serial only —
-	// mobility is gated to the unsharded engine.
+	// survive the cut too, for every movement model.
 	mobileSpecs := []mobility.Spec{
 		{Kind: mobility.Waypoint, SpeedMps: 5, RangeM: 12, DecorrM: 10},
 		{Kind: mobility.RandomWalk, SpeedMps: 2, RangeM: 12, DecorrM: 10},
@@ -149,7 +144,7 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 			t.Run("exposed/mobile-"+spec.Kind.String()+"/"+string(arm), func(t *testing.T) {
 				t.Parallel()
 				tp := goldenTopologies(tb, seed)[0]
-				cfg := flowSimConfig(string(arm), tp.flows, opt, 1, traffic.Saturate(), seed+arm.seedSalt()*104729)
+				cfg := flowSimConfig(string(arm), tp.flows, opt, traffic.Saturate(), seed+arm.seedSalt()*104729)
 				cfg.Mobility = spec
 				checkpointResumeCase(t, tb, cfg, opt.Duration/2, opt.Duration)
 			})
@@ -159,16 +154,12 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 	// timers must survive the cut too.
 	spec := traffic.PoissonAt(300)
 	spec.UpMean, spec.DownMean = 120*sim.Millisecond, 120*sim.Millisecond
-	for _, shards := range shardCounts {
-		shards := shards
-		name := "exposed/traffic-churn/shards" + string(rune('0'+shards))
-		t.Run(name, func(t *testing.T) {
-			t.Parallel()
-			tp := goldenTopologies(tb, seed)[0]
-			cfg := flowSimConfig(string(CMAP), tp.flows, opt, shards, spec, seed+12345)
-			checkpointResumeCase(t, tb, cfg, opt.Duration/2, opt.Duration)
-		})
-	}
+	t.Run("exposed/traffic-churn/shards1", func(t *testing.T) {
+		t.Parallel()
+		tp := goldenTopologies(tb, seed)[0]
+		cfg := flowSimConfig(string(CMAP), tp.flows, opt, spec, seed+12345)
+		checkpointResumeCase(t, tb, cfg, opt.Duration/2, opt.Duration)
+	})
 	// A cut with a sub-sensitivity signal on the air at a locked
 	// receiver: that signal is in no active set, only in the radio's weak
 	// count and in its transmission's stored delivery snapshot, and the
@@ -180,7 +171,7 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 	t.Run("exposed/cmap/weak-on-air", func(t *testing.T) {
 		t.Parallel()
 		for _, p := range tb.ExposedPairs(sim.NewRNG(seed^0x901d), 4) {
-			cfg := flowSimConfig(string(CMAP), []topo.Link{p.A, p.B}, opt, 1, traffic.Saturate(), seed+CMAP.seedSalt()*104729)
+			cfg := flowSimConfig(string(CMAP), []topo.Link{p.A, p.B}, opt, traffic.Saturate(), seed+CMAP.seedSalt()*104729)
 			mk := func() *FlowSim {
 				fs, err := NewFlowSim(tb, cfg)
 				if err != nil {
@@ -206,7 +197,7 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 	t.Run("exposed/cmap/all-on-air", func(t *testing.T) {
 		t.Parallel()
 		tp := goldenTopologies(tb, seed)[0]
-		cfg := flowSimConfig(string(CMAP), tp.flows, opt, 1, traffic.Saturate(), seed+CMAP.seedSalt()*104729)
+		cfg := flowSimConfig(string(CMAP), tp.flows, opt, traffic.Saturate(), seed+CMAP.seedSalt()*104729)
 		const cut = 10 * sim.Microsecond // shorter than any preamble
 		probe, err := NewFlowSim(tb, cfg)
 		if err != nil {
@@ -230,7 +221,7 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 	t.Run("exposed/traffic-churn/mobile-waypoint", func(t *testing.T) {
 		t.Parallel()
 		tp := goldenTopologies(tb, seed)[0]
-		cfg := flowSimConfig(string(CMAP), tp.flows, opt, 1, spec, seed+54321)
+		cfg := flowSimConfig(string(CMAP), tp.flows, opt, spec, seed+54321)
 		cfg.Mobility = mobility.Spec{Kind: mobility.Waypoint, SpeedMps: 5, RangeM: 12, DecorrM: 10}
 		checkpointResumeCase(t, tb, cfg, opt.Duration/2, opt.Duration)
 	})
@@ -252,12 +243,9 @@ func weakAtLockedReceiver(t *testing.T, fs, skeleton *FlowSim) bool {
 	return false
 }
 
-// checkpointResumeCase cuts at (the legal instant at or after) mid and
-// compares at d.
-func checkpointResumeCase(t *testing.T, tb *topo.Testbed, cfg FlowSimConfig, mid, d sim.Time) {
+// checkpointResumeCase cuts at t1 and compares at t2.
+func checkpointResumeCase(t *testing.T, tb *topo.Testbed, cfg FlowSimConfig, t1, t2 sim.Time) {
 	t.Helper()
-	// A multi-shard engine cuts only at window edges; align both the
-	// midpoint and the endpoint so A and B run to identical clocks.
 	mk := func() *FlowSim {
 		fs, err := NewFlowSim(tb, cfg)
 		if err != nil {
@@ -270,9 +258,6 @@ func checkpointResumeCase(t *testing.T, tb *topo.Testbed, cfg FlowSimConfig, mid
 	// run; B forces both at construction. The byte comparison below
 	// therefore also proves the lazy derivation is run-independent.
 	a := mk()
-	t1 := a.AlignCheckpoint(mid)
-	t2 := a.AlignCheckpoint(d)
-
 	a.Run(t2)
 	resA := a.Results()
 	var endA bytes.Buffer
@@ -323,7 +308,7 @@ func TestCheckpointConfigHashGuard(t *testing.T) {
 	opt := conformanceOptions(seed)
 	tb := topo.NewTestbed(opt.Nodes, seed)
 	tp := goldenTopologies(tb, seed)[0]
-	cfg := flowSimConfig(string(CMAP), tp.flows, opt, 1, traffic.Saturate(), 42)
+	cfg := flowSimConfig(string(CMAP), tp.flows, opt, traffic.Saturate(), 42)
 	fs, err := NewFlowSim(tb, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -43,9 +43,8 @@
 //
 // Every flow run — each figure and sweep trial, the golden traces, the
 // scale fixtures and cmapsim's registry-arm microscope — is wired by
-// NewFlowSim and nowhere else, so arms, motion (Options.Mobility) and
-// engines (FlowSimConfig.Shards; the figures always run serial) compare
-// over identical wiring. The two-hop mesh runners of §5.7, whose relays
+// NewFlowSim and nowhere else, on one scheduler and one medium, so arms
+// and motion (Options.Mobility) compare over identical wiring. The two-hop mesh runners of §5.7, whose relays
 // are not flows, are the one other place this package fans out trials
 // or attaches stations to a medium.
 package experiments

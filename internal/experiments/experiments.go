@@ -226,8 +226,7 @@ func (r FlowResult) HdrOrTrailFrac() float64 {
 // runFlows runs the given unicast flows over a fresh build of the
 // testbed under one protocol arm and returns per-flow goodput (and
 // CMAP visibility counters). Options.Traffic and Options.Mobility pick
-// the workload and motion; the engine is the serial one and the wiring
-// is NewFlowSim's.
+// the workload and motion; the wiring is NewFlowSim's.
 func runFlows(tb *topo.Testbed, flows []topo.Link, p Protocol, opt Options, runSeed uint64) []FlowResult {
 	fs, err := NewFlowSim(tb, FlowSimConfig{
 		Arm:      p,

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -14,7 +13,6 @@ import (
 	"repro/internal/medium"
 	"repro/internal/mobility"
 	"repro/internal/phy"
-	"repro/internal/shard"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/topo"
@@ -23,12 +21,12 @@ import (
 )
 
 // FlowSim is one flow experiment held open, and the only place a flow
-// simulation is wired: scheduler or sharded engine, medium, mobility
-// manager, MAC stations, meters and traffic sources. Every figure,
-// sweep, golden trace, CLI run and conformance contract goes through
-// NewFlowSim, so arms compare over identical wiring; the one exception
-// is the §5.7 mesh (runMesh), whose relays forward batches no source
-// drives. Every component reference is retained,
+// simulation is wired: scheduler, medium, mobility manager, MAC
+// stations, meters and traffic sources. Every figure, sweep, golden
+// trace, CLI run and conformance contract goes through NewFlowSim, so
+// arms compare over identical wiring; the one exception is the §5.7
+// mesh (runMesh), whose relays forward batches no source drives. Every
+// component reference is retained,
 // so the simulation can be stopped at any virtual time, its complete
 // state captured through Save, and a fresh process's skeleton
 // overwritten back to that exact state through Resume.
@@ -45,12 +43,9 @@ type FlowSim struct {
 	tb        *topo.Testbed
 	saturated bool
 
-	// Exactly one engine is set: the serial scheduler+medium pair, or
-	// the sharded engine (cfg.Shards > 1).
 	sched *sim.Scheduler
 	m     *medium.Medium
-	eng   *shard.Engine
-	// mg drives node movement when cfg.Mobility is active (serial only).
+	// mg drives node movement when cfg.Mobility is active.
 	mg *mobility.Manager
 
 	senders   []mac.Node
@@ -91,10 +86,7 @@ type FlowSimConfig struct {
 	Rate             phy.RateID
 	// Traffic selects the workload; the zero value is saturated.
 	Traffic traffic.Spec
-	// Shards > 1 runs the spatially sharded engine; more shards than the
-	// testbed has nodes is ErrShards.
-	Shards int
-	// Mobility moves nodes during the run; requires the serial engine.
+	// Mobility moves nodes during the run.
 	Mobility mobility.Spec
 	// Seed is the run seed every RNG stream derives from.
 	Seed uint64
@@ -110,34 +102,26 @@ type flowSimHash struct {
 	Params phy.Params
 }
 
-// flowSimState is the checkpoint payload: the engine (serial scheduler,
-// medium and radios, or the sharded engine), then every component's
-// state by key and the recorders in construction order.
+// flowSimState is the checkpoint payload: the scheduler, the medium and
+// the radios, then every component's state by key and the recorders in
+// construction order.
 type flowSimState struct {
 	Sched  *sim.SchedulerState        `json:"sched,omitempty"`
 	Medium *medium.State              `json:"medium,omitempty"`
 	Radios []phy.RadioState           `json:"radios,omitempty"`
-	Engine *shard.EngineState         `json:"engine,omitempty"`
 	Comps  map[string]json.RawMessage `json:"comps"`
 	Meters []stats.Meter              `json:"meters"`
 	Lats   []stats.Latency            `json:"lats,omitempty"`
 }
 
-// ErrShards is NewFlowSim's failure for a FlowSimConfig with more
-// shards than the testbed has nodes. The sharded engine allocates
-// node-length tables and starts a goroutine per shard, so the check
-// comes before any of it.
-var ErrShards = errors.New("experiments: more shards than nodes")
-
 // NewFlowSim builds the simulation. The construction sequence is the
-// determinism contract the golden traces pin: the medium (or engine)
-// draws rng.Stream(1), the mobility manager its own StreamLabel stream
+// determinism contract the golden traces pin: the medium draws
+// rng.Stream(1), the mobility manager its own StreamLabel stream
 // and starts before any MAC exists, each distinct node gets one station
 // on rng.Stream(1000+id) in flow order, and flow i's traffic source
 // draws rng.Stream(5000+i). It reads only N, Pos, Bounds, Params, Model
 // and DenseMedium from the testbed, never the link measurements, and
-// returns an error for a flow set topo.CheckFlows refuses, and
-// ErrShards.
+// returns an error for a flow set topo.CheckFlows refuses.
 func NewFlowSim(tb *topo.Testbed, cfg FlowSimConfig) (*FlowSim, error) {
 	return newFlowSim(tb, cfg, nil)
 }
@@ -155,9 +139,6 @@ func newFlowSim(tb *topo.Testbed, cfg FlowSimConfig, beforeStations func(*FlowSi
 	if err := topo.CheckFlows(tb.N, cfg.Flows); err != nil {
 		return nil, fmt.Errorf("experiments: %w", err)
 	}
-	if cfg.Shards > tb.N {
-		return nil, fmt.Errorf("%w: %d shards over %d nodes", ErrShards, cfg.Shards, tb.N)
-	}
 	n := len(cfg.Flows)
 	fs := &FlowSim{
 		cfg:       cfg,
@@ -170,34 +151,20 @@ func newFlowSim(tb *topo.Testbed, cfg FlowSimConfig, beforeStations func(*FlowSi
 		meters:    make([]stats.Meter, n),
 	}
 	rng := sim.NewRNG(cfg.Seed)
-	if cfg.Shards > 1 {
-		if cfg.Mobility.Active() {
-			return nil, fmt.Errorf("experiments: mobility requires the serial engine (set Shards <= 1)")
-		}
-		pairs := make([][2]int, n)
-		for i, f := range cfg.Flows {
-			pairs[i] = [2]int{f.Src, f.Dst}
-		}
-		fs.eng = shard.NewEngine(tb.Params, tb.Model, tb.Pos, rng.Stream(1), shard.Config{
-			Shards: cfg.Shards,
-			Flows:  pairs,
-		})
-	} else {
-		// With a shadowing decorrelation distance set, the testbed's model
-		// is wrapped in a per-run mobility.Channel (identical to the bare
-		// model until the first epoch bump).
-		model := tb.Model
-		var ch *mobility.Channel
-		if cfg.Mobility.Active() && cfg.Mobility.DecorrM > 0 {
-			ch = mobility.NewChannel(tb.Model, tb.N)
-			model = ch
-		}
-		fs.sched = sim.NewScheduler()
-		fs.m = tb.BuildWith(fs.sched, rng.Stream(1), model)
-		if cfg.Mobility.Active() {
-			fs.mg = mobility.New(cfg.Mobility, tb.Bounds, fs.m, rng.Stream(mobility.StreamLabel), ch)
-			fs.mg.Start()
-		}
+	// With a shadowing decorrelation distance set, the testbed's model is
+	// wrapped in a per-run mobility.Channel (identical to the bare model
+	// until the first epoch bump).
+	model := tb.Model
+	var ch *mobility.Channel
+	if cfg.Mobility.Active() && cfg.Mobility.DecorrM > 0 {
+		ch = mobility.NewChannel(tb.Model, tb.N)
+		model = ch
+	}
+	fs.sched = sim.NewScheduler()
+	fs.m = tb.BuildWith(fs.sched, rng.Stream(1), model)
+	if cfg.Mobility.Active() {
+		fs.mg = mobility.New(cfg.Mobility, tb.Bounds, fs.m, rng.Stream(mobility.StreamLabel), ch)
+		fs.mg.Start()
 	}
 	if !fs.saturated {
 		fs.lats = make([]stats.Latency, n)
@@ -210,11 +177,7 @@ func newFlowSim(tb *topo.Testbed, cfg FlowSimConfig, beforeStations func(*FlowSi
 		if nd, ok := fs.nodes[id]; ok {
 			return nd
 		}
-		var network mac.Network = fs.m
-		if fs.eng != nil {
-			network = fs.eng.Network(id)
-		}
-		nd := arm.New(id, network, rng.Stream(uint64(1000+id)), mac.Options{Rate: cfg.Rate})
+		nd := arm.New(id, fs.m, rng.Stream(uint64(1000+id)), mac.Options{Rate: cfg.Rate})
 		fs.nodes[id] = nd
 		fs.order = append(fs.order, id)
 		return nd
@@ -230,14 +193,7 @@ func newFlowSim(tb *topo.Testbed, cfg FlowSimConfig, beforeStations func(*FlowSi
 		}
 		fs.lats[i] = stats.Latency{W: stats.Window{Start: cfg.Warmup, End: cfg.Duration}}
 		fs.receivers[i].SetOnDeliver(fs.deliver(i, f.Src))
-		// The source lives on the sender's scheduler (its shard's, on the
-		// sharded engine): arrivals and the MAC they feed share one
-		// single-threaded agenda.
-		sched := fs.sched
-		if fs.eng != nil {
-			sched = fs.eng.SchedulerOf(f.Src)
-		}
-		src := traffic.NewSource(sched, rng.Stream(uint64(5000+i)), cfg.Traffic, fs.senders[i], f.Dst)
+		src := traffic.NewSource(fs.sched, rng.Stream(uint64(5000+i)), cfg.Traffic, fs.senders[i], f.Dst)
 		src.EnableLatency(fs.senders[i].LatencyWindow())
 		fs.sources[i] = src
 		src.Start()
@@ -295,42 +251,10 @@ func (fs *FlowSim) index() error {
 
 // Run advances the simulation to the given virtual time. Repeated calls
 // resume where the last one stopped.
-func (fs *FlowSim) Run(until sim.Time) {
-	if fs.eng != nil {
-		fs.eng.Run(until)
-		return
-	}
-	fs.sched.Run(until)
-}
+func (fs *FlowSim) Run(until sim.Time) { fs.sched.Run(until) }
 
 // Now returns the simulation clock.
-func (fs *FlowSim) Now() sim.Time {
-	if fs.eng != nil {
-		return fs.eng.Now()
-	}
-	return fs.sched.Now()
-}
-
-// Window returns the sharded engine's synchronization window, or zero
-// for a serial simulation. A multi-shard simulation can only checkpoint
-// at multiples of this window (see AlignCheckpoint).
-func (fs *FlowSim) Window() sim.Time {
-	if fs.eng != nil && fs.eng.Shards() > 1 {
-		return fs.eng.Window()
-	}
-	return 0
-}
-
-// AlignCheckpoint rounds t up to the nearest legal checkpoint instant:
-// any time for a serial simulation, the next window edge for a
-// multi-shard one.
-func (fs *FlowSim) AlignCheckpoint(t sim.Time) sim.Time {
-	w := fs.Window()
-	if w <= 0 || t%w == 0 {
-		return t
-	}
-	return (t/w + 1) * w
-}
+func (fs *FlowSim) Now() sim.Time { return fs.sched.Now() }
 
 // ConfigHash returns the configuration fingerprint stamped into every
 // checkpoint this simulation saves: the config plus the testbed identity
@@ -342,24 +266,14 @@ func (fs *FlowSim) ConfigHash() string {
 	return fs.hash
 }
 
-// Transmissions counts the frames put on the air so far, on either
-// engine.
-func (fs *FlowSim) Transmissions() uint64 {
-	if fs.eng != nil {
-		return fs.eng.Transmissions()
-	}
-	return fs.m.Transmissions
-}
+// Transmissions counts the frames put on the air so far.
+func (fs *FlowSim) Transmissions() uint64 { return fs.m.Transmissions }
 
 // Trace records every link-layer upcall at flow 0's two endpoints into
 // t by decorating their radio handlers, whatever arm the stations run.
 // Recording draws no randomness and schedules nothing, so a traced run
-// produces the numbers of an untraced one. The tracer is unsynchronised,
-// hence serial engine only.
+// produces the numbers of an untraced one.
 func (fs *FlowSim) Trace(t *trace.Tracer) error {
-	if fs.eng != nil {
-		return fmt.Errorf("experiments: tracing requires the serial engine (set Shards <= 1)")
-	}
 	f := fs.cfg.Flows[0]
 	for _, id := range []int{f.Src, f.Dst} {
 		h, ok := fs.nodes[id].(phy.Handler)
@@ -412,7 +326,7 @@ func (fs *FlowSim) Results() []FlowResult {
 // encode translates one agenda event to (owner key, encoded arg) — the
 // sim.EncodeFunc for this simulation's component set.
 func (fs *FlowSim) encode(target sim.EventHandler, arg any) (string, json.RawMessage, error) {
-	if fs.m != nil && target == sim.EventHandler(fs.m) {
+	if target == sim.EventHandler(fs.m) {
 		enc, err := fs.m.EncodeEventArg(arg)
 		return "medium", enc, err
 	}
@@ -425,12 +339,10 @@ func (fs *FlowSim) encode(target sim.EventHandler, arg any) (string, json.RawMes
 }
 
 // decode inverts encode against the reconstructed skeleton. txs is the
-// serial transmission registry the medium's fan-out events materialise
-// into; the sharded engine keeps per-shard registries internally and
-// never routes the "medium" key here.
+// transmission registry the medium's fan-out events materialise into.
 func (fs *FlowSim) decode(txs map[uint64]*phy.Transmission) sim.DecodeFunc {
 	return func(owner string, enc json.RawMessage) (sim.EventHandler, any, error) {
-		if fs.m != nil && owner == "medium" {
+		if owner == "medium" {
 			arg, err := fs.m.DecodeEventArg(enc, txs)
 			return fs.m, arg, err
 		}
@@ -449,22 +361,14 @@ func (fs *FlowSim) exportState() (*flowSimState, error) {
 		return nil, err
 	}
 	st := &flowSimState{Comps: make(map[string]json.RawMessage, len(fs.comps))}
-	if fs.eng != nil {
-		es, err := fs.eng.ExportState(fs.encode)
-		if err != nil {
-			return nil, err
-		}
-		st.Engine = &es
-	} else {
-		ss, err := fs.sched.ExportState(fs.encode)
-		if err != nil {
-			return nil, err
-		}
-		st.Sched = &ss
-		st.Medium = &fs.m.State
-		for i := 0; i < fs.m.NodeCount(); i++ {
-			st.Radios = append(st.Radios, fs.m.Radio(i).RadioState)
-		}
+	ss, err := fs.sched.ExportState(fs.encode)
+	if err != nil {
+		return nil, err
+	}
+	st.Sched = &ss
+	st.Medium = &fs.m.State
+	for i := 0; i < fs.m.NodeCount(); i++ {
+		st.Radios = append(st.Radios, fs.m.Radio(i).RadioState)
 	}
 	for _, c := range fs.comps {
 		enc, err := c.c.ExportState()
@@ -490,31 +394,22 @@ func (fs *FlowSim) restoreState(st *flowSimState) error {
 	if err := fs.index(); err != nil {
 		return err
 	}
-	if fs.eng != nil {
-		if st.Engine == nil {
-			return fmt.Errorf("experiments: checkpoint holds a serial simulation, this skeleton is sharded")
-		}
-		if err := fs.eng.RestoreState(*st.Engine, fs.decode(nil)); err != nil {
-			return err
-		}
-	} else {
-		if st.Sched == nil || st.Medium == nil {
-			return fmt.Errorf("experiments: checkpoint holds a sharded simulation, this skeleton is serial")
-		}
-		txs := map[uint64]*phy.Transmission{}
-		if err := fs.sched.RestoreState(*st.Sched, fs.decode(txs)); err != nil {
-			return err
-		}
-		if len(st.Radios) != fs.m.NodeCount() {
-			return fmt.Errorf("experiments: checkpoint has %d radios, testbed has %d", len(st.Radios), fs.m.NodeCount())
-		}
-		for i := range st.Radios {
-			if err := fs.m.Radio(i).RestoreState(st.Radios[i], txs); err != nil {
-				return err
-			}
-		}
-		fs.m.State = *st.Medium
+	if st.Sched == nil || st.Medium == nil {
+		return fmt.Errorf("experiments: checkpoint has no scheduler or medium state")
 	}
+	txs := map[uint64]*phy.Transmission{}
+	if err := fs.sched.RestoreState(*st.Sched, fs.decode(txs)); err != nil {
+		return err
+	}
+	if len(st.Radios) != fs.m.NodeCount() {
+		return fmt.Errorf("experiments: checkpoint has %d radios, testbed has %d", len(st.Radios), fs.m.NodeCount())
+	}
+	for i := range st.Radios {
+		if err := fs.m.Radio(i).RestoreState(st.Radios[i], txs); err != nil {
+			return err
+		}
+	}
+	fs.m.State = *st.Medium
 	if len(st.Comps) != len(fs.comps) {
 		return fmt.Errorf("experiments: checkpoint has %d components, skeleton %d", len(st.Comps), len(fs.comps))
 	}
@@ -535,9 +430,8 @@ func (fs *FlowSim) restoreState(st *flowSimState) error {
 	return nil
 }
 
-// Save writes a checkpoint of the complete in-flight simulation. A
-// multi-shard simulation must be at a window edge (AlignCheckpoint);
-// the engine rejects any other cut.
+// Save writes a checkpoint of the complete in-flight simulation, at any
+// instant.
 func (fs *FlowSim) Save(w io.Writer) error {
 	st, err := fs.exportState()
 	if err != nil {

@@ -39,14 +39,6 @@ var ScaleSizes = []int{50, 200, 1000}
 // a full traffic run would dominate the suite.
 var MediumConstructSizes = []int{50, 200, 1000, 5000}
 
-// ShardScaleSizes × ShardCounts is the sharded-engine scaling matrix.
-// On a multi-core host the shards>1 columns show the wall-clock win;
-// on one core they price the window-barrier overhead instead.
-var (
-	ShardScaleSizes = []int{1000, 5000, 10000}
-	ShardCounts     = []int{1, 2, 4, 8}
-)
-
 // ScaleFlows picks one saturated flow per stride nodes: each source
 // sends to the receiver that hears it loudest. No O(n²) measurement
 // pass is involved — the delivery lists already know the answer — and
@@ -81,18 +73,17 @@ func ScaleFlows(s *topo.Scenario, count int) []topo.Link {
 // keep construction off the timer. The testbed is the scenario's bare
 // layout: FlowSim never reads the link measurements, so the O(n²) pass
 // of Scenario.Testbed is skipped. d bounds the goodput meters.
-func newScaleSim(s *topo.Scenario, flows []topo.Link, shards int, d sim.Time, seed uint64) *FlowSim {
+func newScaleSim(s *topo.Scenario, flows []topo.Link, d sim.Time, seed uint64) *FlowSim {
 	tb := &topo.Testbed{N: s.N(), Bounds: s.Bounds, Pos: s.Pos, Params: s.Params, Model: s.Model}
 	fs, err := NewFlowSim(tb, FlowSimConfig{
 		Arm:      CSMAOn,
 		Flows:    flows,
 		Duration: d,
 		Rate:     phy.Rate6Mbps,
-		Shards:   shards,
 		Seed:     seed,
 	})
 	if err != nil {
-		panic(err) // csma is always registered; static layouts shard freely
+		panic(err) // csma is always registered and ScaleFlows picks valid flows
 	}
 	return fs
 }
@@ -101,7 +92,7 @@ func newScaleSim(s *topo.Scenario, flows []topo.Link, shards int, d sim.Time, se
 // the scenario for a short virtual window and returns the aggregate
 // goodput, exercising the sparse Transmit fan-out end to end.
 func RunScaleTraffic(s *topo.Scenario, flows []topo.Link, d sim.Time, seed uint64) float64 {
-	fs := newScaleSim(s, flows, 0, d, seed)
+	fs := newScaleSim(s, flows, d, seed)
 	fs.Run(d)
 	return aggregate(fs.Results())
 }
@@ -116,14 +107,13 @@ type SaturatedNetwork struct {
 }
 
 // NewSaturatedNetwork builds an n-node uniform disk at density nodes
-// per km², starts one saturated flow per ten nodes on the serial engine
-// (shards <= 1) or a shards-way sharded one, and advances past the
+// per km², starts one saturated flow per ten nodes and advances past the
 // initial contention transient. The fixture has no measurement window
 // (its meters record nothing); read Sim.Transmissions instead.
-func NewSaturatedNetwork(n int, density float64, shards int, seed uint64) *SaturatedNetwork {
+func NewSaturatedNetwork(n int, density float64, seed uint64) *SaturatedNetwork {
 	s := topo.UniformDisk(n, density, seed)
 	flows := ScaleFlows(s, n/10+2)
-	net := &SaturatedNetwork{Sim: newScaleSim(s, flows, shards, 0, seed), Flows: flows}
+	net := &SaturatedNetwork{Sim: newScaleSim(s, flows, 0, seed), Flows: flows}
 	net.Advance(20 * sim.Millisecond) // warm past the cold-start transient
 	return net
 }
@@ -154,8 +144,8 @@ func BenchMediumConstruct(n int) func(b *testing.B) {
 }
 
 // constructRows builds every delivery row of the scenario through
-// medium.BuildDeliveries, the eager builder behind topo.Testbed.Shared,
-// the shard engine and RebuildDeliveries. Scenario.Build builds no row
+// medium.BuildDeliveries, the eager builder behind topo.Testbed.Shared
+// and RebuildDeliveries. Scenario.Build builds no row
 // (medium.New leaves each to its first read), so timing it would time
 // an empty shell.
 func constructRows(s *topo.Scenario) [][]medium.Delivery {
@@ -179,7 +169,7 @@ func BenchScaleTraffic(n int) func(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			fs := newScaleSim(s, flows, 0, 20*sim.Millisecond, uint64(i)+1)
+			fs := newScaleSim(s, flows, 20*sim.Millisecond, uint64(i)+1)
 			b.StartTimer()
 			fs.Run(20 * sim.Millisecond)
 		}
@@ -189,13 +179,10 @@ func BenchScaleTraffic(n int) func(b *testing.B) {
 // BenchSaturatedSteadyState measures 20 ms virtual-time windows of
 // saturated traffic on a persistent n-node network at the given density
 // — construction excluded, the steady state the zero-allocation
-// transmit path targets. shards <= 1 is the serial engine, so the
-// shards > 1 rows of the ShardedSteadyState matrix read directly
-// against its shards=1 row as parallel speedup (or, on one core,
-// barrier overhead).
-func BenchSaturatedSteadyState(n int, density float64, shards int) func(b *testing.B) {
+// transmit path targets.
+func BenchSaturatedSteadyState(n int, density float64) func(b *testing.B) {
 	return func(b *testing.B) {
-		net := NewSaturatedNetwork(n, density, shards, 1)
+		net := NewSaturatedNetwork(n, density, 1)
 		if len(net.Flows) == 0 {
 			b.Fatalf("no flows at n=%d", n)
 		}
@@ -452,12 +439,12 @@ func ScaleBenchmarks() []ScaleBenchmark {
 	for _, n := range ScaleSizes {
 		out = append(out, ScaleBenchmark{
 			Name: fmt.Sprintf("SaturatedSteadyState/n=%d", n),
-			Run:  BenchSaturatedSteadyState(n, ScaleDensity, 0),
+			Run:  BenchSaturatedSteadyState(n, ScaleDensity),
 		})
 	}
 	out = append(out, ScaleBenchmark{
 		Name: "SaturatedSteadyState/n=1000/dense",
-		Run:  BenchSaturatedSteadyState(1000, DenseDensity, 0),
+		Run:  BenchSaturatedSteadyState(1000, DenseDensity),
 	})
 	for _, n := range ScaleSizes {
 		out = append(out, ScaleBenchmark{
@@ -486,13 +473,5 @@ func ScaleBenchmarks() []ScaleBenchmark {
 		ScaleBenchmark{Name: "AgendaRearm/pending=4096", Run: BenchAgendaRearm(4096)},
 		ScaleBenchmark{Name: "AgendaBurst/n=10000", Run: BenchAgendaBurst(10000)},
 	)
-	for _, n := range ShardScaleSizes {
-		for _, k := range ShardCounts {
-			out = append(out, ScaleBenchmark{
-				Name: fmt.Sprintf("ShardedSteadyState/n=%d/shards=%d", n, k),
-				Run:  BenchSaturatedSteadyState(n, ScaleDensity, k),
-			})
-		}
-	}
 	return out
 }

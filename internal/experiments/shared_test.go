@@ -86,7 +86,7 @@ func TestSharedTestbedMatchesFresh(t *testing.T) {
 	})
 
 	// Not vacuous: a walk over the shared rows really patches its medium.
-	cfg := flowSimConfig(string(CSMAOn), tops[0].flows, opt, 1, traffic.Saturate(), seed)
+	cfg := flowSimConfig(string(CSMAOn), tops[0].flows, opt, traffic.Saturate(), seed)
 	cfg.Mobility = walk
 	fs, err := NewFlowSim(shared, cfg)
 	if err != nil {

@@ -18,7 +18,6 @@ import (
 	"repro/internal/medium"
 	"repro/internal/mobility"
 	"repro/internal/phy"
-	"repro/internal/shard"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/topo"
@@ -110,10 +109,6 @@ func TestStateComplete(t *testing.T) {
 		{"medium", medium.Medium{}, false, []string{"Medium.sched", "Medium.params", "Medium.model", "Medium.positions", "Medium.radios",
 			"Medium.deliveries", "Medium.floor", "Medium.screen", "Medium.gridBacked", "Medium.attended", "Medium.attachAt", "Medium.heard", "Medium.heardVer", "Medium.ver", "Medium.arena",
 			"Medium.txFree", "Medium.mv"}},
-		{"shard", shard.Shard{}, false, []string{"Shard.eng", "Shard.idx", "Shard.sched", "Shard.nodes", "Shard.local", "Shard.inFrom",
-			"Shard.outTo", "Shard.attachAt", "Shard.outbox", "Shard.txFree", "Shard.rtFree"}},
-		{"shard-engine", shard.Engine{}, false, []string{"Engine.params", "Engine.shards", "Engine.assign", "Engine.radios", "Engine.attended",
-			"Engine.bar", "Engine.failOnce", "Engine.failErr"}},
 		{"traffic", traffic.Source{}, false, []string{"Source.sched", "Source.spec", "Source.q", "Source.dst", "Source.meanGapNs"}},
 		{"mobility", mobility.Manager{}, false, []string{"Manager.spec", "Manager.arena", "Manager.med", "Manager.ch", "Manager.epoch", "Manager.ids", "Manager.pts"}},
 		{"stats-meter", stats.Meter{}, true, nil},
@@ -132,8 +127,8 @@ func TestStateComplete(t *testing.T) {
 }
 
 // stateCases are the configurations the round-trip test and the fuzz
-// harness cut mid-run, one per layer they exercise beyond the serial
-// engine, medium, radios and recorders every case has.
+// harness cut mid-run, one per layer they exercise beyond the
+// scheduler, medium, radios and recorders every case has.
 func stateCases() []struct {
 	layer string
 	cfg   FlowSimConfig
@@ -143,8 +138,8 @@ func stateCases() []struct {
 	flows := goldenTopologies(tb, 1)[0].flows
 	churn := traffic.PoissonAt(300)
 	churn.UpMean, churn.DownMean = 120*sim.Millisecond, 120*sim.Millisecond
-	mk := func(arm Protocol, spec traffic.Spec, shards int, mob mobility.Spec) FlowSimConfig {
-		cfg := flowSimConfig(string(arm), flows, opt, shards, spec, 1+arm.seedSalt()*104729)
+	mk := func(arm Protocol, spec traffic.Spec, mob mobility.Spec) FlowSimConfig {
+		cfg := flowSimConfig(string(arm), flows, opt, spec, 1+arm.seedSalt()*104729)
 		cfg.Mobility = mob
 		return cfg
 	}
@@ -153,12 +148,11 @@ func stateCases() []struct {
 		layer string
 		cfg   FlowSimConfig
 	}{
-		{"core", mk(CMAP, traffic.Saturate(), 1, mobility.Spec{})},
-		{"csma", mk(CSMAOn, traffic.Saturate(), 1, mobility.Spec{})},
-		{"csma-rtscts", mk(RTSCTS, traffic.Saturate(), 1, mobility.Spec{})},
-		{"traffic", mk(CMAP, churn, 1, mobility.Spec{})},
-		{"mobility", mk(CSMAOn, churn, 1, waypoint)},
-		{"shard", mk(CMAP, traffic.Saturate(), 2, mobility.Spec{})},
+		{"core", mk(CMAP, traffic.Saturate(), mobility.Spec{})},
+		{"csma", mk(CSMAOn, traffic.Saturate(), mobility.Spec{})},
+		{"csma-rtscts", mk(RTSCTS, traffic.Saturate(), mobility.Spec{})},
+		{"traffic", mk(CMAP, churn, mobility.Spec{})},
+		{"mobility", mk(CSMAOn, churn, waypoint)},
 	}
 }
 
@@ -172,7 +166,7 @@ func cutPayload(t testing.TB, cfg FlowSimConfig) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs.Run(fs.AlignCheckpoint(cfg.Duration / 2))
+	fs.Run(cfg.Duration / 2)
 	var buf bytes.Buffer
 	if err := fs.Save(&buf); err != nil {
 		t.Fatal(err)
@@ -275,29 +269,25 @@ func resumeEdited(t testing.TB, cfg FlowSimConfig, payload, ops []byte) error {
 	if err := fs.Resume(bytes.NewReader(envelope(fs.ConfigHash(), edited))); err != nil {
 		return err
 	}
-	fs.Run(fs.AlignCheckpoint(fs.Now() + 50*sim.Millisecond))
+	fs.Run(fs.Now() + 50*sim.Millisecond)
 	return nil
 }
 
 // TestResumeRejectsBadSeqs: the seq defects a hand-edited checkpoint
 // could carry past Resume — an event seq listed twice, an event seq and
-// a timer seq the scheduler has not issued — come back as sim.ErrSeq, on
-// the serial engine and on two shards; a timer naming a seq that already
-// fired is inactive, and the resumed run goes on.
+// a timer seq the scheduler has not issued — come back as sim.ErrSeq; a
+// timer naming a seq that already fired is inactive, and the resumed run
+// goes on.
 func TestResumeRejectsBadSeqs(t *testing.T) {
-	for _, tc := range stateCases() {
-		if tc.layer != "core" && tc.layer != "shard" {
-			continue
+	tc := stateCases()[0]
+	payload := cutPayload(t, tc.cfg)
+	for _, ops := range seqDamage {
+		if err := resumeEdited(t, tc.cfg, payload, ops); !errors.Is(err, sim.ErrSeq) {
+			t.Errorf("resume of a payload edited by %v: %v, want %v", ops, err, sim.ErrSeq)
 		}
-		payload := cutPayload(t, tc.cfg)
-		for _, ops := range seqDamage {
-			if err := resumeEdited(t, tc.cfg, payload, ops); !errors.Is(err, sim.ErrSeq) {
-				t.Errorf("%s: resume of a payload edited by %v: %v, want %v", tc.layer, ops, err, sim.ErrSeq)
-			}
-		}
-		if err := resumeEdited(t, tc.cfg, payload, []byte{opSetKey, keyAckTimer, 0, litZero}); err != nil {
-			t.Errorf("%s: resume with a timer naming a fired seq: %v", tc.layer, err)
-		}
+	}
+	if err := resumeEdited(t, tc.cfg, payload, []byte{opSetKey, keyAckTimer, 0, litZero}); err != nil {
+		t.Errorf("resume with a timer naming a fired seq: %v", err)
 	}
 }
 
@@ -326,7 +316,7 @@ func TestResumeRejectsNullEntries(t *testing.T) {
 }
 
 // FuzzRestoreState damages real mid-run checkpoints — csma, cmap and
-// rtscts, Poisson churn, waypoint mobility, two shards — by byte flips,
+// rtscts, Poisson churn, waypoint mobility — by byte flips,
 // truncation, replaced and swapped numbers, swapped arrays and replaced
 // values, re-stamps the digest and configuration hash, and requires
 // Resume to return (an error or nil) without panicking or hanging, and a
@@ -349,9 +339,9 @@ func FuzzRestoreState(f *testing.F) {
 	f.Add(uint8(2), []byte{opTruncate, 3, 0, 0})
 	f.Add(uint8(3), []byte{opSwapNumbers, 5, 77, 0, opSetKey, keyTimes, 0, litEmptyArray})
 	f.Add(uint8(4), []byte{opSetKey, keyPos, 0, litNull})
-	f.Add(uint8(5), []byte{opSetKey, keyActive, 1, litNullList})
+	f.Add(uint8(0), []byte{opSetKey, keyActive, 1, litNullList})
 	f.Add(uint8(0), []byte{opSetKey, keyObs, 0, litNullObs})
-	f.Add(uint8(5), []byte{opSetKey, keyObs, 0, litNullStat})
+	f.Add(uint8(0), []byte{opSetKey, keyObs, 0, litNullStat})
 	f.Fuzz(func(t *testing.T, base uint8, ops []byte) {
 		i := int(base) % len(cases)
 		resumeEdited(t, cases[i].cfg, payloads[i], ops)
@@ -372,7 +362,7 @@ const (
 
 var (
 	numLits   = []string{"0", "-1", "1", "7", "99", "4294967296", "-9223372036854775808", "18446744073709551615", "1e300", "0.5"}
-	keys      = []string{"next_seq", "seq", "events", "fired", "ack_timer", "fin_timer", "arrival", "active", "locked_tx_id", "rx", "flows", "cur", "obs", "nodes", "pos", "times", "mask", "weak_n", "total_mw", "shards", "radios", "comps", "deliveries", "from", "rate", "frame", "kind", "owner", "arg", "at", "now", "seqs", "got", "retx", "unacked", "sack", "interf_stats", "defer_tab", "entries", "queue", "last_seq", "assign", "window", "shadow"}
+	keys      = []string{"next_seq", "seq", "events", "fired", "ack_timer", "fin_timer", "arrival", "active", "locked_tx_id", "rx", "flows", "cur", "obs", "nodes", "pos", "times", "mask", "weak_n", "total_mw", "radios", "comps", "deliveries", "from", "rate", "frame", "kind", "owner", "arg", "at", "now", "seqs", "got", "retx", "unacked", "sack", "interf_stats", "defer_tab", "entries", "queue", "last_seq", "shadow"}
 	valueLits = []string{"null", "[]", "{}", "0", "-1", "[99]", "[0,0]", "7", "999999999999", `"x"`, "true", "[{}]", "[null]", "1e300", "[0]",
 		`{"entries":[null]}`, `{},"interf_stats":[{"k":{},"v":null}]`}
 )

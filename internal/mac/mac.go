@@ -7,24 +7,11 @@ import (
 	"sync"
 
 	"repro/internal/checkpoint"
+	"repro/internal/medium"
 	"repro/internal/phy"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
-
-// Network is the node-construction surface a MAC arm needs from the
-// engine hosting it: the node's transceiver and the event loop driving
-// it. *medium.Medium satisfies it (the serial reference engine), as
-// does each shard of the parallel engine in internal/shard — a MAC
-// state machine never knows which one it runs on, which is what lets
-// one arm implementation serve both.
-type Network interface {
-	// Radio returns node id's transceiver. Arms only ever ask for the id
-	// they were constructed with.
-	Radio(id int) *phy.Radio
-	// Scheduler returns the virtual clock that drives node id's events.
-	Scheduler() *sim.Scheduler
-}
 
 // DeliverFunc observes each non-duplicate payload delivery at a
 // receiver: the sending node, the packet's link-layer sequence number
@@ -148,10 +135,11 @@ type Arm interface {
 	Name() string
 	Label() string
 	SeedSalt() uint64
-	// New constructs the arm's station on network node id. The node's
+	// New constructs the arm's station on node id of the medium, which
+	// supplies the node's radio and the scheduler driving it. The node's
 	// randomness must come only from rng; construction must not touch
 	// any other stream so trials stay bit-reproducible.
-	New(id int, net Network, rng *sim.RNG, opt Options) Node
+	New(id int, m *medium.Medium, rng *sim.RNG, opt Options) Node
 }
 
 // family is a parameterized arm namespace such as "cs@<dBm>": any name

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/medium"
 	"repro/internal/sim"
 )
 
@@ -20,7 +21,7 @@ type fakeArm struct {
 func (a fakeArm) Name() string     { return a.name }
 func (a fakeArm) Label() string    { return "fake " + a.name }
 func (a fakeArm) SeedSalt() uint64 { return a.salt }
-func (a fakeArm) New(id int, net Network, rng *sim.RNG, opt Options) Node {
+func (a fakeArm) New(id int, m *medium.Medium, rng *sim.RNG, opt Options) Node {
 	panic("fakeArm.New should not be called")
 }
 

@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/medium"
 	"repro/internal/sim"
 )
 
@@ -53,7 +54,7 @@ type Alias struct {
 
 // Builder constructs a station from a family configuration and the
 // cross-arm options.
-type Builder[C any] func(id int, cfg C, net Network, rng *sim.RNG, opt Options) Node
+type Builder[C any] func(id int, cfg C, m *medium.Medium, rng *sim.RNG, opt Options) Node
 
 // arm is the one Arm implementation: a configuration recipe under a
 // name, label and seed salt. Config exposes the recipe, so a reader such
@@ -75,8 +76,8 @@ func (a *arm[C]) Label() string    { return a.label }
 func (a *arm[C]) SeedSalt() uint64 { return a.salt }
 func (a *arm[C]) Config() C        { return a.cfg }
 
-func (a *arm[C]) New(id int, net Network, rng *sim.RNG, opt Options) Node {
-	return a.build(id, a.cfg, net, rng, opt)
+func (a *arm[C]) New(id int, m *medium.Medium, rng *sim.RNG, opt Options) Node {
+	return a.build(id, a.cfg, m, rng, opt)
 }
 
 // RegisterSpecFamily registers the family <name>[:key[=value]]... over

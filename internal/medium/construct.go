@@ -15,9 +15,8 @@ import (
 // Delivery is one audible receiver of a node's transmissions: the
 // receiver index and the power it hears, in mW, at the common transmit
 // power. Delivery lists are the medium's ground truth — Transmit fans
-// out over them, the analytic extractor reads them back through GainMW,
-// and the sharded engine partitions them — so they are built in exactly
-// one place, here. The struct itself lives in phy so an in-flight
+// out over them and the analytic extractor reads them back through
+// GainMW — so they are built in exactly one place, here. The struct itself lives in phy so an in-flight
 // Transmission can snapshot its list without an import cycle.
 type Delivery = phy.Delivery
 

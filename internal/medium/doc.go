@@ -37,8 +37,8 @@
 // bit, so the eager build puts each unordered pair to the screen and
 // the model once and writes a kept link into both rows
 // (BuildDeliveries); a model without a range bound is built per ordered
-// pair. BuildDeliveries is what NewFromRows media (topo.Testbed.Shared),
-// the shard engine and RebuildDeliveries use; New builds no row.
+// pair. BuildDeliveries is what NewFromRows media (topo.Testbed.Shared)
+// and RebuildDeliveries use; New builds no row.
 //
 // # Lazy rows
 //

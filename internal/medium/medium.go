@@ -130,7 +130,7 @@ func newMedium(sched *sim.Scheduler, params phy.Params, model radio.Model, posit
 	m.attended = make([]bool, n)
 	m.heard = make([][]int32, n)
 	m.heardVer = make([]uint64, n)
-	phy.InitRadios(m.radios, params, rng, func(int) (*sim.Scheduler, phy.Channel) { return sched, m })
+	phy.InitRadios(m.radios, params, rng, sched, m)
 	return m
 }
 

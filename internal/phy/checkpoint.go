@@ -12,7 +12,7 @@ import (
 // InitRadios rebuilds what it derives from Params. The one thing in it
 // that is not data is a shared *Transmission: active and locked signals are
 // stored as TxIDs and resolved, on restore, against the transmissions the
-// medium (or shard) materialised from the agenda, so the identities the
+// medium materialised from the agenda, so the identities the
 // reception path compares (Locked == tx in SignalEnd) hold again. Weak
 // signals are only a count (see Radio.Arrive): their departures are
 // driven by the delivery snapshot stored with the in-flight TxState.
@@ -32,9 +32,9 @@ func (tx *Transmission) UnmarshalJSON(b []byte) (err error) {
 }
 
 // TxState is one in-flight Transmission in checkpoint form. The medium
-// and the shard engine both materialise their active transmissions from
-// the end-fanout events held in the checkpointed agenda, so the full
-// record travels with that event rather than in a separate table.
+// materialises its active transmissions from the end-fanout events held
+// in the checkpointed agenda, so the full record travels with that event
+// rather than in a separate table.
 type TxState struct {
 	TxID  uint64    `json:"tx_id"`
 	From  int       `json:"from"`
@@ -48,8 +48,8 @@ type TxState struct {
 	// reached, even if delivery lists were rebuilt after the frame went
 	// on air.
 	Deliveries []Delivery `json:"deliveries,omitempty"`
-	// All is Transmission.All, which the sharded engine's fan-outs test
-	// at both ends of a frame.
+	// All is Transmission.All: the frame reaches every radio in range,
+	// attended or not.
 	All bool `json:"all,omitempty"`
 }
 

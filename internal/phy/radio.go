@@ -206,14 +206,11 @@ func NewRadio(id int, params Params, sched *sim.Scheduler, rng *sim.RNG, channel
 }
 
 // InitRadios sets up a network's radios in place, radios[i] as node
-// i's, bound to the scheduler and channel at returns for i. Node i
-// draws its decode randomness from rng.Stream(0x5ad10+i): the serial
-// medium and the shard engine both label their radios' streams here,
-// so decode randomness does not depend on the engine or the shard
-// count.
-func InitRadios(radios []Radio, params Params, rng *sim.RNG, at func(id int) (*sim.Scheduler, Channel)) {
+// i's, all bound to one scheduler and channel. Node i draws its decode
+// randomness from rng.Stream(0x5ad10+i), so a radio's decode draws do
+// not depend on how many other radios the network has.
+func InitRadios(radios []Radio, params Params, rng *sim.RNG, sched *sim.Scheduler, channel Channel) {
 	for i := range radios {
-		sched, channel := at(i)
 		radios[i].init(i, params, sched, *rng.Stream(uint64(0x5ad10 + i)), channel)
 	}
 }

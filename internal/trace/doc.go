@@ -17,5 +17,5 @@
 // experiments.FlowSim.Trace does this for flow 0's endpoints under any
 // registered arm, and cmd/cmapsim's -trace flag is its CLI. The tracer
 // is simulation-grade (no locking): the kernel is single threaded by
-// design, which is why tracing is refused on the sharded engine.
+// design.
 package trace
