@@ -14,7 +14,10 @@
 #   make alloc-check  allocation-regression gate (0 allocs/frame in steady state,
 #                   0 allocs per movement epoch, at most one list per
 #                   stale delivery row read after it, 0 allocs over a
-#                   steady-state window for every conformance arm)
+#                   steady-state window for every conformance arm on
+#                   the clean link and on the exposed, hidden and
+#                   protected pairs, where frames are lost, retransmitted
+#                   and listed as interference)
 #   make bench-json machine-readable scaling benchmarks, five runs each
 #                   (median ns/op + quartiles) → BENCH_<sha>.json
 #   make profile    CPU+heap pprof of the scaling benchmarks → cpu.pprof/mem.pprof

@@ -33,9 +33,13 @@ import (
 // refuses as an unknown shape. Version 8: both MACs keep their counters
 // as mac.Counters, whose keys are not the old per-arm names, and the
 // phy.Params a config hash covers lost its five receiver constants.
+// Version 9: an in-flight frame no longer stores whether it went to
+// every radio (its stored delivery entries already say whom it reached),
+// and a CSMA station keeps one dedup map; a version-8 payload carries
+// both fields, which this binary would drop unread.
 const (
 	Magic   = "cmapckpt"
-	Version = 8
+	Version = 9
 )
 
 // The typed failure modes of Load. Callers branch with errors.Is; every

@@ -66,35 +66,3 @@ func (m *Map[K, V]) UnmarshalJSON(b []byte) error {
 	}
 	return nil
 }
-
-// Set is a set of sequence numbers whose checkpoint form is its members
-// in ascending order — half the bytes of encoding/json's own form of a
-// map[uint32]struct{}.
-type Set map[uint32]struct{}
-
-// MarshalJSON implements json.Marshaler.
-func (s Set) MarshalJSON() ([]byte, error) {
-	ks := make([]uint32, 0, len(s))
-	for k := range s {
-		ks = append(ks, k)
-	}
-	slices.Sort(ks)
-	return json.Marshal(ks)
-}
-
-// UnmarshalJSON implements json.Unmarshaler. Like Map's, it replaces the
-// set and refuses a member listed twice.
-func (s *Set) UnmarshalJSON(b []byte) error {
-	var ks []uint32
-	if err := json.Unmarshal(b, &ks); err != nil {
-		return err
-	}
-	*s = make(Set, len(ks))
-	for _, k := range ks {
-		if _, dup := (*s)[k]; dup {
-			return fmt.Errorf("checkpoint: set member %d listed twice", k)
-		}
-		(*s)[k] = struct{}{}
-	}
-	return nil
-}

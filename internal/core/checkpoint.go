@@ -32,7 +32,7 @@ func (n *Node) RestoreState(enc json.RawMessage) error {
 		return fmt.Errorf("core: node %d timers: %w", n.id, err)
 	}
 	for a, f := range st.Rx {
-		if f == nil || f.Sack == nil {
+		if f == nil {
 			return fmt.Errorf("core: node %d receiver flow from %v is incomplete", n.id, a)
 		}
 		if err := n.sched.Attach(&f.FinTimer); err != nil {
@@ -64,7 +64,7 @@ func (n *Node) RestoreState(enc json.RawMessage) error {
 	}
 	flowByDst := make(map[frame.Addr]*txFlow, len(st.Flows))
 	for _, f := range st.Flows {
-		if f == nil || f.Unacked == nil {
+		if f == nil {
 			return fmt.Errorf("core: node %d holds an incomplete sender flow", n.id)
 		}
 		flowByDst[f.Dst] = f
@@ -80,6 +80,7 @@ func (n *Node) RestoreState(enc json.RawMessage) error {
 	st.Obs.cfg = &n.cfg
 	n.flowByDst = flowByDst
 	n.ackFree = n.ackFree[:0]
+	n.listBusy = false
 	n.state = st
 	return nil
 }

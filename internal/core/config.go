@@ -81,6 +81,11 @@ type Config struct {
 	// loss rate reported inside ACKs. §3.4 argues the latter is more
 	// resilient to ACK loss.
 	BackoffOnMissingAck bool
+
+	// controlAir and dataAir are the airtimes of a header or trailer and
+	// of one data packet, which the receive path reads on every frame:
+	// New fills them in once (fillAirtimes), and they read zero before.
+	controlAir, dataAir sim.Time
 }
 
 // DefaultConfig returns the settings of the paper's implementation
@@ -97,26 +102,24 @@ func DefaultConfig() Config {
 	}
 }
 
-// dataWireSize returns the on-air size of one CMAP data packet.
-func (c Config) dataWireSize() int {
+// fillAirtimes computes the airtimes the helpers below read from the
+// rates and the payload size.
+func (c *Config) fillAirtimes() {
 	d := frame.Data{PayloadLen: uint16(c.PayloadBytes)}
-	return d.WireSize()
+	c.dataAir = phy.Airtime(phy.RateByID(c.Rate), d.WireSize())
+	c.controlAir = phy.Airtime(phy.RateByID(ControlRate), (&frame.Control{}).WireSize())
 }
 
 // dataAirtime returns the airtime of one data packet at the data rate.
-func (c Config) dataAirtime() sim.Time {
-	return phy.Airtime(phy.RateByID(c.Rate), c.dataWireSize())
-}
+func (c *Config) dataAirtime() sim.Time { return c.dataAir }
 
 // controlAirtime returns the airtime of a header or trailer packet.
-func (c Config) controlAirtime() sim.Time {
-	return phy.Airtime(phy.RateByID(ControlRate), (&frame.Control{}).WireSize())
-}
+func (c *Config) controlAirtime() sim.Time { return c.controlAir }
 
 // vpktAirtime returns the total airtime of a virtual packet carrying n
 // data packets: header + n data + trailer, back to back (no trailer when
 // the ablation switch disables it).
-func (c Config) vpktAirtime(n int) sim.Time {
+func (c *Config) vpktAirtime(n int) sim.Time {
 	controls := sim.Time(2)
 	if c.DisableTrailers {
 		controls = 1
@@ -128,7 +131,7 @@ func (c Config) vpktAirtime(n int) sim.Time {
 // waits for its trailer before finalising it without one. With trailers
 // disabled (ablation) the timer is also the ACK trigger, so it fires
 // after the software turnaround alone.
-func (c Config) finGrace() sim.Time {
+func (c *Config) finGrace() sim.Time {
 	if c.DisableTrailers {
 		return Turnaround
 	}
@@ -137,10 +140,22 @@ func (c Config) finGrace() sim.Time {
 
 // tauBounds returns the paper's retransmission timeout bounds (§3.3):
 // τmax is the airtime of a full window and τmin = τmax/2.
-func (c Config) tauBounds() (sim.Time, sim.Time) {
+func (c *Config) tauBounds() (sim.Time, sim.Time) {
 	tauMax := sim.Time(c.Nwindow) * c.vpktAirtime(c.Nvpkt)
 	return tauMax / 2, tauMax
 }
 
 // windowPackets is the send window in data packets.
-func (c Config) windowPackets() int { return c.Nwindow * c.Nvpkt }
+func (c *Config) windowPackets() int { return c.Nwindow * c.Nvpkt }
+
+// windowSpan bounds how far apart the members of a sender's
+// unacknowledged set, or a receiver's selective set, can lie: three
+// windows. Let L be the sender's lowest unacknowledged packet. Every ACK
+// it took had CumSeq ≤ L, and its bitmap reaches 2·windowPackets past
+// CumSeq, so every packet sent at or above L + 2·windowPackets is still
+// unacknowledged, and there are at most windowPackets of those: the
+// sender has sent nothing at or above L + 3·windowPackets. A receiver's
+// cumulative point is a packet it lacks, so it is unacknowledged and at
+// least L, and its selective set lies between that point and the
+// sender's next packet. TestWindowInvariantUnderLoss checks both.
+func (c *Config) windowSpan() int { return 3 * c.windowPackets() }

@@ -236,6 +236,7 @@ func TestObservationsPrune(t *testing.T) {
 
 func TestConfigDerivedValues(t *testing.T) {
 	cfg := DefaultConfig()
+	cfg.fillAirtimes()
 	// §4.2: a 32-packet virtual packet at 6 Mb/s takes ≈62 ms.
 	air := cfg.vpktAirtime(cfg.Nvpkt)
 	if air < 55*sim.Millisecond || air > 70*sim.Millisecond {
@@ -257,4 +258,7 @@ func newDeferTable() *deferTable {
 	return &deferTable{Entries: make(checkpoint.Map[deferKey, sim.Time])}
 }
 
-func newObservations(cfg Config) *observations { return &observations{cfg: &cfg} }
+func newObservations(cfg Config) *observations {
+	cfg.fillAirtimes()
+	return &observations{cfg: &cfg}
+}

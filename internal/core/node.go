@@ -43,7 +43,7 @@ type txFlow struct {
 
 // drained reports whether the flow has nothing queued or outstanding.
 func (f *txFlow) drained() bool {
-	return !f.Saturated && f.Backlog == 0 && len(f.Unacked) == 0
+	return !f.Saturated && f.Backlog == 0 && f.Unacked.Len() == 0
 }
 
 // rxVpkt tracks the in-progress reception of one inbound virtual packet.
@@ -122,6 +122,15 @@ type Node struct {
 	// ackFree recycles receiver-side ACK attempts.
 	ackFree []*ackAttempt
 
+	// listBuf holds the node's own interferer list while listBusy: from
+	// the broadcast tick that builds it until it leaves the air or runs
+	// out of retries. listRetry is its pending retry. A restored node
+	// starts with the buffer free: the agenda decodes a list on the air
+	// or waiting to retry into an object of its own.
+	listBuf   frame.InterfererList
+	listRetry listSend
+	listBusy  bool
+
 	state
 }
 
@@ -188,6 +197,7 @@ func New(id int, cfg Config, m *medium.Medium, rng *sim.RNG) *Node {
 		flowByDst: make(map[frame.Addr]*txFlow),
 		state:     newState(),
 	}
+	n.cfg.fillAirtimes()
 	n.Obs.cfg = &n.cfg
 	n.RNG = *rng
 	n.radio.SetHandler(n)
@@ -269,7 +279,7 @@ func (n *Node) ReceivedFrom(src int) uint64 {
 	if !ok {
 		return 0
 	}
-	return uint64(f.Cum) + uint64(len(f.Sack))
+	return uint64(f.Cum) + uint64(f.Sack.Len())
 }
 
 // ---------------------------------------------------------------------------
@@ -306,7 +316,6 @@ func (n *Node) SetBroadcast(targets []int, saturated bool, count int) {
 		Bcast:     true,
 		Saturated: saturated,
 		Backlog:   count,
-		Unacked:   make(checkpoint.Set),
 	}
 	for _, t := range targets {
 		f.BcastTargets = append(f.BcastTargets, frame.AddrFromID(t))
@@ -337,7 +346,8 @@ func (n *Node) flowTo(dst int) *txFlow {
 		panic(fmt.Sprintf("core: node %d already has a flow to %v (enable PerDestQueues for multiple destinations)",
 			n.id, n.Flows[0].Dst))
 	}
-	f := &txFlow{Dst: a, DstID: dst, Unacked: make(checkpoint.Set)}
+	f := &txFlow{Dst: a, DstID: dst}
+	f.Unacked.Reserve(n.cfg.windowSpan())
 	n.Flows = append(n.Flows, f)
 	n.flowByDst[a] = f
 	return f
@@ -471,13 +481,20 @@ func (n *Node) OnCorrupt(phy.RxInfo) {}
 func (n *Node) OnCarrier(bool) {}
 
 // OnTxDone implements phy.Handler: drives the back-to-back virtual packet
-// chain and recycles the receiver side's ACK attempt once its frame has
-// left the air (every addressee has decoded it by now — receptions
-// complete before tx-done).
+// chain and recycles the receiver side's ACK attempt and the node's own
+// interferer list once its frame has left the air (every addressee has
+// decoded it by now — receptions complete before tx-done).
 func (n *Node) OnTxDone(f frame.Frame) {
-	if _, ok := f.(*frame.Ack); ok && n.InflightAck != nil {
-		n.ackFree = append(n.ackFree, n.InflightAck)
-		n.InflightAck = nil
+	switch ff := f.(type) {
+	case *frame.Ack:
+		if n.InflightAck != nil {
+			n.ackFree = append(n.ackFree, n.InflightAck)
+			n.InflightAck = nil
+		}
+	case *frame.InterfererList:
+		if ff == &n.listBuf {
+			n.listBusy = false
+		}
 	}
 	if n.Cur != nil {
 		n.continueVpkt()

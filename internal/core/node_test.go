@@ -115,7 +115,8 @@ func TestObservationTableStaysBounded(t *testing.T) {
 	ret := nodes[0].Obs.retention()
 	// Two senders. A sender's virtual packets are disjoint on the air,
 	// and none is shorter than vpktAirtime(1).
-	perSender := int((ret+cfg.vpktAirtime(cfg.Nvpkt))/cfg.vpktAirtime(1)) + 1
+	air := &nodes[0].cfg
+	perSender := int((ret+air.vpktAirtime(cfg.Nvpkt))/air.vpktAirtime(1)) + 1
 	bound := 2 * perSender
 	peak := make([]int, len(nodes))
 	for sched.Now() < 8*sim.Second && sched.Step() {

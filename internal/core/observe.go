@@ -41,7 +41,9 @@ type obsEntry struct {
 // sender, so the table holds a handful of entries. Pruned entries park
 // on a free list that the next added entry takes from, so the
 // steady-state observation flow (one entry per overheard virtual
-// packet) does not touch the allocator.
+// packet) does not touch the allocator. Under loss the table's size
+// wanders, and reaches a new high now and then long after warm-up; an
+// empty free list is therefore refilled eight entries at a time.
 //
 // The table is a slice searched linearly. Its order is arrival order
 // perturbed by prune and means nothing. Every walker is
@@ -104,7 +106,11 @@ func (o *observations) upsert(k obsKey, dst frame.Addr, rate uint8, start, end, 
 			e = o.free[f-1]
 			o.free = o.free[:f-1]
 		} else {
-			e = &obsEntry{}
+			chunk := make([]obsEntry, 8)
+			for i := 1; i < len(chunk); i++ {
+				o.free = append(o.free, &chunk[i])
+			}
+			e = &chunk[0]
 		}
 		*e = obsEntry{Src: k.Src, Dst: dst, Rate: rate, VSeq: k.VSeq,
 			EstStart: start, EstEnd: end, VisibleAt: visible}

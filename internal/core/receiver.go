@@ -10,7 +10,8 @@ import (
 func (n *Node) flowFor(src frame.Addr, srcID int) *rxFlow {
 	f, ok := n.Rx[src]
 	if !ok {
-		f = &rxFlow{SrcID: srcID, SrcAddr: src, Sack: make(map[uint32]struct{})}
+		f = &rxFlow{SrcID: srcID, SrcAddr: src}
+		f.Sack.Reserve(n.cfg.windowSpan())
 		n.Rx[src] = f
 	}
 	return f
@@ -116,16 +117,13 @@ func (n *Node) rxData(d *frame.Data, info phy.RxInfo) {
 			n.Stat.Duplicates++
 			return
 		}
-		if _, dup := f.Sack[d.PktSeq]; dup {
+		if f.Sack.Has(d.PktSeq) {
 			n.Stat.Duplicates++
 			return
 		}
-		f.Sack[d.PktSeq] = struct{}{}
-		for {
-			if _, ok := f.Sack[f.Cum]; !ok {
-				break
-			}
-			delete(f.Sack, f.Cum)
+		f.Sack.Add(d.PktSeq)
+		for f.Sack.Has(f.Cum) {
+			f.Sack.Delete(f.Cum)
 			f.Cum++
 		}
 	}
@@ -239,7 +237,8 @@ func (n *Node) getAckAttempt() *ackAttempt {
 		a.Ack = frame.Ack{Bitmap: a.Ack.Bitmap[:0]}
 		return a
 	}
-	return &ackAttempt{}
+	// sendAck sets no bit at or beyond 2·windowPackets.
+	return &ackAttempt{Ack: frame.Ack{Bitmap: make([]byte, 0, (2*n.cfg.windowPackets()+7)/8)}}
 }
 
 // sendAck emits the cumulative windowed ACK for flow f after the software
@@ -258,7 +257,7 @@ func (n *Node) sendAck(f *rxFlow, vseq uint32, budget int) {
 	aa.Ack.VSeq = vseq
 	aa.Ack.LossRate = loss
 	limit := uint32(2 * n.cfg.windowPackets())
-	for s := range f.Sack {
+	for s, ok := f.Sack.First(); ok; s, ok = f.Sack.Next(s) {
 		if s >= f.Cum && s-f.Cum < limit {
 			aa.Ack.BitmapSet(int(s - f.Cum))
 		}

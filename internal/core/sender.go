@@ -1,8 +1,9 @@
 package core
 
 import (
+	"bytes"
+	"cmp"
 	"slices"
-	"sort"
 
 	"repro/internal/frame"
 	"repro/internal/phy"
@@ -35,7 +36,7 @@ func (n *Node) trySend() {
 	sendable := false
 	totalUnacked := 0
 	for _, f := range n.Flows {
-		totalUnacked += len(f.Unacked)
+		totalUnacked += f.Unacked.Len()
 	}
 	start := n.RRNext
 	for k := 0; k < len(n.Flows); k++ {
@@ -98,7 +99,7 @@ func (n *Node) candidate(f *txFlow) ([]uint32, bool) {
 	// Drop retransmission candidates acknowledged in the meantime.
 	live := f.Retx[:0]
 	for _, s := range f.Retx {
-		if _, ok := f.Unacked[s]; ok {
+		if f.Unacked.Has(s) {
 			live = append(live, s)
 		}
 	}
@@ -121,7 +122,7 @@ func (n *Node) candidate(f *txFlow) ([]uint32, bool) {
 		return nil, false
 	}
 	if !f.Bcast {
-		room := n.cfg.windowPackets() - len(f.Unacked)
+		room := n.cfg.windowPackets() - f.Unacked.Len()
 		if room < avail {
 			return nil, false
 		}
@@ -185,11 +186,12 @@ func (n *Node) deferConflictEnd(now sim.Time, f *txFlow) (sim.Time, bool) {
 // packet of flow f, consuming the candidate packets.
 func (n *Node) startVpkt(f *txFlow, seqs []uint32, isRetx bool) {
 	if isRetx {
-		f.Retx = f.Retx[len(seqs):]
-		// Copy into the reusable buffer: seqs aliases f.Retx, which the
-		// next retransmission timeout rebuilds in place.
+		// Copy into the reusable buffer: seqs aliases the front of
+		// f.Retx, which the rest of it then moves down over, keeping the
+		// slice's capacity for the next retransmission timeout.
 		n.seqBuf = append(n.seqBuf[:0], seqs...)
 		seqs = n.seqBuf
+		f.Retx = f.Retx[:copy(f.Retx, f.Retx[len(seqs):])]
 	} else {
 		f.NextPktSeq += uint32(len(seqs))
 		if !f.Saturated {
@@ -197,7 +199,7 @@ func (n *Node) startVpkt(f *txFlow, seqs []uint32, isRetx bool) {
 		}
 		if !f.Bcast {
 			for _, s := range seqs {
-				f.Unacked[s] = struct{}{}
+				f.Unacked.Add(s)
 			}
 		}
 	}
@@ -309,16 +311,11 @@ func (n *Node) onAck(a *frame.Ack) {
 	n.Stat.AcksReceived++
 	if f, ok := n.flowByDst[a.Src]; ok {
 		if a.CumSeq >= f.NextPktSeq {
-			// Everything sent is acknowledged. Clearing the set, rather
-			// than deleting its members one by one, also drops the
-			// deleted-slot markers a Go map keeps, which would otherwise
-			// pile up until the map regrows: an allocation in the
-			// steady state.
-			clear(f.Unacked)
+			f.Unacked.Clear() // everything sent is acknowledged
 		} else {
-			for s := range f.Unacked {
+			for s, ok := f.Unacked.First(); ok; s, ok = f.Unacked.Next(s) {
 				if s < a.CumSeq || a.BitmapGet(int(s-a.CumSeq)) {
-					delete(f.Unacked, s)
+					f.Unacked.Delete(s)
 				}
 			}
 		}
@@ -353,10 +350,9 @@ func (n *Node) retxTimedOut() {
 	n.Stat.RetxTimeouts++
 	for _, f := range n.Flows {
 		f.Retx = f.Retx[:0]
-		for s := range f.Unacked {
+		for s, ok := f.Unacked.First(); ok; s, ok = f.Unacked.Next(s) {
 			f.Retx = append(f.Retx, s)
 		}
-		slices.Sort(f.Retx)
 	}
 	n.trySend()
 }
@@ -389,7 +385,15 @@ func (n *Node) broadcastTick() {
 	if live == 0 {
 		return
 	}
-	list := &frame.InterfererList{Src: n.addr}
+	// The list is built in the node's buffer unless the previous one is
+	// still on the air or waiting for the radio.
+	var list *frame.InterfererList
+	if n.listBusy {
+		list = &frame.InterfererList{Src: n.addr}
+	} else {
+		n.listBuf = frame.InterfererList{Src: n.addr, Entries: n.listBuf.Entries[:0]}
+		list, n.listBusy = &n.listBuf, true
+	}
 	for k := range n.Interferers {
 		list.Entries = append(list.Entries, frame.InterferenceEntry{
 			Source:     k.Source,
@@ -397,13 +401,12 @@ func (n *Node) broadcastTick() {
 			Rate:       k.Rate,
 		})
 	}
-	// Stable wire order regardless of map iteration.
-	sort.Slice(list.Entries, func(i, j int) bool {
-		a, b := list.Entries[i], list.Entries[j]
-		if a.Source != b.Source {
-			return a.Source.String() < b.Source.String()
-		}
-		return a.Interferer.String() < b.Interferer.String()
+	// Stable wire order regardless of map iteration: addresses compare
+	// as bytes, the order of their fixed-width hex strings.
+	slices.SortFunc(list.Entries, func(a, b frame.InterferenceEntry) int {
+		return cmp.Or(bytes.Compare(a.Source[:], b.Source[:]),
+			bytes.Compare(a.Interferer[:], b.Interferer[:]),
+			cmp.Compare(a.Rate, b.Rate))
 	})
 	n.sendListWithRetries(list, 8)
 }
@@ -413,11 +416,22 @@ func (n *Node) broadcastTick() {
 // *listSend event rather than a closure so an agenda holding one stays
 // checkpointable.
 func (n *Node) sendListWithRetries(list *frame.InterfererList, budget int) {
+	own := list == &n.listBuf
 	if budget <= 0 {
+		if own {
+			n.listBusy = false
+		}
 		return
 	}
 	if n.radio.Transmitting() || n.Cur != nil {
-		n.sched.PostAfter(2*sim.Millisecond, n, &listSend{List: list, Budget: budget - 1})
+		// The node's own list has at most one retry pending, so its
+		// event argument lives in the node too.
+		retry := &n.listRetry
+		if !own {
+			retry = new(listSend)
+		}
+		*retry = listSend{List: list, Budget: budget - 1}
+		n.sched.PostAfter(2*sim.Millisecond, n, retry)
 		return
 	}
 	n.Stat.ListsSent++

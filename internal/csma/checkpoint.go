@@ -22,7 +22,7 @@ func (n *Node) RestoreState(enc json.RawMessage) error {
 	if err := json.Unmarshal(enc, &st); err != nil {
 		return fmt.Errorf("csma: node %d state: %w", n.id, err)
 	}
-	if st.LastSeq == nil || st.GotAny == nil {
+	if st.LastSeq == nil {
 		return fmt.Errorf("csma: node %d state has no dedup cache", n.id)
 	}
 	if err := n.sched.Attach(&st.DIFSTimer, &st.BackoffTimer, &st.AckTimer, &st.CtsTimer, &st.NavTimer); err != nil {

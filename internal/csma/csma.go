@@ -125,11 +125,11 @@ type state struct {
 	WaitCts  bool           `json:"wait_cts,omitempty"`
 	RtsBuf   frame.Dot11RTS `json:"rts_buf"`
 
-	// Receiver state: last delivered seq per source. Stop-and-wait means
-	// a duplicate can only be a retransmission of the most recent packet,
-	// which is how 802.11's dedup cache works and keeps seq wrap safe.
+	// Receiver state: last delivered seq per source, present once a
+	// source has delivered anything. Stop-and-wait means a duplicate can
+	// only be a retransmission of the most recent packet, which is how
+	// 802.11's dedup cache works and keeps seq wrap safe.
 	LastSeq map[int]uint16 `json:"last_seq"`
-	GotAny  map[int]bool   `json:"got_any"`
 
 	Stat mac.Counters `json:"stat"`
 	RNG  sim.RNG      `json:"rng"`
@@ -138,7 +138,7 @@ type state struct {
 // newState is the state a station starts from, and what a checkpoint
 // decodes into.
 func newState() state {
-	return state{CW: CWMin, LastSeq: make(map[int]uint16), GotAny: make(map[int]bool)}
+	return state{CW: CWMin, LastSeq: make(map[int]uint16)}
 }
 
 // New creates a DCF node on node id of the medium.
@@ -452,10 +452,9 @@ func (n *Node) OnFrame(f frame.Frame, info phy.RxInfo) {
 		if ff.Dst != n.addr && !ff.Dst.IsBroadcast() {
 			return
 		}
-		if n.GotAny[info.From] && n.LastSeq[info.From] == ff.Seq {
+		if s, ok := n.LastSeq[info.From]; ok && s == ff.Seq {
 			n.Stat.Duplicates++
 		} else {
-			n.GotAny[info.From] = true
 			n.LastSeq[info.From] = ff.Seq
 			n.Stat.Delivered++
 			if n.Meter != nil {

@@ -190,7 +190,7 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 		t.Fatal("no instant with a weak signal on the air at a locked receiver")
 	})
 	// A cut inside the frames CMAP's saturated senders put on the air
-	// while the run is being wired. Those are marked All and are the only
+	// while the run is being wired. Those go to every radio and are the only
 	// frames a radio without a station ever hears; the receivers they
 	// reached have to survive the cut, or the resumed run never departs
 	// them from the bystanders and the end-of-run checkpoints differ.
@@ -211,7 +211,7 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 			}
 		}
 		if bystanders == 0 {
-			t.Fatalf("no bystander radio hears a frame at t=%v: nothing marked All is on the air", cut)
+			t.Fatalf("no bystander radio hears a frame at t=%v: no frame of the attach instant is on the air", cut)
 		}
 		checkpointResumeCase(t, tb, cfg, cut, opt.Duration)
 	})

@@ -102,7 +102,7 @@ func TestStateComplete(t *testing.T) {
 	}{
 		{"core", core.Node{}, false, []string{"Node.id", "Node.cfg", "Node.radio", "Node.sched", "Node.addr", "Node.Meter", "Node.OnDeliver",
 			"Node.flowByDst", "Node.seqBuf", "Node.curBuf", "Node.hdrBuf", "Node.trlBuf", "Node.dataBuf", "Node.targBuf", "Node.ackFree",
-			"observations.cfg", "observations.free", "rxFlow.curBuf", "rxFlow.gotBuf", "vpktTx.flow"}},
+			"Node.listBuf", "Node.listRetry", "Node.listBusy", "observations.cfg", "observations.free", "rxFlow.curBuf", "rxFlow.gotBuf", "vpktTx.flow"}},
 		{"csma", csma.Node{}, false, []string{"Node.id", "Node.cfg", "Node.radio", "Node.sched", "Node.addr", "Node.Meter", "Node.OnDeliver",
 			"Node.ackFree", "Node.ctsFree"}},
 		{"phy", phy.Radio{}, false, []string{"Radio.id", "Radio.sched", "Radio.channel", "Radio.handler", "Radio.exact"}},

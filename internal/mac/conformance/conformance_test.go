@@ -38,7 +38,11 @@ func TestConformance(t *testing.T) {
 	for _, armName := range conformanceArms {
 		armName := armName
 		t.Run(armName, func(t *testing.T) {
-			t.Run("ZeroAllocs", func(t *testing.T) { testZeroAllocs(t, armName) })
+			t.Run("ZeroAllocs", func(t *testing.T) {
+				for _, fx := range allocFixtures {
+					t.Run(fx.name, func(t *testing.T) { testZeroAllocs(t, armName, fx.tp) })
+				}
+			})
 			t.Run("Determinism", func(t *testing.T) { testDeterminism(t, armName) })
 			t.Run("WorkerEquivalence", func(t *testing.T) { testWorkerEquivalence(t, armName) })
 			t.Run("Conservation", func(t *testing.T) { testConservation(t, armName) })
@@ -49,15 +53,30 @@ func TestConformance(t *testing.T) {
 	}
 }
 
-// testZeroAllocs drives a saturated clean link to steady state and then
+// allocFixtures are the topologies the allocation gate runs on: the
+// clean link, and the three pairs whose senders lose frames to each
+// other or defer, so that loss, retransmission, partial ACKs and the
+// conflict map's tables are in the steady state too.
+var allocFixtures = []struct {
+	name string
+	tp   Topology
+}{
+	{"CleanLink", CleanLink()},
+	{"ExposedPair", ExposedPair()},
+	{"HiddenPair", HiddenPair()},
+	{"ProtectedPair", ProtectedPair()},
+}
+
+// testZeroAllocs drives saturated senders on tp to steady state and then
 // requires that advancing the simulation allocates nothing: every
-// per-frame object (frames, timers, ACK attempts, receive state) must
-// come from a pool or an embedded buffer.
-func testZeroAllocs(t *testing.T, armName string) {
+// per-frame object (frames, timers, ACK attempts, receive state, the
+// send and receive windows, interferer lists) must come from a pool or
+// an embedded buffer.
+func testZeroAllocs(t *testing.T, armName string, tp Topology) {
 	if raceEnabled {
 		t.Skip("race instrumentation perturbs allocation counts")
 	}
-	fs := NewSim(armName, CleanLink(), 1, 0, 1<<62, traffic.Spec{})
+	fs := NewSim(armName, tp, 1, 0, 1<<62, traffic.Spec{})
 	deadline := sim.Time(0)
 	cycle := func() {
 		deadline += 20 * sim.Millisecond
@@ -69,6 +88,7 @@ func testZeroAllocs(t *testing.T, armName string) {
 	// The whole window is one run: AllocsPerRun divides by its run
 	// count in integers, so a leak of under one object per slice would
 	// read 0 if each slice were a run.
+	frames := fs.Transmissions()
 	if allocs := testing.AllocsPerRun(1, func() {
 		for i := 0; i < 100; i++ {
 			cycle()
@@ -76,8 +96,11 @@ func testZeroAllocs(t *testing.T, armName string) {
 	}); allocs != 0 {
 		t.Fatalf("steady state allocates %.0f objects over 100 20ms slices, want 0", allocs)
 	}
-	if got := fs.Results()[0].Mbps; got <= 0 {
-		t.Fatalf("allocation fixture moved no traffic (%.2f Mb/s) — the gate tested nothing", got)
+	if fs.Transmissions() == frames {
+		t.Fatal("no frame went on the air in the window — the gate tested nothing")
+	}
+	if got := fs.Results()[0].Mbps; tp.Name == "clean" && got <= 0 {
+		t.Fatalf("the clean link moved no traffic (%.2f Mb/s) — the gate tested nothing", got)
 	}
 }
 

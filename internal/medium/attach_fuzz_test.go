@@ -41,11 +41,11 @@ type rewrap struct{ phy.Handler }
 // frame's start and its end — and checks what the "who hears a frame"
 // rule promises whatever the order: each frame arrives at exactly the
 // radios on its sender's row that a station attached to before it
-// started (all of them, for a frame marked All), every Arrive is paired
+// started (all of them, for a frame of an attach instant), every Arrive is paired
 // with a Depart (after the agenda drains no radio hears a signal, holds
 // a lock or has a picowatt left in totalMW), a detached handler is never
 // upcalled, and a radio no station ever attached to has counted nothing
-// unless a frame marked All reached it. Who is attended and the All rule
+// unless a frame of an attach instant reached it. Who is attended and that rule
 // are re-derived here from the sequence of operations, not read back
 // from the medium, and a full read must return the reference build's
 // row. A full read after a move rebuilds the row a frame left holding
@@ -113,7 +113,7 @@ func FuzzAttachOrder(f *testing.F) {
 			handlers[i] = &liveHandler{t: t, id: i}
 		}
 		attended := make([]bool, n)   // a station attached at some point
-		reachedAll := make([]bool, n) // a frame marked All was delivered here
+		reachedAll := make([]bool, n) // a frame of an attach instant was delivered here
 		attachAt := sim.Time(-1)
 		onRow := make([]bool, n)
 		signals := make([]int, n) // each radio's signal count before a frame

@@ -46,8 +46,8 @@
 // does MoveNodes: it moves the nodes in the grid and marks every row
 // stale. A stale row is built by the per-row computation on its next
 // full read, over the positions and model state of that read. Every
-// full reader — NeighborCount, ForEachNeighbor, GainMW, RxPowerDBm, an
-// All frame — goes through one accessor. An ordinary frame over a
+// full reader — NeighborCount, ForEachNeighbor, GainMW, RxPowerDBm, a
+// frame of an attach instant (below) — goes through one accessor. An ordinary frame over a
 // stale row builds only the row's attended part, by the same
 // computation narrowed to the receivers a station listens on, carved
 // from a chunked arena, and leaves the full row to the next full read;
@@ -73,7 +73,7 @@
 // attached to transmits nothing, draws from a private RNG stream and
 // has nobody to tell, so skipping it changes no result. One exception:
 // a frame that starts in an instant in which a station attached goes to
-// every entry (Transmission.All), because a MAC may transmit while the
+// every entry, and carries a nil Heard, because a MAC may transmit while the
 // run is still being wired and stations attached later in that instant
 // must find the frame on the air. See ARCHITECTURE.md, "Who hears a
 // frame"; FuzzAttachOrder holds the Arrive/Depart pairing under any

@@ -148,9 +148,6 @@ func TestFanoutMatchesRebuildUnderMotion(t *testing.T) {
 					tx := new(phy.Transmission)
 					m.txFree = append(m.txFree, tx) // the frame borrows this one
 					r.Transmit(dataFrame(src, (src+1)%n), rate)
-					if tx.All != all {
-						t.Fatalf("seed %d step %d src %d: All = %v, want %v", seed, step, src, tx.All, all)
-					}
 					var want []Delivery
 					for _, d := range oracle()[src] {
 						if all || attended[d.Dst] {
@@ -210,7 +207,7 @@ func staticFanout(t *testing.T) {
 			attended[i] = true
 			m.Radio(i).SetHandler(&recorder{})
 		}
-		sched.Run(sim.Microsecond) // past the attach instant: no frame is All
+		sched.Run(sim.Microsecond) // past the attach instant: no frame goes to every radio
 		reachedAny := false
 		frames := func(when string) {
 			for src := 0; src < n; src += 3 {

@@ -61,6 +61,8 @@ type Medium struct {
 	// txFree recycles Transmission objects: a transmission returns to
 	// the list when its end fan-out completes, so steady-state traffic
 	// reuses a small ring of them instead of allocating one per frame.
+	// Attend puts one on it per station: only a station's radio
+	// transmits, one frame at a time, so a run never needs more.
 	txFree []*phy.Transmission
 
 	State
@@ -143,6 +145,7 @@ func (m *Medium) Attend(r *phy.Radio) {
 	}
 	m.attended[id] = true
 	m.attachAt = m.sched.Now()
+	m.txFree = append(m.txFree, new(phy.Transmission))
 	m.staleHeard()
 }
 
@@ -278,7 +281,7 @@ func (m *Medium) IsolationPRR(from, to int, r phy.Rate, wireBytes int) float64 {
 }
 
 // acquireTx borrows a Transmission from the free list, allocating only
-// when more transmissions overlap than ever before.
+// for a radio that no station attached to.
 func (m *Medium) acquireTx() *phy.Transmission {
 	if n := len(m.txFree); n > 0 {
 		tx := m.txFree[n-1]
@@ -338,7 +341,7 @@ func (m *Medium) finishTransmission(tx *phy.Transmission) {
 // in steady state.
 //
 // A frame that starts in an instant in which a station has attached goes
-// to every radio on the list (All). CMAP's SetSaturated transmits at t=0
+// to every radio on the list. CMAP's SetSaturated transmits at t=0
 // while the run is still being wired, before later flows' stations
 // exist; those stations must find that frame on the air when they
 // attach, and which radios will attach later in the instant cannot be
@@ -359,12 +362,12 @@ func (m *Medium) Transmit(from *phy.Radio, f frame.Frame, r phy.Rate) sim.Time {
 	// frame: a composite literal would be built aside and block-copied.
 	tx := m.acquireTx()
 	tx.TxID, tx.From, tx.Frame, tx.Rate = m.NextTxID, src, f, r
-	tx.Start, tx.End, tx.All = now, end, now == m.attachAt
+	tx.Start, tx.End = now, end
 	// Snapshot the delivery list (a slice header copy, no allocation):
 	// the end fan-out must reach exactly this set even if a move
 	// replaces the live row mid-frame. heardRow builds the attended part
 	// of a stale row on its miss path, which every move forces.
-	if tx.All {
+	if now == m.attachAt {
 		tx.Deliveries, tx.Heard = m.row(src), nil
 	} else {
 		tx.Heard = m.heardRow(src)

@@ -164,7 +164,7 @@ func TestLazyRows(t *testing.T) {
 	}
 
 	// Stations on every seventh node; a frame from one of them, in a
-	// later instant than the attaches so it is not marked All, must put
+	// later instant than the attaches so it does not go to every radio, must put
 	// to the screen exactly the attended ones of construction's
 	// candidates for its row, and nothing of any other row.
 	const src = 7

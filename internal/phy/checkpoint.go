@@ -48,9 +48,6 @@ type TxState struct {
 	// reached, even if delivery lists were rebuilt after the frame went
 	// on air.
 	Deliveries []Delivery `json:"deliveries,omitempty"`
-	// All is Transmission.All: the frame reaches every radio in range,
-	// attended or not.
-	All bool `json:"all,omitempty"`
 }
 
 // ExportTransmission captures one in-flight transmission, its delivery
@@ -63,7 +60,7 @@ func ExportTransmission(tx *Transmission) TxState {
 			reached[i] = tx.Deliveries[k]
 		}
 	}
-	return TxState{TxID: tx.TxID, From: tx.From, Frame: frame.Any{Frame: tx.Frame}, Rate: tx.Rate.ID, Start: tx.Start, End: tx.End, Deliveries: reached, All: tx.All}
+	return TxState{TxID: tx.TxID, From: tx.From, Frame: frame.Any{Frame: tx.Frame}, Rate: tx.Rate.ID, Start: tx.Start, End: tx.End, Deliveries: reached}
 }
 
 // Restore fills tx from the checkpointed record; nodes is the network's
@@ -84,7 +81,7 @@ func (st TxState) Restore(tx *Transmission, nodes int) error {
 			return fmt.Errorf("phy: transmission %d delivers to unknown node %d", st.TxID, d.Dst)
 		}
 	}
-	*tx = Transmission{TxID: st.TxID, From: st.From, Frame: st.Frame.Frame, Rate: rateTable[st.Rate], Start: st.Start, End: st.End, Deliveries: st.Deliveries, All: st.All}
+	*tx = Transmission{TxID: st.TxID, From: st.From, Frame: st.Frame.Frame, Rate: rateTable[st.Rate], Start: st.Start, End: st.End, Deliveries: st.Deliveries}
 	return nil
 }
 

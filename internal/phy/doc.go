@@ -37,8 +37,8 @@
 // that never did. Such a radio transmits nothing, draws from its own
 // RNG stream and has nobody to make an upcall to, so what it would have
 // heard can reach no result; its RadioStats stay at zero apart from
-// frames marked Transmission.All. See ARCHITECTURE.md, "Who hears a
-// frame".
+// frames that started in an instant in which a station attached. See
+// ARCHITECTURE.md, "Who hears a frame".
 //
 // # The interference path
 //

@@ -36,17 +36,15 @@ type Transmission struct {
 	Deliveries []Delivery
 	// Heard lists, in ascending order, the positions in Deliveries of
 	// the receivers the frame reaches: those a station listened on when
-	// it started. Nil means every entry, which is what an All frame, a
-	// restored frame and a frame whose sender's list the medium built
-	// for its attended receivers only carry (the Deliveries of the last
-	// two hold only the receivers the frame reached). Fixed at transmit
-	// time, so both fan-outs of the frame walk the same receivers.
+	// it started. Nil means every entry, which is what three frames
+	// carry: one that started in an instant in which a station attached
+	// (see Channel.Attend), which goes to every radio on Deliveries
+	// whether or not a station listens there; a restored frame; and a
+	// frame whose sender's list the medium built for its attended
+	// receivers only (the Deliveries of the last two hold only the
+	// receivers the frame reached). Fixed at transmit time, so both
+	// fan-outs of the frame walk the same receivers.
 	Heard []int32
-	// All marks a frame that goes to every radio on Deliveries whether
-	// or not a station listens there: one that started in an instant in
-	// which a station attached (see Channel.Attend). Fixed at transmit
-	// time, so both fan-outs of the frame agree on it.
-	All bool
 }
 
 // Delivery is one audible receiver of a node's transmissions: the
@@ -186,7 +184,8 @@ type RadioState struct {
 // RadioStats counts reception outcomes for diagnostics and the
 // header/trailer delivery figures. A radio counts only what its channel
 // delivers to it, so one no station ever attached to (Channel.Attend)
-// stays at zero apart from frames marked Transmission.All.
+// stays at zero apart from frames that started in an instant in which a
+// station attached.
 type RadioStats struct {
 	Decoded     uint64 // frames decoded successfully
 	Corrupted   uint64 // locked but failed decode (or truncated by capture)
